@@ -10,7 +10,9 @@
 //   Drift     — four split systolic arrays + balanced online scheduler
 //
 // All four share the DRAM model, buffer traffic accounting and energy
-// constants so differences come only from their dataflow.
+// constants so differences come only from their dataflow: each model
+// only supplies a per-layer cost to accel::run_layers (accel/traffic.hpp),
+// which does the rest of the bookkeeping.
 #pragma once
 
 #include <memory>
@@ -38,7 +40,9 @@ struct AccelConfig {
   double fp32_unit_static_multiplier = 4.0;
 };
 
-/// Per-layer outcome.
+/// Per-layer outcome.  compute_cycles, dram_cycles, stall_cycles,
+/// dram_bytes and utilization describe one instance of the layer;
+/// cycles and energy carry its repeat factor.
 struct LayerResult {
   std::string layer;
   std::int64_t compute_cycles = 0;  ///< array occupancy (incl. stalls)
@@ -47,10 +51,12 @@ struct LayerResult {
   std::int64_t stall_cycles = 0;
   std::int64_t dram_bytes = 0;
   double utilization = 0.0;         ///< MAC throughput / peak
-  energy::EnergyBreakdown energy;
+  energy::EnergyBreakdown energy;   ///< times repeat; no static share
 };
 
-/// Whole-model outcome.
+/// Whole-model outcome: every field is the sum over layers, with the
+/// per-instance LayerResult fields times repeat, and energy adds the
+/// static share.
 struct RunResult {
   std::string accelerator;
   std::string model;
@@ -74,9 +80,8 @@ class Accelerator {
   virtual std::string name() const = 0;
 
   /// Runs a workload.  `mixes` must contain one entry per layer of
-  /// `spec`, produced by the algorithm this accelerator executes
-  /// (BitFusion: kStaticInt8; DRQ: kDrq; Drift: kDrift; Eyeriss
-  /// ignores the mix and runs FP32).
+  /// `spec`, produced by the algorithm make_accelerator maps to this
+  /// model (Eyeriss ignores the mix and runs FP32).
   virtual RunResult run(const nn::WorkloadSpec& spec,
                         const std::vector<nn::LayerMix>& mixes) = 0;
 

@@ -1,72 +1,41 @@
 #include "accel/bitfusion.hpp"
 
-#include <algorithm>
-
 #include "accel/traffic.hpp"
-#include "util/assert.hpp"
 
 namespace drift::accel {
 
 RunResult BitFusionModel::run(const nn::WorkloadSpec& spec,
                               const std::vector<nn::LayerMix>& mixes) {
-  DRIFT_CHECK(mixes.size() == spec.layers.size(), "mix/layer mismatch");
-  RunResult result;
-  result.accelerator = name();
-  result.model = spec.model;
-  dram::DramModel dram(config_.dram);
   const auto& ec = config_.energy;
   const auto& array = config_.array;
+  return run_layers(
+      name(), config_, spec, mixes,
+      ec.static_pj_per_unit_cycle * static_cast<double>(array.units()),
+      [&](const nn::LayerMix& mix) {
+        const core::GemmDims& dims = mix.layer.dims;
+        LayerCost cost;
 
-  for (const nn::LayerMix& mix : mixes) {
-    const core::GemmDims& dims = mix.layer.dims;
-    LayerResult lr;
-    lr.layer = mix.layer.name;
+        // Static INT8 everywhere, regardless of what the mix says.
+        core::LayerWork work;
+        work.m_high = dims.M;
+        work.n_high = dims.N;
+        work.k = dims.K;
 
-    // Static INT8 everywhere, regardless of what the mix says.
-    core::LayerWork work;
-    work.m_high = dims.M;
-    work.n_high = dims.N;
-    work.k = dims.K;
+        cost.compute_cycles = core::ws_latency_cycles(dims, 8, 8, array);
+        const std::int64_t k_tiles =
+            core::ws_tile_repetitions({dims.M, dims.K, 1}, 8, 8, array);
+        const std::int64_t n_tiles =
+            core::ws_tile_repetitions({dims.M, 1, dims.N}, 8, 8, array);
+        const OperandBits bits{8.0, 8.0, 8};
+        cost.traffic = compute_traffic(dims, bits, n_tiles, k_tiles, config_);
 
-    lr.compute_cycles = core::ws_latency_cycles(dims, 8, 8, array);
-    const std::int64_t k_tiles =
-        core::ws_tile_repetitions({dims.M, dims.K, 1}, 8, 8, array);
-    const std::int64_t n_tiles =
-        core::ws_tile_repetitions({dims.M, 1, dims.N}, 8, 8, array);
-
-    const OperandBits bits{8.0, 8.0, 8};
-    const LayerTraffic traffic =
-        compute_traffic(dims, bits, n_tiles, k_tiles, config_);
-    const DramOutcome mem = dram_outcome(traffic, dram);
-
-    lr.dram_cycles = mem.core_cycles;
-    lr.dram_bytes = traffic.dram_bytes();
-    lr.cycles = std::max(lr.compute_cycles, lr.dram_cycles) *
-                mix.layer.repeat;
-    lr.stall_cycles = 0;
-
-    const double peak_macs_per_cycle = static_cast<double>(array.units());
-    lr.utilization =
-        static_cast<double>(dims.macs()) /
-        (static_cast<double>(lr.compute_cycles) * peak_macs_per_cycle);
-
-    lr.energy.core_pj = core_energy_pj(work, ec) * mix.layer.repeat;
-    lr.energy.buffer_pj = buffer_energy_pj(traffic, ec) * mix.layer.repeat;
-    lr.energy.dram_pj = mem.energy_pj * mix.layer.repeat;
-
-    result.cycles += lr.cycles;
-    result.stall_cycles += lr.stall_cycles;
-    result.dram_bytes += lr.dram_bytes * mix.layer.repeat;
-    result.energy += lr.energy;
-    result.layers.push_back(std::move(lr));
-  }
-
-  // Static energy over the whole execution.
-  const double static_pj = ec.static_pj_per_unit_cycle *
-                           static_cast<double>(config_.array.units()) *
-                           static_cast<double>(result.cycles);
-  result.energy.static_pj = static_pj;
-  return result;
+        const double peak_macs_per_cycle = static_cast<double>(array.units());
+        cost.utilization =
+            static_cast<double>(dims.macs()) /
+            (static_cast<double>(cost.compute_cycles) * peak_macs_per_cycle);
+        cost.core_pj = core_energy_pj(work, ec);
+        return cost;
+      });
 }
 
 }  // namespace drift::accel

@@ -30,42 +30,53 @@ double Comparison::energy_drift() const {
   return drift.energy.total_pj() / eyeriss.energy.total_pj();
 }
 
+nn::MixConfig PipelineConfig::mix_config(nn::MixAlgorithm algo,
+                                         std::uint64_t seed) const {
+  nn::MixConfig mix;
+  mix.algo = algo;
+  if (algo == nn::MixAlgorithm::kDrift) mix.drift = drift_selector;
+  mix.drq = drq_config;
+  mix.dynamic_weights = drift_dynamic_weights;
+  mix.auto_threshold = auto_threshold;
+  mix.noise_budget = noise_budget;
+  mix.seed = seed;
+  return mix;
+}
+
+std::unique_ptr<Accelerator> make_accelerator(nn::MixAlgorithm algo,
+                                              const AccelConfig& hw,
+                                              SchedulerPolicy drift_policy) {
+  switch (algo) {
+    case nn::MixAlgorithm::kStaticInt8:
+      return std::make_unique<BitFusionModel>(hw);
+    case nn::MixAlgorithm::kDrq:
+      return std::make_unique<DrqAccelModel>(hw);
+    case nn::MixAlgorithm::kDrift:
+      return std::make_unique<DriftAccelModel>(hw, drift_policy);
+  }
+  DRIFT_CHECK(false, "unreachable mix algorithm");
+  return nullptr;
+}
+
 Comparison compare_workload(const nn::WorkloadSpec& spec,
                             const CompareConfig& config) {
+  // Per-design precision mixes, from the matching algorithm.
+  const auto mixes = [&](nn::MixAlgorithm algo) {
+    return nn::build_mixes(spec, config.mix_config(algo, config.seed));
+  };
+  const auto run = [&](nn::MixAlgorithm algo,
+                       const std::vector<nn::LayerMix>& algo_mixes) {
+    return make_accelerator(algo, config.hw, config.drift_policy)
+        ->run(spec, algo_mixes);
+  };
+
   Comparison cmp;
   cmp.model = spec.model;
-
-  // Per-design precision mixes, from the matching algorithm.
-  nn::MixConfig int8_mix;
-  int8_mix.algo = nn::MixAlgorithm::kStaticInt8;
-  int8_mix.seed = config.seed;
-
-  nn::MixConfig drq_mix;
-  drq_mix.algo = nn::MixAlgorithm::kDrq;
-  drq_mix.drq = config.drq_config;
-  drq_mix.seed = config.seed;
-
-  nn::MixConfig drift_mix;
-  drift_mix.algo = nn::MixAlgorithm::kDrift;
-  drift_mix.drift = config.drift_selector;
-  drift_mix.dynamic_weights = config.drift_dynamic_weights;
-  drift_mix.auto_threshold = config.auto_threshold;
-  drift_mix.noise_budget = config.noise_budget;
-  drift_mix.seed = config.seed;
-
-  const auto int8_mixes = nn::build_mixes(spec, int8_mix);
-  const auto drq_mixes = nn::build_mixes(spec, drq_mix);
-  const auto drift_mixes = nn::build_mixes(spec, drift_mix);
-
-  EyerissModel eyeriss(config.hw);
-  BitFusionModel bitfusion(config.hw);
-  DrqAccelModel drq(config.hw);
-  DriftAccelModel drift(config.hw, config.drift_policy);
-
-  cmp.eyeriss = eyeriss.run(spec, int8_mixes);  // mix ignored (FP32)
-  cmp.bitfusion = bitfusion.run(spec, int8_mixes);
-  cmp.drq = drq.run(spec, drq_mixes);
-  cmp.drift = drift.run(spec, drift_mixes);
+  const auto int8_mixes = mixes(nn::MixAlgorithm::kStaticInt8);
+  cmp.eyeriss = EyerissModel(config.hw).run(spec, int8_mixes);  // FP32
+  cmp.bitfusion = run(nn::MixAlgorithm::kStaticInt8, int8_mixes);
+  cmp.drq = run(nn::MixAlgorithm::kDrq, mixes(nn::MixAlgorithm::kDrq));
+  cmp.drift = run(nn::MixAlgorithm::kDrift, mixes(nn::MixAlgorithm::kDrift));
   return cmp;
 }
 

@@ -6,6 +6,9 @@
 // data-flow stalls that throttle single-array designs.
 #pragma once
 
+#include <optional>
+#include <string>
+
 #include "accel/accelerator.hpp"
 #include "core/scheduler.hpp"
 
@@ -19,6 +22,10 @@ enum class SchedulerPolicy {
 };
 
 std::string to_string(SchedulerPolicy policy);
+
+/// The policy whose to_string name is `name` ("greedy", "exhaustive",
+/// "fixed"); nullopt for anything else.
+std::optional<SchedulerPolicy> parse_scheduler_policy(const std::string& name);
 
 class DriftAccelModel : public Accelerator {
  public:

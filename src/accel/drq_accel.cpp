@@ -1,96 +1,70 @@
 #include "accel/drq_accel.hpp"
 
-#include <algorithm>
-
 #include "accel/traffic.hpp"
 #include "core/analytical_model.hpp"
 #include "systolic/stall_model.hpp"
-#include "util/assert.hpp"
 
 namespace drift::accel {
 
 RunResult DrqAccelModel::run(const nn::WorkloadSpec& spec,
                              const std::vector<nn::LayerMix>& mixes) {
-  DRIFT_CHECK(mixes.size() == spec.layers.size(), "mix/layer mismatch");
-  RunResult result;
-  result.accelerator = name();
-  result.model = spec.model;
-  dram::DramModel dram(config_.dram);
   const auto& ec = config_.energy;
   const auto& array = config_.array;
   const std::int64_t R = array.rows, C = array.cols;
+  return run_layers(
+      name(), config_, spec, mixes,
+      ec.static_pj_per_unit_cycle * static_cast<double>(array.units()),
+      [&](const nn::LayerMix& mix) {
+        const core::GemmDims& dims = mix.layer.dims;
+        LayerCost cost;
 
-  for (const nn::LayerMix& mix : mixes) {
-    const core::GemmDims& dims = mix.layer.dims;
-    LayerResult lr;
-    lr.layer = mix.layer.name;
+        // Variable-speed execution: the array keeps a 4-bit rhythm;
+        // 8-bit rows take two passes (cost 2).  A precision-mode switch
+        // re-times the activation pipeline over a few stages (weights
+        // stay resident, so no full drain) — cheap for the
+        // block-contiguous patterns of CNN regions, ruinous for finely
+        // interleaved token streams, where the controller falls back
+        // to uniform 8-bit.
+        constexpr std::int64_t kSpeedSwitchPenalty = 4;
+        const auto run = systolic::run_switching_exe_cycles(
+            mix.row_is_low, /*low_cost=*/1, /*high_cost=*/2,
+            kSpeedSwitchPenalty);
+        // K tiles at the 4-bit rhythm (ceil(K/R) == ceil(4K/4R)), weight
+        // (N) tiles at the stored 8-bit width; shared Eq. 7 ceilings.
+        const std::int64_t k_tiles = core::ws_k_tiles(dims.K, 4.0, R);
+        const std::int64_t n_tiles = core::ws_n_tiles(dims.N, 8.0, C);
+        const std::int64_t per_tile = R + run.exe_cycles + (R + C - 2);
+        cost.compute_cycles = per_tile * k_tiles * n_tiles;
+        cost.stall_cycles = run.stall_cycles * k_tiles * n_tiles;
 
-    // Variable-speed execution: the array keeps a 4-bit rhythm; 8-bit
-    // rows take two passes (cost 2).  A precision-mode switch re-times
-    // the activation pipeline over a few stages (weights stay
-    // resident, so no full drain) — cheap for the block-contiguous
-    // patterns of CNN regions, ruinous for finely interleaved token
-    // streams, where the controller falls back to uniform 8-bit.
-    // K tiles at the 4-bit rhythm, weight (N) tiles at 8 bits.
-    constexpr std::int64_t kSpeedSwitchPenalty = 4;
-    const auto run = systolic::run_switching_exe_cycles(
-        mix.row_is_low, /*low_cost=*/1, /*high_cost=*/2,
-        kSpeedSwitchPenalty);
-    // K tiles at the 4-bit rhythm (ceil(K/R) == ceil(4K/4R)), weight
-    // (N) tiles at the stored 8-bit width; shared Eq. 7 ceilings.
-    const std::int64_t k_tiles = core::ws_k_tiles(dims.K, 4.0, R);
-    const std::int64_t n_tiles = core::ws_n_tiles(dims.N, 8.0, C);
-    const std::int64_t per_tile = R + run.exe_cycles + (R + C - 2);
-    lr.compute_cycles = per_tile * k_tiles * n_tiles;
-    lr.stall_cycles = run.stall_cycles * k_tiles * n_tiles;
+        // Energy-wise, fallen-back rows burn 8-bit compute even though
+        // their stored values are 4-bit.
+        core::LayerWork work = mix.work;
+        work.n_high = dims.N;  // DRQ weights are static 8-bit
+        work.n_low = 0;
+        if (run.fell_back_to_high) {
+          work.m_high = dims.M;
+          work.m_low = 0;
+        }
 
-    // Energy-wise, fallen-back rows burn 8-bit compute even though
-    // their stored values are 4-bit.
-    core::LayerWork work = mix.work;
-    work.n_high = dims.N;  // DRQ weights are static 8-bit
-    work.n_low = 0;
-    if (run.fell_back_to_high) {
-      work.m_high = dims.M;
-      work.m_low = 0;
-    }
+        // Traffic at *stored* widths (DRQ and Drift load similar
+        // amounts of data — Section 5.3).
+        core::LayerWork stored = mix.work;
+        stored.n_high = dims.N;
+        stored.n_low = 0;
+        const OperandBits bits = operand_bits_from_work(stored);
+        cost.traffic = compute_traffic(dims, bits, n_tiles, k_tiles, config_);
 
-    // Traffic at *stored* widths (DRQ and Drift load similar amounts
-    // of data — Section 5.3).
-    core::LayerWork stored = mix.work;
-    stored.n_high = dims.N;
-    stored.n_low = 0;
-    const OperandBits bits = operand_bits_from_work(stored);
-    const LayerTraffic traffic =
-        compute_traffic(dims, bits, n_tiles, k_tiles, config_);
-    const DramOutcome mem = dram_outcome(traffic, dram);
-
-    lr.dram_cycles = mem.core_cycles;
-    lr.dram_bytes = traffic.dram_bytes();
-    lr.cycles = std::max(lr.compute_cycles, lr.dram_cycles) *
-                mix.layer.repeat;
-
-    // Utilization in BitBrick-op terms: each unit supplies 16 BB ops
-    // per cycle (a 4-bit row consumes 8 of them against 8-bit weights).
-    lr.utilization =
-        total_bitbrick_ops(work) /
-        (static_cast<double>(lr.compute_cycles) *
-         static_cast<double>(array.units()) * 16.0);
-
-    lr.energy.core_pj = core_energy_pj(work, ec) * mix.layer.repeat;
-    lr.energy.buffer_pj = buffer_energy_pj(traffic, ec) * mix.layer.repeat;
-    lr.energy.dram_pj = mem.energy_pj * mix.layer.repeat;
-
-    result.cycles += lr.cycles;
-    result.stall_cycles += lr.stall_cycles * mix.layer.repeat;
-    result.dram_bytes += lr.dram_bytes * mix.layer.repeat;
-    result.energy += lr.energy;
-    result.layers.push_back(std::move(lr));
-  }
-
-  result.energy.static_pj = ec.static_pj_per_unit_cycle *
-                            static_cast<double>(config_.array.units()) *
-                            static_cast<double>(result.cycles);
-  return result;
+        // Utilization in BitBrick-op terms: each unit supplies 16 BB ops
+        // per cycle (a 4-bit row consumes 8 of them against 8-bit
+        // weights).
+        cost.utilization =
+            total_bitbrick_ops(work) /
+            (static_cast<double>(cost.compute_cycles) *
+             static_cast<double>(array.units()) * 16.0);
+        cost.core_pj = core_energy_pj(work, ec);
+        return cost;
+      });
 }
 
 }  // namespace drift::accel

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "accel/traffic.hpp"
-#include "util/assert.hpp"
 
 namespace drift::accel {
 
@@ -27,58 +26,39 @@ std::int64_t EyerissModel::mapped_pes(const nn::LayerGemm& layer) {
 
 RunResult EyerissModel::run(const nn::WorkloadSpec& spec,
                             const std::vector<nn::LayerMix>& mixes) {
-  DRIFT_CHECK(mixes.size() == spec.layers.size(), "mix/layer mismatch");
-  RunResult result;
-  result.accelerator = name();
-  result.model = spec.model;
-  dram::DramModel dram(config_.dram);
   const auto& ec = config_.energy;
+  RunResult result = run_layers(
+      name(), config_, spec, mixes,
+      ec.static_pj_per_unit_cycle * config_.fp32_unit_static_multiplier *
+          static_cast<double>(kPeCount),
+      [&](const nn::LayerMix& mix) {
+        const core::GemmDims& dims = mix.layer.dims;
+        LayerCost cost;
+        const std::int64_t pes = mapped_pes(mix.layer);
+        cost.compute_cycles = (dims.macs() + pes - 1) / pes;
+        cost.utilization = static_cast<double>(dims.macs()) /
+                           (static_cast<double>(cost.compute_cycles) *
+                            static_cast<double>(kPeCount));
 
-  for (const nn::LayerMix& mix : mixes) {
-    const core::GemmDims& dims = mix.layer.dims;
-    LayerResult lr;
-    lr.layer = mix.layer.name;
+        // FP32 operands: 32-bit everything; the ifmap is re-read once
+        // per 16-output-channel pass when it does not fit on chip.
+        const std::int64_t n_tiles = std::max<std::int64_t>(
+            (dims.N + kPeCols - 1) / kPeCols, 1);
+        const std::int64_t k_tiles = 1;  // psums stay in PE register files
+        const OperandBits bits{32.0, 32.0, 32};
+        cost.traffic = compute_traffic(dims, bits, n_tiles, k_tiles, config_);
+        cost.core_pj = static_cast<double>(dims.macs()) * ec.e_fp32_mac_pj;
+        return cost;
+      });
 
-    const std::int64_t pes = mapped_pes(mix.layer);
-    lr.compute_cycles = (dims.macs() + pes - 1) / pes;
-    lr.utilization = static_cast<double>(dims.macs()) /
-                     (static_cast<double>(lr.compute_cycles) *
-                      static_cast<double>(kPeCount));
-
-    // FP32 operands: 32-bit everything; the ifmap is re-read once per
-    // 16-output-channel pass when it does not fit on chip.
-    const std::int64_t n_tiles = std::max<std::int64_t>(
-        (dims.N + kPeCols - 1) / kPeCols, 1);
-    const std::int64_t k_tiles = 1;  // psums stay in PE register files
-    const OperandBits bits{32.0, 32.0, 32};
-    const LayerTraffic traffic =
-        compute_traffic(dims, bits, n_tiles, k_tiles, config_);
-    const DramOutcome mem = dram_outcome(traffic, dram);
-
-    lr.dram_cycles = mem.core_cycles;
-    lr.dram_bytes = traffic.dram_bytes();
-    lr.cycles = std::max(lr.compute_cycles, lr.dram_cycles) *
-                mix.layer.repeat;
+  // Eyeriss's stalls are its memory-bound cycles, which exist only once
+  // run_layers has priced the DRAM traffic.
+  for (std::size_t l = 0; l < result.layers.size(); ++l) {
+    LayerResult& lr = result.layers[l];
     lr.stall_cycles =
-        std::max<std::int64_t>(lr.dram_cycles - lr.compute_cycles, 0) *
-        mix.layer.repeat;
-
-    lr.energy.core_pj = static_cast<double>(dims.macs()) *
-                        ec.e_fp32_mac_pj * mix.layer.repeat;
-    lr.energy.buffer_pj = buffer_energy_pj(traffic, ec) * mix.layer.repeat;
-    lr.energy.dram_pj = mem.energy_pj * mix.layer.repeat;
-
-    result.cycles += lr.cycles;
-    result.stall_cycles += lr.stall_cycles;
-    result.dram_bytes += lr.dram_bytes * mix.layer.repeat;
-    result.energy += lr.energy;
-    result.layers.push_back(std::move(lr));
+        std::max<std::int64_t>(lr.dram_cycles - lr.compute_cycles, 0);
+    result.stall_cycles += lr.stall_cycles * mixes[l].layer.repeat;
   }
-
-  result.energy.static_pj = ec.static_pj_per_unit_cycle *
-                            config_.fp32_unit_static_multiplier *
-                            static_cast<double>(kPeCount) *
-                            static_cast<double>(result.cycles);
   return result;
 }
 

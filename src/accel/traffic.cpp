@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace drift::accel {
@@ -99,6 +100,46 @@ double core_energy_pj(const core::LayerWork& work,
   const double macs = static_cast<double>(work.total_macs());
   return total_bitbrick_ops(work) * constants.e_bitbrick_op_pj +
          macs * constants.e_psum_add_pj;
+}
+
+RunResult run_layers(
+    std::string name, const AccelConfig& hw, const nn::WorkloadSpec& spec,
+    const std::vector<nn::LayerMix>& mixes, double static_pj_per_cycle,
+    const std::function<LayerCost(const nn::LayerMix&)>& cost) {
+  DRIFT_CHECK(mixes.size() == spec.layers.size(), "mix/layer mismatch");
+  RunResult result;
+  result.accelerator = std::move(name);
+  result.model = spec.model;
+  dram::DramModel dram(hw.dram);
+
+  for (const nn::LayerMix& mix : mixes) {
+    DRIFT_OBS_SPAN("accel.layer");
+    const LayerCost layer = cost(mix);
+    const DramOutcome mem = dram_outcome(layer.traffic, dram);
+    const std::int64_t repeat = mix.layer.repeat;
+
+    LayerResult lr;
+    lr.layer = mix.layer.name;
+    lr.compute_cycles = layer.compute_cycles;
+    lr.dram_cycles = mem.core_cycles;
+    lr.cycles = std::max(lr.compute_cycles, lr.dram_cycles) * repeat;
+    lr.stall_cycles = layer.stall_cycles;
+    lr.dram_bytes = layer.traffic.dram_bytes();
+    lr.utilization = layer.utilization;
+    lr.energy.core_pj = layer.core_pj * repeat;
+    lr.energy.buffer_pj = buffer_energy_pj(layer.traffic, hw.energy) * repeat;
+    lr.energy.dram_pj = mem.energy_pj * repeat;
+
+    result.cycles += lr.cycles;
+    result.stall_cycles += lr.stall_cycles * repeat;
+    result.dram_bytes += lr.dram_bytes * repeat;
+    result.energy += lr.energy;
+    result.layers.push_back(std::move(lr));
+  }
+
+  result.energy.static_pj =
+      static_pj_per_cycle * static_cast<double>(result.cycles);
+  return result;
 }
 
 }  // namespace drift::accel

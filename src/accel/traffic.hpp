@@ -1,13 +1,16 @@
-// Shared traffic and energy accounting for the INT-class accelerators.
+// Shared traffic and energy accounting for the accelerator models.
 //
 // Given one layer's GEMM, its precision mix, and the tiling the
 // dataflow implies, computes DRAM bytes, buffer traffic and the
-// resulting energy components.  All INT accelerators (BitFusion, DRQ,
-// Drift) use the same accounting so their energy differences come from
-// data width, tile counts and occupancy — not from bespoke bookkeeping.
+// resulting energy components.  All four models run their layers
+// through run_layers, so their differences come from data width, tile
+// counts and occupancy — not from bespoke bookkeeping.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 
@@ -65,5 +68,27 @@ double core_energy_pj(const core::LayerWork& work,
 /// Total BitBrick operations of a mix-split GEMM (the numerator of the
 /// utilization metric: each unit supplies 16 BB ops per cycle).
 double total_bitbrick_ops(const core::LayerWork& work);
+
+/// What one model's dataflow makes of one layer instance (run_layers
+/// applies the repeat factor).
+struct LayerCost {
+  std::int64_t compute_cycles = 0;  ///< array occupancy (incl. stalls)
+  std::int64_t stall_cycles = 0;
+  double utilization = 0.0;
+  double core_pj = 0.0;
+  LayerTraffic traffic;  ///< the model's compute_traffic result
+};
+
+/// The per-layer accounting loop every accelerator model shares.  It
+/// checks there is one mix per layer of `spec`, calls `cost` per layer
+/// inside an `accel.layer` span, prices the traffic on one DRAM model,
+/// sets cycles = max(compute, dram) x repeat, scales stalls, DRAM bytes
+/// and energy by repeat into the run totals, and adds static energy
+/// `static_pj_per_cycle` x cycles.
+RunResult run_layers(std::string name, const AccelConfig& hw,
+                     const nn::WorkloadSpec& spec,
+                     const std::vector<nn::LayerMix>& mixes,
+                     double static_pj_per_cycle,
+                     const std::function<LayerCost(const nn::LayerMix&)>& cost);
 
 }  // namespace drift::accel

@@ -1,6 +1,7 @@
 #include "nn/precision_mix.hpp"
 
 #include <algorithm>
+#include <cctype>
 
 #include "core/noise_budget.hpp"
 
@@ -58,6 +59,27 @@ std::vector<bool> classify(const std::vector<core::SubTensorStats>& stats,
   return low;
 }
 
+/// Low/high pattern of the weight channels (or of the second activation
+/// operand for attention GEMMs, which is always dynamic).
+std::vector<bool> build_weight_pattern(const LayerGemm& layer, Rng& rng,
+                                       const WorkloadSpec& spec,
+                                       const MixConfig& config) {
+  const bool second_operand_is_activation =
+      layer.kind == LayerKind::kAttnScore ||
+      layer.kind == LayerKind::kAttnContext;
+  const auto& w_profile = second_operand_is_activation
+                              ? spec.act_profile
+                              : spec.weight_profile;
+  const bool weights_dynamic =
+      config.algo == MixAlgorithm::kDrift &&
+      (config.dynamic_weights || second_operand_is_activation);
+  const auto w_stats = sample_subtensor_stats(
+      rng, layer.dims.N, std::max<std::int64_t>(layer.dims.K, 2),
+      w_profile);
+  return classify(w_stats, std::max<std::int64_t>(layer.dims.K, 2), config,
+                  weights_dynamic);
+}
+
 }  // namespace
 
 std::string to_string(MixAlgorithm algo) {
@@ -67,6 +89,16 @@ std::string to_string(MixAlgorithm algo) {
     case MixAlgorithm::kDrift: return "Drift";
   }
   return "?";
+}
+
+std::optional<MixAlgorithm> parse_mix_algorithm(const std::string& name) {
+  for (const MixAlgorithm algo :
+       {MixAlgorithm::kStaticInt8, MixAlgorithm::kDrq, MixAlgorithm::kDrift}) {
+    std::string lower = to_string(algo);
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    if (name == lower) return algo;
+  }
+  return std::nullopt;
 }
 
 std::vector<bool> build_act_pattern(const LayerGemm& layer, Rng& rng,
@@ -95,28 +127,8 @@ std::vector<bool> build_act_pattern(const LayerGemm& layer, Rng& rng,
   return row_is_low;
 }
 
-std::vector<bool> build_weight_pattern(const LayerGemm& layer, Rng& rng,
-                                       const WorkloadSpec& spec,
-                                       const MixConfig& config) {
-  const bool second_operand_is_activation =
-      layer.kind == LayerKind::kAttnScore ||
-      layer.kind == LayerKind::kAttnContext;
-  const auto& w_profile = second_operand_is_activation
-                              ? spec.act_profile
-                              : spec.weight_profile;
-  const bool weights_dynamic =
-      config.algo == MixAlgorithm::kDrift &&
-      (config.dynamic_weights || second_operand_is_activation);
-  const auto w_stats = sample_subtensor_stats(
-      rng, layer.dims.N, std::max<std::int64_t>(layer.dims.K, 2),
-      w_profile);
-  return classify(w_stats, std::max<std::int64_t>(layer.dims.K, 2), config,
-                  weights_dynamic);
-}
-
 LayerMix assemble_mix(const LayerGemm& layer, std::vector<bool> row_is_low,
-                      const std::vector<bool>& col_is_low,
-                      const MixConfig& config) {
+                      std::int64_t n_low, const MixConfig& config) {
   LayerMix mix;
   mix.layer = layer;
   mix.row_is_low = std::move(row_is_low);
@@ -129,9 +141,8 @@ LayerMix assemble_mix(const LayerGemm& layer, std::vector<bool> row_is_low,
   for (bool is_low : mix.row_is_low) {
     (is_low ? work.m_low : work.m_high) += 1;
   }
-  for (bool is_low : col_is_low) {
-    (is_low ? work.n_low : work.n_high) += 1;
-  }
+  work.n_low = n_low;
+  work.n_high = layer.dims.N - n_low;
   mix.work = work;
   mix.act_low_fraction =
       static_cast<double>(work.m_low) /
@@ -155,7 +166,9 @@ std::vector<LayerMix> build_mixes(const WorkloadSpec& spec,
     Rng rng = base_rng.fork(stream++);
     auto rows = build_act_pattern(layer, rng, spec.act_profile, config);
     const auto cols = build_weight_pattern(layer, rng, spec, config);
-    mixes.push_back(assemble_mix(layer, std::move(rows), cols, config));
+    mixes.push_back(assemble_mix(layer, std::move(rows),
+                                 std::count(cols.begin(), cols.end(), true),
+                                 config));
   }
   return mixes;
 }

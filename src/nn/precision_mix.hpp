@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/drq_quantizer.hpp"
@@ -29,6 +31,10 @@ namespace drift::nn {
 enum class MixAlgorithm { kStaticInt8, kDrq, kDrift };
 
 std::string to_string(MixAlgorithm algo);
+
+/// The algorithm whose lower-cased to_string name is `name` ("int8",
+/// "drq", "drift"); nullopt for anything else.
+std::optional<MixAlgorithm> parse_mix_algorithm(const std::string& name);
 
 /// Mix generation parameters.
 struct MixConfig {
@@ -52,16 +58,15 @@ struct LayerMix {
   double weight_low_fraction = 0.0;
 };
 
-/// Builds the mix of every layer in a workload.
+/// Builds the mix of every layer in a workload: layer i samples from
+/// Rng(config.seed).fork(i), activation pattern first, then the weight
+/// channels.  This is the only code that knows that order.
 std::vector<LayerMix> build_mixes(const WorkloadSpec& spec,
                                   const MixConfig& config);
 
-// Per-operand pattern builders.  build_mixes is composed from these;
-// the serving layer (src/serve/) also calls them directly to give every
+// The pieces the serving layer (src/serve/) re-assembles to give every
 // in-flight request its own activation pattern against the tenant's
-// canonical weight pattern.  Each builder consumes `rng` in a fixed
-// order, so calling build_act_pattern then build_weight_pattern with
-// one per-layer rng reproduces build_mixes exactly.
+// canonical weight channels (from build_mixes).
 
 /// In-order low/high pattern of one layer's activation rows: samples
 /// per-sub-tensor stats from `act_profile` and classifies them with the
@@ -72,17 +77,10 @@ std::vector<bool> build_act_pattern(const LayerGemm& layer, Rng& rng,
                                     const SubTensorScaleProfile& act_profile,
                                     const MixConfig& config);
 
-/// Low/high pattern of the weight channels (or of the second activation
-/// operand for attention GEMMs, which is always dynamic).
-std::vector<bool> build_weight_pattern(const LayerGemm& layer, Rng& rng,
-                                       const WorkloadSpec& spec,
-                                       const MixConfig& config);
-
-/// Assembles the LayerWork class split + fractions from the two operand
-/// patterns.
+/// Assembles the LayerWork class split + fractions from the activation
+/// row pattern and the number of low-precision weight channels.
 LayerMix assemble_mix(const LayerGemm& layer, std::vector<bool> row_is_low,
-                      const std::vector<bool>& col_is_low,
-                      const MixConfig& config);
+                      std::int64_t n_low, const MixConfig& config);
 
 /// MAC-weighted mean activation low fraction across a mix set.
 double overall_act_low_fraction(const std::vector<LayerMix>& mixes);

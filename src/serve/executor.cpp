@@ -2,58 +2,33 @@
 
 #include <utility>
 
-#include "accel/bitfusion.hpp"
-#include "accel/drq_accel.hpp"
 #include "util/assert.hpp"
 
 namespace drift::serve {
 
 BatchExecutor::BatchExecutor(ExecConfig config, std::vector<TenantSpec> tenants,
                              util::ThreadPool& pool)
-    : config_(std::move(config)), tenants_(std::move(tenants)) {
+    : config_(std::move(config)),
+      tenants_(std::move(tenants)),
+      model_(accel::make_accelerator(config_.algo, config_.hw,
+                                     config_.drift_policy)) {
   DRIFT_CHECK(!tenants_.empty(), "executor needs at least one tenant");
-  switch (config_.algo) {
-    case nn::MixAlgorithm::kStaticInt8:
-      model_ = std::make_unique<accel::BitFusionModel>(config_.hw);
-      break;
-    case nn::MixAlgorithm::kDrq:
-      model_ = std::make_unique<accel::DrqAccelModel>(config_.hw);
-      break;
-    case nn::MixAlgorithm::kDrift:
-      model_ = std::make_unique<accel::DriftAccelModel>(config_.hw,
-                                                        config_.drift_policy);
-      break;
-  }
-
   states_.resize(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     const TenantSpec& tenant = tenants_[t];
     TenantState& st = states_[t];
     st.spec = prefix_layers(tenant.workload, tenant.name);
-    const nn::MixConfig cfg = mix_config(tenant);
-
-    // Canonical mix, decomposed through the same per-operand builders
-    // build_mixes uses (same per-layer fork streams, activation first)
-    // so the column patterns can be retained for batch packing.
-    const std::size_t num_layers = st.spec.layers.size();
-    st.canonical.resize(num_layers);
-    st.col_patterns.resize(num_layers);
-    const Rng base(tenant.seed);
-    for (std::size_t li = 0; li < num_layers; ++li) {
-      const nn::LayerGemm& layer = st.spec.layers[li];
-      Rng rng = base.fork(li);
-      auto rows = nn::build_act_pattern(layer, rng, st.spec.act_profile, cfg);
-      st.col_patterns[li] = nn::build_weight_pattern(layer, rng, st.spec, cfg);
-      st.canonical[li] =
-          nn::assemble_mix(layer, std::move(rows), st.col_patterns[li], cfg);
-    }
-
+    st.mix = config_.mix_config(config_.algo, tenant.seed);
+    st.canonical = nn::build_mixes(st.spec, st.mix);
     if (!tenant.unique_mix_per_request) continue;
 
     // Per-request activation patterns: request r samples its own
     // activation stream from fork(kRequestStreamBase + r), one child
-    // stream per layer.  Slots are disjoint and seed-derived, so the
-    // parallel precompute is bit-identical at any pool size.
+    // stream per layer, against the canonical weight channels.  Slots
+    // are disjoint and seed-derived, so the parallel precompute is
+    // bit-identical at any pool size.
+    const std::size_t num_layers = st.spec.layers.size();
+    const Rng base(tenant.seed);
     st.per_request.resize(static_cast<std::size_t>(tenant.num_requests));
     pool.parallel_for(
         0, tenant.num_requests, 1, [&](std::int64_t lo, std::int64_t hi) {
@@ -65,26 +40,14 @@ BatchExecutor::BatchExecutor(ExecConfig config, std::vector<TenantSpec> tenants,
             for (std::size_t li = 0; li < num_layers; ++li) {
               const nn::LayerGemm& layer = st.spec.layers[li];
               Rng rng = req_base.fork(li);
-              auto rows =
-                  nn::build_act_pattern(layer, rng, st.spec.act_profile, cfg);
+              auto rows = nn::build_act_pattern(layer, rng,
+                                                st.spec.act_profile, st.mix);
               mixes[li] = nn::assemble_mix(layer, std::move(rows),
-                                           st.col_patterns[li], cfg);
+                                           st.canonical[li].work.n_low, st.mix);
             }
           }
         });
   }
-}
-
-nn::MixConfig BatchExecutor::mix_config(const TenantSpec& tenant) const {
-  nn::MixConfig cfg;
-  cfg.algo = config_.algo;
-  cfg.drift = config_.drift_selector;
-  cfg.drq = config_.drq_config;
-  cfg.dynamic_weights = config_.drift_dynamic_weights;
-  cfg.auto_threshold = config_.auto_threshold;
-  cfg.noise_budget = config_.noise_budget;
-  cfg.seed = tenant.seed;
-  return cfg;
 }
 
 const BatchExecutor::TenantState& BatchExecutor::state(int tenant) const {
@@ -108,12 +71,10 @@ BatchResult BatchExecutor::execute(int tenant,
                                    const std::vector<std::int64_t>& locals) {
   DRIFT_CHECK(!locals.empty(), "cannot execute an empty batch");
   const TenantState& st = state(tenant);
-  const TenantSpec& spec = tenants_[static_cast<std::size_t>(tenant)];
-  const nn::MixConfig cfg = mix_config(spec);
 
   // Pack: per layer, concatenate the member requests' row patterns in
   // admission order and grow M accordingly; the weight side (shared
-  // across the tenant's requests) keeps the canonical column pattern.
+  // across the tenant's requests) keeps the canonical channel split.
   nn::WorkloadSpec batched = st.spec;
   std::vector<nn::LayerMix> mixes(batched.layers.size());
   for (std::size_t li = 0; li < batched.layers.size(); ++li) {
@@ -125,7 +86,7 @@ BatchResult BatchExecutor::execute(int tenant,
     }
     batched.layers[li].dims.M = static_cast<std::int64_t>(rows.size());
     mixes[li] = nn::assemble_mix(batched.layers[li], std::move(rows),
-                                 st.col_patterns[li], cfg);
+                                 st.canonical[li].work.n_low, st.mix);
   }
 
   BatchResult result;

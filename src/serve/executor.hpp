@@ -21,24 +21,17 @@
 #include <memory>
 #include <vector>
 
-#include "accel/accelerator.hpp"
-#include "accel/drift_accel.hpp"
+#include "accel/compare.hpp"
 #include "nn/precision_mix.hpp"
 #include "serve/tenant.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift::serve {
 
-/// Which accelerator + mix algorithm serves the traffic.
-struct ExecConfig {
-  accel::AccelConfig hw{};
+/// Which accelerator + mix algorithm serves the traffic.  Tenant t's
+/// mixes use mix_config(algo, tenant.seed).
+struct ExecConfig : accel::PipelineConfig {
   nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
-  core::SelectorConfig drift_selector{};
-  core::DrqConfig drq_config{};
-  bool drift_dynamic_weights = true;
-  bool auto_threshold = true;
-  double noise_budget = 0.05;
-  accel::SchedulerPolicy drift_policy = accel::SchedulerPolicy::kGreedy;
 };
 
 /// One batch's accelerator outcome.
@@ -69,11 +62,6 @@ class BatchExecutor {
   const std::vector<nn::LayerMix>& request_mixes(int tenant,
                                                  std::int64_t local) const;
 
-  /// The MixConfig a tenant's mixes are built with (algo + seed wired
-  /// from the executor / tenant config) — exposed so tests can
-  /// reproduce canonical mixes via nn::build_mixes.
-  nn::MixConfig mix_config(const TenantSpec& tenant) const;
-
   /// Runs one batch (same-tenant request indices, admission order):
   /// packs the member mixes into shared layers and runs the configured
   /// accelerator model on the batched workload.
@@ -86,9 +74,9 @@ class BatchExecutor {
 
  private:
   struct TenantState {
-    nn::WorkloadSpec spec;                       ///< prefixed layer names
+    nn::WorkloadSpec spec;  ///< prefixed layer names
+    nn::MixConfig mix;
     std::vector<nn::LayerMix> canonical;
-    std::vector<std::vector<bool>> col_patterns;  ///< per layer
     /// Per request, per layer activation mixes (empty when requests
     /// share the canonical mix).
     std::vector<std::vector<nn::LayerMix>> per_request;
@@ -103,8 +91,8 @@ class BatchExecutor {
 };
 
 /// Stream id offset separating per-request activation sampling from the
-/// canonical per-layer streams build_mixes consumes (streams 0..L-1 on
-/// the same base rng).
+/// canonical per-layer streams build_mixes consumes (streams 0..L-1 of
+/// Rng(tenant.seed)).
 inline constexpr std::uint64_t kRequestStreamBase = 1ull << 32;
 
 }  // namespace drift::serve

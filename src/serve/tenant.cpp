@@ -1,5 +1,7 @@
 #include "serve/tenant.hpp"
 
+#include "util/assert.hpp"
+
 namespace drift::serve {
 namespace {
 
@@ -37,10 +39,14 @@ nn::WorkloadSpec tiny_bert() {
 
 nn::WorkloadSpec serving_workload(const std::string& name) {
   if (name == "tiny-bert") return tiny_bert();
+  if (name == "tiny-cnn") return tiny_cnn();
+  std::string known = "tiny-bert, tiny-cnn";
   for (const auto& spec : nn::paper_workloads()) {
     if (spec.model == name) return spec;
+    known += ", " + spec.model;
   }
-  return tiny_cnn();
+  throw check_error("unknown serving workload '" + name + "' (known: " +
+                    known + ")");
 }
 
 nn::WorkloadSpec prefix_layers(const nn::WorkloadSpec& spec,

@@ -31,7 +31,8 @@ struct TenantSpec {
 /// keep a per-batch accelerator run in the microsecond range, so soak
 /// tests can push tens of thousands of requests.  `name` selects
 /// "tiny-cnn", "tiny-bert" or any paper workload by its model name
-/// (e.g. "ResNet18"); unknown names fall back to tiny-cnn.
+/// (e.g. "ResNet18"); an unknown name throws check_error listing the
+/// known ones.
 nn::WorkloadSpec serving_workload(const std::string& name);
 
 /// Copy of `spec` with every layer renamed "<prefix>/<layer>", so two

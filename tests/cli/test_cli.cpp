@@ -1,0 +1,64 @@
+// Command-line contract of the three drivers (label: cli): an unknown
+// choice is a usage error — exit code 2 and a message listing every
+// valid value — never a silent fallback to a default.
+//
+// Binary paths are injected by tests/cli/CMakeLists.txt.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+
+namespace {
+
+struct CliResult {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr together
+};
+
+CliResult run(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << "failed to spawn: " << cmd;
+  CliResult result;
+  if (!pipe) return result;
+  char buf[4096];
+  while (std::size_t n = fread(buf, 1, sizeof buf, pipe)) {
+    result.output.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return result;
+}
+
+/// Runs `binary args` and expects exit code 2 with `valid` (the list of
+/// accepted values) in the message.
+void expect_usage_error(const std::string& binary, const std::string& args,
+                        const std::string& valid) {
+  const CliResult r = run(binary, args);
+  EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+  EXPECT_NE(r.output.find(valid), std::string::npos)
+      << args << ": message does not list '" << valid << "'\n"
+      << r.output;
+}
+
+constexpr const char* kAlgos = "int8, drq, drift";
+constexpr const char* kPolicies = "greedy, exhaustive, fixed";
+
+TEST(Cli, DriftsimRejectsUnknownPolicy) {
+  expect_usage_error(DRIFTSIM_BIN, "--gemm=8x8x8 --policy=bogus", kPolicies);
+}
+
+TEST(Cli, DriftGraphRejectsUnknownAlgoAndPolicy) {
+  expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --algo=bogus",
+                     kAlgos);
+  expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --policy=bogus",
+                     kPolicies);
+}
+
+TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {
+  expect_usage_error(DRIFT_SERVE_BIN, "--algo=bogus", kAlgos);
+  expect_usage_error(DRIFT_SERVE_BIN, "--workloads=tiny-bert,nosuch",
+                     "tiny-bert, tiny-cnn, ResNet18");
+}
+
+}  // namespace

@@ -168,7 +168,7 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
                                     event_field(line, "tid"));
     if (ph == 'B') {
       ++begins;
-      if (name == "drift_accel.layer") ++accel_spans;
+      if (name == "accel.layer") ++accel_spans;
       open_spans[tid].push_back(name);
     } else if (ph == 'E') {
       ++ends;

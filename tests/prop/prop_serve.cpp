@@ -21,9 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "accel/bitfusion.hpp"
-#include "accel/drq_accel.hpp"
-#include "accel/drift_accel.hpp"
+#include "accel/compare.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_queue.hpp"
 #include "serve/simulator.hpp"
@@ -56,23 +54,6 @@ serve::ExecConfig micro_exec(Rng& rng) {
   return exec;
 }
 
-/// Fresh offline accelerator of the serving config — a new model
-/// instance, so the serving executor's internal state cannot leak into
-/// the reference run.
-std::unique_ptr<accel::Accelerator> offline_model(
-    const serve::ExecConfig& exec) {
-  switch (exec.algo) {
-    case nn::MixAlgorithm::kStaticInt8:
-      return std::make_unique<accel::BitFusionModel>(exec.hw);
-    case nn::MixAlgorithm::kDrq:
-      return std::make_unique<accel::DrqAccelModel>(exec.hw);
-    case nn::MixAlgorithm::kDrift:
-      return std::make_unique<accel::DriftAccelModel>(exec.hw,
-                                                      exec.drift_policy);
-  }
-  return nullptr;
-}
-
 TEST(PropServe, BatchOneWaitsMatchLindleyAndServicesMatchOffline) {
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     serve::ServeConfig config;
@@ -95,8 +76,10 @@ TEST(PropServe, BatchOneWaitsMatchLindleyAndServicesMatchOffline) {
     serve::Simulator sim(config);
     const serve::ServeResult result = sim.run();
 
-    // Offline service of every request, through a fresh model.
-    const auto model = offline_model(config.exec);
+    // Offline service of every request, through a fresh model instance
+    // so the serving executor's state cannot leak into the reference.
+    const auto model = accel::make_accelerator(
+        config.exec.algo, config.exec.hw, config.exec.drift_policy);
     std::vector<std::int64_t> arrivals, services;
     for (const serve::RequestRecord& rec : result.requests) {
       const accel::RunResult offline =

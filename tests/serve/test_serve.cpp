@@ -31,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
+#include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift {
@@ -47,6 +48,21 @@ TEST(ServeArrival, KindNamesRoundTrip) {
   }
   EXPECT_EQ(serve::arrival_kind_from_string("nonsense"),
             serve::ArrivalKind::kPoisson);
+}
+
+TEST(ServeTenant, UnknownWorkloadThrowsListingKnownNames) {
+  EXPECT_EQ(serve::serving_workload("tiny-cnn").model, "tiny-cnn");
+  EXPECT_EQ(serve::serving_workload("ResNet18").model, "ResNet18");
+  try {
+    serve::serving_workload("nosuch");
+    FAIL() << "unknown workload name accepted";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    for (const char* name : {"nosuch", "tiny-bert", "tiny-cnn", "ResNet18",
+                             "OPT-6.7B"}) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ServeQuantile, ExactRankConvention) {
@@ -280,9 +296,8 @@ void check_differential(int threads) {
   // The tenant's canonical mix is bitwise the offline build_mixes
   // result (same seed, same per-layer streams).
   const nn::WorkloadSpec& spec = sim.executor().tenant_spec(0);
-  const nn::MixConfig mix_cfg =
-      sim.executor().mix_config(config.tenants[0]);
-  const auto offline_mixes = nn::build_mixes(spec, mix_cfg);
+  const auto offline_mixes = nn::build_mixes(
+      spec, config.exec.mix_config(config.exec.algo, config.tenants[0].seed));
   const auto& canonical = sim.executor().request_mixes(0, 0);
   ASSERT_EQ(offline_mixes.size(), spec.layers.size());
   // (request 0 has its own pattern; compare structure via a fresh

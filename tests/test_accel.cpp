@@ -90,16 +90,32 @@ TEST(Eyeriss, MappedPesRespectsKernel) {
 }
 
 TEST(Accel, RunResultsAreInternallyConsistent) {
+  // Run totals are sums over layers: LayerResult cycles and energy
+  // already carry the repeat factor, stall cycles and DRAM bytes are
+  // per instance.  DeiT-S repeats its encoder layers.
   const auto spec = nn::make_deit_s();
   const auto cmp = compare_workload(spec, default_config());
   for (const RunResult* r :
        {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
-    EXPECT_EQ(r->layers.size(), spec.layers.size());
+    ASSERT_EQ(r->layers.size(), spec.layers.size());
     EXPECT_GT(r->cycles, 0);
     EXPECT_GT(r->energy.total_pj(), 0.0);
-    std::int64_t layer_sum = 0;
-    for (const auto& l : r->layers) layer_sum += l.cycles;
-    EXPECT_EQ(layer_sum, r->cycles);
+    std::int64_t cycles = 0, stalls = 0, dram_bytes = 0;
+    energy::EnergyBreakdown energy;
+    for (std::size_t l = 0; l < r->layers.size(); ++l) {
+      const LayerResult& lr = r->layers[l];
+      const std::int64_t repeat = spec.layers[l].repeat;
+      cycles += lr.cycles;
+      stalls += lr.stall_cycles * repeat;
+      dram_bytes += lr.dram_bytes * repeat;
+      energy += lr.energy;
+    }
+    EXPECT_EQ(cycles, r->cycles) << r->accelerator;
+    EXPECT_EQ(stalls, r->stall_cycles) << r->accelerator;
+    EXPECT_EQ(dram_bytes, r->dram_bytes) << r->accelerator;
+    EXPECT_EQ(energy.core_pj, r->energy.core_pj) << r->accelerator;
+    EXPECT_EQ(energy.buffer_pj, r->energy.buffer_pj) << r->accelerator;
+    EXPECT_EQ(energy.dram_pj, r->energy.dram_pj) << r->accelerator;
   }
 }
 
@@ -153,11 +169,9 @@ TEST(Accel, DriftStaticEnergyFractionBelowDrq) {
 
 TEST(Accel, SchedulerPoliciesOrdering) {
   const auto spec = nn::make_bert_base(128);
-  CompareConfig cfg = default_config();
-  nn::MixConfig mix_cfg;
-  mix_cfg.algo = nn::MixAlgorithm::kDrift;
-  mix_cfg.drift = cfg.drift_selector;
-  const auto mixes = nn::build_mixes(spec, mix_cfg);
+  const CompareConfig cfg = default_config();
+  const auto mixes = nn::build_mixes(
+      spec, cfg.mix_config(nn::MixAlgorithm::kDrift, /*seed=*/1));
 
   DriftAccelModel greedy(cfg.hw, SchedulerPolicy::kGreedy);
   DriftAccelModel oracle(cfg.hw, SchedulerPolicy::kExhaustive);
@@ -186,6 +200,28 @@ TEST(Accel, NamesAndPolicies) {
   EXPECT_EQ(DriftAccelModel(AccelConfig{}).name(), "Drift");
   EXPECT_EQ(DriftAccelModel(AccelConfig{}, SchedulerPolicy::kFixed).name(),
             "Drift(fixed)");
+  EXPECT_EQ(make_accelerator(nn::MixAlgorithm::kStaticInt8, AccelConfig{},
+                             SchedulerPolicy::kGreedy)
+                ->name(),
+            "BitFusion");
+  EXPECT_EQ(make_accelerator(nn::MixAlgorithm::kDrift, AccelConfig{},
+                             SchedulerPolicy::kExhaustive)
+                ->name(),
+            "Drift(exhaustive)");
+}
+
+TEST(Accel, ParsersAcceptOnlyLowerCasedNames) {
+  EXPECT_EQ(nn::parse_mix_algorithm("int8"), nn::MixAlgorithm::kStaticInt8);
+  EXPECT_EQ(nn::parse_mix_algorithm("drq"), nn::MixAlgorithm::kDrq);
+  EXPECT_EQ(nn::parse_mix_algorithm("drift"), nn::MixAlgorithm::kDrift);
+  EXPECT_EQ(parse_scheduler_policy("greedy"), SchedulerPolicy::kGreedy);
+  EXPECT_EQ(parse_scheduler_policy("exhaustive"),
+            SchedulerPolicy::kExhaustive);
+  EXPECT_EQ(parse_scheduler_policy("fixed"), SchedulerPolicy::kFixed);
+  for (const char* bogus : {"", "bogus", "Drift", "INT8", "greedy "}) {
+    EXPECT_FALSE(nn::parse_mix_algorithm(bogus).has_value()) << bogus;
+    EXPECT_FALSE(parse_scheduler_policy(bogus).has_value()) << bogus;
+  }
 }
 
 }  // namespace

@@ -11,11 +11,8 @@
 #include <cstdio>
 #include <string>
 
-#include "accel/bitfusion.hpp"
 #include "accel/compare.hpp"
 #include "accel/controller.hpp"
-#include "accel/drq_accel.hpp"
-#include "accel/eyeriss.hpp"
 #include "accel/timeline.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
@@ -76,12 +73,6 @@ nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
   return spec;
 }
 
-accel::SchedulerPolicy pick_policy(const std::string& name) {
-  if (name == "exhaustive") return accel::SchedulerPolicy::kExhaustive;
-  if (name == "fixed") return accel::SchedulerPolicy::kFixed;
-  return accel::SchedulerPolicy::kGreedy;
-}
-
 void print_run(const accel::RunResult& r, bool layers) {
   std::printf("%-10s cycles=%-12lld stalls=%-10lld dram=%.1f MB "
               "energy=%.3f mJ (static %.1f%% dram %.1f%% buffer %.1f%% "
@@ -120,7 +111,14 @@ int main(int argc, char** argv) {
   accel::CompareConfig cfg;
   cfg.noise_budget = args.get_double("budget", 0.05);
   cfg.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
-  cfg.drift_policy = pick_policy(args.get_string("policy", "greedy"));
+  const std::string policy = args.get_string("policy", "greedy");
+  const auto parsed_policy = accel::parse_scheduler_policy(policy);
+  if (!parsed_policy) {
+    std::fprintf(stderr, "unknown --policy '%s' "
+                 "(valid: greedy, exhaustive, fixed)\n", policy.c_str());
+    return 2;
+  }
+  cfg.drift_policy = *parsed_policy;
   cfg.hw.array.rows = args.get_int("rows", 24);
   cfg.hw.array.cols = args.get_int("cols", 33);
 
@@ -175,11 +173,9 @@ int main(int argc, char** argv) {
   }
 
   if (controller) {
-    nn::MixConfig mix_cfg;
-    mix_cfg.algo = nn::MixAlgorithm::kDrift;
-    mix_cfg.noise_budget = cfg.noise_budget;
-    mix_cfg.dynamic_weights = cfg.drift_dynamic_weights;
-    const auto mixes = nn::build_mixes(spec, mix_cfg);
+    // The mixes of the Drift run reported above.
+    const auto mixes = nn::build_mixes(
+        spec, cfg.mix_config(nn::MixAlgorithm::kDrift, cfg.seed));
     const auto report = accel::evaluate_controller(mixes, cfg.hw.array);
     std::printf("\ncontroller: peak index buffer %lld bytes (%s), "
                 "control work hidden under compute for %.1f%% of layers\n",

@@ -152,24 +152,23 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
 
   GraphPipelineConfig config;
   const std::string algo = args.get_string("algo", "drift");
-  if (algo == "int8") {
-    config.algo = nn::MixAlgorithm::kStaticInt8;
-  } else if (algo == "drq") {
-    config.algo = nn::MixAlgorithm::kDrq;
-  } else if (algo == "drift") {
-    config.algo = nn::MixAlgorithm::kDrift;
-  } else {
-    std::fprintf(stderr, "drift_graph run: unknown --algo '%s'\n",
-                 algo.c_str());
+  const std::string policy = args.get_string("policy", "greedy");
+  const auto parsed_algo = nn::parse_mix_algorithm(algo);
+  const auto parsed_policy = accel::parse_scheduler_policy(policy);
+  if (!parsed_algo) {
+    std::fprintf(stderr, "drift_graph run: unknown --algo '%s' "
+                 "(valid: int8, drq, drift)\n", algo.c_str());
     return 2;
   }
-  const std::string policy = args.get_string("policy", "greedy");
-  config.policy = policy == "exhaustive"
-                      ? accel::SchedulerPolicy::kExhaustive
-                      : policy == "fixed" ? accel::SchedulerPolicy::kFixed
-                                          : accel::SchedulerPolicy::kGreedy;
+  if (!parsed_policy) {
+    std::fprintf(stderr, "drift_graph run: unknown --policy '%s' "
+                 "(valid: greedy, exhaustive, fixed)\n", policy.c_str());
+    return 2;
+  }
+  config.algo = *parsed_algo;
+  config.drift_policy = *parsed_policy;
   config.noise_budget = args.get_double("budget", 0.05);
-  config.dynamic_weights = !args.get_bool("no-dynamic-weights");
+  config.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
   config.hw.array.rows = args.get_int("rows", 24);
   config.hw.array.cols = args.get_int("cols", 33);

@@ -2,12 +2,12 @@
 //
 // Exports a validated graph's GEMMs (graph/workload_export.hpp) and
 // routes them through the existing selector -> scheduler -> cycle
-// model, with one obs layer record per GEMM: the precision-mix loop
-// here opens DRIFT_OBS_LAYER_SCOPE(layer.name) around operand
-// classification, so the selector's coverage counters land in the same
-// record the scheduler (Eq. 8 split, Eq. 7 latencies) and the
-// accelerator's cycle/stall/DRAM accounting fill during the run — one
-// per-layer artifact for a whole model in a single pass.
+// model, with one obs layer record per GEMM: after nn::build_mixes,
+// the pipeline opens each layer's DRIFT_OBS_LAYER_SCOPE in layer order
+// to attribute the mix's coverage, into the same record the scheduler
+// (Eq. 8 split, Eq. 7 latencies) and the accelerator's
+// cycle/stall/DRAM accounting fill during the run — one per-layer
+// artifact for a whole model in a single pass.
 //
 // Lives in tools/ (not src/graph) because the lint layer DAG places
 // graph below accel: the graph library cannot depend on the
@@ -18,22 +18,16 @@
 #include <string>
 #include <vector>
 
-#include "accel/accelerator.hpp"
-#include "accel/drift_accel.hpp"
+#include "accel/compare.hpp"
 #include "graph/graph.hpp"
 #include "nn/precision_mix.hpp"
 
 namespace drift::graphcli {
 
-/// Pipeline knobs — a subset of accel::CompareConfig plus the mix
-/// algorithm (which also selects the accelerator model to run).
-struct GraphPipelineConfig {
+/// Pipeline knobs: the shared accelerator pipeline settings plus the
+/// mix algorithm (which also selects the accelerator model to run).
+struct GraphPipelineConfig : accel::PipelineConfig {
   nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
-  accel::AccelConfig hw{};
-  accel::SchedulerPolicy policy = accel::SchedulerPolicy::kGreedy;
-  bool dynamic_weights = true;
-  bool auto_threshold = true;
-  double noise_budget = 0.05;
   std::uint64_t seed = 17;
   /// Prepended to every exported GEMM name (and so to every obs layer
   /// record name).
@@ -49,9 +43,9 @@ struct GraphPipelineResult {
 
 /// Validates + shape-infers `g` (throws check_error naming the first
 /// offending node on failure), exports the workload, builds the
-/// per-layer precision mixes under per-layer obs scopes, and runs the
-/// accelerator model matching `config.algo` (INT8 -> BitFusion,
-/// DRQ -> DRQ, Drift -> Drift with `config.policy`).
+/// per-layer precision mixes, attributes their coverage under
+/// per-layer obs scopes, and runs the accelerator model matching
+/// `config.algo` (accel::make_accelerator).
 GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
                                        const GraphPipelineConfig& config);
 

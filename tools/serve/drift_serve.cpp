@@ -16,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
 #include "util/args.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -43,15 +44,6 @@ flags:
   --trace=PATH      write a Chrome trace with one track per request
   --help            this text
 )";
-
-nn::MixAlgorithm pick_algo(const std::string& name) {
-  if (name == "int8") return nn::MixAlgorithm::kStaticInt8;
-  if (name == "drq") return nn::MixAlgorithm::kDrq;
-  if (name != "drift") {
-    std::fprintf(stderr, "unknown --algo '%s', using drift\n", name.c_str());
-  }
-  return nn::MixAlgorithm::kDrift;
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -83,7 +75,14 @@ int main(int argc, char** argv) {
   }
 
   serve::ServeConfig config;
-  config.exec.algo = pick_algo(args.get_string("algo", "drift"));
+  const std::string algo = args.get_string("algo", "drift");
+  const auto parsed_algo = nn::parse_mix_algorithm(algo);
+  if (!parsed_algo) {
+    std::fprintf(stderr, "unknown --algo '%s' (valid: int8, drq, drift)\n",
+                 algo.c_str());
+    return 2;
+  }
+  config.exec.algo = *parsed_algo;
   config.exec.hw.array.rows = args.get_int("rows", 24);
   config.exec.hw.array.cols = args.get_int("cols", 33);
   config.max_batch = args.get_int("max-batch", 8);
@@ -103,7 +102,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     serve::TenantSpec tenant;
     tenant.name = names[i] + "#" + std::to_string(i);
-    tenant.workload = serve::serving_workload(names[i]);
+    try {
+      tenant.workload = serve::serving_workload(names[i]);
+    } catch (const check_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
     tenant.arrival.kind = kind;
     tenant.num_requests = requests;
     tenant.seed = seed + i;
