@@ -16,7 +16,9 @@
 // deterministic) lets the ratchet gate serving tail latency.  A
 // fixed-seed whole-model run of the resnet18 zoo topology records
 // `graph_resnet18_cycles` (ops_per_s = 1e12/cycles, same determinism)
-// so end-to-end model latency is ratcheted too.
+// so end-to-end model latency is ratcheted too.  `paper_compare`
+// records the best-of-3 wall time of the four accelerator models on
+// the seven paper workloads (Figures 7/8; ops_per_s = 1/seconds).
 // DRIFT_BENCH_GEMM_SIZE overrides the
 // fp32 GEMM edge (default 1024), DRIFT_BENCH_INT_GEMM_SIZE the
 // backend-sweep edge (default 512); DRIFT_SKIP_KERNEL_SWEEP=1 skips
@@ -30,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/compare.hpp"
 #include "core/noise_budget.hpp"
 #include "core/quantizer.hpp"
 #include "core/scheduler.hpp"
@@ -41,6 +44,7 @@
 // force-scalar override to measure the SIMD payoff per backend.
 #include "nn/simd/kernel_dispatch.hpp"
 #include "nn/synthetic.hpp"
+#include "nn/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "pipeline.hpp"
@@ -152,14 +156,17 @@ void BM_CycleSimTile(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleSimTile);
 
+// Streams of 64 KiB and 1 GiB: the closed-form transfer costs the same
+// per call at both sizes.
 void BM_DramStream(benchmark::State& state) {
   dram::DramModel model;
+  const std::int64_t bytes = state.range(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.stream(1 << 16, false));
+    benchmark::DoNotOptimize(model.stream(bytes, false));
   }
-  state.SetBytesProcessed(state.iterations() * (1 << 16));
+  state.SetBytesProcessed(state.iterations() * bytes);
 }
-BENCHMARK(BM_DramStream);
+BENCHMARK(BM_DramStream)->Arg(1 << 16)->Arg(1 << 30);
 
 // Thread-count-parameterized kernel benchmarks: the pool is resized to
 // state.range(0) threads for the duration of the run.
@@ -551,6 +558,36 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
                  r.name.c_str(), r.shape.c_str(), r.threads,
                  r.backend.c_str(), wall,
                  static_cast<long long>(gres.run.cycles), r.ops_per_s);
+  }
+  // Figures 7/8 end to end: all four accelerator models on the seven
+  // paper workloads at fig7's config (mix building, scheduling, cycle
+  // and DRAM models), best of 3 at 1 thread.  ops_per_s = 1/seconds, so
+  // the ratchet's max-slowdown gate bounds a whole figure's wall time;
+  // a per-burst DRAM walk creeping back costs ~100x.
+  {
+    util::ThreadPool::instance().resize(1);
+    accel::CompareConfig ccfg;
+    ccfg.noise_budget = 0.05;  // fig7_latency / fig8_energy
+    const std::vector<nn::WorkloadSpec> workloads = nn::paper_workloads();
+    const double wall = best_seconds(
+        [&] {
+          for (const auto& spec : workloads) {
+            benchmark::DoNotOptimize(accel::compare_workload(spec, ccfg));
+          }
+        },
+        3);
+    KernelResult r;
+    r.name = "paper_compare";
+    r.shape = "7_workloads@fig7";
+    r.threads = 1;
+    r.backend = nn::simd::active().name;
+    r.seconds = wall;
+    r.ops_per_s = 1.0 / wall;
+    results.push_back(r);
+    std::fprintf(stderr,
+                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs\n",
+                 r.name.c_str(), r.shape.c_str(), r.threads,
+                 r.backend.c_str(), wall);
   }
   util::ThreadPool::instance().resize(0);
 

@@ -32,6 +32,7 @@ AutoThresholdResult select_auto_threshold(
     double excess;      ///< extra noise vs INT8, absolute
   };
   std::vector<Candidate> feasible;
+  feasible.reserve(stats.size());
   double signal = 0.0;
   std::int64_t total_elements = 0;
   const double d2 = params.delta * params.delta;

@@ -6,7 +6,16 @@
 // (burst).  Open-page policy: sequential accesses that stay in a row
 // are hits and pipeline at burst rate; row crossings pay
 // precharge+activate.  Energy follows the same events (activate,
-// read/write burst, background).
+// read/write burst, background).  Refresh is not modelled.
+//
+// A transfer is priced in closed form, not burst by burst: a
+// sequential stream visits global rows in order, so each (channel,
+// row) run is one bank visit, and within one call every bank's rows
+// after its first are precharge misses.  One call therefore costs
+// O(channels x min(rows spanned, banks)) whatever its size.  Events
+// are counted as integers and priced once; with integral pJ constants
+// (the defaults) results and statistics are bitwise-equal to the
+// per-burst replay kept as the oracle in src/ref/ref_dram.hpp.
 //
 // The accelerator models consume two things: the *cycles* a transfer
 // occupies (to detect memory-bound layers) and the *energy* it costs
@@ -80,7 +89,9 @@ class DramModel {
                           bool is_write);
 
   /// Convenience: sequential stream at the model's bump allocator (each
-  /// call starts a fresh region — typical for layer tensors).
+  /// call starts a fresh region — typical for layer tensors).  The
+  /// allocator then moves past every global row the stream touched, so
+  /// the next stream shares no row with it on any channel count.
   TransferResult stream(std::int64_t bytes, bool is_write);
 
   /// Peak sequential bandwidth in bytes per *core* cycle (row-hit

@@ -2,6 +2,8 @@
 // performance/energy orderings.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "accel/bitfusion.hpp"
 #include "accel/compare.hpp"
 #include "accel/drift_accel.hpp"
@@ -92,30 +94,42 @@ TEST(Eyeriss, MappedPesRespectsKernel) {
 TEST(Accel, RunResultsAreInternallyConsistent) {
   // Run totals are sums over layers: LayerResult cycles and energy
   // already carry the repeat factor, stall cycles and DRAM bytes are
-  // per instance.  DeiT-S repeats its encoder layers.
-  const auto spec = nn::make_deit_s();
-  const auto cmp = compare_workload(spec, default_config());
-  for (const RunResult* r :
-       {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
-    ASSERT_EQ(r->layers.size(), spec.layers.size());
-    EXPECT_GT(r->cycles, 0);
-    EXPECT_GT(r->energy.total_pj(), 0.0);
-    std::int64_t cycles = 0, stalls = 0, dram_bytes = 0;
-    energy::EnergyBreakdown energy;
-    for (std::size_t l = 0; l < r->layers.size(); ++l) {
-      const LayerResult& lr = r->layers[l];
-      const std::int64_t repeat = spec.layers[l].repeat;
-      cycles += lr.cycles;
-      stalls += lr.stall_cycles * repeat;
-      dram_bytes += lr.dram_bytes * repeat;
-      energy += lr.energy;
+  // per instance.  Every paper workload, LLM scale (OPT-6.7B) included,
+  // so int64 cycle and byte totals are exercised at their largest.
+  const auto finite_non_negative = [](const energy::EnergyBreakdown& e) {
+    for (const double pj : {e.static_pj, e.dram_pj, e.buffer_pj, e.core_pj}) {
+      if (!std::isfinite(pj) || pj < 0.0) return false;
     }
-    EXPECT_EQ(cycles, r->cycles) << r->accelerator;
-    EXPECT_EQ(stalls, r->stall_cycles) << r->accelerator;
-    EXPECT_EQ(dram_bytes, r->dram_bytes) << r->accelerator;
-    EXPECT_EQ(energy.core_pj, r->energy.core_pj) << r->accelerator;
-    EXPECT_EQ(energy.buffer_pj, r->energy.buffer_pj) << r->accelerator;
-    EXPECT_EQ(energy.dram_pj, r->energy.dram_pj) << r->accelerator;
+    return true;
+  };
+  for (const auto& spec : nn::paper_workloads()) {
+    SCOPED_TRACE(spec.model);
+    const auto cmp = compare_workload(spec, default_config());
+    for (const RunResult* r :
+         {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
+      ASSERT_EQ(r->layers.size(), spec.layers.size());
+      EXPECT_GT(r->cycles, 0);
+      EXPECT_GT(r->energy.total_pj(), 0.0);
+      EXPECT_TRUE(finite_non_negative(r->energy)) << r->accelerator;
+      std::int64_t cycles = 0, stalls = 0, dram_bytes = 0;
+      energy::EnergyBreakdown energy;
+      for (std::size_t l = 0; l < r->layers.size(); ++l) {
+        const LayerResult& lr = r->layers[l];
+        const std::int64_t repeat = spec.layers[l].repeat;
+        EXPECT_TRUE(finite_non_negative(lr.energy))
+            << r->accelerator << " layer " << l;
+        cycles += lr.cycles;
+        stalls += lr.stall_cycles * repeat;
+        dram_bytes += lr.dram_bytes * repeat;
+        energy += lr.energy;
+      }
+      EXPECT_EQ(cycles, r->cycles) << r->accelerator;
+      EXPECT_EQ(stalls, r->stall_cycles) << r->accelerator;
+      EXPECT_EQ(dram_bytes, r->dram_bytes) << r->accelerator;
+      EXPECT_EQ(energy.core_pj, r->energy.core_pj) << r->accelerator;
+      EXPECT_EQ(energy.buffer_pj, r->energy.buffer_pj) << r->accelerator;
+      EXPECT_EQ(energy.dram_pj, r->energy.dram_pj) << r->accelerator;
+    }
   }
 }
 

@@ -66,6 +66,50 @@ TEST(Dram, StreamAdvancesToFreshRows) {
   EXPECT_GT(model.stats().row_misses, misses_before);
 }
 
+TEST(Dram, StreamStartsAFreshRowOnAnyGeometry) {
+  // A global row spans row_bytes on every channel; the bump allocator
+  // must clear it on any channel count, not only on one or two.
+  for (std::int64_t channels = 1; channels <= 8; ++channels) {
+    DramConfig cfg;
+    cfg.channels = channels;
+    const std::int64_t global_row = cfg.row_bytes * channels;
+    for (const std::int64_t bytes :
+         {std::int64_t{64}, std::int64_t{100}, cfg.row_bytes,
+          global_row - 64, global_row, 3 * global_row + 5}) {
+      DramModel model(cfg);
+      model.stream(bytes, false);
+      const DramStats before = model.stats();
+      model.stream(64, false);
+      EXPECT_EQ(model.stats().row_misses, before.row_misses + 1)
+          << channels << " channels, first stream of " << bytes << " B";
+      EXPECT_EQ(model.stats().row_hits, before.row_hits)
+          << channels << " channels, first stream of " << bytes << " B";
+    }
+  }
+}
+
+TEST(Dram, TerabyteTransferIsPricedPerRowNotPerBurst) {
+  // 2^40 B from address 0 on the default 2-channel, 2 KiB-row device:
+  // 2^34 bursts over 2^28 global rows, each opened once per channel.
+  // A per-burst walk would take minutes; the closed form is instant.
+  DramModel model;
+  const DramConfig& cfg = model.config();
+  const std::int64_t bytes = std::int64_t{1} << 40;
+  const std::int64_t bursts = bytes / cfg.burst_bytes;
+  const std::int64_t rows = bytes / (cfg.row_bytes * cfg.channels);
+  const auto r = model.transfer(0, bytes, false);
+  EXPECT_EQ(model.stats().reads, bursts);
+  EXPECT_EQ(model.stats().row_misses, rows * cfg.channels);
+  EXPECT_EQ(model.stats().row_hits, bursts - rows * cfg.channels);
+  // Per channel: every burst on the bus, every row activated, all but
+  // the first bank visit precharged.
+  const std::int64_t busy =
+      bursts / cfg.channels * cfg.t_bl + rows * (cfg.t_rcd + cfg.t_cl) +
+      (rows - cfg.banks_per_channel) * cfg.t_rp;
+  EXPECT_EQ(model.stats().busy_mem_cycles, busy);
+  EXPECT_GT(r.core_cycles, 0);
+}
+
 TEST(Dram, ZeroByteTransferIsFree) {
   DramModel model;
   const auto r = model.transfer(0, 0, false);
