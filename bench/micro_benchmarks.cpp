@@ -18,7 +18,9 @@
 // `graph_resnet18_cycles` (ops_per_s = 1e12/cycles, same determinism)
 // so end-to-end model latency is ratcheted too.  `paper_compare`
 // records the best-of-3 wall time of the four accelerator models on
-// the seven paper workloads (Figures 7/8; ops_per_s = 1/seconds).
+// the seven paper workloads (Figures 7/8; ops_per_s = 1/seconds), and
+// `proxy_eval` the best-of-3 wall time of Figure 6's ResNet18 and ViT-B
+// proxy forward passes under all four execution modes (same units).
 // DRIFT_BENCH_GEMM_SIZE overrides the
 // fp32 GEMM edge (default 1024), DRIFT_BENCH_INT_GEMM_SIZE the
 // backend-sweep edge (default 512); DRIFT_SKIP_KERNEL_SWEEP=1 skips
@@ -40,6 +42,7 @@
 #include "dram/dram.hpp"
 #include "nn/gemm.hpp"
 #include "nn/int_gemm.hpp"
+#include "nn/proxy.hpp"
 // drift-lint: allow(intrinsic) — the bench sweep toggles the
 // force-scalar override to measure the SIMD payoff per backend.
 #include "nn/simd/kernel_dispatch.hpp"
@@ -579,6 +582,54 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     KernelResult r;
     r.name = "paper_compare";
     r.shape = "7_workloads@fig7";
+    r.threads = 1;
+    r.backend = nn::simd::active().name;
+    r.seconds = wall;
+    r.ops_per_s = 1.0 / wall;
+    results.push_back(r);
+    std::fprintf(stderr,
+                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs\n",
+                 r.name.c_str(), r.shape.c_str(), r.threads,
+                 r.backend.c_str(), wall);
+  }
+  // Figure 6's accuracy path: the ResNet18 (static weights) and ViT-B
+  // proxies as fig6_accuracy builds them, evaluated under FP32, INT8,
+  // DRQ and Drift at the 0.04 budget fig6 selects for both, best of 3
+  // at 1 thread (proxy construction untimed).  ops_per_s = 1/seconds,
+  // so the ratchet bounds the forward-pass kernels — fp32 GEMM, tensor
+  // indexing and the quantizer renderer — end to end.
+  {
+    util::ThreadPool::instance().resize(1);
+    nn::CnnProxy::Config cnn_cfg;
+    cnn_cfg.seed = 18;
+    cnn_cfg.samples = 96;
+    const nn::CnnProxy cnn(cnn_cfg);
+    nn::TransformerProxy::Config vit_cfg;
+    vit_cfg.model_dim = 32;
+    vit_cfg.ffn_dim = 64;
+    vit_cfg.seed = 7;
+    vit_cfg.samples = 96;
+    const nn::TransformerProxy vit(vit_cfg);
+    const double wall = best_seconds(
+        [&] {
+          for (const nn::QuantMode mode :
+               {nn::QuantMode::kFloat32, nn::QuantMode::kStaticInt8,
+                nn::QuantMode::kDrq, nn::QuantMode::kDrift}) {
+            nn::QuantEngine::Config ecfg;
+            ecfg.mode = mode;
+            ecfg.noise_budget = mode == nn::QuantMode::kDrift ? 0.04 : 0.0;
+            ecfg.dynamic_weights = false;
+            nn::QuantEngine cnn_engine(ecfg);
+            benchmark::DoNotOptimize(cnn.evaluate(cnn_engine));
+            ecfg.dynamic_weights = true;
+            nn::QuantEngine vit_engine(ecfg);
+            benchmark::DoNotOptimize(vit.evaluate(vit_engine));
+          }
+        },
+        3);
+    KernelResult r;
+    r.name = "proxy_eval";
+    r.shape = "resnet18+vit_b@fig6";
     r.threads = 1;
     r.backend = nn::simd::active().name;
     r.seconds = wall;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/render.hpp"
 #include "util/assert.hpp"
 
 namespace drift::core {
@@ -39,23 +40,7 @@ PrecisionMap DrqQuantizer::select(std::span<const float> values,
 std::vector<float> DrqQuantizer::apply(
     std::span<const float> values, const std::vector<SubTensorView>& views,
     const QuantParams& params, const PrecisionMap& map) const {
-  DRIFT_CHECK_EQ(views.size(), map.num_subtensors(),
-                 "view/map count mismatch");
-  std::vector<float> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = dequantize_value(quantize_value(values[i], params), params);
-  }
-  for (std::size_t v = 0; v < views.size(); ++v) {
-    const PrecisionDecision& d = map.decision(v);
-    if (!d.use_low) continue;
-    std::span<float> out_span(out);
-    views[v].transform<float>(out_span, [&](float& x) {
-      const std::int32_t q = quantize_value(x, params);
-      const std::int32_t q_lp = convert_to_low(q, config_.lp, d.choice);
-      x = dequantize_low(q_lp, params, d.choice);
-    });
-  }
-  return out;
+  return render(values, views, params, map, config_.lp);
 }
 
 }  // namespace drift::core

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/capability.hpp"
+#include "core/render.hpp"
 // drift-lint: allow(intrinsic) — the selector's pooling-unit reductions
 // are a dispatch hot loop; only the table entry points are used here.
 #include "nn/simd/kernel_dispatch.hpp"
@@ -182,35 +183,7 @@ std::vector<float> DynamicQuantizer::apply(
     std::span<const float> values, const std::vector<SubTensorView>& views,
     const QuantParams& params, const PrecisionMap& map) const {
   DRIFT_OBS_SPAN("selector.apply");
-  DRIFT_CHECK_EQ(views.size(), map.num_subtensors(),
-                 "view/map count mismatch");
-  std::vector<float> out(values.size());
-  // Default: full-precision (hp) rendering everywhere (elementwise).
-  util::parallel_for(0, static_cast<std::int64_t>(values.size()), 4096,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      out[s] = dequantize_value(quantize_value(values[s], params), params);
-    }
-  });
-  // Overwrite low-selected sub-tensors with their lp rendering.  The
-  // partition_* views this is called with are pairwise disjoint, so
-  // chunks never write the same element.
-  const auto n = static_cast<std::int64_t>(views.size());
-  util::parallel_for(0, n, 16, [&](std::int64_t v0, std::int64_t v1) {
-    for (std::int64_t v = v0; v < v1; ++v) {
-      const PrecisionDecision& d = map.decision(static_cast<std::size_t>(v));
-      if (!d.use_low) continue;
-      std::span<float> out_span(out);
-      views[static_cast<std::size_t>(v)].transform<float>(
-          out_span, [&](float& x) {
-            const std::int32_t q = quantize_value(x, params);
-            const std::int32_t q_lp = convert_to_low(q, config_.lp, d.choice);
-            x = dequantize_low(q_lp, params, d.choice);
-          });
-    }
-  });
-  return out;
+  return render(values, views, params, map, config_.lp);
 }
 
 }  // namespace drift::core

@@ -1,8 +1,11 @@
 #include "nn/gemm.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <memory>
 
+// drift-lint: allow(intrinsic) — the fp32 GEMM's inner block is the
+// table's gemm_f32_block; only the dispatch entry point is used here.
+#include "nn/simd/kernel_dispatch.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,37 +36,28 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
   auto ad = a.data();
   auto bd = b.data();
   auto cd = c.data();
+  const simd::KernelTable& kt = simd::active();
+  const std::int64_t tile_w = std::min(kNc, N);
   util::parallel_for(0, M, kMc, [&](std::int64_t i0, std::int64_t i1) {
-    // Per-chunk double accumulator tile: (<=kMc) x (<=kNc).  Double
-    // accumulation in k-ascending order matches matmul_nt's policy and
-    // is fixed regardless of blocking or threading.
-    std::vector<double> acc(static_cast<std::size_t>(kMc * kNc));
+    // Per-chunk double accumulator tile, (i1 - i0) x min(kNc, N).  The
+    // block kernel adds each output's terms in k-ascending order
+    // (kernel_dispatch.hpp invariant 4), matching matmul_nt's policy
+    // regardless of blocking, threading or backend.
+    const std::int64_t rows = i1 - i0;
+    const auto acc = std::make_unique_for_overwrite<double[]>(
+        static_cast<std::size_t>(rows * tile_w));
     for (std::int64_t jc = 0; jc < N; jc += kNc) {
-      const std::int64_t jend = std::min(jc + kNc, N);
-      const std::int64_t jw = jend - jc;
-      std::fill(acc.begin(),
-                acc.begin() + static_cast<std::size_t>((i1 - i0) * jw), 0.0);
+      const std::int64_t jw = std::min(jc + kNc, N) - jc;
+      std::fill_n(acc.get(), rows * jw, 0.0);
       for (std::int64_t kc = 0; kc < K; kc += kKc) {
-        const std::int64_t kend = std::min(kc + kKc, K);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          double* acc_row =
-              acc.data() + static_cast<std::size_t>((i - i0) * jw);
-          for (std::int64_t k = kc; k < kend; ++k) {
-            const float aik = ad[static_cast<std::size_t>(i * K + k)];
-            if (aik == 0.0f) continue;
-            const double av = static_cast<double>(aik);
-            const float* brow =
-                bd.data() + static_cast<std::size_t>(k * N + jc);
-            for (std::int64_t j = 0; j < jw; ++j) {
-              acc_row[j] += av * static_cast<double>(brow[j]);
-            }
-          }
-        }
+        const std::int64_t kw = std::min(kc + kKc, K) - kc;
+        kt.gemm_f32_block(ad.data() + i0 * K + kc, K,
+                          bd.data() + kc * N + jc, N, rows, kw, jw,
+                          acc.get(), jw);
       }
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const double* acc_row =
-            acc.data() + static_cast<std::size_t>((i - i0) * jw);
-        float* crow = cd.data() + static_cast<std::size_t>(i * N + jc);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const double* acc_row = acc.get() + i * jw;
+        float* crow = cd.data() + (i0 + i) * N + jc;
         for (std::int64_t j = 0; j < jw; ++j) {
           crow[j] = static_cast<float>(acc_row[j]);
         }
@@ -76,7 +70,6 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
 TensorF matmul_nt(const TensorF& a, const TensorF& w) {
   DRIFT_CHECK(a.shape().rank() == 2 && w.shape().rank() == 2,
               "matmul_nt needs rank-2 operands");
-  const std::int64_t M = a.shape().dim(0);
   const std::int64_t K = a.shape().dim(1);
   DRIFT_CHECK(w.shape().dim(1) == K, "inner dimension mismatch");
   const std::int64_t N = w.shape().dim(0);

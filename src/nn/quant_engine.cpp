@@ -1,33 +1,12 @@
 #include "nn/quant_engine.hpp"
 
 #include "core/noise_budget.hpp"
+#include "core/render.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drift::nn {
-
-namespace {
-
-// Per-tensor static INT8 rendering (elementwise, embarrassingly
-// parallel).
-TensorF render_static_int8(const TensorF& x, const core::QuantParams& params) {
-  TensorF out(x.shape());
-  auto src = x.data();
-  auto dst = out.data();
-  util::parallel_for(0, static_cast<std::int64_t>(src.size()), 4096,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      dst[s] = core::dequantize_value(core::quantize_value(src[s], params),
-                                      params);
-    }
-  });
-  return out;
-}
-
-}  // namespace
 
 std::string to_string(QuantMode mode) {
   switch (mode) {
@@ -52,7 +31,7 @@ OperandResult QuantEngine::process_with_views(
     case QuantMode::kStaticInt8: {
       const auto params =
           core::compute_quant_params(x.data(), config_.drift.hp);
-      result.effective = render_static_int8(x, params);
+      result.effective = TensorF(x.shape(), core::render_hp(x.data(), params));
       return result;
     }
     case QuantMode::kDrq: {
@@ -115,7 +94,7 @@ OperandResult QuantEngine::process_weight(const TensorF& w) const {
   // static per-tensor INT8.
   const auto params = core::compute_quant_params(w.data(), config_.drift.hp);
   OperandResult r;
-  r.effective = render_static_int8(w, params);
+  r.effective = TensorF(w.shape(), core::render_hp(w.data(), params));
   return r;
 }
 

@@ -24,6 +24,13 @@
 //   - reduce_stats implements the canonical 4-lane schedule: one ymm
 //     double lane per (i mod 4) class, combined in the fixed scalar
 //     order, so even the float sums match the scalar backend bitwise.
+//   - gemm_f32_block gathers each row's nonzero a[i,k] once, in
+//     ascending k, then runs 16-, 8- and 4-column strips (and a masked
+//     strip for the last 1-3 columns) of double accumulators held in
+//     registers across that list.  A lane is one output, so each output
+//     sees the scalar loop's multiplies and adds in the scalar loop's
+//     order (_mm256_mul_pd then _mm256_add_pd; the TU is built with
+//     -ffp-contract=off).
 #ifdef DRIFT_SIMD_BUILD_AVX2
 
 #include <immintrin.h>
@@ -266,11 +273,88 @@ RawStats reduce_stats(const float* x, std::int64_t n) {
   return r;
 }
 
+/// acc + av * double(b[0..4)), multiply then add.
+inline __m256d mul_add_4(__m256d acc, __m256d av, __m128 b) {
+  return _mm256_add_pd(acc, _mm256_mul_pd(av, _mm256_cvtps_pd(b)));
+}
+
+/// Adds a row's gathered terms (av[t] times row boff[t] of b) into the
+/// 4*V accumulators c[0, 4V), held in V registers across the list.
+template <int V>
+inline void gemm_strip(const double* av, const std::int64_t* boff,
+                       std::int64_t nnz, const float* b, double* c) {
+  __m256d acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(c + 4 * v);
+  for (std::int64_t t = 0; t < nnz; ++t) {
+    const __m256d s = _mm256_broadcast_sd(av + t);
+    const float* bk = b + boff[t];
+    for (int v = 0; v < V; ++v) {
+      acc[v] = mul_add_4(acc[v], s, _mm_loadu_ps(bk + 4 * v));
+    }
+  }
+  for (int v = 0; v < V; ++v) _mm256_storeu_pd(c + 4 * v, acc[v]);
+}
+
+/// gemm_strip<1> over the first n < 4 columns only: masked-off lanes
+/// are neither loaded nor stored.
+inline void gemm_tail(const double* av, const std::int64_t* boff,
+                      std::int64_t nnz, const float* b, double* c,
+                      std::int64_t n) {
+  const __m128i mask_ps = _mm_cmpgt_epi32(
+      _mm_set1_epi32(static_cast<int>(n)), _mm_set_epi32(3, 2, 1, 0));
+  const __m256i mask = _mm256_cvtepi32_epi64(mask_ps);
+  __m256d acc = _mm256_maskload_pd(c, mask);
+  for (std::int64_t t = 0; t < nnz; ++t) {
+    acc = mul_add_4(acc, _mm256_broadcast_sd(av + t),
+                    _mm_maskload_ps(b + boff[t], mask_ps));
+  }
+  _mm256_maskstore_pd(c, mask, acc);
+}
+
+void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t ldb, std::int64_t rows, std::int64_t depth,
+                    std::int64_t cols, double* acc, std::int64_t ldacc) {
+  constexpr std::int64_t kChunk = 256;
+  // Gather lists, written below before any read; clearing them per
+  // call would cost more than the narrow GEMMs they serve.
+  double av[kChunk];
+  std::int64_t boff[kChunk];
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* ai = a + i * lda;
+    double* c = acc + i * ldacc;
+    for (std::int64_t k0 = 0; k0 < depth; k0 += kChunk) {
+      // The row's nonzero terms of this chunk, in ascending k; the slot
+      // of a zero is overwritten by the next term.
+      const std::int64_t k1 = std::min(k0 + kChunk, depth);
+      std::int64_t nnz = 0;
+      for (std::int64_t k = k0; k < k1; ++k) {
+        const float v = ai[k];
+        av[nnz] = static_cast<double>(v);
+        boff[nnz] = k * ldb;
+        nnz += v != 0.0f ? 1 : 0;
+      }
+      std::int64_t j = 0;
+      for (; j + 16 <= cols; j += 16) {
+        gemm_strip<4>(av, boff, nnz, b + j, c + j);
+      }
+      if (j + 8 <= cols) {
+        gemm_strip<2>(av, boff, nnz, b + j, c + j);
+        j += 8;
+      }
+      if (j + 4 <= cols) {
+        gemm_strip<1>(av, boff, nnz, b + j, c + j);
+        j += 4;
+      }
+      if (j < cols) gemm_tail(av, boff, nnz, b + j, c + j, cols - j);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx2Table = {
     "avx2", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats,
+    reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

@@ -1,11 +1,11 @@
 // Runtime-dispatched SIMD kernel backend (AVX2 / NEON / scalar).
 //
 // The Drift pipeline's hot loops — integer GEMM inner products, the
-// hi->lo quantization rendering, and the selector's max|Y| / avg|Y|
-// reductions — run through the function-pointer table returned by
-// active(), selected once per call from the CPU features detected at
-// startup.  Three invariants make this safe to drop underneath the
-// existing bit-pinned pipeline:
+// hi->lo quantization rendering, the selector's max|Y| / avg|Y|
+// reductions and the accuracy path's fp32 GEMM — run through the
+// function-pointer table returned by active(), selected once per call
+// from the CPU features detected at startup.  Four invariants make this
+// safe to drop underneath the existing bit-pinned pipeline:
 //
 //   1. *Integer kernels are exact.*  dot_s8s8 / dot_s8s4 / dot_s4s4
 //      compute a sum of integer products, which is associative, so any
@@ -24,6 +24,13 @@
 //      schedule, so even the float sums agree bitwise across backends
 //      (they differ from a plain sequential sum by a documented
 //      rounding re-association; see DESIGN.md "SIMD backend").
+//   4. *gemm_f32_block keeps one k-ascending double sum per output.*
+//      Each output adds double(a[i,k]) * double(b[k,j]) into its own
+//      double accumulator in ascending k, skipping a[i,k] == 0 (either
+//      sign), as one multiply then one add — never fused (src/nn/simd/
+//      builds with -ffp-contract=off).  Vector lanes only run different
+//      outputs side by side, so every backend produces the scalar
+//      backend's bits.
 //
 // Backend choice: AVX2 when the binary carries the AVX2 kernels and the
 // CPU reports the feature, NEON on AArch64 builds, scalar otherwise.
@@ -89,6 +96,15 @@ struct KernelTable {
 
   /// 4-lane-scheduled single-pass reduction (invariant 3 above).
   RawStats (*reduce_stats)(const float* x, std::int64_t n);
+
+  /// One block of nn::matmul (invariant 4 above): for each row i in
+  /// [0, rows) and each k in [0, depth) ascending with a[i*lda + k]
+  /// != 0, acc[i*ldacc + j] += double(a[i*lda + k]) *
+  /// double(b[k*ldb + j]) for every j in [0, cols).
+  void (*gemm_f32_block)(const float* a, std::int64_t lda, const float* b,
+                         std::int64_t ldb, std::int64_t rows,
+                         std::int64_t depth, std::int64_t cols, double* acc,
+                         std::int64_t ldacc);
 };
 
 /// The table for the current backend: scalar when forced, otherwise the

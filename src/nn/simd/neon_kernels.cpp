@@ -9,7 +9,8 @@
 // llround via floor(|y| + 0.5) with the overshoot correction;
 // reduce_stats implements the canonical 4-lane double schedule as two
 // float64x2 register pairs (lanes {0,1} and {2,3}), combined in the
-// fixed scalar order.
+// fixed scalar order.  gemm_f32_block runs the scalar loop nest until
+// a float64x2 version earns its place.
 #ifdef DRIFT_SIMD_BUILD_NEON
 
 #include <arm_neon.h>
@@ -217,11 +218,17 @@ RawStats reduce_stats(const float* x, std::int64_t n) {
   return r;
 }
 
+void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t ldb, std::int64_t rows, std::int64_t depth,
+                    std::int64_t cols, double* acc, std::int64_t ldacc) {
+  kScalarTable.gemm_f32_block(a, lda, b, ldb, rows, depth, cols, acc, ldacc);
+}
+
 }  // namespace
 
 const KernelTable kNeonTable = {
     "neon", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats,
+    reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

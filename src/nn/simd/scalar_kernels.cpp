@@ -3,9 +3,11 @@
 // This is both the portable fallback and the differential oracle the
 // vector backends are pinned against: the integer dots follow the exact
 // (order-free) integer sum, quantize_convert_row reproduces the
-// llround-based composition in core/quantizer.cpp verbatim, and
+// llround-based composition in core/quantizer.cpp verbatim,
 // reduce_stats implements the canonical 4-lane accumulation schedule
-// that the AVX2/NEON reductions must match bit for bit.
+// that the AVX2/NEON reductions must match bit for bit, and
+// gemm_f32_block is the plain zero-skipping k-ascending loop nest of
+// invariant 4.
 #include <algorithm>
 #include <cmath>
 
@@ -100,11 +102,28 @@ RawStats reduce_stats(const float* x, std::int64_t n) {
   return r;
 }
 
+void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t ldb, std::int64_t rows, std::int64_t depth,
+                    std::int64_t cols, double* acc, std::int64_t ldacc) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    double* acc_row = acc + i * ldacc;
+    for (std::int64_t k = 0; k < depth; ++k) {
+      const float aik = a[i * lda + k];
+      if (aik == 0.0f) continue;
+      const double av = static_cast<double>(aik);
+      const float* brow = b + k * ldb;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        acc_row[j] += av * static_cast<double>(brow[j]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kScalarTable = {
     "scalar", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats,
+    reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

@@ -18,6 +18,7 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
     for (std::int64_t j = 0; j < N; ++j) {
       double acc = 0.0;
       for (std::int64_t k = 0; k < K; ++k) {
+        if (a(i, k) == 0.0f) continue;
         acc += static_cast<double>(a(i, k)) * static_cast<double>(b(k, j));
       }
       c(i, j) = static_cast<float>(acc);
@@ -38,6 +39,7 @@ TensorF matmul_nt(const TensorF& a, const TensorF& w) {
     for (std::int64_t j = 0; j < N; ++j) {
       double acc = 0.0;
       for (std::int64_t k = 0; k < K; ++k) {
+        if (a(i, k) == 0.0f) continue;
         acc += static_cast<double>(a(i, k)) * static_cast<double>(w(j, k));
       }
       c(i, j) = static_cast<float>(acc);
@@ -75,7 +77,7 @@ TensorF conv2d(const TensorF& input, const TensorF& weight,
             if (h < 0 || h >= H) continue;
             for (std::int64_t dw = 0; dw < kw; ++dw) {
               const std::int64_t w = ow * stride - pad + dw;
-              if (w < 0 || w >= W) continue;
+              if (w < 0 || w >= W || input(c, h, w) == 0.0f) continue;
               acc += static_cast<double>(input(c, h, w)) *
                      static_cast<double>(
                          weight(o, (c * kh + dh) * kw + dw));

@@ -4,9 +4,12 @@
 // production kernel in src/nn, written without blocking, threading, or
 // layout tricks, so the two can be compared *bit-exactly*: the
 // production GEMMs fix their accumulation policy (double accumulator,
-// k-ascending order) independent of blocking and thread count, and
-// these references follow the same policy in the plainest possible
-// loop nest.  Any divergence is a bug in one of the two.
+// k-ascending order, a[i,k] == 0 terms skipped) independent of
+// blocking, thread count and SIMD backend, and these references follow
+// the same policy in the plainest possible loop nest.  Any divergence
+// is a bug in one of the two.  The skip is visible only when the other
+// operand holds an inf or NaN (0 * inf is NaN); with finite operands
+// adding a +-0 product never changes a sum that starts at +0.
 //
 // Nothing in src/ links against this library; it exists for tests/
 // and bench/ only.
@@ -22,7 +25,8 @@
 
 namespace drift::ref {
 
-/// C[M,N] = A[M,K] * B[K,N].  Double accumulation, k ascending.
+/// C[M,N] = A[M,K] * B[K,N].  Double accumulation, k ascending, zero
+/// a[i,k] skipped.
 TensorF matmul(const TensorF& a, const TensorF& b);
 
 /// C[M,N] = A[M,K] * W[N,K]^T (output-major weights).
@@ -32,7 +36,8 @@ TensorF matmul_nt(const TensorF& a, const TensorF& w);
 /// weights [OC, C*kh*kw] and bias [OC], producing [OC, OH, OW].  The
 /// inner reduction runs in the exact k-order of the lowered GEMM, so
 /// the result is bit-identical to im2col + matmul_nt + add_bias +
-/// transpose.
+/// transpose (padding taps and zero inputs skipped, as the lowered
+/// GEMM skips its zero A entries).
 TensorF conv2d(const TensorF& input, const TensorF& weight,
                const TensorF& bias, std::int64_t kh, std::int64_t kw,
                std::int64_t stride, std::int64_t pad);

@@ -71,10 +71,12 @@ std::string to_string(ArrivalKind kind) {
   return "?";
 }
 
-ArrivalKind arrival_kind_from_string(const std::string& name) {
-  if (name == "bursty") return ArrivalKind::kBursty;
-  if (name == "diurnal") return ArrivalKind::kDiurnal;
-  return ArrivalKind::kPoisson;
+std::optional<ArrivalKind> parse_arrival_kind(const std::string& name) {
+  for (const ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kBursty, ArrivalKind::kDiurnal}) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 std::vector<double> interarrival_gaps(const ArrivalConfig& config, Rng& rng,

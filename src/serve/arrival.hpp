@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,9 @@ enum class ArrivalKind { kPoisson, kBursty, kDiurnal };
 
 std::string to_string(ArrivalKind kind);
 
-/// Parse "poisson" / "bursty" / "diurnal"; returns kPoisson on unknown.
-ArrivalKind arrival_kind_from_string(const std::string& name);
+/// The kind whose to_string name is `name` ("poisson", "bursty",
+/// "diurnal"); nullopt for anything else.
+std::optional<ArrivalKind> parse_arrival_kind(const std::string& name);
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;

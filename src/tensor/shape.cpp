@@ -35,18 +35,6 @@ std::vector<std::int64_t> Shape::strides() const {
   return s;
 }
 
-std::int64_t Shape::offset(const std::vector<std::int64_t>& index) const {
-  DRIFT_CHECK(static_cast<std::int64_t>(index.size()) == rank(),
-              "index rank mismatch");
-  const auto s = strides();
-  std::int64_t off = 0;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    DRIFT_CHECK(index[i] >= 0 && index[i] < dims_[i], "index out of bounds");
-    off += index[i] * s[i];
-  }
-  return off;
-}
-
 std::string Shape::to_string() const {
   std::ostringstream os;
   os << '[';

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace drift {
 
 /// Row-major tensor shape.  Dimensions are signed (int64) per the core
@@ -26,8 +28,20 @@ class Shape {
   /// Row-major strides, in elements.
   std::vector<std::int64_t> strides() const;
 
-  /// Flat offset of a multi-index (must have length == rank).
-  std::int64_t offset(const std::vector<std::int64_t>& index) const;
+  /// Flat offset of a multi-index (must have length == rank), folded
+  /// Horner-style over dims_: no strides vector, no allocation.
+  std::int64_t offset(std::initializer_list<std::int64_t> index) const {
+    DRIFT_CHECK(static_cast<std::int64_t>(index.size()) == rank(),
+                "index rank mismatch");
+    std::int64_t off = 0;
+    const std::int64_t* dim = dims_.data();
+    for (const std::int64_t i : index) {
+      DRIFT_CHECK(i >= 0 && i < *dim, "index out of bounds");
+      off = off * *dim + i;
+      ++dim;
+    }
+    return off;
+  }
 
   bool operator==(const Shape& other) const { return dims_ == other.dims_; }
   bool operator!=(const Shape& other) const { return !(*this == other); }

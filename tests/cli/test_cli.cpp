@@ -61,4 +61,9 @@ TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {
                      "tiny-bert, tiny-cnn, ResNet18");
 }
 
+TEST(Cli, DriftServeRejectsUnknownArrival) {
+  expect_usage_error(DRIFT_SERVE_BIN, "--arrival=bogus",
+                     "poisson, bursty, diurnal");
+}
+
 }  // namespace

@@ -1,17 +1,29 @@
 // Differential suite: parallel blocked kernels (src/nn) vs. naive
-// scalar references (src/ref), bit-exact at 1, 2, and 8 threads.
+// scalar references (src/ref), bit-exact on the scalar and the native
+// SIMD backend at 1, 2, and 8 threads.
 //
 // The production kernels pin their accumulation policy (double
-// accumulators, k-ascending order, fixed chunk decomposition), so any
+// accumulators, k-ascending order, zero a[i,k] skipped, fixed chunk
+// decomposition; kernel_dispatch.hpp invariant 4), so any backend and
 // thread count must reproduce the single-thread naive result bit for
 // bit — these properties are the safety net under every future kernel
-// optimization.
+// optimization.  The generators plant exact +-0 in A and use widths
+// that are never a multiple of 4, so every vector strip and every
+// scalar tail column runs; some cases zero a whole column of A and put
+// +-inf in the matching row of B, where only the zero skip keeps the
+// output finite.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
+// drift-lint: allow(intrinsic) — the suite flips the force-scalar
+// override to run each property on the scalar and the native table.
+#include "nn/simd/kernel_dispatch.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_kernels.hpp"
 #include "util/thread_pool.hpp"
@@ -20,6 +32,7 @@ namespace drift {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
+constexpr bool kForceScalar[] = {true, false};
 
 /// Restores the process-wide pool to its default size on scope exit so
 /// a failing property cannot leak a pinned thread count into later
@@ -28,10 +41,64 @@ struct PoolGuard {
   ~PoolGuard() { util::ThreadPool::instance().resize(0); }
 };
 
+/// Restores the dispatch override on scope exit.
+struct ForceScalarGuard {
+  bool prev = nn::simd::force_scalar();
+  ~ForceScalarGuard() { nn::simd::set_force_scalar(prev); }
+};
+
 TensorF gen_matrix(Rng& rng, std::int64_t rows, std::int64_t cols) {
   TensorF t(Shape{rows, cols},
             proptest::gen_laplace_buffer(rng, rows * cols, 0.5));
   return t;
+}
+
+/// gen_matrix with roughly a fifth of the entries set to exact +0.0 or
+/// -0.0 (the terms the GEMM must skip).
+TensorF gen_matrix_with_zeros(Rng& rng, std::int64_t rows,
+                              std::int64_t cols) {
+  TensorF t = gen_matrix(rng, rows, cols);
+  for (auto& v : t.data()) {
+    if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+  }
+  return t;
+}
+
+/// An output width that is never a multiple of 4 (hence never of 16),
+/// occasionally past the 128-column block.
+std::int64_t gen_width(Rng& rng, int size) {
+  std::int64_t n = rng.bernoulli(0.1) ? rng.uniform_int(120, 140)
+                                      : proptest::gen_dim(rng, size);
+  if (n % 4 == 0) n += rng.uniform_int(1, 3);
+  return n;
+}
+
+/// A depth, occasionally past the 256-term K block.
+std::int64_t gen_depth(Rng& rng, int size) {
+  return rng.bernoulli(0.1) ? rng.uniform_int(250, 270)
+                            : proptest::gen_dim(rng, size);
+}
+
+float signed_inf(Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  return rng.bernoulli(0.5) ? inf : -inf;
+}
+
+/// With probability 1/4, zeroes column k of `a` and sets some entries
+/// b(k, j) — the terms that column multiplies — to +-inf.  `b_at`
+/// addresses b by (k, j) so both B layouts can share this.
+template <typename BAt>
+void maybe_plant_inf(Rng& rng, TensorF& a, BAt&& b_at, std::int64_t n) {
+  const std::int64_t m = a.shape().dim(0);
+  const std::int64_t k_dim = a.shape().dim(1);
+  if (m == 0 || n == 0 || !rng.bernoulli(0.25)) return;
+  const std::int64_t k = rng.uniform_int(0, k_dim - 1);
+  for (std::int64_t i = 0; i < m; ++i) {
+    a(i, k) = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    if (rng.bernoulli(0.5)) b_at(k, j) = signed_inf(rng);
+  }
 }
 
 proptest::Result expect_bitwise_equal(const TensorF& got, const TensorF& want,
@@ -42,11 +109,28 @@ proptest::Result expect_bitwise_equal(const TensorF& got, const TensorF& want,
   for (std::int64_t i = 0; i < got.numel(); ++i) {
     const float g = got.at(i);
     const float w = want.at(i);
-    // Bitwise comparison via exact float equality (no NaNs in play).
-    if (g != w) {
+    if (std::bit_cast<std::uint32_t>(g) != std::bit_cast<std::uint32_t>(w)) {
       return proptest::fail(what, " differs from scalar reference at flat ",
-                            i, " with ", threads, " thread(s): ", g, " vs ",
-                            w, " (delta=", std::abs(g - w), ")");
+                            i, " on the ", nn::simd::active().name,
+                            " backend with ", threads, " thread(s): ", g,
+                            " vs ", w, " (delta=", std::abs(g - w), ")");
+    }
+  }
+  return proptest::pass();
+}
+
+/// Runs `compute()` on the scalar and the native table at every thread
+/// count and compares each result bitwise with `want`.
+template <typename Compute>
+proptest::Result expect_all_backends(const TensorF& want, const char* what,
+                                     Compute&& compute) {
+  for (const bool force : kForceScalar) {
+    nn::simd::set_force_scalar(force);
+    for (int threads : kThreadCounts) {
+      util::ThreadPool::instance().resize(threads);
+      if (auto r = expect_bitwise_equal(compute(), want, what, threads)) {
+        return r;
+      }
     }
   }
   return proptest::pass();
@@ -54,41 +138,41 @@ proptest::Result expect_bitwise_equal(const TensorF& got, const TensorF& want,
 
 TEST(PropKernels, MatmulBitExactVsNaiveRefAcrossThreads) {
   PoolGuard guard;
+  ForceScalarGuard backend;
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     const std::int64_t m = proptest::gen_dim(rng, size);
-    const std::int64_t k = proptest::gen_dim(rng, size);
-    const std::int64_t n = proptest::gen_dim(rng, size);
-    const TensorF a = gen_matrix(rng, m, k);
-    const TensorF b = gen_matrix(rng, k, n);
+    const std::int64_t k = gen_depth(rng, size);
+    const std::int64_t n = gen_width(rng, size);
+    TensorF a = gen_matrix_with_zeros(rng, m, k);
+    TensorF b = gen_matrix(rng, k, n);
+    maybe_plant_inf(
+        rng, a, [&](std::int64_t kk, std::int64_t j) -> float& {
+          return b(kk, j);
+        },
+        n);
     const TensorF want = ref::matmul(a, b);
-    for (int threads : kThreadCounts) {
-      util::ThreadPool::instance().resize(threads);
-      if (auto r = expect_bitwise_equal(nn::matmul(a, b), want,
-                                        "matmul", threads)) {
-        return r;
-      }
-    }
-    return proptest::pass();
+    return expect_all_backends(want, "matmul",
+                               [&] { return nn::matmul(a, b); });
   });
 }
 
 TEST(PropKernels, MatmulNtBitExactVsNaiveRefAcrossThreads) {
   PoolGuard guard;
+  ForceScalarGuard backend;
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     const std::int64_t m = proptest::gen_dim(rng, size);
-    const std::int64_t k = proptest::gen_dim(rng, size);
-    const std::int64_t n = proptest::gen_dim(rng, size);
-    const TensorF a = gen_matrix(rng, m, k);
-    const TensorF w = gen_matrix(rng, n, k);
+    const std::int64_t k = gen_depth(rng, size);
+    const std::int64_t n = gen_width(rng, size);
+    TensorF a = gen_matrix_with_zeros(rng, m, k);
+    TensorF w = gen_matrix(rng, n, k);
+    maybe_plant_inf(
+        rng, a, [&](std::int64_t kk, std::int64_t j) -> float& {
+          return w(j, kk);
+        },
+        n);
     const TensorF want = ref::matmul_nt(a, w);
-    for (int threads : kThreadCounts) {
-      util::ThreadPool::instance().resize(threads);
-      if (auto r = expect_bitwise_equal(nn::matmul_nt(a, w), want,
-                                        "matmul_nt", threads)) {
-        return r;
-      }
-    }
-    return proptest::pass();
+    return expect_all_backends(want, "matmul_nt",
+                               [&] { return nn::matmul_nt(a, w); });
   });
 }
 
@@ -113,6 +197,7 @@ TEST(PropKernels, MatmulAndMatmulNtAgreeOnTransposedWeights) {
 
 TEST(PropKernels, Conv2dLoweringBitExactVsDirectRefAcrossThreads) {
   PoolGuard guard;
+  ForceScalarGuard backend;
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     const std::int64_t c = proptest::gen_dim(rng, std::min(size, 4));
     const std::int64_t h = proptest::gen_dim(rng, size, 2);
@@ -121,11 +206,30 @@ TEST(PropKernels, Conv2dLoweringBitExactVsDirectRefAcrossThreads) {
                                                      std::min(h, w), 4));
     const std::int64_t stride = rng.uniform_int(1, 2);
     const std::int64_t pad = rng.uniform_int(0, kern - 1);
-    const std::int64_t oc = proptest::gen_dim(rng, std::min(size, 4));
+    // Output channels are the lowered GEMM's width.
+    const std::int64_t oc = gen_width(rng, std::min(size, 4));
 
-    const TensorF input = TensorF(
+    TensorF input = TensorF(
         Shape{c, h, w}, proptest::gen_laplace_buffer(rng, c * h * w, 0.5));
-    const TensorF weight = gen_matrix(rng, oc, c * kern * kern);
+    for (auto& v : input.data()) {
+      if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    }
+    TensorF weight = gen_matrix(rng, oc, c * kern * kern);
+    if (rng.bernoulli(0.25)) {
+      // An all-zero input channel: every lowered A entry it feeds is
+      // +-0 (or padding), so its +-inf weights must never be touched.
+      const std::int64_t ch = rng.uniform_int(0, c - 1);
+      for (std::int64_t i = 0; i < h * w; ++i) {
+        input.at(ch * h * w + i) = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+      }
+      for (std::int64_t o = 0; o < oc; ++o) {
+        for (std::int64_t t = 0; t < kern * kern; ++t) {
+          if (rng.bernoulli(0.5)) {
+            weight(o, ch * kern * kern + t) = signed_inf(rng);
+          }
+        }
+      }
+    }
     TensorF bias(Shape{oc});
     for (auto& v : bias.data()) v = static_cast<float>(rng.laplace(0.1));
 
@@ -133,8 +237,7 @@ TEST(PropKernels, Conv2dLoweringBitExactVsDirectRefAcrossThreads) {
         ref::conv2d(input, weight, bias, kern, kern, stride, pad);
     const std::int64_t oh = (h + 2 * pad - kern) / stride + 1;
     const std::int64_t ow = (w + 2 * pad - kern) / stride + 1;
-    for (int threads : kThreadCounts) {
-      util::ThreadPool::instance().resize(threads);
+    return expect_all_backends(want, "conv2d", [&] {
       // The production path: im2col lowering, transposed GEMM, bias,
       // then the [OH*OW, OC] -> [OC, OH, OW] transpose Conv2d applies.
       const TensorF lowered = nn::im2col(input, kern, kern, stride, pad);
@@ -146,11 +249,8 @@ TEST(PropKernels, Conv2dLoweringBitExactVsDirectRefAcrossThreads) {
           got.at(o * oh * ow + p) = out2d(p, o);
         }
       }
-      if (auto r = expect_bitwise_equal(got, want, "conv2d", threads)) {
-        return r;
-      }
-    }
-    return proptest::pass();
+      return got;
+    });
   });
 }
 

@@ -1,16 +1,24 @@
 // Differential suite: quantization primitives (Equation 1 and the
-// Section 3.1 hi->lo conversion) vs. exact-integer references, plus the
-// integer-domain GEMM path (quantize_rows / dequantize_operand /
-// int_gemm_nt) vs. naive scalar recomputation at 1, 2, and 8 threads.
+// Section 3.1 hi->lo conversion) vs. exact-integer references, the
+// accuracy-path renderer vs. its per-element oracle on the scalar and
+// the native backend, plus the integer-domain GEMM path (quantize_rows
+// / dequantize_operand / int_gemm_nt) vs. naive scalar recomputation at
+// 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/quantizer.hpp"
+#include "core/render.hpp"
 #include "nn/int_gemm.hpp"
+// drift-lint: allow(intrinsic) — the renderer property flips the
+// force-scalar override to run on the scalar and the native table.
+#include "nn/simd/kernel_dispatch.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_kernels.hpp"
 #include "ref/ref_quant.hpp"
+#include "ref/ref_render.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift {
@@ -18,6 +26,12 @@ namespace {
 
 struct PoolGuard {
   ~PoolGuard() { util::ThreadPool::instance().resize(0); }
+};
+
+/// Restores the dispatch override on scope exit.
+struct ForceScalarGuard {
+  bool prev = nn::simd::force_scalar();
+  ~ForceScalarGuard() { nn::simd::set_force_scalar(prev); }
 };
 
 TEST(PropQuantizer, QuantizeValueMatchesIntegerRoundingRef) {
@@ -100,6 +114,163 @@ TEST(PropQuantizer, RoundTripErrorBoundedByHalfStep) {
         return proptest::fail("round-trip error ", std::abs(rt - x),
                               " exceeds half step ", 0.5 * p.delta,
                               " at x=", x);
+      }
+    }
+    return proptest::pass();
+  });
+}
+
+/// A dimension that is not a multiple of `edge` (so edge regions are
+/// partial).
+std::int64_t gen_ragged_dim(Rng& rng, int size, std::int64_t edge) {
+  const std::int64_t d = proptest::gen_dim(rng, size);
+  return d % edge == 0 ? d + rng.uniform_int(1, edge - 1) : d;
+}
+
+/// Sub-tensor views of one random granularity over a tensor of `numel`
+/// elements (returned through `numel`).
+std::vector<SubTensorView> gen_views(Rng& rng, int size,
+                                     std::int64_t& numel) {
+  switch (rng.uniform_int(0, 2)) {
+    case 0: {
+      const std::int64_t rows = proptest::gen_dim(rng, size);
+      const std::int64_t cols = proptest::gen_dim(rng, 4 * size);
+      numel = rows * cols;
+      return partition_rows(Shape{rows, cols});
+    }
+    case 1: {
+      const std::int64_t region = rng.uniform_int(2, 4);
+      const std::int64_t c = proptest::gen_dim(rng, std::min(size, 4));
+      const std::int64_t h = gen_ragged_dim(rng, size, region);
+      const std::int64_t w = gen_ragged_dim(rng, size, region);
+      numel = c * h * w;
+      return partition_regions(Shape{c, h, w}, region);
+    }
+    default: {
+      // Occasionally past one 4096-element chunk of the hp pass.
+      numel = rng.bernoulli(0.15) ? rng.uniform_int(4000, 9000)
+                                  : proptest::gen_dim(rng, 16 * size);
+      return partition_blocks(numel, rng.uniform_int(1, 2 * size + 3));
+    }
+  }
+}
+
+/// +-m * 2^-149 for m in [1, 2^bits): a float subnormal.
+float gen_subnormal(Rng& rng, int bits) {
+  const auto m = static_cast<float>(
+      rng.uniform_int(1, (std::int64_t{1} << bits) - 1));
+  return std::ldexp(rng.bernoulli(0.5) ? m : -m, -149);
+}
+
+TEST(PropQuantizer, RenderMatchesPerElementOracleAcrossBackendsAndThreads) {
+  PoolGuard guard;
+  ForceScalarGuard backend;
+  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
+    std::int64_t numel = 0;
+    const std::vector<SubTensorView> views = gen_views(rng, size, numel);
+    const core::Precision hp(static_cast<int>(rng.uniform_int(4, 12)));
+    const core::Precision lp(
+        static_cast<int>(rng.uniform_int(2, hp.bits())));
+    const int clip_total = hp.bits() - lp.bits();
+
+    // Either Eq. 1 calibration on the data, or a power-of-two Δ that
+    // makes planted half-step quotients exact and lets outliers clamp.
+    // A wholly subnormal tensor pairs with a Δ below the float spacing
+    // 2^-149: its values clamp at ±hp_limit, and the hp rendering of
+    // that code lands on the coarse subnormal grid (often a signed
+    // zero), so the low pass sees other codes than the original values
+    // would give.
+    const bool subnormal_tensor = rng.bernoulli(0.15);
+    const bool calibrated = rng.bernoulli(0.5);
+    const double pow2_delta = std::ldexp(
+        1.0, static_cast<int>(subnormal_tensor || rng.bernoulli(0.05)
+                                  ? rng.uniform_int(-165, -145)
+                                  : rng.uniform_int(-30, 2)));
+    const auto hp_limit = hp.max_level();
+    std::vector<float> values;
+    if (subnormal_tensor) {
+      values.resize(static_cast<std::size_t>(numel));
+      for (auto& v : values) v = gen_subnormal(rng, 10);
+    } else {
+      values = proptest::gen_laplace_buffer(rng, numel, 40.0 * pow2_delta);
+      for (auto& v : values) {
+        const double u = rng.uniform();
+        if (u < 0.05) {
+          v = 0.0f;
+        } else if (u < 0.10) {
+          v = -0.0f;
+        } else if (u < 0.15) {
+          v = gen_subnormal(rng, 23);
+        } else if (u < 0.25) {
+          const auto m = static_cast<double>(
+              rng.uniform_int(-hp_limit - 2, hp_limit + 1));
+          v = static_cast<float>((m + 0.5) * pow2_delta);
+        } else if (u < 0.28) {
+          const double mag = static_cast<double>(hp_limit) *
+                             rng.uniform(1.0, 64.0) * pow2_delta;
+          v = static_cast<float>(rng.bernoulli(0.5) ? mag : -mag);
+        }
+      }
+    }
+    core::QuantParams params;
+    if (calibrated) {
+      params = core::compute_quant_params(values, hp);
+    } else {
+      params.bits = hp;
+      params.delta = pow2_delta;
+    }
+
+    std::vector<core::PrecisionDecision> decisions;
+    std::vector<std::int64_t> sizes;
+    for (const auto& view : views) {
+      const int lc = static_cast<int>(rng.uniform_int(0, clip_total));
+      decisions.push_back(core::PrecisionDecision{
+          rng.bernoulli(0.6), core::ConversionChoice{clip_total - lc, lc}});
+      sizes.push_back(view.size());
+    }
+    const core::PrecisionMap map(std::move(decisions), std::move(sizes),
+                                 core::SelectorConfig{hp, lp, 1.0});
+    const core::PrecisionMap all_high({}, {},
+                                      core::SelectorConfig{hp, lp, 1.0});
+    const std::vector<float> want =
+        ref::render_per_element(values, views, params, map, lp);
+    const std::vector<float> want_hp =
+        ref::render_per_element(values, {}, params, all_high, lp);
+
+    auto compare = [&](const std::vector<float>& got,
+                       const std::vector<float>& expected, const char* what,
+                       int threads) -> proptest::Result {
+      if (got.size() == expected.size() &&
+          std::memcmp(got.data(), expected.data(),
+                      got.size() * sizeof(float)) == 0) {
+        return proptest::pass();
+      }
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (std::memcmp(&got[i], &expected[i], sizeof(float)) != 0) {
+          return proptest::fail(what, " differs from the per-element "
+                                "oracle at flat ", i, " (x=", values[i],
+                                ", delta=", params.delta, ", hp=",
+                                hp.bits(), ", lp=", lp.bits(), ") on the ",
+                                nn::simd::active().name, " backend with ",
+                                threads, " thread(s): ", got[i], " vs ",
+                                expected[i]);
+        }
+      }
+      return proptest::fail(what, " size ", got.size(), " vs oracle ",
+                            expected.size());
+    };
+    for (const bool force : {true, false}) {
+      nn::simd::set_force_scalar(force);
+      for (int threads : {1, 2, 8}) {
+        util::ThreadPool::instance().resize(threads);
+        if (auto r = compare(core::render(values, views, params, map, lp),
+                             want, "render", threads)) {
+          return r;
+        }
+        if (auto r = compare(core::render_hp(values, params), want_hp,
+                             "render_hp", threads)) {
+          return r;
+        }
       }
     }
     return proptest::pass();

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,10 +45,10 @@ TEST(ServeArrival, KindNamesRoundTrip) {
   for (const auto kind :
        {serve::ArrivalKind::kPoisson, serve::ArrivalKind::kBursty,
         serve::ArrivalKind::kDiurnal}) {
-    EXPECT_EQ(serve::arrival_kind_from_string(serve::to_string(kind)), kind);
+    EXPECT_EQ(serve::parse_arrival_kind(serve::to_string(kind)), kind);
   }
-  EXPECT_EQ(serve::arrival_kind_from_string("nonsense"),
-            serve::ArrivalKind::kPoisson);
+  EXPECT_EQ(serve::parse_arrival_kind("nonsense"), std::nullopt);
+  EXPECT_EQ(serve::parse_arrival_kind("Bursty"), std::nullopt);
 }
 
 TEST(ServeTenant, UnknownWorkloadThrowsListingKnownNames) {

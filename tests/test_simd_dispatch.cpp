@@ -63,6 +63,7 @@ TEST(SimdDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(kt.dot_s4s4, nullptr);
     EXPECT_NE(kt.quantize_convert_row, nullptr);
     EXPECT_NE(kt.reduce_stats, nullptr);
+    EXPECT_NE(kt.gemm_f32_block, nullptr);
   }
 }
 

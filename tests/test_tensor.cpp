@@ -77,6 +77,45 @@ TEST(Tensor, FourDAccessor) {
   EXPECT_EQ(t.at(15), 42);
 }
 
+TEST(Tensor, AccessorsRejectOutOfBoundsAndRankMismatch) {
+  TensorF t2(Shape{2, 3});
+  const TensorF& c2 = t2;
+  EXPECT_THROW(t2(2, 0), check_error);
+  EXPECT_THROW(t2(0, 3), check_error);
+  EXPECT_THROW(c2(1, 3), check_error);
+  EXPECT_THROW(t2(-1, 0), check_error);
+  EXPECT_THROW(c2(0, -1), check_error);
+  EXPECT_THROW(t2(0, 0, 0), check_error);
+  EXPECT_THROW(c2(0, 0, 0, 0), check_error);
+
+  TensorF t3(Shape{2, 3, 4});
+  const TensorF& c3 = t3;
+  EXPECT_FLOAT_EQ(c3(1, 2, 3), 0.0f);
+  EXPECT_THROW(t3(2, 0, 0), check_error);
+  EXPECT_THROW(t3(0, 3, 0), check_error);
+  EXPECT_THROW(c3(0, 0, 4), check_error);
+  EXPECT_THROW(t3(0, -1, 0), check_error);
+  EXPECT_THROW(c3(-1, 0, 0), check_error);
+  EXPECT_THROW(t3(0, 0), check_error);
+  EXPECT_THROW(c3(0, 0, 0, 0), check_error);
+
+  TensorF t4(Shape{2, 3, 4, 5});
+  const TensorF& c4 = t4;
+  EXPECT_FLOAT_EQ(c4(1, 2, 3, 4), 0.0f);
+  EXPECT_THROW(t4(2, 0, 0, 0), check_error);
+  EXPECT_THROW(c4(0, 3, 0, 0), check_error);
+  EXPECT_THROW(t4(0, 0, 4, 0), check_error);
+  EXPECT_THROW(c4(0, 0, 0, 5), check_error);
+  EXPECT_THROW(t4(0, 0, 0, -1), check_error);
+  EXPECT_THROW(c4(-2, 0, 0, 0), check_error);
+  EXPECT_THROW(t4(0, 0, 0), check_error);
+  EXPECT_THROW(c4(0, 0), check_error);
+
+  // A rank-1 tensor has no accessor of its own rank; every arity fails.
+  TensorF t1(Shape{4});
+  EXPECT_THROW(t1(0, 0), check_error);
+}
+
 TEST(SubTensorView, GatherScatterRoundTrip) {
   std::vector<float> buffer(12);
   std::iota(buffer.begin(), buffer.end(), 0.0f);

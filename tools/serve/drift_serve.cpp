@@ -93,8 +93,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no workloads given\n");
     return 2;
   }
-  const auto kind =
-      serve::arrival_kind_from_string(args.get_string("arrival", "poisson"));
+  const std::string arrival = args.get_string("arrival", "poisson");
+  const auto kind = serve::parse_arrival_kind(arrival);
+  if (!kind) {
+    std::fprintf(stderr,
+                 "unknown --arrival '%s' (valid: poisson, bursty, diurnal)\n",
+                 arrival.c_str());
+    return 2;
+  }
   const std::int64_t requests = args.get_int("requests", 256);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -108,7 +114,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
-    tenant.arrival.kind = kind;
+    tenant.arrival.kind = *kind;
     tenant.num_requests = requests;
     tenant.seed = seed + i;
     tenant.unique_mix_per_request = !shared_mix;
@@ -163,7 +169,7 @@ int main(int argc, char** argv) {
   std::printf("%s serving, %zu tenant(s), arrival %s, max batch %lld, "
               "array %lldx%lld\n",
               nn::to_string(config.exec.algo).c_str(),
-              config.tenants.size(), serve::to_string(kind).c_str(),
+              config.tenants.size(), serve::to_string(*kind).c_str(),
               static_cast<long long>(config.max_batch),
               static_cast<long long>(config.exec.hw.array.rows),
               static_cast<long long>(config.exec.hw.array.cols));
