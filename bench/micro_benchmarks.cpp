@@ -20,7 +20,9 @@
 // records the best-of-3 wall time of the four accelerator models on
 // the seven paper workloads (Figures 7/8; ops_per_s = 1/seconds), and
 // `proxy_eval` the best-of-3 wall time of Figure 6's ResNet18 and ViT-B
-// proxy forward passes under all four execution modes (same units).
+// proxy forward passes under all four execution modes, and `serve_run`
+// that of the serving event loop on a two-tenant Poisson trace (same
+// units).
 // DRIFT_BENCH_GEMM_SIZE overrides the
 // fp32 GEMM edge (default 1024), DRIFT_BENCH_INT_GEMM_SIZE the
 // backend-sweep edge (default 512); DRIFT_SKIP_KERNEL_SWEEP=1 skips
@@ -630,6 +632,52 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     KernelResult r;
     r.name = "proxy_eval";
     r.shape = "resnet18+vit_b@fig6";
+    r.threads = 1;
+    r.backend = nn::simd::active().name;
+    r.seconds = wall;
+    r.ops_per_s = 1.0 / wall;
+    results.push_back(r);
+    std::fprintf(stderr,
+                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs\n",
+                 r.name.c_str(), r.shape.c_str(), r.threads,
+                 r.backend.c_str(), wall);
+  }
+  // The serving event loop's host cost: Simulator::run on a fixed-seed
+  // two-tenant (tiny-bert + tiny-cnn) Poisson trace at load 0.7 with a
+  // mix per request, best of 3 at 1 thread.  The per-request mix
+  // precompute (Simulator construction) is untimed.  serve_p99_us
+  // gates only simulated cycles; ops_per_s = 1/seconds here bounds the
+  // batch packing, scheduler and fabric work per batch.
+  {
+    util::ThreadPool::instance().resize(1);
+    serve::ServeConfig scfg;
+    scfg.max_batch = 8;
+    for (const char* name : {"tiny-bert", "tiny-cnn"}) {
+      serve::TenantSpec tenant;
+      tenant.name = name;
+      tenant.workload = serve::serving_workload(name);
+      tenant.num_requests = 4096;
+      tenant.seed = 1 + scfg.tenants.size();  // drift_serve --seed=1
+      scfg.tenants.push_back(tenant);
+    }
+    serve::ServeConfig probe_cfg = scfg;
+    for (auto& tenant : probe_cfg.tenants) {
+      tenant.num_requests = 1;
+      tenant.unique_mix_per_request = false;
+    }
+    serve::Simulator probe(probe_cfg, util::ThreadPool::instance());
+    for (std::size_t t = 0; t < scfg.tenants.size(); ++t) {
+      const double service = static_cast<double>(
+          probe.executor().execute_canonical(static_cast<int>(t)).cycles);
+      scfg.tenants[t].arrival.mean_interarrival_cycles =
+          service * static_cast<double>(scfg.tenants.size()) / 0.7;
+    }
+    serve::Simulator sim(scfg, util::ThreadPool::instance());
+    const double wall =
+        best_seconds([&] { benchmark::DoNotOptimize(sim.run()); }, 3);
+    KernelResult r;
+    r.name = "serve_run";
+    r.shape = "tiny-bert+tiny-cnn@0.7";
     r.threads = 1;
     r.backend = nn::simd::active().name;
     r.seconds = wall;

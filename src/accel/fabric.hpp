@@ -15,6 +15,13 @@
 //   - the left two sub-arrays stream activations *rightward* from the
 //     west edge, the right two stream *leftward* from the east edge.
 //
+// A split sets every BG's psum direction from its row alone and its
+// activation direction from its column alone, so the fabric stores one
+// psum direction per BG row and one activation direction per BG column
+// (R + C entries, not R x C).  Reconfiguring, validating and counting
+// rewritten BGs are O(R + C); the per-BG grid the counts must match is
+// the oracle ref::GridFabric (src/ref/ref_fabric.hpp).
+//
 // This module materializes that link state, validates that a
 // configuration forms four well-formed systolic arrays (every psum
 // chain terminates at a chip edge without crossing a split boundary,
@@ -22,6 +29,7 @@
 // reconfiguration between layers in link rewrites and drain cycles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,7 +70,8 @@ class BitGroupFabric {
 
   /// Programs the four-way split at row cut `r` and column cut `c`
   /// (both may be 0 or the full extent for degenerate class mixes).
-  /// Returns the number of BG link registers whose direction changed.
+  /// Returns the number of BGs whose link directions changed:
+  /// rows_changed * C + cols_changed * R - rows_changed * cols_changed.
   std::int64_t configure_split(std::int64_t r, std::int64_t c);
 
   /// Cycles one reconfiguration costs: the in-flight wavefronts drain
@@ -71,10 +80,11 @@ class BitGroupFabric {
   std::int64_t reconfigure_cycles(std::int64_t r, std::int64_t c);
 
   /// Current split descriptors, in Quadrant order (hh, hl, lh, ll).
-  std::vector<SubArray> sub_arrays() const;
+  std::array<SubArray, 4> sub_arrays() const;
 
-  /// Link state of one BG (row-major query).
-  const BgLinks& links(std::int64_t row, std::int64_t col) const;
+  /// Link state of one BG: its row's psum and its column's activation
+  /// direction.
+  BgLinks links(std::int64_t row, std::int64_t col) const;
 
   /// Structural validation of the current configuration:
   ///   - psum chains are uniform within each sub-array column and
@@ -82,18 +92,18 @@ class BitGroupFabric {
   ///   - activation streams are uniform within each sub-array row and
   ///     originate at the west or east chip edge,
   ///   - no chain crosses the split boundary.
-  /// Returns an empty string when valid, else a diagnostic.
+  /// Checks the R + C stored directions.  Returns an empty string
+  /// when valid, else a diagnostic (built only on a failure).
   std::string validate() const;
 
   std::int64_t current_r() const { return r_; }
   std::int64_t current_c() const { return c_; }
 
  private:
-  BgLinks& mutable_links(std::int64_t row, std::int64_t col);
-
   core::ArrayDims dims_;
   std::int64_t r_ = 0, c_ = 0;
-  std::vector<BgLinks> grid_;
+  std::vector<PsumFlow> row_psum_;  ///< one psum direction per BG row
+  std::vector<ActFlow> col_act_;    ///< one act direction per BG column
 };
 
 }  // namespace drift::accel

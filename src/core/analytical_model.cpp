@@ -8,23 +8,17 @@
 namespace drift::core {
 namespace {
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
 std::int64_t axis_tiles(std::int64_t extent, double bits,
                         std::int64_t span_bits) {
   DRIFT_CHECK(bits > 0.0, "operand width must be positive");
   DRIFT_CHECK(span_bits > 0, "array axis must be positive");
-  std::int64_t tiles;
   if (bits == std::floor(bits)) {
     // Integral widths stay in exact integer arithmetic (the scheduler
     // and cycle model depend on these ceilings being exact).
-    tiles = ceil_div(static_cast<std::int64_t>(bits) * extent, span_bits);
-  } else {
-    tiles = static_cast<std::int64_t>(std::ceil(
-        bits * static_cast<double>(extent) / static_cast<double>(span_bits)));
+    return ws_axis_tiles(extent, static_cast<std::int64_t>(bits), span_bits);
   }
+  const auto tiles = static_cast<std::int64_t>(std::ceil(
+      bits * static_cast<double>(extent) / static_cast<double>(span_bits)));
   return std::max<std::int64_t>(tiles, 1);
 }
 

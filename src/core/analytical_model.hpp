@@ -63,4 +63,14 @@ std::int64_t ws_tile_repetitions(const GemmDims& gemm, int pa, int pw,
 std::int64_t ws_k_tiles(std::int64_t k, double pa_bits, std::int64_t rows);
 std::int64_t ws_n_tiles(std::int64_t n, double pw_bits, std::int64_t cols);
 
+/// The integral-width path of ws_k_tiles/ws_n_tiles, unchecked:
+/// ceil(bits * extent / span_bits) by exact integer ceil-division,
+/// clamped to >= 1 (span_bits = 4R on the K axis, 16C on the N axis).
+/// The scheduler tabulates it once per cut.
+inline std::int64_t ws_axis_tiles(std::int64_t extent, std::int64_t bits,
+                                  std::int64_t span_bits) {
+  const std::int64_t tiles = (bits * extent + span_bits - 1) / span_bits;
+  return tiles > 1 ? tiles : 1;
+}
+
 }  // namespace drift::core

@@ -18,6 +18,12 @@
 // separately; `schedule_greedy` implements that (alternating 1-D
 // sweeps to a fixed point) and `schedule_exhaustive` provides the
 // oracle reference used by tests and the scheduler ablation bench.
+//
+// Every function below reads Eq. 7 from one per-call table of its two
+// ceiling factors, ceil(pa*K / 4r) per row count and ceil(pw*N / 16c)
+// per column count for each precision class, built in O(R + C); a
+// candidate split then costs a few integer operations per quadrant.
+// The candidate-by-candidate evaluation is the oracle ref::greedy_split.
 #pragma once
 
 #include <array>

@@ -31,31 +31,86 @@ std::int64_t eq7_cycles(std::int64_t M, std::int64_t K, std::int64_t N,
   return per_tile * eq7_repetitions(K, N, pa, pw, R, C);
 }
 
+namespace {
+
+/// Equation 7 of the four quadrants for the split (r, c), and their max.
+core::SplitDecision eq8_candidate(const core::LayerWork& work,
+                                  const core::ArrayDims& total,
+                                  std::int64_t r, std::int64_t c) {
+  core::SplitDecision d;
+  d.r = r;
+  d.c = c;
+  d.latency = {
+      eq7_cycles(work.m_high, work.k, work.n_high, work.pa_high,
+                 work.pw_high, r, c),
+      eq7_cycles(work.m_high, work.k, work.n_low, work.pa_high, work.pw_low,
+                 r, total.cols - c),
+      eq7_cycles(work.m_low, work.k, work.n_high, work.pa_low, work.pw_high,
+                 total.rows - r, c),
+      eq7_cycles(work.m_low, work.k, work.n_low, work.pa_low, work.pw_low,
+                 total.rows - r, total.cols - c),
+  };
+  d.makespan = std::max(std::max(d.latency[0], d.latency[1]),
+                        std::max(d.latency[2], d.latency[3]));
+  return d;
+}
+
+}  // namespace
+
 SplitOracle exhaustive_split(const core::LayerWork& work,
                              const core::ArrayDims& total) {
   DRIFT_CHECK(total.rows > 0 && total.cols > 0, "empty array");
   SplitOracle best;
   for (std::int64_t r = 0; r <= total.rows; ++r) {
     for (std::int64_t c = 0; c <= total.cols; ++c) {
-      const std::int64_t hh = eq7_cycles(work.m_high, work.k, work.n_high,
-                                         work.pa_high, work.pw_high, r, c);
-      const std::int64_t hl =
-          eq7_cycles(work.m_high, work.k, work.n_low, work.pa_high,
-                     work.pw_low, r, total.cols - c);
-      const std::int64_t lh =
-          eq7_cycles(work.m_low, work.k, work.n_high, work.pa_low,
-                     work.pw_high, total.rows - r, c);
-      const std::int64_t ll =
-          eq7_cycles(work.m_low, work.k, work.n_low, work.pa_low,
-                     work.pw_low, total.rows - r, total.cols - c);
-      const std::int64_t makespan =
-          std::max(std::max(hh, hl), std::max(lh, ll));
+      const std::int64_t makespan = eq8_candidate(work, total, r, c).makespan;
       if (makespan < best.best_makespan) {
         best.best_r = r;
         best.best_c = c;
         best.best_makespan = makespan;
       }
     }
+  }
+  return best;
+}
+
+core::SplitDecision greedy_split(const core::LayerWork& work,
+                                 const core::ArrayDims& total) {
+  DRIFT_CHECK(total.rows > 0 && total.cols > 0, "empty array");
+  const std::int64_t r_lo = work.m_high > 0 ? 1 : 0;
+  const std::int64_t r_hi = work.m_low > 0 ? total.rows - 1 : total.rows;
+  const std::int64_t c_lo = work.n_high > 0 ? 1 : 0;
+  const std::int64_t c_hi = work.n_low > 0 ? total.cols - 1 : total.cols;
+  DRIFT_CHECK(r_lo <= r_hi, "too few rows for the row classes");
+  DRIFT_CHECK(c_lo <= c_hi, "too few columns for the column classes");
+
+  const auto seed = [](std::int64_t extent, std::int64_t high_bits,
+                       std::int64_t low_bits, std::int64_t lo,
+                       std::int64_t hi) {
+    const std::int64_t volume = high_bits + low_bits;
+    const std::int64_t s =
+        volume == 0 ? extent / 2
+                    : extent * high_bits / std::max<std::int64_t>(volume, 1);
+    return std::min(std::max(s, lo), hi);
+  };
+  const std::int64_t r0 = seed(total.rows, work.m_high * work.pa_high,
+                               work.m_low * work.pa_low, r_lo, r_hi);
+  const std::int64_t c0 = seed(total.cols, work.n_high * work.pw_high,
+                               work.n_low * work.pw_low, c_lo, c_hi);
+
+  core::SplitDecision best = eq8_candidate(work, total, r0, c0);
+  for (int round = 0; round < 8; ++round) {
+    core::SplitDecision next = best;
+    for (std::int64_t r = r_lo; r <= r_hi; ++r) {
+      const core::SplitDecision d = eq8_candidate(work, total, r, next.c);
+      if (d.makespan < next.makespan) next = d;
+    }
+    for (std::int64_t c = c_lo; c <= c_hi; ++c) {
+      const core::SplitDecision d = eq8_candidate(work, total, next.r, c);
+      if (d.makespan < next.makespan) next = d;
+    }
+    if (next.makespan >= best.makespan) break;
+    best = next;
   }
   return best;
 }

@@ -58,9 +58,19 @@ struct SplitOracle {
 };
 
 /// Evaluates max{T_hh, T_hl, T_lh, T_ll} (via eq7_cycles) for every
-/// (r, c) in [0, R] x [0, C] and returns the true minimum.  O(R*C).
+/// (r, c) in [0, R] x [0, C], r-major, and returns the first minimum
+/// (strict <).  O(R*C).
 SplitOracle exhaustive_split(const core::LayerWork& work,
                              const core::ArrayDims& total);
+
+/// The greedy alternating sweep, candidate by candidate through
+/// eq7_cycles: seed (r, c) proportionally to each axis' bit volume,
+/// then alternate a full r sweep (c fixed) and a full c sweep (r
+/// fixed), keeping a candidate only on a strictly smaller makespan,
+/// until a round stops improving (at most 8 rounds).  Throws when an
+/// axis is too short to give every non-empty class a slice.
+core::SplitDecision greedy_split(const core::LayerWork& work,
+                                 const core::ArrayDims& total);
 
 // ---------------------------------------------------------------------
 // Equations 5/6 (precision selection): brute-force (hc, lc) clip

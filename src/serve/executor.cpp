@@ -75,22 +75,30 @@ BatchResult BatchExecutor::execute(int tenant,
   // Pack: per layer, concatenate the member requests' row patterns in
   // admission order and grow M accordingly; the weight side (shared
   // across the tenant's requests) keeps the canonical channel split.
-  nn::WorkloadSpec batched = st.spec;
-  std::vector<nn::LayerMix> mixes(batched.layers.size());
-  for (std::size_t li = 0; li < batched.layers.size(); ++li) {
+  // The models read only the spec's model name and layer count, so the
+  // tenant's spec is passed as is and only each layer's M changes.
+  const std::size_t num_layers = st.spec.layers.size();
+  std::vector<nn::LayerMix> mixes(num_layers);
+  for (std::size_t li = 0; li < num_layers; ++li) {
+    std::size_t total_rows = 0;
+    for (std::int64_t local : locals) {
+      total_rows += request_mixes(tenant, local)[li].row_is_low.size();
+    }
     std::vector<bool> rows;
+    rows.reserve(total_rows);
     for (std::int64_t local : locals) {
       const auto& request = request_mixes(tenant, local)[li];
       rows.insert(rows.end(), request.row_is_low.begin(),
                   request.row_is_low.end());
     }
-    batched.layers[li].dims.M = static_cast<std::int64_t>(rows.size());
-    mixes[li] = nn::assemble_mix(batched.layers[li], std::move(rows),
+    nn::LayerGemm layer = st.spec.layers[li];
+    layer.dims.M = static_cast<std::int64_t>(total_rows);
+    mixes[li] = nn::assemble_mix(layer, std::move(rows),
                                  st.canonical[li].work.n_low, st.mix);
   }
 
   BatchResult result;
-  result.run = model_->run(batched, mixes);
+  result.run = model_->run(st.spec, mixes);
   result.cycles = result.run.cycles;
   result.energy_pj = result.run.energy.total_pj();
   return result;

@@ -48,6 +48,12 @@ TEST(Cli, DriftsimRejectsUnknownPolicy) {
   expect_usage_error(DRIFTSIM_BIN, "--gemm=8x8x8 --policy=bogus", kPolicies);
 }
 
+TEST(Cli, DriftsimRejectsUnknownModel) {
+  expect_usage_error(DRIFTSIM_BIN, "--model=bogus",
+                     "resnet18, resnet50, vit_b, deit_s, bert, gpt2_xl, "
+                     "bloom_7b1, opt_6p7b");
+}
+
 TEST(Cli, DriftGraphRejectsUnknownAlgoAndPolicy) {
   expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --algo=bogus",
                      kAlgos);

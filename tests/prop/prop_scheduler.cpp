@@ -2,9 +2,12 @@
 // exhaustive (r, c) enumeration oracle in src/ref.
 //
 // The greedy scheduler is the component the paper actually deploys
-// on-line, so its suite runs at least 200 randomized LayerWork mixes
+// on-line, so its suites run at least 200 randomized LayerWork mixes
 // regardless of the configured iteration count (unless the run
 // explicitly pins DRIFT_PROPTEST_ITERS, e.g. for a failure replay).
+// The production schedulers read Eq. 7 from a per-cut table; the
+// oracles evaluate every candidate through ref::eq7_cycles, so the two
+// must agree bitwise on the chosen (r, c) and every latency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,10 +53,15 @@ TEST(PropScheduler, ExhaustiveMatchesIndependentOracle) {
     const core::ArrayDims total = proptest::gen_array_dims(rng, size);
     const core::SplitDecision got = core::schedule_exhaustive(w, total);
     const ref::SplitOracle want = ref::exhaustive_split(w, total);
-    if (got.makespan != want.best_makespan) {
+    // Both enumerate r-major and keep only strictly smaller makespans,
+    // so they must also pick the same (first) minimizing split.
+    if (got.makespan != want.best_makespan || got.r != want.best_r ||
+        got.c != want.best_c) {
       return proptest::fail("schedule_exhaustive makespan ", got.makespan,
-                            " vs independent oracle ", want.best_makespan,
-                            " on ", total.rows, "x", total.cols);
+                            " at (", got.r, ", ", got.c,
+                            ") vs independent oracle ", want.best_makespan,
+                            " at (", want.best_r, ", ", want.best_c, ") on ",
+                            total.rows, "x", total.cols);
     }
     // The reported split must actually achieve the reported makespan.
     const auto lat = core::quadrant_latencies(w, total, got.r, got.c);
@@ -65,6 +73,62 @@ TEST(PropScheduler, ExhaustiveMatchesIndependentOracle) {
     }
     return proptest::pass();
   });
+}
+
+/// A LayerWork with any class possibly empty, K possibly 0 and all
+/// four precisions drawn from 1..16.  Some cases mirror the two row (or
+/// column) classes, so the makespan is symmetric about the middle cut
+/// and ties between candidates exercise the strict-< tie-break.
+core::LayerWork gen_sweep_work(Rng& rng, int size) {
+  core::LayerWork w = proptest::gen_layer_work(rng, size);
+  if (rng.bernoulli(0.15)) w.m_high = 0;
+  if (rng.bernoulli(0.15)) w.m_low = 0;
+  if (rng.bernoulli(0.15)) w.n_high = 0;
+  if (rng.bernoulli(0.15)) w.n_low = 0;
+  if (rng.bernoulli(0.1)) w.k = 0;
+  w.pa_high = static_cast<int>(rng.uniform_int(1, 16));
+  w.pa_low = static_cast<int>(rng.uniform_int(1, 16));
+  w.pw_high = static_cast<int>(rng.uniform_int(1, 16));
+  w.pw_low = static_cast<int>(rng.uniform_int(1, 16));
+  if (rng.bernoulli(0.2)) {
+    w.m_low = w.m_high;
+    w.pa_low = w.pa_high;
+  }
+  if (rng.bernoulli(0.2)) {
+    w.n_low = w.n_high;
+    w.pw_low = w.pw_high;
+  }
+  return w;
+}
+
+TEST(PropScheduler, GreedyMatchesSweepOracleBitwise) {
+  proptest::gtest_check(
+      [](Rng& rng, int size) -> proptest::Result {
+        const core::LayerWork w = gen_sweep_work(rng, size);
+        core::ArrayDims total = gen_feasible_array(rng, size, w);
+        // One-slice axes wherever at most one class lives on the axis.
+        if (!(w.m_high > 0 && w.m_low > 0) && rng.bernoulli(0.25)) {
+          total.rows = 1;
+        }
+        if (!(w.n_high > 0 && w.n_low > 0) && rng.bernoulli(0.25)) {
+          total.cols = 1;
+        }
+        const core::SplitDecision got = core::schedule_greedy(w, total);
+        const core::SplitDecision want = ref::greedy_split(w, total);
+        if (got.r != want.r || got.c != want.c ||
+            got.latency != want.latency || got.makespan != want.makespan) {
+          return proptest::fail(
+              "greedy (r=", got.r, ", c=", got.c, ", makespan ", got.makespan,
+              ", latencies ", got.latency[0], "/", got.latency[1], "/",
+              got.latency[2], "/", got.latency[3], ") vs sweep oracle (r=",
+              want.r, ", c=", want.c, ", makespan ", want.makespan,
+              ", latencies ", want.latency[0], "/", want.latency[1], "/",
+              want.latency[2], "/", want.latency[3], ") on ", total.rows,
+              "x", total.cols);
+        }
+        return proptest::pass();
+      },
+      at_least_200_cases());
 }
 
 TEST(PropScheduler, GreedyNeverBeatsOracleAndStaysWithinGap) {

@@ -18,9 +18,12 @@
 //     artifacts at 1/2/8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift {
@@ -112,6 +116,111 @@ TEST(ServeBatcher, BatchRespectsMaxBatch) {
   EXPECT_EQ(batch[1].id, 1);
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.head().id, 2);
+}
+
+/// Reference admission policy: every call moves the whole deque through
+/// a second one, taking the head tenant's arrived requests up to the
+/// cap.  The in-place AdmissionQueue::pop_batch must match it exactly.
+std::vector<serve::QueuedRequest> requeue_pop_batch(
+    std::deque<serve::QueuedRequest>& queue, std::int64_t now,
+    std::int64_t max_batch) {
+  const int tenant = queue.front().tenant;
+  std::vector<serve::QueuedRequest> batch;
+  std::deque<serve::QueuedRequest> rest;
+  while (!queue.empty()) {
+    serve::QueuedRequest r = queue.front();
+    queue.pop_front();
+    const bool eligible = r.tenant == tenant && r.arrival <= now &&
+                          static_cast<std::int64_t>(batch.size()) < max_batch;
+    if (eligible) {
+      batch.push_back(r);
+    } else {
+      rest.push_back(r);
+    }
+    if (r.arrival > now ||
+        static_cast<std::int64_t>(batch.size()) == max_batch) {
+      break;
+    }
+  }
+  while (!queue.empty()) {
+    rest.push_back(queue.front());
+    queue.pop_front();
+  }
+  queue = std::move(rest);
+  return batch;
+}
+
+std::string describe(const std::vector<serve::QueuedRequest>& batch) {
+  std::ostringstream out;
+  for (const serve::QueuedRequest& r : batch) {
+    out << "(" << r.id << " t" << r.tenant << " @" << r.arrival << ")";
+  }
+  return out.str();
+}
+
+TEST(ServeBatcher, InPlacePopMatchesRequeueReference) {
+  Rng rng(0xBA7C4);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int tenants = static_cast<int>(rng.uniform_int(1, 4));
+    const std::int64_t max_batch = rng.uniform_int(1, 8);
+    const std::int64_t n = trial % 64 == 0  ? 10000
+                           : trial % 8 == 0 ? rng.uniform_int(1, 2000)
+                                            : rng.uniform_int(1, 100);
+    // Arrival-ordered trace with frequent ties.
+    std::vector<serve::QueuedRequest> trace;
+    std::vector<std::int64_t> locals(static_cast<std::size_t>(tenants), 0);
+    std::int64_t t = 0;
+    for (std::int64_t id = 0; id < n; ++id) {
+      if (rng.bernoulli(0.6)) t += rng.uniform_int(1, 6);
+      const int tenant = static_cast<int>(rng.uniform_int(0, tenants - 1));
+      trace.push_back(
+          {id, tenant, locals[static_cast<std::size_t>(tenant)]++, t});
+    }
+    // Backlog trials admit the whole trace before the first pop.
+    const bool backlog = rng.bernoulli(0.25);
+    serve::AdmissionQueue queue;
+    std::deque<serve::QueuedRequest> reference;
+    std::size_t next = 0;
+    std::int64_t now = 0;
+    const auto admit = [&](std::int64_t until) {
+      while (next < trace.size() &&
+             (backlog || trace[next].arrival <= until)) {
+        queue.push(trace[next]);
+        reference.push_back(trace[next]);
+        ++next;
+      }
+    };
+    const auto pop_both = [&](std::int64_t at, std::int64_t cap) {
+      const auto got = queue.pop_batch(at, cap);
+      const auto want = requeue_pop_batch(reference, at, cap);
+      ASSERT_EQ(describe(got), describe(want))
+          << "trial " << trial << " now=" << at << " cap=" << cap;
+      ASSERT_EQ(queue.size(), reference.size());
+      if (!reference.empty()) {
+        ASSERT_EQ(queue.head().id, reference.front().id);
+      }
+    };
+    // The clock either jumps to the head's arrival (as the simulator's
+    // event loop does) or creeps, sometimes stopping short of the head.
+    for (int step = 0; step < 400 && (next < trace.size() || !queue.empty());
+         ++step) {
+      now += rng.uniform_int(0, 8);
+      admit(now);
+      if (queue.empty()) continue;
+      if (rng.bernoulli(0.5)) now = std::max(now, queue.head().arrival);
+      admit(now);
+      pop_both(now, max_batch);
+      if (HasFatalFailure()) return;
+    }
+    // Drain everything left at the widest cap, which keeps the
+    // reference's O(queue) pops affordable on the 10k backlogs.
+    admit(std::numeric_limits<std::int64_t>::max());
+    while (!queue.empty()) {
+      pop_both(std::numeric_limits<std::int64_t>::max(), 8);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(reference.empty());
+  }
 }
 
 // ---------------------------------------------------------------------

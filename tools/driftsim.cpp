@@ -9,6 +9,7 @@
 //   driftsim --gemm=1024x768x3072 --accel=drift --budget=0.02
 //   driftsim --model=vit_b --accel=drift --rows=32 --cols=32 --csv=out.csv
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "accel/compare.hpp"
@@ -40,19 +41,31 @@ flags:
   --help           this text
 )";
 
+struct NamedModel {
+  const char* name;
+  nn::WorkloadSpec (*make)();
+};
+
+constexpr NamedModel kModels[] = {
+    {"resnet18", [] { return nn::make_resnet18(); }},
+    {"resnet50", [] { return nn::make_resnet50(); }},
+    {"vit_b", [] { return nn::make_vit_b16(); }},
+    {"deit_s", [] { return nn::make_deit_s(); }},
+    {"bert", [] { return nn::make_bert_base(); }},
+    {"gpt2_xl", [] { return nn::make_gpt2_xl(); }},
+    {"bloom_7b1", [] { return nn::make_bloom_7b1(); }},
+    {"opt_6p7b", [] { return nn::make_opt_6p7b(); }},
+};
+
 nn::WorkloadSpec pick_model(const std::string& name) {
-  if (name == "resnet50") return nn::make_resnet50();
-  if (name == "vit_b") return nn::make_vit_b16();
-  if (name == "deit_s") return nn::make_deit_s();
-  if (name == "bert") return nn::make_bert_base();
-  if (name == "gpt2_xl") return nn::make_gpt2_xl();
-  if (name == "bloom_7b1") return nn::make_bloom_7b1();
-  if (name == "opt_6p7b") return nn::make_opt_6p7b();
-  if (name != "resnet18") {
-    std::fprintf(stderr, "unknown model '%s', using resnet18\n",
-                 name.c_str());
+  std::string valid;
+  for (const NamedModel& model : kModels) {
+    if (name == model.name) return model.make();
+    valid += (valid.empty() ? "" : ", ") + std::string(model.name);
   }
-  return nn::make_resnet18();
+  std::fprintf(stderr, "unknown --model '%s' (valid: %s)\n", name.c_str(),
+               valid.c_str());
+  std::exit(2);
 }
 
 nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
