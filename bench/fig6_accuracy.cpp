@@ -38,26 +38,19 @@ nn::QuantEngine make_engine(nn::QuantMode mode, double budget,
   return nn::QuantEngine(cfg);
 }
 
-/// Paper-style threshold selection: the largest (most aggressive)
-/// budget whose accuracy stays within `tolerance` of INT8.
-double search_budget(const ModelEntry& model, double acc_int8,
-                     bool dynamic_weights, double tolerance = 0.02) {
-  const std::vector<double> grid = {0.002, 0.005, 0.01, 0.02, 0.04};
-  double chosen = grid.front();
-  for (double budget : grid) {
-    auto engine = make_engine(nn::QuantMode::kDrift, budget, dynamic_weights);
-    const double acc = model.evaluate(engine).metric;
-    if (acc >= acc_int8 - tolerance) chosen = budget;
-  }
-  return chosen;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  for (const std::string& flag : args.unqueried()) {
+    std::fprintf(stderr,
+                 "error: unknown flag --%s (accepted: --metrics-out, "
+                 "--trace-out)\n",
+                 flag.c_str());
+    return 2;
+  }
 
   std::printf("=== Figure 6: accuracy and 4-bit percentage ===\n\n");
 
@@ -125,10 +118,20 @@ int main(int argc, char** argv) {
     const auto r_int8 = model.evaluate(int8);
     const auto r_drq = model.evaluate(drq);
 
-    const double budget =
-        search_budget(model, r_int8.metric, dynamic_weights);
-    auto drift = make_engine(nn::QuantMode::kDrift, budget, dynamic_weights);
-    const auto r_drift = model.evaluate(drift);
+    // Paper-style threshold selection: the largest (most aggressive)
+    // budget whose accuracy stays within 2 points of INT8.
+    const nn::BudgetChoice choice = nn::search_budget(
+        {0.002, 0.005, 0.01, 0.02, 0.04},
+        [&](double budget) {
+          auto drift =
+              make_engine(nn::QuantMode::kDrift, budget, dynamic_weights);
+          return model.evaluate(drift);
+        },
+        [&](const nn::ProxyResult& r) {
+          return r.metric >= r_int8.metric - 0.02;
+        });
+    const double budget = choice.budget;
+    const nn::ProxyResult& r_drift = choice.result;
 
     table.add_row({model.name, TextTable::pct(r_fp32.metric),
                    TextTable::pct(r_int8.metric),

@@ -35,6 +35,13 @@ int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  for (const std::string& flag : args.unqueried()) {
+    std::fprintf(stderr,
+                 "error: unknown flag --%s (accepted: --metrics-out, "
+                 "--trace-out)\n",
+                 flag.c_str());
+    return 2;
+  }
 
   std::printf("=== Table 1: LLM perplexity (proxy) ===\n\n");
 
@@ -74,16 +81,17 @@ int main(int argc, char** argv) {
 
       // Per-model threshold selection (Section 3.3): most aggressive
       // budget whose perplexity stays within 15% of INT8 (the paper's BLOOM row sits at +10%).
-      nn::ProxyResult r_ours;
-      double chosen = 0.0;
-      for (double budget : {0.002, 0.005, 0.01, 0.02, 0.05}) {
-        auto ours = make_engine(nn::QuantMode::kDrift, budget);
-        const auto r = proxy.evaluate(ours);
-        if (r.metric <= r_int8.metric * 1.15 || chosen == 0.0) {
-          r_ours = r;
-          chosen = budget;
-        }
-      }
+      const nn::ProxyResult r_ours =
+          nn::search_budget(
+              {0.002, 0.005, 0.01, 0.02, 0.05},
+              [&](double budget) {
+                auto ours = make_engine(nn::QuantMode::kDrift, budget);
+                return proxy.evaluate(ours);
+              },
+              [&](const nn::ProxyResult& r) {
+                return r.metric <= r_int8.metric * 1.15;
+              })
+              .result;
 
       table.add_row({ms.name, ss.name, TextTable::fmt(r_fp32.metric, 2),
                      TextTable::fmt(r_int8.metric, 2),

@@ -35,6 +35,8 @@ struct DrqConfig {
   /// this on CNN validation data; 1.0 reproduces its published
   /// behaviour (large-activation regions stay 8-bit).
   double sensitivity = 1.0;
+
+  bool operator==(const DrqConfig&) const = default;
 };
 
 /// The DRQ region classifier + converter.  API mirrors

@@ -61,6 +61,8 @@ struct SelectorConfig {
   Precision hp = kInt8;           ///< storage precision after Eq. 1
   Precision lp = kInt4;           ///< candidate low precision
   double density_threshold = 1.0; ///< δ in Equation 6
+
+  bool operator==(const SelectorConfig&) const = default;
 };
 
 /// Runs Equations 5–6 for one sub-tensor.  Total: every input yields a

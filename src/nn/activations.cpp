@@ -10,8 +10,12 @@ namespace drift::nn {
 
 TensorF ReLU::forward(const TensorF& input, QuantEngine&) {
   DRIFT_OBS_LAYER_SCOPE(name_);
-  TensorF out = input;
-  for (float& v : out.data()) v = std::max(v, 0.0f);
+  TensorF out(input.shape());
+  const float* src = input.data().data();
+  float* dst = out.data().data();
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    dst[i] = std::max(src[i], 0.0f);
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.hpp"
@@ -32,17 +33,19 @@ TensorF MultiHeadAttention::forward(const TensorF& input,
   const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(head_dim_));
 
   TensorF context(Shape{T, dim_}, 0.0f);
+  const float* packed = qkv.data().data();
+  float* ctx = context.data().data();
   for (std::int64_t h = 0; h < heads_; ++h) {
     // Slice Q, K, V for this head out of the packed [T, 3D] matrix.
     TensorF q(Shape{T, head_dim_});
     TensorF k(Shape{T, head_dim_});
     TensorF v(Shape{T, head_dim_});
     for (std::int64_t t = 0; t < T; ++t) {
-      for (std::int64_t d = 0; d < head_dim_; ++d) {
-        q(t, d) = qkv(t, h * head_dim_ + d);
-        k(t, d) = qkv(t, dim_ + h * head_dim_ + d);
-        v(t, d) = qkv(t, 2 * dim_ + h * head_dim_ + d);
-      }
+      const float* row = packed + t * 3 * dim_ + h * head_dim_;
+      const std::int64_t at = t * head_dim_;
+      std::copy_n(row, head_dim_, q.data().data() + at);
+      std::copy_n(row + dim_, head_dim_, k.data().data() + at);
+      std::copy_n(row + 2 * dim_, head_dim_, v.data().data() + at);
     }
     TensorF scores = matmul_nt(q, k);  // [T, T]
     for (float& s : scores.data()) {
@@ -51,9 +54,8 @@ TensorF MultiHeadAttention::forward(const TensorF& input,
     const TensorF probs = softmax_rows(scores);
     const TensorF head_ctx = matmul(probs, v);  // [T, head_dim]
     for (std::int64_t t = 0; t < T; ++t) {
-      for (std::int64_t d = 0; d < head_dim_; ++d) {
-        context(t, h * head_dim_ + d) = head_ctx(t, d);
-      }
+      std::copy_n(head_ctx.data().data() + t * head_dim_, head_dim_,
+                  ctx + t * dim_ + h * head_dim_);
     }
   }
   return proj_.forward(context, engine);

@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/gemm.hpp"
@@ -22,30 +23,33 @@ TensorF im2col(const TensorF& input, std::int64_t kh, std::int64_t kw,
   DRIFT_CHECK(OH > 0 && OW > 0, "kernel larger than padded input");
 
   TensorF out(Shape{OH * OW, C * kh * kw}, 0.0f);
-  auto src = input.data();
-  auto dst = out.data();
+  const float* src = input.data().data();
+  float* dst = out.data().data();
   const std::int64_t row_width = C * kh * kw;
   // Each output row `oh` owns the rows [oh*OW, (oh+1)*OW) of the
   // lowered matrix, so parallelizing over oh writes disjoint slices.
+  // Per output position the in-bounds kernel rows [dh0, dh1) and
+  // columns [dw0, dw1) are fixed, so every (channel, kernel-row) tap is
+  // one contiguous run of the input row; padding stays zero.
   util::parallel_for(0, OH, 8, [&](std::int64_t oh0, std::int64_t oh1) {
-  for (std::int64_t oh = oh0; oh < oh1; ++oh) {
-    for (std::int64_t ow = 0; ow < OW; ++ow) {
-      const std::int64_t row = oh * OW + ow;
-      for (std::int64_t c = 0; c < C; ++c) {
-        for (std::int64_t dh = 0; dh < kh; ++dh) {
-          const std::int64_t h = oh * stride - pad + dh;
-          if (h < 0 || h >= H) continue;
-          for (std::int64_t dw = 0; dw < kw; ++dw) {
-            const std::int64_t w = ow * stride - pad + dw;
-            if (w < 0 || w >= W) continue;
-            dst[static_cast<std::size_t>(row * row_width +
-                                         (c * kh + dh) * kw + dw)] =
-                src[static_cast<std::size_t>((c * H + h) * W + w)];
+    for (std::int64_t oh = oh0; oh < oh1; ++oh) {
+      const std::int64_t h0 = oh * stride - pad;
+      const std::int64_t dh0 = std::max<std::int64_t>(0, -h0);
+      const std::int64_t dh1 = std::min(kh, H - h0);
+      for (std::int64_t ow = 0; ow < OW; ++ow) {
+        const std::int64_t w0 = ow * stride - pad;
+        const std::int64_t dw0 = std::max<std::int64_t>(0, -w0);
+        const std::int64_t dw1 = std::min(kw, W - w0);
+        if (dw1 <= dw0) continue;
+        float* row = dst + (oh * OW + ow) * row_width;
+        for (std::int64_t c = 0; c < C; ++c) {
+          for (std::int64_t dh = dh0; dh < dh1; ++dh) {
+            std::copy_n(src + (c * H + h0 + dh) * W + w0 + dw0, dw1 - dw0,
+                        row + (c * kh + dh) * kw + dw0);
           }
         }
       }
     }
-  }
   });
   return out;
 }
@@ -83,17 +87,17 @@ TensorF Conv2d::forward(const TensorF& input, QuantEngine& engine) {
   DRIFT_CHECK(input.shape().dim(0) == in_channels_,
               "Conv2d channel mismatch");
   const OperandResult act = engine.process_activation_regions(input);
-  const OperandResult wgt = engine.process_weight(weight_);
+  const auto wgt = prepared_.get(engine, weight_);
 
   const TensorF lowered = im2col(act.effective, kernel_, kernel_, stride_,
                                  pad_);
-  TensorF out2d = matmul_nt(lowered, wgt.effective);
+  TensorF out2d = matmul(lowered, wgt->weight);
   add_bias(out2d, bias_);
 
   const std::int64_t OH = out_size(input.shape().dim(1));
   const std::int64_t OW = out_size(input.shape().dim(2));
   engine.record(name_, OH * OW, in_channels_ * kernel_ * kernel_,
-                out_channels_, act.low_fraction, wgt.low_fraction_rows);
+                out_channels_, act.low_fraction, wgt->low_fraction_rows);
 
   // [OH*OW, OC] -> [OC, OH, OW].  Parallel over channels: each chunk
   // writes its own contiguous [c, :, :] planes.
@@ -144,7 +148,7 @@ TensorF DepthwiseConv2d::forward(const TensorF& input, QuantEngine& engine) {
   DRIFT_CHECK(input.shape().dim(0) == channels_,
               "DepthwiseConv2d channel mismatch");
   const OperandResult act = engine.process_activation_regions(input);
-  const OperandResult wgt = engine.process_weight(weight_);
+  const auto wgt = prepared_.get(engine, weight_);
 
   const std::int64_t H = input.shape().dim(1);
   const std::int64_t W = input.shape().dim(2);
@@ -154,7 +158,7 @@ TensorF DepthwiseConv2d::forward(const TensorF& input, QuantEngine& engine) {
 
   TensorF out(Shape{channels_, OH, OW});
   const TensorF& x = act.effective;
-  const TensorF& w = wgt.effective;
+  const TensorF& w = wgt->weight;
   util::parallel_for(0, channels_, 4, [&](std::int64_t c0, std::int64_t c1) {
     for (std::int64_t c = c0; c < c1; ++c) {
       for (std::int64_t oh = 0; oh < OH; ++oh) {
@@ -177,7 +181,7 @@ TensorF DepthwiseConv2d::forward(const TensorF& input, QuantEngine& engine) {
   });
 
   engine.record(name_, OH * OW, kernel_ * kernel_, channels_,
-                act.low_fraction, wgt.low_fraction_rows);
+                act.low_fraction, wgt->low_fraction_rows);
   return out;
 }
 

@@ -30,6 +30,8 @@ class Conv2d : public Layer {
   std::int64_t kernel() const { return kernel_; }
   std::int64_t stride() const { return stride_; }
   std::int64_t pad() const { return pad_; }
+  const TensorF& weight() const { return weight_; }
+  const TensorF& bias() const { return bias_; }
 
   /// Output spatial size for a given input size.
   std::int64_t out_size(std::int64_t in_size) const;
@@ -39,6 +41,7 @@ class Conv2d : public Layer {
   std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
   TensorF weight_;  ///< [OC, IC*kh*kw] (output-major, im2col-ready)
   TensorF bias_;    ///< [OC]
+  WeightSlot prepared_{/*transposed=*/true};
 };
 
 /// Depthwise 2-D convolution: one k x k filter per channel, channels
@@ -68,6 +71,7 @@ class DepthwiseConv2d : public Layer {
   std::int64_t channels_, kernel_, stride_, pad_;
   TensorF weight_;  ///< [C, kh*kw]
   TensorF bias_;    ///< [C]
+  WeightSlot prepared_{/*transposed=*/false};
 };
 
 }  // namespace drift::nn

@@ -70,11 +70,9 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
 TensorF matmul_nt(const TensorF& a, const TensorF& w) {
   DRIFT_CHECK(a.shape().rank() == 2 && w.shape().rank() == 2,
               "matmul_nt needs rank-2 operands");
-  const std::int64_t K = a.shape().dim(1);
-  DRIFT_CHECK(w.shape().dim(1) == K, "inner dimension mismatch");
-  const std::int64_t N = w.shape().dim(0);
-
-  // Transpose w once and run the shared blocked kernel.  The previous
+  DRIFT_CHECK(w.shape().dim(1) == a.shape().dim(1),
+              "inner dimension mismatch");
+  // Transpose w and run the shared blocked kernel.  The previous
   // one-chain-per-output loop ran at less than half of matmul's
   // throughput: with w row-major every inner step walks N strided
   // weight streams, where matmul streams its operand row-contiguously
@@ -82,23 +80,29 @@ TensorF matmul_nt(const TensorF& a, const TensorF& w) {
   // next to the O(M*N*K) multiply, and the two entry points share a
   // single accumulation policy, so matmul_nt(A, W) == matmul(A, W^T)
   // bit for bit (the property suite pins exactly this identity).
+  return matmul(a, transpose(w));
+}
+
+TensorF transpose(const TensorF& w) {
+  DRIFT_CHECK(w.shape().rank() == 2, "transpose needs a rank-2 tensor");
+  const std::int64_t N = w.shape().dim(0);
+  const std::int64_t K = w.shape().dim(1);
   constexpr std::int64_t kTile = 32;
   TensorF wt(Shape{K, N});
-  auto wd = w.data();
-  auto td = wt.data();
+  const float* wd = w.data().data();
+  float* td = wt.data().data();
   for (std::int64_t jt = 0; jt < N; jt += kTile) {
     const std::int64_t jend = std::min(jt + kTile, N);
     for (std::int64_t kt = 0; kt < K; kt += kTile) {
       const std::int64_t kend = std::min(kt + kTile, K);
       for (std::int64_t j = jt; j < jend; ++j) {
         for (std::int64_t k = kt; k < kend; ++k) {
-          td[static_cast<std::size_t>(k * N + j)] =
-              wd[static_cast<std::size_t>(j * K + k)];
+          td[k * N + j] = wd[j * K + k];
         }
       }
     }
   }
-  return matmul(a, wt);
+  return wt;
 }
 
 void add_bias(TensorF& c, const TensorF& bias) {

@@ -18,8 +18,14 @@ namespace drift::nn {
 /// C[M,N] = A[M,K] * B[K,N].
 TensorF matmul(const TensorF& a, const TensorF& b);
 
-/// C[M,N] = A[M,K] * W[N,K]^T (output-major weights, PyTorch layout).
+/// C[M,N] = A[M,K] * W[N,K]^T (output-major weights, PyTorch layout);
+/// exactly matmul(a, transpose(w)).
 TensorF matmul_nt(const TensorF& a, const TensorF& w);
+
+/// W^T: an [N, K] matrix as [K, N].  The weight-bearing layers store
+/// their rendered weights in this layout once per engine config, so a
+/// forward pass runs matmul directly.
+TensorF transpose(const TensorF& w);
 
 /// C += bias (bias broadcast over rows).  C is [M,N], bias is [N].
 void add_bias(TensorF& c, const TensorF& bias);

@@ -42,11 +42,11 @@ TensorF Linear::forward(const TensorF& input, QuantEngine& engine) {
   DRIFT_CHECK(input.shape().dim(1) == in_features(),
               "Linear input width mismatch");
   const OperandResult act = engine.process_activation_rows(input);
-  const OperandResult wgt = engine.process_weight(weight_);
-  TensorF out = matmul_nt(act.effective, wgt.effective);
+  const auto wgt = prepared_.get(engine, weight_);
+  TensorF out = matmul(act.effective, wgt->weight);
   add_bias(out, bias_);
   engine.record(name_, input.shape().dim(0), in_features(), out_features(),
-                act.low_fraction, wgt.low_fraction_rows);
+                act.low_fraction, wgt->low_fraction_rows);
   return out;
 }
 

@@ -25,17 +25,23 @@ TensorF MaxPool2d::forward(const TensorF& input, QuantEngine&) {
   DRIFT_CHECK(OH > 0 && OW > 0, "pooling kernel larger than input");
 
   TensorF out(Shape{C, OH, OW});
+  const float* src = input.data().data();
+  float* dst = out.data().data();
   for (std::int64_t c = 0; c < C; ++c) {
+    const float* plane = src + c * H * W;
     for (std::int64_t oh = 0; oh < OH; ++oh) {
       for (std::int64_t ow = 0; ow < OW; ++ow) {
+        // Window in (dh, dw) order: std::max(peak, v) keeps the earlier
+        // of two equal values (so -0 vs +0 follows window order) and
+        // skips NaN.  PropKernels.MaxPoolBitExactVsDirectLoop pins it.
+        const float* window = plane + oh * stride_ * W + ow * stride_;
         float peak = -std::numeric_limits<float>::infinity();
         for (std::int64_t dh = 0; dh < kernel_; ++dh) {
           for (std::int64_t dw = 0; dw < kernel_; ++dw) {
-            peak = std::max(peak, input(c, oh * stride_ + dh,
-                                        ow * stride_ + dw));
+            peak = std::max(peak, window[dh * W + dw]);
           }
         }
-        out(c, oh, ow) = peak;
+        *dst++ = peak;
       }
     }
   }

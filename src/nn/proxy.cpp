@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/pooling.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drift::nn {
 namespace {
@@ -49,7 +51,118 @@ std::unique_ptr<Linear> make_template_classifier(
                                   TensorF(Shape{classes}, 0.0f));
 }
 
+/// Runs `fn(s, engine_s)` for every sample s in [0, n) and returns the
+/// results in sample order.  This is the one per-sample loop of the
+/// proxies.  Samples go to the pool one per chunk, each with its own
+/// engine of `engine`'s config; their GEMM records are then appended to
+/// `engine` in sample order, so the log, and every statistic over it,
+/// is the one a serial loop leaves.  Kernels that `fn` calls run inline
+/// on the sample's thread (the pool does not nest), and their chunk
+/// decompositions are fixed by their grains, so every output bit is
+/// independent of the pool size.  Callers reduce the results serially,
+/// in sample order.  At one pool thread this is the serial loop.
+template <typename Fn>
+auto map_samples(std::size_t n, QuantEngine& engine, const Fn& fn) {
+  using Out = std::invoke_result_t<const Fn&, std::size_t, QuantEngine&>;
+  std::vector<Out> outs(n);
+  std::vector<QuantEngine> engines(n, QuantEngine(engine.config()));
+  util::parallel_for(0, static_cast<std::int64_t>(n), 1,
+                     [&](std::int64_t lo, std::int64_t hi) {
+    for (auto s = static_cast<std::size_t>(lo);
+         s < static_cast<std::size_t>(hi); ++s) {
+      outs[s] = fn(s, engines[s]);
+    }
+  });
+  for (const QuantEngine& sample : engines) {
+    for (const GemmRecord& r : sample.records()) {
+      engine.record(r.layer, r.m, r.k, r.n, r.act_low_fraction,
+                    r.weight_low_fraction);
+    }
+  }
+  return outs;
+}
+
+/// The classification protocol of CnnProxy and TransformerProxy.
+/// `features(x, engine)` maps one input to its [1, D] feature row.
+/// The template head is calibrated *through the same execution mode* on
+/// the noisy per-class calibration samples (standard post-training-
+/// quantization calibration): the head lives in whatever feature space
+/// the quantized network produces, under the same dynamic precision
+/// decisions the evaluation inputs trigger.
+template <typename Features>
+ProxyResult evaluate_classifier(
+    const Features& features,
+    const std::vector<std::vector<TensorF>>& calibration,
+    const std::vector<TensorF>& inputs,
+    const std::vector<std::int64_t>& labels, QuantEngine& engine) {
+  // Every calibration sample in one pass, class-major.
+  std::vector<const TensorF*> calib_inputs;
+  for (const auto& class_samples : calibration) {
+    DRIFT_CHECK(!class_samples.empty(), "a class needs calibration samples");
+    for (const TensorF& x : class_samples) calib_inputs.push_back(&x);
+  }
+  QuantEngine calib(engine.config());
+  std::vector<TensorF> calib_features = map_samples(
+      calib_inputs.size(), calib, [&](std::size_t i, QuantEngine& e) {
+        return features(*calib_inputs[i], e);
+      });
+
+  // Class means, summed in sample order.
+  std::vector<TensorF> proto_features;
+  proto_features.reserve(calibration.size());
+  auto next = calib_features.begin();
+  for (const auto& class_samples : calibration) {
+    TensorF mean_feat = std::move(*next++);
+    auto md = mean_feat.data();
+    for (std::size_t i = 1; i < class_samples.size(); ++i) {
+      auto fd = (next++)->data();
+      for (std::size_t j = 0; j < md.size(); ++j) md[j] += fd[j];
+    }
+    for (float& v : md) v /= static_cast<float>(class_samples.size());
+    proto_features.push_back(std::move(mean_feat));
+  }
+  const auto classifier =
+      make_template_classifier("classifier", proto_features);
+
+  engine.clear_records();
+  const std::vector<std::int64_t> predicted = map_samples(
+      inputs.size(), engine, [&](std::size_t s, QuantEngine& e) {
+        return argmax_row(classifier->forward(features(inputs[s], e), e));
+      });
+  std::int64_t correct = 0;
+  for (std::size_t s = 0; s < inputs.size(); ++s) {
+    if (predicted[s] == labels[s]) ++correct;
+  }
+  ProxyResult r;
+  r.metric = static_cast<double>(correct) / static_cast<double>(inputs.size());
+  r.act_low_fraction = engine.overall_act_low_fraction();
+  return r;
+}
+
 }  // namespace
+
+BudgetChoice search_budget(
+    const std::vector<double>& grid,
+    const std::function<ProxyResult(double)>& evaluate,
+    const std::function<bool(const ProxyResult&)>& passes) {
+  DRIFT_CHECK(!grid.empty(), "empty budget grid");
+  DRIFT_CHECK(std::is_sorted(grid.begin(), grid.end()),
+              "budget grid must be ascending");
+  // Equivalent to scanning the whole grid upward, keeping the last
+  // budget that passes (else the first), and evaluating it once more:
+  // walking down from the largest, the first budget that passes is the
+  // largest that passes, and a walk that finds none ends on the
+  // smallest.  `evaluate` is deterministic (a proxy result is
+  // bit-identical for a given config at any pool size), so the
+  // evaluation the walk stops on is the one a repeat would return.
+  BudgetChoice choice;
+  for (auto it = grid.rbegin(); it != grid.rend(); ++it) {
+    choice.budget = *it;
+    choice.result = evaluate(*it);
+    if (passes(choice.result)) break;
+  }
+  return choice;
+}
 
 // ---------------------------------------------------------------- CNN
 
@@ -161,46 +274,11 @@ CnnProxy::CnnProxy(const Config& config) : config_(config) {
 }
 
 ProxyResult CnnProxy::evaluate(QuantEngine& engine) const {
-  // Calibrate the template classifier *through the same execution
-  // mode* on noisy per-class calibration samples (standard
-  // post-training-quantization calibration): the head lives in
-  // whatever feature space the quantized network produces, under the
-  // same dynamic precision decisions the evaluation inputs trigger.
-  QuantEngine calib(engine.config());
-  std::vector<TensorF> proto_features;
-  proto_features.reserve(calibration_.size());
-  for (const auto& class_samples : calibration_) {
-    TensorF mean_feat;
-    for (std::size_t i = 0; i < class_samples.size(); ++i) {
-      TensorF f = features_->forward(class_samples[i], calib);
-      if (i == 0) {
-        mean_feat = std::move(f);
-      } else {
-        auto md = mean_feat.data();
-        auto fd = f.data();
-        for (std::size_t j = 0; j < md.size(); ++j) md[j] += fd[j];
-      }
-    }
-    for (float& v : mean_feat.data()) {
-      v /= static_cast<float>(class_samples.size());
-    }
-    proto_features.push_back(std::move(mean_feat));
-  }
-  const auto classifier =
-      make_template_classifier("classifier", proto_features);
-
-  engine.clear_records();
-  std::int64_t correct = 0;
-  for (std::size_t s = 0; s < images_.size(); ++s) {
-    const TensorF feat = features_->forward(images_[s], engine);
-    const TensorF logits = classifier->forward(feat, engine);
-    if (argmax_row(logits) == labels_[s]) ++correct;
-  }
-  ProxyResult r;
-  r.metric = static_cast<double>(correct) /
-             static_cast<double>(images_.size());
-  r.act_low_fraction = engine.overall_act_low_fraction();
-  return r;
+  return evaluate_classifier(
+      [this](const TensorF& x, QuantEngine& e) {
+        return features_->forward(x, e);
+      },
+      calibration_, images_, labels_, engine);
 }
 
 // -------------------------------------------------------- Transformer
@@ -306,43 +384,11 @@ TensorF TransformerProxy::embed_tokens(const TensorF& raw,
 }
 
 ProxyResult TransformerProxy::evaluate(QuantEngine& engine) const {
-  // Per-mode classifier calibration on noisy class samples (see
-  // CnnProxy::evaluate).
-  QuantEngine calib(engine.config());
-  std::vector<TensorF> proto_features;
-  proto_features.reserve(calibration_.size());
-  for (const auto& class_samples : calibration_) {
-    TensorF mean_feat;
-    for (std::size_t i = 0; i < class_samples.size(); ++i) {
-      TensorF f = embed_tokens(class_samples[i], calib);
-      if (i == 0) {
-        mean_feat = std::move(f);
-      } else {
-        auto md = mean_feat.data();
-        auto fd = f.data();
-        for (std::size_t j = 0; j < md.size(); ++j) md[j] += fd[j];
-      }
-    }
-    for (float& v : mean_feat.data()) {
-      v /= static_cast<float>(class_samples.size());
-    }
-    proto_features.push_back(std::move(mean_feat));
-  }
-  const auto classifier =
-      make_template_classifier("classifier", proto_features);
-
-  engine.clear_records();
-  std::int64_t correct = 0;
-  for (std::size_t s = 0; s < inputs_.size(); ++s) {
-    const TensorF feat = embed_tokens(inputs_[s], engine);
-    const TensorF logits = classifier->forward(feat, engine);
-    if (argmax_row(logits) == labels_[s]) ++correct;
-  }
-  ProxyResult r;
-  r.metric = static_cast<double>(correct) /
-             static_cast<double>(inputs_.size());
-  r.act_low_fraction = engine.overall_act_low_fraction();
-  return r;
+  return evaluate_classifier(
+      [this](const TensorF& x, QuantEngine& e) {
+        return embed_tokens(x, e);
+      },
+      calibration_, inputs_, labels_, engine);
 }
 
 // ----------------------------------------------------------------- LM
@@ -383,11 +429,10 @@ LmProxy::LmProxy(const Config& config) : config_(config) {
 
   // FP32 teacher logits.
   QuantEngine fp32(QuantEngine::Config{});
-  std::vector<TensorF> fp32_logits;
-  fp32_logits.reserve(inputs_.size());
-  for (const auto& input : inputs_) {
-    fp32_logits.push_back(logits_for(input, fp32));
-  }
+  const std::vector<TensorF> fp32_logits = map_samples(
+      inputs_.size(), fp32, [&](std::size_t s, QuantEngine& e) {
+        return logits_for(inputs_[s], e);
+      });
 
   // Calibrate the teacher temperature so the FP32 model's own
   // perplexity (exp of mean teacher entropy) hits target_base_ppl.
@@ -461,34 +506,44 @@ TensorF LmProxy::logits_for(const TensorF& input, QuantEngine& engine) const {
 
 ProxyResult LmProxy::evaluate(QuantEngine& engine) const {
   engine.clear_records();
+  // Per sample, the cross-entropy of each position against the teacher;
+  // summed below in (sample, position) order.
+  const std::vector<std::vector<double>> position_ce = map_samples(
+      inputs_.size(), engine, [&](std::size_t s, QuantEngine& e) {
+        const TensorF logits = logits_for(inputs_[s], e);
+        const std::int64_t T = logits.shape().dim(0);
+        const std::int64_t V = logits.shape().dim(1);
+        const auto& teacher = teacher_[s];
+        std::vector<double> ce_t(static_cast<std::size_t>(T));
+        std::vector<double> e_row(static_cast<std::size_t>(V));
+        for (std::int64_t t = 0; t < T; ++t) {
+          auto row = logits.row(t);
+          double peak = row[0];
+          for (float v : row) peak = std::max<double>(peak, v);
+          double denom = 0.0;
+          for (std::int64_t j = 0; j < V; ++j) {
+            e_row[static_cast<std::size_t>(j)] = std::exp(
+                (static_cast<double>(row[static_cast<std::size_t>(j)]) -
+                 peak) *
+                calibrated_scale_);
+            denom += e_row[static_cast<std::size_t>(j)];
+          }
+          double ce = 0.0;
+          for (std::int64_t j = 0; j < V; ++j) {
+            const double p = teacher[static_cast<std::size_t>(t * V + j)];
+            if (p <= 0.0) continue;
+            const double q =
+                std::max(e_row[static_cast<std::size_t>(j)] / denom, 1e-12);
+            ce -= p * std::log(q);
+          }
+          ce_t[static_cast<std::size_t>(t)] = ce;
+        }
+        return ce_t;
+      });
   double ce_sum = 0.0;
   std::int64_t positions = 0;
-  for (std::size_t s = 0; s < inputs_.size(); ++s) {
-    const TensorF logits = logits_for(inputs_[s], engine);
-    const std::int64_t T = logits.shape().dim(0);
-    const std::int64_t V = logits.shape().dim(1);
-    const auto& teacher = teacher_[s];
-    for (std::int64_t t = 0; t < T; ++t) {
-      auto row = logits.row(t);
-      double peak = row[0];
-      for (float v : row) peak = std::max<double>(peak, v);
-      double denom = 0.0;
-      std::vector<double> e(static_cast<std::size_t>(V));
-      for (std::int64_t j = 0; j < V; ++j) {
-        e[static_cast<std::size_t>(j)] = std::exp(
-            (static_cast<double>(row[static_cast<std::size_t>(j)]) - peak) *
-            calibrated_scale_);
-        denom += e[static_cast<std::size_t>(j)];
-      }
-      double ce = 0.0;
-      for (std::int64_t j = 0; j < V; ++j) {
-        const double p =
-            teacher[static_cast<std::size_t>(t * V + j)];
-        if (p <= 0.0) continue;
-        const double q =
-            std::max(e[static_cast<std::size_t>(j)] / denom, 1e-12);
-        ce -= p * std::log(q);
-      }
+  for (const auto& sample : position_ce) {
+    for (const double ce : sample) {
       ce_sum += ce;
       ++positions;
     }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -159,5 +160,21 @@ class LmProxy {
 /// Corpus profile helpers for Table 1 (wiki-like vs c4-like streams).
 SubTensorScaleProfile wiki_stream_profile();
 SubTensorScaleProfile c4_stream_profile();
+
+/// A noise budget chosen by search_budget, with its evaluation.
+struct BudgetChoice {
+  double budget = 0.0;
+  ProxyResult result;
+};
+
+/// Paper-style threshold selection (Section 3.3), shared by Figure 6 and
+/// Table 1: the largest budget of the ascending `grid` whose evaluation
+/// `passes`, or the smallest budget if none does.  Walks the grid from
+/// the largest budget down and stops at the first that passes, so it
+/// evaluates only as far as it must.
+BudgetChoice search_budget(
+    const std::vector<double>& grid,
+    const std::function<ProxyResult(double)>& evaluate,
+    const std::function<bool(const ProxyResult&)>& passes);
 
 }  // namespace drift::nn

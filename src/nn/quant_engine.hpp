@@ -61,6 +61,10 @@ class QuantEngine {
     /// false, `drift.density_threshold` is used as a fixed δ.
     bool auto_threshold = true;
     double noise_budget = 0.05;
+
+    /// Field-wise.  Equal configs render every operand identically,
+    /// which is what the layers' weight slots key on.
+    bool operator==(const Config&) const = default;
   };
 
   explicit QuantEngine(Config config) : config_(config) {}

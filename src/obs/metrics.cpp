@@ -218,9 +218,10 @@ LayerRecord* Registry::layer_record(const std::string& layer) {
 namespace {
 
 // The active layer record of each thread (LayerScope).  thread_local
-// so concurrent LayerScopes on distinct threads attribute correctly;
-// a worker thread inside parallel_for carries no scope and therefore
-// skips layer attribution (the submitting thread records totals).
+// so concurrent LayerScopes on distinct threads attribute correctly.
+// A pool worker attributes only inside a scope it opened itself (a
+// proxy sample's layer forward does); chunks it runs for a scoped
+// caller skip attribution, and the caller records the totals.
 thread_local LayerRecord* tl_current_layer = nullptr;
 
 /// Shortest round-trip decimal rendering (std::to_chars) — the same
@@ -426,6 +427,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
   out += "  \"layers\": [";
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     out += i ? ",\n" : "\n";
+    const std::lock_guard<std::mutex> record_lock(layers_[i]->mutex);
     append_layer_json(out, *layers_[i]);
   }
   out += layers_.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -438,6 +440,7 @@ std::string Registry::to_text() const {
   TextTable layer_table({"layer", "subtensors", "low", "coverage", "r/c",
                          "makespan", "cycles", "stalls", "DRAM bytes"});
   for (const auto& l : layers_) {
+    const std::lock_guard<std::mutex> record_lock(l->mutex);
     layer_table.add_row(
         {l->layer, std::to_string(l->subtensors_total),
          std::to_string(l->subtensors_low), TextTable::pct(l->coverage()),

@@ -15,8 +15,12 @@
 //     tests/prop/prop_obs.cpp).
 //   - *Layer attribution via scopes.*  `LayerScope` names the layer the
 //     current thread is processing; instrumented components write into
-//     the active per-layer record (mutex-protected: layer boundaries
-//     are not hot).
+//     the active per-layer record.  Threads may share a record (the
+//     proxies run samples of one layer concurrently), so
+//     DRIFT_OBS_LAYER runs its body under that record's own mutex;
+//     the registry mutex guards only the name -> record lookup.  Layer
+//     writes happen once per layer run, not per element, so the
+//     uncontended lock is off the hot path.
 //   - *Compiles out.*  Under -DDRIFT_OBS_OFF every DRIFT_OBS_* macro
 //     expands to nothing, so instrumented kernels are bit-identical and
 //     perf-neutral; the registry type itself stays defined so tooling
@@ -177,6 +181,9 @@ class Histogram {
 /// fixed seed.
 struct LayerRecord {
   std::string layer;
+  /// Held by DRIFT_OBS_LAYER while it updates the fields below, and by
+  /// the scrapes while they read them.
+  mutable std::mutex mutex;
   // Selector / quant engine (activation operand).
   std::int64_t subtensors_total = 0;
   std::int64_t subtensors_low = 0;
@@ -334,11 +341,14 @@ bool write_file(const std::string& path, const std::string& content);
   } while (0)
 
 /// Runs the trailing statements with `rec` bound to the current layer
-/// record (skipped entirely when no LayerScope is active).
+/// record, holding the record's mutex (skipped entirely when no
+/// LayerScope is active).  The statements must not nest another
+/// DRIFT_OBS_LAYER.
 #define DRIFT_OBS_LAYER(rec, ...)                                        \
   do {                                                                   \
     if (::drift::obs::LayerRecord* rec =                                 \
             ::drift::obs::Registry::global().current_layer()) {          \
+      const std::lock_guard<std::mutex> drift_obs_layer_lock_(rec->mutex); \
       __VA_ARGS__;                                                       \
     }                                                                    \
   } while (0)

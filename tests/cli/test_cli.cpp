@@ -1,5 +1,5 @@
-// Command-line contract of the three drivers (label: cli): an unknown
-// choice is a usage error — exit code 2 and a message listing every
+// Command-line contract of the drivers (label: cli): an unknown choice
+// or flag is a usage error — exit code 2 and a message listing every
 // valid value — never a silent fallback to a default.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
@@ -70,6 +70,19 @@ TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {
 TEST(Cli, DriftServeRejectsUnknownArrival) {
   expect_usage_error(DRIFT_SERVE_BIN, "--arrival=bogus",
                      "poisson, bursty, diurnal");
+}
+
+// The accuracy drivers take only the artifact flags; a typo such as
+// --metric-out must not run the whole figure and write nothing.  The
+// check runs before any proxy is built, so these stay fast.
+constexpr const char* kArtifactFlags = "--metrics-out, --trace-out";
+
+TEST(Cli, Fig6RejectsUnknownFlag) {
+  expect_usage_error(FIG6_BIN, "--metric-out=m.json", kArtifactFlags);
+}
+
+TEST(Cli, Table1RejectsUnknownFlag) {
+  expect_usage_error(TABLE1_BIN, "--bogus=1", kArtifactFlags);
 }
 
 }  // namespace

@@ -221,5 +221,40 @@ TEST(ObsMacros, CompileInBothModesAndCountWhenOn) {
 #endif
 }
 
+TEST(ObsMacros, ConcurrentLayerWritesSumExactly) {
+#ifdef DRIFT_OBS_OFF
+  GTEST_SKIP() << "DRIFT_OBS_LAYER compiles out under DRIFT_OBS_OFF";
+#else
+  // The proxies run samples of one layer on several pool threads at
+  // once, all adding into that layer's record; every add must land.
+  struct PoolGuard {
+    int saved = util::ThreadPool::instance().num_threads();
+    ~PoolGuard() { util::ThreadPool::instance().resize(saved); }
+  } guard;
+  util::ThreadPool::instance().resize(8);
+  const LayerRecord* shared =
+      Registry::global().layer_record("obs_test.shared");
+  const std::int64_t total0 = shared->elements_total;
+  const std::int64_t low0 = shared->elements_low;
+  const std::int64_t cycles0 = shared->compute_cycles;
+  constexpr std::int64_t kChunks = 64;
+  constexpr std::int64_t kAdds = 2000;
+  util::parallel_for(0, kChunks, 1, [](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t chunk = lo; chunk < hi; ++chunk) {
+      LayerScope scope("obs_test.shared");
+      for (std::int64_t i = 0; i < kAdds; ++i) {
+        DRIFT_OBS_LAYER(rec, rec->elements_total += 1;
+                        rec->elements_low += chunk % 2;
+                        rec->compute_cycles += i);
+      }
+    }
+  });
+  EXPECT_EQ(shared->elements_total - total0, kChunks * kAdds);
+  EXPECT_EQ(shared->elements_low - low0, kChunks / 2 * kAdds);
+  EXPECT_EQ(shared->compute_cycles - cycles0,
+            kChunks * (kAdds * (kAdds - 1) / 2));
+#endif
+}
+
 }  // namespace
 }  // namespace drift::obs

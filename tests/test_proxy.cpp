@@ -2,7 +2,10 @@
 // mechanisms.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nn/proxy.hpp"
+#include "util/assert.hpp"
 
 namespace drift::nn {
 namespace {
@@ -147,6 +150,42 @@ TEST(Proxy, EvaluationIsDeterministic) {
   auto e1 = engine_for(QuantMode::kDrift);
   auto e2 = engine_for(QuantMode::kDrift);
   EXPECT_DOUBLE_EQ(proxy.evaluate(e1).metric, proxy.evaluate(e2).metric);
+}
+
+TEST(Proxy, SearchBudgetTakesLargestPassingElseSmallest) {
+  // Stub evaluation: the metric is the budget itself, and every call
+  // is logged, so the test sees both the choice and the walk.
+  const std::vector<double> grid = {0.002, 0.005, 0.01, 0.02, 0.04};
+  std::vector<double> evaluated;
+  const auto evaluate = [&](double budget) {
+    evaluated.push_back(budget);
+    ProxyResult r;
+    r.metric = budget;
+    return r;
+  };
+  const auto below = [](double limit) {
+    return [limit](const ProxyResult& r) { return r.metric <= limit; };
+  };
+
+  BudgetChoice c = search_budget(grid, evaluate, below(0.015));
+  EXPECT_EQ(c.budget, 0.01);
+  EXPECT_EQ(c.result.metric, 0.01);
+  EXPECT_EQ(evaluated, (std::vector<double>{0.04, 0.02, 0.01}));
+
+  evaluated.clear();
+  c = search_budget(grid, evaluate, below(1.0));
+  EXPECT_EQ(c.budget, 0.04);
+  EXPECT_EQ(evaluated, (std::vector<double>{0.04}));
+
+  // Nothing passes: the smallest budget, evaluated once.
+  evaluated.clear();
+  c = search_budget(grid, evaluate, below(0.0));
+  EXPECT_EQ(c.budget, 0.002);
+  EXPECT_EQ(c.result.metric, 0.002);
+  EXPECT_EQ(evaluated.size(), grid.size());
+
+  EXPECT_THROW(search_budget({0.02, 0.01}, evaluate, below(1.0)),
+               check_error);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -14,6 +15,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/int_gemm.hpp"
+#include "nn/proxy.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -245,6 +247,84 @@ TEST(ParallelDeterminism, Im2colConvPathBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(bit_identical(lowered_ref, lowered)) << "threads=" << threads;
     EXPECT_TRUE(bit_identical(ref, nn::matmul_nt(lowered, w)))
         << "threads=" << threads;
+  }
+}
+
+/// One proxy evaluation: its result and the engine's record log.
+struct ProxyRun {
+  nn::ProxyResult result;
+  std::vector<nn::GemmRecord> records;
+};
+
+/// Builds the three proxies (small sample counts) at the current pool
+/// size, so LmProxy's FP32 teacher pass runs at that size too, and
+/// evaluates each in all four modes.
+std::vector<ProxyRun> run_every_proxy() {
+  nn::CnnProxy::Config cnn_cfg;
+  cnn_cfg.classes = 3;
+  cnn_cfg.samples = 5;
+  nn::TransformerProxy::Config vit_cfg;
+  vit_cfg.classes = 3;
+  vit_cfg.samples = 5;
+  nn::LmProxy::Config lm_cfg;
+  lm_cfg.samples = 3;
+  const nn::CnnProxy cnn(cnn_cfg);
+  const nn::TransformerProxy vit(vit_cfg);
+  const nn::LmProxy lm(lm_cfg);
+  std::vector<ProxyRun> runs;
+  for (const nn::QuantMode mode :
+       {nn::QuantMode::kFloat32, nn::QuantMode::kStaticInt8,
+        nn::QuantMode::kDrq, nn::QuantMode::kDrift}) {
+    nn::QuantEngine::Config cfg;
+    cfg.mode = mode;
+    for (int proxy = 0; proxy < 3; ++proxy) {
+      nn::QuantEngine engine(cfg);
+      ProxyRun run;
+      run.result = proxy == 0   ? cnn.evaluate(engine)
+                   : proxy == 1 ? vit.evaluate(engine)
+                                : lm.evaluate(engine);
+      run.records = engine.records();
+      runs.push_back(std::move(run));
+    }
+  }
+  return runs;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(ParallelDeterminism, ProxyEvaluationBitIdenticalAcrossThreadCounts) {
+  // The proxies hand whole samples to the pool and run each sample's
+  // kernels inline; the metric, the 4-bit share and the record log
+  // (in order) must still be the serial run's.
+  PoolSizeGuard guard;
+  ThreadPool::instance().resize(1);
+  const std::vector<ProxyRun> want = run_every_proxy();
+  for (int threads : {2, 8}) {
+    ThreadPool::instance().resize(threads);
+    const std::vector<ProxyRun> got = run_every_proxy();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " run " +
+                   std::to_string(i));
+      EXPECT_TRUE(same_bits(got[i].result.metric, want[i].result.metric));
+      EXPECT_TRUE(same_bits(got[i].result.act_low_fraction,
+                            want[i].result.act_low_fraction));
+      ASSERT_EQ(got[i].records.size(), want[i].records.size());
+      for (std::size_t r = 0; r < want[i].records.size(); ++r) {
+        const nn::GemmRecord& g = got[i].records[r];
+        const nn::GemmRecord& w = want[i].records[r];
+        EXPECT_EQ(g.layer, w.layer) << "record " << r;
+        EXPECT_EQ(g.m, w.m) << "record " << r;
+        EXPECT_EQ(g.k, w.k) << "record " << r;
+        EXPECT_EQ(g.n, w.n) << "record " << r;
+        EXPECT_TRUE(same_bits(g.act_low_fraction, w.act_low_fraction))
+            << "record " << r;
+        EXPECT_TRUE(same_bits(g.weight_low_fraction, w.weight_low_fraction))
+            << "record " << r;
+      }
+    }
   }
 }
 
