@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
 
   std::printf("=== Ablation A: balanced online scheduling ===\n\n");
 

@@ -44,13 +44,7 @@ int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  for (const std::string& flag : args.unqueried()) {
-    std::fprintf(stderr,
-                 "error: unknown flag --%s (accepted: --metrics-out, "
-                 "--trace-out)\n",
-                 flag.c_str());
-    return 2;
-  }
+  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
 
   std::printf("=== Figure 6: accuracy and 4-bit percentage ===\n\n");
 

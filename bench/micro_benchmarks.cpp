@@ -4,11 +4,13 @@
 // models and the cycle-level simulation — plus the single- vs
 // multi-thread GEMM / quantization kernel sweep that emits
 // BENCH_kernels.json (ops/s and speedup vs 1 thread) before the
-// google-benchmark suite runs.  A second, backend sweep times
-// {scalar, simd} x {fp32, int8, int4-packed, mixed} GEMM plus the
-// quantization kernel under the dispatch force-scalar toggle and
-// records per-entry `backend` and `speedup_vs_scalar` (the SIMD payoff
-// on this machine's `cpu_features`).  The JSON also records the
+// google-benchmark suite runs.  The quantization entries time
+// QuantEngine::process_activation_rows in Drift mode (row statistics,
+// the automatic δ at budget 0.05, then core::render), the per-operand
+// call Figure 6 makes.  A second, backend sweep times the fp32 GEMM
+// and that quantizer on {scalar, simd} under the dispatch force-scalar
+// toggle and records per-entry `backend` and `speedup_vs_scalar` (the
+// SIMD payoff on this machine's `cpu_features`).  The JSON also records the
 // runtime of the fixed-seed property-test corpus (the differential
 // suites behind `ctest -L prop`), so oracle-check cost is tracked
 // alongside kernel throughput, and a fixed-seed serving run whose
@@ -24,9 +26,9 @@
 // that of the serving event loop on a two-tenant Poisson trace (same
 // units).
 // DRIFT_BENCH_GEMM_SIZE overrides the
-// fp32 GEMM edge (default 1024), DRIFT_BENCH_INT_GEMM_SIZE the
-// backend-sweep edge (default 512); DRIFT_SKIP_KERNEL_SWEEP=1 skips
-// both sweeps.
+// thread-sweep GEMM edge (default 1024; the backend sweep's is fixed at
+// 512), DRIFT_BENCH_QUANT_ROWS the quantizer's row count (default
+// 8192); DRIFT_SKIP_KERNEL_SWEEP=1 skips both sweeps.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -43,8 +45,8 @@
 #include "core/selector.hpp"
 #include "dram/dram.hpp"
 #include "nn/gemm.hpp"
-#include "nn/int_gemm.hpp"
 #include "nn/proxy.hpp"
+#include "nn/quant_engine.hpp"
 // drift-lint: allow(intrinsic) — the bench sweep toggles the
 // force-scalar override to measure the SIMD payoff per backend.
 #include "nn/simd/kernel_dispatch.hpp"
@@ -74,6 +76,16 @@ TensorF laplace_matrix(std::int64_t rows, std::int64_t cols,
   TensorF t(Shape{rows, cols});
   for (auto& v : t.data()) v = static_cast<float>(rng.laplace(0.05));
   return t;
+}
+
+/// Figure 6's per-operand activation quantizer: Drift mode, row
+/// granularity, automatic threshold at noise budget 0.05.
+nn::QuantEngine drift_row_engine() {
+  nn::QuantEngine::Config cfg;
+  cfg.mode = nn::QuantMode::kDrift;
+  cfg.auto_threshold = true;
+  cfg.noise_budget = 0.05;
+  return nn::QuantEngine(cfg);
 }
 
 void BM_SelectPrecision(benchmark::State& state) {
@@ -191,9 +203,9 @@ BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(4);
 void BM_QuantizeRowsThreads(benchmark::State& state) {
   util::ThreadPool::instance().resize(static_cast<int>(state.range(0)));
   const TensorF x = laplace_matrix(2048, 768, 9);
-  const core::SelectorConfig cfg;
+  const nn::QuantEngine engine = drift_row_engine();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::quantize_rows(x, cfg, 0.05));
+    benchmark::DoNotOptimize(engine.process_activation_rows(x));
   }
   state.SetItemsProcessed(state.iterations() * x.numel());
   util::ThreadPool::instance().resize(0);
@@ -343,7 +355,7 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
   const TensorF w = laplace_matrix(gemm_n, gemm_n, 103);
   const std::int64_t qrows = env_int("DRIFT_BENCH_QUANT_ROWS", 8192);
   const TensorF x = laplace_matrix(qrows, 768, 104);
-  const core::SelectorConfig cfg;
+  const nn::QuantEngine engine = drift_row_engine();
 
   std::vector<KernelResult> results;
   auto record = [&](const std::string& name, const std::string& shape,
@@ -394,58 +406,25 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
            gemm_ops);
     record("quantize_rows", quant_shape, threads,
            best_seconds(
-               [&] { benchmark::DoNotOptimize(nn::quantize_rows(x, cfg, 0.05)); },
+               [&] {
+                 benchmark::DoNotOptimize(engine.process_activation_rows(x));
+               },
                3),
            static_cast<double>(x.numel()));
   }
 
-  // Backend sweep: {scalar, simd} x {fp32, int8, int4-packed, mixed}
-  // at 1 thread, under the dispatch force-scalar toggle.  The integer
-  // operands are built with pinned precision decisions so each entry
-  // exercises exactly one quadrant class (all-high -> s8s8, all-low ->
-  // packed s4s4, half -> the hl/lh/ll mix).
+  // Backend sweep: {scalar, simd} x {fp32 GEMM, quantizer} at 1
+  // thread, under the dispatch force-scalar toggle.
   {
-    const std::int64_t ig = env_int("DRIFT_BENCH_INT_GEMM_SIZE", 512);
-    const TensorF xa = laplace_matrix(ig, ig, 201);
-    const TensorF xw = laplace_matrix(ig, ig, 202);
-    const auto make_operand = [&](const TensorF& t, double low_fraction,
-                                  std::uint64_t seed) {
-      core::SelectorConfig oc;
-      nn::QuantizedOperand op;
-      op.params = core::compute_quant_params(t.data(), oc.hp);
-      op.lp = oc.lp;
-      op.codes = TensorI32(t.shape());
-      const int clip = oc.hp.bits() - oc.lp.bits();
-      Rng rng(seed);
-      const std::int64_t rows = t.shape().dim(0);
-      const std::int64_t cols = t.shape().dim(1);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const bool low = rng.uniform() < low_fraction;
-        op.rows.push_back(core::PrecisionDecision{
-            low, core::ConversionChoice{low ? clip : 0, 0}});
-      }
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const auto& d = op.rows[static_cast<std::size_t>(r)];
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const std::int32_t q = core::quantize_value(t(r, c), op.params);
-          op.codes(r, c) =
-              d.use_low ? core::convert_to_low(q, op.lp, d.choice) : q;
-        }
-      }
-      return op;
-    };
-    const auto qa8 = make_operand(xa, 0.0, 211);
-    const auto qw8 = make_operand(xw, 0.0, 212);
-    const auto qa4 = make_operand(xa, 1.0, 213);
-    const auto qw4 = make_operand(xw, 1.0, 214);
-    const auto qam = make_operand(xa, 0.5, 215);
-    const auto qwm = make_operand(xw, 0.5, 216);
-
-    const std::string ig_shape = std::to_string(ig) + "x" +
-                                 std::to_string(ig) + "x" +
-                                 std::to_string(ig);
-    const double ig_ops = 2.0 * static_cast<double>(ig) *
-                          static_cast<double>(ig) * static_cast<double>(ig);
+    constexpr std::int64_t sweep_n = 512;
+    const TensorF xa = laplace_matrix(sweep_n, sweep_n, 201);
+    const TensorF xw = laplace_matrix(sweep_n, sweep_n, 202);
+    const std::string sweep_shape = std::to_string(sweep_n) + "x" +
+                                    std::to_string(sweep_n) + "x" +
+                                    std::to_string(sweep_n);
+    const double sweep_ops = 2.0 * static_cast<double>(sweep_n) *
+                             static_cast<double>(sweep_n) *
+                             static_cast<double>(sweep_n);
 
     util::ThreadPool::instance().resize(1);
     const bool prev_force = nn::simd::force_scalar();
@@ -455,29 +434,14 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
       if (!force && std::string(nn::simd::active().name) == "scalar") {
         break;
       }
-      record("gemm_fp32", ig_shape, 1,
+      record("gemm_fp32", sweep_shape, 1,
              best_seconds(
                  [&] { benchmark::DoNotOptimize(nn::matmul_nt(xa, xw)); }, 2),
-             ig_ops);
-      record("gemm_int8", ig_shape, 1,
-             best_seconds(
-                 [&] { benchmark::DoNotOptimize(nn::int_gemm_nt(qa8, qw8)); },
-                 2),
-             ig_ops);
-      record("gemm_int4_packed", ig_shape, 1,
-             best_seconds(
-                 [&] { benchmark::DoNotOptimize(nn::int_gemm_nt(qa4, qw4)); },
-                 2),
-             ig_ops);
-      record("gemm_mixed", ig_shape, 1,
-             best_seconds(
-                 [&] { benchmark::DoNotOptimize(nn::int_gemm_nt(qam, qwm)); },
-                 2),
-             ig_ops);
+             sweep_ops);
       record("quantize_rows_1t", quant_shape, 1,
              best_seconds(
                  [&] {
-                   benchmark::DoNotOptimize(nn::quantize_rows(x, cfg, 0.05));
+                   benchmark::DoNotOptimize(engine.process_activation_rows(x));
                  },
                  3),
              static_cast<double>(x.numel()));

@@ -9,7 +9,7 @@
 //     x'' = q_lp * (Δ * 2^lc).
 // Both passes run contiguous runs through the dispatched
 // quantize_convert_row, which is pinned to quantize_value /
-// convert_to_low bit for bit (kernel_dispatch.hpp invariant 2), so the
+// convert_to_low bit for bit (kernel_dispatch.hpp invariant 1), so the
 // output equals the per-element loop ref::render_per_element keeps as
 // the oracle, on every backend and at every thread count.
 #pragma once

@@ -41,7 +41,7 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
   util::parallel_for(0, M, kMc, [&](std::int64_t i0, std::int64_t i1) {
     // Per-chunk double accumulator tile, (i1 - i0) x min(kNc, N).  The
     // block kernel adds each output's terms in k-ascending order
-    // (kernel_dispatch.hpp invariant 4), matching matmul_nt's policy
+    // (kernel_dispatch.hpp invariant 3), matching matmul_nt's policy
     // regardless of blocking, threading or backend.
     const std::int64_t rows = i1 - i0;
     const auto acc = std::make_unique_for_overwrite<double[]>(

@@ -6,7 +6,7 @@
 // parallelized over output rows on the global thread pool
 // (util/thread_pool.hpp) with fixed chunk boundaries, and each block
 // runs the dispatched gemm_f32_block (nn/simd/kernel_dispatch.hpp,
-// invariant 4: one k-ascending double sum per output, zero a[i,k]
+// invariant 3: one k-ascending double sum per output, zero a[i,k]
 // skipped, no FMA), so results are bit-identical at any thread count,
 // on every SIMD backend and across the matmul / matmul_nt call paths.
 #pragma once

@@ -5,17 +5,6 @@
 // scalar override is off.  Every kernel is pinned to the scalar
 // backend's semantics:
 //
-//   - Integer dots widen int8 operands to int16 (_mm256_cvtepi8_epi16),
-//     multiply-accumulate pairs into int32 lanes (_mm256_madd_epi16 —
-//     the maddubs-style inner product without the unsigned-operand
-//     asymmetry), and horizontal-sum into int64.  Integer addition is
-//     associative, so the result equals the scalar int64 loop bit for
-//     bit; kMaxDotLength keeps the int32 lanes from wrapping (worst
-//     case here: n/8 products of |p| <= 127^2 per lane).
-//   - Packed-nibble operands are unpacked in-register: low nibble
-//     (v & 0x0F) and high nibble ((v >> 4) & 0x0F), sign-extended with
-//     the (x ^ 8) - 8 two's-complement trick, nibble pairs re-
-//     interleaved where natural element order is needed.
 //   - quantize_convert_row computes llround(x/Δ) as
 //     floor(|x/Δ| + 0.5) with an explicit overshoot correction (the
 //     +0.5 add can round up across an integer; subtract 1 when
@@ -43,150 +32,6 @@
 namespace drift::nn::simd {
 
 namespace {
-
-/// Horizontal sum of 8 int32 lanes into int64 (exact).
-inline std::int64_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i s = _mm_add_epi32(lo, hi);
-  // Lane sums fit int32 individually but the cross-lane total may not:
-  // widen before the final adds.
-  alignas(16) std::int32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), s);
-  return static_cast<std::int64_t>(lanes[0]) + lanes[1] + lanes[2] +
-         lanes[3];
-}
-
-/// Widen 32 int8 codes to int16 and multiply-accumulate with the
-/// matching 32 codes of `vb` into 8 int32 lanes of `acc`.
-inline __m256i madd_s8_block(__m256i acc, __m256i va, __m256i vb) {
-  const __m256i a0 = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-  const __m256i b0 = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-  const __m256i a1 = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-  const __m256i b1 = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-  acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(a1, b1));
-}
-
-/// Sign-extends the low nibble of each byte ((v & 0xF) ^ 8) - 8.
-inline __m256i sign_extend_nibbles(__m256i nibbles) {
-  const __m256i k8 = _mm256_set1_epi8(0x08);
-  return _mm256_sub_epi8(_mm256_xor_si256(nibbles, k8), k8);
-}
-
-inline std::int32_t nibble_at(const std::uint8_t* packed, std::int64_t i) {
-  const std::uint8_t byte = packed[i / 2];
-  const int nib = (i & 1) ? (byte >> 4) : (byte & 0x0F);
-  // drift-lint: allow(narrow) — nib is a masked 4-bit value, so the
-  // sign-extended result lies in [-8, 7] and always fits.
-  return static_cast<std::int32_t>((nib ^ 0x08) - 0x08);
-}
-
-std::int64_t dot_s8s8(const std::int8_t* a, const std::int8_t* b,
-                      std::int64_t n) {
-  // Four independent accumulators (128 codes per step) keep the madd
-  // units busy instead of serializing on one add chain.  Folding them
-  // back together is an exact int32 lane sum: the combined lane load is
-  // the same n/8-products bound as a single accumulator.
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  std::int64_t k = 0;
-  for (; k + 128 <= n; k += 128) {
-    const auto* pa = reinterpret_cast<const __m256i*>(a + k);
-    const auto* pb = reinterpret_cast<const __m256i*>(b + k);
-    acc0 = madd_s8_block(acc0, _mm256_loadu_si256(pa + 0),
-                         _mm256_loadu_si256(pb + 0));
-    acc1 = madd_s8_block(acc1, _mm256_loadu_si256(pa + 1),
-                         _mm256_loadu_si256(pb + 1));
-    acc2 = madd_s8_block(acc2, _mm256_loadu_si256(pa + 2),
-                         _mm256_loadu_si256(pb + 2));
-    acc3 = madd_s8_block(acc3, _mm256_loadu_si256(pa + 3),
-                         _mm256_loadu_si256(pb + 3));
-  }
-  __m256i acc = _mm256_add_epi32(_mm256_add_epi32(acc0, acc1),
-                                 _mm256_add_epi32(acc2, acc3));
-  for (; k + 32 <= n; k += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + k));
-    acc = madd_s8_block(acc, va, vb);
-  }
-  std::int64_t total = hsum_epi32(acc);
-  for (; k < n; ++k) {
-    total +=
-        static_cast<std::int64_t>(a[k]) * static_cast<std::int64_t>(b[k]);
-  }
-  return total;
-}
-
-std::int64_t dot_s8s4(const std::int8_t* a, const std::uint8_t* b_packed,
-                      std::int64_t n) {
-  const __m128i kMask = _mm_set1_epi8(0x0F);
-  const __m128i k8 = _mm_set1_epi8(0x08);
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t k = 0;
-  // 16 packed bytes = 32 codes per step, re-interleaved to natural
-  // element order so they line up with the int8 operand.
-  for (; k + 32 <= n; k += 32) {
-    const __m128i mb = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(b_packed + k / 2));
-    const __m128i lo =
-        _mm_sub_epi8(_mm_xor_si128(_mm_and_si128(mb, kMask), k8), k8);
-    const __m128i hi = _mm_sub_epi8(
-        _mm_xor_si128(_mm_and_si128(_mm_srli_epi16(mb, 4), kMask), k8), k8);
-    const __m128i n0 = _mm_unpacklo_epi8(lo, hi);  // codes k .. k+15
-    const __m128i n1 = _mm_unpackhi_epi8(lo, hi);  // codes k+16 .. k+31
-    const __m256i vb = _mm256_set_m128i(n1, n0);
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-    acc = madd_s8_block(acc, va, vb);
-  }
-  std::int64_t total = hsum_epi32(acc);
-  for (; k < n; ++k) {
-    total += static_cast<std::int64_t>(a[k]) *
-             static_cast<std::int64_t>(nibble_at(b_packed, k));
-  }
-  return total;
-}
-
-std::int64_t dot_s4s4(const std::uint8_t* a_packed,
-                      const std::uint8_t* b_packed, std::int64_t n) {
-  const __m256i kMask = _mm256_set1_epi8(0x0F);
-  __m256i acc = _mm256_setzero_si256();
-  // Both operands share the packing, so low nibbles pair with low
-  // nibbles and high with high — no re-interleave needed; the padding
-  // nibble of an odd-length row is zero on both sides.  32 bytes = 64
-  // codes per step.
-  const std::int64_t bytes = (n + 1) / 2;
-  std::int64_t i = 0;
-  for (; i + 32 <= bytes; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_packed + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_packed + i));
-    const __m256i a_lo = sign_extend_nibbles(_mm256_and_si256(va, kMask));
-    const __m256i b_lo = sign_extend_nibbles(_mm256_and_si256(vb, kMask));
-    const __m256i a_hi = sign_extend_nibbles(
-        _mm256_and_si256(_mm256_srli_epi16(va, 4), kMask));
-    const __m256i b_hi = sign_extend_nibbles(
-        _mm256_and_si256(_mm256_srli_epi16(vb, 4), kMask));
-    acc = madd_s8_block(acc, a_lo, b_lo);
-    acc = madd_s8_block(acc, a_hi, b_hi);
-  }
-  std::int64_t total = hsum_epi32(acc);
-  for (; i < bytes; ++i) {
-    const std::int32_t alo = ((a_packed[i] & 0x0F) ^ 0x08) - 0x08;
-    const std::int32_t blo = ((b_packed[i] & 0x0F) ^ 0x08) - 0x08;
-    const std::int32_t ahi = ((a_packed[i] >> 4) ^ 0x08) - 0x08;
-    const std::int32_t bhi = ((b_packed[i] >> 4) ^ 0x08) - 0x08;
-    total += static_cast<std::int64_t>(alo) * blo +
-             static_cast<std::int64_t>(ahi) * bhi;
-  }
-  return total;
-}
 
 /// round-half-away-from-zero of the non-negative lanes of `ay`:
 /// floor(ay + 0.5), minus 1 where the add rounded up past the true sum
@@ -353,8 +198,7 @@ void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    "avx2", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats, gemm_f32_block,
+    "avx2", quantize_convert_row, reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

@@ -1,30 +1,23 @@
 // Runtime-dispatched SIMD kernel backend (AVX2 / NEON / scalar).
 //
-// The Drift pipeline's hot loops — integer GEMM inner products, the
-// hi->lo quantization rendering, the selector's max|Y| / avg|Y|
-// reductions and the accuracy path's fp32 GEMM — run through the
-// function-pointer table returned by active(), selected once per call
-// from the CPU features detected at startup.  Four invariants make this
-// safe to drop underneath the existing bit-pinned pipeline:
+// The Drift pipeline's hot loops — the hi->lo quantization rendering,
+// the selector's max|Y| / avg|Y| reductions and the accuracy path's
+// fp32 GEMM — run through the function-pointer table returned by
+// active(), selected once per call from the CPU features detected at
+// startup.  Three invariants make this safe to drop underneath the
+// existing bit-pinned pipeline:
 //
-//   1. *Integer kernels are exact.*  dot_s8s8 / dot_s8s4 / dot_s4s4
-//      compute a sum of integer products, which is associative, so any
-//      vector re-ordering produces the same int64 as the scalar loop —
-//      the backends are bitwise interchangeable (asserted by
-//      tests/prop/prop_simd_gemm.cpp) provided no intermediate
-//      overflows; kMaxDotLength bounds the reduction length so int32
-//      lane accumulators cannot wrap.
-//   2. *quantize_convert_row is pinned to llround semantics.*  Every
+//   1. *quantize_convert_row is pinned to llround semantics.*  Every
 //      backend computes round-half-away-from-zero of the exactly
 //      rounded IEEE quotient x/Δ (and of the exact dyadic q/2^lc), so
 //      integer codes are bitwise identical across backends.
-//   3. *reduce_stats fixes a 4-lane accumulation order.*  Element i
+//   2. *reduce_stats fixes a 4-lane accumulation order.*  Element i
 //      accumulates into double lane (i mod 4); lanes combine as
 //      ((l0+l1)+l2)+l3.  Scalar and vector backends implement the same
 //      schedule, so even the float sums agree bitwise across backends
 //      (they differ from a plain sequential sum by a documented
 //      rounding re-association; see DESIGN.md "SIMD backend").
-//   4. *gemm_f32_block keeps one k-ascending double sum per output.*
+//   3. *gemm_f32_block keeps one k-ascending double sum per output.*
 //      Each output adds double(a[i,k]) * double(b[k,j]) into its own
 //      double accumulator in ascending k, skipping a[i,k] == 0 (either
 //      sign), as one multiply then one add — never fused (src/nn/simd/
@@ -62,42 +55,22 @@ struct RawStats {
   double sum_sq = 0.0;
 };
 
-/// Reduction lengths are capped so the int32 lane accumulators of the
-/// vector dot kernels cannot overflow: the worst addend is 127*127 and
-/// a lane absorbs at most half the products, so lengths up to
-/// 2^31 / (127*127) / 0.5 ≈ 266k are safe; 2^17 leaves a wide margin.
-/// Longer reductions fall back to the legacy int64 scalar loop at the
-/// int_gemm entry point.
-inline constexpr std::int64_t kMaxDotLength = std::int64_t{1} << 17;
-
 /// One backend's kernel set.  All pointers are always non-null.
 struct KernelTable {
   const char* name;  ///< "scalar", "avx2", "neon"
 
-  /// sum_k a[k] * b[k] over int8 codes, exact in int64.
-  std::int64_t (*dot_s8s8)(const std::int8_t* a, const std::int8_t* b,
-                           std::int64_t n);
-
-  /// sum_k a[k] * unpack(b_packed)[k]: int8 row times packed-nibble row.
-  std::int64_t (*dot_s8s4)(const std::int8_t* a,
-                           const std::uint8_t* b_packed, std::int64_t n);
-
-  /// sum_k unpack(a)[k] * unpack(b)[k]: both rows packed nibbles.
-  std::int64_t (*dot_s4s4)(const std::uint8_t* a_packed,
-                           const std::uint8_t* b_packed, std::int64_t n);
-
-  /// The quantize_rows inner loop: out[i] = clamp(llround(x[i]/delta),
+  /// core::render's inner loop: out[i] = clamp(llround(x[i]/delta),
   /// ±hp_limit), then when lc/lp_limit describe a low rendering
   /// (use_low), out[i] = clamp(llround(out[i]/2^lc), ±lp_limit).
-  /// Bitwise identical across backends (invariant 2 above).
+  /// Bitwise identical across backends (invariant 1 above).
   void (*quantize_convert_row)(const float* x, std::int64_t n, double delta,
                                std::int64_t hp_limit, bool use_low, int lc,
                                std::int64_t lp_limit, std::int32_t* out);
 
-  /// 4-lane-scheduled single-pass reduction (invariant 3 above).
+  /// 4-lane-scheduled single-pass reduction (invariant 2 above).
   RawStats (*reduce_stats)(const float* x, std::int64_t n);
 
-  /// One block of nn::matmul (invariant 4 above): for each row i in
+  /// One block of nn::matmul (invariant 3 above): for each row i in
   /// [0, rows) and each k in [0, depth) ascending with a[i*lda + k]
   /// != 0, acc[i*ldacc + j] += double(a[i*lda + k]) *
   /// double(b[k*ldb + j]) for every j in [0, cols).

@@ -2,15 +2,11 @@
 //
 // Only compiled on AArch64 builds.  Pinned to the same semantics as the
 // scalar backend (see avx2_kernels.cpp for the shared reasoning):
-// integer dots use widening multiplies (vmull_s8, the sdot-style inner
-// product available without the DOTPROD extension) with pairwise
-// int32 accumulation — exact, so bitwise equal to the scalar loop
-// under the kMaxDotLength bound; quantize_convert_row reproduces
-// llround via floor(|y| + 0.5) with the overshoot correction;
-// reduce_stats implements the canonical 4-lane double schedule as two
-// float64x2 register pairs (lanes {0,1} and {2,3}), combined in the
-// fixed scalar order.  gemm_f32_block runs the scalar loop nest until
-// a float64x2 version earns its place.
+// quantize_convert_row reproduces llround via floor(|y| + 0.5) with
+// the overshoot correction; reduce_stats implements the canonical
+// 4-lane double schedule as two float64x2 register pairs (lanes {0,1}
+// and {2,3}), combined in the fixed scalar order.  gemm_f32_block runs
+// the scalar loop nest until a float64x2 version earns its place.
 #ifdef DRIFT_SIMD_BUILD_NEON
 
 #include <arm_neon.h>
@@ -23,100 +19,6 @@
 namespace drift::nn::simd {
 
 namespace {
-
-inline std::int32_t nibble_at(const std::uint8_t* packed, std::int64_t i) {
-  const std::uint8_t byte = packed[i / 2];
-  const int nib = (i & 1) ? (byte >> 4) : (byte & 0x0F);
-  // drift-lint: allow(narrow) — nib is a masked 4-bit value, so the
-  // sign-extended result lies in [-8, 7] and always fits.
-  return static_cast<std::int32_t>((nib ^ 0x08) - 0x08);
-}
-
-/// Multiply-accumulate 16 int8 pairs into 4 int32 lanes: widening
-/// int8 -> int16 products, pairwise-added into the accumulator.
-inline int32x4_t mla_s8_block(int32x4_t acc, int8x16_t a, int8x16_t b) {
-  const int16x8_t p0 = vmull_s8(vget_low_s8(a), vget_low_s8(b));
-  const int16x8_t p1 = vmull_s8(vget_high_s8(a), vget_high_s8(b));
-  acc = vpadalq_s16(acc, p0);
-  return vpadalq_s16(acc, p1);
-}
-
-inline std::int64_t hsum_s32(int32x4_t v) {
-  return static_cast<std::int64_t>(vgetq_lane_s32(v, 0)) +
-         vgetq_lane_s32(v, 1) + vgetq_lane_s32(v, 2) + vgetq_lane_s32(v, 3);
-}
-
-/// Sign-extends the low nibble of every byte: ((v & 0xF) ^ 8) - 8.
-inline int8x16_t sign_extend_nibbles(uint8x16_t nibbles) {
-  const int8x16_t n = vreinterpretq_s8_u8(nibbles);
-  const int8x16_t k8 = vdupq_n_s8(0x08);
-  return vsubq_s8(veorq_s8(n, k8), k8);
-}
-
-std::int64_t dot_s8s8(const std::int8_t* a, const std::int8_t* b,
-                      std::int64_t n) {
-  int32x4_t acc = vdupq_n_s32(0);
-  std::int64_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    acc = mla_s8_block(acc, vld1q_s8(a + k), vld1q_s8(b + k));
-  }
-  std::int64_t total = hsum_s32(acc);
-  for (; k < n; ++k) {
-    total +=
-        static_cast<std::int64_t>(a[k]) * static_cast<std::int64_t>(b[k]);
-  }
-  return total;
-}
-
-std::int64_t dot_s8s4(const std::int8_t* a, const std::uint8_t* b_packed,
-                      std::int64_t n) {
-  const uint8x8_t kMask = vdup_n_u8(0x0F);
-  int32x4_t acc = vdupq_n_s32(0);
-  std::int64_t k = 0;
-  // 8 packed bytes = 16 codes per step, zipped back to element order.
-  for (; k + 16 <= n; k += 16) {
-    const uint8x8_t mb = vld1_u8(b_packed + k / 2);
-    const uint8x8_t lo = vand_u8(mb, kMask);
-    const uint8x8_t hi = vand_u8(vshr_n_u8(mb, 4), kMask);
-    const uint8x16_t natural = vcombine_u8(vzip1_u8(lo, hi),
-                                           vzip2_u8(lo, hi));
-    acc = mla_s8_block(acc, vld1q_s8(a + k), sign_extend_nibbles(natural));
-  }
-  std::int64_t total = hsum_s32(acc);
-  for (; k < n; ++k) {
-    total += static_cast<std::int64_t>(a[k]) *
-             static_cast<std::int64_t>(nibble_at(b_packed, k));
-  }
-  return total;
-}
-
-std::int64_t dot_s4s4(const std::uint8_t* a_packed,
-                      const std::uint8_t* b_packed, std::int64_t n) {
-  const uint8x16_t kMask = vdupq_n_u8(0x0F);
-  int32x4_t acc = vdupq_n_s32(0);
-  const std::int64_t bytes = (n + 1) / 2;
-  std::int64_t i = 0;
-  // Low nibbles pair with low, high with high; the odd-length padding
-  // nibble is zero on both sides.  16 bytes = 32 codes per step.
-  for (; i + 16 <= bytes; i += 16) {
-    const uint8x16_t va = vld1q_u8(a_packed + i);
-    const uint8x16_t vb = vld1q_u8(b_packed + i);
-    acc = mla_s8_block(acc, sign_extend_nibbles(vandq_u8(va, kMask)),
-                       sign_extend_nibbles(vandq_u8(vb, kMask)));
-    acc = mla_s8_block(acc, sign_extend_nibbles(vshrq_n_u8(va, 4)),
-                       sign_extend_nibbles(vshrq_n_u8(vb, 4)));
-  }
-  std::int64_t total = hsum_s32(acc);
-  for (; i < bytes; ++i) {
-    const std::int32_t alo = ((a_packed[i] & 0x0F) ^ 0x08) - 0x08;
-    const std::int32_t blo = ((b_packed[i] & 0x0F) ^ 0x08) - 0x08;
-    const std::int32_t ahi = ((a_packed[i] >> 4) ^ 0x08) - 0x08;
-    const std::int32_t bhi = ((b_packed[i] >> 4) ^ 0x08) - 0x08;
-    total += static_cast<std::int64_t>(alo) * blo +
-             static_cast<std::int64_t>(ahi) * bhi;
-  }
-  return total;
-}
 
 /// round-half-away-from-zero of non-negative lanes (see
 /// avx2_kernels.cpp for the overshoot-correction argument).
@@ -227,8 +129,7 @@ void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
 }  // namespace
 
 const KernelTable kNeonTable = {
-    "neon", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats, gemm_f32_block,
+    "neon", quantize_convert_row, reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

@@ -1,60 +1,20 @@
 // Scalar backend of the kernel dispatch table.
 //
 // This is both the portable fallback and the differential oracle the
-// vector backends are pinned against: the integer dots follow the exact
-// (order-free) integer sum, quantize_convert_row reproduces the
-// llround-based composition in core/quantizer.cpp verbatim,
+// vector backends are pinned against: quantize_convert_row reproduces
+// the llround-based composition in core/quantizer.cpp verbatim,
 // reduce_stats implements the canonical 4-lane accumulation schedule
 // that the AVX2/NEON reductions must match bit for bit, and
 // gemm_f32_block is the plain zero-skipping k-ascending loop nest of
-// invariant 4.
+// invariant 3.
 #include <algorithm>
 #include <cmath>
 
 #include "nn/simd/kernel_tables.hpp"
-#include "nn/simd/pack.hpp"
 
 namespace drift::nn::simd {
 
 namespace {
-
-/// Sign-extended nibble i of a packed row.
-inline std::int32_t nibble_at(const std::uint8_t* packed, std::int64_t i) {
-  const std::uint8_t byte = packed[i / 2];
-  const int nib = (i & 1) ? (byte >> 4) : (byte & 0x0F);
-  // drift-lint: allow(narrow) — nib is a masked 4-bit value, so the
-  // sign-extended result lies in [-8, 7] and always fits.
-  return static_cast<std::int32_t>((nib ^ 0x08) - 0x08);
-}
-
-std::int64_t dot_s8s8(const std::int8_t* a, const std::int8_t* b,
-                      std::int64_t n) {
-  std::int64_t acc = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    acc += static_cast<std::int64_t>(a[k]) * static_cast<std::int64_t>(b[k]);
-  }
-  return acc;
-}
-
-std::int64_t dot_s8s4(const std::int8_t* a, const std::uint8_t* b_packed,
-                      std::int64_t n) {
-  std::int64_t acc = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    acc += static_cast<std::int64_t>(a[k]) *
-           static_cast<std::int64_t>(nibble_at(b_packed, k));
-  }
-  return acc;
-}
-
-std::int64_t dot_s4s4(const std::uint8_t* a_packed,
-                      const std::uint8_t* b_packed, std::int64_t n) {
-  std::int64_t acc = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    acc += static_cast<std::int64_t>(nibble_at(a_packed, k)) *
-           static_cast<std::int64_t>(nibble_at(b_packed, k));
-  }
-  return acc;
-}
 
 void quantize_convert_row(const float* x, std::int64_t n, double delta,
                           std::int64_t hp_limit, bool use_low, int lc,
@@ -122,8 +82,7 @@ void gemm_f32_block(const float* a, std::int64_t lda, const float* b,
 }  // namespace
 
 const KernelTable kScalarTable = {
-    "scalar", dot_s8s8, dot_s8s4, dot_s4s4, quantize_convert_row,
-    reduce_stats, gemm_f32_block,
+    "scalar", quantize_convert_row, reduce_stats, gemm_f32_block,
 };
 
 }  // namespace drift::nn::simd

@@ -32,6 +32,10 @@ struct ReportOptions {
   std::string metrics_path;  ///< --metrics-out; empty means "don't".
   std::string trace_path;    ///< --trace-out; empty means "don't".
 
+  /// The flags from_args reads, as the accepted list a binary that
+  /// takes no others passes to Args::reject_unqueried.
+  static constexpr const char* kFlags = "--metrics-out, --trace-out";
+
   /// Reads --metrics-out and --trace-out from `args` and, when a trace
   /// was requested, turns span collection on for the whole run.  Arms
   /// the atexit flush (see header comment).

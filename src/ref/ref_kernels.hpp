@@ -1,7 +1,7 @@
 // Naive scalar reference kernels for differential testing.
 //
-// Every function here is a deliberately simple re-implementation of a
-// production kernel in src/nn, written without blocking, threading, or
+// The float kernels here are deliberately simple re-implementations of
+// production kernels in src/nn, written without blocking, threading, or
 // layout tricks, so the two can be compared *bit-exactly*: the
 // production GEMMs fix their accumulation policy (double accumulator,
 // k-ascending order, a[i,k] == 0 terms skipped) independent of
@@ -10,6 +10,9 @@
 // is a bug in one of the two.  The skip is visible only when the other
 // operand holds an inf or NaN (0 * inf is NaN); with finite operands
 // adding a +-0 product never changes a sum that starts at +0.
+// int_gemm_nt has no src/nn twin: it is the model of what the integer
+// array computes, the one core::render's rendering is pinned against
+// (tests/test_int_gemm.cpp).
 //
 // Nothing in src/ links against this library; it exists for tests/
 // and bench/ only.
@@ -44,7 +47,8 @@ TensorF conv2d(const TensorF& input, const TensorF& weight,
 
 /// Integer GEMM with per-row rescaling: out[i,j] =
 /// float(double(sum_k act[i,k]*wgt[j,k]) * act_scale[i] * wgt_scale[j]),
-/// the formula the BitGroup array's psum-exit multiplier applies.
+/// what the BitGroup array computes: integer MACs over hp or lc-shifted
+/// lp codes, then one psum-exit multiply per output.
 TensorF int_gemm_nt(const TensorI32& act_codes, const TensorI32& wgt_codes,
                     const std::vector<double>& act_row_scale,
                     const std::vector<double>& wgt_row_scale);

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "util/assert.hpp"
+#include "util/logging.hpp"
 
 namespace drift {
 
@@ -77,6 +78,15 @@ std::vector<std::string> Args::unqueried() const {
     if (!queried_.count(flag)) out.push_back(flag);
   }
   return out;
+}
+
+bool Args::reject_unqueried(const std::string& accepted) const {
+  const std::vector<std::string> unknown = unqueried();
+  for (const std::string& flag : unknown) {
+    DRIFT_LOG_ERROR("args") << "unknown flag --" << flag
+                            << " (accepted: " << accepted << ")";
+  }
+  return !unknown.empty();
 }
 
 }  // namespace drift

@@ -36,6 +36,12 @@ class Args {
   /// to warn about typos.
   std::vector<std::string> unqueried() const;
 
+  /// Call after all gets: logs "unknown flag --<flag> (accepted:
+  /// <accepted>)" as an error for every unqueried flag and returns true
+  /// if there was one, so a caller can exit 2 on a typo instead of
+  /// running with defaults.
+  bool reject_unqueried(const std::string& accepted) const;
+
  private:
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> queried_;

@@ -72,17 +72,39 @@ TEST(Cli, DriftServeRejectsUnknownArrival) {
                      "poisson, bursty, diurnal");
 }
 
-// The accuracy drivers take only the artifact flags; a typo such as
-// --metric-out must not run the whole figure and write nothing.  The
-// check runs before any proxy is built, so these stay fast.
+// The figure, table and ablation benches take only the artifact
+// flags; a typo such as --metric-out must not run the whole figure and
+// write nothing.  The check runs before any work, so these stay fast.
 constexpr const char* kArtifactFlags = "--metrics-out, --trace-out";
 
+std::string bench_bin(const char* name) {
+  return std::string(BENCH_DIR) + "/" + name;
+}
+
 TEST(Cli, Fig6RejectsUnknownFlag) {
-  expect_usage_error(FIG6_BIN, "--metric-out=m.json", kArtifactFlags);
+  expect_usage_error(bench_bin("fig6_accuracy"), "--metric-out=m.json",
+                     kArtifactFlags);
 }
 
 TEST(Cli, Table1RejectsUnknownFlag) {
-  expect_usage_error(TABLE1_BIN, "--bogus=1", kArtifactFlags);
+  expect_usage_error(bench_bin("table1_llm"), "--bogus=1", kArtifactFlags);
 }
+
+class BenchFlags : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BenchFlags, RejectsUnknownFlag) {
+  expect_usage_error(bench_bin(GetParam()), "--metric-out=m.json",
+                     kArtifactFlags);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cli, BenchFlags,
+    ::testing::Values("fig1_subtensor_dynamics", "fig2_stall_motivation",
+                      "fig7_latency", "fig8_energy", "ablation_scheduler",
+                      "ablation_threshold", "ablation_granularity",
+                      "ablation_array_scaling"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace

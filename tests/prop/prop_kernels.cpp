@@ -4,7 +4,7 @@
 //
 // The production kernels pin their accumulation policy (double
 // accumulators, k-ascending order, zero a[i,k] skipped, fixed chunk
-// decomposition; kernel_dispatch.hpp invariant 4), so any backend and
+// decomposition; kernel_dispatch.hpp invariant 3), so any backend and
 // thread count must reproduce the single-thread naive result bit for
 // bit — these properties are the safety net under every future kernel
 // optimization.  The generators plant exact +-0 in A and use widths

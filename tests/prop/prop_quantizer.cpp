@@ -1,9 +1,8 @@
 // Differential suite: quantization primitives (Equation 1 and the
 // Section 3.1 hi->lo conversion) vs. exact-integer references, the
-// accuracy-path renderer vs. its per-element oracle on the scalar and
-// the native backend, plus the integer-domain GEMM path (quantize_rows
-// / dequantize_operand / int_gemm_nt) vs. naive scalar recomputation at
-// 1, 2, and 8 threads.
+// dispatched row kernel vs. those primitives, and the accuracy-path
+// renderer vs. its per-element oracle, each on the scalar and the
+// native backend (the renderer also at 1, 2 and 8 threads).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,12 +10,11 @@
 
 #include "core/quantizer.hpp"
 #include "core/render.hpp"
-#include "nn/int_gemm.hpp"
-// drift-lint: allow(intrinsic) — the renderer property flips the
-// force-scalar override to run on the scalar and the native table.
+// drift-lint: allow(intrinsic) — the row-kernel and renderer properties
+// flip the force-scalar override to run on the scalar and the native
+// table.
 #include "nn/simd/kernel_dispatch.hpp"
 #include "proptest/proptest_gtest.hpp"
-#include "ref/ref_kernels.hpp"
 #include "ref/ref_quant.hpp"
 #include "ref/ref_render.hpp"
 #include "util/thread_pool.hpp"
@@ -125,6 +123,75 @@ TEST(PropQuantizer, RoundTripErrorBoundedByHalfStep) {
 std::int64_t gen_ragged_dim(Rng& rng, int size, std::int64_t edge) {
   const std::int64_t d = proptest::gen_dim(rng, size);
   return d % edge == 0 ? d + rng.uniform_int(1, edge - 1) : d;
+}
+
+TEST(PropQuantizer, RowKernelMatchesQuantizerAcrossBackends) {
+  // core::render feeds the row kernel's low pass only its own hp
+  // rendering; here the kernel sees raw, off-grid floats.  Every
+  // backend must return core::quantize_value, then core::convert_to_low
+  // when the row is low, element by element, for every lp < hp and
+  // every lc.  Ragged lengths reach the vector backends' scalar tail.
+  ForceScalarGuard backend;
+  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
+    const std::int64_t n = gen_ragged_dim(rng, 4 * size, 4);
+    const core::Precision hp(static_cast<int>(rng.uniform_int(3, 16)));
+    // A power-of-two Δ makes the planted half-multiples exact ties.
+    core::QuantParams p = proptest::gen_quant_params(rng, hp);
+    if (rng.bernoulli(0.5)) {
+      p.delta = std::ldexp(1.0, static_cast<int>(rng.uniform_int(-20, 2)));
+    }
+    const std::int64_t hp_limit = hp.max_level();
+    std::vector<float> x(static_cast<std::size_t>(n));
+    for (auto& v : x) {
+      const double u = rng.uniform();
+      if (u < 0.3) {
+        const auto m = static_cast<double>(
+            rng.uniform_int(-2 * hp_limit - 3, 2 * hp_limit + 3));
+        v = static_cast<float>((m / 2.0) * p.delta);
+      } else if (u < 0.4) {
+        const double mag = static_cast<double>(hp_limit) *
+                           rng.uniform(1.0, 64.0) * p.delta;
+        v = static_cast<float>(rng.bernoulli(0.5) ? mag : -mag);
+      } else {
+        v = static_cast<float>(
+            rng.laplace(0.25 * static_cast<double>(hp_limit) * p.delta));
+      }
+    }
+    std::vector<std::int32_t> want_hp(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      want_hp[i] = core::quantize_value(x[i], p);
+    }
+
+    std::vector<std::int32_t> got(x.size());
+    for (int lp_bits = 2; lp_bits < hp.bits(); ++lp_bits) {
+      const core::Precision lp(lp_bits);
+      for (const core::ConversionChoice& choice :
+           core::enumerate_choices(hp, lp)) {
+        for (const bool use_low : {false, true}) {
+          for (const bool force : {true, false}) {
+            nn::simd::set_force_scalar(force);
+            const nn::simd::KernelTable& kt = nn::simd::active();
+            kt.quantize_convert_row(x.data(), n, p.delta, hp_limit, use_low,
+                                    choice.lc, lp.max_level(), got.data());
+            for (std::size_t i = 0; i < x.size(); ++i) {
+              const std::int32_t want =
+                  use_low ? core::convert_to_low(want_hp[i], lp, choice)
+                          : want_hp[i];
+              if (got[i] != want) {
+                return proptest::fail(
+                    "quantize_convert_row (", kt.name, ") at ", i, " of ",
+                    n, " (x=", x[i], ", delta=", p.delta, ", hp=",
+                    hp.bits(), ", lp=", lp.bits(), ", lc=", choice.lc,
+                    ", use_low=", use_low, ") = ", got[i],
+                    ", quantizer says ", want);
+              }
+            }
+          }
+        }
+      }
+    }
+    return proptest::pass();
+  });
 }
 
 /// Sub-tensor views of one random granularity over a tensor of `numel`
@@ -270,94 +337,6 @@ TEST(PropQuantizer, RenderMatchesPerElementOracleAcrossBackendsAndThreads) {
         if (auto r = compare(core::render_hp(values, params), want_hp,
                              "render_hp", threads)) {
           return r;
-        }
-      }
-    }
-    return proptest::pass();
-  });
-}
-
-TEST(PropQuantizer, QuantizeRowsPipelineMatchesScalarRefAcrossThreads) {
-  PoolGuard guard;
-  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
-    const std::int64_t rows = proptest::gen_dim(rng, size);
-    const std::int64_t cols = 4 * proptest::gen_dim(rng, size);
-    TensorF x(Shape{rows, cols},
-              proptest::gen_laplace_buffer(rng, rows * cols, 0.4));
-    const core::SelectorConfig cfg = proptest::gen_selector_config(rng);
-    const double budget = rng.uniform(0.01, 0.2);
-
-    util::ThreadPool::instance().resize(1);
-    const nn::QuantizedOperand base = nn::quantize_rows(x, cfg, budget);
-    for (int threads : {2, 8}) {
-      util::ThreadPool::instance().resize(threads);
-      const nn::QuantizedOperand op = nn::quantize_rows(x, cfg, budget);
-      for (std::int64_t i = 0; i < op.codes.numel(); ++i) {
-        if (op.codes.at(i) != base.codes.at(i)) {
-          return proptest::fail("quantize_rows codes diverge at flat ", i,
-                                " with ", threads, " thread(s)");
-        }
-      }
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const auto& d = op.rows[static_cast<std::size_t>(r)];
-        const auto& bd = base.rows[static_cast<std::size_t>(r)];
-        if (d.use_low != bd.use_low || d.choice.hc != bd.choice.hc ||
-            d.choice.lc != bd.choice.lc) {
-          return proptest::fail("quantize_rows decision diverges at row ",
-                                r, " with ", threads, " thread(s)");
-        }
-      }
-    }
-
-    // dequantize_operand must apply exactly row_scale per element.
-    util::ThreadPool::instance().resize(
-        static_cast<int>(rng.uniform_int(1, 8)));
-    const TensorF deq = nn::dequantize_operand(base);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double scale = base.row_scale(r);
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float want = static_cast<float>(base.codes(r, c) * scale);
-        if (deq(r, c) != want) {
-          return proptest::fail("dequantize_operand(", r, ",", c, ") = ",
-                                deq(r, c), " vs scalar ", want);
-        }
-      }
-    }
-    return proptest::pass();
-  });
-}
-
-TEST(PropQuantizer, IntGemmBitExactVsScalarRefAcrossThreads) {
-  PoolGuard guard;
-  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
-    const std::int64_t m = proptest::gen_dim(rng, size);
-    const std::int64_t k = 2 * proptest::gen_dim(rng, size);
-    const std::int64_t n = proptest::gen_dim(rng, size);
-    TensorF a(Shape{m, k}, proptest::gen_laplace_buffer(rng, m * k, 0.4));
-    TensorF w(Shape{n, k}, proptest::gen_laplace_buffer(rng, n * k, 0.2));
-    const core::SelectorConfig cfg = proptest::gen_selector_config(rng);
-
-    util::ThreadPool::instance().resize(1);
-    const nn::QuantizedOperand act = nn::quantize_rows(a, cfg, 0.05);
-    const nn::QuantizedOperand wgt = nn::quantize_rows(w, cfg, 0.05);
-    std::vector<double> act_scale(static_cast<std::size_t>(m));
-    std::vector<double> wgt_scale(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < m; ++i) {
-      act_scale[static_cast<std::size_t>(i)] = act.row_scale(i);
-    }
-    for (std::int64_t j = 0; j < n; ++j) {
-      wgt_scale[static_cast<std::size_t>(j)] = wgt.row_scale(j);
-    }
-    const TensorF want =
-        ref::int_gemm_nt(act.codes, wgt.codes, act_scale, wgt_scale);
-    for (int threads : {1, 2, 8}) {
-      util::ThreadPool::instance().resize(threads);
-      const TensorF got = nn::int_gemm_nt(act, wgt);
-      for (std::int64_t i = 0; i < got.numel(); ++i) {
-        if (got.at(i) != want.at(i)) {
-          return proptest::fail("int_gemm_nt differs from scalar ref at ",
-                                i, " with ", threads, " thread(s): ",
-                                got.at(i), " vs ", want.at(i));
         }
       }
     }

@@ -1,14 +1,11 @@
 // Unit tests for the SIMD kernel dispatch layer: backend selection,
-// the force-scalar override, and the overflow bound the vector dot
-// kernels rely on.
+// the force-scalar override, and a fully populated table on every
+// backend.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "nn/simd/kernel_dispatch.hpp"
-#include "nn/simd/pack.hpp"
 
 namespace drift::nn::simd {
 namespace {
@@ -58,31 +55,10 @@ TEST(SimdDispatch, TablesAreFullyPopulated) {
     set_force_scalar(force);
     const KernelTable& kt = active();
     EXPECT_NE(kt.name, nullptr);
-    EXPECT_NE(kt.dot_s8s8, nullptr);
-    EXPECT_NE(kt.dot_s8s4, nullptr);
-    EXPECT_NE(kt.dot_s4s4, nullptr);
     EXPECT_NE(kt.quantize_convert_row, nullptr);
     EXPECT_NE(kt.reduce_stats, nullptr);
     EXPECT_NE(kt.gemm_f32_block, nullptr);
   }
-}
-
-TEST(SimdDispatch, MaxDotLengthRespectsLaneAccumulatorRange) {
-  // The widest vector layout spreads a length-n s8s8 dot over 8 int32
-  // lanes with two products pre-added per madd step, so a lane absorbs
-  // at most n/4 addends of at most 127*127 — the bound must keep that
-  // under INT32_MAX with margin.
-  const std::int64_t worst_lane =
-      (kMaxDotLength / 4) * std::int64_t{127} * std::int64_t{127};
-  EXPECT_LT(worst_lane, std::int64_t{INT32_MAX});
-}
-
-TEST(SimdDispatch, PackedSizeRoundsUp) {
-  EXPECT_EQ(packed_size(0), 0);
-  EXPECT_EQ(packed_size(1), 1);
-  EXPECT_EQ(packed_size(2), 1);
-  EXPECT_EQ(packed_size(7), 4);
-  EXPECT_EQ(packed_size(8), 4);
 }
 
 }  // namespace

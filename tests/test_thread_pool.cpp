@@ -14,7 +14,6 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
-#include "nn/int_gemm.hpp"
 #include "nn/proxy.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -192,44 +191,6 @@ TEST(ParallelDeterminism, MatmulAndMatmulNtAgree) {
     for (std::int64_t j = 0; j < 43; ++j) bt(j, i) = b(i, j);
   }
   EXPECT_TRUE(bit_identical(nn::matmul(a, b), nn::matmul_nt(a, bt)));
-}
-
-TEST(ParallelDeterminism, QuantizeRowsBitIdenticalAcrossThreadCounts) {
-  PoolSizeGuard guard;
-  const TensorF x = laplace_tensor(257, 96, 41);
-  core::SelectorConfig cfg;
-  ThreadPool::instance().resize(1);
-  const nn::QuantizedOperand ref = nn::quantize_rows(x, cfg, 0.05);
-  for (int threads : {2, 8}) {
-    ThreadPool::instance().resize(threads);
-    const nn::QuantizedOperand got = nn::quantize_rows(x, cfg, 0.05);
-    ASSERT_EQ(ref.rows.size(), got.rows.size());
-    for (std::size_t r = 0; r < ref.rows.size(); ++r) {
-      EXPECT_EQ(ref.rows[r].use_low, got.rows[r].use_low);
-      EXPECT_EQ(ref.rows[r].choice.hc, got.rows[r].choice.hc);
-      EXPECT_EQ(ref.rows[r].choice.lc, got.rows[r].choice.lc);
-    }
-    EXPECT_EQ(0, std::memcmp(ref.codes.data().data(),
-                             got.codes.data().data(),
-                             ref.codes.data().size() * sizeof(std::int32_t)))
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminism, IntGemmBitIdenticalAcrossThreadCounts) {
-  PoolSizeGuard guard;
-  const TensorF a = laplace_tensor(65, 96, 51);
-  const TensorF w = laplace_tensor(33, 96, 52);
-  core::SelectorConfig cfg;
-  ThreadPool::instance().resize(1);
-  const auto qa = nn::quantize_rows(a, cfg, 0.05);
-  const auto qw = nn::quantize_rows(w, cfg, 0.05);
-  const TensorF ref = nn::int_gemm_nt(qa, qw);
-  for (int threads : {2, 8}) {
-    ThreadPool::instance().resize(threads);
-    EXPECT_TRUE(bit_identical(ref, nn::int_gemm_nt(qa, qw)))
-        << "threads=" << threads;
-  }
 }
 
 TEST(ParallelDeterminism, Im2colConvPathBitIdenticalAcrossThreadCounts) {
