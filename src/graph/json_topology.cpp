@@ -1,248 +1,34 @@
 #include "graph/json_topology.hpp"
 
-#include <array>
-#include <charconv>
+#include <optional>
 #include <utility>
 
-#include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace drift::graph {
 
 namespace {
 
 // ---------------------------------------------------------------------
-// Minimal JSON document model + recursive-descent parser.  Object
-// member order is preserved so node order in the file is node order in
-// the graph (which the executor's rng-stream contract depends on).
-// ---------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool b = false;
-  std::int64_t i = 0;
-  double d = 0.0;
-  std::string s;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* member(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  /// Parses one document; on failure `error()` is position-stamped.
-  bool parse(JsonValue& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      return fail("trailing characters after JSON document");
-    }
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = "JSON error at byte " + std::to_string(pos_) + ": " + message;
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return fail(std::string("expected '") + expected + "'");
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.s);
-    }
-    if (c == 't' || c == 'f') return parse_bool(out);
-    if (c == 'n') return parse_null(out);
-    return parse_number(out);
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    if (!consume('{')) return false;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.members.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return consume('}');
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    if (!consume('[')) return false;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.items.push_back(std::move(value));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return consume(']');
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default:
-            return fail(std::string("unsupported escape '\\") + e + "'");
-        }
-        continue;
-      }
-      out += c;
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_bool(JsonValue& out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = false;
-      pos_ += 5;
-      return true;
-    }
-    return fail("malformed literal");
-  }
-
-  bool parse_null(JsonValue& out) {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out.kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    return fail("malformed literal");
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    bool fractional = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-        continue;
-      }
-      if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        fractional = true;
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    if (pos_ == start) return fail("expected a value");
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    if (fractional) {
-      out.kind = JsonValue::Kind::kDouble;
-      const auto [ptr, ec] = std::from_chars(first, last, out.d);
-      if (ec != std::errc() || ptr != last) return fail("malformed number");
-    } else {
-      out.kind = JsonValue::Kind::kInt;
-      const auto [ptr, ec] = std::from_chars(first, last, out.i);
-      if (ec != std::errc() || ptr != last) return fail("malformed number");
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// ---------------------------------------------------------------------
 // Document -> Graph conversion with schema errors.
 // ---------------------------------------------------------------------
 
+bool is_string(const JsonValue* v) { return v != nullptr && v->is_string(); }
+
+bool is_array(const JsonValue* v) { return v != nullptr && v->is_array(); }
+
 void convert_attrs(const JsonValue& attrs, Node& node,
                    std::vector<std::string>& errors) {
-  for (const auto& [key, value] : attrs.members) {
-    switch (value.kind) {
+  for (const auto& [key, value] : attrs.as_object()) {
+    switch (value.kind()) {
       case JsonValue::Kind::kInt:
-        node.attrs[key] = Attr::of_int(value.i);
+        node.attrs[key] = Attr::of_int(value.as_int());
         break;
       case JsonValue::Kind::kDouble:
-        node.attrs[key] = Attr::of_double(value.d);
+        node.attrs[key] = Attr::of_double(value.as_double());
         break;
       case JsonValue::Kind::kString:
-        node.attrs[key] = Attr::of_string(value.s);
+        node.attrs[key] = Attr::of_string(value.as_string());
         break;
       default:
         errors.push_back("node '" + node.name + "': attribute '" + key +
@@ -253,52 +39,50 @@ void convert_attrs(const JsonValue& attrs, Node& node,
 }
 
 void convert_graph(const JsonValue& doc, TopologyParseResult& result) {
-  if (doc.kind != JsonValue::Kind::kObject) {
+  if (!doc.is_object()) {
     result.errors.push_back("topology document must be a JSON object");
     return;
   }
   const auto string_field = [&](const char* key, std::string& out,
                                 bool required) {
-    const JsonValue* v = doc.member(key);
+    const JsonValue* v = doc.get(key);
     if (v == nullptr) {
       if (required) {
         result.errors.push_back(std::string("missing field '") + key + "'");
       }
       return;
     }
-    if (v->kind != JsonValue::Kind::kString) {
+    if (!v->is_string()) {
       result.errors.push_back(std::string("field '") + key +
                               "' must be a string");
       return;
     }
-    out = v->s;
+    out = v->as_string();
   };
   string_field("name", result.graph.name, /*required=*/true);
   string_field("family", result.graph.family, /*required=*/false);
 
-  if (const JsonValue* inputs = doc.member("inputs")) {
-    if (inputs->kind != JsonValue::Kind::kArray) {
+  if (const JsonValue* inputs = doc.get("inputs")) {
+    if (!inputs->is_array()) {
       result.errors.push_back("field 'inputs' must be an array");
     } else {
-      for (const JsonValue& item : inputs->items) {
+      for (const JsonValue& item : inputs->as_array()) {
         GraphInput in;
-        const JsonValue* name = item.member("name");
-        const JsonValue* shape = item.member("shape");
-        if (item.kind != JsonValue::Kind::kObject || name == nullptr ||
-            name->kind != JsonValue::Kind::kString || shape == nullptr ||
-            shape->kind != JsonValue::Kind::kArray) {
+        const JsonValue* name = item.get("name");
+        const JsonValue* shape = item.get("shape");
+        if (!is_string(name) || !is_array(shape)) {
           result.errors.push_back(
               "each input must be {\"name\": ..., \"shape\": [...]}");
           continue;
         }
-        in.name = name->s;
-        for (const JsonValue& dim : shape->items) {
-          if (dim.kind != JsonValue::Kind::kInt) {
+        in.name = name->as_string();
+        for (const JsonValue& dim : shape->as_array()) {
+          if (dim.kind() != JsonValue::Kind::kInt) {
             result.errors.push_back("node '" + in.name +
                                     "': shape entries must be integers");
             break;
           }
-          in.dims.push_back(dim.i);
+          in.dims.push_back(dim.as_int());
         }
         result.graph.inputs.push_back(std::move(in));
       }
@@ -307,40 +91,38 @@ void convert_graph(const JsonValue& doc, TopologyParseResult& result) {
     result.errors.push_back("missing field 'inputs'");
   }
 
-  if (const JsonValue* nodes = doc.member("nodes")) {
-    if (nodes->kind != JsonValue::Kind::kArray) {
+  if (const JsonValue* nodes = doc.get("nodes")) {
+    if (!nodes->is_array()) {
       result.errors.push_back("field 'nodes' must be an array");
     } else {
-      for (const JsonValue& item : nodes->items) {
+      for (const JsonValue& item : nodes->as_array()) {
         Node node;
-        const JsonValue* name = item.member("name");
-        const JsonValue* op = item.member("op");
-        if (item.kind != JsonValue::Kind::kObject || name == nullptr ||
-            name->kind != JsonValue::Kind::kString || op == nullptr ||
-            op->kind != JsonValue::Kind::kString) {
+        const JsonValue* name = item.get("name");
+        const JsonValue* op = item.get("op");
+        if (!is_string(name) || !is_string(op)) {
           result.errors.push_back(
               "each node must carry string fields 'name' and 'op'");
           continue;
         }
-        node.name = name->s;
-        node.op = op->s;
-        if (const JsonValue* node_inputs = item.member("inputs")) {
-          if (node_inputs->kind != JsonValue::Kind::kArray) {
+        node.name = name->as_string();
+        node.op = op->as_string();
+        if (const JsonValue* node_inputs = item.get("inputs")) {
+          if (!node_inputs->is_array()) {
             result.errors.push_back("node '" + node.name +
                                     "': 'inputs' must be an array");
           } else {
-            for (const JsonValue& in_name : node_inputs->items) {
-              if (in_name.kind != JsonValue::Kind::kString) {
+            for (const JsonValue& in_name : node_inputs->as_array()) {
+              if (!in_name.is_string()) {
                 result.errors.push_back("node '" + node.name +
                                         "': inputs must be strings");
                 break;
               }
-              node.inputs.push_back(in_name.s);
+              node.inputs.push_back(in_name.as_string());
             }
           }
         }
-        if (const JsonValue* attrs = item.member("attrs")) {
-          if (attrs->kind != JsonValue::Kind::kObject) {
+        if (const JsonValue* attrs = item.get("attrs")) {
+          if (!attrs->is_object()) {
             result.errors.push_back("node '" + node.name +
                                     "': 'attrs' must be an object");
           } else {
@@ -354,16 +136,16 @@ void convert_graph(const JsonValue& doc, TopologyParseResult& result) {
     result.errors.push_back("missing field 'nodes'");
   }
 
-  if (const JsonValue* outputs = doc.member("outputs")) {
-    if (outputs->kind != JsonValue::Kind::kArray) {
+  if (const JsonValue* outputs = doc.get("outputs")) {
+    if (!outputs->is_array()) {
       result.errors.push_back("field 'outputs' must be an array");
     } else {
-      for (const JsonValue& out_name : outputs->items) {
-        if (out_name.kind != JsonValue::Kind::kString) {
+      for (const JsonValue& out_name : outputs->as_array()) {
+        if (!out_name.is_string()) {
           result.errors.push_back("outputs must be strings");
           break;
         }
-        result.graph.outputs.push_back(out_name.s);
+        result.graph.outputs.push_back(out_name.as_string());
       }
     }
   } else {
@@ -375,48 +157,16 @@ void convert_graph(const JsonValue& doc, TopologyParseResult& result) {
 // Canonical emission.
 // ---------------------------------------------------------------------
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-std::string double_to_string(double v) {
-  std::array<char, 64> buffer{};
-  const auto [ptr, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), v);
-  DRIFT_CHECK(ec == std::errc(), "double formatting failed");
-  std::string out(buffer.data(), ptr);
-  // Keep doubles visibly doubles so parse(emit(g)) preserves the tag.
-  if (out.find('.') == std::string::npos &&
-      out.find('e') == std::string::npos &&
-      out.find("inf") == std::string::npos &&
-      out.find("nan") == std::string::npos) {
-    out += ".0";
-  }
-  return out;
-}
-
 std::string attr_to_string(const Attr& attr) {
   switch (attr.kind) {
     case Attr::Kind::kInt: return std::to_string(attr.i);
-    case Attr::Kind::kDouble: return double_to_string(attr.d);
-    case Attr::Kind::kString: {
-      std::string out = "\"";
-      out += escape(attr.s);
-      out += "\"";
+    case Attr::Kind::kDouble: {
+      // Keep doubles visibly doubles so parse(emit(g)) preserves the tag.
+      std::string out = format_double(attr.d);
+      if (out.find_first_of(".e") == std::string::npos) out += ".0";
       return out;
     }
+    case Attr::Kind::kString: return json_quoted(attr.s);
   }
   return "null";
 }
@@ -435,9 +185,7 @@ std::string names_json(const std::vector<std::string>& names) {
   std::string out = "[";
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"";
-    out += escape(names[i]);
-    out += "\"";
+    out += json_quoted(names[i]);
   }
   out += "]";
   return out;
@@ -447,43 +195,41 @@ std::string names_json(const std::vector<std::string>& names) {
 
 TopologyParseResult parse_topology(const std::string& text) {
   TopologyParseResult result;
-  JsonValue doc;
-  Parser parser(text);
-  if (!parser.parse(doc)) {
-    result.errors.push_back(parser.error());
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(text, error);
+  if (!doc) {
+    result.errors.push_back(error.what());
     return result;
   }
-  convert_graph(doc, result);
+  convert_graph(*doc, result);
   return result;
 }
 
 std::string to_topology_json(const Graph& g) {
   std::string out;
   out += "{\n";
-  out += "  \"name\": \"" + escape(g.name) + "\",\n";
-  out += "  \"family\": \"" + escape(g.family) + "\",\n";
+  out += "  \"name\": " + json_quoted(g.name) + ",\n";
+  out += "  \"family\": " + json_quoted(g.family) + ",\n";
   out += "  \"inputs\": [\n";
   for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    out += "    {\"name\": \"" + escape(g.inputs[i].name) +
-           "\", \"shape\": " + dims_json(g.inputs[i].dims) + "}";
+    out += "    {\"name\": " + json_quoted(g.inputs[i].name) +
+           ", \"shape\": " + dims_json(g.inputs[i].dims) + "}";
     out += i + 1 < g.inputs.size() ? ",\n" : "\n";
   }
   out += "  ],\n";
   out += "  \"nodes\": [\n";
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
     const Node& node = g.nodes[i];
-    out += "    {\"name\": \"" + escape(node.name) + "\", \"op\": \"" +
-           escape(node.op) + "\", \"inputs\": " + names_json(node.inputs);
+    out += "    {\"name\": " + json_quoted(node.name) +
+           ", \"op\": " + json_quoted(node.op) +
+           ", \"inputs\": " + names_json(node.inputs);
     if (!node.attrs.empty()) {
       out += ", \"attrs\": {";
       bool first = true;
       for (const auto& [key, attr] : node.attrs) {
         if (!first) out += ", ";
         first = false;
-        out += "\"";
-        out += escape(key);
-        out += "\": ";
-        out += attr_to_string(attr);
+        out += json_quoted(key) + ": " + attr_to_string(attr);
       }
       out += "}";
     }

@@ -14,8 +14,11 @@
 //
 // Attribute values are typed by their JSON form: integers stay
 // integers, numbers with a fraction/exponent become doubles, strings
-// stay strings.  The parser is string-in / string-out (no file I/O in
-// src/): tools and tests read the file and pass the text.
+// stay strings.  The text is read by the shared JSON module
+// (util/json.hpp), so its grammar, depth cap and error text apply;
+// this file only converts the document to a graph.  String-in /
+// string-out (no file I/O in src/): tools and tests read the file and
+// pass the text.
 //
 // to_topology_json() is the inverse and is canonical — sorted attr
 // keys (AttrMap is a std::map), fixed 2-space indentation, shortest
@@ -31,8 +34,8 @@
 
 namespace drift::graph {
 
-/// Parse outcome: a graph plus "..." error messages (position-stamped
-/// for syntax errors, node-named for schema errors).
+/// Parse outcome: a graph plus error messages (one "JSON error at byte
+/// N: ..." for a syntax error, node-named ones for schema errors).
 struct TopologyParseResult {
   Graph graph;
   std::vector<std::string> errors;

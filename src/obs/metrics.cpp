@@ -1,13 +1,13 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -224,28 +224,6 @@ namespace {
 // caller skip attribution, and the caller records the totals.
 thread_local LayerRecord* tl_current_layer = nullptr;
 
-/// Shortest round-trip decimal rendering (std::to_chars) — the same
-/// bytes on every conforming implementation, unlike printf("%g").
-std::string format_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 bool matches_prefixes(const std::string& name,
                       const std::vector<std::string>& prefixes) {
   if (prefixes.empty()) return true;
@@ -256,14 +234,9 @@ bool matches_prefixes(const std::string& name,
 }
 
 void append_layer_json(std::string& out, const LayerRecord& r) {
-  out += "    {";
-  append_json_string(out, "layer");
-  out += ": ";
-  append_json_string(out, r.layer);
+  out += "    {\"layer\": " + json_quoted(r.layer);
   const auto field = [&out](const char* key, std::int64_t v) {
-    out += ", ";
-    append_json_string(out, key);
-    out += ": " + std::to_string(v);
+    out += ", " + json_quoted(key) + ": " + std::to_string(v);
   };
   field("subtensors_total", r.subtensors_total);
   field("subtensors_low", r.subtensors_low);
@@ -356,9 +329,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes("meta." + key, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, key);
-    out += ": ";
-    append_json_string(out, value);
+    out += json_quoted(key) + ": " + json_quoted(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -368,8 +339,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
-    out += ": " + std::to_string(c->value());
+    out += json_quoted(name) + ": " + std::to_string(c->value());
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -379,8 +349,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
-    out += ": " + format_double(g->value());
+    out += json_quoted(name) + ": " + format_double(g->value());
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -390,8 +359,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
-    out += ": {\"upper_bounds\": [";
+    out += json_quoted(name) + ": {\"upper_bounds\": [";
     const auto& bounds = h->upper_bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       out += (i ? ", " : "") + std::to_string(bounds[i]);
@@ -414,8 +382,8 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
                         {"p99", 0.99}, {"p99.9", 0.999}};
       for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
         out += q ? ", " : "";
-        append_json_string(out, kQuantiles[q].key);
-        out += ": " + format_double(h->quantile(kQuantiles[q].p));
+        out += json_quoted(kQuantiles[q].key) + ": " +
+               format_double(h->quantile(kQuantiles[q].p));
       }
       out += "}, \"exact\": ";
       out += h->quantiles_exact() ? "true" : "false";

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace drift::obs {
 
@@ -71,23 +72,8 @@ std::uint32_t Tracer::sim_track(const std::string& name) {
 
 namespace {
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 void append_event(std::string& out, const TraceEvent& e) {
-  out += "{\"name\": ";
-  append_json_string(out, e.name);
+  out += "{\"name\": " + json_quoted(e.name);
   out += ", \"cat\": \"";
   out += e.category;
   out += "\", \"ph\": \"";
@@ -123,8 +109,7 @@ std::string Tracer::to_chrome_json() const {
     first = false;
     out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
            std::to_string(tid) + ", \"args\": {\"name\": ";
-    append_json_string(out, name);
-    out += "}}";
+    out += json_quoted(name) + "}}";
   }
   for (const auto& buf : buffers) {
     std::lock_guard<std::mutex> lock(buf->mutex);

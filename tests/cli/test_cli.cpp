@@ -1,11 +1,13 @@
 // Command-line contract of the drivers (label: cli): an unknown choice
 // or flag is a usage error — exit code 2 and a message listing every
-// valid value — never a silent fallback to a default.
+// valid value — never a silent fallback to a default; a malformed input
+// file is an error exit, never a crash.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -59,6 +61,21 @@ TEST(Cli, DriftGraphRejectsUnknownAlgoAndPolicy) {
                      kAlgos);
   expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --policy=bogus",
                      kPolicies);
+}
+
+TEST(Cli, DriftGraphValidateDeepFileExitsOne) {
+  // A malformed topology is a validation failure (exit 1) with a byte
+  // offset, however deep it nests; it must never crash the reader.
+  const std::string path = ::testing::TempDir() + "drift_cli_deep.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(200000, '[');
+  }
+  const CliResult r = run(DRIFT_GRAPH_BIN, "validate " + path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("JSON error at byte 64"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
 }
 
 TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {

@@ -4,6 +4,7 @@
 //   - the JSON topology format is a serialization fixed point, and the
 //     committed examples/model_zoo/*.json files are byte-identical to
 //     the programmatic zoo builders (no silent drift between the two);
+//     deep nesting is a byte-offset parse error and \u escapes parse;
 //   - the resnet18 zoo graph exports exactly the GEMM list the
 //     hand-written nn::make_resnet18() emits, index for index;
 //   - composite nn blocks (ResidualBlock / TransformerBlock) and their
@@ -203,6 +204,24 @@ TEST(GraphJson, ParseErrorsNameTheNode) {
   EXPECT_TRUE(has_error_mentioning(parsed.errors, "a",
                                    "'inputs' must be an array"))
       << join(parsed.errors);
+}
+
+TEST(GraphJson, DeepNestingIsAParseErrorWithAByteOffset) {
+  // 200k open brackets once overflowed the stack of a reader without a
+  // depth cap; the cap turns them into an error at the 65th bracket.
+  const auto parsed = graph::parse_topology(std::string(200000, '['));
+  ASSERT_EQ(parsed.errors.size(), 1u);
+  EXPECT_EQ(parsed.errors[0],
+            "JSON error at byte 64: nesting deeper than 64 levels");
+}
+
+TEST(GraphJson, UnicodeEscapeIsAccepted) {
+  const auto parsed = graph::parse_topology(
+      "{\"name\": \"t\\u0041\", \"inputs\": [{\"name\": \"x\", \"shape\": "
+      "[4]}], \"nodes\": [{\"name\": \"a\", \"op\": \"relu\", \"inputs\": "
+      "[\"x\"]}], \"outputs\": [\"a\"]}");
+  ASSERT_TRUE(parsed.ok()) << join(parsed.errors);
+  EXPECT_EQ(parsed.graph.name, "tA");
 }
 
 // --------------------------------------------------------------------

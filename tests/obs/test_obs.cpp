@@ -1,17 +1,20 @@
 // Unit tests for the observability primitives: sharded counters,
 // gauges, fixed-bucket histograms, the registry's stable handles, layer
-// attribution scopes, canonical JSON scrapes, and the scoped-span
+// attribution scopes, canonical JSON scrapes (control bytes in names
+// escaped, parsing back to the same names), and the scoped-span
 // tracer.  These exercise the types directly (not the DRIFT_OBS_*
 // macros), so they run and pass under -DDRIFT_OBS_OFF too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift::obs {
@@ -194,6 +197,55 @@ TEST(ObsTracer, SimTracksAreStableAndNamed) {
   EXPECT_NE(json.find("\"ph\": \"X\", \"ts\": 100, \"dur\": 25, \"pid\": 1"),
             std::string::npos);
   t.reset();
+}
+
+/// Whether no byte inside a string literal of `json` is below 0x20: a
+/// raw control byte there makes the artifact invalid JSON.
+bool strings_free_of_control_bytes(const std::string& json) {
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(json[i]);
+    if (in_string && c < 0x20) return false;
+    if (c == '"') {
+      in_string = !in_string;
+    } else if (c == '\\' && in_string) {
+      ++i;  // the escaped byte cannot close the string
+    }
+  }
+  return true;
+}
+
+TEST(ObsJson, ControlBytesInNamesAreEscapedAndRoundTrip) {
+  const std::string name = "conv\r1\x01";
+  Registry& reg = Registry::global();
+  reg.reset();
+  reg.layer_record(name)->subtensors_total = 3;
+  const std::string metrics = reg.to_json({"no_such_prefix."});
+  reg.reset();
+  EXPECT_TRUE(strings_free_of_control_bytes(metrics)) << metrics;
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(metrics, error);
+  ASSERT_TRUE(doc.has_value()) << error.what() << "\n" << metrics;
+  const JsonValue* layers = doc->get("layers");
+  ASSERT_TRUE(layers != nullptr && layers->as_array().size() == 1u)
+      << metrics;
+  const JsonValue* layer = layers->as_array()[0].get("layer");
+  ASSERT_NE(layer, nullptr) << metrics;
+  EXPECT_EQ(layer->as_string(), name);
+
+  Tracer& t = Tracer::global();
+  t.reset();
+  t.sim_track(name);
+  const std::string trace = t.to_chrome_json();
+  t.reset();
+  EXPECT_TRUE(strings_free_of_control_bytes(trace)) << trace;
+  const std::optional<JsonValue> trace_doc = parse_json(trace, error);
+  ASSERT_TRUE(trace_doc.has_value()) << error.what() << "\n" << trace;
+  const JsonValue* events = trace_doc->get("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->as_array().size() == 1u) << trace;
+  const JsonValue* track = events->as_array()[0].get_path({"args", "name"});
+  ASSERT_NE(track, nullptr) << trace;
+  EXPECT_EQ(track->as_string(), name);
 }
 
 TEST(ObsWriteFile, RoundTripsAndReportsFailure) {

@@ -10,7 +10,8 @@
 //   2. Exit-code matrices for diff / ratchet on fixture pairs,
 //      including the two acceptance checks: two fixed-seed runs of the
 //      real pipeline diff clean (exit 0), and a doctored 2x-slowdown
-//      BENCH_kernels.json fails the ratchet (exit 1).
+//      BENCH_kernels.json fails the ratchet (exit 1); a zero-ops
+//      kernel's infinite slowdown survives the --json round trip.
 //   3. Graceful degradation: an empty (DRIFT_OBS_OFF-style) artifact
 //      summarizes with exit 0 and an explicit "no run data" note.
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "obs/metrics.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace drift::report {
@@ -237,6 +241,33 @@ TEST(ReportRatchet, ProptestMismatchesExitOne) {
                 out, err),
             1);
   EXPECT_NE(out.find("MISMATCH"), std::string::npos) << out;
+}
+
+TEST(ReportRatchet, ZeroOpsJsonOutputParsesBack) {
+  // bench_zero_ops.json reports 0 ops/s for one kernel, so its slowdown
+  // is +inf.  The --json output writes it as 1e999, and the reader must
+  // take its own writer's output back as the same infinity.
+  std::string out, err;
+  EXPECT_EQ(run({"ratchet", fixture("bench_zero_ops.json"), "--baseline",
+                 fixture("bench_base.json"), "--json"},
+                out, err),
+            1)
+      << out << err;
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(out, error);
+  ASSERT_TRUE(doc.has_value()) << error.what() << "\n" << out;
+  const JsonValue* checked = doc->get("checked");
+  ASSERT_TRUE(checked != nullptr && checked->is_array()) << out;
+  int zero_ops_rows = 0;
+  for (const JsonValue& row : checked->as_array()) {
+    const JsonValue* current = row.get("current_ops_per_s");
+    if (current == nullptr || current->as_double() != 0.0) continue;
+    ++zero_ops_rows;
+    const JsonValue* slowdown = row.get("slowdown");
+    ASSERT_NE(slowdown, nullptr) << out;
+    EXPECT_EQ(slowdown->as_double(), std::numeric_limits<double>::infinity());
+  }
+  EXPECT_EQ(zero_ops_rows, 1) << out;
 }
 
 TEST(ReportRatchet, MissingBaselineFlagExitTwo) {

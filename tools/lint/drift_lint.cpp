@@ -12,7 +12,8 @@
 //              [--ratchet FILE] [--exclude SUBSTR]... [dir ...]
 //
 // Exit codes: 0 clean (or within ratchet budgets), 1 violations found
-// (or some ratchet budget exceeded), 2 usage or I/O error.
+// (or some ratchet budget exceeded), 2 usage or I/O error, or a
+// ratchet file that is not a JSON object of non-negative budgets.
 //
 // Output is deterministic (files walked in sorted order, violations
 // sorted by file/line/rule) so `--format=json` and `--format=sarif`
@@ -158,9 +159,10 @@ int main(int argc, char** argv) {
 
   if (!opt.ratchet_path.empty()) {
     std::map<std::string, int> budgets;
-    if (!drift::lint::load_ratchet(opt.ratchet_path, budgets)) {
-      std::cerr << "drift_lint: cannot read ratchet file "
-                << opt.ratchet_path << "\n";
+    std::string error;
+    if (!drift::lint::load_ratchet(opt.ratchet_path, budgets, error)) {
+      std::cerr << "drift_lint: ratchet file " << opt.ratchet_path << ": "
+                << error << "\n";
       return 2;
     }
     return drift::lint::apply_ratchet(violations, budgets);

@@ -1,34 +1,14 @@
 #include "output.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <regex>
+#include <limits>
+#include <optional>
 #include <sstream>
 
-namespace drift::lint {
+#include "util/json.hpp"
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace drift::lint {
 
 void print_text(const std::vector<Violation>& violations,
                 std::size_t files_scanned) {
@@ -48,10 +28,10 @@ void print_json(const std::vector<Violation>& violations,
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const auto& v = violations[i];
     std::cout << (i == 0 ? "\n" : ",\n")
-              << "    {\"file\": \"" << json_escape(v.file)
-              << "\", \"line\": " << v.line << ", \"rule\": \""
-              << json_escape(v.rule) << "\", \"message\": \""
-              << json_escape(v.message) << "\"}";
+              << "    {\"file\": " << json_quoted(v.file)
+              << ", \"line\": " << v.line
+              << ", \"rule\": " << json_quoted(v.rule)
+              << ", \"message\": " << json_quoted(v.message) << "}";
   }
   std::cout << (violations.empty() ? "]\n}\n" : "\n  ]\n}\n");
 }
@@ -77,9 +57,9 @@ void print_sarif(const std::vector<Violation>& violations) {
             << "          \"rules\": [";
   for (std::size_t i = 0; i < rules.size(); ++i) {
     std::cout << (i == 0 ? "\n" : ",\n")
-              << "            {\"id\": \"" << json_escape(rules[i].id)
-              << "\", \"shortDescription\": {\"text\": \""
-              << json_escape(rules[i].summary) << "\"}}";
+              << "            {\"id\": " << json_quoted(rules[i].id)
+              << ", \"shortDescription\": {\"text\": "
+              << json_quoted(rules[i].summary) << "}}";
   }
   std::cout << "\n          ]\n"
             << "        }\n"
@@ -89,16 +69,16 @@ void print_sarif(const std::vector<Violation>& violations) {
     const auto& v = violations[i];
     const auto it = rule_index.find(v.rule);
     std::cout << (i == 0 ? "\n" : ",\n")
-              << "        {\"ruleId\": \"" << json_escape(v.rule) << "\"";
+              << "        {\"ruleId\": " << json_quoted(v.rule);
     if (it != rule_index.end()) {
       std::cout << ", \"ruleIndex\": " << it->second;
     }
-    std::cout << ", \"level\": \"error\", \"message\": {\"text\": \""
-              << json_escape(v.message)
-              << "\"}, \"locations\": [{\"physicalLocation\": "
-                 "{\"artifactLocation\": {\"uri\": \""
-              << json_escape(v.file)
-              << "\"}, \"region\": {\"startLine\": " << v.line << "}}}]}";
+    std::cout << ", \"level\": \"error\", \"message\": {\"text\": "
+              << json_quoted(v.message)
+              << "}, \"locations\": [{\"physicalLocation\": "
+                 "{\"artifactLocation\": {\"uri\": "
+              << json_quoted(v.file)
+              << "}, \"region\": {\"startLine\": " << v.line << "}}}]}";
   }
   std::cout << (violations.empty() ? "]\n" : "\n      ]\n")
             << "    }\n"
@@ -107,22 +87,33 @@ void print_sarif(const std::vector<Violation>& violations) {
 }
 
 bool load_ratchet(const std::string& path,
-                  std::map<std::string, int>& budgets) {
+                  std::map<std::string, int>& budgets, std::string& error) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  if (!in) {
+    error = "cannot read the file";
+    return false;
+  }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  // Flat object of "rule": count pairs; anything else in the file is
-  // ignored, so a trailing comment key is harmless.
-  static const std::regex kPair(R"#("([A-Za-z_-]+)"\s*:\s*(\d+))#");
-  auto it = std::sregex_iterator(text.begin(), text.end(), kPair);
-  bool any = false;
-  for (; it != std::sregex_iterator(); ++it) {
-    budgets[(*it)[1].str()] = std::stoi((*it)[2].str());
-    any = true;
+  JsonError json_error;
+  const std::optional<JsonValue> doc = parse_json(buf.str(), json_error);
+  if (!doc) {
+    error = json_error.what();
+    return false;
   }
-  return any || text.find('{') != std::string::npos;
+  if (!doc->is_object()) {
+    error = "the top level must be an object of \"rule\": budget pairs";
+    return false;
+  }
+  for (const auto& [rule, budget] : doc->as_object()) {
+    if (budget.kind() != JsonValue::Kind::kInt || budget.as_int() < 0 ||
+        budget.as_int() > std::numeric_limits<int>::max()) {
+      error = "the budget of '" + rule + "' is not a non-negative integer";
+      return false;
+    }
+    budgets[rule] = static_cast<int>(budget.as_int());
+  }
+  return true;
 }
 
 int apply_ratchet(const std::vector<Violation>& violations,

@@ -25,17 +25,17 @@
 
 namespace drift::lint {
 
-std::string json_escape(const std::string& s);
-
 void print_text(const std::vector<Violation>& violations,
                 std::size_t files_scanned);
 void print_json(const std::vector<Violation>& violations,
                 std::size_t files_scanned);
 void print_sarif(const std::vector<Violation>& violations);
 
-/// Loads `path` (a flat JSON object of "rule": budget pairs).  Returns
-/// false when the file cannot be read or parsed.
-bool load_ratchet(const std::string& path, std::map<std::string, int>& budgets);
+/// Loads `path`: a JSON object of "rule": budget pairs, every budget a
+/// non-negative integer.  Returns false, with `error` naming the byte
+/// offset or the key, when the file cannot be read or is anything else.
+bool load_ratchet(const std::string& path, std::map<std::string, int>& budgets,
+                  std::string& error);
 
 /// Compares per-rule violation counts against `budgets` (absent rule =
 /// budget 0) and prints a per-rule verdict to stderr.  Returns 0 when

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "json.hpp"
+#include "util/json.hpp"
 
 namespace drift::report {
 

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "analysis.hpp"
-#include "json.hpp"
+#include "util/json.hpp"
 
 namespace drift::report {
 
@@ -29,10 +29,10 @@ std::optional<JsonValue> load(const std::string& path, std::string& err) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::string parse_error;
+  JsonError parse_error;
   auto doc = parse_json(buf.str(), parse_error);
   if (!doc) {
-    err += "drift_report: '" + path + "': " + parse_error + "\n";
+    err += "drift_report: '" + path + "': " + parse_error.what() + "\n";
     return std::nullopt;
   }
   return doc;
