@@ -82,8 +82,9 @@ std::optional<ArrivalKind> parse_arrival_kind(const std::string& name) {
 std::vector<double> interarrival_gaps(const ArrivalConfig& config, Rng& rng,
                                       std::int64_t count) {
   DRIFT_CHECK(count >= 0, "arrival count must be non-negative");
-  DRIFT_CHECK(config.mean_interarrival_cycles > 0.0,
-              "mean interarrival gap must be positive");
+  DRIFT_CHECK(std::isfinite(config.mean_interarrival_cycles) &&
+                  config.mean_interarrival_cycles > 0.0,
+              "mean interarrival gap must be finite and positive");
   switch (config.kind) {
     case ArrivalKind::kPoisson: return poisson_gaps(config, rng, count);
     case ArrivalKind::kBursty: return bursty_gaps(config, rng, count);

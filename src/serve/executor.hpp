@@ -11,10 +11,17 @@
 // size.  With batch size 1 the packed layer degenerates to the request
 // alone, which is what the batch-vs-serial differential test pins.
 //
+// The per-request patterns live in one packed row-bit arena per tenant:
+// one bit per activation row (set = low precision).  Every request of a
+// tenant has the same row count per layer, so request r owns the fixed
+// slot of words [r * slot_words, (r + 1) * slot_words), and layer li's
+// rows start at bit row_offset[li] of the slot.  Slots start on a 64-bit
+// word, so two requests precomputed in parallel never write one word.
+//
 // Caller owns the pool (NNPACK style): the constructor takes the
 // ThreadPool used to precompute per-request patterns; the fixed chunk
-// decomposition plus disjoint output slots keep the result bit-identical
-// at any thread count.
+// decomposition plus disjoint word-aligned slots keep the result
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +63,12 @@ class BatchExecutor {
   /// (keeps obs layer records separate between tenants).
   const nn::WorkloadSpec& tenant_spec(int tenant) const;
 
-  /// The mix request `local` of `tenant` runs when served alone.  The
-  /// differential test recomputes this independently and pins the
-  /// batch=1 serving results against the offline pipeline.
-  const std::vector<nn::LayerMix>& request_mixes(int tenant,
-                                                 std::int64_t local) const;
+  /// The mix request `local` of `tenant` runs when served alone, built
+  /// from its arena slot (or the canonical mix).  The serving tests
+  /// recompute its rows from the request's seed stream and pin the
+  /// batch=1 serving results against the offline pipeline on it.
+  std::vector<nn::LayerMix> request_mixes(int tenant,
+                                          std::int64_t local) const;
 
   /// Runs one batch (same-tenant request indices, admission order):
   /// packs the member mixes into shared layers and runs the configured
@@ -77,9 +85,16 @@ class BatchExecutor {
     nn::WorkloadSpec spec;  ///< prefixed layer names
     nn::MixConfig mix;
     std::vector<nn::LayerMix> canonical;
-    /// Per request, per layer activation mixes (empty when requests
-    /// share the canonical mix).
-    std::vector<std::vector<nn::LayerMix>> per_request;
+    /// Request slots in row_bits; 0 when requests share the canonical
+    /// mix.
+    std::int64_t requests = 0;
+    std::size_t slot_words = 0;
+    std::vector<std::size_t> row_offset;  ///< per layer, bits into a slot
+    std::vector<std::uint64_t> row_bits;  ///< the row-bit arena
+
+    /// Appends request `local`'s activation rows of layer `li`.
+    void append_rows(std::int64_t local, std::size_t li,
+                     std::vector<bool>& rows) const;
   };
 
   const TenantState& state(int tenant) const;

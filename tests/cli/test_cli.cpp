@@ -1,7 +1,7 @@
 // Command-line contract of the drivers (label: cli): an unknown choice
-// or flag is a usage error — exit code 2 and a message listing every
-// valid value — never a silent fallback to a default; a malformed input
-// file is an error exit, never a crash.
+// or flag, or a number out of its range, is a usage error — exit code 2
+// and a message listing every valid value — never a silent fallback to
+// a default; a malformed input file is an error exit, never a crash.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -87,6 +87,46 @@ TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {
 TEST(Cli, DriftServeRejectsUnknownArrival) {
   expect_usage_error(DRIFT_SERVE_BIN, "--arrival=bogus",
                      "poisson, bursty, diurnal");
+}
+
+// drift_serve reads and checks every flag before any work: a typo, a
+// malformed number or a number out of its range exits 2 and names what
+// is valid, instead of aborting (exit 134) or running on a default.
+const std::string kServeArgs = "--workloads=tiny-cnn --requests=4 ";
+
+TEST(Cli, DriftServeRejectsUnknownFlag) {
+  expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + "--request=10",
+                     "accepted: --workloads, --algo, --arrival, --load, "
+                     "--interarrival, --requests, --max-batch");
+}
+
+TEST(Cli, DriftServeRejectsOutOfRangeNumbers) {
+  for (const char* flag : {"--max-batch=0", "--rows=0", "--cols=0",
+                           "--requests=-5", "--requests=0"}) {
+    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag, "(valid: >= 1)");
+  }
+  // --load=0 used to calibrate an infinite gap and print a negative p50.
+  for (const char* flag :
+       {"--load=0", "--load=-1", "--load=nan", "--load=inf",
+        "--interarrival=0", "--interarrival=-3", "--interarrival=inf"}) {
+    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag,
+                       "(valid: a finite number > 0)");
+  }
+}
+
+TEST(Cli, DriftServeRejectsOutOfRangeThreads) {
+  // The range DRIFT_NUM_THREADS accepts; checked before the pool grows.
+  for (const char* flag : {"--threads=0", "--threads=-1", "--threads=1025"}) {
+    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag,
+                       "(valid: 1..1024)");
+  }
+}
+
+TEST(Cli, DriftServeRejectsMalformedNumbers) {
+  expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + "--max-batch=four",
+                     "--max-batch=four is not an integer");
+  expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + "--load=0.5x",
+                     "--load=0.5x is not a number");
 }
 
 // The figure, table and ablation benches take only the artifact

@@ -8,7 +8,10 @@
 //   - Batch-vs-serial differential: with batch size 1 and zero
 //     queueing, every request's mix, cycles and energy are bitwise
 //     identical to running the offline pipeline on that request alone —
-//     across thread counts and under forced-scalar SIMD dispatch.
+//     across thread counts and under forced-scalar SIMD dispatch.  Each
+//     request's rows are recomputed from its own seed stream, and a
+//     3-request batch is run against the offline model on the rows
+//     concatenated by hand.
 //   - Golden artifact: a fixed-seed two-tenant run byte-compared
 //     against tests/serve/golden/serve_metrics.json (regenerate with
 //     DRIFT_OBS_UPDATE_GOLDEN=1), plus structural validation of the
@@ -53,6 +56,23 @@ TEST(ServeArrival, KindNamesRoundTrip) {
   }
   EXPECT_EQ(serve::parse_arrival_kind("nonsense"), std::nullopt);
   EXPECT_EQ(serve::parse_arrival_kind("Bursty"), std::nullopt);
+}
+
+TEST(ServeArrival, InfiniteMeanGapIsRejected) {
+  // An infinite mean gap would put every arrival at cycle +inf, which
+  // rounds to INT64_MIN; it fails the check like a zero gap does.
+  for (const auto kind :
+       {serve::ArrivalKind::kPoisson, serve::ArrivalKind::kBursty,
+        serve::ArrivalKind::kDiurnal}) {
+    serve::ArrivalConfig config;
+    config.kind = kind;
+    config.mean_interarrival_cycles = std::numeric_limits<double>::infinity();
+    Rng rng(3);
+    EXPECT_THROW(serve::interarrival_gaps(config, rng, 4), check_error)
+        << serve::to_string(kind);
+    EXPECT_THROW(serve::arrival_cycles(config, rng, 4), check_error)
+        << serve::to_string(kind);
+  }
 }
 
 TEST(ServeTenant, UnknownWorkloadThrowsListingKnownNames) {
@@ -474,6 +494,111 @@ TEST(ServeDifferential, BatchOneMatchesOfflineUnderForcedScalar) {
   nn::simd::set_force_scalar(true);
   check_differential(2);
   nn::simd::set_force_scalar(false);
+}
+
+// Each request's rows come from its own seed stream: request r, layer
+// li samples Rng(seed).fork(kRequestStreamBase + r).fork(li) against the
+// tenant's canonical weight channels.  Recomputed here from the seed
+// alone for a tenant whose conv rows decide in blocks of 16 (tiny-cnn)
+// and one with attention layers (tiny-bert), with different row counts
+// per request, at 1 and 8 pool threads (the arena's parallel writes).
+TEST(ServeDifferential, RequestPatternsMatchTheirSeedStreams) {
+  serve::ServeConfig config;
+  config.exec.hw.array = core::ArrayDims{12, 12};
+  for (const char* name : {"tiny-cnn", "tiny-bert"}) {
+    serve::TenantSpec tenant;
+    tenant.name = name;
+    tenant.workload = serve::serving_workload(name);
+    tenant.seed = 31 + config.tenants.size();
+    tenant.num_requests = 40;
+    config.tenants.push_back(tenant);
+  }
+  const auto request_rows = [](const serve::TenantSpec& tenant,
+                               const nn::WorkloadSpec& spec,
+                               const nn::MixConfig& mix, std::int64_t r,
+                               std::size_t li) {
+    Rng rng = Rng(tenant.seed)
+                  .fork(serve::kRequestStreamBase +
+                        static_cast<std::uint64_t>(r))
+                  .fork(li);
+    return nn::build_act_pattern(spec.layers[li], rng, spec.act_profile,
+                                 mix);
+  };
+
+  util::ThreadPool& pool = util::ThreadPool::instance();
+  for (const int threads : {1, 8}) {
+    pool.resize(threads);
+    serve::BatchExecutor executor(config.exec, config.tenants, pool);
+    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+      const serve::TenantSpec& tenant = config.tenants[t];
+      const nn::WorkloadSpec spec =
+          serve::prefix_layers(tenant.workload, tenant.name);
+      const nn::MixConfig mix =
+          config.exec.mix_config(config.exec.algo, tenant.seed);
+      const auto canonical = nn::build_mixes(spec, mix);
+      const int tid = static_cast<int>(t);
+
+      for (std::int64_t r = 0; r < tenant.num_requests; ++r) {
+        const auto mixes = executor.request_mixes(tid, r);
+        ASSERT_EQ(mixes.size(), spec.layers.size());
+        for (std::size_t li = 0; li < spec.layers.size(); ++li) {
+          const auto rows = request_rows(tenant, spec, mix, r, li);
+          EXPECT_EQ(mixes[li].row_is_low, rows)
+              << tenant.name << " request " << r << " layer " << li
+              << " at " << threads << " threads";
+          EXPECT_EQ(mixes[li].work.n_low, canonical[li].work.n_low)
+              << tenant.name << " request " << r << " layer " << li;
+        }
+      }
+
+      // One 3-request batch against the offline model on the rows
+      // concatenated by hand in admission order.
+      const std::vector<std::int64_t> locals{7, 0, 39};
+      std::vector<nn::LayerMix> packed;
+      for (std::size_t li = 0; li < spec.layers.size(); ++li) {
+        std::vector<bool> rows;
+        for (const std::int64_t local : locals) {
+          const auto own = request_rows(tenant, spec, mix, local, li);
+          rows.insert(rows.end(), own.begin(), own.end());
+        }
+        nn::LayerGemm layer = spec.layers[li];
+        layer.dims.M = static_cast<std::int64_t>(rows.size());
+        packed.push_back(nn::assemble_mix(layer, std::move(rows),
+                                          canonical[li].work.n_low, mix));
+      }
+      accel::DriftAccelModel offline(config.exec.hw,
+                                     config.exec.drift_policy);
+      const accel::RunResult expected = offline.run(spec, packed);
+      const serve::BatchResult batched = executor.execute(tid, locals);
+      EXPECT_EQ(batched.cycles, expected.cycles) << tenant.name;
+      EXPECT_DOUBLE_EQ(batched.energy_pj, expected.energy.total_pj())
+          << tenant.name;
+      ASSERT_EQ(batched.run.layers.size(), expected.layers.size());
+      for (std::size_t li = 0; li < expected.layers.size(); ++li) {
+        EXPECT_EQ(batched.run.layers[li].cycles, expected.layers[li].cycles)
+            << tenant.name << " layer " << li;
+        EXPECT_EQ(batched.run.layers[li].stall_cycles,
+                  expected.layers[li].stall_cycles)
+            << tenant.name << " layer " << li;
+        EXPECT_EQ(batched.run.layers[li].dram_bytes,
+                  expected.layers[li].dram_bytes)
+            << tenant.name << " layer " << li;
+      }
+    }
+  }
+  pool.resize(0);
+}
+
+TEST(ServeExecutor, NegativeRequestCountIsRejected) {
+  serve::ServeConfig config = two_tenant_config();
+  config.tenants[1].num_requests = -5;
+  for (const bool unique : {true, false}) {
+    config.tenants[1].unique_mix_per_request = unique;
+    EXPECT_THROW(serve::BatchExecutor(config.exec, config.tenants,
+                                      util::ThreadPool::instance()),
+                 check_error)
+        << "unique mix per request: " << unique;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,10 @@
 //   drift_serve --workloads=tiny-bert,tiny-cnn --arrival=bursty --load=0.7
 //   drift_serve --workloads=tiny-bert --algo=drq --requests=1000
 //   drift_serve --workloads=tiny-bert --json=serve.json --trace=serve.trace
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,19 +34,78 @@ flags:
                     any paper model name  (default: tiny-bert,tiny-cnn)
   --algo=NAME       drift|int8|drq  (default: drift)
   --arrival=NAME    poisson|bursty|diurnal  (default: poisson)
-  --load=F          target utilization; interarrival gaps are calibrated
-                    from each tenant's canonical service time (default 0.6)
-  --interarrival=F  mean interarrival gap in cycles (overrides --load)
-  --requests=N      requests per tenant (default 256)
-  --max-batch=N     continuous-batching cap (default 8)
-  --rows=N --cols=N BitGroup grid geometry (default 24x33)
+  --load=F          target utilization, finite and > 0; interarrival gaps
+                    are calibrated from each tenant's canonical service
+                    time (default 0.6)
+  --interarrival=F  mean interarrival gap in cycles, finite and > 0
+                    (overrides --load)
+  --requests=N      requests per tenant, >= 1 (default 256)
+  --max-batch=N     continuous-batching cap, >= 1 (default 8)
+  --rows=N --cols=N BitGroup grid geometry, each >= 1 (default 24x33)
   --seed=N          base seed; tenant i uses seed N+i (default 1)
   --shared-mix      all requests reuse the tenant's canonical mix
-  --threads=N       worker threads for the mix precompute (default: auto)
+  --threads=N       worker threads for the mix precompute, 1..1024
+                    (default: auto)
   --json=PATH       write the serving metrics artifact (serve.* scrape)
   --trace=PATH      write a Chrome trace with one track per request
   --help            this text
+
+An unknown flag or choice, a malformed number or one out of its range
+is a usage error: exit 2 before any work.
 )";
+
+constexpr const char* kAcceptedFlags =
+    "--workloads, --algo, --arrival, --load, --interarrival, --requests, "
+    "--max-batch, --rows, --cols, --seed, --shared-mix, --threads, --json, "
+    "--trace, --help";
+
+/// Integer flag `flag`, or `fallback` when it is absent.  A given value
+/// that is not an integer in [lo, hi] prints a usage error and gives
+/// nullopt.
+std::optional<std::int64_t> int_flag(
+    const Args& args, const std::string& flag, std::int64_t fallback,
+    std::int64_t lo,
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  const std::optional<std::string> text = args.get(flag);
+  if (!text) return fallback;
+  std::int64_t value = 0;
+  try {
+    value = args.get_int(flag, fallback);
+  } catch (const check_error&) {
+    std::fprintf(stderr, "--%s=%s is not an integer\n", flag.c_str(),
+                 text->c_str());
+    return std::nullopt;
+  }
+  if (value >= lo && value <= hi) return value;
+  std::string range = ">= " + std::to_string(lo);
+  if (hi != std::numeric_limits<std::int64_t>::max()) {
+    range = std::to_string(lo) + ".." + std::to_string(hi);
+  }
+  std::fprintf(stderr, "--%s=%s is out of range (valid: %s)\n",
+               flag.c_str(), text->c_str(), range.c_str());
+  return std::nullopt;
+}
+
+/// Number flag `flag`, or `fallback` when it is absent.  A given value
+/// that is not finite and > 0 prints a usage error and gives nullopt.
+std::optional<double> positive_flag(const Args& args, const std::string& flag,
+                                    double fallback) {
+  const std::optional<std::string> text = args.get(flag);
+  if (!text) return fallback;
+  double value = 0.0;
+  try {
+    value = args.get_double(flag, fallback);
+  } catch (const check_error&) {
+    std::fprintf(stderr, "--%s=%s is not a number\n", flag.c_str(),
+                 text->c_str());
+    return std::nullopt;
+  }
+  if (std::isfinite(value) && value > 0.0) return value;
+  std::fprintf(stderr,
+               "--%s=%s is out of range (valid: a finite number > 0)\n",
+               flag.c_str(), text->c_str());
+  return std::nullopt;
+}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -74,8 +136,33 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  serve::ServeConfig config;
+  // Every flag is read and checked before any work, so a typo or a bad
+  // number exits 2 instead of running on a default or aborting midway.
   const std::string algo = args.get_string("algo", "drift");
+  const auto names =
+      split_csv(args.get_string("workloads", "tiny-bert,tiny-cnn"));
+  const std::string arrival = args.get_string("arrival", "poisson");
+  const auto rows = int_flag(args, "rows", 24, 1);
+  const auto cols = int_flag(args, "cols", 33, 1);
+  const auto max_batch = int_flag(args, "max-batch", 8, 1);
+  const auto requests = int_flag(args, "requests", 256, 1);
+  const auto seed = int_flag(args, "seed", 1,
+                             std::numeric_limits<std::int64_t>::min());
+  // 0: the pool keeps its DRIFT_NUM_THREADS / hardware default.
+  const auto threads = int_flag(args, "threads", 0, 1, 1024);
+  const auto load = positive_flag(args, "load", 0.6);
+  const bool explicit_gap = args.has("interarrival");
+  const auto gap = positive_flag(args, "interarrival", 0.0);
+  const bool shared_mix = args.get_bool("shared-mix");
+  const auto json_path = args.get("json");
+  const auto trace_path = args.get("trace");
+  if (args.reject_unqueried(kAcceptedFlags)) return 2;
+  if (!rows || !cols || !max_batch || !requests || !seed || !threads ||
+      !load || !gap) {
+    return 2;
+  }
+
+  serve::ServeConfig config;
   const auto parsed_algo = nn::parse_mix_algorithm(algo);
   if (!parsed_algo) {
     std::fprintf(stderr, "unknown --algo '%s' (valid: int8, drq, drift)\n",
@@ -83,17 +170,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.exec.algo = *parsed_algo;
-  config.exec.hw.array.rows = args.get_int("rows", 24);
-  config.exec.hw.array.cols = args.get_int("cols", 33);
-  config.max_batch = args.get_int("max-batch", 8);
+  config.exec.hw.array.rows = *rows;
+  config.exec.hw.array.cols = *cols;
+  config.max_batch = *max_batch;
 
-  const auto names =
-      split_csv(args.get_string("workloads", "tiny-bert,tiny-cnn"));
   if (names.empty()) {
     std::fprintf(stderr, "no workloads given\n");
     return 2;
   }
-  const std::string arrival = args.get_string("arrival", "poisson");
   const auto kind = serve::parse_arrival_kind(arrival);
   if (!kind) {
     std::fprintf(stderr,
@@ -101,10 +185,6 @@ int main(int argc, char** argv) {
                  arrival.c_str());
     return 2;
   }
-  const std::int64_t requests = args.get_int("requests", 256);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const bool shared_mix = args.get_bool("shared-mix");
   for (std::size_t i = 0; i < names.size(); ++i) {
     serve::TenantSpec tenant;
     tenant.name = names[i] + "#" + std::to_string(i);
@@ -115,21 +195,18 @@ int main(int argc, char** argv) {
       return 2;
     }
     tenant.arrival.kind = *kind;
-    tenant.num_requests = requests;
-    tenant.seed = seed + i;
+    tenant.num_requests = *requests;
+    tenant.seed = static_cast<std::uint64_t>(*seed) + i;
     tenant.unique_mix_per_request = !shared_mix;
     config.tenants.push_back(tenant);
   }
 
   util::ThreadPool& pool = util::ThreadPool::instance();
-  if (args.has("threads")) pool.resize(args.get_int("threads", 0));
+  if (*threads > 0) pool.resize(static_cast<int>(*threads));
 
   // Arrival calibration: an explicit gap applies to every tenant;
   // otherwise --load splits the target utilization evenly across
   // tenants using each one's canonical service time.
-  const double load = args.get_double("load", 0.6);
-  const bool explicit_gap = args.has("interarrival");
-  const double gap = args.get_double("interarrival", 0.0);
   {
     serve::ServeConfig probe_cfg = config;
     for (auto& tenant : probe_cfg.tenants) {
@@ -142,19 +219,13 @@ int main(int argc, char** argv) {
           probe.executor().execute_canonical(static_cast<int>(i)).cycles);
       config.tenants[i].arrival.mean_interarrival_cycles =
           explicit_gap
-              ? gap
-              : service * static_cast<double>(config.tenants.size()) / load;
+              ? *gap
+              : service * static_cast<double>(config.tenants.size()) / *load;
       if (kind == serve::ArrivalKind::kDiurnal) {
         config.tenants[i].arrival.diurnal_period_cycles =
             256.0 * config.tenants[i].arrival.mean_interarrival_cycles;
       }
     }
-  }
-
-  const auto json_path = args.get("json");
-  const auto trace_path = args.get("trace");
-  for (const std::string& flag : args.unqueried()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
   }
 
   obs::Registry::global().reset();
