@@ -20,8 +20,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Ablation D: array geometry scaling ===\n\n");
 
@@ -75,5 +75,5 @@ int main(int argc, char** argv) {
       "the split-array benefit is architectural, not a tuning artifact —\n"
       "while extreme aspect ratios (8x99, 24x8) erode both designs by\n"
       "starving one GEMM dimension.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -23,8 +23,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Ablation C: granularity and flexible precision ===\n\n");
 
@@ -89,5 +89,5 @@ int main(int argc, char** argv) {
       "takeaway: per-row granularity maximizes coverage; INT3 trades\n"
       "coverage for cheaper MACs, INT5 the reverse — the BG fabric\n"
       "supports all of them (Section 5.3).\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -20,8 +20,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Ablation A: balanced online scheduling ===\n\n");
 
@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
       "takeaway: load balancing is worth a sizable latency factor over a\n"
       "fixed split, and the greedy sweep matches the exhaustive oracle to\n"
       "within a few percent at O(R+C) instead of O(R*C) evaluations.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -22,8 +22,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Ablation B: threshold (noise budget) sweep ===\n\n");
 
@@ -80,5 +80,5 @@ int main(int argc, char** argv) {
       "saturate (free lc=0 conversions dominate), while accuracy falls off\n"
       "a cliff past the tolerance — hence 'minimum threshold with\n"
       "negligible impact'.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -91,8 +91,8 @@ FamilyReport profile_family(const std::string& name,
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Figure 1: sub-tensor dynamics and distribution ===\n\n");
 
@@ -137,5 +137,5 @@ int main(int argc, char** argv) {
 
   std::printf("paper claim check: sub-tensors span wide ranges and are\n"
               "Laplace-preferred (KS(Laplace) < KS(Normal), kurtosis ~ +3).\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

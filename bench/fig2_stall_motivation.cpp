@@ -50,8 +50,8 @@ std::vector<bool> make_pattern(std::int64_t rows, bool contiguous) {
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Figure 2: data-flow stalls under dynamic precision ===\n\n");
 
@@ -140,5 +140,5 @@ int main(int argc, char** argv) {
               "benefit only for contiguous patterns; on scattered patterns\n"
               "it degenerates to static INT8 while Drift's split arrays\n"
               "retain the speedup.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

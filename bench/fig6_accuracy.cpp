@@ -43,8 +43,8 @@ nn::QuantEngine make_engine(nn::QuantMode mode, double budget,
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Figure 6: accuracy and 4-bit percentage ===\n\n");
 
@@ -145,5 +145,5 @@ int main(int argc, char** argv) {
       "paper claim check: DRQ tracks INT8 on the CNN rows but collapses on\n"
       "the ViT/BERT rows (paper: >12%% drop); Drift stays near INT8 on all\n"
       "rows while executing a large 4-bit share.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

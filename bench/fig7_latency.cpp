@@ -19,8 +19,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Figure 7: latency speedup over Eyeriss ===\n\n");
 
@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
       "paper claim check (shape): Drift ~9.57x over Eyeriss, ~2.85x over\n"
       "BitFusion, ~1.64x over DRQ on average; DRQ nearly flat vs BitFusion\n"
       "on ViT-B (1.07x in the paper) but clearly ahead on the CNNs.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

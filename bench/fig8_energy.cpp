@@ -34,8 +34,8 @@ void add_breakdown_row(TextTable& table, CsvWriter& csv,
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Figure 8: normalized energy and breakdown ===\n\n");
 
@@ -84,5 +84,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper claim check (shape): energy ordering Drift < DRQ < BitFusion\n"
       "< Eyeriss, with Drift's static share below DRQ's.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -34,8 +34,8 @@ nn::QuantEngine make_engine(nn::QuantMode mode, double budget = 0.02) {
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
-  if (args.reject_unqueried(obs::ReportOptions::kFlags)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== Table 1: LLM perplexity (proxy) ===\n\n");
 
@@ -102,5 +102,5 @@ int main(int argc, char** argv) {
       "paper claim check: Ours tracks INT8 perplexity closely (Table 1:\n"
       "GPT2-XL 18.12 vs 18.29; BLOOM slightly above INT8) while executing\n"
       "a substantial share of computation at 4 bits.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

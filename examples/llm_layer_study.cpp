@@ -15,7 +15,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== GPT2-XL layer study ===\n\n");
 
@@ -53,5 +54,5 @@ int main(int argc, char** argv) {
       "weight-side cuts (small c keeps the high-precision columns on a\n"
       "narrow slice); the attention score/context layers, whose second\n"
       "operand is itself an activation, still split dynamically.\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -25,7 +25,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
   DRIFT_OBS_LAYER_SCOPE("quickstart.encoder");
 
   // 1. A [tokens x hidden] activation matrix with BERT-like statistics.
@@ -93,5 +94,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(baseline),
               static_cast<double>(baseline) /
                   static_cast<double>(split.makespan));
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

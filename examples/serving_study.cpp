@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/simulator.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace drift;
@@ -67,6 +68,8 @@ SweepPoint run_point(nn::MixAlgorithm algo, double load) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The study takes no flags; its one argument is the output path.
+  if (Args::parse(argc, argv).reject_unqueried("none")) return 2;
   const std::string out_path = argc > 1 ? argv[1] : "serving_study.json";
   const double clock_hz = energy::default_constants().clock_hz;
   const auto to_us = [&](double cycles) { return 1e6 * cycles / clock_hz; };

@@ -19,7 +19,8 @@ using namespace drift;
 int main(int argc, char** argv) {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
-  const obs::ReportOptions artifacts = obs::ReportOptions::from_args(args);
+  const auto artifacts = obs::ReportOptions::from_args(args);
+  if (!artifacts) return 2;
 
   std::printf("=== ViT pipeline: accuracy and hardware, one model ===\n\n");
 
@@ -121,5 +122,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(executor.tensors_freed()));
   std::printf("full-size topologies: tools/graph/drift_graph run "
               "--zoo=vit_b16 (see examples/model_zoo/).\n");
-  return artifacts.write() ? 0 : 1;
+  return artifacts->write() ? 0 : 1;
 }

@@ -65,10 +65,6 @@ struct RunResult {
   std::int64_t dram_bytes = 0;
   energy::EnergyBreakdown energy;
   std::vector<LayerResult> layers;
-
-  double seconds(double clock_hz) const {
-    return static_cast<double>(cycles) / clock_hz;
-  }
 };
 
 /// Abstract accelerator.

@@ -233,4 +233,71 @@ std::vector<WorkloadSpec> paper_workloads() {
           make_bert_base(), make_gpt2_xl(),  make_opt_6p7b()};
 }
 
+namespace {
+
+WorkloadSpec tiny_cnn() {
+  WorkloadSpec spec;
+  spec.model = "tiny-cnn";
+  spec.family = ModelFamily::kCnn;
+  spec.act_profile = cnn_profile();
+  spec.weight_profile = weight_profile();
+  spec.layers = {
+      {"conv1", LayerKind::kConv, {64, 72, 48}, 1, 3},
+      {"conv2", LayerKind::kConv, {48, 96, 64}, 1, 3},
+      {"fc", LayerKind::kFc, {8, 64, 40}, 1, 1},
+  };
+  return spec;
+}
+
+WorkloadSpec tiny_bert() {
+  WorkloadSpec spec;
+  spec.model = "tiny-bert";
+  spec.family = ModelFamily::kBert;
+  spec.act_profile = bert_profile();
+  spec.weight_profile = weight_profile();
+  const std::int64_t seq = 32, d = 64;
+  spec.layers = {
+      {"qkv", LayerKind::kQkvProj, {seq, d, 3 * d}, 1, 1},
+      {"score", LayerKind::kAttnScore, {seq, d, seq}, 1, 1},
+      {"context", LayerKind::kAttnContext, {seq, seq, d}, 1, 1},
+      {"ffn", LayerKind::kFfn, {seq, d, 2 * d}, 1, 1},
+  };
+  return spec;
+}
+
+struct NamedWorkload {
+  const char* name;
+  WorkloadSpec (*make)();
+};
+
+constexpr NamedWorkload kWorkloads[] = {
+    {"tiny-bert", tiny_bert},
+    {"tiny-cnn", tiny_cnn},
+    {"ResNet18", make_resnet18},
+    {"ResNet50", make_resnet50},
+    {"ViT-B", make_vit_b16},
+    {"DeiT-S", make_deit_s},
+    {"BERT", [] { return make_bert_base(); }},
+    {"GPT2-XL", [] { return make_gpt2_xl(); }},
+    {"OPT-6.7B", [] { return make_opt_6p7b(); }},
+    {"BLOOM-7B1", [] { return make_bloom_7b1(); }},
+};
+
+}  // namespace
+
+std::vector<std::string> workload_names() {
+  std::vector<std::string> names;
+  for (const NamedWorkload& w : kWorkloads) names.emplace_back(w.name);
+  return names;
+}
+
+WorkloadSpec make_workload(const std::string& name) {
+  std::string known;
+  for (const NamedWorkload& w : kWorkloads) {
+    if (name == w.name) return w.make();
+    known += (known.empty() ? "" : ", ") + std::string(w.name);
+  }
+  throw check_error("unknown workload '" + name + "' (known: " + known + ")");
+}
+
 }  // namespace drift::nn

@@ -1,6 +1,7 @@
 // Hardware workload extraction: the full-size layer GEMM shapes of the
-// seven models the paper evaluates (Section 5.1), plus the activation
-// distribution profile each model's tensors follow.
+// models the paper evaluates (Section 5.1), plus the activation
+// distribution profile each model's tensors follow, and the one
+// name -> workload registry the drivers look them up in.
 //
 // The performance/energy benches (Figures 7 and 8) consume these
 // shapes through the analytical/cycle models; the *values* flowing
@@ -73,5 +74,19 @@ WorkloadSpec make_opt_6p7b(std::int64_t seq_len = 1024);
 /// The seven workloads of Figures 7/8, in the paper's order:
 /// ResNet18, ResNet50, ViT-B, DeiT-S, BERT, GPT2-XL, OPT-6.7B.
 std::vector<WorkloadSpec> paper_workloads();
+
+/// Every name make_workload accepts, in registry order: the two tiny
+/// serving workloads ("tiny-bert", "tiny-cnn"), then the paper's eight
+/// models (the seven of paper_workloads() plus BLOOM-7B1).  A workload
+/// is named by the `model` it prints, so make_workload(n).model == n.
+/// The tiny workloads have real layer-kind variety (conv / fc /
+/// attention / ffn) but dimensions that keep a per-batch accelerator
+/// run in the microsecond range, so serving soak tests can push tens
+/// of thousands of requests.
+std::vector<std::string> workload_names();
+
+/// Builds the named workload, and only that one; an unknown name
+/// throws check_error listing every name.
+WorkloadSpec make_workload(const std::string& name);
 
 }  // namespace drift::nn

@@ -74,10 +74,17 @@ void warn_if_obs_off(const ReportOptions& opts) {
 
 }  // namespace
 
-ReportOptions ReportOptions::from_args(const Args& args) {
+std::optional<ReportOptions> ReportOptions::from_args(
+    const Args& args, const std::string& accepted) {
   ReportOptions opts;
   opts.metrics_path = args.get_string("metrics-out", "");
   opts.trace_path = args.get_string("trace-out", "");
+  const std::string artifact_flags = "--metrics-out, --trace-out";
+  if (args.reject_unqueried(accepted.empty()
+                                ? artifact_flags
+                                : accepted + ", " + artifact_flags)) {
+    return std::nullopt;
+  }
   warn_if_obs_off(opts);
   arm_flush(opts);
   return opts;

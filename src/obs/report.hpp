@@ -1,12 +1,14 @@
-// Shared --metrics-out / --trace-out handling for the examples and
-// bench binaries, so every CLI exposes the same artifact surface.
+// Shared --metrics-out / --trace-out handling for the examples, the
+// bench binaries and the drivers, so every CLI exposes the same
+// artifact surface.
 //
-// Usage in a main():
-//   auto artifacts = obs::ReportOptions::from_args(args);  // enables tracing
+// Usage in a main(), after every other flag has been read and checked:
+//   const auto artifacts = obs::ReportOptions::from_args(args, "--x, --y");
+//   if (!artifacts) return 2;      // unknown flag: nothing armed or written
 //   ... run the pipeline ...
-//   artifacts.write();                                     // emits the files
+//   return artifacts->write() ? 0 : 1;  // emits the files
 //
-// Parsing a request also arms an atexit flush: if the binary exits
+// Accepting a request also arms an atexit flush: if the binary exits
 // (normally or via exit()) before the explicit write() call — a thrown
 // DRIFT_CHECK, an early return, a failed example run — the requested
 // artifacts are still written from whatever the registry and tracer
@@ -19,6 +21,7 @@
 // empty scrapes rather than breaking the CLI contract.
 #pragma once
 
+#include <optional>
 #include <string>
 
 namespace drift {
@@ -32,14 +35,16 @@ struct ReportOptions {
   std::string metrics_path;  ///< --metrics-out; empty means "don't".
   std::string trace_path;    ///< --trace-out; empty means "don't".
 
-  /// The flags from_args reads, as the accepted list a binary that
-  /// takes no others passes to Args::reject_unqueried.
-  static constexpr const char* kFlags = "--metrics-out, --trace-out";
-
-  /// Reads --metrics-out and --trace-out from `args` and, when a trace
-  /// was requested, turns span collection on for the whole run.  Arms
-  /// the atexit flush (see header comment).
-  static ReportOptions from_args(const Args& args);
+  /// Reads --metrics-out and --trace-out from `args`, then rejects
+  /// every flag nothing queried (Args::reject_unqueried, naming
+  /// `accepted` — the caller's other flags — and the two artifact
+  /// flags).  Call it after every other flag was read and checked, so
+  /// a usage error arms nothing and writes no artifact: on an unknown
+  /// flag it returns nullopt and the caller exits 2.  Otherwise, when
+  /// a trace was requested, turns span collection on for the whole run
+  /// and arms the atexit flush (see header comment).
+  static std::optional<ReportOptions> from_args(
+      const Args& args, const std::string& accepted = "");
 
   /// Same contract as from_args, for binaries whose remaining argv is
   /// handed to another flag parser (google-benchmark rejects flags it

@@ -26,13 +26,9 @@ struct TenantSpec {
   bool unique_mix_per_request = true;
 };
 
-/// Small fixed-shape workloads sized for the serving simulator: real
-/// layer-kind variety (conv / fc / attention / ffn) but dimensions that
-/// keep a per-batch accelerator run in the microsecond range, so soak
-/// tests can push tens of thousands of requests.  `name` selects
-/// "tiny-cnn", "tiny-bert" or any paper workload by its model name
-/// (e.g. "ResNet18"); an unknown name throws check_error listing the
-/// known ones.
+/// The workload tenants run: nn::make_workload(name), so any registry
+/// name ("tiny-bert", "tiny-cnn", "ResNet18", ...); an unknown name
+/// throws check_error listing the known ones.
 nn::WorkloadSpec serving_workload(const std::string& name);
 
 /// Copy of `spec` with every layer renamed "<prefix>/<layer>", so two

@@ -1,5 +1,7 @@
 #include "util/args.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/assert.hpp"
@@ -45,9 +47,11 @@ std::int64_t Args::get_int(const std::string& flag,
                            std::int64_t fallback) const {
   const auto v = get(flag);
   if (!v) return fallback;
+  // Empty, trailing junk and values beyond 64 bits are all malformed.
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  DRIFT_CHECK(end != nullptr && *end == '\0',
+  DRIFT_CHECK(end != v->c_str() && *end == '\0' && errno != ERANGE,
               "flag value is not an integer");
   return parsed;
 }
@@ -57,7 +61,8 @@ double Args::get_double(const std::string& flag, double fallback) const {
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  DRIFT_CHECK(end != nullptr && *end == '\0', "flag value is not a number");
+  DRIFT_CHECK(end != v->c_str() && *end == '\0',
+              "flag value is not a number");
   return parsed;
 }
 
@@ -70,6 +75,66 @@ bool Args::get_bool(const std::string& flag, bool fallback) const {
 bool Args::has(const std::string& flag) const {
   queried_[flag] = true;
   return flags_.count(flag) > 0;
+}
+
+std::optional<std::int64_t> Args::int_flag(const std::string& flag,
+                                           std::int64_t fallback,
+                                           std::int64_t lo,
+                                           std::int64_t hi) const {
+  const std::optional<std::string> text = get(flag);
+  if (!text) return fallback;
+  std::int64_t value = 0;
+  try {
+    value = get_int(flag, fallback);
+  } catch (const check_error&) {
+    DRIFT_LOG_ERROR("args") << "--" << flag << "=" << *text
+                            << " is not an integer";
+    return std::nullopt;
+  }
+  if (value >= lo && value <= hi) return value;
+  std::string range = ">= " + std::to_string(lo);
+  if (hi != std::numeric_limits<std::int64_t>::max()) {
+    range = std::to_string(lo) + ".." + std::to_string(hi);
+  }
+  DRIFT_LOG_ERROR("args") << "--" << flag << "=" << *text
+                          << " is out of range (valid: " << range << ")";
+  return std::nullopt;
+}
+
+namespace {
+
+/// Shared body of positive_flag / nonnegative_flag.
+std::optional<double> finite_flag(const Args& args, const std::string& flag,
+                                  double fallback, bool zero_ok) {
+  const std::optional<std::string> text = args.get(flag);
+  if (!text) return fallback;
+  double value = 0.0;
+  try {
+    value = args.get_double(flag, fallback);
+  } catch (const check_error&) {
+    DRIFT_LOG_ERROR("args") << "--" << flag << "=" << *text
+                            << " is not a number";
+    return std::nullopt;
+  }
+  if (std::isfinite(value) && (value > 0.0 || (zero_ok && value == 0.0))) {
+    return value;
+  }
+  DRIFT_LOG_ERROR("args") << "--" << flag << "=" << *text
+                          << " is out of range (valid: a finite number "
+                          << (zero_ok ? ">= 0" : "> 0") << ")";
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<double> Args::positive_flag(const std::string& flag,
+                                          double fallback) const {
+  return finite_flag(*this, flag, fallback, /*zero_ok=*/false);
+}
+
+std::optional<double> Args::nonnegative_flag(const std::string& flag,
+                                             double fallback) const {
+  return finite_flag(*this, flag, fallback, /*zero_ok=*/true);
 }
 
 std::vector<std::string> Args::unqueried() const {

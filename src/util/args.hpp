@@ -4,6 +4,8 @@
 // Unknown flags are collected so callers can reject or ignore them.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,6 +31,23 @@ class Args {
   bool get_bool(const std::string& flag, bool fallback = false) const;
 
   bool has(const std::string& flag) const;
+
+  // Checked readers for drivers that exit 2 on a bad value.  Each
+  // gives `fallback` when the flag is absent; a given value that is
+  // malformed ("--f=x is not an integer" / "is not a number") or out
+  // of its range ("--f=x is out of range (valid: ...)") is logged as
+  // an error and gives nullopt.
+
+  /// An integer in [lo, hi].
+  std::optional<std::int64_t> int_flag(
+      const std::string& flag, std::int64_t fallback, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  /// A finite number > 0.
+  std::optional<double> positive_flag(const std::string& flag,
+                                      double fallback) const;
+  /// A finite number >= 0.
+  std::optional<double> nonnegative_flag(const std::string& flag,
+                                         double fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -1,13 +1,15 @@
 // Command-line contract of the drivers (label: cli): an unknown choice
 // or flag, or a number out of its range, is a usage error — exit code 2
 // and a message listing every valid value — never a silent fallback to
-// a default; a malformed input file is an error exit, never a crash.
+// a default, and it writes no artifact; a malformed input file is an
+// error exit, never a crash.  drift_graph compare prints every design.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -46,14 +48,17 @@ void expect_usage_error(const std::string& binary, const std::string& args,
 constexpr const char* kAlgos = "int8, drq, drift";
 constexpr const char* kPolicies = "greedy, exhaustive, fixed";
 
+// These two keep the names they had when a standalone comparison
+// driver ran them; drift_graph compare replaced it.
 TEST(Cli, DriftsimRejectsUnknownPolicy) {
-  expect_usage_error(DRIFTSIM_BIN, "--gemm=8x8x8 --policy=bogus", kPolicies);
+  expect_usage_error(DRIFT_GRAPH_BIN,
+                     "compare --model=tiny-cnn --policy=bogus", kPolicies);
 }
 
 TEST(Cli, DriftsimRejectsUnknownModel) {
-  expect_usage_error(DRIFTSIM_BIN, "--model=bogus",
-                     "resnet18, resnet50, vit_b, deit_s, bert, gpt2_xl, "
-                     "bloom_7b1, opt_6p7b");
+  expect_usage_error(DRIFT_GRAPH_BIN, "compare --model=bogus",
+                     "tiny-bert, tiny-cnn, ResNet18, ResNet50, ViT-B, DeiT-S, "
+                     "BERT, GPT2-XL, OPT-6.7B, BLOOM-7B1");
 }
 
 TEST(Cli, DriftGraphRejectsUnknownAlgoAndPolicy) {
@@ -61,6 +66,77 @@ TEST(Cli, DriftGraphRejectsUnknownAlgoAndPolicy) {
                      kAlgos);
   expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --policy=bogus",
                      kPolicies);
+}
+
+// run, compare and emit read and check every flag before any work.
+constexpr const char* kSimFlags =
+    "--policy, --budget, --rows, --cols, --seed, --no-dynamic-weights, "
+    "--layers, --metrics-out, --trace-out";
+
+TEST(Cli, DriftGraphRejectsUnknownFlag) {
+  expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --bogus=1",
+                     std::string("accepted: --zoo, --algo, ") + kSimFlags);
+  expect_usage_error(DRIFT_GRAPH_BIN, "compare --model=tiny-cnn --bogus=1",
+                     std::string("accepted: --zoo, --model, ") + kSimFlags);
+  // run takes no registry workload: --model is unknown there.
+  expect_usage_error(DRIFT_GRAPH_BIN, "run --zoo=resnet18 --model=BERT",
+                     "unknown flag --model");
+  expect_usage_error(DRIFT_GRAPH_BIN, "emit --zoo=resnet18 --bogus=1",
+                     "accepted: --zoo, --out");
+  expect_usage_error(DRIFT_GRAPH_BIN, "list --bogus=1", "accepted: none");
+}
+
+TEST(Cli, DriftGraphRejectsUnknownZoo) {
+  for (const char* command : {"run", "compare", "emit"}) {
+    expect_usage_error(DRIFT_GRAPH_BIN,
+                       std::string(command) + " --zoo=nosuch",
+                       "bert_base, deit_s, gpt2_layer, resnet18, vit_b16");
+  }
+}
+
+TEST(Cli, DriftGraphRejectsBadNumbers) {
+  for (const std::string c :
+       {"run --zoo=resnet18 ", "compare --model=tiny-cnn "}) {
+    expect_usage_error(DRIFT_GRAPH_BIN, c + "--rows=0", "(valid: >= 1)");
+    expect_usage_error(DRIFT_GRAPH_BIN, c + "--cols=-3", "(valid: >= 1)");
+    expect_usage_error(DRIFT_GRAPH_BIN, c + "--seed=abc",
+                       "--seed=abc is not an integer");
+    expect_usage_error(DRIFT_GRAPH_BIN, c + "--seed=99999999999999999999",
+                       "is not an integer");
+    expect_usage_error(DRIFT_GRAPH_BIN, c + "--budget=abc",
+                       "--budget=abc is not a number");
+    for (const char* budget :
+         {"--budget=-1", "--budget=inf", "--budget=nan"}) {
+      expect_usage_error(DRIFT_GRAPH_BIN, c + budget,
+                         "(valid: a finite number >= 0)");
+    }
+  }
+}
+
+TEST(Cli, DriftGraphCompareRunsEveryDesign) {
+  const std::string trace = ::testing::TempDir() + "drift_cli_compare.trace";
+  std::remove(trace.c_str());
+  const CliResult r =
+      run(DRIFT_GRAPH_BIN, "compare --model=tiny-cnn --trace-out=" + trace);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* line :
+       {"workload tiny-cnn: ", "\nEyeriss    cycles=",
+        "\nBitFusion  cycles=", "\nDRQ        cycles=",
+        "\nDrift      cycles=", "\nspeedup over Eyeriss: BitFusion ",
+        "\nDrift double-buffered timeline",
+        "\ncontroller: peak index buffer"}) {
+    EXPECT_NE(r.output.find(line), std::string::npos)
+        << line << "\n" << r.output;
+  }
+#ifndef DRIFT_OBS_OFF
+  // The timeline also renders on the simulated-cycle trace tracks.
+  std::ifstream in(trace);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("timeline.dram"), std::string::npos);
+  EXPECT_NE(text.str().find("timeline.compute"), std::string::npos);
+#endif
+  std::remove(trace.c_str());
 }
 
 TEST(Cli, DriftGraphValidateDeepFileExitsOne) {
@@ -122,6 +198,24 @@ TEST(Cli, DriftServeRejectsOutOfRangeThreads) {
   }
 }
 
+TEST(Cli, DriftServeMetricsOutIsStamped) {
+  // The full scrape every other binary writes, meta block included.
+  const std::string path = ::testing::TempDir() + "drift_cli_serve.json";
+  std::remove(path.c_str());
+  const CliResult r =
+      run(DRIFT_SERVE_BIN, kServeArgs + "--metrics-out=" + path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\"git_sha\""), std::string::npos) << text.str();
+#ifndef DRIFT_OBS_OFF
+  EXPECT_NE(text.str().find("\"serve.requests\""), std::string::npos)
+      << text.str();
+#endif
+  std::remove(path.c_str());
+}
+
 TEST(Cli, DriftServeRejectsMalformedNumbers) {
   expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + "--max-batch=four",
                      "--max-batch=four is not an integer");
@@ -145,6 +239,22 @@ TEST(Cli, Fig6RejectsUnknownFlag) {
 
 TEST(Cli, Table1RejectsUnknownFlag) {
   expect_usage_error(bench_bin("table1_llm"), "--bogus=1", kArtifactFlags);
+}
+
+// The flags are checked before the artifact flush is armed, so a usage
+// error leaves no (empty or partial) artifact behind.
+TEST(Cli, UsageErrorWritesNoArtifact) {
+  const std::string path = ::testing::TempDir() + "drift_cli_usage.json";
+  for (const std::string& command :
+       {bench_bin("fig7_latency"),
+        std::string(DRIFT_GRAPH_BIN) + " run --zoo=resnet18",
+        std::string(DRIFT_SERVE_BIN) + " " + kServeArgs}) {
+    std::remove(path.c_str());
+    const CliResult r = run(command, "--metrics-out=" + path + " --bogus=1");
+    EXPECT_EQ(r.exit_code, 2) << command << "\n" << r.output;
+    EXPECT_FALSE(std::ifstream(path).good()) << command << " wrote " << path;
+  }
+  std::remove(path.c_str());
 }
 
 class BenchFlags : public ::testing::TestWithParam<const char*> {};

@@ -6,7 +6,8 @@
 //     the programmatic zoo builders (no silent drift between the two);
 //     deep nesting is a byte-offset parse error and \u escapes parse;
 //   - the resnet18 zoo graph exports exactly the GEMM list the
-//     hand-written nn::make_resnet18() emits, index for index;
+//     hand-written nn::make_resnet18() emits, index for index, and the
+//     transformer zoo graphs share their twins' per-token GEMM shapes;
 //   - composite nn blocks (ResidualBlock / TransformerBlock) and their
 //     graph-runtime equivalents produce bitwise-identical outputs and
 //     the same per-node obs record set (the latent-inconsistency fix);
@@ -30,6 +31,7 @@
 #include "nn/quant_engine.hpp"
 #include "nn/workload.hpp"
 #include "obs/metrics.hpp"
+#include "pipeline.hpp"
 #include "util/rng.hpp"
 #include "zoo.hpp"
 
@@ -249,6 +251,85 @@ TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
     EXPECT_EQ(a.kernel, b.kernel) << a.name;
   }
   EXPECT_EQ(got.total_macs(), want.total_macs());
+}
+
+/// Same GEMM kind, K and N (the weight shape of a projection).
+void expect_same_kind_k_n(const nn::LayerGemm& zoo,
+                          const nn::LayerGemm& paper) {
+  EXPECT_EQ(zoo.kind, paper.kind) << zoo.name << " vs " << paper.name;
+  EXPECT_EQ(zoo.dims.K, paper.dims.K) << zoo.name;
+  EXPECT_EQ(zoo.dims.N, paper.dims.N) << zoo.name;
+}
+
+// The transformer zoo graphs against their nn::make_* twins.  An exact
+// GEMM-for-GEMM match like ResNet18's is impossible for the encoders:
+// the paper runs them at batch 8 over 197 tokens (196 patches + CLS)
+// with one block entry repeated once per block, the zoo at batch 1 over
+// 196 tokens with the blocks unrolled.  So M and the repeats differ,
+// and the pin covers what the two sources share: the family, the block
+// count, the six GEMM kinds of every block in order, the K and N of the
+// weight GEMMs, the head dim of the attention products (score's K,
+// context's N), and the patch embedding and head.  The decoder block
+// needs no such caveat: both sides run batch 1 over 1024 tokens.
+TEST(GraphExport, TransformerZooGraphsShareThePaperShapes) {
+  constexpr std::size_t kBlockGemms = 6;  // qkv score context proj ffn1 ffn2
+  {
+    const nn::WorkloadSpec zoo =
+        graphcli::export_workload(graphcli::make_zoo_graph("gpt2_layer"));
+    const nn::WorkloadSpec paper = nn::make_gpt2_xl();
+    EXPECT_EQ(zoo.family, paper.family);
+    ASSERT_EQ(zoo.layers.size(), kBlockGemms);
+    ASSERT_GT(paper.layers.size(), kBlockGemms);  // + lm_head
+    for (std::size_t i = 0; i < kBlockGemms; ++i) {
+      const nn::LayerGemm& z = zoo.layers[i];
+      const nn::LayerGemm& p = paper.layers[i];
+      EXPECT_EQ(z.kind, p.kind) << z.name;
+      EXPECT_EQ(z.dims.M, p.dims.M) << z.name;
+      EXPECT_EQ(z.dims.K, p.dims.K) << z.name;
+      EXPECT_EQ(z.dims.N, p.dims.N) << z.name;
+      EXPECT_EQ(p.repeat, 48 * z.repeat) << z.name;  // GPT2-XL's 48 blocks
+    }
+  }
+
+  struct Twin {
+    const char* zoo;
+    nn::WorkloadSpec paper;
+    std::size_t lead;  ///< GEMMs before the first block (patch_embed)
+  };
+  for (const Twin& twin : {Twin{"vit_b16", nn::make_vit_b16(), 1},
+                           Twin{"deit_s", nn::make_deit_s(), 1},
+                           Twin{"bert_base", nn::make_bert_base(), 0}}) {
+    SCOPED_TRACE(twin.zoo);
+    const nn::WorkloadSpec zoo =
+        graphcli::export_workload(graphcli::make_zoo_graph(twin.zoo));
+    const nn::WorkloadSpec& paper = twin.paper;
+    EXPECT_EQ(zoo.family, paper.family);
+    // Paper: lead + one block entry + head; zoo: lead + the unrolled
+    // blocks + head.
+    ASSERT_EQ(paper.layers.size(), twin.lead + kBlockGemms + 1);
+    const std::int64_t blocks = paper.layers[twin.lead].repeat;
+    ASSERT_EQ(zoo.layers.size(),
+              twin.lead + kBlockGemms * static_cast<std::size_t>(blocks) + 1);
+    if (twin.lead == 1) {
+      expect_same_kind_k_n(zoo.layers.front(), paper.layers.front());
+    }
+    expect_same_kind_k_n(zoo.layers.back(), paper.layers.back());
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      for (std::size_t j = 0; j < kBlockGemms; ++j) {
+        const nn::LayerGemm& z = zoo.layers[
+            twin.lead + kBlockGemms * static_cast<std::size_t>(b) + j];
+        const nn::LayerGemm& p = paper.layers[twin.lead + j];
+        EXPECT_EQ(z.kind, p.kind) << z.name << " vs " << p.name;
+        if (p.kind == nn::LayerKind::kAttnScore) {
+          EXPECT_EQ(z.dims.K, p.dims.K) << z.name;
+        } else if (p.kind == nn::LayerKind::kAttnContext) {
+          EXPECT_EQ(z.dims.N, p.dims.N) << z.name;
+        } else {
+          expect_same_kind_k_n(z, p);
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------

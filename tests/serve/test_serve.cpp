@@ -78,6 +78,8 @@ TEST(ServeArrival, InfiniteMeanGapIsRejected) {
 TEST(ServeTenant, UnknownWorkloadThrowsListingKnownNames) {
   EXPECT_EQ(serve::serving_workload("tiny-cnn").model, "tiny-cnn");
   EXPECT_EQ(serve::serving_workload("ResNet18").model, "ResNet18");
+  // Not one of paper_workloads(): the lookup is the whole registry.
+  EXPECT_EQ(serve::serving_workload("BLOOM-7B1").model, "BLOOM-7B1");
   try {
     serve::serving_workload("nosuch");
     FAIL() << "unknown workload name accepted";

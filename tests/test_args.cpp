@@ -59,6 +59,15 @@ TEST(Args, MalformedNumberThrows) {
   EXPECT_THROW(a.get_int("rows", 0), check_error);
 }
 
+TEST(Args, EmptyOrOverflowingNumberThrows) {
+  // strtoll/strtod alone read "" as 0 and clamp an overflow to INT64_MAX.
+  const Args a = parse({"--seed=", "--big=99999999999999999999",
+                        "--budget="});
+  EXPECT_THROW(a.get_int("seed", 1), check_error);
+  EXPECT_THROW(a.get_int("big", 1), check_error);
+  EXPECT_THROW(a.get_double("budget", 1.0), check_error);
+}
+
 TEST(Args, UnqueriedFlagsReported) {
   const Args a = parse({"--known=1", "--typo=2"});
   (void)a.get_int("known", 0);
@@ -71,6 +80,29 @@ TEST(Args, HasMarksQueried) {
   const Args a = parse({"--gemm=2x3x4"});
   EXPECT_TRUE(a.has("gemm"));
   EXPECT_TRUE(a.unqueried().empty());
+}
+
+TEST(Args, IntFlagChecksFormatAndRange) {
+  const Args a = parse({"--rows=0", "--cols=7", "--seed=x", "--threads=9"});
+  EXPECT_EQ(a.int_flag("depth", 4, 1), 4);  // absent: the fallback
+  EXPECT_EQ(a.int_flag("cols", 1, 1), 7);
+  EXPECT_EQ(a.int_flag("rows", 1, 1), std::nullopt);
+  EXPECT_EQ(a.int_flag("seed", 1, 0), std::nullopt);
+  EXPECT_EQ(a.int_flag("threads", 1, 1, 8), std::nullopt);
+}
+
+TEST(Args, FiniteFlagsRejectNonFiniteAndOutOfRange) {
+  const Args a = parse({"--zero=0", "--neg=-1", "--inf=inf", "--nan=nan",
+                        "--junk=0.5x", "--ok=0.25"});
+  EXPECT_EQ(a.positive_flag("absent", 0.6), 0.6);
+  EXPECT_EQ(a.positive_flag("ok", 1.0), 0.25);
+  EXPECT_EQ(a.nonnegative_flag("ok", 1.0), 0.25);
+  EXPECT_EQ(a.nonnegative_flag("zero", 1.0), 0.0);
+  EXPECT_EQ(a.positive_flag("zero", 1.0), std::nullopt);
+  for (const char* flag : {"neg", "inf", "nan", "junk"}) {
+    EXPECT_EQ(a.positive_flag(flag, 1.0), std::nullopt) << flag;
+    EXPECT_EQ(a.nonnegative_flag(flag, 1.0), std::nullopt) << flag;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
-// Tests for the model zoo workload extraction and precision-mix
-// generation.
+// Tests for the model zoo workload extraction, the name -> workload
+// registry and precision-mix generation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "nn/precision_mix.hpp"
 #include "nn/workload.hpp"
+#include "util/assert.hpp"
 
 namespace drift::nn {
 namespace {
@@ -85,6 +91,33 @@ TEST(Workload, PaperSetHasSevenModels) {
   ASSERT_EQ(workloads.size(), 7u);
   EXPECT_EQ(workloads[0].model, "ResNet18");
   EXPECT_EQ(workloads[6].model, "OPT-6.7B");
+}
+
+TEST(Workload, RegistryNamesEachWorkloadByItsModel) {
+  const std::vector<std::string> names = workload_names();
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "tiny-bert", "tiny-cnn", "ResNet18", "ResNet50",
+                       "ViT-B", "DeiT-S", "BERT", "GPT2-XL", "OPT-6.7B",
+                       "BLOOM-7B1"}));
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+  for (const std::string& name : names) {
+    EXPECT_EQ(make_workload(name).model, name);
+  }
+  for (const WorkloadSpec& spec : paper_workloads()) {
+    EXPECT_NE(std::find(names.begin(), names.end(), spec.model), names.end())
+        << spec.model;
+  }
+  try {
+    make_workload("nosuch");
+    FAIL() << "unknown workload name accepted";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nosuch"), std::string::npos) << what;
+    for (const std::string& name : names) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Workload, FamilyProfilesDiffer) {

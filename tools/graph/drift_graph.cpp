@@ -1,24 +1,34 @@
-// drift_graph — operator-graph front end for the Drift stack.
+// drift_graph — operator-graph front end and accelerator comparison
+// driver of the Drift stack.
 //
 //   drift_graph validate examples/model_zoo/*.json
 //   drift_graph shapes examples/model_zoo/resnet18.json
 //   drift_graph run --zoo=resnet18 --algo=drift --metrics-out=run.json
 //   drift_graph run my_model.json --policy=exhaustive --budget=0.02
+//   drift_graph compare --model=BERT --layers
+//   drift_graph compare gemm.json --budget=0.02   (a one-node topology)
 //   drift_graph emit --zoo=gpt2_layer --out=gpt2_layer.json
 //   drift_graph list
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "accel/compare.hpp"
+#include "accel/controller.hpp"
+#include "accel/timeline.hpp"
 #include "graph/graph.hpp"
 #include "graph/json_topology.hpp"
 #include "graph/ops.hpp"
+#include "nn/workload.hpp"
 #include "obs/report.hpp"
 #include "pipeline.hpp"
 #include "util/args.hpp"
 #include "util/assert.hpp"
+#include "util/table.hpp"
 #include "zoo.hpp"
 
 using namespace drift;
@@ -36,46 +46,42 @@ commands:
   shapes FILE       print the inferred shape of every value, in
                     topological order
   run FILE          route every GEMM-bearing node through the selector
-                    -> scheduler -> cycle model and print the per-model
-                    summary (use --zoo=NAME instead of FILE for a
-                    built-in topology)
+                    -> scheduler -> cycle model of one design (--algo)
+  compare FILE      run the workload on Eyeriss, BitFusion, DRQ and
+                    Drift; print each, the speedups over Eyeriss, and
+                    Drift's double-buffered timeline and controller
   emit --zoo=NAME   print (or --out=PATH) the canonical topology JSON
                     of a built-in model
-  list              list the built-in model-zoo topologies
+  list              list the --zoo topologies, then the --model workloads
 
-run flags:
-  --zoo=NAME        built-in topology instead of a file
-  --algo=NAME       int8|drq|drift  (default: drift)
+run and compare flags (FILE is a topology JSON file):
+  --zoo=NAME        built-in topology instead of FILE
+  --model=NAME      compare only: registry workload instead of FILE
+  --algo=NAME       run only: int8|drq|drift  (default: drift)
   --policy=NAME     drift scheduler: greedy|exhaustive|fixed
-  --budget=F        excess-noise budget (default 0.05)
-  --rows=N --cols=N BitGroup grid geometry (default 24x33)
+  --budget=F        excess-noise budget, finite and >= 0 (default 0.05)
+  --rows=N --cols=N BitGroup grid geometry, each >= 1 (default 24x33)
   --seed=N          mix sampling seed (default 17)
   --no-dynamic-weights  keep weights static INT8 under Drift
   --layers          print per-layer detail
   --metrics-out=P   write the canonical metrics JSON artifact
   --trace-out=P     write the Chrome trace artifact
+
+A usage error (an unknown flag, name or choice, a bad number) exits 2
+before any work and writes no artifact.
 )";
 
-/// Reads a whole file; returns false (with a message on stderr) when
-/// the file cannot be opened.
-bool read_file(const std::string& path, std::string& out) {
+/// Loads a graph from a topology file; prints why and returns false
+/// when the file cannot be opened or does not parse.
+bool load_graph(const std::string& path, drift::graph::Graph& g) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "drift_graph: cannot open '%s'\n", path.c_str());
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
-/// Loads a graph from a topology file; prints parse errors and returns
-/// false on failure.
-bool load_graph(const std::string& path, drift::graph::Graph& g) {
-  std::string text;
-  if (!read_file(path, text)) return false;
-  const auto parsed = drift::graph::parse_topology(text);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const auto parsed = drift::graph::parse_topology(text.str());
   if (!parsed.ok()) {
     for (const std::string& err : parsed.errors) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
@@ -139,72 +145,194 @@ int cmd_shapes(const std::vector<std::string>& files) {
   return 0;
 }
 
-int cmd_run(const Args& args, const std::vector<std::string>& files) {
-  drift::graph::Graph g;
-  if (args.has("zoo")) {
-    g = make_zoo_graph(args.get_string("zoo", ""));
-  } else if (files.size() == 1) {
-    if (!load_graph(files[0], g)) return 1;
-  } else {
-    std::fprintf(stderr, "drift_graph run: give one FILE or --zoo=NAME\n");
+/// The flags run and compare share besides the workload source and
+/// the artifact flags (ReportOptions).
+constexpr const char* kSimFlags =
+    "--policy, --budget, --rows, --cols, --seed, --no-dynamic-weights, "
+    "--layers";
+
+/// Reads the flags run and compare share into `config` and `layers`.
+/// Prints every bad value and returns false if there was one.
+bool read_sim_flags(const Args& args, accel::CompareConfig& config,
+                    bool& layers) {
+  const std::string policy = args.get_string("policy", "greedy");
+  const auto budget = args.nonnegative_flag("budget", 0.05);
+  const auto rows = args.int_flag("rows", 24, 1);
+  const auto cols = args.int_flag("cols", 33, 1);
+  const auto seed =
+      args.int_flag("seed", 17, std::numeric_limits<std::int64_t>::min());
+  const auto parsed_policy = accel::parse_scheduler_policy(policy);
+  if (!parsed_policy) {
+    std::fprintf(stderr, "drift_graph: unknown --policy '%s' "
+                 "(valid: greedy, exhaustive, fixed)\n", policy.c_str());
+  }
+  if (!parsed_policy || !budget || !rows || !cols || !seed) return false;
+  config.drift_policy = *parsed_policy;
+  config.noise_budget = *budget;
+  config.hw.array.rows = *rows;
+  config.hw.array.cols = *cols;
+  config.seed = static_cast<std::uint64_t>(*seed);
+  config.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
+  layers = args.get_bool("layers");
+  return true;
+}
+
+/// Runs `make`, a lookup that throws check_error on an unknown name
+/// (make_zoo_graph, nn::make_workload); on one prints the known names
+/// and returns false.
+template <typename Make>
+bool lookup(const Make& make) {
+  try {
+    make();
+  } catch (const check_error& e) {
+    std::fprintf(stderr, "drift_graph: %s\n", e.what());
+    return false;
+  }
+  return true;
+}
+
+/// Loads the workload run or compare reads, from exactly one source:
+/// one topology FILE or --zoo=NAME into `g`, or, when `model` is given
+/// (compare), --model=NAME into `*model`.  Returns 0, or the exit code
+/// after printing why: 2 for a usage error (no source or more than
+/// one, an unknown name), 1 for a file that does not load.
+int load_source(const Args& args, const std::vector<std::string>& files,
+                drift::graph::Graph& g, nn::WorkloadSpec* model) {
+  const std::optional<std::string> zoo = args.get("zoo");
+  const std::optional<std::string> name =
+      model != nullptr ? args.get("model") : std::nullopt;
+  if (files.size() + (zoo ? 1 : 0) + (name ? 1 : 0) != 1) {
+    std::fprintf(stderr, "drift_graph: give one FILE or --zoo=NAME%s\n",
+                 model != nullptr ? " or --model=NAME" : "");
     return 2;
   }
+  if (zoo) return lookup([&] { g = make_zoo_graph(*zoo); }) ? 0 : 2;
+  if (name) return lookup([&] { *model = nn::make_workload(*name); }) ? 0 : 2;
+  return load_graph(files[0], g) ? 0 : 1;
+}
 
+void print_header(const nn::WorkloadSpec& spec,
+                  const accel::PipelineConfig& config) {
+  std::printf("workload %s: %lld GEMMs, %.2f GMACs, array %lldx%lld "
+              "(%lld units), budget %.3f\n\n",
+              spec.model.c_str(),
+              static_cast<long long>(spec.total_gemms()),
+              static_cast<double>(spec.total_macs()) / 1e9,
+              static_cast<long long>(config.hw.array.rows),
+              static_cast<long long>(config.hw.array.cols),
+              static_cast<long long>(config.hw.array.units()),
+              config.noise_budget);
+}
+
+/// One design's totals and energy split, then with `layers` its
+/// per-layer table.
+void print_run(const accel::RunResult& r, bool layers) {
+  std::printf("%-10s cycles=%-12lld stalls=%-10lld dram=%.1f MB "
+              "energy=%.3f mJ (static %.1f%% dram %.1f%% buffer %.1f%% "
+              "core %.1f%%)\n",
+              r.accelerator.c_str(), static_cast<long long>(r.cycles),
+              static_cast<long long>(r.stall_cycles),
+              static_cast<double>(r.dram_bytes) / 1e6,
+              r.energy.total_pj() / 1e9,
+              100.0 * r.energy.static_pj / r.energy.total_pj(),
+              100.0 * r.energy.dram_pj / r.energy.total_pj(),
+              100.0 * r.energy.buffer_pj / r.energy.total_pj(),
+              100.0 * r.energy.core_pj / r.energy.total_pj());
+  if (!layers) return;
+  TextTable t({"layer", "compute", "dram", "cycles", "util"});
+  for (const auto& l : r.layers) {
+    t.add_row({l.layer, std::to_string(l.compute_cycles),
+               std::to_string(l.dram_cycles), std::to_string(l.cycles),
+               TextTable::pct(l.utilization)});
+  }
+  std::printf("%s", t.to_string().c_str());
+}
+
+int cmd_run(const Args& args, const std::vector<std::string>& files) {
+  drift::graph::Graph g;
+  if (const int rc = load_source(args, files, g, nullptr)) return rc;
   GraphPipelineConfig config;
+  bool layers = false;
   const std::string algo = args.get_string("algo", "drift");
-  const std::string policy = args.get_string("policy", "greedy");
   const auto parsed_algo = nn::parse_mix_algorithm(algo);
-  const auto parsed_policy = accel::parse_scheduler_policy(policy);
   if (!parsed_algo) {
     std::fprintf(stderr, "drift_graph run: unknown --algo '%s' "
                  "(valid: int8, drq, drift)\n", algo.c_str());
-    return 2;
   }
-  if (!parsed_policy) {
-    std::fprintf(stderr, "drift_graph run: unknown --policy '%s' "
-                 "(valid: greedy, exhaustive, fixed)\n", policy.c_str());
-    return 2;
-  }
+  if (!read_sim_flags(args, config, layers) || !parsed_algo) return 2;
   config.algo = *parsed_algo;
-  config.drift_policy = *parsed_policy;
-  config.noise_budget = args.get_double("budget", 0.05);
-  config.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
-  config.hw.array.rows = args.get_int("rows", 24);
-  config.hw.array.cols = args.get_int("cols", 33);
+  const auto artifacts = obs::ReportOptions::from_args(
+      args, std::string("--zoo, --algo, ") + kSimFlags);
+  if (!artifacts) return 2;
 
-  const auto artifacts = obs::ReportOptions::from_args(args);
-  const bool layers = args.get_bool("layers");
   const auto result = run_graph_pipeline(g, config);
-  const auto& r = result.run;
-  std::printf("%s on %s: %zu GEMMs, %.2f GMACs\n", g.name.c_str(),
-              r.accelerator.c_str(), result.workload.layers.size(),
-              static_cast<double>(result.workload.total_macs()) / 1e9);
-  std::printf("cycles=%lld stalls=%lld dram=%.1f MB energy=%.3f mJ\n",
-              static_cast<long long>(r.cycles),
-              static_cast<long long>(r.stall_cycles),
-              static_cast<double>(r.dram_bytes) / 1e6,
-              r.energy.total_pj() / 1e9);
-  if (layers) {
-    for (const auto& l : r.layers) {
-      std::printf("  %-32s compute=%-10lld dram=%-10lld cycles=%-10lld "
-                  "util=%.1f%%\n",
-                  l.layer.c_str(), static_cast<long long>(l.compute_cycles),
-                  static_cast<long long>(l.dram_cycles),
-                  static_cast<long long>(l.cycles), 100.0 * l.utilization);
-    }
+  print_header(result.workload, config);
+  print_run(result.run, layers);
+  return artifacts->write() ? 0 : 1;
+}
+
+int cmd_compare(const Args& args, const std::vector<std::string>& files) {
+  drift::graph::Graph g;
+  nn::WorkloadSpec spec;
+  if (const int rc = load_source(args, files, g, &spec)) return rc;
+  if (!args.has("model")) spec = export_workload(g);
+  accel::CompareConfig config;
+  bool layers = false;
+  if (!read_sim_flags(args, config, layers)) return 2;
+  const auto artifacts = obs::ReportOptions::from_args(
+      args, std::string("--zoo, --model, ") + kSimFlags);
+  if (!artifacts) return 2;
+
+  print_header(spec, config);
+  const auto cmp = accel::compare_workload(spec, config);
+  for (const accel::RunResult* r :
+       {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
+    print_run(*r, layers);
   }
-  return artifacts.write() ? 0 : 1;
+  std::printf("\nspeedup over Eyeriss: BitFusion %.2fx, DRQ %.2fx, "
+              "Drift %.2fx\n",
+              cmp.speedup_bitfusion(), cmp.speedup_drq(),
+              cmp.speedup_drift());
+
+  // With --trace-out, build_timeline also renders the timeline.dram and
+  // timeline.compute tracks.
+  std::vector<accel::TimelineLayer> timeline_layers;
+  for (const auto& l : cmp.drift.layers) {
+    timeline_layers.push_back({l.layer, l.compute_cycles, l.dram_cycles});
+  }
+  const auto timeline = accel::build_timeline(timeline_layers);
+  std::printf("\nDrift double-buffered timeline (unique layers, repeats "
+              "collapsed): %lld cycles, %.1f%% of DRAM hidden under "
+              "compute\n",
+              static_cast<long long>(timeline.total_cycles),
+              100.0 * timeline.overlap_fraction);
+  if (timeline.entries.size() <= 24) {
+    std::printf("%s", timeline.gantt().c_str());
+  }
+
+  // The mixes of the Drift run reported above.
+  const auto mixes = nn::build_mixes(
+      spec, config.mix_config(nn::MixAlgorithm::kDrift, config.seed));
+  const auto report = accel::evaluate_controller(mixes, config.hw.array);
+  std::printf("\ncontroller: peak index buffer %lld bytes (%s), "
+              "control work hidden under compute for %.1f%% of layers\n",
+              static_cast<long long>(report.peak_index_bytes),
+              report.fits_index_buffer ? "fits" : "OVERFLOWS",
+              100.0 * report.overlapped_fraction);
+  return artifacts->write() ? 0 : 1;
 }
 
 int cmd_emit(const Args& args) {
-  if (!args.has("zoo")) {
+  const std::optional<std::string> zoo = args.get("zoo");
+  const std::string out = args.get_string("out", "");
+  if (args.reject_unqueried("--zoo, --out")) return 2;
+  if (!zoo) {
     std::fprintf(stderr, "drift_graph emit: --zoo=NAME required\n");
     return 2;
   }
-  const auto g = make_zoo_graph(args.get_string("zoo", ""));
+  drift::graph::Graph g;
+  if (!lookup([&] { g = make_zoo_graph(*zoo); })) return 2;
   const std::string json = drift::graph::to_topology_json(g);
-  const std::string out = args.get_string("out", "");
   if (out.empty()) {
     std::printf("%s", json.c_str());
     return 0;
@@ -220,8 +348,13 @@ int cmd_emit(const Args& args) {
 }
 
 int cmd_list() {
+  std::printf("zoo topologies (--zoo=NAME):\n");
   for (const std::string& name : zoo_names()) {
-    std::printf("%s\n", name.c_str());
+    std::printf("  %s\n", name.c_str());
+  }
+  std::printf("workloads (compare --model=NAME):\n");
+  for (const std::string& name : nn::workload_names()) {
+    std::printf("  %s\n", name.c_str());
   }
   return 0;
 }
@@ -238,10 +371,14 @@ int main(int argc, char** argv) {
   const std::string command = positional.front();
   const std::vector<std::string> rest(positional.begin() + 1,
                                       positional.end());
+  const bool flagless =
+      command == "validate" || command == "shapes" || command == "list";
+  if (flagless && args.reject_unqueried("none")) return 2;
   try {
     if (command == "validate") return cmd_validate(rest);
     if (command == "shapes") return cmd_shapes(rest);
     if (command == "run") return cmd_run(args, rest);
+    if (command == "compare") return cmd_compare(args, rest);
     if (command == "emit") return cmd_emit(args);
     if (command == "list") return cmd_list();
   } catch (const std::exception& e) {

@@ -7,8 +7,8 @@
 
 namespace drift::graphcli {
 
-GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
-                                       const GraphPipelineConfig& config) {
+nn::WorkloadSpec export_workload(const drift::graph::Graph& g,
+                                 const std::string& prefix) {
   const auto structural = drift::graph::validate(g);
   if (!structural.empty()) {
     throw check_error("invalid graph: " + structural.front());
@@ -17,11 +17,15 @@ GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
   if (!shapes.ok()) {
     throw check_error("shape inference failed: " + shapes.errors.front());
   }
-
-  GraphPipelineResult result;
   drift::graph::WorkloadExportOptions export_options;
-  export_options.prefix = config.prefix;
-  result.workload = drift::graph::to_workload(g, shapes, export_options);
+  export_options.prefix = prefix;
+  return drift::graph::to_workload(g, shapes, export_options);
+}
+
+GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
+                                       const GraphPipelineConfig& config) {
+  GraphPipelineResult result;
+  result.workload = export_workload(g, config.prefix);
 
   result.mixes = nn::build_mixes(result.workload,
                                  config.mix_config(config.algo, config.seed));

@@ -14,7 +14,6 @@
 // accelerator models, so the composition happens here.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,11 @@
 
 namespace drift::graphcli {
 
-/// Pipeline knobs: the shared accelerator pipeline settings plus the
-/// mix algorithm (which also selects the accelerator model to run).
-struct GraphPipelineConfig : accel::PipelineConfig {
+/// Pipeline knobs: the shared accelerator pipeline settings and mix
+/// seed, plus the mix algorithm (which also selects the accelerator
+/// model to run).
+struct GraphPipelineConfig : accel::CompareConfig {
   nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
-  std::uint64_t seed = 17;
   /// Prepended to every exported GEMM name (and so to every obs layer
   /// record name).
   std::string prefix;
@@ -42,10 +41,15 @@ struct GraphPipelineResult {
 };
 
 /// Validates + shape-infers `g` (throws check_error naming the first
-/// offending node on failure), exports the workload, builds the
-/// per-layer precision mixes, attributes their coverage under
-/// per-layer obs scopes, and runs the accelerator model matching
-/// `config.algo` (accel::make_accelerator).
+/// offending node on failure) and exports its GEMMs, each name
+/// prefixed with `prefix`.
+nn::WorkloadSpec export_workload(const drift::graph::Graph& g,
+                                 const std::string& prefix = "");
+
+/// Exports `g` (export_workload), builds the per-layer precision
+/// mixes, attributes their coverage under per-layer obs scopes, and
+/// runs the accelerator model matching `config.algo`
+/// (accel::make_accelerator).
 GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
                                        const GraphPipelineConfig& config);
 

@@ -38,7 +38,7 @@ bool is_reporting_sink(const std::string& rel) {
   return starts_with(rel, "tools/graph/") ||
          starts_with(rel, "tools/lint/") ||
          starts_with(rel, "tools/report/") ||
-         starts_with(rel, "tools/serve/") || rel == "tools/driftsim.cpp";
+         starts_with(rel, "tools/serve/");
 }
 
 std::optional<Include> parse_include(const std::string& raw) {

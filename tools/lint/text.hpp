@@ -21,10 +21,10 @@ std::string trim(const std::string& s);
 std::size_t find_token(const std::string& code, const std::string& token);
 
 /// CLI front-ends whose whole job is writing to stdout/stderr: the
-/// report, lint and serving tools plus the driftsim driver.  These are
-/// allowed stdio sinks for the `logging` rule so they don't need a
-/// suppression on every print statement; library code under tools/
-/// (anything else) still routes through util/logging.hpp.
+/// graph, report, lint and serving tools.  These are allowed stdio
+/// sinks for the `logging` rule so they don't need a suppression on
+/// every print statement; library code under tools/ (anything else)
+/// still routes through util/logging.hpp.
 bool is_reporting_sink(const std::string& rel);
 
 struct Include {

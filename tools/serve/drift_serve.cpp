@@ -7,15 +7,14 @@
 //
 //   drift_serve --workloads=tiny-bert,tiny-cnn --arrival=bursty --load=0.7
 //   drift_serve --workloads=tiny-bert --algo=drq --requests=1000
-//   drift_serve --workloads=tiny-bert --json=serve.json --trace=serve.trace
-#include <cmath>
+//   drift_serve --workloads=tiny-bert --metrics-out=m.json --trace-out=t.json
 #include <cstdio>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
 #include "util/args.hpp"
@@ -30,8 +29,9 @@ namespace {
 constexpr const char* kUsage = R"(drift_serve — Drift serving simulator
 
 flags:
-  --workloads=A,B   comma list of tenant workloads: tiny-bert|tiny-cnn|
-                    any paper model name  (default: tiny-bert,tiny-cnn)
+  --workloads=A,B   comma list of tenant workloads, any name
+                    `drift_graph list` gives under --model
+                    (default: tiny-bert,tiny-cnn)
   --algo=NAME       drift|int8|drq  (default: drift)
   --arrival=NAME    poisson|bursty|diurnal  (default: poisson)
   --load=F          target utilization, finite and > 0; interarrival gaps
@@ -46,66 +46,18 @@ flags:
   --shared-mix      all requests reuse the tenant's canonical mix
   --threads=N       worker threads for the mix precompute, 1..1024
                     (default: auto)
-  --json=PATH       write the serving metrics artifact (serve.* scrape)
-  --trace=PATH      write a Chrome trace with one track per request
+  --metrics-out=P   write the metrics artifact of the simulated run
+  --trace-out=P     write a Chrome trace with one track per request
   --help            this text
 
 An unknown flag or choice, a malformed number or one out of its range
-is a usage error: exit 2 before any work.
+is a usage error: exit 2 before any work, and no artifact is written.
 )";
 
+// The flags besides --metrics-out / --trace-out (ReportOptions).
 constexpr const char* kAcceptedFlags =
     "--workloads, --algo, --arrival, --load, --interarrival, --requests, "
-    "--max-batch, --rows, --cols, --seed, --shared-mix, --threads, --json, "
-    "--trace, --help";
-
-/// Integer flag `flag`, or `fallback` when it is absent.  A given value
-/// that is not an integer in [lo, hi] prints a usage error and gives
-/// nullopt.
-std::optional<std::int64_t> int_flag(
-    const Args& args, const std::string& flag, std::int64_t fallback,
-    std::int64_t lo,
-    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
-  const std::optional<std::string> text = args.get(flag);
-  if (!text) return fallback;
-  std::int64_t value = 0;
-  try {
-    value = args.get_int(flag, fallback);
-  } catch (const check_error&) {
-    std::fprintf(stderr, "--%s=%s is not an integer\n", flag.c_str(),
-                 text->c_str());
-    return std::nullopt;
-  }
-  if (value >= lo && value <= hi) return value;
-  std::string range = ">= " + std::to_string(lo);
-  if (hi != std::numeric_limits<std::int64_t>::max()) {
-    range = std::to_string(lo) + ".." + std::to_string(hi);
-  }
-  std::fprintf(stderr, "--%s=%s is out of range (valid: %s)\n",
-               flag.c_str(), text->c_str(), range.c_str());
-  return std::nullopt;
-}
-
-/// Number flag `flag`, or `fallback` when it is absent.  A given value
-/// that is not finite and > 0 prints a usage error and gives nullopt.
-std::optional<double> positive_flag(const Args& args, const std::string& flag,
-                                    double fallback) {
-  const std::optional<std::string> text = args.get(flag);
-  if (!text) return fallback;
-  double value = 0.0;
-  try {
-    value = args.get_double(flag, fallback);
-  } catch (const check_error&) {
-    std::fprintf(stderr, "--%s=%s is not a number\n", flag.c_str(),
-                 text->c_str());
-    return std::nullopt;
-  }
-  if (std::isfinite(value) && value > 0.0) return value;
-  std::fprintf(stderr,
-               "--%s=%s is out of range (valid: a finite number > 0)\n",
-               flag.c_str(), text->c_str());
-  return std::nullopt;
-}
+    "--max-batch, --rows, --cols, --seed, --shared-mix, --threads, --help";
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -137,26 +89,24 @@ int main(int argc, char** argv) {
   }
 
   // Every flag is read and checked before any work, so a typo or a bad
-  // number exits 2 instead of running on a default or aborting midway.
+  // number exits 2 instead of running on a default or aborting midway;
+  // from_args arms the artifact flush only once all of them passed.
   const std::string algo = args.get_string("algo", "drift");
   const auto names =
       split_csv(args.get_string("workloads", "tiny-bert,tiny-cnn"));
   const std::string arrival = args.get_string("arrival", "poisson");
-  const auto rows = int_flag(args, "rows", 24, 1);
-  const auto cols = int_flag(args, "cols", 33, 1);
-  const auto max_batch = int_flag(args, "max-batch", 8, 1);
-  const auto requests = int_flag(args, "requests", 256, 1);
-  const auto seed = int_flag(args, "seed", 1,
-                             std::numeric_limits<std::int64_t>::min());
+  const auto rows = args.int_flag("rows", 24, 1);
+  const auto cols = args.int_flag("cols", 33, 1);
+  const auto max_batch = args.int_flag("max-batch", 8, 1);
+  const auto requests = args.int_flag("requests", 256, 1);
+  const auto seed =
+      args.int_flag("seed", 1, std::numeric_limits<std::int64_t>::min());
   // 0: the pool keeps its DRIFT_NUM_THREADS / hardware default.
-  const auto threads = int_flag(args, "threads", 0, 1, 1024);
-  const auto load = positive_flag(args, "load", 0.6);
+  const auto threads = args.int_flag("threads", 0, 1, 1024);
+  const auto load = args.positive_flag("load", 0.6);
   const bool explicit_gap = args.has("interarrival");
-  const auto gap = positive_flag(args, "interarrival", 0.0);
+  const auto gap = args.positive_flag("interarrival", 0.0);
   const bool shared_mix = args.get_bool("shared-mix");
-  const auto json_path = args.get("json");
-  const auto trace_path = args.get("trace");
-  if (args.reject_unqueried(kAcceptedFlags)) return 2;
   if (!rows || !cols || !max_batch || !requests || !seed || !threads ||
       !load || !gap) {
     return 2;
@@ -200,9 +150,15 @@ int main(int argc, char** argv) {
     tenant.unique_mix_per_request = !shared_mix;
     config.tenants.push_back(tenant);
   }
+  const auto artifacts = obs::ReportOptions::from_args(args, kAcceptedFlags);
+  if (!artifacts) return 2;
 
   util::ThreadPool& pool = util::ThreadPool::instance();
   if (*threads > 0) pool.resize(static_cast<int>(*threads));
+
+  // The artifacts cover the simulated run only: the calibration probe
+  // runs untraced, and its metrics are reset before the run.
+  obs::Tracer::global().set_enabled(false);
 
   // Arrival calibration: an explicit gap applies to every tenant;
   // otherwise --load splits the target utilization evenly across
@@ -230,7 +186,7 @@ int main(int argc, char** argv) {
 
   obs::Registry::global().reset();
   obs::Tracer::global().reset();
-  obs::Tracer::global().set_enabled(trace_path.has_value());
+  obs::Tracer::global().set_enabled(!artifacts->trace_path.empty());
 
   serve::Simulator sim(config, pool);
   const serve::ServeResult result = sim.run();
@@ -269,23 +225,5 @@ int main(int argc, char** argv) {
   add("overall", result.overall);
   std::printf("%s", t.to_string().c_str());
 
-  if (json_path) {
-    const std::string artifact =
-        obs::Registry::global().to_json({"serve."});
-    if (!obs::write_file(*json_path, artifact)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nserving metrics artifact written to %s\n",
-                json_path->c_str());
-  }
-  if (trace_path) {
-    if (!obs::Tracer::global().write_chrome_trace(*trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path->c_str());
-      return 1;
-    }
-    std::printf("Chrome trace written to %s (one track per request)\n",
-                trace_path->c_str());
-  }
-  return 0;
+  return artifacts->write() ? 0 : 1;
 }
