@@ -36,7 +36,20 @@ std::string DriftAccelModel::name() const {
              : "Drift(" + to_string(policy_) + ")";
 }
 
-core::SplitDecision DriftAccelModel::schedule(
+core::SplitDecision DriftAccelModel::schedule(const core::LayerWork& work) {
+  const auto it = std::lower_bound(
+      splits_.begin(), splits_.end(), work,
+      [](const SplitEntry& e, const core::LayerWork& w) { return e.work < w; });
+  if (it != splits_.end() && it->work == work) {
+    core::record_decision(it->split);
+    return it->split;
+  }
+  const core::SplitDecision split = sweep(work);
+  splits_.insert(it, {work, split});
+  return split;
+}
+
+core::SplitDecision DriftAccelModel::sweep(
     const core::LayerWork& work) const {
   switch (policy_) {
     case SchedulerPolicy::kGreedy:

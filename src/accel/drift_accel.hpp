@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "core/scheduler.hpp"
@@ -40,10 +41,33 @@ class DriftAccelModel : public Accelerator {
 
   SchedulerPolicy policy() const { return policy_; }
 
+  /// The split this model runs `work` on: the policy's scheduler
+  /// decision on config().array, bit for bit.  The first call for a
+  /// work runs the scheduler and stores its decision; a later call for
+  /// an equal work returns the stored one and only re-publishes it
+  /// (core::record_decision), so every call counts one
+  /// scheduler.decisions and fills the current layer record alike.
+  core::SplitDecision schedule(const core::LayerWork& work);
+
  private:
-  core::SplitDecision schedule(const core::LayerWork& work) const;
+  /// The policy's scheduler on config().array; publishes its decision.
+  core::SplitDecision sweep(const core::LayerWork& work) const;
+
+  struct SplitEntry {
+    core::LayerWork work;
+    core::SplitDecision split;
+  };
 
   SchedulerPolicy policy_;
+  /// Every decision this instance has made, sorted by work (all nine
+  /// LayerWork fields; the grid is fixed per model).  Eq. 8 is a pure
+  /// function of (work, grid), so the table holds one entry per
+  /// distinct work the model has seen; a serving run repeats a few
+  /// hundred works over tens of thousands of batch layers.  One sorted
+  /// vector, not a node-based map: a lookup is a binary search over
+  /// one allocation.  Not synchronized: no instance is ever run from
+  /// two threads (no parallel_for reaches Accelerator::run).
+  std::vector<SplitEntry> splits_;
 };
 
 }  // namespace drift::accel

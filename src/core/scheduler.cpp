@@ -142,19 +142,23 @@ void check_cut(const ArrayDims& total, std::int64_t r, std::int64_t c) {
   DRIFT_CHECK(c >= 0 && c <= total.cols, "column split out of range");
 }
 
-/// Publishes a scheduler decision to the metrics layer.  Compiles to
-/// nothing under DRIFT_OBS_OFF (every statement is an obs macro).
-inline void record_decision(const Eq7Table& table, const SplitDecision& d) {
-  (void)table;  // referenced only by the obs macros below, which
-  (void)d;      // expand to nothing under DRIFT_OBS_OFF
+/// The decision at (r, c) with its tile counts, published.
+SplitDecision finish(const Eq7Table& table, SplitDecision d) {
+  d.tiles = table.tile_counts(d.r, d.c);
+  record_decision(d);
+  return d;
+}
+
+}  // namespace
+
+void record_decision(const SplitDecision& d) {
+  (void)d;  // read only by the obs macros, which vanish under DRIFT_OBS_OFF
   DRIFT_OBS_COUNT("scheduler.decisions", 1);
   DRIFT_OBS_LAYER(
       rec, rec->sched_r = d.r; rec->sched_c = d.c;
       rec->sched_latency = d.latency; rec->sched_makespan = d.makespan;
-      rec->tile_count = table.tile_counts(d.r, d.c));
+      rec->tile_count = d.tiles);
 }
-
-}  // namespace
 
 std::array<std::int64_t, 4> quadrant_latencies(const LayerWork& work,
                                                const ArrayDims& total,
@@ -224,8 +228,7 @@ SplitDecision schedule_greedy(const LayerWork& work, const ArrayDims& total) {
     if (round_best.makespan >= best.makespan) break;
     best = round_best;
   }
-  record_decision(table, best);
-  return best;
+  return finish(table, best);
 }
 
 SplitDecision schedule_exhaustive(const LayerWork& work,
@@ -239,8 +242,7 @@ SplitDecision schedule_exhaustive(const LayerWork& work,
       if (table.makespan(r, c) < best.makespan) best = table.decision(r, c);
     }
   }
-  record_decision(table, best);
-  return best;
+  return finish(table, best);
 }
 
 SplitDecision schedule_fixed_quarters(const LayerWork& work,
@@ -254,9 +256,7 @@ SplitDecision schedule_fixed_quarters(const LayerWork& work,
   if (work.n_high == 0) c = 0;
   if (work.n_low == 0) c = total.cols;
   const Eq7Table table(work, total);
-  const SplitDecision d = table.decision(r, c);
-  record_decision(table, d);
-  return d;
+  return finish(table, table.decision(r, c));
 }
 
 }  // namespace drift::core

@@ -24,9 +24,14 @@
 // per column count for each precision class, built in O(R + C); a
 // candidate split then costs a few integer operations per quadrant.
 // The candidate-by-candidate evaluation is the oracle ref::greedy_split.
+//
+// Each scheduler publishes its decision through record_decision, which
+// a caller that remembers a decision (accel::DriftAccelModel's split
+// table) calls instead of re-running the sweep.
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 
 #include "core/analytical_model.hpp"
@@ -48,17 +53,25 @@ struct LayerWork {
   std::int64_t total_macs() const {
     return (m_high + m_low) * k * (n_high + n_low);
   }
+
+  /// Field by field in declaration order: every field is part of the
+  /// key a split table looks decisions up by.
+  auto operator<=>(const LayerWork&) const = default;
 };
 
 /// Index order of the four precision-class quadrants.
 enum class Quadrant { kHH = 0, kHL = 1, kLH = 2, kLL = 3 };
 
-/// A chosen split and its predicted latencies.
+/// A chosen split, its predicted latencies and its tile counts.
 struct SplitDecision {
   std::int64_t r = 0;  ///< rows given to high-precision activations
   std::int64_t c = 0;  ///< columns given to high-precision weights
   std::array<std::int64_t, 4> latency{};  ///< per-quadrant cycles
   std::int64_t makespan = 0;              ///< max of the four
+  /// Per-quadrant weight-tile repetitions (quadrant_tile_counts).
+  std::array<std::int64_t, 4> tiles{};
+
+  bool operator==(const SplitDecision&) const = default;
 };
 
 /// Latency of each quadrant for a candidate split (Equation 7 per
@@ -75,6 +88,12 @@ std::array<std::int64_t, 4> quadrant_tile_counts(const LayerWork& work,
                                                  const ArrayDims& total,
                                                  std::int64_t r,
                                                  std::int64_t c);
+
+/// Publishes a decision to the metrics layer: scheduler.decisions += 1,
+/// and the current layer record's sched_r, sched_c, sched_latency,
+/// sched_makespan and tile_count.  The three schedulers below call it
+/// once per decision.  Compiles to nothing under DRIFT_OBS_OFF.
+void record_decision(const SplitDecision& d);
 
 /// Greedy balanced scheduler: alternating 1-D sweeps over r (with c
 /// fixed) and c (with r fixed) until the makespan stops improving.

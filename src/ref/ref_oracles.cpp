@@ -33,7 +33,8 @@ std::int64_t eq7_cycles(std::int64_t M, std::int64_t K, std::int64_t N,
 
 namespace {
 
-/// Equation 7 of the four quadrants for the split (r, c), and their max.
+/// Equation 7 of the four quadrants for the split (r, c), their max,
+/// and their tile repetitions.
 core::SplitDecision eq8_candidate(const core::LayerWork& work,
                                   const core::ArrayDims& total,
                                   std::int64_t r, std::int64_t c) {
@@ -52,6 +53,21 @@ core::SplitDecision eq8_candidate(const core::LayerWork& work,
   };
   d.makespan = std::max(std::max(d.latency[0], d.latency[1]),
                         std::max(d.latency[2], d.latency[3]));
+  const auto reps = [&](std::int64_t m, std::int64_t n, int pa, int pw,
+                        std::int64_t rows, std::int64_t cols) {
+    return m == 0 || work.k == 0 || n == 0
+               ? 0
+               : eq7_repetitions(work.k, n, pa, pw, rows, cols);
+  };
+  d.tiles = {
+      reps(work.m_high, work.n_high, work.pa_high, work.pw_high, r, c),
+      reps(work.m_high, work.n_low, work.pa_high, work.pw_low, r,
+           total.cols - c),
+      reps(work.m_low, work.n_high, work.pa_low, work.pw_high,
+           total.rows - r, c),
+      reps(work.m_low, work.n_low, work.pa_low, work.pw_low, total.rows - r,
+           total.cols - c),
+  };
   return d;
 }
 

@@ -154,6 +154,32 @@ TEST(Cli, DriftGraphValidateDeepFileExitsOne) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, DriftGraphShapeErrorWritesNoArtifact) {
+  // A topology that parses but fails shape inference is an error exit
+  // (1); run and compare both check it before the at-exit flush is
+  // armed, so neither leaves a partial artifact.
+  const std::string topology = ::testing::TempDir() + "drift_cli_add.json";
+  {
+    std::ofstream out(topology, std::ios::binary);
+    out << R"({"name": "bad_add", "family": "cnn",
+  "inputs": [{"name": "a", "shape": [16, 4]}, {"name": "b", "shape": [16, 8]}],
+  "nodes": [{"name": "sum", "op": "add", "inputs": ["a", "b"]}],
+  "outputs": ["sum"]})";
+  }
+  const std::string path = ::testing::TempDir() + "drift_cli_add_m.json";
+  for (const std::string command : {"run ", "compare "}) {
+    std::remove(path.c_str());
+    const CliResult r = run(DRIFT_GRAPH_BIN,
+                            command + topology + " --metrics-out=" + path);
+    EXPECT_EQ(r.exit_code, 1) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("shape inference failed"), std::string::npos)
+        << command << "\n" << r.output;
+    EXPECT_FALSE(std::ifstream(path).good()) << command << "wrote " << path;
+  }
+  std::remove(path.c_str());
+  std::remove(topology.c_str());
+}
+
 TEST(Cli, DriftServeRejectsUnknownAlgoAndWorkload) {
   expect_usage_error(DRIFT_SERVE_BIN, "--algo=bogus", kAlgos);
   expect_usage_error(DRIFT_SERVE_BIN, "--workloads=tiny-bert,nosuch",

@@ -60,8 +60,9 @@ graphcli::GraphPipelineResult run_fixed_pipeline(
   obs::Tracer::global().set_enabled(true);
   graphcli::GraphPipelineConfig config;  // kDrift, greedy, seed 17
   graphcli::GraphPipelineResult result =
-      graphcli::run_graph_pipeline(graphcli::make_zoo_graph(zoo_name),
-                                   config);
+      graphcli::run_graph_pipeline(
+          graphcli::export_workload(graphcli::make_zoo_graph(zoo_name)),
+          config);
   obs::Tracer::global().set_enabled(false);
   return result;
 }

@@ -7,7 +7,8 @@
 // explicitly pins DRIFT_PROPTEST_ITERS, e.g. for a failure replay).
 // The production schedulers read Eq. 7 from a per-cut table; the
 // oracles evaluate every candidate through ref::eq7_cycles, so the two
-// must agree bitwise on the chosen (r, c) and every latency.
+// must agree bitwise on the chosen (r, c), every latency and every tile
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,16 +116,18 @@ TEST(PropScheduler, GreedyMatchesSweepOracleBitwise) {
         }
         const core::SplitDecision got = core::schedule_greedy(w, total);
         const core::SplitDecision want = ref::greedy_split(w, total);
-        if (got.r != want.r || got.c != want.c ||
-            got.latency != want.latency || got.makespan != want.makespan) {
+        if (got != want) {
           return proptest::fail(
               "greedy (r=", got.r, ", c=", got.c, ", makespan ", got.makespan,
               ", latencies ", got.latency[0], "/", got.latency[1], "/",
-              got.latency[2], "/", got.latency[3], ") vs sweep oracle (r=",
-              want.r, ", c=", want.c, ", makespan ", want.makespan,
-              ", latencies ", want.latency[0], "/", want.latency[1], "/",
-              want.latency[2], "/", want.latency[3], ") on ", total.rows,
-              "x", total.cols);
+              got.latency[2], "/", got.latency[3], ", tiles ", got.tiles[0],
+              "/", got.tiles[1], "/", got.tiles[2], "/", got.tiles[3],
+              ") vs sweep oracle (r=", want.r, ", c=", want.c, ", makespan ",
+              want.makespan, ", latencies ", want.latency[0], "/",
+              want.latency[1], "/", want.latency[2], "/", want.latency[3],
+              ", tiles ", want.tiles[0], "/", want.tiles[1], "/",
+              want.tiles[2], "/", want.tiles[3], ") on ", total.rows, "x",
+              total.cols);
         }
         return proptest::pass();
       },

@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/compare.hpp"
@@ -251,6 +252,9 @@ void print_run(const accel::RunResult& r, bool layers) {
 int cmd_run(const Args& args, const std::vector<std::string>& files) {
   drift::graph::Graph g;
   if (const int rc = load_source(args, files, g, nullptr)) return rc;
+  // Export (and so validate) before the flush is armed: a topology that
+  // fails shape inference leaves no artifact.
+  nn::WorkloadSpec spec = export_workload(g);
   GraphPipelineConfig config;
   bool layers = false;
   const std::string algo = args.get_string("algo", "drift");
@@ -265,7 +269,7 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
       args, std::string("--zoo, --algo, ") + kSimFlags);
   if (!artifacts) return 2;
 
-  const auto result = run_graph_pipeline(g, config);
+  const auto result = run_graph_pipeline(std::move(spec), config);
   print_header(result.workload, config);
   print_run(result.run, layers);
   return artifacts->write() ? 0 : 1;

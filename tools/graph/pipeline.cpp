@@ -1,5 +1,7 @@
 #include "pipeline.hpp"
 
+#include <utility>
+
 #include "graph/ops.hpp"
 #include "graph/workload_export.hpp"
 #include "obs/metrics.hpp"
@@ -7,8 +9,7 @@
 
 namespace drift::graphcli {
 
-nn::WorkloadSpec export_workload(const drift::graph::Graph& g,
-                                 const std::string& prefix) {
+nn::WorkloadSpec export_workload(const drift::graph::Graph& g) {
   const auto structural = drift::graph::validate(g);
   if (!structural.empty()) {
     throw check_error("invalid graph: " + structural.front());
@@ -17,15 +18,13 @@ nn::WorkloadSpec export_workload(const drift::graph::Graph& g,
   if (!shapes.ok()) {
     throw check_error("shape inference failed: " + shapes.errors.front());
   }
-  drift::graph::WorkloadExportOptions export_options;
-  export_options.prefix = prefix;
-  return drift::graph::to_workload(g, shapes, export_options);
+  return drift::graph::to_workload(g, shapes);
 }
 
-GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
+GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
                                        const GraphPipelineConfig& config) {
   GraphPipelineResult result;
-  result.workload = export_workload(g, config.prefix);
+  result.workload = std::move(workload);
 
   result.mixes = nn::build_mixes(result.workload,
                                  config.mix_config(config.algo, config.seed));

@@ -14,7 +14,6 @@
 // accelerator models, so the composition happens here.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "accel/compare.hpp"
@@ -28,9 +27,6 @@ namespace drift::graphcli {
 /// model to run).
 struct GraphPipelineConfig : accel::CompareConfig {
   nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
-  /// Prepended to every exported GEMM name (and so to every obs layer
-  /// record name).
-  std::string prefix;
 };
 
 /// Everything the run produced, for printing and for tests.
@@ -41,16 +37,14 @@ struct GraphPipelineResult {
 };
 
 /// Validates + shape-infers `g` (throws check_error naming the first
-/// offending node on failure) and exports its GEMMs, each name
-/// prefixed with `prefix`.
-nn::WorkloadSpec export_workload(const drift::graph::Graph& g,
-                                 const std::string& prefix = "");
+/// offending node on failure) and exports its GEMMs.
+nn::WorkloadSpec export_workload(const drift::graph::Graph& g);
 
-/// Exports `g` (export_workload), builds the per-layer precision
-/// mixes, attributes their coverage under per-layer obs scopes, and
-/// runs the accelerator model matching `config.algo`
+/// Builds the per-layer precision mixes of `workload` (an
+/// export_workload result), attributes their coverage under per-layer
+/// obs scopes, and runs the accelerator model matching `config.algo`
 /// (accel::make_accelerator).
-GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
+GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
                                        const GraphPipelineConfig& config);
 
 }  // namespace drift::graphcli
