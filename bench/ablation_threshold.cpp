@@ -1,5 +1,5 @@
 // Ablation B: the accuracy / 4-bit-coverage trade-off of the density
-// threshold (Section 3.3's Hessian-aware selection target).
+// threshold (Section 3.3's minimum-δ selection target).
 //
 // Sweeps the excess-noise budget (the dimensionless form of Eq. 6's δ
 // that the automatic selection tunes) on the transformer proxy and on

@@ -5,8 +5,8 @@
 // activation statistics (see DESIGN.md).  Drift's per-model threshold
 // is chosen the way the paper does — the most aggressive setting whose
 // accuracy impact is negligible — by searching the noise-budget grid
-// against the measured proxy accuracy (the Hessian-aware rule with the
-// proxy's accuracy as the sensitivity oracle).
+// against the measured proxy accuracy (the paper's minimum-δ rule with
+// the proxy's accuracy as the sensitivity oracle).
 #include <cstdio>
 #include <functional>
 #include <memory>

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "core/analytical_model.hpp"
-#include "core/layer_work.hpp"
 #include "core/noise_budget.hpp"
 #include "core/scheduler.hpp"
 #include "nn/synthetic.hpp"

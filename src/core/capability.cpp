@@ -15,12 +15,4 @@ double representation_density(int lc, double delta) {
   return static_cast<double>(std::int64_t{1} << lc) * delta;
 }
 
-Capability conversion_capability(Precision hp, const QuantParams& params,
-                                 const ConversionChoice& choice) {
-  return Capability{
-      representation_range(hp, choice.hc, params.delta),
-      representation_density(choice.lc, params.delta),
-  };
-}
-
 }  // namespace drift::core

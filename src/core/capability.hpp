@@ -11,7 +11,6 @@
 #pragma once
 
 #include "core/precision.hpp"
-#include "core/quantizer.hpp"
 
 namespace drift::core {
 
@@ -20,15 +19,5 @@ double representation_range(Precision hp, int hc, double delta);
 
 /// RD of the lc-clipped rendering under scale Δ (Equation 3, bottom).
 double representation_density(int lc, double delta);
-
-/// Representation capability of one concrete conversion choice.
-struct Capability {
-  double range = 0.0;
-  double density = 0.0;
-};
-
-/// Capability of converting an hp-bit tensor with scale Δ via `choice`.
-Capability conversion_capability(Precision hp, const QuantParams& params,
-                                 const ConversionChoice& choice);
 
 }  // namespace drift::core

@@ -2,11 +2,10 @@
 // budget.
 //
 // Section 3.3 selects "the minimum threshold with negligible impact on
-// model accuracy" via a Hessian-aware strategy.  When a differentiable
-// loss is available we do exactly that (core/hessian.hpp); for the
-// full-size hardware workloads — where only sub-tensor statistics
-// exist — this module implements the same rule with the Hessian weight
-// replaced by a quantization-noise proxy:
+// model accuracy" via a Hessian-aware strategy.  Every artifact picks δ
+// here instead: only sub-tensor statistics exist for the full-size
+// hardware workloads, so this module implements the same rule with the
+// Hessian weight replaced by a quantization-noise proxy:
 //
 //   A sub-tensor converted with low-end clip lc adds rounding noise
 //   ((2^lc Δ)^2 - Δ^2) / 12 per element *beyond* the INT8 rendering

@@ -6,14 +6,13 @@
 //
 //     hp = hc + lp + lc,   hp, lp, hc, lc >= 0.
 //
-// A ConversionChoice captures one (hc, lc) pair; enumerate_choices lists
-// all of them for a given (hp, lp) — e.g. five choices for 8->4.
+// A ConversionChoice captures one (hc, lc) pair — e.g. five choices
+// for 8->4.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace drift::core {
 
@@ -53,9 +52,6 @@ struct ConversionChoice {
   int hc = 0;  ///< bits clipped from the high (magnitude) end
   int lc = 0;  ///< bits clipped from the low (resolution) end
 };
-
-/// All (hc, lc) pairs with hc + lc = hp - lp, ordered by ascending hc.
-std::vector<ConversionChoice> enumerate_choices(Precision hp, Precision lp);
 
 /// The precision assigned to one sub-tensor after dynamic selection.
 struct PrecisionDecision {

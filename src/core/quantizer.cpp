@@ -34,26 +34,6 @@ float dequantize_value(std::int32_t q, const QuantParams& params) {
   return static_cast<float>(static_cast<double>(q) * params.delta);
 }
 
-TensorI32 quantize(const TensorF& x, const QuantParams& params) {
-  TensorI32 q(x.shape());
-  auto src = x.data();
-  auto dst = q.data();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = quantize_value(src[i], params);
-  }
-  return q;
-}
-
-TensorF dequantize(const TensorI32& q, const QuantParams& params) {
-  TensorF x(q.shape());
-  auto src = q.data();
-  auto dst = x.data();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = dequantize_value(src[i], params);
-  }
-  return x;
-}
-
 std::int32_t convert_to_low(std::int32_t q, Precision lp,
                             const ConversionChoice& choice) {
   DRIFT_CHECK(choice.hc >= 0 && choice.lc >= 0, "invalid conversion choice");
@@ -75,14 +55,6 @@ float dequantize_low(std::int32_t q_lp, const QuantParams& params,
   const double step =
       params.delta * static_cast<double>(std::int64_t{1} << choice.lc);
   return static_cast<float>(static_cast<double>(q_lp) * step);
-}
-
-double conversion_error(std::int32_t q, const QuantParams& params,
-                        Precision lp, const ConversionChoice& choice) {
-  const double exact = static_cast<double>(q) * params.delta;
-  const double approx =
-      dequantize_low(convert_to_low(q, lp, choice), params, choice);
-  return std::abs(exact - approx);
 }
 
 }  // namespace drift::core

@@ -14,7 +14,6 @@
 #include <span>
 
 #include "core/precision.hpp"
-#include "tensor/tensor.hpp"
 
 namespace drift::core {
 
@@ -44,10 +43,6 @@ std::int32_t quantize_value(float x, const QuantParams& params);
 /// Dequantizes q -> q * Δ.
 float dequantize_value(std::int32_t q, const QuantParams& params);
 
-/// Whole-tensor quantize / dequantize.
-TensorI32 quantize(const TensorF& x, const QuantParams& params);
-TensorF dequantize(const TensorI32& q, const QuantParams& params);
-
 /// Re-renders a single hp-bit integer at lp bits with choice (hc, lc).
 /// Returns the *lp-bit integer code* (already shifted down by lc).
 std::int32_t convert_to_low(std::int32_t q, Precision lp,
@@ -56,10 +51,5 @@ std::int32_t convert_to_low(std::int32_t q, Precision lp,
 /// Dequantizes an lp-bit code produced by convert_to_low.
 float dequantize_low(std::int32_t q_lp, const QuantParams& params,
                      const ConversionChoice& choice);
-
-/// Round-trip error of re-rendering `q` at lp bits, in dequantized
-/// units: |q*Δ - dequantize_low(convert_to_low(q))|.
-double conversion_error(std::int32_t q, const QuantParams& params,
-                        Precision lp, const ConversionChoice& choice);
 
 }  // namespace drift::core

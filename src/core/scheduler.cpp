@@ -168,14 +168,6 @@ std::array<std::int64_t, 4> quadrant_latencies(const LayerWork& work,
   return Eq7Table(work, total).latencies(r, c);
 }
 
-std::array<std::int64_t, 4> quadrant_tile_counts(const LayerWork& work,
-                                                 const ArrayDims& total,
-                                                 std::int64_t r,
-                                                 std::int64_t c) {
-  check_cut(total, r, c);
-  return Eq7Table(work, total).tile_counts(r, c);
-}
-
 SplitDecision schedule_greedy(const LayerWork& work, const ArrayDims& total) {
   DRIFT_OBS_SPAN("scheduler.greedy");
   DRIFT_CHECK(total.rows > 0 && total.cols > 0, "empty array");

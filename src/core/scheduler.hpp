@@ -68,7 +68,9 @@ struct SplitDecision {
   std::int64_t c = 0;  ///< columns given to high-precision weights
   std::array<std::int64_t, 4> latency{};  ///< per-quadrant cycles
   std::int64_t makespan = 0;              ///< max of the four
-  /// Per-quadrant weight-tile repetitions (quadrant_tile_counts).
+  /// Per-quadrant weight-tile repetitions (the ceil factors of
+  /// Equation 7); 0 for empty quadrants.  This is the per-precision-class
+  /// tile count the metrics layer reports.
   std::array<std::int64_t, 4> tiles{};
 
   bool operator==(const SplitDecision&) const = default;
@@ -76,18 +78,13 @@ struct SplitDecision {
 
 /// Latency of each quadrant for a candidate split (Equation 7 per
 /// quadrant).  Quadrants with no work cost 0 regardless of size.
+// drift-lint: allow(dead-api) — the one seam into the Eq. 7 table for
+// every split, which PropScheduler.QuadrantLatenciesMatchEquationSevenRef
+// pins bitwise to ref::eq7_cycles.
 std::array<std::int64_t, 4> quadrant_latencies(const LayerWork& work,
                                                const ArrayDims& total,
                                                std::int64_t r,
                                                std::int64_t c);
-
-/// Weight-tile repetition count of each quadrant (the ceil factors of
-/// Equation 7) for a chosen split; 0 for empty quadrants.  This is the
-/// per-precision-class tile count the metrics layer reports.
-std::array<std::int64_t, 4> quadrant_tile_counts(const LayerWork& work,
-                                                 const ArrayDims& total,
-                                                 std::int64_t r,
-                                                 std::int64_t c);
 
 /// Publishes a decision to the metrics layer: scheduler.decisions += 1,
 /// and the current layer record's sched_r, sched_c, sched_latency,

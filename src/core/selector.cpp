@@ -97,8 +97,8 @@ PrecisionDecision select_precision(const SubTensorStats& stats,
   // would change with every tensor's scale; we evaluate the criterion
   // in integer-code units (divide both sides by Δ), which is exactly
   // Eq. 6 with δ = density_threshold * Δ and makes one dimensionless
-  // threshold transfer across layers — the quantity the Hessian-aware
-  // search actually tunes.
+  // threshold transfer across layers — the quantity the noise-budget
+  // rule actually tunes.
   const double rd = representation_density(choice.lc, params.delta);
   const double ratio_code_units =
       stats.laplace_variance() / (rd * params.delta);

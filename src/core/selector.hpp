@@ -12,8 +12,8 @@
 //      (Equation 6), where var(Y) uses the Laplace identity
 //      var = 2*E|Y|^2 from Equation 4.
 //
-// δ is a per-layer hyperparameter chosen offline by the Hessian-aware
-// search in core/hessian.hpp.
+// δ is a per-layer hyperparameter; every artifact picks it with the
+// noise-budget rule in core/noise_budget.hpp.
 #pragma once
 
 #include <algorithm>
@@ -91,7 +91,6 @@ class PrecisionMap {
 
   std::int64_t total_elements() const { return total_elements_; }
   std::int64_t low_elements() const { return low_elements_; }
-  std::size_t low_subtensors() const { return low_count_; }
 
  private:
   std::vector<PrecisionDecision> decisions_;

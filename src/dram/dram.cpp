@@ -136,12 +136,4 @@ TransferResult DramModel::stream(std::int64_t bytes, bool is_write) {
   return r;
 }
 
-double DramModel::peak_bytes_per_core_cycle() const {
-  // Row-hit steady state: one burst per t_bl per channel.
-  const double bytes_per_mem_cycle =
-      static_cast<double>(config_.burst_bytes * config_.channels) /
-      static_cast<double>(config_.t_bl);
-  return bytes_per_mem_cycle * config_.mem_cycles_per_core_cycle;
-}
-
 }  // namespace drift::dram

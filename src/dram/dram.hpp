@@ -60,13 +60,6 @@ struct DramStats {
   std::int64_t row_misses = 0;
   std::int64_t busy_mem_cycles = 0;
   double energy_pj = 0.0;
-
-  double row_hit_rate() const {
-    const std::int64_t total = row_hits + row_misses;
-    return total > 0 ? static_cast<double>(row_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
 /// One transfer's outcome in core-clock terms.
@@ -94,13 +87,8 @@ class DramModel {
   /// the next stream shares no row with it on any channel count.
   TransferResult stream(std::int64_t bytes, bool is_write);
 
-  /// Peak sequential bandwidth in bytes per *core* cycle (row-hit
-  /// steady state across all channels).
-  double peak_bytes_per_core_cycle() const;
-
   const DramConfig& config() const { return config_; }
   const DramStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = DramStats{}; }
 
  private:
   struct Bank {

@@ -240,61 +240,4 @@ std::vector<int> topological_order(const Graph& g) {
   return order;
 }
 
-namespace {
-
-void enumerate_orders(const std::vector<std::vector<int>>& consumers,
-                      std::vector<int>& indegree, std::set<int>& ready,
-                      std::vector<int>& prefix, std::size_t total,
-                      std::size_t limit,
-                      std::vector<std::vector<int>>& out) {
-  if (out.size() >= limit) return;
-  if (prefix.size() == total) {
-    out.push_back(prefix);
-    return;
-  }
-  // Branch over every currently-ready node (std::set iteration is
-  // sorted, so the enumeration order is deterministic).
-  const std::vector<int> candidates(ready.begin(), ready.end());
-  for (const int n : candidates) {
-    ready.erase(n);
-    prefix.push_back(n);
-    for (const int c : consumers[static_cast<std::size_t>(n)]) {
-      if (--indegree[static_cast<std::size_t>(c)] == 0) ready.insert(c);
-    }
-    enumerate_orders(consumers, indegree, ready, prefix, total, limit, out);
-    for (const int c : consumers[static_cast<std::size_t>(n)]) {
-      if (indegree[static_cast<std::size_t>(c)]++ == 0) ready.erase(c);
-    }
-    prefix.pop_back();
-    ready.insert(n);
-    if (out.size() >= limit) return;
-  }
-}
-
-}  // namespace
-
-std::vector<std::vector<int>> all_topological_orders(const Graph& g,
-                                                     std::size_t limit) {
-  DRIFT_CHECK(validate(g).empty(),
-              "all_topological_orders requires a validated graph");
-  const auto producers = node_producers(g);
-  std::vector<int> indegree(g.nodes.size(), 0);
-  std::vector<std::vector<int>> consumers(g.nodes.size());
-  for (std::size_t n = 0; n < g.nodes.size(); ++n) {
-    indegree[n] = static_cast<int>(producers[n].size());
-    for (const int p : producers[n]) {
-      consumers[static_cast<std::size_t>(p)].push_back(static_cast<int>(n));
-    }
-  }
-  std::set<int> ready;
-  for (std::size_t n = 0; n < g.nodes.size(); ++n) {
-    if (indegree[n] == 0) ready.insert(static_cast<int>(n));
-  }
-  std::vector<std::vector<int>> out;
-  std::vector<int> prefix;
-  enumerate_orders(consumers, indegree, ready, prefix, g.nodes.size(), limit,
-                   out);
-  return out;
-}
-
 }  // namespace drift::graph

@@ -92,10 +92,4 @@ std::vector<std::string> validate(const Graph& g);
 /// Requires validate(g) to be clean.
 std::vector<int> topological_order(const Graph& g);
 
-/// Every valid topological order of the graph, capped at `limit`
-/// (enumeration is factorial; callers pass small graphs).  Used by the
-/// order-invariance property suite.
-std::vector<std::vector<int>> all_topological_orders(const Graph& g,
-                                                     std::size_t limit);
-
 }  // namespace drift::graph

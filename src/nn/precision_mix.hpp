@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/drq_quantizer.hpp"
-#include "core/layer_work.hpp"
+#include "core/scheduler.hpp"
 #include "core/selector.hpp"
 #include "nn/synthetic.hpp"
 #include "nn/workload.hpp"

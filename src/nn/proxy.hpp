@@ -141,9 +141,6 @@ class LmProxy {
   ProxyResult evaluate(QuantEngine& engine) const;
   const Config& config() const { return config_; }
 
-  /// The calibrated teacher temperature (1/scale); exposed for tests.
-  double calibrated_scale() const { return calibrated_scale_; }
-
  private:
   TensorF logits_for(const TensorF& input, QuantEngine& engine) const;
 

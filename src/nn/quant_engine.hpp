@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/drq_quantizer.hpp"
-#include "core/layer_work.hpp"
 #include "core/selector.hpp"
 #include "tensor/tensor.hpp"
 

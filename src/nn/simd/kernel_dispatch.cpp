@@ -88,22 +88,6 @@ const KernelTable& active() {
   return best_table();
 }
 
-Backend active_backend() {
-  const KernelTable& table = active();
-#ifdef DRIFT_SIMD_BUILD_AVX2
-  if (&table == &kAvx2Table) {
-    return Backend::kAvx2;
-  }
-#endif
-#ifdef DRIFT_SIMD_BUILD_NEON
-  if (&table == &kNeonTable) {
-    return Backend::kNeon;
-  }
-#endif
-  (void)table;
-  return Backend::kScalar;
-}
-
 void set_force_scalar(bool force) {
   // drift-lint: allow(atomic-order) — independent flag; the dispatch
   // tables it selects between are immutable after static init.

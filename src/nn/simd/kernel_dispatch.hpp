@@ -44,8 +44,6 @@ struct CpuFeatures {
 /// Features of the machine this process is running on.
 CpuFeatures detect_cpu_features();
 
-enum class Backend { kScalar, kAvx2, kNeon };
-
 /// Raw single-pass reduction over a contiguous float run, before the
 /// divide-by-n that turns sums into the SubTensorStats means.
 struct RawStats {
@@ -84,9 +82,6 @@ struct KernelTable {
 /// best table the build and the CPU support.  Cheap enough to call per
 /// GEMM; cache the reference outside per-element loops.
 const KernelTable& active();
-
-/// The backend `active()` resolves to right now.
-Backend active_backend();
 
 /// Pins (or unpins) the scalar table, overriding feature detection.
 /// Initialized from the DRIFT_FORCE_SCALAR environment variable

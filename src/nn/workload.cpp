@@ -220,9 +220,14 @@ WorkloadSpec make_gpt2_xl(std::int64_t seq_len) {
   return make_decoder_lm("GPT2-XL", 1600, 25, 6400, 48, seq_len, 50257);
 }
 
-WorkloadSpec make_bloom_7b1(std::int64_t seq_len) {
-  return make_decoder_lm("BLOOM-7B1", 4096, 32, 16384, 30, seq_len, 250880);
+namespace {
+
+/// Reached only by name, through make_workload("BLOOM-7B1").
+WorkloadSpec make_bloom_7b1() {
+  return make_decoder_lm("BLOOM-7B1", 4096, 32, 16384, 30, 1024, 250880);
 }
+
+}  // namespace
 
 WorkloadSpec make_opt_6p7b(std::int64_t seq_len) {
   return make_decoder_lm("OPT-6.7B", 4096, 32, 16384, 32, seq_len, 50272);
@@ -280,7 +285,7 @@ constexpr NamedWorkload kWorkloads[] = {
     {"BERT", [] { return make_bert_base(); }},
     {"GPT2-XL", [] { return make_gpt2_xl(); }},
     {"OPT-6.7B", [] { return make_opt_6p7b(); }},
-    {"BLOOM-7B1", [] { return make_bloom_7b1(); }},
+    {"BLOOM-7B1", make_bloom_7b1},
 };
 
 }  // namespace

@@ -68,7 +68,6 @@ WorkloadSpec make_vit_b16();
 WorkloadSpec make_deit_s();
 WorkloadSpec make_bert_base(std::int64_t seq_len = 128);
 WorkloadSpec make_gpt2_xl(std::int64_t seq_len = 1024);
-WorkloadSpec make_bloom_7b1(std::int64_t seq_len = 1024);
 WorkloadSpec make_opt_6p7b(std::int64_t seq_len = 1024);
 
 /// The seven workloads of Figures 7/8, in the paper's order:

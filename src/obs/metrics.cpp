@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift::obs {
@@ -262,13 +260,12 @@ void append_layer_json(std::string& out, const LayerRecord& r) {
   out += "}";
 }
 
-/// Providers and overrides behind run_metadata(); function-local so
-/// static-init-order is safe for providers registered from other
-/// translation units' global initializers.
+/// Providers behind run_metadata(); function-local so static-init-order
+/// is safe for providers registered from other translation units'
+/// global initializers.
 struct MetadataState {
   std::mutex mutex;
   std::vector<MetadataProvider> providers;
-  std::map<std::string, std::string> overrides;
 };
 
 MetadataState& metadata_state() {
@@ -282,12 +279,6 @@ void register_run_metadata_provider(MetadataProvider provider) {
   MetadataState& state = metadata_state();
   std::lock_guard<std::mutex> lock(state.mutex);
   state.providers.push_back(provider);
-}
-
-void set_run_metadata(const std::string& key, std::string value) {
-  MetadataState& state = metadata_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.overrides[key] = std::move(value);
 }
 
 std::map<std::string, std::string> run_metadata() {
@@ -310,7 +301,6 @@ std::map<std::string, std::string> run_metadata() {
   MetadataState& state = metadata_state();
   std::lock_guard<std::mutex> lock(state.mutex);
   for (const MetadataProvider provider : state.providers) provider(meta);
-  for (const auto& [key, value] : state.overrides) meta[key] = value;
   return meta;
 }
 
@@ -400,34 +390,6 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
   }
   out += layers_.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-std::string Registry::to_text() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  TextTable layer_table({"layer", "subtensors", "low", "coverage", "r/c",
-                         "makespan", "cycles", "stalls", "DRAM bytes"});
-  for (const auto& l : layers_) {
-    const std::lock_guard<std::mutex> record_lock(l->mutex);
-    layer_table.add_row(
-        {l->layer, std::to_string(l->subtensors_total),
-         std::to_string(l->subtensors_low), TextTable::pct(l->coverage()),
-         std::to_string(l->sched_r) + "/" + std::to_string(l->sched_c),
-         std::to_string(l->sched_makespan),
-         std::to_string(l->compute_cycles), std::to_string(l->stall_cycles),
-         std::to_string(l->dram_bytes)});
-  }
-  if (!layers_.empty()) {
-    os << "per-layer metrics:\n" << layer_table.to_string() << "\n";
-  }
-  TextTable counter_table({"counter", "value"});
-  for (const auto& [name, c] : counters_) {
-    counter_table.add_row({name, std::to_string(c->value())});
-  }
-  if (!counters_.empty()) {
-    os << "counters:\n" << counter_table.to_string();
-  }
-  return os.str();
 }
 
 void Registry::reset() {

@@ -84,7 +84,6 @@ class Counter {
     slots_[static_cast<std::size_t>(detail::this_thread_shard())]
         .value.fetch_add(delta, std::memory_order_relaxed);
   }
-  void increment() { add(1); }
 
   std::int64_t value() const {
     std::int64_t total = 0;
@@ -228,15 +227,8 @@ inline constexpr int kMetricsSchemaVersion = 2;
 using MetadataProvider = void (*)(std::map<std::string, std::string>&);
 void register_run_metadata_provider(MetadataProvider provider);
 
-/// Explicit per-run override/extension (e.g. a workload name); wins
-/// over built-ins and providers.
-// drift-lint: allow(dead-api) — the override hook of the run-metadata
-// API; drivers stamp workload names through it from outside src/obs/.
-void set_run_metadata(const std::string& key, std::string value);
-
 /// The merged metadata map: built-ins (git_sha from the build-time
-/// DRIFT_GIT_SHA define, obs_off, threads), then registered providers,
-/// then set_run_metadata overrides.
+/// DRIFT_GIT_SHA define, obs_off, threads), then registered providers.
 std::map<std::string, std::string> run_metadata();
 
 /// Process-wide metric namespace.
@@ -247,6 +239,9 @@ class Registry {
   /// Lookup-by-string; returns a stable handle.  Cache the result —
   /// the drift_lint `obs` rule flags calls inside loops.
   Counter* counter(const std::string& name);
+  // drift-lint: allow(dead-api) — production code reaches it only
+  // through the DRIFT_OBS_GAUGE_SET macro, which the extractor does not
+  // expand.
   Gauge* gauge(const std::string& name);
   /// First lookup fixes the bucket bounds; later lookups of the same
   /// name ignore `upper_bounds`.
@@ -259,6 +254,9 @@ class Registry {
 
   /// Layer attribution for the calling thread (set by LayerScope);
   /// nullptr outside any scope.
+  // drift-lint: allow(dead-api) — production code reaches it only
+  // through the DRIFT_OBS_LAYER macro, which the extractor does not
+  // expand.
   LayerRecord* current_layer();
 
   /// Canonical JSON of every metric plus the layer records, for the
@@ -270,11 +268,9 @@ class Registry {
   /// drops the volatile git sha along with the wall-clock metrics.
   std::string to_json(const std::vector<std::string>& prefixes = {}) const;
 
-  /// Human-readable per-layer table + counter dump (util/table format).
-  std::string to_text() const;
-
   /// Zeroes every counter/gauge/histogram and drops all layer records.
-  /// Test-only: not safe concurrently with instrumentation.
+  /// Not safe concurrently with instrumentation: call it between runs,
+  /// as drift_serve and serving_study do.
   void reset();
 
  private:

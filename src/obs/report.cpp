@@ -8,6 +8,7 @@
 #include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drift::obs {
 namespace {
@@ -51,6 +52,12 @@ void arm_flush(const ReportOptions& opts) {
   state.armed = true;
   if (!state.handler_registered) {
     state.handler_registered = true;
+    // Exit destroys a function-local static built after this
+    // registration before the handler runs, so build every singleton
+    // the handler reads first.
+    (void)Registry::global();
+    (void)Tracer::global();
+    (void)util::ThreadPool::instance();
     std::atexit(flush_at_exit);
   }
 }

@@ -36,11 +36,4 @@ double md1_mean_wait(double arrival_rate, double service_cycles) {
   return rho * service_cycles / (2.0 * (1.0 - rho));
 }
 
-double mg1_mean_wait(double arrival_rate, double service_mean,
-                     double service_second_moment) {
-  const double rho = arrival_rate * service_mean;
-  if (rho >= 1.0) return -1.0;
-  return arrival_rate * service_second_moment / (2.0 * (1.0 - rho));
-}
-
 }  // namespace drift::ref

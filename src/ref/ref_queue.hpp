@@ -1,7 +1,7 @@
 // Queueing oracles for the serving simulator.  The Lindley recurrence
 // replays a single-server FIFO trace request by request — the exact
-// answer the event loop must reproduce — and the M/D/1 / M/G/1 closed
-// forms give long-run mean waits the simulator's averages must approach
+// answer the event loop must reproduce — and the M/D/1 closed form
+// gives the long-run mean wait the simulator's average must approach
 // under a Poisson arrival process.  Shares no code with src/serve/.
 #pragma once
 
@@ -30,14 +30,5 @@ std::vector<std::int64_t> lindley_completions(
 /// `service_cycles` the deterministic per-request service time.
 /// Returns a negative value when the queue is unstable (rho >= 1).
 double md1_mean_wait(double arrival_rate, double service_cycles);
-
-/// M/G/1 mean queueing wait by Pollaczek–Khinchine:
-/// Wq = lambda*E[S^2] / (2(1-rho)).  `service_second_moment` is E[S^2];
-/// with E[S^2] = D^2 this reduces to the M/D/1 form above.  Returns a
-/// negative value when rho = lambda*E[S] >= 1.
-// drift-lint: allow(dead-api) — Pollaczek–Khinchine closed form kept
-// beside md1_mean_wait as the oracle for stochastic service times.
-double mg1_mean_wait(double arrival_rate, double service_mean,
-                     double service_second_moment);
 
 }  // namespace drift::ref

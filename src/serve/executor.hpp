@@ -61,12 +61,19 @@ class BatchExecutor {
 
   /// The tenant's workload with layer names prefixed by the tenant name
   /// (keeps obs layer records separate between tenants).
+  // drift-lint: allow(dead-api) — with request_mixes, the seam through
+  // which ServeDifferential.BatchOneMatchesOffline* and
+  // PropServe.BatchOneWaitsMatchLindleyAndServicesMatchOffline pin
+  // batch-1 serving bitwise to the offline pipeline.
   const nn::WorkloadSpec& tenant_spec(int tenant) const;
 
   /// The mix request `local` of `tenant` runs when served alone, built
   /// from its arena slot (or the canonical mix).  The serving tests
   /// recompute its rows from the request's seed stream and pin the
   /// batch=1 serving results against the offline pipeline on it.
+  // drift-lint: allow(dead-api) — the per-request mix seam that
+  // ServeDifferential.RequestPatternsMatchTheirSeedStreams and the
+  // batch-1 differentials pin against the offline pipeline.
   std::vector<nn::LayerMix> request_mixes(int tenant,
                                           std::int64_t local) const;
 

@@ -15,13 +15,6 @@ Laplace fit_laplace(std::span<const float> sample) {
   return Laplace(s.mean_abs);
 }
 
-Exponential fit_exponential(std::span<const float> sample) {
-  const SampleSummary s = summarize(sample);
-  DRIFT_CHECK(s.min >= 0.0, "exponential fit needs a non-negative sample");
-  DRIFT_CHECK(s.mean > 0.0, "degenerate (all-zero) sample");
-  return Exponential(1.0 / s.mean);
-}
-
 Normal fit_normal(std::span<const float> sample) {
   const SampleSummary s = summarize(sample);
   DRIFT_CHECK(s.variance > 0.0, "degenerate (constant) sample");

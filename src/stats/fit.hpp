@@ -16,11 +16,6 @@ namespace drift::stats {
 /// MLE fit of a zero-mean Laplace: b_hat = avg(|x|).
 Laplace fit_laplace(std::span<const float> sample);
 
-/// MLE fit of an Exponential to a non-negative sample: lambda = 1/mean.
-// drift-lint: allow(dead-api) — Equation (4) companion of fit_laplace
-// (|Laplace(b)| is Exponential(1/b)); part of the fig1 fitting suite.
-Exponential fit_exponential(std::span<const float> sample);
-
 /// MLE fit of a Normal (mean and stddev from sample moments).
 Normal fit_normal(std::span<const float> sample);
 

@@ -31,11 +31,6 @@ std::size_t Histogram::count(std::size_t bin) const {
   return counts_[bin];
 }
 
-double Histogram::density(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
 double Histogram::bin_center(std::size_t bin) const {
   DRIFT_CHECK_INDEX(bin, counts_.size());
   return lo_ + (static_cast<double>(bin) + 0.5) * bin_width_;

@@ -20,9 +20,6 @@ class Histogram {
   std::size_t count(std::size_t bin) const;
   std::size_t total() const { return total_; }
 
-  /// Fraction of mass in `bin`.
-  double density(std::size_t bin) const;
-
   /// Center value of `bin`.
   double bin_center(std::size_t bin) const;
 

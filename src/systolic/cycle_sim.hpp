@@ -50,6 +50,9 @@ SimResult simulate_tile(const TensorI32& a, const TensorI32& w,
 
 /// Full (small) GEMM on an R x C array with tiling along K and N, all
 /// rows unit-cost.  Cross-checks ws_latency_cycles on arbitrary shapes.
+// drift-lint: allow(dead-api) — the Eq. 7 cross-check; its sim.*
+// counters are what tests/obs/golden/metrics.json and the report
+// goldens (tests/report/golden/summary_a.*) hold.
 SimResult simulate_gemm(const TensorI32& a, const TensorI32& w,
                         const core::ArrayDims& array);
 

@@ -69,12 +69,29 @@ double Args::get_double(const std::string& flag, double fallback) const {
 bool Args::get_bool(const std::string& flag, bool fallback) const {
   const auto v = get(flag);
   if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
+  DRIFT_CHECK(*v == "false" || *v == "0" || *v == "no" || *v == "off",
+              "flag value is not a boolean");
+  return false;
 }
 
 bool Args::has(const std::string& flag) const {
   queried_[flag] = true;
   return flags_.count(flag) > 0;
+}
+
+std::optional<bool> Args::bool_flag(const std::string& flag,
+                                    bool fallback) const {
+  const std::optional<std::string> text = get(flag);
+  if (!text) return fallback;
+  try {
+    return get_bool(flag, fallback);
+  } catch (const check_error&) {
+    DRIFT_LOG_ERROR("args") << "--" << flag << "=" << *text
+                            << " is not a boolean (valid: true/false, 1/0, "
+                               "yes/no, on/off)";
+    return std::nullopt;
+  }
 }
 
 std::optional<std::int64_t> Args::int_flag(const std::string& flag,

@@ -23,7 +23,8 @@ class Args {
   /// Raw string lookup.
   std::optional<std::string> get(const std::string& flag) const;
 
-  /// Typed lookups with defaults.
+  /// Typed lookups with defaults.  A malformed number or boolean throws
+  /// check_error; the booleans are true/false, 1/0, yes/no and on/off.
   std::string get_string(const std::string& flag,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& flag, std::int64_t fallback) const;
@@ -34,9 +35,12 @@ class Args {
 
   // Checked readers for drivers that exit 2 on a bad value.  Each
   // gives `fallback` when the flag is absent; a given value that is
-  // malformed ("--f=x is not an integer" / "is not a number") or out
-  // of its range ("--f=x is out of range (valid: ...)") is logged as
-  // an error and gives nullopt.
+  // malformed ("--f=x is not an integer" / "is not a number" / "is not
+  // a boolean") or out of its range ("--f=x is out of range (valid:
+  // ...)") is logged as an error and gives nullopt.
+
+  /// A boolean; a bare --f is true.
+  std::optional<bool> bool_flag(const std::string& flag, bool fallback) const;
 
   /// An integer in [lo, hi].
   std::optional<std::int64_t> int_flag(

@@ -12,7 +12,6 @@ CsvWriter::CsvWriter(const std::string& path,
   DRIFT_CHECK(out_.good(), "failed to open CSV output file");
   DRIFT_CHECK(width_ > 0, "CSV header must not be empty");
   row(header);
-  rows_ = 0;  // header does not count as a data row
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {
@@ -22,7 +21,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
-  ++rows_;
 }
 
 std::string CsvWriter::escape(const std::string& cell) {

@@ -31,9 +31,6 @@ class CsvWriter {
     row(cells);
   }
 
-  /// Number of data rows written so far.
-  std::size_t rows_written() const { return rows_; }
-
  private:
   template <typename T>
   static std::string stringify(const T& value) {
@@ -48,7 +45,6 @@ class CsvWriter {
 
   std::ofstream out_;
   std::size_t width_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace drift

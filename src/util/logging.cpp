@@ -1,11 +1,10 @@
 #include "util/logging.hpp"
 
-#include <atomic>
-
 namespace drift::log {
 namespace {
 
-std::atomic<Level> g_threshold{Level::kWarn};
+/// Messages below this level are discarded.
+constexpr Level kThreshold = Level::kWarn;
 
 const char* level_name(Level level) {
   switch (level) {
@@ -20,18 +19,8 @@ const char* level_name(Level level) {
 
 }  // namespace
 
-// drift-lint: allow(atomic-order) — the threshold is an independent
-// flag; no other memory is published through it, so relaxed is sound.
-Level threshold() { return g_threshold.load(std::memory_order_relaxed); }
-
-void set_threshold(Level level) {
-  // drift-lint: allow(atomic-order) — same independent-flag argument
-  // as threshold(): no ordering with any other location is required.
-  g_threshold.store(level, std::memory_order_relaxed);
-}
-
 Message::Message(Level level, const char* tag)
-    : enabled_(level >= threshold() && level != Level::kOff), level_(level) {
+    : enabled_(level >= kThreshold && level != Level::kOff), level_(level) {
   if (enabled_) stream_ << "[" << level_name(level_) << "] [" << tag << "] ";
 }
 

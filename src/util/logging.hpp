@@ -12,14 +12,6 @@ namespace drift::log {
 
 enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global log threshold.  Messages below this level are discarded.
-Level threshold();
-
-/// Sets the global log threshold (e.g. Level::kOff inside benchmarks).
-// drift-lint: allow(dead-api) — the runtime knob paired with
-// threshold(); consumers silence logs inside measurement loops with it.
-void set_threshold(Level level);
-
 /// RAII message builder: accumulates into a stream, emits on destruction.
 class Message {
  public:

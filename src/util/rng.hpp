@@ -134,10 +134,6 @@ class Rng {
     return std::exponential_distribution<double>(lambda)(engine_);
   }
 
-  /// Rademacher sample (+1 or -1 with equal probability), used by the
-  /// Hutchinson Hessian-trace estimator.
-  double rademacher() { return uniform() < 0.5 ? -1.0 : 1.0; }
-
   /// Bernoulli sample with success probability p.
   bool bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);

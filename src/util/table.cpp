@@ -20,14 +20,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
 
 void TextTable::add_separator() { rows_.emplace_back(); }
 
-std::size_t TextTable::num_rows() const {
-  std::size_t n = 0;
-  for (const auto& r : rows_) {
-    if (!r.empty()) ++n;
-  }
-  return n;
-}
-
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

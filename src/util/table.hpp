@@ -24,8 +24,6 @@ class TextTable {
   /// Renders the table.
   std::string to_string() const;
 
-  std::size_t num_rows() const;
-
   /// Formats a double with `digits` digits after the decimal point.
   static std::string fmt(double value, int digits = 3);
 

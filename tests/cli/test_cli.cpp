@@ -1,8 +1,10 @@
 // Command-line contract of the drivers (label: cli): an unknown choice
-// or flag, or a number out of its range, is a usage error — exit code 2
-// and a message listing every valid value — never a silent fallback to
-// a default, and it writes no artifact; a malformed input file is an
-// error exit, never a crash.  drift_graph compare prints every design.
+// or flag, a malformed boolean, or a number out of its range, is a
+// usage error — exit code 2 and a message listing every valid value —
+// never a silent fallback to a default, and it writes no artifact; a
+// malformed input file or a run that fails is an error exit (1), never
+// a crash, and a failed run still flushes parseable partial artifacts.
+// drift_graph compare prints every design.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "util/json.hpp"
 
 namespace {
 
@@ -43,6 +47,50 @@ void expect_usage_error(const std::string& binary, const std::string& args,
   EXPECT_NE(r.output.find(valid), std::string::npos)
       << args << ": message does not list '" << valid << "'\n"
       << r.output;
+}
+
+/// ctest runs the cases in parallel, so each names its own files.
+std::string temp_path(const std::string& binary, const std::string& what) {
+  return ::testing::TempDir() + "drift_cli_" +
+         binary.substr(binary.find_last_of('/') + 1) + "_" + what;
+}
+
+/// Runs `binary args --metrics-out=<tmp>` and expects a usage error
+/// naming `valid` that leaves no artifact.
+void expect_usage_error_no_artifact(const std::string& binary,
+                                    const std::string& args,
+                                    const std::string& valid) {
+  const std::string path = temp_path(binary, "usage_m.json");
+  std::remove(path.c_str());
+  expect_usage_error(binary, args + " --metrics-out=" + path, valid);
+  EXPECT_FALSE(std::ifstream(path).good()) << args << " wrote " << path;
+  std::remove(path.c_str());
+}
+
+/// Runs `binary args` on a 1-row grid, which cannot host the high and
+/// low precision classes, so the run fails after its flags passed: it
+/// must exit 1, not die on a signal, and the armed at-exit flush must
+/// leave a parseable partial metrics and trace artifact.
+void expect_failed_run_flushes(const std::string& binary,
+                               const std::string& args) {
+  const std::string metrics = temp_path(binary, "fail_m.json");
+  const std::string trace = temp_path(binary, "fail_t.json");
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+  const CliResult r = run(binary, args + " --rows=1 --metrics-out=" +
+                                      metrics + " --trace-out=" + trace);
+  EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+  EXPECT_NE(r.output.find("array rows too few"), std::string::npos)
+      << r.output;
+  for (const std::string& path : {metrics, trace}) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    drift::JsonError error;
+    EXPECT_TRUE(drift::parse_json(text.str(), error).has_value())
+        << path << ": " << error.what() << "\n" << text.str();
+    std::remove(path.c_str());
+  }
 }
 
 constexpr const char* kAlgos = "int8, drq, drift";
@@ -111,6 +159,23 @@ TEST(Cli, DriftGraphRejectsBadNumbers) {
                          "(valid: a finite number >= 0)");
     }
   }
+}
+
+// A boolean takes true/false, 1/0, yes/no or on/off; a typo such as
+// --layers=ture used to read as false and run.
+constexpr const char* kBooleans =
+    "is not a boolean (valid: true/false, 1/0, yes/no, on/off)";
+
+TEST(Cli, DriftGraphRejectsMalformedBooleans) {
+  for (const char* flag : {"--layers=ture", "--no-dynamic-weights=nope"}) {
+    expect_usage_error_no_artifact(
+        DRIFT_GRAPH_BIN, std::string("compare --model=tiny-cnn ") + flag,
+        std::string(flag) + " " + kBooleans);
+  }
+}
+
+TEST(Cli, DriftGraphFailedRunExitsOneAndFlushes) {
+  expect_failed_run_flushes(DRIFT_GRAPH_BIN, "compare --model=tiny-cnn");
 }
 
 TEST(Cli, DriftGraphCompareRunsEveryDesign) {
@@ -222,6 +287,16 @@ TEST(Cli, DriftServeRejectsOutOfRangeThreads) {
     expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag,
                        "(valid: 1..1024)");
   }
+}
+
+TEST(Cli, DriftServeRejectsMalformedBooleans) {
+  expect_usage_error_no_artifact(
+      DRIFT_SERVE_BIN, kServeArgs + "--shared-mix=maybe",
+      std::string("--shared-mix=maybe ") + kBooleans);
+}
+
+TEST(Cli, DriftServeFailedRunExitsOneAndFlushes) {
+  expect_failed_run_flushes(DRIFT_SERVE_BIN, kServeArgs);
 }
 
 TEST(Cli, DriftServeMetricsOutIsStamped) {

@@ -137,7 +137,7 @@ TEST(DriftLint, SelfAnalysisIsClean) {
 }
 
 TEST(DriftLint, CleanDirectoryExitsZero) {
-  // fixtures/tests holds only a clean header.
+  // fixtures/tests holds only clean files.
   const RunResult r =
       run_lint("--root " + fixtures_root() + " --format=json tests");
   EXPECT_EQ(r.exit_code, 0) << r.output;

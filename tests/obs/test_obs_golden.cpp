@@ -36,6 +36,7 @@
 #include "core/selector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "proptest/proptest.hpp"
 #include "ref/ref_oracles.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
@@ -97,7 +98,7 @@ std::vector<LayerExpectation> run_fixed_workload() {
     const core::PrecisionMap map = quantizer.select(values, views, params);
     quantizer.apply(values, views, params, map);
     e.subtensors_total = static_cast<std::int64_t>(map.num_subtensors());
-    e.subtensors_low = static_cast<std::int64_t>(map.low_subtensors());
+    e.subtensors_low = proptest::low_subtensors(map);
     e.elements_total = map.total_elements();
     e.elements_low = map.low_elements();
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -373,6 +374,44 @@ RefVal eval_ref_node(const DagNode& node,
   return out;
 }
 
+/// Every valid topological order of `g`, capped at `limit`
+/// (enumeration is factorial; the DAGs here are small).  Depth first,
+/// branching over the ready nodes in index order.
+std::vector<std::vector<int>> all_topological_orders(const graph::Graph& g,
+                                                     std::size_t limit) {
+  const std::size_t total = g.nodes.size();
+  std::vector<std::vector<int>> consumers(total);
+  std::vector<int> indegree(total, 0);
+  for (std::size_t n = 0; n < total; ++n) {
+    for (const std::string& in : g.nodes[n].inputs) {
+      const int p = g.node_index(in);
+      if (p < 0) continue;  // a graph input
+      consumers[static_cast<std::size_t>(p)].push_back(static_cast<int>(n));
+      ++indegree[n];
+    }
+  }
+  std::vector<std::vector<int>> out;
+  std::vector<int> prefix;
+  const std::function<void()> extend = [&] {
+    if (prefix.size() == total) {
+      out.push_back(prefix);
+      return;
+    }
+    for (std::size_t n = 0; n < total && out.size() < limit; ++n) {
+      if (indegree[n] != 0) continue;
+      indegree[n] = -1;  // placed
+      prefix.push_back(static_cast<int>(n));
+      for (const int c : consumers[n]) --indegree[static_cast<std::size_t>(c)];
+      extend();
+      for (const int c : consumers[n]) ++indegree[static_cast<std::size_t>(c)];
+      prefix.pop_back();
+      indegree[n] = 0;
+    }
+  };
+  extend();
+  return out;
+}
+
 TEST(PropGraph, DagBitwiseMatchesRecursiveOracle) {
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     const std::int64_t rows = proptest::gen_dim(rng, size);
@@ -519,7 +558,7 @@ TEST(PropGraph, DagBitwiseMatchesRecursiveOracle) {
 
     // Order invariance: every valid topological order (capped) must
     // produce the same bytes.
-    const auto orders = graph::all_topological_orders(g, 24);
+    const auto orders = all_topological_orders(g, 24);
     for (const auto& order : orders) {
       const auto reordered = executor.run_with_order({x, bias}, engine, order);
       for (std::size_t n = 0; n < nodes.size(); ++n) {

@@ -74,7 +74,7 @@ TEST(PropQuantizer, ConvertToLowMatchesShiftRoundSaturateRef) {
     const core::QuantParams p =
         proptest::gen_quant_params(rng, core::kInt8);
     for (const core::ConversionChoice& choice :
-         core::enumerate_choices(core::kInt8, lp)) {
+         proptest::enumerate_choices(core::kInt8, lp)) {
       for (std::int32_t q = -127; q <= 127; ++q) {
         const std::int32_t got = core::convert_to_low(q, lp, choice);
         const std::int32_t want =
@@ -166,7 +166,7 @@ TEST(PropQuantizer, RowKernelMatchesQuantizerAcrossBackends) {
     for (int lp_bits = 2; lp_bits < hp.bits(); ++lp_bits) {
       const core::Precision lp(lp_bits);
       for (const core::ConversionChoice& choice :
-           core::enumerate_choices(hp, lp)) {
+           proptest::enumerate_choices(hp, lp)) {
         for (const bool use_low : {false, true}) {
           for (const bool force : {true, false}) {
             nn::simd::set_force_scalar(force);

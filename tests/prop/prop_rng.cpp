@@ -54,7 +54,6 @@ class StdRng {
   double exponential(double lambda) {
     return std::exponential_distribution<double>(lambda)(engine_);
   }
-  double rademacher() { return uniform() < 0.5 ? -1.0 : 1.0; }
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
 
   StdRng fork(std::uint64_t stream) const {
@@ -179,11 +178,6 @@ std::optional<std::string> random_call(Rng& pick, Rng& got, StdRng& want) {
       break;
     }
     case 7: {
-      const double a = got.rademacher(), b = want.rademacher();
-      if (!same_bits(a, b)) return differ("rademacher", a, b);
-      break;
-    }
-    case 8: {
       const double p = pick.uniform();
       const bool a = got.bernoulli(p), b = want.bernoulli(p);
       if (a != b) return differ("bernoulli", a, b);

@@ -183,7 +183,7 @@ inline std::vector<float> gen_laplace_buffer(Rng& rng, std::int64_t n,
 
 /// Random (hp, lp, δ) selector configuration.  hp fixed to the paper's
 /// INT8 storage precision; lp spans the lp-sweep of Section 5; δ is
-/// log-uniform over the range the Hessian search explores.
+/// log-uniform over [0.01, 10].
 inline core::SelectorConfig gen_selector_config(Rng& rng) {
   core::SelectorConfig cfg;
   cfg.hp = core::kInt8;
@@ -199,6 +199,27 @@ inline core::QuantParams gen_quant_params(Rng& rng, core::Precision hp) {
   p.bits = hp;
   p.delta = std::exp(rng.uniform(std::log(1e-3), std::log(1.0)));
   return p;
+}
+
+/// Sub-tensors of `map` that selected the low precision.
+inline std::int64_t low_subtensors(const core::PrecisionMap& map) {
+  std::int64_t low = 0;
+  for (std::size_t i = 0; i < map.num_subtensors(); ++i) {
+    low += map.decision(i).use_low ? 1 : 0;
+  }
+  return low;
+}
+
+/// Every (hc, lc) conversion choice of hp -> lp (Equation 2:
+/// hc + lc = hp - lp), ordered by ascending hc.
+inline std::vector<core::ConversionChoice> enumerate_choices(
+    core::Precision hp, core::Precision lp) {
+  const int clip_total = hp.bits() - lp.bits();
+  std::vector<core::ConversionChoice> choices;
+  for (int hc = 0; hc <= clip_total; ++hc) {
+    choices.push_back({hc, clip_total - hc});
+  }
+  return choices;
 }
 
 /// Systolic array dimensions in BitGroups.

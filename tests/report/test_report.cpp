@@ -30,6 +30,7 @@
 #include "core/scheduler.hpp"
 #include "core/selector.hpp"
 #include "obs/metrics.hpp"
+#include "proptest/proptest.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
 #include "util/json.hpp"
@@ -319,7 +320,7 @@ std::string run_fixed_workload_and_scrape() {
     quantizer.apply(values, views, params, map);
 
     core::LayerWork work;
-    work.m_low = static_cast<std::int64_t>(map.low_subtensors());
+    work.m_low = proptest::low_subtensors(map);
     work.m_high = rows - work.m_low;
     work.n_high = 20;
     work.n_low = 12;

@@ -33,11 +33,28 @@ TEST(Args, BareFlagIsBooleanTrue) {
 }
 
 TEST(Args, BooleanSpellings) {
-  const Args a = parse({"--a=true", "--b=1", "--c=yes", "--d=no"});
+  const Args a = parse({"--a=true", "--b=1", "--c=yes", "--d=no", "--e=on",
+                        "--f=off", "--g=0", "--h=false", "--bad=ture"});
   EXPECT_TRUE(a.get_bool("a"));
   EXPECT_TRUE(a.get_bool("b"));
   EXPECT_TRUE(a.get_bool("c"));
   EXPECT_FALSE(a.get_bool("d"));
+  EXPECT_TRUE(a.get_bool("e"));
+  EXPECT_FALSE(a.get_bool("f", true));
+  EXPECT_FALSE(a.get_bool("g", true));
+  EXPECT_FALSE(a.get_bool("h", true));
+  EXPECT_THROW(a.get_bool("bad"), check_error);
+}
+
+TEST(Args, BoolFlagRejectsOtherSpellings) {
+  const Args a = parse({"--on=yes", "--off=0", "--bare", "--bad=ture",
+                        "--empty="});
+  EXPECT_EQ(a.bool_flag("on", false), std::optional<bool>(true));
+  EXPECT_EQ(a.bool_flag("off", true), std::optional<bool>(false));
+  EXPECT_EQ(a.bool_flag("bare", false), std::optional<bool>(true));
+  EXPECT_EQ(a.bool_flag("absent", true), std::optional<bool>(true));
+  EXPECT_EQ(a.bool_flag("bad", false), std::nullopt);
+  EXPECT_EQ(a.bool_flag("empty", false), std::nullopt);
 }
 
 TEST(Args, DefaultsWhenMissing) {

@@ -67,7 +67,7 @@ TEST(EdgeCases, ConvertToLowIdentityForEqualPrecisions) {
 }
 
 TEST(EdgeCases, BloomWorkloadShapes) {
-  const auto spec = nn::make_bloom_7b1(512);
+  const auto spec = nn::make_workload("BLOOM-7B1");
   bool saw_head = false;
   for (const auto& l : spec.layers) {
     if (l.name == "lm_head") {
@@ -87,7 +87,6 @@ TEST(EdgeCases, LmProxyCalibratedScaleHitsTarget) {
   cfg.samples = 8;
   cfg.target_base_ppl = 10.0;
   const nn::LmProxy proxy(cfg);
-  EXPECT_GT(proxy.calibrated_scale(), 0.0);
   nn::QuantEngine::Config ecfg;  // FP32
   nn::QuantEngine engine(ecfg);
   EXPECT_NEAR(proxy.evaluate(engine).metric, 10.0, 0.05);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "accel/compare.hpp"
-#include "core/hessian.hpp"
 #include "nn/precision_mix.hpp"
 #include "nn/proxy.hpp"
 #include "systolic/cycle_sim.hpp"
@@ -47,80 +46,6 @@ TEST(Integration, ProxyRecordsFeedLayerWork) {
   EXPECT_FALSE(engine.records().size() == 0);
   EXPECT_NEAR(engine.overall_act_low_fraction(), result.act_low_fraction,
               1e-9);
-}
-
-TEST(Integration, HessianSearchPicksUsableThresholdOnRealProxy) {
-  // End-to-end Hessian-aware δ selection on the transformer proxy's
-  // first-layer activations.
-  Rng rng(223);
-  const std::int64_t rows = 24, cols = 32;
-  nn::SubTensorScaleProfile profile = nn::bert_profile();
-  const TensorF x = nn::synth_rows(rng, rows, cols, profile);
-  const auto views = partition_rows(x.shape());
-  const auto params = core::compute_quant_params(x.data(), core::kInt8);
-
-  // Loss: distance of a fixed random projection of the activations
-  // (stand-in for downstream task loss).
-  std::vector<float> probe(static_cast<std::size_t>(cols));
-  for (auto& p : probe) p = static_cast<float>(rng.normal());
-  std::vector<float> reference(static_cast<std::size_t>(rows), 0.0f);
-  auto project = [&](std::span<const float> vals, std::size_t r) {
-    double acc = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      acc += static_cast<double>(
-                 vals[static_cast<std::size_t>(r) * cols +
-                      static_cast<std::size_t>(c)]) *
-             probe[static_cast<std::size_t>(c)];
-    }
-    return acc;
-  };
-  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
-    reference[r] = static_cast<float>(project(x.data(), r));
-  }
-  core::LossFn loss = [&](std::span<const float> vals) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
-      const double d = project(vals, r) - reference[r];
-      acc += d * d;
-    }
-    return acc / static_cast<double>(rows);
-  };
-
-  auto render_at = [&](double delta) {
-    core::SelectorConfig scfg;
-    scfg.density_threshold = delta;
-    const core::DynamicQuantizer dq(scfg);
-    const auto map = dq.select(x.data(), views, params);
-    return dq.apply(x.data(), views, params, map);
-  };
-  auto low_at = [&](double delta) {
-    core::SelectorConfig scfg;
-    scfg.density_threshold = delta;
-    const core::DynamicQuantizer dq(scfg);
-    return dq.select(x.data(), views, params).low_fraction_by_elements();
-  };
-
-  // Code-unit ratios span decades; the top of the grid selects nothing
-  // beyond the INT8 floor, whose own loss sets the attainable minimum
-  // — the budget is expressed relative to that floor.
-  const std::vector<double> grid = {1e-2, 1e0, 1e2, 1e4, 1e6, 1e8};
-  std::vector<float> int8_floor = render_at(grid.back());
-  std::vector<float> floor_dir(x.numel());
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    floor_dir[static_cast<std::size_t>(i)] =
-        int8_floor[static_cast<std::size_t>(i)] - x.data()[
-            static_cast<std::size_t>(i)];
-  }
-  const double floor_loss =
-      std::max(0.5 * core::curvature_along(loss, x.data(), floor_dir), 0.0);
-  const auto result = core::select_threshold_hessian_aware(
-      loss, x.data(), render_at, low_at, grid, floor_loss * 1.5 + 1e-9);
-  EXPECT_TRUE(result.within_budget);
-  // Low fraction must decrease (weakly) along the grid.
-  for (std::size_t i = 1; i < result.candidates.size(); ++i) {
-    EXPECT_LE(result.candidates[i].low_fraction,
-              result.candidates[i - 1].low_fraction + 1e-9);
-  }
 }
 
 TEST(Integration, FullPipelineSevenModels) {

@@ -6,11 +6,26 @@
 #include "core/capability.hpp"
 #include "core/precision.hpp"
 #include "core/quantizer.hpp"
+#include "core/render.hpp"
+#include "proptest/proptest.hpp"
+#include "tensor/tensor.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace drift::core {
 namespace {
+
+using proptest::enumerate_choices;
+
+/// Round-trip error of re-rendering `q` at lp bits, in dequantized
+/// units: |q*Δ - dequantize_low(convert_to_low(q))|.
+double conversion_error(std::int32_t q, const QuantParams& params,
+                        Precision lp, const ConversionChoice& choice) {
+  const double exact = static_cast<double>(q) * params.delta;
+  const double approx =
+      dequantize_low(convert_to_low(q, lp, choice), params, choice);
+  return std::abs(exact - approx);
+}
 
 TEST(Precision, MaxLevels) {
   EXPECT_EQ(kInt8.max_level(), 127);
@@ -85,10 +100,12 @@ TEST(Quantize, TensorRoundTrip) {
   TensorF x(Shape{4, 8});
   for (float& v : x.data()) v = static_cast<float>(rng.laplace(1.0));
   const QuantParams p = compute_quant_params(x.data(), kInt8);
-  const TensorI32 q = quantize(x, p);
-  const TensorF back = dequantize(q, p);
+  // The whole-tensor round trip is the hp rendering static INT8 uses.
+  const std::vector<float> back = render_hp(x.data(), p);
+  ASSERT_EQ(back.size(), static_cast<std::size_t>(x.numel()));
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    EXPECT_NEAR(back.at(i), x.at(i), 0.5 * p.delta + 1e-6);
+    EXPECT_NEAR(back[static_cast<std::size_t>(i)], x.at(i),
+                0.5 * p.delta + 1e-6);
   }
 }
 
@@ -155,10 +172,12 @@ TEST(Capability, RangeDensityTradeoffAcrossChoices) {
   p.delta = 1.0;
   const auto choices = enumerate_choices(kInt8, kInt4);
   for (std::size_t i = 1; i < choices.size(); ++i) {
-    const Capability prev = conversion_capability(kInt8, p, choices[i - 1]);
-    const Capability curr = conversion_capability(kInt8, p, choices[i]);
-    EXPECT_NEAR(curr.range, prev.range / 2.0, 1e-9);
-    EXPECT_NEAR(curr.density, prev.density / 2.0, 1e-9);
+    const ConversionChoice& prev = choices[i - 1];
+    const ConversionChoice& curr = choices[i];
+    EXPECT_NEAR(representation_range(kInt8, curr.hc, p.delta),
+                representation_range(kInt8, prev.hc, p.delta) / 2.0, 1e-9);
+    EXPECT_NEAR(representation_density(curr.lc, p.delta),
+                representation_density(prev.lc, p.delta) / 2.0, 1e-9);
   }
 }
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/analytical_model.hpp"
-#include "core/layer_work.hpp"
 #include "core/scheduler.hpp"
+#include "nn/precision_mix.hpp"
 #include "util/assert.hpp"
 
 namespace drift::core {
@@ -163,33 +163,29 @@ TEST(Scheduler, FixedQuartersFeasibleOnDegenerateMixes) {
 }
 
 TEST(LayerWork, MakeFromMapsCountsClasses) {
-  SelectorConfig cfg;
-  std::vector<PrecisionDecision> act = {
-      {true, {0, 4}}, {false, {}}, {true, {1, 3}}};
-  std::vector<std::int64_t> act_sizes = {8, 8, 8};
-  const PrecisionMap act_map(std::move(act), std::move(act_sizes), cfg);
-  std::vector<PrecisionDecision> wgt = {{false, {}}, {true, {2, 2}}};
-  std::vector<std::int64_t> wgt_sizes = {8, 8};
-  const PrecisionMap wgt_map(std::move(wgt), std::move(wgt_sizes), cfg);
-
-  const LayerWork w = make_layer_work(act_map, wgt_map, 16);
+  // nn::assemble_mix is the one builder of a LayerWork: it counts the
+  // activation rows' low/high decisions and takes the low weight-channel
+  // count, at the selector's hp/lp widths.
+  nn::MixConfig cfg;
+  cfg.drift.hp = kInt8;
+  cfg.drift.lp = Precision(3);
+  nn::LayerGemm layer;
+  layer.name = "fc";
+  layer.dims = GemmDims{3, 16, 2};
+  const nn::LayerMix mix =
+      nn::assemble_mix(layer, {true, false, true}, /*n_low=*/1, cfg);
+  const LayerWork& w = mix.work;
   EXPECT_EQ(w.m_low, 2);
   EXPECT_EQ(w.m_high, 1);
   EXPECT_EQ(w.n_low, 1);
   EXPECT_EQ(w.n_high, 1);
   EXPECT_EQ(w.k, 16);
+  EXPECT_EQ(w.pa_high, 8);
+  EXPECT_EQ(w.pa_low, 3);
+  EXPECT_EQ(w.pw_low, 3);
   EXPECT_EQ(w.total_macs(), 3 * 16 * 2);
-}
-
-TEST(LayerWork, MacFractions) {
-  LayerWork w;
-  w.m_high = 1;
-  w.m_low = 3;
-  w.n_high = 1;
-  w.n_low = 1;
-  w.k = 10;
-  EXPECT_NEAR(ll_mac_fraction(w), 3.0 / 8.0, 1e-12);
-  EXPECT_NEAR(any_low_mac_fraction(w), 1.0 - 1.0 / 8.0, 1e-12);
+  EXPECT_DOUBLE_EQ(mix.act_low_fraction, 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(mix.weight_low_fraction, 0.5);
 }
 
 }  // namespace

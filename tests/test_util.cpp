@@ -162,25 +162,12 @@ TEST(Rng, LaplaceSampleMomentsMatchTheory) {
   EXPECT_NEAR(sum_abs / n, b, b * 0.02); // E|X| = b
 }
 
-TEST(Rng, RademacherIsBalanced) {
-  Rng rng(5);
-  int plus = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.rademacher();
-    EXPECT_TRUE(v == 1.0 || v == -1.0);
-    if (v > 0) ++plus;
-  }
-  EXPECT_NEAR(static_cast<double>(plus) / n, 0.5, 0.03);
-}
-
 TEST(Csv, WritesHeaderAndRows) {
   const std::string path = "test_csv_out.csv";
   {
     CsvWriter csv(path, {"a", "b"});
     csv.row({"1", "2"});
     csv.row_values(3.5, "x");
-    EXPECT_EQ(csv.rows_written(), 2u);
   }
   std::ifstream in(path);
   std::string line;
@@ -224,7 +211,6 @@ TEST(Table, RendersAlignedColumns) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("longer-name"), std::string::npos);
   EXPECT_NE(s.find("| name "), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
 }
 
 TEST(Table, FormatHelpers) {

@@ -162,19 +162,24 @@ bool read_sim_flags(const Args& args, accel::CompareConfig& config,
   const auto cols = args.int_flag("cols", 33, 1);
   const auto seed =
       args.int_flag("seed", 17, std::numeric_limits<std::int64_t>::min());
+  const auto no_dynamic_weights = args.bool_flag("no-dynamic-weights", false);
+  const auto show_layers = args.bool_flag("layers", false);
   const auto parsed_policy = accel::parse_scheduler_policy(policy);
   if (!parsed_policy) {
     std::fprintf(stderr, "drift_graph: unknown --policy '%s' "
                  "(valid: greedy, exhaustive, fixed)\n", policy.c_str());
   }
-  if (!parsed_policy || !budget || !rows || !cols || !seed) return false;
+  if (!parsed_policy || !budget || !rows || !cols || !seed ||
+      !no_dynamic_weights || !show_layers) {
+    return false;
+  }
   config.drift_policy = *parsed_policy;
   config.noise_budget = *budget;
   config.hw.array.rows = *rows;
   config.hw.array.cols = *cols;
   config.seed = static_cast<std::uint64_t>(*seed);
-  config.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
-  layers = args.get_bool("layers");
+  config.drift_dynamic_weights = !*no_dynamic_weights;
+  layers = *show_layers;
   return true;
 }
 
@@ -368,9 +373,11 @@ int cmd_list() {
 int main(int argc, char** argv) {
   const Args args = Args::parse(argc, argv);
   const auto& positional = args.positional();
-  if (args.get_bool("help") || positional.empty()) {
+  const std::optional<bool> help = args.bool_flag("help", false);
+  if (!help) return 2;
+  if (*help || positional.empty()) {
     std::printf("%s", kUsage);
-    return positional.empty() && !args.get_bool("help") ? 2 : 0;
+    return *help ? 0 : 2;
   }
   const std::string command = positional.front();
   const std::vector<std::string> rest(positional.begin() + 1,

@@ -365,22 +365,31 @@ void analysis_race(const Context& ctx, const RepoModel& model) {
 }
 
 // ---------------------------------------------------------------------
-// dead-api: exported header symbol with zero cross-TU references.
+// dead-api: exported header symbol with zero cross-TU references.  A
+// reference from tests/ counts only for a src/ref/ oracle, which exists
+// for its tests; production code must be reached by a binary's code.
 // ---------------------------------------------------------------------
 
 void analysis_dead_api(const Context& ctx, const RepoModel& model) {
-  // Every callee name seen in any extracted function body.  A call
-  // site in the paired .cpp is a real use (the accessor feeds its own
-  // module's implementation), even though the pair's ident set is
-  // excluded below so the definition line itself does not count.
+  const auto is_test = [](const FileSyms& f) {
+    return starts_with(f.rel, "tests/");
+  };
+  // Every callee name seen in any extracted function body, split by
+  // whether the caller is a test.  A call site in the paired .cpp is a
+  // real use (the accessor feeds its own module's implementation), even
+  // though the pair's ident set is excluded below so the definition
+  // line itself does not count.
   std::set<std::string> called;
+  std::set<std::string> test_called;
   for (const auto& f : model.files) {
+    std::set<std::string>& into = is_test(f) ? test_called : called;
     for (const auto& fn : f.functions) {
-      called.insert(fn.calls.begin(), fn.calls.end());
+      into.insert(fn.calls.begin(), fn.calls.end());
     }
   }
   for (const auto& file : model.files) {
     if (!file.is_header || !starts_with(file.rel, "src/")) continue;
+    const bool oracle = starts_with(file.rel, "src/ref/");
     // The implementation file sharing the header's stem is the same
     // logical TU: a reference there does not make the symbol public.
     std::string pair_cpp = file.rel;
@@ -399,11 +408,13 @@ void analysis_dead_api(const Context& ctx, const RepoModel& model) {
       if (fn.qname.find("detail::") != std::string::npos) continue;
       if (!handled.insert(fn.name).second) continue;
 
-      bool referenced = called.count(fn.name) != 0;
+      bool referenced = called.count(fn.name) != 0 ||
+                        (oracle && test_called.count(fn.name) != 0);
       // Cross-TU: the name appears anywhere in another walked file.
       for (const auto& other : model.files) {
         if (referenced) break;
         if (other.rel == file.rel || other.rel == pair_cpp) continue;
+        if (!oracle && is_test(other)) continue;
         if (other.idents.count(fn.name)) {
           referenced = true;
           break;
@@ -412,8 +423,10 @@ void analysis_dead_api(const Context& ctx, const RepoModel& model) {
       if (referenced) continue;
       report(ctx, file.rel, fn.decl_line, "dead-api",
              "exported symbol '" + fn.qname +
-                 "' has no reference outside its own translation unit; "
-                 "delete it, make it internal, or justify with "
+                 "' has no reference outside its own translation unit" +
+                 (oracle ? "" : " and tests/") +
+                 "; delete it, make it internal, move it next to its "
+                 "test, or justify with "
                  "'// drift-lint: allow(dead-api) — <why it stays>'");
     }
   }
@@ -451,7 +464,9 @@ void add_graph_rules(std::vector<Rule>& rules) {
                    rule_atomic_order, nullptr});
   rules.push_back({"dead-api",
                    "every exported (header, cross-TU visible) symbol has at "
-                   "least one reference outside its own translation unit",
+                   "least one reference outside its own translation unit; "
+                   "a reference from tests/ counts only for a src/ref/ "
+                   "oracle",
                    nullptr, analysis_dead_api});
 }
 

@@ -1,6 +1,7 @@
 // drift_lint — project-specific static analysis for the Drift repo.
 //
-// Walks the given directories (default: src tools bench tests), lexes
+// Walks the given directories (default: src tools bench examples
+// perfbench tests, the code every binary is built from), lexes
 // every C++ source file, builds the whole-program model (symbol table,
 // include graph, approximate call graph — see graph.hpp), and enforces
 // the determinism / oracle-independence / numeric-safety / layering
@@ -126,7 +127,9 @@ int main(int argc, char** argv) {
       opt.dirs.push_back(arg);
     }
   }
-  if (opt.dirs.empty()) opt.dirs = {"src", "tools", "bench", "tests"};
+  if (opt.dirs.empty()) {
+    opt.dirs = {"src", "tools", "bench", "examples", "perfbench", "tests"};
+  }
   if (!fs::exists(opt.root)) {
     std::cerr << "drift_lint: root does not exist: " << opt.root << "\n";
     return 2;

@@ -9,6 +9,7 @@
 //   drift_serve --workloads=tiny-bert --algo=drq --requests=1000
 //   drift_serve --workloads=tiny-bert --metrics-out=m.json --trace-out=t.json
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <string>
 #include <vector>
@@ -79,11 +80,12 @@ std::string us(std::int64_t cycles, double clock_hz) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole run; main turns an exception from it into exit 1.
+int serve_main(int argc, char** argv) {
   const Args args = Args::parse(argc, argv);
-  if (args.get_bool("help")) {
+  const std::optional<bool> help = args.bool_flag("help", false);
+  if (!help) return 2;
+  if (*help) {
     std::printf("%s", kUsage);
     return 0;
   }
@@ -106,9 +108,9 @@ int main(int argc, char** argv) {
   const auto load = args.positive_flag("load", 0.6);
   const bool explicit_gap = args.has("interarrival");
   const auto gap = args.positive_flag("interarrival", 0.0);
-  const bool shared_mix = args.get_bool("shared-mix");
+  const auto shared_mix = args.bool_flag("shared-mix", false);
   if (!rows || !cols || !max_batch || !requests || !seed || !threads ||
-      !load || !gap) {
+      !load || !gap || !shared_mix) {
     return 2;
   }
 
@@ -147,7 +149,7 @@ int main(int argc, char** argv) {
     tenant.arrival.kind = *kind;
     tenant.num_requests = *requests;
     tenant.seed = static_cast<std::uint64_t>(*seed) + i;
-    tenant.unique_mix_per_request = !shared_mix;
+    tenant.unique_mix_per_request = !*shared_mix;
     config.tenants.push_back(tenant);
   }
   const auto artifacts = obs::ReportOptions::from_args(args, kAcceptedFlags);
@@ -226,4 +228,17 @@ int main(int argc, char** argv) {
   std::printf("%s", t.to_string().c_str());
 
   return artifacts->write() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return serve_main(argc, argv);
+  } catch (const std::exception& e) {
+    // A run that fails (e.g. a grid too small for the precision
+    // classes) exits 1; the armed flush still writes partial artifacts.
+    std::fprintf(stderr, "drift_serve: %s\n", e.what());
+    return 1;
+  }
 }
