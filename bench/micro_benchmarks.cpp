@@ -671,7 +671,7 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
   if (features.avx2) feature_list += "avx2";
   if (features.neon) feature_list += feature_list.empty() ? "neon" : ",neon";
   // Same schema-v2 meta block the metrics artifacts carry (git sha,
-  // backend, obs/scalar flags), so cross-machine bench diffs are
+  // backend, force-scalar flag), so cross-machine bench diffs are
   // interpretable.  Keys and values are plain identifiers; no JSON
   // string escaping needed.
   std::string meta_json;

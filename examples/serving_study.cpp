@@ -68,9 +68,18 @@ SweepPoint run_point(nn::MixAlgorithm algo, double load) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The study takes no flags; its one argument is the output path.
-  if (Args::parse(argc, argv).reject_unqueried("none")) return 2;
-  const std::string out_path = argc > 1 ? argv[1] : "serving_study.json";
+  // The study takes no flags; its one optional argument is the output
+  // path.
+  const Args args = Args::parse(argc, argv);
+  const std::vector<std::string>& paths = args.positional();
+  if (args.reject_unqueried("none")) return 2;
+  if (paths.size() > 1) {
+    std::fprintf(stderr, "serving_study: unexpected argument '%s' (takes "
+                 "one output path)\n", paths[1].c_str());
+    return 2;
+  }
+  const std::string out_path =
+      paths.empty() ? "serving_study.json" : paths.front();
   const double clock_hz = energy::default_constants().clock_hz;
   const auto to_us = [&](double cycles) { return 1e6 * cycles / clock_hz; };
 

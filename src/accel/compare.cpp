@@ -76,7 +76,8 @@ Comparison compare_workload(const nn::WorkloadSpec& spec,
   cmp.eyeriss = EyerissModel(config.hw).run(spec, int8_mixes);  // FP32
   cmp.bitfusion = run(nn::MixAlgorithm::kStaticInt8, int8_mixes);
   cmp.drq = run(nn::MixAlgorithm::kDrq, mixes(nn::MixAlgorithm::kDrq));
-  cmp.drift = run(nn::MixAlgorithm::kDrift, mixes(nn::MixAlgorithm::kDrift));
+  cmp.drift_mixes = mixes(nn::MixAlgorithm::kDrift);
+  cmp.drift = run(nn::MixAlgorithm::kDrift, cmp.drift_mixes);
   return cmp;
 }
 

@@ -21,6 +21,7 @@ struct Comparison {
   RunResult bitfusion;
   RunResult drq;
   RunResult drift;
+  std::vector<nn::LayerMix> drift_mixes;  ///< the mixes `drift` ran
 
   /// Latency speedups over Eyeriss (Figure 7's y-axis).
   double speedup_bitfusion() const;

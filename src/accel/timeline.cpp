@@ -46,7 +46,6 @@ TimelineResult build_timeline(const std::vector<TimelineLayer>& layers) {
 
   DRIFT_OBS_COUNT("timeline.builds", 1);
   DRIFT_OBS_COUNT("timeline.total_cycles", result.total_cycles);
-#ifndef DRIFT_OBS_OFF
   // Render the double-buffered schedule on the simulated-cycle tracks
   // (pid 1, 1 cycle == 1 "µs") so chrome://tracing shows DMA prefetch
   // overlapping compute exactly as the model scheduled it.
@@ -61,7 +60,6 @@ TimelineResult build_timeline(const std::vector<TimelineLayer>& layers) {
                       e.compute_end - e.compute_start);
     }
   }
-#endif
   return result;
 }
 

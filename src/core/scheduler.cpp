@@ -152,7 +152,6 @@ SplitDecision finish(const Eq7Table& table, SplitDecision d) {
 }  // namespace
 
 void record_decision(const SplitDecision& d) {
-  (void)d;  // read only by the obs macros, which vanish under DRIFT_OBS_OFF
   DRIFT_OBS_COUNT("scheduler.decisions", 1);
   DRIFT_OBS_LAYER(
       rec, rec->sched_r = d.r; rec->sched_c = d.c;

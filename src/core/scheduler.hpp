@@ -89,7 +89,7 @@ std::array<std::int64_t, 4> quadrant_latencies(const LayerWork& work,
 /// Publishes a decision to the metrics layer: scheduler.decisions += 1,
 /// and the current layer record's sched_r, sched_c, sched_latency,
 /// sched_makespan and tile_count.  The three schedulers below call it
-/// once per decision.  Compiles to nothing under DRIFT_OBS_OFF.
+/// once per decision.
 void record_decision(const SplitDecision& d);
 
 /// Greedy balanced scheduler: alternating 1-D sweeps over r (with c

@@ -124,9 +124,7 @@ std::vector<TensorF> GraphExecutor::run_with_order(
     }
 
     {
-#ifndef DRIFT_OBS_OFF
       obs::ScopedSpan span(span_names_[node_idx].c_str());
-#endif
       TensorF out =
           layers_[node_idx] != nullptr
               ? layers_[node_idx]->forward(*node_inputs[0], engine)

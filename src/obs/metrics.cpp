@@ -291,11 +291,6 @@ std::map<std::string, std::string> run_metadata() {
 #else
   meta["git_sha"] = "unknown";
 #endif
-#ifdef DRIFT_OBS_OFF
-  meta["obs_off"] = "1";
-#else
-  meta["obs_off"] = "0";
-#endif
   meta["threads"] =
       std::to_string(util::ThreadPool::instance().num_threads());
   MetadataState& state = metadata_state();

@@ -21,10 +21,6 @@
 //     the registry mutex guards only the name -> record lookup.  Layer
 //     writes happen once per layer run, not per element, so the
 //     uncontended lock is off the hot path.
-//   - *Compiles out.*  Under -DDRIFT_OBS_OFF every DRIFT_OBS_* macro
-//     expands to nothing, so instrumented kernels are bit-identical and
-//     perf-neutral; the registry type itself stays defined so tooling
-//     code still compiles.
 //
 // Scrape output is canonical JSON: keys sorted, integers verbatim,
 // doubles printed with a fixed shortest-roundtrip format — byte-stable
@@ -213,22 +209,20 @@ struct LayerRecord {
 // ---------------------------------------------------------------------
 
 /// Version stamped into every metrics artifact.  v2 added the "meta"
-/// block (git sha, backend, cpu_features, thread count, obs/scalar
-/// flags) and histogram min/max/quantiles; v1 artifacts carry neither.
+/// block (git sha, backend, cpu_features, thread count, force-scalar
+/// flag) and histogram min/max/quantiles; v1 artifacts carry neither.
 inline constexpr int kMetricsSchemaVersion = 2;
 
 /// Fills in the metadata keys only the registering component knows
 /// (e.g. the SIMD backend registers backend/cpu_features/force_scalar
 /// from src/nn/simd/kernel_dispatch.cpp).  Providers run at scrape
 /// time, so toggled state (force-scalar, pool resizes) is reported as
-/// of the scrape.  Not available under DRIFT_OBS_OFF?  It is: the meta
-/// block survives obs-off builds so even empty artifacts say where
-/// they came from.
+/// of the scrape.
 using MetadataProvider = void (*)(std::map<std::string, std::string>&);
 void register_run_metadata_provider(MetadataProvider provider);
 
 /// The merged metadata map: built-ins (git_sha from the build-time
-/// DRIFT_GIT_SHA define, obs_off, threads), then registered providers.
+/// DRIFT_GIT_SHA define, threads), then registered providers.
 std::map<std::string, std::string> run_metadata();
 
 /// Process-wide metric namespace.
@@ -303,14 +297,12 @@ bool write_file(const std::string& path, const std::string& content);
 }  // namespace drift::obs
 
 // ---------------------------------------------------------------------
-// Instrumentation macros.  Hot-path cost when enabled: one static-init
-// guard check + one sharded relaxed fetch_add.  Under DRIFT_OBS_OFF
-// they expand to a void cast of nothing, so arguments are not
-// evaluated and the instrumented code is bit-identical to the
-// uninstrumented build.
+// Instrumentation macros.  Hot-path cost: one static-init guard check
+// + one sharded relaxed fetch_add.
 // ---------------------------------------------------------------------
 
-#ifndef DRIFT_OBS_OFF
+#define DRIFT_OBS_CONCAT_INNER(a, b) a##b
+#define DRIFT_OBS_CONCAT(a, b) DRIFT_OBS_CONCAT_INNER(a, b)
 
 #define DRIFT_OBS_COUNT(name, delta)                                     \
   do {                                                                   \
@@ -349,22 +341,7 @@ bool write_file(const std::string& path, const std::string& content);
     }                                                                    \
   } while (0)
 
-#ifndef DRIFT_OBS_CONCAT
-#define DRIFT_OBS_CONCAT_INNER(a, b) a##b
-#define DRIFT_OBS_CONCAT(a, b) DRIFT_OBS_CONCAT_INNER(a, b)
-#endif
-
 /// Opens a LayerScope for the rest of the enclosing block.
 #define DRIFT_OBS_LAYER_SCOPE(name)                                      \
   ::drift::obs::LayerScope DRIFT_OBS_CONCAT(drift_obs_layer_,            \
                                             __LINE__)(name)
-
-#else  // DRIFT_OBS_OFF: everything compiles out, arguments unevaluated.
-
-#define DRIFT_OBS_COUNT(name, delta) do {} while (0)
-#define DRIFT_OBS_GAUGE_SET(name, value) do {} while (0)
-#define DRIFT_OBS_HISTOGRAM(name, value, ...) do {} while (0)
-#define DRIFT_OBS_LAYER(rec, ...) do {} while (0)
-#define DRIFT_OBS_LAYER_SCOPE(name) do {} while (0)
-
-#endif  // DRIFT_OBS_OFF

@@ -44,7 +44,10 @@ void flush_at_exit() {
   pending.write();
 }
 
-void arm_flush(const ReportOptions& opts) {
+/// Turns span collection on when a trace was requested, and arms the
+/// at-exit flush of whatever was requested.
+void arm(const ReportOptions& opts) {
+  if (!opts.trace_path.empty()) Tracer::global().set_enabled(true);
   if (opts.metrics_path.empty() && opts.trace_path.empty()) return;
   FlushState& state = flush_state();
   std::lock_guard<std::mutex> lock(state.mu);
@@ -68,17 +71,6 @@ void disarm_flush() {
   state.armed = false;
 }
 
-void warn_if_obs_off(const ReportOptions& opts) {
-  if (!opts.trace_path.empty()) {
-    Tracer::global().set_enabled(true);
-#ifdef DRIFT_OBS_OFF
-    DRIFT_LOG_WARN("obs") << "--trace-out requested but this binary was "
-                             "built with DRIFT_OBS_OFF; the trace will "
-                             "be empty";
-#endif
-  }
-}
-
 }  // namespace
 
 std::optional<ReportOptions> ReportOptions::from_args(
@@ -92,8 +84,7 @@ std::optional<ReportOptions> ReportOptions::from_args(
                                 : accepted + ", " + artifact_flags)) {
     return std::nullopt;
   }
-  warn_if_obs_off(opts);
-  arm_flush(opts);
+  arm(opts);
   return opts;
 }
 
@@ -115,18 +106,11 @@ ReportOptions ReportOptions::consume_argv(int& argc, char** argv) {
       *target = flag + 1;
       continue;
     }
-    if (target != nullptr && flag[0] == '\0') {
-      if (i + 1 < argc) {
-        *target = argv[++i];
-      }
-      continue;
-    }
     argv[kept++] = argv[i];
   }
   argc = kept;
   argv[argc] = nullptr;
-  warn_if_obs_off(opts);
-  arm_flush(opts);
+  arm(opts);
   return opts;
 }
 

@@ -15,10 +15,6 @@
 // hold at that point, so a crashed run leaves a partial artifact for
 // drift_report triage.  Signal kills (SIGKILL/SIGSEGV) and abort()
 // still lose the tail: atexit handlers do not run there.
-//
-// Both functions are compiled in every build; under DRIFT_OBS_OFF the
-// registry and tracer are simply empty, so the artifacts degrade to
-// empty scrapes rather than breaking the CLI contract.
 #pragma once
 
 #include <optional>
@@ -48,9 +44,10 @@ struct ReportOptions {
 
   /// Same contract as from_args, for binaries whose remaining argv is
   /// handed to another flag parser (google-benchmark rejects flags it
-  /// does not recognize): parses AND removes --metrics-out/--trace-out
-  /// in both --flag=value and --flag value forms, compacting argv in
-  /// place and updating argc (argv[argc] is reset to nullptr).
+  /// does not recognize): parses AND removes --metrics-out=P and
+  /// --trace-out=P, compacting argv in place and updating argc
+  /// (argv[argc] is reset to nullptr).  A valued flag needs `=`, as in
+  /// Args, so a bare --metrics-out stays for the other parser to reject.
   static ReportOptions consume_argv(int& argc, char** argv);
 
   /// Writes the requested artifacts (canonical metrics JSON, Chrome

@@ -15,7 +15,6 @@
 // Collection is off by default: a disabled tracer costs one relaxed
 // atomic load per span site.  Events buffer per thread (mutex only at
 // first touch and at write time), so spans are safe from pool workers.
-// Under DRIFT_OBS_OFF the macros expand to nothing.
 #pragma once
 
 #include <atomic>
@@ -24,6 +23,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace drift::obs {
 
@@ -112,18 +113,6 @@ class ScopedSpan {
 
 }  // namespace drift::obs
 
-#ifndef DRIFT_OBS_OFF
-
-#ifndef DRIFT_OBS_CONCAT
-#define DRIFT_OBS_CONCAT_INNER(a, b) a##b
-#define DRIFT_OBS_CONCAT(a, b) DRIFT_OBS_CONCAT_INNER(a, b)
-#endif
 /// Wall-clock span covering the rest of the enclosing block.
 #define DRIFT_OBS_SPAN(name) \
   ::drift::obs::ScopedSpan DRIFT_OBS_CONCAT(drift_obs_span_, __LINE__)(name)
-
-#else
-
-#define DRIFT_OBS_SPAN(name) do {} while (0)
-
-#endif  // DRIFT_OBS_OFF

@@ -23,11 +23,9 @@ constexpr std::uint64_t kArrivalStream = 1ull << 33;
       262144, 524288, 1048576, 2097152, 4194304, 8388608, 16777216,       \
       33554432, 67108864
 
-#ifndef DRIFT_OBS_OFF
 std::vector<std::int64_t> cycle_bounds() {
   return {DRIFT_SERVE_CYCLE_BOUNDS};
 }
-#endif
 
 double mean_i64(const std::vector<std::int64_t>& v) {
   if (v.empty()) return 0.0;
@@ -114,7 +112,6 @@ ServeResult Simulator::run() {
     rec.arrival = arrivals[id].cycle;
   }
 
-#ifndef DRIFT_OBS_OFF
   // Per-tenant latency histograms carry dynamic names, so they cannot
   // go through the static-handle macros; handles are resolved once
   // here, before the event loop.
@@ -124,7 +121,6 @@ ServeResult Simulator::run() {
     tenant_latency[t] = obs::Registry::global().histogram(
         "serve.latency_cycles." + config_.tenants[t].name, cycle_bounds());
   }
-#endif
   obs::Tracer& tracer = obs::Tracer::global();
 
   // Single-server FIFO event loop: admit everything that has arrived by
@@ -186,10 +182,8 @@ ServeResult Simulator::run() {
                           DRIFT_SERVE_CYCLE_BOUNDS);
       DRIFT_OBS_HISTOGRAM("serve.service_cycles", rec.service(),
                           DRIFT_SERVE_CYCLE_BOUNDS);
-#ifndef DRIFT_OBS_OFF
       tenant_latency[static_cast<std::size_t>(r.tenant)]->observe(
           rec.latency());
-#endif
       if (tracer.enabled()) {
         if (rec.id < config_.trace_request_cap) {
           const std::string track =

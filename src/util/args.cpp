@@ -19,14 +19,8 @@ Args Args::parse(int argc, const char* const* argv) {
     }
     const std::string body = token.substr(2);
     const auto eq = body.find('=');
-    if (eq != std::string::npos) {
-      args.flags_[body.substr(0, eq)] = body.substr(eq + 1);
-    } else if (i + 1 < argc &&
-               std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.flags_[body] = argv[++i];
-    } else {
-      args.flags_[body] = "true";
-    }
+    args.flags_[body.substr(0, eq)] =
+        eq == std::string::npos ? "true" : body.substr(eq + 1);
   }
   return args;
 }
@@ -168,7 +162,12 @@ bool Args::reject_unqueried(const std::string& accepted) const {
     DRIFT_LOG_ERROR("args") << "unknown flag --" << flag
                             << " (accepted: " << accepted << ")";
   }
-  return !unknown.empty();
+  if (positional_read_) return !unknown.empty();
+  for (const std::string& arg : positional_) {
+    DRIFT_LOG_ERROR("args") << "unexpected argument '" << arg
+                            << "' (accepted: " << accepted << ")";
+  }
+  return !unknown.empty() || !positional_.empty();
 }
 
 }  // namespace drift

@@ -1,7 +1,10 @@
 // Minimal command-line flag parser for the tools and examples.
 //
-// Supports --flag=value, --flag value, and bare --flag (boolean true).
-// Unknown flags are collected so callers can reject or ignore them.
+// Supports --flag=value and bare --flag (the value "true").  A bare
+// flag never takes the next token, so a valued flag needs `=`: in
+// `--layers gemm.json` the file is a positional argument.  Unknown
+// flags and positional arguments nothing read are collected so callers
+// can reject them.
 #pragma once
 
 #include <cstdint>
@@ -53,22 +56,28 @@ class Args {
   std::optional<double> nonnegative_flag(const std::string& flag,
                                          double fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
+  /// The positional arguments, in order; reading them marks them used.
+  const std::vector<std::string>& positional() const {
+    positional_read_ = true;
+    return positional_;
+  }
 
   /// Flags that were provided but never queried — call after all gets
   /// to warn about typos.
   std::vector<std::string> unqueried() const;
 
   /// Call after all gets: logs "unknown flag --<flag> (accepted:
-  /// <accepted>)" as an error for every unqueried flag and returns true
-  /// if there was one, so a caller can exit 2 on a typo instead of
-  /// running with defaults.
+  /// <accepted>)" as an error for every unqueried flag, and "unexpected
+  /// argument '<arg>'" for every positional argument when positional()
+  /// was never called, and returns true if there was one, so a caller
+  /// can exit 2 on a typo instead of running with defaults.
   bool reject_unqueried(const std::string& accepted) const;
 
  private:
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
+  mutable bool positional_read_ = false;
 };
 
 }  // namespace drift

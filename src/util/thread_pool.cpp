@@ -103,13 +103,11 @@ void ThreadPool::worker_loop() {
     seen_epoch = job_epoch_;
     ++active_workers_;
     lock.unlock();
-#ifndef DRIFT_OBS_OFF
     // Wake latency from job publication to first chunk claim.  Wall
     // clock, so deliberately outside the golden-test metric prefixes.
     DRIFT_OBS_HISTOGRAM("thread_pool.queue_wait_us",
                         obs::trace_now_us() - job->publish_us,
                         1, 10, 100, 1000, 10000);
-#endif
     run_chunks(*job);
     lock.lock();
     --active_workers_;
@@ -159,9 +157,7 @@ void ThreadPool::parallel_for(
   std::lock_guard<std::mutex> submit_guard(submit_mutex_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-#ifndef DRIFT_OBS_OFF
     job.publish_us = obs::trace_now_us();
-#endif
     job_ = &job;
     ++job_epoch_;
   }

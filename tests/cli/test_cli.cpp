@@ -1,10 +1,12 @@
 // Command-line contract of the drivers (label: cli): an unknown choice
-// or flag, a malformed boolean, or a number out of its range, is a
-// usage error — exit code 2 and a message listing every valid value —
-// never a silent fallback to a default, and it writes no artifact; a
-// malformed input file or a run that fails is an error exit (1), never
-// a crash, and a failed run still flushes parseable partial artifacts.
-// drift_graph compare prints every design.
+// or flag, a malformed boolean, a number out of its range, or a
+// positional argument the binary does not take, is a usage error —
+// exit code 2 and a message listing every valid value — never a silent
+// fallback to a default, and it writes no artifact; a malformed input
+// file or a run that fails is an error exit (1), never a crash, and a
+// failed run still flushes parseable partial artifacts.  A bare flag
+// never takes the next token.  drift_graph compare prints every
+// design.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -193,15 +195,37 @@ TEST(Cli, DriftGraphCompareRunsEveryDesign) {
     EXPECT_NE(r.output.find(line), std::string::npos)
         << line << "\n" << r.output;
   }
-#ifndef DRIFT_OBS_OFF
   // The timeline also renders on the simulated-cycle trace tracks.
   std::ifstream in(trace);
   std::stringstream text;
   text << in.rdbuf();
   EXPECT_NE(text.str().find("timeline.dram"), std::string::npos);
   EXPECT_NE(text.str().find("timeline.compute"), std::string::npos);
-#endif
   std::remove(trace.c_str());
+}
+
+TEST(Cli, DriftGraphCompareBareLayersThenFile) {
+  // A bare flag never takes the next token: the file after --layers is
+  // the topology to compare, and --layers prints every design's table.
+  const std::string topology = ::testing::TempDir() + "drift_cli_gemm.json";
+  {
+    std::ofstream out(topology, std::ios::binary);
+    out << R"({"name": "gemm", "family": "bert",
+  "inputs": [{"name": "x", "shape": [64, 32]}],
+  "nodes": [{"name": "gemm", "op": "linear", "inputs": ["x"],
+             "attrs": {"out_features": 48}}],
+  "outputs": ["gemm"]})";
+  }
+  const CliResult r = run(DRIFT_GRAPH_BIN, "compare --layers " + topology);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("workload gemm: "), std::string::npos) << r.output;
+  int tables = 0;
+  for (std::size_t pos = 0;
+       (pos = r.output.find("| layer |", pos)) != std::string::npos; ++pos) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, 4) << r.output;
+  std::remove(topology.c_str());
 }
 
 TEST(Cli, DriftGraphValidateDeepFileExitsOne) {
@@ -310,10 +334,8 @@ TEST(Cli, DriftServeMetricsOutIsStamped) {
   std::stringstream text;
   text << in.rdbuf();
   EXPECT_NE(text.str().find("\"git_sha\""), std::string::npos) << text.str();
-#ifndef DRIFT_OBS_OFF
   EXPECT_NE(text.str().find("\"serve.requests\""), std::string::npos)
       << text.str();
-#endif
   std::remove(path.c_str());
 }
 
@@ -333,6 +355,10 @@ std::string bench_bin(const char* name) {
   return std::string(BENCH_DIR) + "/" + name;
 }
 
+std::string example_bin(const char* name) {
+  return std::string(EXAMPLES_DIR) + "/" + name;
+}
+
 TEST(Cli, Fig6RejectsUnknownFlag) {
   expect_usage_error(bench_bin("fig6_accuracy"), "--metric-out=m.json",
                      kArtifactFlags);
@@ -340,6 +366,27 @@ TEST(Cli, Fig6RejectsUnknownFlag) {
 
 TEST(Cli, Table1RejectsUnknownFlag) {
   expect_usage_error(bench_bin("table1_llm"), "--bogus=1", kArtifactFlags);
+}
+
+// A binary that takes no positional argument rejects one as it
+// rejects an unknown flag: exit 2 before any work, no artifact.
+TEST(Cli, StrayArgumentWritesNoArtifact) {
+  expect_usage_error_no_artifact(example_bin("quickstart"),
+                                 "extra_positional",
+                                 "unexpected argument 'extra_positional'");
+  expect_usage_error_no_artifact(DRIFT_SERVE_BIN, "stray --requests=8",
+                                 "unexpected argument 'stray'");
+}
+
+// serving_study's one optional argument is its output path; a second
+// is a usage error that writes nothing.
+TEST(Cli, ServingStudyTakesOneOutputPath) {
+  const std::string path = temp_path("serving_study", "out.json");
+  std::remove(path.c_str());
+  expect_usage_error(example_bin("serving_study"), path + " stray",
+                     "unexpected argument 'stray'");
+  EXPECT_FALSE(std::ifstream(path).good()) << "wrote " << path;
+  std::remove(path.c_str());
 }
 
 // The flags are checked before the artifact flush is armed, so a usage
@@ -363,6 +410,11 @@ class BenchFlags : public ::testing::TestWithParam<const char*> {};
 TEST_P(BenchFlags, RejectsUnknownFlag) {
   expect_usage_error(bench_bin(GetParam()), "--metric-out=m.json",
                      kArtifactFlags);
+}
+
+TEST_P(BenchFlags, RejectsStrayArgument) {
+  expect_usage_error_no_artifact(bench_bin(GetParam()), "positional",
+                                 "unexpected argument 'positional'");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -337,10 +337,9 @@ TEST(GraphExport, TransformerZooGraphsShareThePaperShapes) {
 // per-node obs record sets (satellite 4's pin).
 // --------------------------------------------------------------------
 
-/// Names of the layer records currently in the registry (obs builds).
+/// Names of the layer records currently in the registry.
 std::set<std::string> scrape_record_names() {
   std::set<std::string> names;
-#ifndef DRIFT_OBS_OFF
   // The canonical scrape always includes layer records; pulling names
   // via layer_record would create them, so parse the JSON lines.
   const std::string json = obs::Registry::global().to_json({"none."});
@@ -354,7 +353,6 @@ std::set<std::string> scrape_record_names() {
     const std::size_t end = line.find('"', start);
     names.insert(line.substr(start, end - start));
   }
-#endif
   return names;
 }
 
@@ -382,9 +380,7 @@ TEST(GraphComposite, ResidualBlockMatchesGraphBitwiseAndInObsRecords) {
 
   // Composite arm.  Same rng seed as the graph arm; the block's ctor
   // draws conv1, conv2, projection in that order.
-#ifndef DRIFT_OBS_OFF
   obs::Registry::global().reset();
-#endif
   Rng block_rng(5);
   nn::ResidualBlock block("b", in_ch, out_ch, stride, block_rng);
   nn::QuantEngine block_engine(cfg);
@@ -415,9 +411,7 @@ TEST(GraphComposite, ResidualBlockMatchesGraphBitwiseAndInObsRecords) {
                 .node("b.add", "add", {"b.bn2", "b.proj"})
                 .then("b.relu2", "relu")
                 .build();
-#ifndef DRIFT_OBS_OFF
   obs::Registry::global().reset();
-#endif
   Rng graph_rng(5);
   GraphExecutor executor(std::move(g), graph_rng);
   nn::QuantEngine graph_engine(cfg);
@@ -425,7 +419,6 @@ TEST(GraphComposite, ResidualBlockMatchesGraphBitwiseAndInObsRecords) {
   const std::set<std::string> graph_records = scrape_record_names();
 
   expect_bitwise_equal(block_out, graph_out);
-#ifndef DRIFT_OBS_OFF
   // The latent-inconsistency fix: the composite forward now reports
   // relu stages through the same primitive layers the graph binds, so
   // both paths attribute work to the identical node set.
@@ -433,7 +426,6 @@ TEST(GraphComposite, ResidualBlockMatchesGraphBitwiseAndInObsRecords) {
   EXPECT_TRUE(graph_records.count("b.relu1") == 1 &&
               graph_records.count("b.relu2") == 1)
       << "relu stages missing from the per-node records";
-#endif
 }
 
 TEST(GraphComposite, TransformerBlockMatchesGraphBitwiseAndInObsRecords) {
@@ -442,9 +434,7 @@ TEST(GraphComposite, TransformerBlockMatchesGraphBitwiseAndInObsRecords) {
   nn::QuantEngine::Config cfg;
   cfg.mode = nn::QuantMode::kDrift;
 
-#ifndef DRIFT_OBS_OFF
   obs::Registry::global().reset();
-#endif
   Rng block_rng(9);
   nn::TransformerBlock block("t", dim, heads, ffn, block_rng);
   nn::QuantEngine block_engine(cfg);
@@ -468,9 +458,7 @@ TEST(GraphComposite, TransformerBlockMatchesGraphBitwiseAndInObsRecords) {
                               {"kind", Attr::of_string("ffn")}})
                 .node("t.add2", "add", {"t.ffn2", "t.add1"})
                 .build();
-#ifndef DRIFT_OBS_OFF
   obs::Registry::global().reset();
-#endif
   Rng graph_rng(9);
   GraphExecutor executor(std::move(g), graph_rng);
   nn::QuantEngine graph_engine(cfg);
@@ -478,11 +466,9 @@ TEST(GraphComposite, TransformerBlockMatchesGraphBitwiseAndInObsRecords) {
   const std::set<std::string> graph_records = scrape_record_names();
 
   expect_bitwise_equal(block_out, graph_out);
-#ifndef DRIFT_OBS_OFF
   EXPECT_EQ(block_records, graph_records);
   EXPECT_EQ(graph_records.count("t.gelu"), 1u)
       << "gelu stage missing from the per-node records";
-#endif
 }
 
 // --------------------------------------------------------------------

@@ -15,7 +15,7 @@
 // size — counters merge commutatively and every histogram observation
 // happens on the submitting thread — and the Chrome trace must be
 // structurally sound (every B closed by its E, one accel span per
-// GEMM layer).  Under -DDRIFT_OBS_OFF the whole suite GTEST_SKIPs.
+// GEMM layer).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -36,8 +36,6 @@
 
 namespace drift {
 namespace {
-
-#ifndef DRIFT_OBS_OFF
 
 /// Metric prefixes the pipeline itself creates, deterministically (no
 /// wall clock, no pool size).  Registry::reset() zeroes counters but
@@ -188,14 +186,6 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
   EXPECT_EQ(accel_spans,
             static_cast<int>(result.mixes.size()));
 }
-
-#else  // DRIFT_OBS_OFF
-
-TEST(GraphGolden, SkippedWithoutObservability) {
-  GTEST_SKIP() << "DRIFT_OBS_OFF build: no metrics artifact to pin";
-}
-
-#endif
 
 }  // namespace
 }  // namespace drift

@@ -67,12 +67,10 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
     const core::SelectorConfig cfg = proptest::gen_selector_config(rng);
     const core::DynamicQuantizer quantizer(cfg);
 
-#ifndef DRIFT_OBS_OFF
     // A unique layer per case so the record holds exactly this select.
     static int case_id = 0;
     const std::string layer = "prop_obs.sel." + std::to_string(case_id++);
     obs::LayerScope scope(layer);
-#endif
     const core::PrecisionMap map = quantizer.select(values, views, params);
 
     if (map.low_elements() < 0 || map.low_elements() > map.total_elements()) {
@@ -88,7 +86,6 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
       return proptest::fail("coverage ", coverage, " outside [0, 1]");
     }
 
-#ifndef DRIFT_OBS_OFF
     const obs::LayerRecord* rec = obs::Registry::global().layer_record(layer);
     if (rec->subtensors_total !=
             static_cast<std::int64_t>(map.num_subtensors()) ||
@@ -101,7 +98,6 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
       return proptest::fail("record coverage ", rec->coverage(),
                             " != map coverage ", coverage);
     }
-#endif
     return proptest::pass();
   });
 }
@@ -116,7 +112,6 @@ TEST(PropObs, SchedulerReportedNumbersMatchEqSevenOracle) {
     const core::ArrayDims total{proptest::gen_dim(rng, size, row_lo),
                                 proptest::gen_dim(rng, size, col_lo)};
 
-#ifndef DRIFT_OBS_OFF
     static int case_id = 0;
     const std::string layer = "prop_obs.sched." + std::to_string(case_id++);
     core::SplitDecision d;
@@ -132,10 +127,6 @@ TEST(PropObs, SchedulerReportedNumbersMatchEqSevenOracle) {
                             d.r, " c=", d.c);
     }
     const std::array<std::int64_t, 4>& tiles = rec->tile_count;
-#else
-    const core::SplitDecision d = core::schedule_greedy(w, total);
-    const std::array<std::int64_t, 4>& tiles = d.tiles;
-#endif
 
     const std::int64_t R = total.rows, C = total.cols;
     const struct {

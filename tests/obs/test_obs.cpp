@@ -2,8 +2,8 @@
 // gauges, fixed-bucket histograms, the registry's stable handles, layer
 // attribution scopes, canonical JSON scrapes (control bytes in names
 // escaped, parsing back to the same names), and the scoped-span
-// tracer.  These exercise the types directly (not the DRIFT_OBS_*
-// macros), so they run and pass under -DDRIFT_OBS_OFF too.
+// tracer, mostly through the types directly; the ObsMacros tests
+// drive the DRIFT_OBS_* macros.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -253,18 +253,13 @@ TEST(ObsMacros, CompileInBothModesAndCountWhenOn) {
   DRIFT_OBS_HISTOGRAM("obs_macro.hist", 4, 1, 10);
   DRIFT_OBS_LAYER(rec, rec->dram_bytes += 1);  // no scope: skipped
   DRIFT_OBS_SPAN("obs_macro.span");
-#ifndef DRIFT_OBS_OFF
   Registry& reg = Registry::global();
   EXPECT_EQ(reg.counter("obs_macro.count")->value(), 5);
   EXPECT_EQ(reg.gauge("obs_macro.gauge")->value(), 1.5);
   EXPECT_EQ(reg.histogram("obs_macro.hist", {})->total_count(), 1);
-#endif
 }
 
 TEST(ObsMacros, ConcurrentLayerWritesSumExactly) {
-#ifdef DRIFT_OBS_OFF
-  GTEST_SKIP() << "DRIFT_OBS_LAYER compiles out under DRIFT_OBS_OFF";
-#else
   // The proxies run samples of one layer on several pool threads at
   // once, all adding into that layer's record; every add must land.
   struct PoolGuard {
@@ -293,7 +288,6 @@ TEST(ObsMacros, ConcurrentLayerWritesSumExactly) {
   EXPECT_EQ(shared->elements_low - low0, kChunks / 2 * kAdds);
   EXPECT_EQ(shared->compute_cycles - cycles0,
             kChunks * (kAdds * (kAdds - 1) / 2));
-#endif
 }
 
 }  // namespace

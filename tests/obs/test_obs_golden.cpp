@@ -45,8 +45,6 @@
 namespace drift {
 namespace {
 
-#ifndef DRIFT_OBS_OFF
-
 /// Everything the oracle cross-check needs to re-derive the scraped
 /// numbers independently of the registry.
 struct LayerExpectation {
@@ -318,20 +316,6 @@ TEST(ObsGolden, MetricsMatchRefOracles) {
   EXPECT_EQ(reg.histogram("selector.lc_clip", {})->total_count(),
             reg.counter("selector.subtensors_total")->value());
 }
-
-#else  // DRIFT_OBS_OFF
-
-TEST(ObsGolden, MetricsJsonMatchesGolden) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-TEST(ObsGolden, MetricsMatchRefOracles) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-
-#endif  // DRIFT_OBS_OFF
 
 }  // namespace
 }  // namespace drift

@@ -162,7 +162,6 @@ bool same_run(const accel::RunResult& a, const accel::RunResult& b) {
   return true;
 }
 
-#ifndef DRIFT_OBS_OFF
 std::int64_t decisions() {
   static obs::Counter* counter =
       obs::Registry::global().counter("scheduler.decisions");
@@ -176,7 +175,6 @@ bool record_holds(const std::string& name, const core::SplitDecision& d) {
          rec->sched_latency == d.latency &&
          rec->sched_makespan == d.makespan && rec->tile_count == d.tiles;
 }
-#endif
 
 TEST(PropSplitTable, HitsAndMissesMatchTheSchedulersBitwise) {
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
@@ -195,7 +193,6 @@ TEST(PropSplitTable, HitsAndMissesMatchTheSchedulersBitwise) {
       for (std::size_t i = 0; i < works.size(); ++i) {
         core::SplitDecision got;
         core::SplitDecision want;
-#ifndef DRIFT_OBS_OFF
         const std::int64_t before = decisions();
         {
           DRIFT_OBS_LAYER_SCOPE(scope + "model");
@@ -218,10 +215,6 @@ TEST(PropSplitTable, HitsAndMissesMatchTheSchedulersBitwise) {
                                 ": a layer record differs from the "
                                 "scheduler's decision");
         }
-#else
-        got = model.schedule(works[i]);
-        want = schedule_directly(policy, works[i], grid);
-#endif
         if (got != want) {
           return proptest::fail(tag, " work ", i, " on ", grid.rows, "x",
                                 grid.cols, ": model split (", got.r, ", ",
@@ -238,17 +231,13 @@ TEST(PropSplitTable, HitsAndMissesMatchTheSchedulersBitwise) {
       std::vector<nn::LayerMix> mixes;
       const std::string prefix = "split_table." + tag + ".L";
       const nn::WorkloadSpec spec = workload_of(works, prefix, mixes);
-#ifndef DRIFT_OBS_OFF
       const std::int64_t before = decisions();
-#endif
       const accel::RunResult warm = model.run(spec, mixes);
-#ifndef DRIFT_OBS_OFF
       if (decisions() - before != static_cast<std::int64_t>(works.size())) {
         return proptest::fail(tag, ": a run of ", works.size(),
                               " layers counted ", decisions() - before,
                               " decisions");
       }
-#endif
       accel::DriftAccelModel fresh(hw, policy);
       const accel::RunResult cold = fresh.run(spec, mixes);
       const accel::RunResult again = fresh.run(spec, mixes);
@@ -269,20 +258,17 @@ TEST(PropSplitTable, HitsAndMissesMatchTheSchedulersBitwise) {
                                 ", scheduler makespan plus reconfiguration ",
                                 compute);
         }
-#ifndef DRIFT_OBS_OFF
         if (!record_holds(prefix + std::to_string(i), want)) {
           return proptest::fail(tag, " layer ", i,
                                 ": its record differs from the "
                                 "scheduler's decision");
         }
-#endif
       }
     }
     return proptest::pass();
   });
 }
 
-#ifndef DRIFT_OBS_OFF
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
@@ -294,12 +280,8 @@ std::optional<JsonValue> read_json(const std::string& path) {
   JsonError error;
   return parse_json(read_file(path), error);
 }
-#endif
 
 TEST(PropSplitTable, ServingSweepsFewerTimesThanItDecides) {
-#ifdef DRIFT_OBS_OFF
-  GTEST_SKIP() << "no spans or counters under DRIFT_OBS_OFF";
-#else
   // Serving packs the same layer shapes over and over: most batch
   // layers of a run repeat a work the model has already swept.
   const std::string metrics = ::testing::TempDir() + "split_table_m.json";
@@ -328,7 +310,6 @@ TEST(PropSplitTable, ServingSweepsFewerTimesThanItDecides) {
   EXPECT_LT(sweeps, counted->as_int());
   std::remove(metrics.c_str());
   std::remove(trace.c_str());
-#endif
 }
 
 }  // namespace

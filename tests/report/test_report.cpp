@@ -12,8 +12,9 @@
 //      real pipeline diff clean (exit 0), and a doctored 2x-slowdown
 //      BENCH_kernels.json fails the ratchet (exit 1); a zero-ops
 //      kernel's infinite slowdown survives the --json round trip.
-//   3. Graceful degradation: an empty (DRIFT_OBS_OFF-style) artifact
-//      summarizes with exit 0 and an explicit "no run data" note.
+//   3. Graceful degradation: an empty artifact (a partial flush, or a
+//      binary that touched no instrumented code) summarizes with exit 0
+//      and an explicit "no run data" note.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -341,7 +342,6 @@ std::string run_fixed_workload_and_scrape() {
 }
 
 TEST(ReportDiff, TwoFixedSeedPipelineRunsExitZero) {
-  // Works under DRIFT_OBS_OFF too: both scrapes are then equally empty.
   const std::string tmp = ::testing::TempDir();
   const std::string path_a = tmp + "/drift_report_run_a.json";
   const std::string path_b = tmp + "/drift_report_run_b.json";

@@ -295,9 +295,7 @@ RunOutput run_serving(const serve::ServeConfig& config, int threads,
   RunOutput out;
   out.result = sim.run();
   obs::Tracer::global().set_enabled(false);
-#ifndef DRIFT_OBS_OFF
   out.artifact = obs::Registry::global().to_json({"serve."});
-#endif
   pool.resize(0);  // back to the DRIFT_NUM_THREADS / hardware default
   return out;
 }
@@ -335,11 +333,9 @@ TEST(ServeDeterminism, ArtifactByteIdenticalAcrossThreadCounts) {
   for (const int threads : {2, 8}) {
     const RunOutput other = run_serving(config, threads);
     expect_same_records(base.result, other.result);
-#ifndef DRIFT_OBS_OFF
     EXPECT_EQ(base.artifact, other.artifact)
         << "serving metrics artifact differs between 1 and " << threads
         << " pool threads";
-#endif
   }
 }
 
@@ -618,8 +614,6 @@ std::string read_file_or_empty(const std::string& path) {
   return os.str();
 }
 
-#ifndef DRIFT_OBS_OFF
-
 TEST(ServeGolden, MetricsJsonMatchesGolden) {
   const RunOutput out = run_serving(two_tenant_config(), 2, /*trace=*/true);
   if (std::getenv("DRIFT_OBS_UPDATE_GOLDEN") != nullptr) {
@@ -691,20 +685,6 @@ TEST(ServeGolden, TraceCapDropsAreCounted) {
       40 - 5);
 }
 
-#else  // DRIFT_OBS_OFF
-
-TEST(ServeGolden, MetricsJsonMatchesGolden) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-TEST(ServeGolden, ChromeTraceCarriesPerRequestTracks) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-TEST(ServeGolden, TraceCapDropsAreCounted) {
-  GTEST_SKIP() << "instrumentation compiled out (DRIFT_OBS_OFF)";
-}
-
-#endif  // DRIFT_OBS_OFF
-
 // ---------------------------------------------------------------------
 // Soak: long fixed-seed run, artifacts identical at 1/2/8 threads.
 // The CI thread-sanitizer job raises the request count to 20000 via
@@ -734,11 +714,9 @@ TEST(ServeSoak, IdenticalArtifactsAcrossThreads) {
   for (const int threads : {2, 8}) {
     const RunOutput other = run_serving(config, threads);
     expect_same_records(base.result, other.result);
-#ifndef DRIFT_OBS_OFF
     ASSERT_EQ(base.artifact, other.artifact)
         << "soak artifact differs between 1 and " << threads
         << " pool threads";
-#endif
   }
 }
 

@@ -20,9 +20,13 @@ TEST(Args, EqualsSyntax) {
 }
 
 TEST(Args, SpaceSyntax) {
-  const Args a = parse({"--rows", "24", "--cols", "33"});
-  EXPECT_EQ(a.get_int("rows", 0), 24);
-  EXPECT_EQ(a.get_int("cols", 0), 33);
+  // A bare flag never takes the next token: a valued flag needs `=`,
+  // and the token after a bare flag is a positional argument.
+  const Args a = parse({"--rows", "24", "--layers", "gemm.json"});
+  EXPECT_EQ(a.get("rows"), std::optional<std::string>("true"));
+  EXPECT_THROW(a.get_int("rows", 0), check_error);
+  EXPECT_TRUE(a.get_bool("layers"));
+  EXPECT_EQ(a.positional(), (std::vector<std::string>{"24", "gemm.json"}));
 }
 
 TEST(Args, BareFlagIsBooleanTrue) {
@@ -62,6 +66,17 @@ TEST(Args, DefaultsWhenMissing) {
   EXPECT_EQ(a.get_string("model", "resnet18"), "resnet18");
   EXPECT_EQ(a.get_int("rows", 24), 24);
   EXPECT_DOUBLE_EQ(a.get_double("budget", 0.05), 0.05);
+}
+
+TEST(Args, UnreadPositionalArgumentsRejected) {
+  const Args a = parse({"--flag=x", "stray"});
+  EXPECT_EQ(a.get_string("flag", ""), "x");
+  // unqueried() counts flags only; reject_unqueried also rejects the
+  // positional argument nothing read.
+  EXPECT_TRUE(a.unqueried().empty());
+  EXPECT_TRUE(a.reject_unqueried("--flag"));
+  EXPECT_EQ(a.positional().size(), 1u);
+  EXPECT_FALSE(a.reject_unqueried("--flag"));
 }
 
 TEST(Args, PositionalArgumentsPreserved) {

@@ -319,10 +319,8 @@ int cmd_compare(const Args& args, const std::vector<std::string>& files) {
     std::printf("%s", timeline.gantt().c_str());
   }
 
-  // The mixes of the Drift run reported above.
-  const auto mixes = nn::build_mixes(
-      spec, config.mix_config(nn::MixAlgorithm::kDrift, config.seed));
-  const auto report = accel::evaluate_controller(mixes, config.hw.array);
+  const auto report =
+      accel::evaluate_controller(cmp.drift_mixes, config.hw.array);
   std::printf("\ncontroller: peak index buffer %lld bytes (%s), "
               "control work hidden under compute for %.1f%% of layers\n",
               static_cast<long long>(report.peak_index_bytes),

@@ -693,8 +693,8 @@ std::string summary_text(const JsonValue& report) {
   if (report.get("totals") == nullptr && report.get("coverage") == nullptr &&
       report.get("histograms") == nullptr &&
       report.get("serving_sweep") == nullptr) {
-    out += "(no run data in artifact — empty scrape, e.g. a "
-           "DRIFT_OBS_OFF build)\n";
+    out += "(no run data in artifact — empty scrape, e.g. a partial "
+           "flush or a run that touched no instrumented code)\n";
   }
   return out;
 }

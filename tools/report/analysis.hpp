@@ -13,9 +13,9 @@
 // All three are pure functions over parsed JSON documents: file IO and
 // exit-code policy live in cli.cpp, which keeps every analysis
 // unit-testable on in-memory fixtures.  Every analysis must degrade
-// gracefully on an empty artifact (a DRIFT_OBS_OFF run scrapes empty
-// sections) — absent data yields absent report sections, never an
-// error.
+// gracefully on an empty artifact (a partial flush, or a binary that
+// touched no instrumented code, scrapes empty sections) — absent data
+// yields absent report sections, never an error.
 #pragma once
 
 #include <string>
