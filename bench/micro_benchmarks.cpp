@@ -25,17 +25,19 @@
 // proxy forward passes under all four execution modes, `serve_run`
 // that of the serving event loop on a two-tenant Poisson trace, and
 // `serve_precompute` that of the per-request pattern precompute on the
-// same trace (same units).
-// DRIFT_BENCH_GEMM_SIZE overrides the
-// thread-sweep GEMM edge (default 1024; the backend sweep's is fixed at
-// 512), DRIFT_BENCH_QUANT_ROWS the quantizer's row count (default
-// 8192); DRIFT_SKIP_KERNEL_SWEEP=1 skips both sweeps.
+// same trace (same units).  The sizes are fixed, as
+// bench/baseline.json records them: the thread sweep's GEMM edge is
+// 1024, the backend sweep's 512, and the quantizer takes 8192 rows.
+//
+// The command line goes through benchmark::Initialize, which takes out
+// google-benchmark's own --benchmark_* flags, and then through Args and
+// ReportOptions::from_args like every other binary's, so an unknown
+// flag or a stray argument exits 2 before the corpus runs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -332,16 +334,8 @@ double best_seconds(Fn&& fn, int reps) {
   return best;
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    const long long n = std::atoll(v);
-    if (n > 0) return static_cast<std::int64_t>(n);
-  }
-  return fallback;
-}
-
 void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
-  const std::int64_t gemm_n = env_int("DRIFT_BENCH_GEMM_SIZE", 1024);
+  constexpr std::int64_t gemm_n = 1024;
   const int default_threads = util::ThreadPool::default_num_threads();
   std::vector<int> thread_counts{1};
   for (int t : {2, 4}) {
@@ -355,7 +349,7 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
   const TensorF a = laplace_matrix(gemm_n, gemm_n, 101);
   const TensorF b = laplace_matrix(gemm_n, gemm_n, 102);
   const TensorF w = laplace_matrix(gemm_n, gemm_n, 103);
-  const std::int64_t qrows = env_int("DRIFT_BENCH_QUANT_ROWS", 8192);
+  constexpr std::int64_t qrows = 8192;
   const TensorF x = laplace_matrix(qrows, 768, 104);
   const nn::QuantEngine engine = drift_row_engine();
 
@@ -714,24 +708,21 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --metrics-out / --trace-out are ours, not google-benchmark's:
-  // consume_argv strips them from argv before benchmark::Initialize,
-  // which rejects flags it does not recognize.
-  const obs::ReportOptions artifacts =
-      obs::ReportOptions::consume_argv(argc, argv);
+  // Initialize removes the flags it knows from argv and leaves ours.
+  benchmark::Initialize(&argc, argv);
+  const Args args = Args::parse(argc, argv);
+  const auto artifacts = obs::ReportOptions::from_args(
+      args, "google-benchmark's flags (see --help)");
+  if (!artifacts) return 2;
 
   // The differential corpus always runs (it doubles as a smoke test of
   // the oracles); mismatches fail the binary after the benchmarks.
   const std::vector<CorpusResult> corpus = run_proptest_corpus();
   int corpus_mismatches = 0;
   for (const auto& c : corpus) corpus_mismatches += c.mismatches;
-  if (!std::getenv("DRIFT_SKIP_KERNEL_SWEEP")) run_kernel_sweep(corpus);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
+  run_kernel_sweep(corpus);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const bool artifacts_ok = artifacts.write();
+  const bool artifacts_ok = artifacts->write();
   return corpus_mismatches > 0 || !artifacts_ok ? 1 : 0;
 }

@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "obs/metrics.hpp"
@@ -84,32 +83,6 @@ std::optional<ReportOptions> ReportOptions::from_args(
                                 : accepted + ", " + artifact_flags)) {
     return std::nullopt;
   }
-  arm(opts);
-  return opts;
-}
-
-ReportOptions ReportOptions::consume_argv(int& argc, char** argv) {
-  ReportOptions opts;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string* target = nullptr;
-    const char* flag = nullptr;
-    if (std::strncmp(arg, "--metrics-out", 13) == 0) {
-      target = &opts.metrics_path;
-      flag = arg + 13;
-    } else if (std::strncmp(arg, "--trace-out", 11) == 0) {
-      target = &opts.trace_path;
-      flag = arg + 11;
-    }
-    if (target != nullptr && flag[0] == '=') {
-      *target = flag + 1;
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  argv[argc] = nullptr;
   arm(opts);
   return opts;
 }

@@ -42,14 +42,6 @@ struct ReportOptions {
   static std::optional<ReportOptions> from_args(
       const Args& args, const std::string& accepted = "");
 
-  /// Same contract as from_args, for binaries whose remaining argv is
-  /// handed to another flag parser (google-benchmark rejects flags it
-  /// does not recognize): parses AND removes --metrics-out=P and
-  /// --trace-out=P, compacting argv in place and updating argc
-  /// (argv[argc] is reset to nullptr).  A valued flag needs `=`, as in
-  /// Args, so a bare --metrics-out stays for the other parser to reject.
-  static ReportOptions consume_argv(int& argc, char** argv);
-
   /// Writes the requested artifacts (canonical metrics JSON, Chrome
   /// trace JSON) and disarms the atexit flush.  Returns false if any
   /// requested write failed.

@@ -19,8 +19,9 @@ namespace drift {
 /// Parsed command line.
 class Args {
  public:
-  /// Parses argv (argv[0] skipped).  Positional arguments (tokens not
-  /// starting with "--") are kept in order.
+  /// Parses a main()'s command line, the program name skipped.
+  /// Positional arguments (tokens not starting with "--") are kept in
+  /// order.
   static Args parse(int argc, const char* const* argv);
 
   /// Raw string lookup.

@@ -2,8 +2,9 @@
 //
 // Every JSON surface goes through this module: the topology format
 // (graph/json_topology), the metrics and trace artifacts (obs), and the
-// drift_report and drift_lint tools, which link it as the dependency-
-// free `drift_json` library and nothing else.
+// drift_report and drift_lint tools, which link it (as the dependency-
+// free `drift_json` library) with the rest of util and no simulator
+// library.
 //
 // Grammar of the reader:
 //   - objects are std::map, so iteration (and therefore canonical

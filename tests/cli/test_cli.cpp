@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -378,6 +379,19 @@ TEST(Cli, StrayArgumentWritesNoArtifact) {
                                  "unexpected argument 'stray'");
 }
 
+// emit and list take nothing after the command: a stray argument is a
+// usage error, and emit writes no --out file.
+TEST(Cli, DriftGraphEmitAndListRejectStrayArgument) {
+  const std::string path = temp_path("drift_graph", "emit.json");
+  std::remove(path.c_str());
+  expect_usage_error(DRIFT_GRAPH_BIN,
+                     "emit --zoo=resnet18 --out=" + path + " extra",
+                     "unexpected argument 'extra'");
+  EXPECT_FALSE(std::ifstream(path).good()) << "wrote " << path;
+  expect_usage_error(DRIFT_GRAPH_BIN, "list extra",
+                     "unexpected argument 'extra'");
+}
+
 // serving_study's one optional argument is its output path; a second
 // is a usage error that writes nothing.
 TEST(Cli, ServingStudyTakesOneOutputPath) {
@@ -405,15 +419,34 @@ TEST(Cli, UsageErrorWritesNoArtifact) {
   std::remove(path.c_str());
 }
 
-class BenchFlags : public ::testing::TestWithParam<const char*> {};
+// Each bench runs in an empty directory of its own, which a usage
+// error must leave empty: no CSV, and no BENCH_kernels.json from
+// micro_benchmarks, whose flags pass google-benchmark first.
+class BenchFlags : public ::testing::TestWithParam<const char*> {
+ protected:
+  /// `cd <empty dir> && <bench>`, to hand to the run helpers.
+  std::string in_empty_dir(const std::string& what) {
+    dir_ = ::testing::TempDir() + "drift_cli_" + GetParam() + "_" + what;
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    return "cd " + dir_ + " && " + bench_bin(GetParam());
+  }
+  void TearDown() override {
+    EXPECT_TRUE(std::filesystem::is_empty(dir_)) << dir_;
+    std::filesystem::remove_all(dir_);
+  }
+
+ private:
+  std::string dir_;
+};
 
 TEST_P(BenchFlags, RejectsUnknownFlag) {
-  expect_usage_error(bench_bin(GetParam()), "--metric-out=m.json",
-                     kArtifactFlags);
+  expect_usage_error_no_artifact(in_empty_dir("unknown"),
+                                 "--metric-out=m.json", kArtifactFlags);
 }
 
 TEST_P(BenchFlags, RejectsStrayArgument) {
-  expect_usage_error_no_artifact(bench_bin(GetParam()), "positional",
+  expect_usage_error_no_artifact(in_empty_dir("stray"), "positional",
                                  "unexpected argument 'positional'");
 }
 
@@ -422,9 +455,47 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("fig1_subtensor_dynamics", "fig2_stall_motivation",
                       "fig7_latency", "fig8_energy", "ablation_scheduler",
                       "ablation_threshold", "ablation_granularity",
-                      "ablation_array_scaling"),
+                      "ablation_array_scaling", "micro_benchmarks"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
+
+// drift_report and drift_lint read their flags through Args as well:
+// a valued flag needs `=`, and an unknown flag, a bad number or a value
+// after a space exits 2 before any input is read.
+const std::string kSlowRun = std::string(REPORT_FIXTURES) + "/bench_slow.json";
+const std::string kBaseline =
+    std::string(REPORT_FIXTURES) + "/bench_base.json";
+const std::string kRatchet = "ratchet " + kSlowRun + " --baseline=" + kBaseline;
+
+TEST(Cli, DriftReportRejectsBadMaxSlowdown) {
+  // nan and inf used to pass every kernel, and 1.5x read as 1.5.
+  for (const std::string value : {"nan", "inf", "0"}) {
+    expect_usage_error(DRIFT_REPORT_BIN, kRatchet + " --max-slowdown=" + value,
+                       "--max-slowdown=" + value +
+                           " is out of range (valid: a finite number > 0)");
+  }
+  for (const std::string value : {"1.5x", ""}) {
+    expect_usage_error(DRIFT_REPORT_BIN, kRatchet + " --max-slowdown=" + value,
+                       "--max-slowdown=" + value + " is not a number");
+  }
+}
+
+TEST(Cli, DriftReportRejectsSpaceFormAndUnknownFlag) {
+  expect_usage_error(DRIFT_REPORT_BIN,
+                     "ratchet " + kSlowRun + " --baseline " + kBaseline,
+                     "unexpected argument '" + kBaseline + "'");
+  expect_usage_error(DRIFT_REPORT_BIN, kRatchet + " --bogus=1",
+                     "unknown flag --bogus (accepted: --baseline, "
+                     "--max-slowdown, --json)");
+}
+
+TEST(Cli, DriftLintRejectsSpaceFormRoot) {
+  // A bare --root is the value "true"; the path after it is a directory
+  // to scan.
+  expect_usage_error(DRIFT_LINT_BIN,
+                     std::string("--root ") + SOURCE_DIR + " tools/lint",
+                     "root does not exist: true");
+}
 
 }  // namespace

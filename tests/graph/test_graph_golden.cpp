@@ -148,7 +148,7 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
     const std::string marker = "\"" + key + "\": ";
     const std::size_t pos = event.find(marker);
     if (pos == std::string::npos) return -1;
-    return std::atoll(event.c_str() + pos + marker.size());
+    return std::strtoll(event.c_str() + pos + marker.size(), nullptr, 10);
   };
   std::map<std::pair<std::int64_t, std::int64_t>,
            std::vector<std::string>>

@@ -56,14 +56,14 @@ std::string fixtures_root() { return DRIFT_LINT_FIXTURES; }
 
 TEST(DriftLint, JsonOutputMatchesGoldenFileExactly) {
   const RunResult r =
-      run_lint("--root " + fixtures_root() + " --format=json src tools tests");
+      run_lint("--root=" + fixtures_root() + " --format=json src tools tests");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(r.output, read_file(DRIFT_LINT_EXPECTED));
 }
 
 TEST(DriftLint, SarifOutputMatchesGoldenFileExactly) {
   const RunResult r =
-      run_lint("--root " + fixtures_root() + " --format=sarif src tools tests");
+      run_lint("--root=" + fixtures_root() + " --format=sarif src tools tests");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(r.output, read_file(DRIFT_LINT_EXPECTED_SARIF));
 }
@@ -71,8 +71,8 @@ TEST(DriftLint, SarifOutputMatchesGoldenFileExactly) {
 TEST(DriftLint, RatchetWithinBudgetExitsZero) {
   // The fixture ratchet grants exactly the corpus's per-rule counts, so
   // the run reports violations but the gate passes.
-  const RunResult r = run_lint("--root " + fixtures_root() +
-                               " --format=json --ratchet " +
+  const RunResult r = run_lint("--root=" + fixtures_root() +
+                               " --format=json --ratchet=" +
                                DRIFT_LINT_RATCHET_FIXTURE +
                                " src tools tests 2>/dev/null");
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -81,8 +81,8 @@ TEST(DriftLint, RatchetWithinBudgetExitsZero) {
 TEST(DriftLint, RatchetExceededExitsOne) {
   // The committed repo baseline is all zeros; the fixture corpus blows
   // through every budget.
-  const RunResult r = run_lint("--root " + fixtures_root() +
-                               " --format=json --ratchet " +
+  const RunResult r = run_lint("--root=" + fixtures_root() +
+                               " --format=json --ratchet=" +
                                DRIFT_LINT_RATCHET_ZERO +
                                " src tools tests 2>/dev/null");
   EXPECT_EQ(r.exit_code, 1) << r.output;
@@ -90,8 +90,8 @@ TEST(DriftLint, RatchetExceededExitsOne) {
 
 TEST(DriftLint, MissingRatchetFileExitsTwo) {
   const RunResult r =
-      run_lint("--root " + fixtures_root() +
-               " --ratchet /nonexistent/ratchet.json src 2>/dev/null");
+      run_lint("--root=" + fixtures_root() +
+               " --ratchet=/nonexistent/ratchet.json src 2>/dev/null");
   EXPECT_EQ(r.exit_code, 2);
 }
 
@@ -99,7 +99,7 @@ TEST(DriftLint, MalformedRatchetFileExitsTwo) {
   // ratchet_malformed.json is unterminated and has stray commas; the gate
   // must refuse it rather than pass with whatever budgets it can find.
   const std::string scan =
-      "--root " + fixtures_root() + " --format=json --ratchet ";
+      "--root=" + fixtures_root() + " --format=json --ratchet=";
   RunResult r = run_lint(scan + DRIFT_LINT_RATCHET_MALFORMED +
                          " tests 2>&1 >/dev/null");
   EXPECT_EQ(r.exit_code, 2) << r.output;
@@ -132,21 +132,21 @@ TEST(DriftLint, MalformedRatchetFileExitsTwo) {
 TEST(DriftLint, SelfAnalysisIsClean) {
   // The analyzer must hold itself to its own rules.
   const RunResult r =
-      run_lint(std::string("--root ") + DRIFT_LINT_REPO_ROOT + " tools/lint");
+      run_lint(std::string("--root=") + DRIFT_LINT_REPO_ROOT + " tools/lint");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
 TEST(DriftLint, CleanDirectoryExitsZero) {
   // fixtures/tests holds only clean files.
   const RunResult r =
-      run_lint("--root " + fixtures_root() + " --format=json tests");
+      run_lint("--root=" + fixtures_root() + " --format=json tests");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("\"violation_count\": 0"), std::string::npos)
       << r.output;
 }
 
 TEST(DriftLint, TextFormatReportsFileLineAndRule) {
-  const RunResult r = run_lint("--root " + fixtures_root() + " src");
+  const RunResult r = run_lint("--root=" + fixtures_root() + " src");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("src/core/narrow_viol.cpp:5: [narrow]"),
             std::string::npos)
@@ -157,9 +157,21 @@ TEST(DriftLint, TextFormatReportsFileLineAndRule) {
 }
 
 TEST(DriftLint, CleanAndSuppressedFilesProduceNoFindings) {
-  const RunResult r = run_lint("--root " + fixtures_root() + " src");
+  const RunResult r = run_lint("--root=" + fixtures_root() + " src");
   EXPECT_EQ(r.output.find("clean.cpp"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("suppressed.cpp"), std::string::npos) << r.output;
+}
+
+TEST(DriftLint, MissingDirectoryExitsTwo) {
+  // A misspelled directory used to scan 0 files and pass the gate, and
+  // a file given as a directory aborted the walk.
+  for (const std::string dir : {"srcc", "src/clean.cpp"}) {
+    const RunResult r =
+        run_lint("--root=" + fixtures_root() + " " + dir + " 2>&1");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("no directory '" + dir + "'"), std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(DriftLint, UnknownFlagExitsWithUsageError) {

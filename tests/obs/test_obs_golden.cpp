@@ -181,7 +181,7 @@ std::int64_t event_field(const std::string& line, const std::string& key,
   const std::string marker = "\"" + key + "\": ";
   const std::size_t pos = line.find(marker);
   if (pos == std::string::npos) return fallback;
-  return std::atoll(line.c_str() + pos + marker.size());
+  return std::strtoll(line.c_str() + pos + marker.size(), nullptr, 10);
 }
 
 TEST(ObsGolden, ChromeTraceIsStructurallyValid) {

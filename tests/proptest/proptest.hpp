@@ -59,14 +59,14 @@ struct Config {
 inline Config config_from_env() {
   Config c;
   if (const char* v = std::getenv("DRIFT_PROPTEST_ITERS")) {
-    const long long n = std::atoll(v);
+    const long long n = std::strtoll(v, nullptr, 10);
     if (n > 0) c.iters = static_cast<int>(n);
   }
   if (const char* v = std::getenv("DRIFT_PROPTEST_SEED")) {
     c.seed = std::strtoull(v, nullptr, 0);
   }
   if (const char* v = std::getenv("DRIFT_PROPTEST_SIZE")) {
-    const long long n = std::atoll(v);
+    const long long n = std::strtoll(v, nullptr, 10);
     if (n > 0) c.forced_size = static_cast<int>(n);
   }
   return c;

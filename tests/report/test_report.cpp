@@ -56,13 +56,17 @@ std::string read_file_or_empty(const std::string& path) {
   return os.str();
 }
 
-/// Runs the CLI and returns the exit code; `out`/`err` are cleared
-/// first so one test can issue several invocations.
+/// Runs the CLI on `args` (argv after the program name) and returns
+/// the exit code; `out`/`err` are cleared first so one test can issue
+/// several invocations.
 int run(const std::vector<std::string>& args, std::string& out,
         std::string& err) {
   out.clear();
   err.clear();
-  return run_cli(args, out, err);
+  std::vector<const char*> argv{"drift_report"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return run_cli(Args::parse(static_cast<int>(argv.size()), argv.data()),
+                 out, err);
 }
 
 // ---------------------------------------------------------------------------
@@ -85,8 +89,8 @@ void check_golden(const std::string& name, const std::string& produced) {
 
 TEST(ReportGolden, SummarizeTextMatchesGolden) {
   std::string out, err;
-  ASSERT_EQ(run({"summarize", fixture("run_a.json"), "--trace",
-                 fixture("trace_a.json")},
+  ASSERT_EQ(run({"summarize", fixture("run_a.json"),
+                 "--trace=" + fixture("trace_a.json")},
                 out, err),
             0)
       << err;
@@ -95,8 +99,8 @@ TEST(ReportGolden, SummarizeTextMatchesGolden) {
 
 TEST(ReportGolden, SummarizeJsonMatchesGolden) {
   std::string out, err;
-  ASSERT_EQ(run({"summarize", fixture("run_a.json"), "--trace",
-                 fixture("trace_a.json"), "--json"},
+  ASSERT_EQ(run({"summarize", fixture("run_a.json"),
+                 "--trace=" + fixture("trace_a.json"), "--json"},
                 out, err),
             0)
       << err;
@@ -155,7 +159,7 @@ TEST(ReportDiff, DivergentCountersExitOne) {
 TEST(ReportDiff, ToleranceFileCanAbsorbDivergence) {
   std::string out, err;
   EXPECT_EQ(run({"diff", fixture("run_a.json"), fixture("run_divergent.json"),
-                 "--tolerances", fixture("tolerances.json")},
+                 "--tolerances=" + fixture("tolerances.json")},
                 out, err),
             0)
       << out << err;
@@ -182,8 +186,8 @@ TEST(ReportDiff, MalformedJsonExitTwo) {
 
 TEST(ReportRatchet, BaselineAgainstItselfExitZero) {
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_base.json"), "--baseline",
-                 fixture("bench_base.json")},
+  EXPECT_EQ(run({"ratchet", fixture("bench_base.json"),
+                 "--baseline=" + fixture("bench_base.json")},
                 out, err),
             0)
       << out << err;
@@ -194,8 +198,8 @@ TEST(ReportRatchet, DoubledSlowdownExitOne) {
   // 4-thread gemm_lowp kernel doctored to half the ops/s (2x slowdown),
   // which must trip the default 1.5x gate.
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_slow.json"), "--baseline",
-                 fixture("bench_base.json")},
+  EXPECT_EQ(run({"ratchet", fixture("bench_slow.json"),
+                 "--baseline=" + fixture("bench_base.json")},
                 out, err),
             1);
   EXPECT_NE(out.find("gemm_lowp"), std::string::npos) << out;
@@ -203,8 +207,9 @@ TEST(ReportRatchet, DoubledSlowdownExitOne) {
 
 TEST(ReportRatchet, GenerousGateAbsorbsSlowdown) {
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_slow.json"), "--baseline",
-                 fixture("bench_base.json"), "--max-slowdown", "4.0"},
+  EXPECT_EQ(run({"ratchet", fixture("bench_slow.json"),
+                 "--baseline=" + fixture("bench_base.json"),
+                 "--max-slowdown=4.0"},
                 out, err),
             0)
       << out << err;
@@ -215,8 +220,8 @@ TEST(ReportRatchet, KernelMissingFromRunFailsUntrackedOnlyWarns) {
   // corpus must not pass) and adds one the baseline has never seen
   // (warn-only).
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_missing.json"), "--baseline",
-                 fixture("bench_base.json")},
+  EXPECT_EQ(run({"ratchet", fixture("bench_missing.json"),
+                 "--baseline=" + fixture("bench_base.json")},
                 out, err),
             1);
   EXPECT_NE(out.find("MISSING"), std::string::npos) << out;
@@ -227,8 +232,8 @@ TEST(ReportRatchet, UntrackedKernelAloneExitZero) {
   // Running the full corpus against a baseline that only knows a
   // subset must pass: new kernels are untracked warnings, not failures.
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_base.json"), "--baseline",
-                 fixture("bench_missing.json")},
+  EXPECT_EQ(run({"ratchet", fixture("bench_base.json"),
+                 "--baseline=" + fixture("bench_missing.json")},
                 out, err),
             1)
       << "bench_missing as baseline also drops a kernel, so this "
@@ -238,8 +243,8 @@ TEST(ReportRatchet, UntrackedKernelAloneExitZero) {
 
 TEST(ReportRatchet, ProptestMismatchesExitOne) {
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_mismatch.json"), "--baseline",
-                 fixture("bench_base.json")},
+  EXPECT_EQ(run({"ratchet", fixture("bench_mismatch.json"),
+                 "--baseline=" + fixture("bench_base.json")},
                 out, err),
             1);
   EXPECT_NE(out.find("MISMATCH"), std::string::npos) << out;
@@ -250,8 +255,8 @@ TEST(ReportRatchet, ZeroOpsJsonOutputParsesBack) {
   // is +inf.  The --json output writes it as 1e999, and the reader must
   // take its own writer's output back as the same infinity.
   std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_zero_ops.json"), "--baseline",
-                 fixture("bench_base.json"), "--json"},
+  EXPECT_EQ(run({"ratchet", fixture("bench_zero_ops.json"),
+                 "--baseline=" + fixture("bench_base.json"), "--json"},
                 out, err),
             1)
       << out << err;

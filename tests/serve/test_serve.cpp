@@ -636,7 +636,7 @@ std::int64_t event_field(const std::string& line, const std::string& key,
   const std::string marker = "\"" + key + "\": ";
   const std::size_t pos = line.find(marker);
   if (pos == std::string::npos) return fallback;
-  return std::atoll(line.c_str() + pos + marker.size());
+  return std::strtoll(line.c_str() + pos + marker.size(), nullptr, 10);
 }
 
 TEST(ServeGolden, ChromeTraceCarriesPerRequestTracks) {
@@ -693,7 +693,7 @@ TEST(ServeGolden, TraceCapDropsAreCounted) {
 TEST(ServeSoak, IdenticalArtifactsAcrossThreads) {
   std::int64_t requests = 2000;
   if (const char* v = std::getenv("DRIFT_SERVE_SOAK_REQUESTS")) {
-    const long long n = std::atoll(v);
+    const long long n = std::strtoll(v, nullptr, 10);
     if (n > 0) requests = n;
   }
   serve::ServeConfig config;

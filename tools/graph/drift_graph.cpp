@@ -383,6 +383,11 @@ int main(int argc, char** argv) {
   const bool flagless =
       command == "validate" || command == "shapes" || command == "list";
   if (flagless && args.reject_unqueried("none")) return 2;
+  if ((command == "emit" || command == "list") && !rest.empty()) {
+    std::fprintf(stderr, "drift_graph %s: unexpected argument '%s'\n",
+                 command.c_str(), rest.front().c_str());
+    return 2;
+  }
   try {
     if (command == "validate") return cmd_validate(rest);
     if (command == "shapes") return cmd_shapes(rest);

@@ -9,8 +9,13 @@
 // (+ "Static analysis v2").
 //
 // Usage:
-//   drift_lint [--root DIR] [--format=text|json|sarif]
-//              [--ratchet FILE] [--exclude SUBSTR]... [dir ...]
+//   drift_lint [--root=DIR] [--format=text|json|sarif] [--ratchet=FILE]
+//              [dir ...]
+//
+// The command line is read through util::Args, like every other
+// binary's: a valued flag needs `=` (a value after a space is read as
+// a directory), and an unknown flag, an unknown format or a directory
+// that does not exist under the root is a usage error.
 //
 // Exit codes: 0 clean (or within ratchet budgets), 1 violations found
 // (or some ratchet budget exceeded), 2 usage or I/O error, or a
@@ -24,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -31,18 +37,16 @@
 
 #include "output.hpp"
 #include "rules.hpp"
+#include "util/args.hpp"
+#include "util/logging.hpp"
 
 namespace fs = std::filesystem;
 
 namespace {
 
-struct Options {
-  fs::path root = ".";
-  std::string format = "text";
-  std::string ratchet_path;
-  std::vector<std::string> excludes;
-  std::vector<std::string> dirs;
-};
+constexpr const char* kUsage =
+    "usage: drift_lint [--root=DIR] [--format=text|json|sarif] "
+    "[--ratchet=FILE] [dir ...]\n";
 
 bool has_lintable_extension(const fs::path& p) {
   static const std::set<std::string> kExts = {".cpp", ".hpp", ".h", ".cc",
@@ -62,28 +66,22 @@ std::string to_rel(const fs::path& p, const fs::path& root) {
   return fs::relative(p, root).generic_string();
 }
 
-std::vector<std::string> collect_files(const Options& opt) {
+/// The lintable files under `dirs` (relative to `root`), sorted and
+/// unique.
+std::vector<std::string> collect_files(const fs::path& root,
+                                       const std::vector<std::string>& dirs) {
   std::vector<std::string> rels;
-  for (const auto& dir : opt.dirs) {
-    const fs::path base = opt.root / dir;
-    if (!fs::exists(base)) continue;
-    auto it = fs::recursive_directory_iterator(base);
+  for (const auto& dir : dirs) {
+    auto it = fs::recursive_directory_iterator(root / dir);
     for (const auto& entry : it) {
       if (entry.is_directory() &&
           is_skipped_dir(entry.path().filename().string())) {
         it.disable_recursion_pending();
         continue;
       }
-      if (!entry.is_regular_file() || !has_lintable_extension(entry.path())) {
-        continue;
+      if (entry.is_regular_file() && has_lintable_extension(entry.path())) {
+        rels.push_back(to_rel(entry.path(), root));
       }
-      const std::string rel = to_rel(entry.path(), opt.root);
-      const bool excluded =
-          std::any_of(opt.excludes.begin(), opt.excludes.end(),
-                      [&rel](const std::string& e) {
-                        return rel.find(e) != std::string::npos;
-                      });
-      if (!excluded) rels.push_back(rel);
     }
   }
   std::sort(rels.begin(), rels.end());
@@ -91,56 +89,52 @@ std::vector<std::string> collect_files(const Options& opt) {
   return rels;
 }
 
-int usage() {
-  std::cerr << "usage: drift_lint [--root DIR] [--format=text|json|sarif] "
-               "[--ratchet FILE] [--exclude SUBSTR]... [dir ...]\n";
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--root") {
-      if (++i >= argc) return usage();
-      opt.root = argv[i];
-    } else if (arg.rfind("--format=", 0) == 0) {
-      opt.format = arg.substr(9);
-      if (opt.format != "text" && opt.format != "json" &&
-          opt.format != "sarif") {
-        return usage();
-      }
-    } else if (arg == "--ratchet") {
-      if (++i >= argc) return usage();
-      opt.ratchet_path = argv[i];
-    } else if (arg == "--exclude") {
-      if (++i >= argc) return usage();
-      opt.excludes.push_back(argv[i]);
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      opt.dirs.push_back(arg);
-    }
+  const drift::Args args = drift::Args::parse(argc, argv);
+  const std::optional<bool> help = args.bool_flag("help", false);
+  const std::string root_flag = args.get_string("root", ".");
+  const std::string format = args.get_string("format", "text");
+  const std::string ratchet_path = args.get_string("ratchet", "");
+  std::vector<std::string> dirs = args.positional();
+  const bool format_ok =
+      format == "text" || format == "json" || format == "sarif";
+  if (!format_ok) {
+    DRIFT_LOG_ERROR("args") << "--format=" << format
+                            << " is not a format (valid: text, json, sarif)";
   }
-  if (opt.dirs.empty()) {
-    opt.dirs = {"src", "tools", "bench", "examples", "perfbench", "tests"};
-  }
-  if (!fs::exists(opt.root)) {
-    std::cerr << "drift_lint: root does not exist: " << opt.root << "\n";
+  if (!help || !format_ok ||
+      args.reject_unqueried("--root, --format, --ratchet")) {
+    std::cerr << kUsage;
     return 2;
   }
-  opt.root = fs::canonical(opt.root);
+  if (*help) {
+    std::cout << kUsage;
+    return 0;
+  }
+  if (dirs.empty()) {
+    dirs = {"src", "tools", "bench", "examples", "perfbench", "tests"};
+  }
+  if (!fs::exists(root_flag)) {
+    std::cerr << "drift_lint: root does not exist: " << root_flag << "\n";
+    return 2;
+  }
+  const fs::path root = fs::canonical(root_flag);
+  // A misspelled directory must not pass the gate as an empty scan.
+  for (const std::string& dir : dirs) {
+    if (!fs::is_directory(root / dir)) {
+      std::cerr << "drift_lint: no directory '" << dir << "' under "
+                << root.string() << "\n";
+      return 2;
+    }
+  }
 
-  const std::vector<std::string> rels = collect_files(opt);
+  const std::vector<std::string> rels = collect_files(root, dirs);
   std::vector<drift::lint::LexedFile> files;
   files.reserve(rels.size());
   for (const auto& rel : rels) {
-    const fs::path abs = opt.root / rel;
+    const fs::path abs = root / rel;
     std::ifstream in(abs, std::ios::binary);
     if (!in) {
       std::cerr << "drift_lint: cannot read " << abs << "\n";
@@ -152,19 +146,19 @@ int main(int argc, char** argv) {
   }
 
   const auto violations = drift::lint::run_rules(files);
-  if (opt.format == "json") {
+  if (format == "json") {
     drift::lint::print_json(violations, files.size());
-  } else if (opt.format == "sarif") {
+  } else if (format == "sarif") {
     drift::lint::print_sarif(violations);
   } else {
     drift::lint::print_text(violations, files.size());
   }
 
-  if (!opt.ratchet_path.empty()) {
+  if (!ratchet_path.empty()) {
     std::map<std::string, int> budgets;
     std::string error;
-    if (!drift::lint::load_ratchet(opt.ratchet_path, budgets, error)) {
-      std::cerr << "drift_lint: ratchet file " << opt.ratchet_path << ": "
+    if (!drift::lint::load_ratchet(ratchet_path, budgets, error)) {
+      std::cerr << "drift_lint: ratchet file " << ratchet_path << ": "
                 << error << "\n";
       return 2;
     }

@@ -12,6 +12,10 @@ namespace {
 
 constexpr const char* kQuadrantNames[4] = {"hh", "hl", "lh", "ll"};
 
+/// Roofline ceiling: the modeled HBM bandwidth in DRAM bytes per
+/// accelerator cycle (paper Table 1 class hardware sustains ~16).
+constexpr double kPeakBytesPerCycle = 16.0;
+
 double num_or(const JsonValue* v, double fallback) {
   return v != nullptr && v->is_number() ? v->as_double() : fallback;
 }
@@ -152,7 +156,7 @@ JsonValue coverage_distribution(const JsonValue& metrics,
   return JsonValue(std::move(out));
 }
 
-JsonValue roofline(const JsonValue& metrics, const SummarizeOptions& options) {
+JsonValue roofline(const JsonValue& metrics) {
   const std::int64_t dram = counter(metrics, "traffic.dram_bytes");
   const std::int64_t cycles = counter(metrics, "sim.cycles");
   if (cycles == 0) return JsonValue();
@@ -161,10 +165,8 @@ JsonValue roofline(const JsonValue& metrics, const SummarizeOptions& options) {
   out["dram_bytes"] = JsonValue(dram);
   out["cycles"] = JsonValue(cycles);
   out["bytes_per_cycle"] = JsonValue(bpc);
-  out["peak_bytes_per_cycle"] = JsonValue(options.peak_bytes_per_cycle);
-  out["bandwidth_utilization"] = JsonValue(
-      options.peak_bytes_per_cycle > 0 ? bpc / options.peak_bytes_per_cycle
-                                       : 0.0);
+  out["peak_bytes_per_cycle"] = JsonValue(kPeakBytesPerCycle);
+  out["bandwidth_utilization"] = JsonValue(bpc / kPeakBytesPerCycle);
   // Above ~1.0 the run is bandwidth-bound: the modeled DRAM could not
   // actually sustain the simulated traffic and stalls would grow.
   return JsonValue(std::move(out));
@@ -446,8 +448,7 @@ std::map<std::string, double> kernel_ops(const JsonValue& bench) {
 
 }  // namespace
 
-JsonValue summarize(const JsonValue& metrics, const JsonValue* trace,
-                    const SummarizeOptions& options) {
+JsonValue summarize(const JsonValue& metrics, const JsonValue* trace) {
   JsonObject report;
   report["schema_version"] =
       JsonValue(int_or(metrics.get("schema_version"), 1));
@@ -480,7 +481,7 @@ JsonValue summarize(const JsonValue& metrics, const JsonValue* trace,
   if (JsonValue c = coverage_distribution(metrics, layers); !c.is_null()) {
     report["coverage"] = std::move(c);
   }
-  if (JsonValue r = roofline(metrics, options); !r.is_null()) {
+  if (JsonValue r = roofline(metrics); !r.is_null()) {
     report["roofline"] = std::move(r);
   }
   if (JsonValue h = histogram_summaries(metrics); !h.is_null()) {

@@ -25,15 +25,8 @@
 
 namespace drift::report {
 
-struct SummarizeOptions {
-  /// Roofline ceiling: the modeled HBM bandwidth in DRAM bytes per
-  /// accelerator cycle (paper Table 1 class hardware sustains ~16).
-  double peak_bytes_per_cycle = 16.0;
-};
-
 /// Derived analysis of one run.  `trace` may be null (no --trace file).
-JsonValue summarize(const JsonValue& metrics, const JsonValue* trace,
-                    const SummarizeOptions& options);
+JsonValue summarize(const JsonValue& metrics, const JsonValue* trace);
 
 /// Human-readable rendering of a summarize() report.
 std::string summary_text(const JsonValue& report);

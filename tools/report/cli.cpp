@@ -3,20 +3,21 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "analysis.hpp"
 #include "util/json.hpp"
+#include "util/logging.hpp"
 
 namespace drift::report {
 
 namespace {
 
 constexpr const char* kUsage = R"(usage:
-  drift_report summarize <metrics.json> [--trace <trace.json>]
-               [--json] [--peak-bytes-per-cycle <v>]
-  drift_report diff <a.json> <b.json> [--tolerances <tol.json>] [--json]
-  drift_report ratchet <BENCH_kernels.json> --baseline <baseline.json>
-               [--max-slowdown <v>] [--json]
+  drift_report summarize <metrics.json> [--trace=<trace.json>] [--json]
+  drift_report diff <a.json> <b.json> [--tolerances=<tol.json>] [--json]
+  drift_report ratchet <BENCH_kernels.json> --baseline=<baseline.json>
+               [--max-slowdown=<v>] [--json]
 
 exit codes: 0 clean, 1 findings, 2 usage/IO/parse error
 )";
@@ -38,85 +39,60 @@ std::optional<JsonValue> load(const std::string& path, std::string& err) {
   return doc;
 }
 
-/// Pulls the value after `flag` out of `args`, erasing both tokens.
-std::optional<std::string> take_flag(std::vector<std::string>& args,
-                                     const std::string& flag) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag) {
-      if (i + 1 >= args.size()) return std::nullopt;
-      std::string value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      return value;
-    }
-    if (args[i].rfind(flag + "=", 0) == 0) {
-      std::string value = args[i].substr(flag.size() + 1);
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-      return value;
-    }
-  }
-  return std::string();  // flag absent: empty value, distinguishable below
+/// The usage-error exit: appends the usage text to `err`, returns 2.
+int usage_error(std::string& err) {
+  err += kUsage;
+  return 2;
 }
 
-bool take_switch(std::vector<std::string>& args, const std::string& flag) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag) {
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-      return true;
-    }
+/// True when, after a command read its flags, `args` holds no flag the
+/// command does not take (Args::reject_unqueried) and exactly `want`
+/// files follow the command.  A value given after a space instead of
+/// `=` is one file too many; each excess one is logged by name.
+bool flags_and_files_ok(const Args& args,
+                        const std::vector<std::string>& files,
+                        std::size_t want, const std::string& accepted) {
+  const bool ok = !args.reject_unqueried(accepted) && files.size() == want;
+  for (std::size_t i = want; i < files.size(); ++i) {
+    DRIFT_LOG_ERROR("args") << "unexpected argument '" << files[i]
+                            << "' (accepted: " << accepted << ")";
   }
-  return false;
+  return ok;
 }
 
-int cmd_summarize(std::vector<std::string> args, std::string& out,
-                  std::string& err) {
-  const bool as_json = take_switch(args, "--json");
-  const auto trace_path = take_flag(args, "--trace");
-  const auto peak = take_flag(args, "--peak-bytes-per-cycle");
-  if (!trace_path || !peak) {
-    err += kUsage;
-    return 2;
+int cmd_summarize(const Args& args, const std::vector<std::string>& files,
+                  std::string& out, std::string& err) {
+  const std::optional<bool> as_json = args.bool_flag("json", false);
+  const std::string trace_path = args.get_string("trace", "");
+  if (!as_json || !flags_and_files_ok(args, files, 1, "--trace, --json")) {
+    return usage_error(err);
   }
-  if (args.size() != 1) {
-    err += kUsage;
-    return 2;
-  }
-  SummarizeOptions options;
-  if (!peak->empty()) {
-    try {
-      options.peak_bytes_per_cycle = std::stod(*peak);
-    } catch (...) {
-      err += "drift_report: bad --peak-bytes-per-cycle '" + *peak + "'\n";
-      return 2;
-    }
-  }
-  const auto metrics = load(args[0], err);
+  const auto metrics = load(files[0], err);
   if (!metrics) return 2;
   std::optional<JsonValue> trace;
-  if (!trace_path->empty()) {
-    trace = load(*trace_path, err);
+  if (!trace_path.empty()) {
+    trace = load(trace_path, err);
     if (!trace) return 2;
   }
-  const JsonValue report =
-      summarize(*metrics, trace ? &*trace : nullptr, options);
-  out += as_json ? write_canonical(report) : summary_text(report);
+  const JsonValue report = summarize(*metrics, trace ? &*trace : nullptr);
+  out += *as_json ? write_canonical(report) : summary_text(report);
   return 0;
 }
 
-int cmd_diff(std::vector<std::string> args, std::string& out,
-             std::string& err) {
-  const bool as_json = take_switch(args, "--json");
-  const auto tol_path = take_flag(args, "--tolerances");
-  if (!tol_path || args.size() != 2) {
-    err += kUsage;
-    return 2;
+int cmd_diff(const Args& args, const std::vector<std::string>& files,
+             std::string& out, std::string& err) {
+  const std::optional<bool> as_json = args.bool_flag("json", false);
+  const std::string tol_path = args.get_string("tolerances", "");
+  if (!as_json ||
+      !flags_and_files_ok(args, files, 2, "--tolerances, --json")) {
+    return usage_error(err);
   }
-  const auto a = load(args[0], err);
-  const auto b = load(args[1], err);
+  const auto a = load(files[0], err);
+  const auto b = load(files[1], err);
   if (!a || !b) return 2;
   std::optional<JsonValue> tolerances;
-  if (!tol_path->empty()) {
-    tolerances = load(*tol_path, err);
+  if (!tol_path.empty()) {
+    tolerances = load(tol_path, err);
     if (!tolerances) return 2;
   }
   DiffResult result;
@@ -126,7 +102,7 @@ int cmd_diff(std::vector<std::string> args, std::string& out,
     err += "drift_report: " + diff_error + "\n";
     return 2;
   }
-  if (as_json) {
+  if (*as_json) {
     JsonObject doc;
     doc["compared"] = JsonValue(static_cast<std::int64_t>(result.compared));
     doc["ignored"] = JsonValue(static_cast<std::int64_t>(result.ignored));
@@ -159,32 +135,25 @@ int cmd_diff(std::vector<std::string> args, std::string& out,
   return result.failures.empty() ? 0 : 1;
 }
 
-int cmd_ratchet(std::vector<std::string> args, std::string& out,
-                std::string& err) {
-  const bool as_json = take_switch(args, "--json");
-  const auto baseline_path = take_flag(args, "--baseline");
-  const auto max_slowdown_s = take_flag(args, "--max-slowdown");
-  if (!baseline_path || !max_slowdown_s || baseline_path->empty() ||
-      args.size() != 1) {
-    err += kUsage;
-    return 2;
+int cmd_ratchet(const Args& args, const std::vector<std::string>& files,
+                std::string& out, std::string& err) {
+  const std::optional<bool> as_json = args.bool_flag("json", false);
+  const std::string baseline_path = args.get_string("baseline", "");
+  const std::optional<double> max_slowdown =
+      args.positive_flag("max-slowdown", 1.5);
+  if (!as_json || !max_slowdown ||
+      !flags_and_files_ok(args, files, 1,
+                          "--baseline, --max-slowdown, --json") ||
+      baseline_path.empty()) {
+    return usage_error(err);
   }
-  double max_slowdown = 1.5;
-  if (!max_slowdown_s->empty()) {
-    try {
-      max_slowdown = std::stod(*max_slowdown_s);
-    } catch (...) {
-      err += "drift_report: bad --max-slowdown '" + *max_slowdown_s + "'\n";
-      return 2;
-    }
-  }
-  const auto current = load(args[0], err);
-  const auto baseline = load(*baseline_path, err);
+  const auto current = load(files[0], err);
+  const auto baseline = load(baseline_path, err);
   if (!current || !baseline) return 2;
-  const RatchetResult result = ratchet(*current, *baseline, max_slowdown);
+  const RatchetResult result = ratchet(*current, *baseline, *max_slowdown);
   const bool failed = !result.failures.empty() || !result.missing.empty() ||
                       !result.mismatches.empty();
-  if (as_json) {
+  if (*as_json) {
     JsonObject doc;
     JsonArray checked;
     for (const RatchetEntry& e : result.checked) {
@@ -212,16 +181,16 @@ int cmd_ratchet(std::vector<std::string> args, std::string& out,
     doc["missing"] = JsonValue(std::move(missing));
     doc["untracked"] = JsonValue(std::move(untracked));
     doc["proptest_mismatches"] = JsonValue(std::move(mismatches));
-    doc["max_slowdown"] = JsonValue(max_slowdown);
+    doc["max_slowdown"] = JsonValue(*max_slowdown);
     doc["ok"] = JsonValue(!failed);
     out += write_canonical(JsonValue(std::move(doc)));
   } else {
     out += "== drift_report ratchet (max slowdown " +
-           format_double(max_slowdown) + "x) ==\n";
+           format_double(*max_slowdown) + "x) ==\n";
     for (const RatchetEntry& e : result.checked) {
       char line[256];
       std::snprintf(line, sizeof line, "  %-52s %8.3fx %s\n", e.key.c_str(),
-                    e.slowdown, e.slowdown > max_slowdown ? "FAIL" : "ok");
+                    e.slowdown, e.slowdown > *max_slowdown ? "FAIL" : "ok");
       out += line;
     }
     for (const std::string& k : result.missing) {
@@ -240,24 +209,23 @@ int cmd_ratchet(std::vector<std::string> args, std::string& out,
 
 }  // namespace
 
-int run_cli(const std::vector<std::string>& args, std::string& out,
-            std::string& err) {
-  if (args.empty()) {
-    err += kUsage;
-    return 2;
-  }
-  const std::string& mode = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-  if (mode == "summarize") return cmd_summarize(rest, out, err);
-  if (mode == "diff") return cmd_diff(rest, out, err);
-  if (mode == "ratchet") return cmd_ratchet(rest, out, err);
-  if (mode == "--help" || mode == "-h" || mode == "help") {
+int run_cli(const Args& args, std::string& out, std::string& err) {
+  const std::optional<bool> help = args.bool_flag("help", false);
+  if (!help) return usage_error(err);
+  if (*help) {
     out += kUsage;
     return 0;
   }
+  const std::vector<std::string>& positional = args.positional();
+  if (positional.empty()) return usage_error(err);
+  const std::string& mode = positional.front();
+  const std::vector<std::string> files(positional.begin() + 1,
+                                       positional.end());
+  if (mode == "summarize") return cmd_summarize(args, files, out, err);
+  if (mode == "diff") return cmd_diff(args, files, out, err);
+  if (mode == "ratchet") return cmd_ratchet(args, files, out, err);
   err += "drift_report: unknown mode '" + mode + "'\n";
-  err += kUsage;
-  return 2;
+  return usage_error(err);
 }
 
 }  // namespace drift::report

@@ -4,14 +4,13 @@
 // it in-process; this file only adapts argv and stdio.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "cli.hpp"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
   std::string out, err;
-  const int code = drift::report::run_cli(args, out, err);
+  const int code =
+      drift::report::run_cli(drift::Args::parse(argc, argv), out, err);
   std::fputs(out.c_str(), stdout);
   std::fputs(err.c_str(), stderr);
   return code;
