@@ -61,8 +61,8 @@
 #include "pipeline.hpp"
 #include "proptest/proptest.hpp"
 #include "serve/simulator.hpp"
-#include "zoo.hpp"
 #include "util/args.hpp"
+#include "util/assert.hpp"
 #include "ref/ref_kernels.hpp"
 #include "ref/ref_oracles.hpp"
 #include "ref/ref_quant.hpp"
@@ -493,21 +493,23 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
                  r.backend.c_str(), wall, p99_us, r.ops_per_s);
   }
 
-  // Whole-model graph pipeline: the resnet18 model-zoo topology
-  // through workload export -> mix selection -> scheduler -> cycle
-  // model (the same path `drift_graph run --zoo=resnet18` takes).  The
-  // cycle total is a deterministic function of topology + seed, so
-  // ops_per_s — defined as 1e12/cycles — is bit-stable across machines
-  // and thread counts, and the ratchet's max-slowdown gate bounds
-  // end-to-end model latency regressions like any kernel.
+  // Whole-model graph pipeline: examples/model_zoo/resnet18.json,
+  // parsed once, through workload export -> mix selection -> scheduler
+  // -> cycle model (the same path `drift_graph run` takes on that
+  // file).  The cycle total is a deterministic function of topology +
+  // seed, so ops_per_s — defined as 1e12/cycles — is bit-stable across
+  // machines and thread counts, and the ratchet's max-slowdown gate
+  // bounds end-to-end model latency regressions like any kernel.
   {
+    const graph::TopologyParseResult topology = graphcli::read_topology_file(
+        std::string(DRIFT_MODEL_ZOO_DIR) + "/resnet18.json");
+    DRIFT_CHECK(topology.ok(), "examples/model_zoo/resnet18.json must parse");
     graphcli::GraphPipelineConfig gcfg;
     graphcli::GraphPipelineResult gres;
     const double wall = best_seconds(
         [&] {
           gres = graphcli::run_graph_pipeline(
-              graphcli::export_workload(graphcli::make_zoo_graph("resnet18")),
-              gcfg);
+              graphcli::export_workload(topology.graph), gcfg);
         },
         1);
     KernelResult r;

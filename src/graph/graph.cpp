@@ -4,6 +4,7 @@
 #include <set>
 
 #include "graph/ops.hpp"
+#include "graph/workload_export.hpp"
 #include "util/assert.hpp"
 
 namespace drift::graph {
@@ -15,13 +16,6 @@ Attr Attr::of_int(std::int64_t v) {
   return a;
 }
 
-Attr Attr::of_double(double v) {
-  Attr a;
-  a.kind = Kind::kDouble;
-  a.d = v;
-  return a;
-}
-
 Attr Attr::of_string(std::string v) {
   Attr a;
   a.kind = Kind::kString;
@@ -29,22 +23,12 @@ Attr Attr::of_string(std::string v) {
   return a;
 }
 
-bool Attr::operator==(const Attr& other) const {
-  if (kind != other.kind) return false;
-  switch (kind) {
-    case Kind::kInt: return i == other.i;
-    case Kind::kDouble: return d == other.d;
-    case Kind::kString: return s == other.s;
-  }
-  return false;
-}
-
 std::int64_t Node::attr_int(const std::string& key,
                             std::int64_t fallback) const {
   const auto it = attrs.find(key);
   if (it == attrs.end()) return fallback;
   DRIFT_CHECK(it->second.kind == Attr::Kind::kInt,
-              "attribute is not an integer");
+              "node '" + name + "': attribute '" + key + "' is not an integer");
   return it->second.i;
 }
 
@@ -53,7 +37,7 @@ std::string Node::attr_string(const std::string& key,
   const auto it = attrs.find(key);
   if (it == attrs.end()) return fallback;
   DRIFT_CHECK(it->second.kind == Attr::Kind::kString,
-              "attribute is not a string");
+              "node '" + name + "': attribute '" + key + "' is not a string");
   return it->second.s;
 }
 
@@ -76,6 +60,17 @@ int Graph::input_index(const std::string& input_name) const {
 }
 
 namespace {
+
+/// The kind the ops (graph/ops.cpp) read each attribute as; validation
+/// names a node attribute of the other kind.
+const std::map<std::string, Attr::Kind>& attr_kinds() {
+  static const std::map<std::string, Attr::Kind> kKinds = {
+      {"axis", Attr::Kind::kInt},         {"heads", Attr::Kind::kInt},
+      {"kernel", Attr::Kind::kInt},       {"kind", Attr::Kind::kString},
+      {"out_channels", Attr::Kind::kInt}, {"out_features", Attr::Kind::kInt},
+      {"pad", Attr::Kind::kInt},          {"stride", Attr::Kind::kInt}};
+  return kKinds;
+}
 
 /// Producer-index adjacency: for each node, the indices of the nodes
 /// it consumes (graph inputs excluded).  Only meaningful once names
@@ -129,7 +124,7 @@ std::vector<std::string> validate(const Graph& g) {
     }
   }
 
-  // Op existence, arity, and input resolvability.
+  // Op existence, arity, attribute kinds, and input resolvability.
   for (const Node& node : g.nodes) {
     const OpSpec* spec = find_op(node.op);
     if (spec == nullptr) {
@@ -148,6 +143,15 @@ std::vector<std::string> validate(const Graph& g) {
                                    ? "+"
                                    : ".." + std::to_string(spec->max_inputs))) +
                        " input(s), got " + std::to_string(arity));
+      }
+    }
+    for (const auto& [key, attr] : node.attrs) {
+      const auto kind = attr_kinds().find(key);
+      if (kind != attr_kinds().end() && kind->second != attr.kind) {
+        node_error(node.name, "attribute '" + key + "' must be " +
+                                  (kind->second == Attr::Kind::kInt
+                                       ? "an integer"
+                                       : "a string"));
       }
     }
     for (const std::string& in : node.inputs) {
@@ -204,6 +208,11 @@ std::vector<std::string> validate(const Graph& g) {
     }
   }
 
+  // The family selects the export's distribution profiles.
+  if (!family_from_string(g.family)) {
+    errors.push_back("graph '" + g.name + "': unknown family '" + g.family +
+                     "' (valid: cnn, vit, bert, llm)");
+  }
   return errors;
 }
 

@@ -5,7 +5,7 @@
 // node — the structure is a DAG, not a layer list, so residual adds,
 // concats and multi-branch topologies are first-class.  Nodes carry an
 // attribute map (kernel sizes, widths, head counts) instead of
-// per-op structs, so the whole surface serializes to the tiny JSON
+// per-op structs, so the whole surface reads from the tiny JSON
 // topology format in graph/json_topology.hpp and new workloads become
 // data, not code.
 //
@@ -22,20 +22,16 @@
 
 namespace drift::graph {
 
-/// One node attribute: a tagged int / double / string scalar.
+/// One node attribute: a tagged int / string scalar.
 struct Attr {
-  enum class Kind { kInt, kDouble, kString };
+  enum class Kind { kInt, kString };
 
   Kind kind = Kind::kInt;
   std::int64_t i = 0;
-  double d = 0.0;
   std::string s;
 
   static Attr of_int(std::int64_t v);
-  static Attr of_double(double v);
   static Attr of_string(std::string v);
-
-  bool operator==(const Attr& other) const;
 };
 
 /// Sorted so serialization and error listings are deterministic.
@@ -79,9 +75,10 @@ struct Graph {
   int input_index(const std::string& input_name) const;
 };
 
-/// Structural validation: unique names, known ops, resolvable inputs,
-/// per-op arity, acyclicity, and non-empty resolvable outputs.  Every
-/// message names the offending node ("node 'x': ...").  An empty
+/// Structural validation: a known family, unique names, known ops,
+/// resolvable inputs, per-op arity, attribute kinds, acyclicity, and
+/// non-empty resolvable outputs.  Every message names the offending
+/// node ("node 'x': ...") or, for the family, the graph.  An empty
 /// result means the graph is well-formed (shapes are checked
 /// separately by infer_shapes in graph/ops.hpp).
 std::vector<std::string> validate(const Graph& g);

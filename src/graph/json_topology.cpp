@@ -24,15 +24,14 @@ void convert_attrs(const JsonValue& attrs, Node& node,
       case JsonValue::Kind::kInt:
         node.attrs[key] = Attr::of_int(value.as_int());
         break;
-      case JsonValue::Kind::kDouble:
-        node.attrs[key] = Attr::of_double(value.as_double());
-        break;
       case JsonValue::Kind::kString:
         node.attrs[key] = Attr::of_string(value.as_string());
         break;
       default:
+        // No op reads a fractional number: a number must be an integer.
         errors.push_back("node '" + node.name + "': attribute '" + key +
-                         "' must be a number or string");
+                         "' must be an integer" +
+                         (value.is_number() ? "" : " or a string"));
         break;
     }
   }
@@ -153,44 +152,6 @@ void convert_graph(const JsonValue& doc, TopologyParseResult& result) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Canonical emission.
-// ---------------------------------------------------------------------
-
-std::string attr_to_string(const Attr& attr) {
-  switch (attr.kind) {
-    case Attr::Kind::kInt: return std::to_string(attr.i);
-    case Attr::Kind::kDouble: {
-      // Keep doubles visibly doubles so parse(emit(g)) preserves the tag.
-      std::string out = format_double(attr.d);
-      if (out.find_first_of(".e") == std::string::npos) out += ".0";
-      return out;
-    }
-    case Attr::Kind::kString: return json_quoted(attr.s);
-  }
-  return "null";
-}
-
-std::string dims_json(const std::vector<std::int64_t>& dims) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(dims[i]);
-  }
-  out += "]";
-  return out;
-}
-
-std::string names_json(const std::vector<std::string>& names) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_quoted(names[i]);
-  }
-  out += "]";
-  return out;
-}
-
 }  // namespace
 
 TopologyParseResult parse_topology(const std::string& text) {
@@ -203,43 +164,6 @@ TopologyParseResult parse_topology(const std::string& text) {
   }
   convert_graph(*doc, result);
   return result;
-}
-
-std::string to_topology_json(const Graph& g) {
-  std::string out;
-  out += "{\n";
-  out += "  \"name\": " + json_quoted(g.name) + ",\n";
-  out += "  \"family\": " + json_quoted(g.family) + ",\n";
-  out += "  \"inputs\": [\n";
-  for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    out += "    {\"name\": " + json_quoted(g.inputs[i].name) +
-           ", \"shape\": " + dims_json(g.inputs[i].dims) + "}";
-    out += i + 1 < g.inputs.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n";
-  out += "  \"nodes\": [\n";
-  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    const Node& node = g.nodes[i];
-    out += "    {\"name\": " + json_quoted(node.name) +
-           ", \"op\": " + json_quoted(node.op) +
-           ", \"inputs\": " + names_json(node.inputs);
-    if (!node.attrs.empty()) {
-      out += ", \"attrs\": {";
-      bool first = true;
-      for (const auto& [key, attr] : node.attrs) {
-        if (!first) out += ", ";
-        first = false;
-        out += json_quoted(key) + ": " + attr_to_string(attr);
-      }
-      out += "}";
-    }
-    out += "}";
-    out += i + 1 < g.nodes.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n";
-  out += "  \"outputs\": " + names_json(g.outputs) + "\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace drift::graph

@@ -12,19 +12,14 @@
 //     "outputs": ["fc"]
 //   }
 //
-// Attribute values are typed by their JSON form: integers stay
-// integers, numbers with a fraction/exponent become doubles, strings
-// stay strings.  The text is read by the shared JSON module
-// (util/json.hpp), so its grammar, depth cap and error text apply;
-// this file only converts the document to a graph.  String-in /
-// string-out (no file I/O in src/): tools and tests read the file and
-// pass the text.
-//
-// to_topology_json() is the inverse and is canonical — sorted attr
-// keys (AttrMap is a std::map), fixed 2-space indentation, shortest
-// round-trip doubles — so emit(parse(text)) is a fixed point and the
-// committed model-zoo files can be pinned byte-exact against the
-// programmatic zoo builders.
+// The committed examples/model_zoo/*.json files are the only
+// definition of the five zoo topologies.  An attribute value is an
+// integer or a string; a number with a fraction or exponent is an
+// error naming the node and the attribute, since no op reads one.  The
+// text is read by the shared JSON module (util/json.hpp), so its
+// grammar, depth cap and error text apply; this file only converts the
+// document to a graph.  String-in (no file I/O in src/): tools and
+// tests read the file and pass the text.
 #pragma once
 
 #include <string>
@@ -44,8 +39,5 @@ struct TopologyParseResult {
 };
 
 TopologyParseResult parse_topology(const std::string& text);
-
-/// Canonical serialization (see header comment).
-std::string to_topology_json(const Graph& g);
 
 }  // namespace drift::graph

@@ -445,61 +445,58 @@ TensorF run_to_tokens(const Node&, const std::vector<const TensorF*>& in) {
 // ---------------------------------------------------------------------
 
 void export_conv2d(const Node& node, const std::vector<Dims>& in,
-                   const Dims& out, const std::string& prefix,
-                   std::vector<nn::LayerGemm>& gemms) {
+                   const Dims& out, std::vector<nn::LayerGemm>& gemms) {
   const std::int64_t k = node.attr_int("kernel", 0);
   const nn::LayerKind kind = node.attr_string("kind", "conv") == "embed"
                                  ? nn::LayerKind::kEmbed
                                  : nn::LayerKind::kConv;
   gemms.push_back(nn::LayerGemm{
-      prefix + node.name, kind,
+      node.name, kind,
       core::GemmDims{out[1] * out[2], in[0][0] * k * k, out[0]},
       /*repeat=*/1, /*kernel=*/k});
 }
 
 void export_depthwise_conv2d(const Node& node, const std::vector<Dims>& in,
-                             const Dims& out, const std::string& prefix,
+                             const Dims& out,
                              std::vector<nn::LayerGemm>& gemms) {
   const std::int64_t k = node.attr_int("kernel", 0);
   // M*K*N == OH*OW * k^2 * C: exactly the depthwise MAC count.
   gemms.push_back(nn::LayerGemm{
-      prefix + node.name, nn::LayerKind::kConv,
+      node.name, nn::LayerKind::kConv,
       core::GemmDims{out[1] * out[2], k * k, in[0][0]},
       /*repeat=*/1, /*kernel=*/k});
 }
 
 void export_linear(const Node& node, const std::vector<Dims>& in,
-                   const Dims& out, const std::string& prefix,
-                   std::vector<nn::LayerGemm>& gemms) {
+                   const Dims& out, std::vector<nn::LayerGemm>& gemms) {
   const std::string kind_name = node.attr_string("kind", "fc");
   nn::LayerKind kind = nn::LayerKind::kFc;
   if (kind_name == "ffn") kind = nn::LayerKind::kFfn;
   if (kind_name == "proj") kind = nn::LayerKind::kOutProj;
   if (kind_name == "qkv") kind = nn::LayerKind::kQkvProj;
   if (kind_name == "embed") kind = nn::LayerKind::kEmbed;
-  gemms.push_back(nn::LayerGemm{prefix + node.name, kind,
+  gemms.push_back(nn::LayerGemm{node.name, kind,
                                 core::GemmDims{in[0][0], in[0][1], out[1]}});
 }
 
 void export_attention(const Node& node, const std::vector<Dims>& in,
-                      const Dims&, const std::string& prefix,
-                      std::vector<nn::LayerGemm>& gemms) {
+                      const Dims&, std::vector<nn::LayerGemm>& gemms) {
   const std::int64_t T = in[0][0];
   const std::int64_t dim = in[0][1];
   const std::int64_t heads = node.attr_int("heads", 1);
   const std::int64_t head_dim = dim / heads;
   // Mirrors nn::add_transformer_block at batch=1, repeat=1 — the same
   // four GEMM shapes under the same name suffixes.
-  gemms.push_back(nn::LayerGemm{prefix + node.name + ".qkv",
+  gemms.push_back(nn::LayerGemm{node.name + ".qkv",
                                 nn::LayerKind::kQkvProj,
                                 core::GemmDims{T, dim, 3 * dim}});
-  gemms.push_back(nn::LayerGemm{prefix + node.name + ".score",
+  gemms.push_back(nn::LayerGemm{node.name + ".score",
                                 nn::LayerKind::kAttnScore,
                                 core::GemmDims{T, head_dim, T}, heads});
-  gemms.push_back(nn::LayerGemm{prefix + node.name + ".context",
+  gemms.push_back(nn::LayerGemm{node.name + ".context",
                                 nn::LayerKind::kAttnContext,
                                 core::GemmDims{T, T, head_dim}, heads});
-  gemms.push_back(nn::LayerGemm{prefix + node.name + ".proj",
+  gemms.push_back(nn::LayerGemm{node.name + ".proj",
                                 nn::LayerKind::kOutProj,
                                 core::GemmDims{T, dim, dim}});
 }

@@ -49,10 +49,10 @@ struct OpSpec {
   TensorF (*run)(const Node& node,
                  const std::vector<const TensorF*>& in) = nullptr;
 
-  /// Appends this node's GEMMs (named `prefix + node.name[...]`) to a
-  /// hardware workload export.  Null for non-GEMM ops.
+  /// Appends this node's GEMMs (named `node.name[...]`) to a hardware
+  /// workload export.  Null for non-GEMM ops.
   void (*export_gemms)(const Node& node, const std::vector<Dims>& in,
-                       const Dims& out, const std::string& prefix,
+                       const Dims& out,
                        std::vector<nn::LayerGemm>& gemms) = nullptr;
 };
 

@@ -5,21 +5,22 @@
 
 namespace drift::graph {
 
-nn::ModelFamily family_from_string(const std::string& family) {
-  if (family == "cnn") return nn::ModelFamily::kCnn;
-  if (family == "vit") return nn::ModelFamily::kVit;
-  if (family == "bert") return nn::ModelFamily::kBert;
-  if (family == "llm") return nn::ModelFamily::kLlm;
-  throw check_error("unknown model family '" + family +
-                    "' (expected cnn, vit, bert or llm)");
+std::optional<nn::ModelFamily> family_from_string(const std::string& family) {
+  for (const nn::ModelFamily f :
+       {nn::ModelFamily::kCnn, nn::ModelFamily::kVit, nn::ModelFamily::kBert,
+        nn::ModelFamily::kLlm}) {
+    if (nn::to_string(f) == family) return f;
+  }
+  return std::nullopt;
 }
 
-nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
-                             const WorkloadExportOptions& options) {
+nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes) {
   DRIFT_CHECK(shapes.ok(), "to_workload requires clean shape inference");
+  const std::optional<nn::ModelFamily> family = family_from_string(g.family);
+  DRIFT_CHECK(family.has_value(), "validated graph has an unknown family");
   nn::WorkloadSpec spec;
   spec.model = g.name;
-  spec.family = family_from_string(g.family);
+  spec.family = *family;
   switch (spec.family) {
     case nn::ModelFamily::kCnn: spec.act_profile = nn::cnn_profile(); break;
     case nn::ModelFamily::kVit: spec.act_profile = nn::vit_profile(); break;
@@ -39,7 +40,7 @@ nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
       in_dims.push_back(shapes.by_name.at(in_name));
     }
     op->export_gemms(node, in_dims, shapes.by_name.at(node.name),
-                     options.prefix, spec.layers);
+                     spec.layers);
   }
   return spec;
 }

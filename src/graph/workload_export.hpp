@@ -8,24 +8,20 @@
 // unchanged, one per-layer Eq. 7/8 + stall + DRAM artifact per node.
 #pragma once
 
+#include <optional>
+
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
 #include "nn/workload.hpp"
 
 namespace drift::graph {
 
-struct WorkloadExportOptions {
-  /// Prepended to every exported layer name (e.g. "resnet18/").
-  std::string prefix;
-};
-
-/// Maps the graph's family tag to the model family + distribution
-/// profiles ("cnn" | "vit" | "bert" | "llm"; anything else throws).
-nn::ModelFamily family_from_string(const std::string& family);
+/// Maps the graph's family tag (the nn::to_string name: "cnn" | "vit" |
+/// "bert" | "llm") to the model family; nullopt for any other tag.
+std::optional<nn::ModelFamily> family_from_string(const std::string& family);
 
 /// Exports every GEMM-bearing node.  `shapes` must be a clean
 /// infer_shapes(g) result (DRIFT_CHECKed).
-nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
-                             const WorkloadExportOptions& options = {});
+nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes);
 
 }  // namespace drift::graph

@@ -1,13 +1,14 @@
 // Graph-runtime structural tests (label: graph):
 //   - every malformed-graph class fails validation with the offending
-//     node named in the message (the CLI surfaces these verbatim);
-//   - the JSON topology format is a serialization fixed point, and the
-//     committed examples/model_zoo/*.json files are byte-identical to
-//     the programmatic zoo builders (no silent drift between the two);
-//     deep nesting is a byte-offset parse error and \u escapes parse;
-//   - the resnet18 zoo graph exports exactly the GEMM list the
+//     node named in the message (the CLI surfaces these verbatim): a
+//     mistyped attribute names the node and the attribute, an unknown
+//     family names the graph, and every committed
+//     examples/model_zoo/*.json file validates clean;
+//   - JSON topology schema errors name the node; deep nesting is a
+//     byte-offset parse error and \u escapes parse;
+//   - the resnet18 zoo file exports exactly the GEMM list the
 //     hand-written nn::make_resnet18() emits, index for index, and the
-//     transformer zoo graphs share their twins' per-token GEMM shapes;
+//     transformer zoo files share their twins' per-token GEMM shapes;
 //   - composite nn blocks (ResidualBlock / TransformerBlock) and their
 //     graph-runtime equivalents produce bitwise-identical outputs and
 //     the same per-node obs record set (the latent-inconsistency fix);
@@ -19,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -33,7 +35,7 @@
 #include "obs/metrics.hpp"
 #include "pipeline.hpp"
 #include "util/rng.hpp"
-#include "zoo.hpp"
+#include "zoo_files.hpp"
 
 namespace drift {
 namespace {
@@ -151,49 +153,83 @@ TEST(GraphValidate, ShapeMismatchIsNamedByInference) {
 }
 
 TEST(GraphValidate, ZooGraphsAreClean) {
-  for (const std::string& name : graphcli::zoo_names()) {
-    const Graph g = graphcli::make_zoo_graph(name);
-    EXPECT_TRUE(graph::validate(g).empty()) << name;
-    EXPECT_TRUE(graph::infer_shapes(g).ok()) << name;
+  // Every committed file, so a new one is covered without code.
+  const std::vector<std::string> stems = zoo_files::stems();
+  ASSERT_FALSE(stems.empty());
+  for (const std::string& stem : stems) {
+    const Graph g = zoo_files::load(stem);
+    EXPECT_EQ(g.name, stem);
+    EXPECT_TRUE(graph::validate(g).empty()) << stem;
+    EXPECT_TRUE(graph::infer_shapes(g).ok()) << stem;
   }
 }
 
-// --------------------------------------------------------------------
-// JSON topology: canonical serialization + model-zoo sync.
-// --------------------------------------------------------------------
-
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
+/// The committed zoo file `stem` with its first `from` replaced by `to`.
+std::string edited_zoo_text(const std::string& stem, const std::string& from,
+                            const std::string& to) {
+  std::ifstream in(zoo_files::path(stem), std::ios::binary);
   std::ostringstream os;
   os << in.rdbuf();
-  return os.str();
+  std::string text = os.str();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
 }
 
-TEST(GraphJson, EmitParseEmitIsAFixedPoint) {
-  for (const std::string& name : graphcli::zoo_names()) {
-    const std::string text =
-        graph::to_topology_json(graphcli::make_zoo_graph(name));
-    const auto parsed = graph::parse_topology(text);
-    ASSERT_TRUE(parsed.ok()) << name << ": " << join(parsed.errors);
-    EXPECT_EQ(graph::to_topology_json(parsed.graph), text) << name;
+/// Validation and shape inference of an edited zoo file: both return
+/// the same errors (inference validates first), and neither throws.
+std::vector<std::string> edited_zoo_errors(const std::string& stem,
+                                           const std::string& from,
+                                           const std::string& to) {
+  const auto parsed =
+      graph::parse_topology(edited_zoo_text(stem, from, to));
+  EXPECT_TRUE(parsed.ok()) << join(parsed.errors);
+  const std::vector<std::string> errors = graph::validate(parsed.graph);
+  EXPECT_EQ(graph::infer_shapes(parsed.graph).errors, errors);
+  return errors;
+}
+
+TEST(GraphValidate, MistypedAttributeNamesNodeAndAttribute) {
+  // These once passed validation and then threw "attribute is not an
+  // integer" (or a string) naming neither, from shape inference or the
+  // export.
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"kernel\": 7,",
+                              "\"kernel\": \"7\","),
+            std::vector<std::string>{
+                "node 'conv1': attribute 'kernel' must be an integer"});
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"kind\": \"fc\"", "\"kind\": 3"),
+            std::vector<std::string>{
+                "node 'fc': attribute 'kind' must be a string"});
+}
+
+TEST(GraphValidate, FractionalAttributeIsAParseErrorNamingIt) {
+  for (const auto& [stem, from, to, node, attr] :
+       {std::tuple{"resnet18", "\"kernel\": 7,", "\"kernel\": 7.5,", "conv1",
+                   "kernel"},
+        std::tuple{"vit_b16", "\"heads\": 12}", "\"heads\": 12.0}",
+                   "block0.attn", "heads"}}) {
+    const auto parsed = graph::parse_topology(edited_zoo_text(stem, from, to));
+    EXPECT_EQ(parsed.errors,
+              std::vector<std::string>{std::string("node '") + node +
+                                       "': attribute '" + attr +
+                                       "' must be an integer"})
+        << stem;
   }
 }
 
-TEST(GraphJson, ModelZooFilesMatchProgrammaticBuilders) {
-  // The committed examples/model_zoo/*.json are the canonical emit of
-  // the zoo builders; regenerate with `drift_graph emit --zoo=NAME`.
-  for (const std::string& name : graphcli::zoo_names()) {
-    const std::string path =
-        std::string(DRIFT_MODEL_ZOO_DIR) + "/" + name + ".json";
-    const std::string committed = read_file_or_empty(path);
-    ASSERT_FALSE(committed.empty()) << "missing " << path;
-    EXPECT_EQ(graph::to_topology_json(graphcli::make_zoo_graph(name)),
-              committed)
-        << name << " drifted from its builder; regenerate with "
-        << "drift_graph emit --zoo=" << name;
-  }
+TEST(GraphValidate, UnknownFamilyIsNamed) {
+  // This once passed validation, and the export threw.
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"family\": \"cnn\"",
+                              "\"family\": \"cnnx\""),
+            std::vector<std::string>{
+                "graph 'resnet18': unknown family 'cnnx' "
+                "(valid: cnn, vit, bert, llm)"});
 }
+
+// --------------------------------------------------------------------
+// JSON topology: schema and syntax errors.
+// --------------------------------------------------------------------
 
 TEST(GraphJson, ParseErrorsNameTheNode) {
   const auto parsed = graph::parse_topology(
@@ -227,11 +263,11 @@ TEST(GraphJson, UnicodeEscapeIsAccepted) {
 }
 
 // --------------------------------------------------------------------
-// Workload export: the zoo resnet18 graph reproduces make_resnet18().
+// Workload export: the zoo resnet18 file reproduces make_resnet18().
 // --------------------------------------------------------------------
 
 TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
-  const Graph g = graphcli::make_zoo_graph("resnet18");
+  const Graph g = zoo_files::load("resnet18");
   const auto shapes = graph::infer_shapes(g);
   ASSERT_TRUE(shapes.ok());
   const nn::WorkloadSpec got = graph::to_workload(g, shapes);
@@ -261,7 +297,7 @@ void expect_same_kind_k_n(const nn::LayerGemm& zoo,
   EXPECT_EQ(zoo.dims.N, paper.dims.N) << zoo.name;
 }
 
-// The transformer zoo graphs against their nn::make_* twins.  An exact
+// The transformer zoo files against their nn::make_* twins.  An exact
 // GEMM-for-GEMM match like ResNet18's is impossible for the encoders:
 // the paper runs them at batch 8 over 197 tokens (196 patches + CLS)
 // with one block entry repeated once per block, the zoo at batch 1 over
@@ -275,7 +311,7 @@ TEST(GraphExport, TransformerZooGraphsShareThePaperShapes) {
   constexpr std::size_t kBlockGemms = 6;  // qkv score context proj ffn1 ffn2
   {
     const nn::WorkloadSpec zoo =
-        graphcli::export_workload(graphcli::make_zoo_graph("gpt2_layer"));
+        graphcli::export_workload(zoo_files::load("gpt2_layer"));
     const nn::WorkloadSpec paper = nn::make_gpt2_xl();
     EXPECT_EQ(zoo.family, paper.family);
     ASSERT_EQ(zoo.layers.size(), kBlockGemms);
@@ -301,7 +337,7 @@ TEST(GraphExport, TransformerZooGraphsShareThePaperShapes) {
                            Twin{"bert_base", nn::make_bert_base(), 0}}) {
     SCOPED_TRACE(twin.zoo);
     const nn::WorkloadSpec zoo =
-        graphcli::export_workload(graphcli::make_zoo_graph(twin.zoo));
+        graphcli::export_workload(zoo_files::load(twin.zoo));
     const nn::WorkloadSpec& paper = twin.paper;
     EXPECT_EQ(zoo.family, paper.family);
     // Paper: lead + one block entry + head; zoo: lead + the unrolled

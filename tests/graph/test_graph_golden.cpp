@@ -1,7 +1,8 @@
 // Golden end-to-end artifacts for whole-model graph runs (label:
 // graph):
 //
-// A fixed-seed model-zoo topology flows through the real pipeline —
+// A fixed-seed model-zoo topology (examples/model_zoo/<name>.json)
+// flows through the real pipeline —
 // workload export -> selector -> scheduler -> cycle model -> traffic —
 // and the canonicalized metrics JSON (schema v2, deterministic metric
 // prefixes plus all per-layer records) is byte-compared against a
@@ -32,7 +33,7 @@
 #include "obs/trace.hpp"
 #include "pipeline.hpp"
 #include "util/thread_pool.hpp"
-#include "zoo.hpp"
+#include "zoo_files.hpp"
 
 namespace drift {
 namespace {
@@ -59,7 +60,7 @@ graphcli::GraphPipelineResult run_fixed_pipeline(
   graphcli::GraphPipelineConfig config;  // kDrift, greedy, seed 17
   graphcli::GraphPipelineResult result =
       graphcli::run_graph_pipeline(
-          graphcli::export_workload(graphcli::make_zoo_graph(zoo_name)),
+          graphcli::export_workload(zoo_files::load(zoo_name)),
           config);
   obs::Tracer::global().set_enabled(false);
   return result;

@@ -1,15 +1,44 @@
 // Self-tests of the property-test framework: seed schedule, size ramp,
-// shrinking, and repro-line formatting.  Everything the differential
-// suites rely on for reproducibility is pinned here.
+// shrinking, environment parsing and repro-line formatting.  Everything
+// the differential suites rely on for reproducibility is pinned here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "proptest/proptest.hpp"
 #include "util/rng.hpp"
 
 namespace drift {
 namespace {
+
+/// Sets an environment variable for one scope, then restores it (or
+/// unsets it) so later tests in the process see what they would have.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 TEST(PropFramework, CaseZeroUsesTheBaseSeedItself) {
   // This is what makes DRIFT_PROPTEST_SEED=<failing> ITERS=1 an exact
@@ -103,6 +132,56 @@ TEST(PropFramework, CaseStreamsAreDeterministic) {
   std::vector<std::uint64_t> third;
   proptest::run_property("record-c", record(third), cfg);
   EXPECT_NE(first, third);
+}
+
+TEST(PropFramework, MalformedEnvironmentValuesThrowNamingThem) {
+  // These once fell back without a word: SEED=xyz ran every property at
+  // seed 0, and ITERS=abc ran the default 128 cases.
+  const struct {
+    const char* name;
+    const char* value;
+  } kBad[] = {
+      {"DRIFT_PROPTEST_SEED", "xyz"},   {"DRIFT_PROPTEST_SEED", "12abc"},
+      {"DRIFT_PROPTEST_SEED", ""},      {"DRIFT_PROPTEST_SEED", "-1"},
+      {"DRIFT_PROPTEST_SEED", " 7"},    {"DRIFT_PROPTEST_SEED", "+7"},
+      {"DRIFT_PROPTEST_SEED", "0x"},    {"DRIFT_PROPTEST_SEED", "0xC1G1"},
+      {"DRIFT_PROPTEST_SEED", "18446744073709551616"},
+      {"DRIFT_PROPTEST_ITERS", "abc"},  {"DRIFT_PROPTEST_ITERS", "0"},
+      {"DRIFT_PROPTEST_ITERS", "-3"},   {"DRIFT_PROPTEST_ITERS", "1.5"},
+      {"DRIFT_PROPTEST_ITERS", "0x10"}, {"DRIFT_PROPTEST_ITERS", "2147483648"},
+      {"DRIFT_PROPTEST_SIZE", "big"},   {"DRIFT_PROPTEST_SIZE", "0"},
+  };
+  for (const auto& bad : kBad) {
+    const std::string setting = std::string(bad.name) + "=" + bad.value;
+    const ScopedEnv env(bad.name, bad.value);
+    try {
+      proptest::config_from_env();
+      ADD_FAILURE() << setting << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(setting + " is not a ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(PropFramework, EnvironmentValuesParseDecimalAndHex) {
+  {
+    const ScopedEnv seed("DRIFT_PROPTEST_SEED", "0xC1C1");
+    const ScopedEnv iters("DRIFT_PROPTEST_ITERS", "64");
+    const ScopedEnv size("DRIFT_PROPTEST_SIZE", "3");
+    const proptest::Config cfg = proptest::config_from_env();
+    EXPECT_EQ(cfg.seed, 0xC1C1u);
+    EXPECT_EQ(cfg.iters, 64);
+    EXPECT_EQ(cfg.forced_size, 3);
+  }
+  // The repro line prints the seed in decimal; the largest fits.
+  for (const auto& [text, seed] :
+       {std::pair<const char*, std::uint64_t>{"43981", 0xABCDu},
+        {"18446744073709551615", std::numeric_limits<std::uint64_t>::max()},
+        {"0XFF", 0xFFu}}) {
+    const ScopedEnv env("DRIFT_PROPTEST_SEED", text);
+    EXPECT_EQ(proptest::config_from_env().seed, seed) << text;
+  }
 }
 
 TEST(PropFramework, GeneratorsRespectDegenerateBiases) {

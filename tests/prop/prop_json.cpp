@@ -1,5 +1,6 @@
 // Seeded mutation fuzzer for the JSON module (src/util/json) and the
-// topology format built on it (src/graph/json_topology).
+// topology front end built on it (src/graph: json_topology, validate,
+// infer_shapes, to_workload).
 //
 // The corpus is every JSON file the tree reads back: the model-zoo
 // topologies, the drift_report fixtures, the obs metrics golden and the
@@ -12,9 +13,10 @@
 //      size, and any input opening more than kMaxJsonDepth containers
 //      is rejected;
 //   3. on accepted input, c = write_canonical(parse_json(x)) parses
-//      again and re-emits exactly c, and to_topology_json ∘
-//      parse_topology is a fixed point the same way on topology
-//      mutants.
+//      again and re-emits exactly c;
+//   4. a topology mutant that parses goes through validate, then
+//      infer_shapes, then to_workload, and each stage returns errors
+//      or succeeds, never throws.
 // Seeds and case counts follow tests/proptest (DRIFT_PROPTEST_SEED,
 // DRIFT_PROPTEST_ITERS).  Plain tests pin what random mutants reach only
 // by luck: edge literals, the exact depth cap, out-of-range numbers.
@@ -32,6 +34,8 @@
 #include <vector>
 
 #include "graph/json_topology.hpp"
+#include "graph/ops.hpp"
+#include "graph/workload_export.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "util/json.hpp"
 
@@ -188,6 +192,22 @@ TEST(PropJson, MutantsNeverCrashAndAcceptedOnesReachAFixedPoint) {
   });
 }
 
+/// Runs an accepted topology through the front end drift_graph runs
+/// before any work: validate, infer_shapes, to_workload.
+proptest::Result check_front_end(const graph::Graph& g,
+                                 const std::string& mutant) {
+  try {
+    if (!graph::validate(g).empty()) return proptest::pass();
+    const graph::ShapeResult shapes = graph::infer_shapes(g);
+    if (!shapes.ok()) return proptest::pass();
+    graph::to_workload(g, shapes);
+  } catch (const std::exception& e) {
+    return proptest::fail("front end threw: ", e.what(), "\non\n", mutant);
+  }
+  return proptest::pass();
+}
+
+// The name is historical: the property fuzzes the topology front end.
 TEST(PropJson, TopologyMutantsRoundTripThroughTheEmitter) {
   const auto& corpus = topology_corpus();
   ASSERT_EQ(corpus.size(), 5u);
@@ -198,16 +218,8 @@ TEST(PropJson, TopologyMutantsRoundTripThroughTheEmitter) {
           mutate(rng, corpus[pick(rng, corpus.size())], size, wrap);
       const graph::TopologyParseResult parsed = graph::parse_topology(mutant);
       if (!parsed.ok()) continue;
-      const std::string emitted = graph::to_topology_json(parsed.graph);
-      const graph::TopologyParseResult again = graph::parse_topology(emitted);
-      if (!again.ok()) {
-        return proptest::fail("emitted topology rejected: ",
-                              again.errors.front(), "\n", emitted);
-      }
-      if (graph::to_topology_json(again.graph) != emitted) {
-        return proptest::fail("to_topology_json ∘ parse_topology is not a "
-                              "fixed point on\n",
-                              emitted);
+      if (auto failure = check_front_end(parsed.graph, mutant)) {
+        return failure;
       }
     }
     return proptest::pass();

@@ -17,6 +17,9 @@
 //   DRIFT_PROPTEST_SEED   base seed of the run      (default 0xD21F7)
 //   DRIFT_PROPTEST_SIZE   force every case to one generator size
 //                         (only used when reproducing a failure)
+// The seed is a uint64, decimal or 0x hex; ITERS and SIZE are decimal
+// ints >= 1.  Any other value throws, naming the variable and the
+// value, so every property fails instead of running on a default.
 //
 // Seed schedule: case 0 uses the base seed *itself*, case i > 0 uses a
 // SplitMix64 derivation.  This makes `DRIFT_PROPTEST_SEED=<failing>
@@ -24,10 +27,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,19 +63,40 @@ struct Config {
   int forced_size = 0;           ///< > 0: every case runs at exactly this size
 };
 
+/// Environment variable `name`, or `fallback` when it is unset.  A set
+/// value must be one whole number in [min, max], decimal or (with
+/// `hex`) 0x hex; anything else throws std::invalid_argument naming
+/// the variable and the value.
+inline std::uint64_t env_number(const char* name, std::uint64_t fallback,
+                                std::uint64_t min, std::uint64_t max,
+                                bool hex) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  const bool is_hex = hex && v[0] == '0' && (v[1] == 'x' || v[1] == 'X');
+  const char* digits = is_hex ? v + 2 : v;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(digits, &end, is_hex ? 16 : 10);
+  // strtoull skips blanks and takes a sign; a value must start with a digit.
+  if (!std::isxdigit(static_cast<unsigned char>(digits[0])) || *end != '\0' ||
+      errno == ERANGE || n < min || n > max) {
+    throw std::invalid_argument(
+        std::string(name) + "=" + v + " is not a " +
+        (hex ? "decimal or 0x hex" : "decimal") + " integer in " +
+        std::to_string(min) + ".." + std::to_string(max));
+  }
+  return n;
+}
+
 inline Config config_from_env() {
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   Config c;
-  if (const char* v = std::getenv("DRIFT_PROPTEST_ITERS")) {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n > 0) c.iters = static_cast<int>(n);
-  }
-  if (const char* v = std::getenv("DRIFT_PROPTEST_SEED")) {
-    c.seed = std::strtoull(v, nullptr, 0);
-  }
-  if (const char* v = std::getenv("DRIFT_PROPTEST_SIZE")) {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n > 0) c.forced_size = static_cast<int>(n);
-  }
+  c.iters = static_cast<int>(
+      env_number("DRIFT_PROPTEST_ITERS", c.iters, 1, kIntMax, false));
+  c.seed = env_number("DRIFT_PROPTEST_SEED", c.seed, 0,
+                      std::numeric_limits<std::uint64_t>::max(), true);
+  c.forced_size = static_cast<int>(
+      env_number("DRIFT_PROPTEST_SIZE", c.forced_size, 1, kIntMax, false));
   return c;
 }
 

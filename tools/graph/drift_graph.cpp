@@ -3,17 +3,14 @@
 //
 //   drift_graph validate examples/model_zoo/*.json
 //   drift_graph shapes examples/model_zoo/resnet18.json
-//   drift_graph run --zoo=resnet18 --algo=drift --metrics-out=run.json
+//   drift_graph run examples/model_zoo/resnet18.json --metrics-out=run.json
 //   drift_graph run my_model.json --policy=exhaustive --budget=0.02
 //   drift_graph compare --model=BERT --layers
 //   drift_graph compare gemm.json --budget=0.02   (a one-node topology)
-//   drift_graph emit --zoo=gpt2_layer --out=gpt2_layer.json
 //   drift_graph list
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +19,6 @@
 #include "accel/controller.hpp"
 #include "accel/timeline.hpp"
 #include "graph/graph.hpp"
-#include "graph/json_topology.hpp"
 #include "graph/ops.hpp"
 #include "nn/workload.hpp"
 #include "obs/report.hpp"
@@ -30,7 +26,6 @@
 #include "util/args.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
-#include "zoo.hpp"
 
 using namespace drift;
 using namespace drift::graphcli;
@@ -51,13 +46,11 @@ commands:
   compare FILE      run the workload on Eyeriss, BitFusion, DRQ and
                     Drift; print each, the speedups over Eyeriss, and
                     Drift's double-buffered timeline and controller
-  emit --zoo=NAME   print (or --out=PATH) the canonical topology JSON
-                    of a built-in model
-  list              list the --zoo topologies, then the --model workloads
+  list              list the --model workloads
 
-run and compare flags (FILE is a topology JSON file):
-  --zoo=NAME        built-in topology instead of FILE
-  --model=NAME      compare only: registry workload instead of FILE
+run and compare flags (FILE is a topology JSON file, such as
+examples/model_zoo/resnet18.json):
+  --model=NAME      registry workload instead of FILE
   --algo=NAME       run only: int8|drq|drift  (default: drift)
   --policy=NAME     drift scheduler: greedy|exhaustive|fixed
   --budget=F        excess-noise budget, finite and >= 0 (default 0.05)
@@ -75,21 +68,12 @@ before any work and writes no artifact.
 /// Loads a graph from a topology file; prints why and returns false
 /// when the file cannot be opened or does not parse.
 bool load_graph(const std::string& path, drift::graph::Graph& g) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "drift_graph: cannot open '%s'\n", path.c_str());
-    return false;
+  drift::graph::TopologyParseResult parsed = read_topology_file(path);
+  for (const std::string& err : parsed.errors) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const auto parsed = drift::graph::parse_topology(text.str());
-  if (!parsed.ok()) {
-    for (const std::string& err : parsed.errors) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
-    }
-    return false;
-  }
-  g = parsed.graph;
+  if (!parsed.ok()) return false;
+  g = std::move(parsed.graph);
   return true;
 }
 
@@ -183,38 +167,32 @@ bool read_sim_flags(const Args& args, accel::CompareConfig& config,
   return true;
 }
 
-/// Runs `make`, a lookup that throws check_error on an unknown name
-/// (make_zoo_graph, nn::make_workload); on one prints the known names
-/// and returns false.
-template <typename Make>
-bool lookup(const Make& make) {
-  try {
-    make();
-  } catch (const check_error& e) {
-    std::fprintf(stderr, "drift_graph: %s\n", e.what());
-    return false;
-  }
-  return true;
-}
-
-/// Loads the workload run or compare reads, from exactly one source:
-/// one topology FILE or --zoo=NAME into `g`, or, when `model` is given
-/// (compare), --model=NAME into `*model`.  Returns 0, or the exit code
-/// after printing why: 2 for a usage error (no source or more than
-/// one, an unknown name), 1 for a file that does not load.
+/// Loads the workload run and compare read into `spec`, from exactly
+/// one source: one topology FILE (exported, and so validated, before
+/// any artifact is armed) or --model=NAME.  Returns 0, or the exit code
+/// after printing why: 2 for a usage error (no source or more than one,
+/// an unknown name), 1 for a file that does not load.  A file that
+/// loads but does not validate throws check_error.
 int load_source(const Args& args, const std::vector<std::string>& files,
-                drift::graph::Graph& g, nn::WorkloadSpec* model) {
-  const std::optional<std::string> zoo = args.get("zoo");
-  const std::optional<std::string> name =
-      model != nullptr ? args.get("model") : std::nullopt;
-  if (files.size() + (zoo ? 1 : 0) + (name ? 1 : 0) != 1) {
-    std::fprintf(stderr, "drift_graph: give one FILE or --zoo=NAME%s\n",
-                 model != nullptr ? " or --model=NAME" : "");
+                nn::WorkloadSpec& spec) {
+  const std::optional<std::string> name = args.get("model");
+  if (files.size() + (name ? 1 : 0) != 1) {
+    std::fprintf(stderr, "drift_graph: give one FILE or --model=NAME\n");
     return 2;
   }
-  if (zoo) return lookup([&] { g = make_zoo_graph(*zoo); }) ? 0 : 2;
-  if (name) return lookup([&] { *model = nn::make_workload(*name); }) ? 0 : 2;
-  return load_graph(files[0], g) ? 0 : 1;
+  if (name) {
+    try {
+      spec = nn::make_workload(*name);
+    } catch (const check_error& e) {
+      std::fprintf(stderr, "drift_graph: %s\n", e.what());
+      return 2;
+    }
+    return 0;
+  }
+  drift::graph::Graph g;
+  if (!load_graph(files[0], g)) return 1;
+  spec = export_workload(g);
+  return 0;
 }
 
 void print_header(const nn::WorkloadSpec& spec,
@@ -255,11 +233,8 @@ void print_run(const accel::RunResult& r, bool layers) {
 }
 
 int cmd_run(const Args& args, const std::vector<std::string>& files) {
-  drift::graph::Graph g;
-  if (const int rc = load_source(args, files, g, nullptr)) return rc;
-  // Export (and so validate) before the flush is armed: a topology that
-  // fails shape inference leaves no artifact.
-  nn::WorkloadSpec spec = export_workload(g);
+  nn::WorkloadSpec spec;
+  if (const int rc = load_source(args, files, spec)) return rc;
   GraphPipelineConfig config;
   bool layers = false;
   const std::string algo = args.get_string("algo", "drift");
@@ -271,7 +246,7 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
   if (!read_sim_flags(args, config, layers) || !parsed_algo) return 2;
   config.algo = *parsed_algo;
   const auto artifacts = obs::ReportOptions::from_args(
-      args, std::string("--zoo, --algo, ") + kSimFlags);
+      args, std::string("--model, --algo, ") + kSimFlags);
   if (!artifacts) return 2;
 
   const auto result = run_graph_pipeline(std::move(spec), config);
@@ -281,15 +256,13 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
 }
 
 int cmd_compare(const Args& args, const std::vector<std::string>& files) {
-  drift::graph::Graph g;
   nn::WorkloadSpec spec;
-  if (const int rc = load_source(args, files, g, &spec)) return rc;
-  if (!args.has("model")) spec = export_workload(g);
+  if (const int rc = load_source(args, files, spec)) return rc;
   accel::CompareConfig config;
   bool layers = false;
   if (!read_sim_flags(args, config, layers)) return 2;
   const auto artifacts = obs::ReportOptions::from_args(
-      args, std::string("--zoo, --model, ") + kSimFlags);
+      args, std::string("--model, ") + kSimFlags);
   if (!artifacts) return 2;
 
   print_header(spec, config);
@@ -329,37 +302,8 @@ int cmd_compare(const Args& args, const std::vector<std::string>& files) {
   return artifacts->write() ? 0 : 1;
 }
 
-int cmd_emit(const Args& args) {
-  const std::optional<std::string> zoo = args.get("zoo");
-  const std::string out = args.get_string("out", "");
-  if (args.reject_unqueried("--zoo, --out")) return 2;
-  if (!zoo) {
-    std::fprintf(stderr, "drift_graph emit: --zoo=NAME required\n");
-    return 2;
-  }
-  drift::graph::Graph g;
-  if (!lookup([&] { g = make_zoo_graph(*zoo); })) return 2;
-  const std::string json = drift::graph::to_topology_json(g);
-  if (out.empty()) {
-    std::printf("%s", json.c_str());
-    return 0;
-  }
-  std::ofstream file(out, std::ios::binary);
-  file << json;
-  if (!file.good()) {
-    std::fprintf(stderr, "drift_graph emit: write to '%s' failed\n",
-                 out.c_str());
-    return 1;
-  }
-  return 0;
-}
-
 int cmd_list() {
-  std::printf("zoo topologies (--zoo=NAME):\n");
-  for (const std::string& name : zoo_names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("workloads (compare --model=NAME):\n");
+  std::printf("workloads (run or compare --model=NAME):\n");
   for (const std::string& name : nn::workload_names()) {
     std::printf("  %s\n", name.c_str());
   }
@@ -383,9 +327,9 @@ int main(int argc, char** argv) {
   const bool flagless =
       command == "validate" || command == "shapes" || command == "list";
   if (flagless && args.reject_unqueried("none")) return 2;
-  if ((command == "emit" || command == "list") && !rest.empty()) {
-    std::fprintf(stderr, "drift_graph %s: unexpected argument '%s'\n",
-                 command.c_str(), rest.front().c_str());
+  if (command == "list" && !rest.empty()) {
+    std::fprintf(stderr, "drift_graph list: unexpected argument '%s'\n",
+                 rest.front().c_str());
     return 2;
   }
   try {
@@ -393,7 +337,6 @@ int main(int argc, char** argv) {
     if (command == "shapes") return cmd_shapes(rest);
     if (command == "run") return cmd_run(args, rest);
     if (command == "compare") return cmd_compare(args, rest);
-    if (command == "emit") return cmd_emit(args);
     if (command == "list") return cmd_list();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "drift_graph: %s\n", e.what());

@@ -1,5 +1,7 @@
 #include "pipeline.hpp"
 
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "graph/ops.hpp"
@@ -8,6 +10,18 @@
 #include "util/assert.hpp"
 
 namespace drift::graphcli {
+
+drift::graph::TopologyParseResult read_topology_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    drift::graph::TopologyParseResult result;
+    result.errors.push_back("cannot open file");
+    return result;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return drift::graph::parse_topology(text.str());
+}
 
 nn::WorkloadSpec export_workload(const drift::graph::Graph& g) {
   const auto structural = drift::graph::validate(g);

@@ -1,6 +1,7 @@
 // Graph -> hardware pipeline glue.
 //
-// Exports a validated graph's GEMMs (graph/workload_export.hpp) and
+// Reads a topology file (examples/model_zoo/*.json is the model zoo),
+// exports a validated graph's GEMMs (graph/workload_export.hpp) and
 // routes them through the existing selector -> scheduler -> cycle
 // model, with one obs layer record per GEMM: after nn::build_mixes,
 // the pipeline opens each layer's DRIFT_OBS_LAYER_SCOPE in layer order
@@ -16,8 +17,11 @@
 
 #include <vector>
 
+#include <string>
+
 #include "accel/compare.hpp"
 #include "graph/graph.hpp"
+#include "graph/json_topology.hpp"
 #include "nn/precision_mix.hpp"
 
 namespace drift::graphcli {
@@ -35,6 +39,10 @@ struct GraphPipelineResult {
   std::vector<nn::LayerMix> mixes;
   accel::RunResult run;
 };
+
+/// Reads and parses the topology file at `path`; a file that cannot be
+/// opened is one error.
+drift::graph::TopologyParseResult read_topology_file(const std::string& path);
 
 /// Validates + shape-infers `g` (throws check_error naming the first
 /// offending node on failure) and exports its GEMMs.
