@@ -5,13 +5,10 @@
 #include <cstdio>
 
 #include "accel/compare.hpp"
-#include "graph/builder.hpp"
-#include "graph/executor.hpp"
 #include "nn/proxy.hpp"
 #include "nn/quant_engine.hpp"
 #include "obs/report.hpp"
 #include "util/args.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 using namespace drift;
@@ -75,51 +72,6 @@ int main(int argc, char** argv) {
               "array (Figure 2) — while Drift's split arrays deliver both\n"
               "the speedup and the energy cut.\n\n");
 
-  // Graph runtime: the same encoder topology as an operator graph
-  // (reduced size so the functional pass stays fast).  Residual adds
-  // make this a DAG that Sequential cannot express; the executor
-  // infers every shape, frees intermediates after their last consumer,
-  // and reports the peak resident footprint.
-  graph::GraphBuilder builder("vit_tiny_demo", "vit");
-  builder.input("image", {3, 32, 32});
-  builder.then("patch_embed", "conv2d",
-               {{"out_channels", graph::Attr::of_int(64)},
-                {"kernel", graph::Attr::of_int(8)},
-                {"stride", graph::Attr::of_int(8)},
-                {"kind", graph::Attr::of_string("embed")}});
-  builder.then("tokens", "to_tokens");
-  builder.node("ln1", "layernorm", {"tokens"});
-  builder.then("attn", "attention", {{"heads", graph::Attr::of_int(4)}});
-  builder.node("add1", "add", {"attn", "tokens"});
-  builder.then("ln2", "layernorm");
-  builder.then("ffn1", "linear", {{"out_features", graph::Attr::of_int(128)},
-                                  {"kind", graph::Attr::of_string("ffn")}});
-  builder.then("gelu", "gelu");
-  builder.then("ffn2", "linear", {{"out_features", graph::Attr::of_int(64)},
-                                  {"kind", graph::Attr::of_string("ffn")}});
-  builder.node("add2", "add", {"ffn2", "add1"});
-  builder.then("pool", "mean_pool_tokens");
-  builder.then("head", "linear", {{"out_features", graph::Attr::of_int(10)},
-                                  {"kind", graph::Attr::of_string("fc")}});
-
-  Rng graph_rng(7);
-  graph::GraphExecutor executor(builder.build(), graph_rng);
-  Rng input_rng(11);
-  TensorF image(Shape{3, 32, 32});
-  for (std::int64_t i = 0; i < image.shape().numel(); ++i) {
-    image.at(i) = static_cast<float>(input_rng.normal(0.0, 1.0));
-  }
-  nn::QuantEngine::Config gcfg;
-  gcfg.mode = nn::QuantMode::kDrift;
-  nn::QuantEngine graph_engine(gcfg);
-  const auto outputs = executor.run({image}, graph_engine);
-  std::printf("graph runtime (vit_tiny_demo, one residual encoder block):\n"
-              "  %zu nodes, logits [%lld], peak resident %.1f KiB, "
-              "%lld intermediates freed in-flight\n",
-              executor.graph().nodes.size(),
-              static_cast<long long>(outputs.front().shape().numel()),
-              static_cast<double>(executor.peak_resident_bytes()) / 1024.0,
-              static_cast<long long>(executor.tensors_freed()));
   std::printf("full-size topologies: tools/graph/drift_graph run "
               "examples/model_zoo/vit_b16.json\n");
   return artifacts->write() ? 0 : 1;

@@ -61,15 +61,17 @@ int Graph::input_index(const std::string& input_name) const {
 
 namespace {
 
-/// The kind the ops (graph/ops.cpp) read each attribute as; validation
-/// names a node attribute of the other kind.
-const std::map<std::string, Attr::Kind>& attr_kinds() {
-  static const std::map<std::string, Attr::Kind> kKinds = {
-      {"axis", Attr::Kind::kInt},         {"heads", Attr::Kind::kInt},
-      {"kernel", Attr::Kind::kInt},       {"kind", Attr::Kind::kString},
-      {"out_channels", Attr::Kind::kInt}, {"out_features", Attr::Kind::kInt},
-      {"pad", Attr::Kind::kInt},          {"stride", Attr::Kind::kInt}};
-  return kKinds;
+/// "valid for OP: a, b, c" over the names of `entries` (an op's
+/// attributes or its `kind` values), for validation messages.
+template <typename Entry>
+std::string valid_names(const std::string& op,
+                        const std::vector<Entry>& entries) {
+  std::string names;
+  for (const Entry& e : entries) {
+    if (!names.empty()) names += ", ";
+    names += e.name;
+  }
+  return "valid for " + op + ": " + (names.empty() ? "none" : names);
 }
 
 /// Producer-index adjacency: for each node, the indices of the nodes
@@ -124,7 +126,7 @@ std::vector<std::string> validate(const Graph& g) {
     }
   }
 
-  // Op existence, arity, attribute kinds, and input resolvability.
+  // Op existence, arity, attributes, and input resolvability.
   for (const Node& node : g.nodes) {
     const OpSpec* spec = find_op(node.op);
     if (spec == nullptr) {
@@ -144,14 +146,29 @@ std::vector<std::string> validate(const Graph& g) {
                                    : ".." + std::to_string(spec->max_inputs))) +
                        " input(s), got " + std::to_string(arity));
       }
-    }
-    for (const auto& [key, attr] : node.attrs) {
-      const auto kind = attr_kinds().find(key);
-      if (kind != attr_kinds().end() && kind->second != attr.kind) {
-        node_error(node.name, "attribute '" + key + "' must be " +
-                                  (kind->second == Attr::Kind::kInt
-                                       ? "an integer"
-                                       : "a string"));
+      // Every attribute must be one the op reads, of the kind it reads
+      // it as; a `kind` must be one of the op's values.
+      for (const auto& [key, attr] : node.attrs) {
+        const auto read = std::find_if(
+            spec->attrs.begin(), spec->attrs.end(),
+            [&key](const AttrSpec& a) { return key == a.name; });
+        if (read == spec->attrs.end()) {
+          node_error(node.name, "unknown attribute '" + key + "' (" +
+                                    valid_names(node.op, spec->attrs) + ")");
+        } else if (read->kind != attr.kind) {
+          node_error(node.name, "attribute '" + key + "' must be " +
+                                    (read->kind == Attr::Kind::kInt
+                                         ? "an integer"
+                                         : "a string"));
+        } else if (key == "kind" &&
+                   std::none_of(spec->kinds.begin(), spec->kinds.end(),
+                                [&attr](const KindName& k) {
+                                  return attr.s == k.name;
+                                })) {
+          node_error(node.name, "attribute 'kind' has unknown value '" +
+                                    attr.s + "' (" +
+                                    valid_names(node.op, spec->kinds) + ")");
+        }
       }
     }
     for (const std::string& in : node.inputs) {

@@ -9,10 +9,12 @@
 // topology format in graph/json_topology.hpp and new workloads become
 // data, not code.
 //
-// Everything here is pure structure: validation and deterministic
-// topological ordering.  Shape inference lives with the op registry
-// (graph/ops.hpp), execution in graph/executor.hpp, and the hardware
-// workload export in graph/workload_export.hpp.
+// src/graph reads, validates, shape-infers and exports topologies:
+// parse_topology (graph/json_topology.hpp) -> validate (here) ->
+// infer_shapes (graph/ops.hpp, with the op registry) -> to_workload
+// (graph/workload_export.hpp).  It runs no forward pass; the accuracy
+// proxies run src/nn layers directly.  Everything here is pure
+// structure: validation and deterministic topological ordering.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +47,8 @@ struct Node {
   std::vector<std::string> inputs;
   AttrMap attrs;
 
-  /// Attribute lookups with fallback (bind/run-time use; the
-  /// validation pass reports missing required attrs with node names).
+  /// Attribute lookups with fallback (shape rules and exporters; the
+  /// shape rules report missing required attrs with node names).
   std::int64_t attr_int(const std::string& key, std::int64_t fallback) const;
   std::string attr_string(const std::string& key,
                           const std::string& fallback) const;
@@ -76,16 +78,18 @@ struct Graph {
 };
 
 /// Structural validation: a known family, unique names, known ops,
-/// resolvable inputs, per-op arity, attribute kinds, acyclicity, and
-/// non-empty resolvable outputs.  Every message names the offending
-/// node ("node 'x': ...") or, for the family, the graph.  An empty
-/// result means the graph is well-formed (shapes are checked
-/// separately by infer_shapes in graph/ops.hpp).
+/// resolvable inputs, per-op arity, attributes (only those the op
+/// reads, each of the kind it reads, and a `kind` value the op
+/// takes), acyclicity, and non-empty resolvable outputs.  Every
+/// message names the offending node ("node 'x': ...") or, for the
+/// family, the graph; an attribute message also lists the op's valid
+/// names or values.  An empty result means the graph is well-formed
+/// (shapes are checked separately by infer_shapes in graph/ops.hpp).
 std::vector<std::string> validate(const Graph& g);
 
 /// Deterministic topological order (node indices): Kahn's algorithm
 /// with the ready set kept in insertion order, so a graph whose nodes
-/// are already listed in execution order keeps that order exactly.
+/// are already listed in dependency order keeps that order exactly.
 /// Requires validate(g) to be clean.
 std::vector<int> topological_order(const Graph& g);
 

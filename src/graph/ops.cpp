@@ -1,14 +1,7 @@
 #include "graph/ops.hpp"
 
 #include <algorithm>
-#include <memory>
 
-#include "nn/activations.hpp"
-#include "nn/attention.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
-#include "nn/norm.hpp"
-#include "nn/pooling.hpp"
 #include "util/assert.hpp"
 
 namespace drift::graph {
@@ -132,7 +125,7 @@ std::string infer_pool2d(const Node& node, const std::vector<Dims>& in,
   if (!err.empty()) return err;
   const std::int64_t s = node.attr_int("stride", k);
   if (s <= 0) return "attribute 'stride' must be positive";
-  // Pooling layers take no padding (matching nn::MaxPool2d/AvgPool2d).
+  // Pooling takes no padding (matching nn::MaxPool2d).
   const std::int64_t oh = conv_out(in[0][1], k, s, 0);
   const std::int64_t ow = conv_out(in[0][2], k, s, 0);
   if (oh <= 0 || ow <= 0) {
@@ -260,198 +253,27 @@ std::string infer_concat(const Node& node, const std::vector<Dims>& in,
 }
 
 // ---------------------------------------------------------------------
-// Binders (construction order == rng stream order; see executor).
-// ---------------------------------------------------------------------
-
-nn::LayerPtr bind_conv2d(const Node& node, const std::vector<Dims>& in,
-                         Rng& rng) {
-  return std::make_unique<nn::Conv2d>(
-      node.name, in[0][0], node.attr_int("out_channels", 0),
-      node.attr_int("kernel", 0), node.attr_int("stride", 1),
-      node.attr_int("pad", 0), rng);
-}
-
-nn::LayerPtr bind_depthwise_conv2d(const Node& node,
-                                   const std::vector<Dims>& in, Rng& rng) {
-  return std::make_unique<nn::DepthwiseConv2d>(
-      node.name, in[0][0], node.attr_int("kernel", 0),
-      node.attr_int("stride", 1), node.attr_int("pad", 0), rng);
-}
-
-nn::LayerPtr bind_maxpool2d(const Node& node, const std::vector<Dims>&,
-                            Rng&) {
-  const std::int64_t k = node.attr_int("kernel", 0);
-  return std::make_unique<nn::MaxPool2d>(node.name, k,
-                                         node.attr_int("stride", k));
-}
-
-nn::LayerPtr bind_avgpool2d(const Node& node, const std::vector<Dims>&,
-                            Rng&) {
-  const std::int64_t k = node.attr_int("kernel", 0);
-  return std::make_unique<nn::AvgPool2d>(node.name, k,
-                                         node.attr_int("stride", k));
-}
-
-nn::LayerPtr bind_global_avgpool(const Node& node, const std::vector<Dims>&,
-                                 Rng&) {
-  return std::make_unique<nn::GlobalAvgPool>(node.name);
-}
-
-nn::LayerPtr bind_mean_pool_tokens(const Node& node,
-                                   const std::vector<Dims>&, Rng&) {
-  return std::make_unique<nn::MeanPoolTokens>(node.name);
-}
-
-nn::LayerPtr bind_linear(const Node& node, const std::vector<Dims>& in,
-                         Rng& rng) {
-  return std::make_unique<nn::Linear>(
-      node.name, in[0][1], node.attr_int("out_features", 0), rng);
-}
-
-nn::LayerPtr bind_relu(const Node& node, const std::vector<Dims>&, Rng&) {
-  return std::make_unique<nn::ReLU>(node.name);
-}
-
-nn::LayerPtr bind_gelu(const Node& node, const std::vector<Dims>&, Rng&) {
-  return std::make_unique<nn::GELU>(node.name);
-}
-
-nn::LayerPtr bind_softmax(const Node& node, const std::vector<Dims>&, Rng&) {
-  return std::make_unique<nn::Softmax>(node.name);
-}
-
-nn::LayerPtr bind_layernorm(const Node& node, const std::vector<Dims>& in,
-                            Rng&) {
-  return std::make_unique<nn::LayerNorm>(node.name, in[0][1]);
-}
-
-nn::LayerPtr bind_batchnorm2d(const Node& node, const std::vector<Dims>& in,
-                              Rng&) {
-  return std::make_unique<nn::BatchNorm2d>(node.name, in[0][0]);
-}
-
-nn::LayerPtr bind_attention(const Node& node, const std::vector<Dims>& in,
-                            Rng& rng) {
-  return std::make_unique<nn::MultiHeadAttention>(
-      node.name, in[0][1], node.attr_int("heads", 0), rng);
-}
-
-// ---------------------------------------------------------------------
-// Graph-level evaluators.
-// ---------------------------------------------------------------------
-
-TensorF run_add(const Node&, const std::vector<const TensorF*>& in) {
-  const TensorF& a = *in[0];
-  const TensorF& b = *in[1];
-  Dims out_dims;
-  const std::string err =
-      broadcast_dims(a.shape().dims(), b.shape().dims(), out_dims);
-  DRIFT_CHECK(err.empty(), "add operands do not broadcast");
-
-  // Per-operand strides over the output index space: 0 on broadcast
-  // axes, the operand's own row-major stride elsewhere.
-  const auto operand_strides = [&out_dims](const Shape& s) {
-    const std::vector<std::int64_t> own = s.strides();
-    std::vector<std::int64_t> mapped(out_dims.size(), 0);
-    const std::size_t offset = out_dims.size() -
-                               static_cast<std::size_t>(s.rank());
-    for (std::size_t r = 0; r < static_cast<std::size_t>(s.rank()); ++r) {
-      if (s.dim(static_cast<std::int64_t>(r)) ==
-          out_dims[offset + r]) {
-        mapped[offset + r] = own[r];
-      }
-    }
-    return mapped;
-  };
-  const std::vector<std::int64_t> sa = operand_strides(a.shape());
-  const std::vector<std::int64_t> sb = operand_strides(b.shape());
-
-  TensorF out(Shape{out_dims});
-  auto ad = a.data();
-  auto bd = b.data();
-  auto od = out.data();
-  std::vector<std::int64_t> index(out_dims.size(), 0);
-  for (std::int64_t flat = 0; flat < out.numel(); ++flat) {
-    std::int64_t oa = 0, ob = 0;
-    for (std::size_t r = 0; r < out_dims.size(); ++r) {
-      oa += index[r] * sa[r];
-      ob += index[r] * sb[r];
-    }
-    od[static_cast<std::size_t>(flat)] = ad[static_cast<std::size_t>(oa)] +
-                                         bd[static_cast<std::size_t>(ob)];
-    // Odometer increment over the output multi-index.
-    for (std::size_t r = out_dims.size(); r-- > 0;) {
-      if (++index[r] < out_dims[r]) break;
-      index[r] = 0;
-    }
-  }
-  return out;
-}
-
-TensorF run_concat(const Node& node, const std::vector<const TensorF*>& in) {
-  const std::int64_t axis = node.attr_int("axis", 0);
-  const std::int64_t rank = in[0]->shape().rank();
-  DRIFT_CHECK(axis >= 0 && axis < rank, "concat axis out of range");
-
-  Dims out_dims = in[0]->shape().dims();
-  for (std::size_t i = 1; i < in.size(); ++i) {
-    out_dims[static_cast<std::size_t>(axis)] +=
-        in[i]->shape().dim(axis);
-  }
-  TensorF out(Shape{out_dims});
-
-  // Row-major concat: every operand contributes contiguous runs of
-  // `inner * its-axis-extent` elements, repeated `outer` times.
-  std::int64_t outer = 1;
-  for (std::int64_t r = 0; r < axis; ++r) outer *= out_dims[static_cast<std::size_t>(r)];
-  std::int64_t inner = 1;
-  for (std::int64_t r = axis + 1; r < rank; ++r) {
-    inner *= out_dims[static_cast<std::size_t>(r)];
-  }
-  auto od = out.data();
-  std::int64_t out_run = 0;
-  for (const TensorF* t : in) out_run += t->shape().dim(axis) * inner;
-  std::int64_t base = 0;
-  for (const TensorF* t : in) {
-    const std::int64_t run = t->shape().dim(axis) * inner;
-    auto td = t->data();
-    for (std::int64_t o = 0; o < outer; ++o) {
-      for (std::int64_t e = 0; e < run; ++e) {
-        od[static_cast<std::size_t>(o * out_run + base + e)] =
-            td[static_cast<std::size_t>(o * run + e)];
-      }
-    }
-    base += run;
-  }
-  return out;
-}
-
-TensorF run_to_tokens(const Node&, const std::vector<const TensorF*>& in) {
-  const TensorF& x = *in[0];
-  DRIFT_CHECK(x.shape().rank() == 3, "to_tokens expects [C, H, W]");
-  const std::int64_t C = x.shape().dim(0);
-  const std::int64_t HW = x.shape().dim(1) * x.shape().dim(2);
-  TensorF out(Shape{HW, C});
-  for (std::int64_t p = 0; p < HW; ++p) {
-    for (std::int64_t c = 0; c < C; ++c) {
-      out(p, c) = x.at(c * HW + p);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
 // Workload exporters.
 // ---------------------------------------------------------------------
+
+/// The layer kind a GEMM node exports as: its `kind` attribute (the
+/// op's default when absent) mapped through the op's table, the one
+/// validation checks the value against.
+nn::LayerKind layer_kind(const Node& node) {
+  const std::vector<KindName>& kinds = find_op(node.op)->kinds;
+  const std::string name = node.attr_string("kind", kinds.front().name);
+  for (const KindName& k : kinds) {
+    if (name == k.name) return k.kind;
+  }
+  throw check_error("validated node '" + node.name + "' has unknown kind '" +
+                    name + "'");
+}
 
 void export_conv2d(const Node& node, const std::vector<Dims>& in,
                    const Dims& out, std::vector<nn::LayerGemm>& gemms) {
   const std::int64_t k = node.attr_int("kernel", 0);
-  const nn::LayerKind kind = node.attr_string("kind", "conv") == "embed"
-                                 ? nn::LayerKind::kEmbed
-                                 : nn::LayerKind::kConv;
   gemms.push_back(nn::LayerGemm{
-      node.name, kind,
+      node.name, layer_kind(node),
       core::GemmDims{out[1] * out[2], in[0][0] * k * k, out[0]},
       /*repeat=*/1, /*kernel=*/k});
 }
@@ -469,13 +291,7 @@ void export_depthwise_conv2d(const Node& node, const std::vector<Dims>& in,
 
 void export_linear(const Node& node, const std::vector<Dims>& in,
                    const Dims& out, std::vector<nn::LayerGemm>& gemms) {
-  const std::string kind_name = node.attr_string("kind", "fc");
-  nn::LayerKind kind = nn::LayerKind::kFc;
-  if (kind_name == "ffn") kind = nn::LayerKind::kFfn;
-  if (kind_name == "proj") kind = nn::LayerKind::kOutProj;
-  if (kind_name == "qkv") kind = nn::LayerKind::kQkvProj;
-  if (kind_name == "embed") kind = nn::LayerKind::kEmbed;
-  gemms.push_back(nn::LayerGemm{node.name, kind,
+  gemms.push_back(nn::LayerGemm{node.name, layer_kind(node),
                                 core::GemmDims{in[0][0], in[0][1], out[1]}});
 }
 
@@ -506,34 +322,42 @@ void export_attention(const Node& node, const std::vector<Dims>& in,
 // ---------------------------------------------------------------------
 
 const std::map<std::string, OpSpec>& registry() {
+  constexpr Attr::Kind kInt = Attr::Kind::kInt;
+  constexpr Attr::Kind kString = Attr::Kind::kString;
   static const std::map<std::string, OpSpec> kOps = {
       {"conv2d",
-       {1, 1, infer_conv2d, bind_conv2d, nullptr, export_conv2d}},
+       {1, 1,
+        {{"kernel", kInt}, {"kind", kString}, {"out_channels", kInt},
+         {"pad", kInt}, {"stride", kInt}},
+        {{"conv", nn::LayerKind::kConv}, {"embed", nn::LayerKind::kEmbed}},
+        infer_conv2d, export_conv2d}},
       {"depthwise_conv2d",
-       {1, 1, infer_depthwise_conv2d, bind_depthwise_conv2d, nullptr,
-        export_depthwise_conv2d}},
-      {"maxpool2d", {1, 1, infer_pool2d, bind_maxpool2d, nullptr, nullptr}},
-      {"avgpool2d", {1, 1, infer_pool2d, bind_avgpool2d, nullptr, nullptr}},
-      {"global_avgpool",
-       {1, 1, infer_global_avgpool, bind_global_avgpool, nullptr, nullptr}},
-      {"mean_pool_tokens",
-       {1, 1, infer_mean_pool_tokens, bind_mean_pool_tokens, nullptr,
-        nullptr}},
-      {"to_tokens",
-       {1, 1, infer_to_tokens, nullptr, run_to_tokens, nullptr}},
-      {"linear", {1, 1, infer_linear, bind_linear, nullptr, export_linear}},
-      {"relu", {1, 1, infer_elementwise, bind_relu, nullptr, nullptr}},
-      {"gelu", {1, 1, infer_elementwise, bind_gelu, nullptr, nullptr}},
-      {"softmax",
-       {1, 1, infer_rank2_same, bind_softmax, nullptr, nullptr}},
-      {"layernorm",
-       {1, 1, infer_rank2_same, bind_layernorm, nullptr, nullptr}},
-      {"batchnorm2d",
-       {1, 1, infer_batchnorm2d, bind_batchnorm2d, nullptr, nullptr}},
+       {1, 1, {{"kernel", kInt}, {"pad", kInt}, {"stride", kInt}}, {},
+        infer_depthwise_conv2d, export_depthwise_conv2d}},
+      {"maxpool2d",
+       {1, 1, {{"kernel", kInt}, {"stride", kInt}}, {}, infer_pool2d}},
+      {"avgpool2d",
+       {1, 1, {{"kernel", kInt}, {"stride", kInt}}, {}, infer_pool2d}},
+      {"global_avgpool", {1, 1, {}, {}, infer_global_avgpool}},
+      {"mean_pool_tokens", {1, 1, {}, {}, infer_mean_pool_tokens}},
+      {"to_tokens", {1, 1, {}, {}, infer_to_tokens}},
+      {"linear",
+       {1, 1, {{"kind", kString}, {"out_features", kInt}},
+        {{"fc", nn::LayerKind::kFc},
+         {"ffn", nn::LayerKind::kFfn},
+         {"proj", nn::LayerKind::kOutProj},
+         {"qkv", nn::LayerKind::kQkvProj},
+         {"embed", nn::LayerKind::kEmbed}},
+        infer_linear, export_linear}},
+      {"relu", {1, 1, {}, {}, infer_elementwise}},
+      {"gelu", {1, 1, {}, {}, infer_elementwise}},
+      {"softmax", {1, 1, {}, {}, infer_rank2_same}},
+      {"layernorm", {1, 1, {}, {}, infer_rank2_same}},
+      {"batchnorm2d", {1, 1, {}, {}, infer_batchnorm2d}},
       {"attention",
-       {1, 1, infer_attention, bind_attention, nullptr, export_attention}},
-      {"add", {2, 2, infer_add, nullptr, run_add, nullptr}},
-      {"concat", {2, -1, infer_concat, nullptr, run_concat, nullptr}},
+       {1, 1, {{"heads", kInt}}, {}, infer_attention, export_attention}},
+      {"add", {2, 2, {}, {}, infer_add}},
+      {"concat", {2, -1, {{"axis", kInt}}, {}, infer_concat}},
   };
   return kOps;
 }

@@ -1,21 +1,19 @@
 // Op registry and static shape inference.
 //
-// Every graph op is one registry entry: arity bounds, a shape rule, a
-// binder that constructs the backing src/nn layer (consuming the rng
-// stream exactly like hand-built Sequential models do), an optional
-// graph-level evaluator for the ops Sequential cannot express
-// (add / concat / to_tokens), and an optional hardware-workload
-// exporter that names the GEMMs the selector -> scheduler -> cycle-sim
-// pipeline should account for.  Adding an op touches exactly one table.
+// Every graph op is one registry entry: arity bounds, the attributes
+// it reads with their kinds, the values its `kind` attribute takes, a
+// shape rule, and an optional hardware-workload exporter that names
+// the GEMMs the selector -> scheduler -> cycle-sim pipeline should
+// account for.  Validation reads the same entry, so what an op accepts
+// and what it reads cannot drift apart.  Adding an op touches exactly
+// one table.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "nn/layer.hpp"
 #include "nn/workload.hpp"
-#include "util/rng.hpp"
 
 namespace drift::graph {
 
@@ -25,29 +23,38 @@ using Dims = std::vector<std::int64_t>;
 /// "[2, 3, 4]" — for error messages and artifacts.
 std::string dims_to_string(const Dims& dims);
 
+/// One attribute an op reads, with the kind it reads it as.
+struct AttrSpec {
+  const char* name;
+  Attr::Kind kind;
+};
+
+/// One value of a GEMM op's `kind` attribute and the layer kind the
+/// export gives its GEMM.
+struct KindName {
+  const char* name;
+  nn::LayerKind kind;
+};
+
 /// One registry entry.  All hooks are stateless free functions; node
 /// attributes carry the per-instance configuration.
 struct OpSpec {
   int min_inputs = 1;
   int max_inputs = 1;  ///< -1 = unbounded
 
+  /// Every attribute the op reads, sorted by name; validation rejects
+  /// any other name and a value of the other kind.
+  std::vector<AttrSpec> attrs;
+
+  /// The values of the `kind` attribute, the default first; empty when
+  /// the op reads no `kind`.  Validation rejects any other value, and
+  /// the exporter maps the name through this same table.
+  std::vector<KindName> kinds;
+
   /// Shape rule: fills `out` and returns "" on success, otherwise a
   /// message (the caller prepends the node name).
   std::string (*infer)(const Node& node, const std::vector<Dims>& in,
                        Dims& out) = nullptr;
-
-  /// Constructs the backing nn layer.  Parameterized ops consume `rng`
-  /// in construction order — the same stream a hand-built Sequential
-  /// uses, which is what makes graph execution bitwise-pinnable against
-  /// it.  Null for graph-level ops evaluated by `run`.
-  nn::LayerPtr (*bind)(const Node& node, const std::vector<Dims>& in,
-                       Rng& rng) = nullptr;
-
-  /// Graph-level evaluation for ops without an nn layer (float path,
-  /// no quantization: residual adds and concats run on psums on the
-  /// real accelerator).
-  TensorF (*run)(const Node& node,
-                 const std::vector<const TensorF*>& in) = nullptr;
 
   /// Appends this node's GEMMs (named `node.name[...]`) to a hardware
   /// workload export.  Null for non-GEMM ops.

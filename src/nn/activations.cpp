@@ -32,11 +32,6 @@ TensorF GELU::forward(const TensorF& input, QuantEngine&) {
   return out;
 }
 
-TensorF Softmax::forward(const TensorF& input, QuantEngine&) {
-  DRIFT_OBS_LAYER_SCOPE(name_);
-  return softmax_rows(input);
-}
-
 TensorF softmax_rows(const TensorF& x) {
   DRIFT_CHECK(x.shape().rank() == 2, "softmax_rows expects [M, N]");
   const std::int64_t M = x.shape().dim(0);

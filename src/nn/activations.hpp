@@ -27,17 +27,6 @@ class GELU : public Layer {
   std::string name_;
 };
 
-/// Row-wise softmax layer over a [M, N] tensor (wraps softmax_rows).
-class Softmax : public Layer {
- public:
-  explicit Softmax(std::string name) : name_(std::move(name)) {}
-  TensorF forward(const TensorF& input, QuantEngine& engine) override;
-  const std::string& name() const override { return name_; }
-
- private:
-  std::string name_;
-};
-
 /// Numerically-stable softmax over the last axis of a [M, N] tensor.
 TensorF softmax_rows(const TensorF& x);
 

@@ -117,72 +117,4 @@ TensorF Conv2d::forward(const TensorF& input, QuantEngine& engine) {
   return out;
 }
 
-DepthwiseConv2d::DepthwiseConv2d(std::string name, std::int64_t channels,
-                                 std::int64_t kernel, std::int64_t stride,
-                                 std::int64_t pad, Rng& rng)
-    : name_(std::move(name)), channels_(channels), kernel_(kernel),
-      stride_(stride), pad_(pad), weight_(Shape{channels, kernel * kernel}),
-      bias_(Shape{channels}, 0.0f) {
-  DRIFT_CHECK(channels > 0 && kernel > 0 && stride > 0 && pad >= 0,
-              "invalid depthwise conv shape");
-  const std::int64_t fan_in = kernel * kernel;
-  const double base =
-      std::sqrt(2.0 / static_cast<double>(fan_in)) / std::sqrt(2.0);
-  auto wd = weight_.data();
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const double channel_scale = base * std::exp(rng.normal(0.0, 0.4));
-    for (std::int64_t i = 0; i < fan_in; ++i) {
-      wd[static_cast<std::size_t>(c * fan_in + i)] =
-          static_cast<float>(rng.laplace(channel_scale));
-    }
-  }
-}
-
-std::int64_t DepthwiseConv2d::out_size(std::int64_t in_size) const {
-  return (in_size + 2 * pad_ - kernel_) / stride_ + 1;
-}
-
-TensorF DepthwiseConv2d::forward(const TensorF& input, QuantEngine& engine) {
-  DRIFT_OBS_LAYER_SCOPE(name_);
-  DRIFT_CHECK(input.shape().rank() == 3, "DepthwiseConv2d expects [C, H, W]");
-  DRIFT_CHECK(input.shape().dim(0) == channels_,
-              "DepthwiseConv2d channel mismatch");
-  const OperandResult act = engine.process_activation_regions(input);
-  const auto wgt = prepared_.get(engine, weight_);
-
-  const std::int64_t H = input.shape().dim(1);
-  const std::int64_t W = input.shape().dim(2);
-  const std::int64_t OH = out_size(H);
-  const std::int64_t OW = out_size(W);
-  DRIFT_CHECK(OH > 0 && OW > 0, "kernel larger than padded input");
-
-  TensorF out(Shape{channels_, OH, OW});
-  const TensorF& x = act.effective;
-  const TensorF& w = wgt->weight;
-  util::parallel_for(0, channels_, 4, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      for (std::int64_t oh = 0; oh < OH; ++oh) {
-        for (std::int64_t ow = 0; ow < OW; ++ow) {
-          double acc = bias_.at(c);
-          for (std::int64_t dh = 0; dh < kernel_; ++dh) {
-            const std::int64_t h = oh * stride_ - pad_ + dh;
-            if (h < 0 || h >= H) continue;
-            for (std::int64_t dw = 0; dw < kernel_; ++dw) {
-              const std::int64_t ww = ow * stride_ - pad_ + dw;
-              if (ww < 0 || ww >= W) continue;
-              acc += static_cast<double>(x(c, h, ww)) *
-                     static_cast<double>(w(c, dh * kernel_ + dw));
-            }
-          }
-          out(c, oh, ow) = static_cast<float>(acc);
-        }
-      }
-    }
-  });
-
-  engine.record(name_, OH * OW, kernel_ * kernel_, channels_,
-                act.low_fraction, wgt->low_fraction_rows);
-  return out;
-}
-
 }  // namespace drift::nn

@@ -41,37 +41,7 @@ class Conv2d : public Layer {
   std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
   TensorF weight_;  ///< [OC, IC*kh*kw] (output-major, im2col-ready)
   TensorF bias_;    ///< [OC]
-  WeightSlot prepared_{/*transposed=*/true};
-};
-
-/// Depthwise 2-D convolution: one k x k filter per channel, channels
-/// never mix.  Quantization granularity matches Conv2d (regions on the
-/// [C, H, W] input, per-output-channel rows on the [C, k*k] weight);
-/// the GEMM-equivalent shape recorded for the hardware models is
-/// [OH*OW, k*k] x [k*k, C] — exactly the depthwise MAC count.
-class DepthwiseConv2d : public Layer {
- public:
-  DepthwiseConv2d(std::string name, std::int64_t channels,
-                  std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-                  Rng& rng);
-
-  TensorF forward(const TensorF& input, QuantEngine& engine) override;
-  const std::string& name() const override { return name_; }
-
-  std::int64_t channels() const { return channels_; }
-  std::int64_t kernel() const { return kernel_; }
-  std::int64_t stride() const { return stride_; }
-  std::int64_t pad() const { return pad_; }
-
-  /// Output spatial size for a given input size.
-  std::int64_t out_size(std::int64_t in_size) const;
-
- private:
-  std::string name_;
-  std::int64_t channels_, kernel_, stride_, pad_;
-  TensorF weight_;  ///< [C, kh*kw]
-  TensorF bias_;    ///< [C]
-  WeightSlot prepared_{/*transposed=*/false};
+  WeightSlot prepared_;
 };
 
 }  // namespace drift::nn

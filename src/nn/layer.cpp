@@ -10,8 +10,7 @@ std::shared_ptr<const PreparedWeight> WeightSlot::get(
   if (prepared_ == nullptr || config_ != engine.config()) {
     OperandResult rendered = engine.process_weight(weight);
     auto prepared = std::make_shared<PreparedWeight>();
-    prepared->weight = transposed_ ? transpose(rendered.effective)
-                                   : std::move(rendered.effective);
+    prepared->weight = transpose(rendered.effective);
     prepared->low_fraction_rows = rendered.low_fraction_rows;
     prepared_ = std::move(prepared);
     config_ = engine.config();

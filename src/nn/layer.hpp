@@ -32,32 +32,29 @@ using LayerPtr = std::unique_ptr<Layer>;
 
 /// A layer's weight as one engine configuration renders it.
 struct PreparedWeight {
-  TensorF weight;                  ///< rendered; [K, N] in a transposed slot
+  TensorF weight;                  ///< rendered, transposed to [K, N]
   double low_fraction_rows = 0.0;  ///< QuantEngine::process_weight's share
 };
 
-/// The prepared-weight slot of a weight-bearing layer.  Rendering a
-/// weight reads only the weight and the engine's Config, and layers
-/// expose their weights read-only, so the whole Config is a complete
-/// key: the slot renders on first use, re-renders when a forward pass
-/// brings a different Config, and otherwise returns the cached
-/// rendering — bit for bit what process_weight would return again.
+/// The prepared-weight slot of a GEMM layer (Linear, Conv2d).  It
+/// stores the rendering transposed to [K, N], the layout matmul takes.
+/// Rendering a weight reads only the weight and the engine's Config,
+/// and layers expose their weights read-only, so the whole Config is a
+/// complete key: the slot renders on first use, re-renders when a
+/// forward pass brings a different Config, and otherwise returns the
+/// cached rendering — bit for bit what process_weight would return
+/// again.
 /// Concurrent forwards are safe: the fill runs under the slot's lock,
 /// and each caller holds its own reference, so a re-render never frees
 /// a weight another forward is still multiplying by.
 class WeightSlot {
  public:
-  /// `transposed` stores the rendering as [K, N], the layout matmul
-  /// takes (the GEMM layers); otherwise in the weight's own layout.
-  explicit WeightSlot(bool transposed) : transposed_(transposed) {}
-
   /// The rendering of `weight` — always the owning layer's weight —
   /// under `engine`'s config.
   std::shared_ptr<const PreparedWeight> get(const QuantEngine& engine,
                                             const TensorF& weight);
 
  private:
-  const bool transposed_;
   std::mutex mutex_;
   QuantEngine::Config config_;
   std::shared_ptr<const PreparedWeight> prepared_;

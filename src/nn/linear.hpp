@@ -29,7 +29,7 @@ class Linear : public Layer {
   std::string name_;
   TensorF weight_;  ///< [out, in]
   TensorF bias_;    ///< [out]
-  WeightSlot prepared_{/*transposed=*/true};
+  WeightSlot prepared_;
 };
 
 }  // namespace drift::nn

@@ -41,10 +41,10 @@ ResidualBlock::ResidualBlock(std::string name, std::int64_t in_channels,
 }
 
 TensorF ResidualBlock::forward(const TensorF& input, QuantEngine& engine) {
-  // Elementwise stages run through the same primitive layers the graph
-  // runtime binds, so both execution paths produce identical per-node
-  // obs records (pinned by tests/graph/).  ReLU's kernel is the same
-  // max(v, 0) this loop used inline, so the split is bitwise-neutral.
+  // The ReLU stages run as layers of their own, so the forward writes
+  // one obs layer record per stage, relu1 and relu2 included (pinned by
+  // Model.ResidualBlockPreservesShapeWithProjection).  ReLU's kernel is
+  // the max(v, 0) an inline loop would apply, so this is bitwise-neutral.
   TensorF main = conv1_.forward(input, engine);
   main = bn1_.forward(main, engine);
   main = relu1_.forward(main, engine);
@@ -84,8 +84,8 @@ TensorF TransformerBlock::forward(const TensorF& input, QuantEngine& engine) {
   {
     TensorF h = ln2_.forward(x, engine);
     h = ffn1_.forward(h, engine);
-    // Same gelu_value kernel the inline loop applied, now via the GELU
-    // layer so the obs record set matches graph execution.
+    // gelu_value through the GELU layer, so the stage writes its own
+    // obs layer record (pinned by Model.TransformerBlockPreservesShape).
     h = gelu_.forward(h, engine);
     h = ffn2_.forward(h, engine);
     auto xd = x.data();

@@ -48,40 +48,6 @@ TensorF MaxPool2d::forward(const TensorF& input, QuantEngine&) {
   return out;
 }
 
-AvgPool2d::AvgPool2d(std::string name, std::int64_t kernel,
-                     std::int64_t stride)
-    : name_(std::move(name)), kernel_(kernel), stride_(stride) {
-  DRIFT_CHECK(kernel > 0 && stride > 0, "invalid pooling geometry");
-}
-
-TensorF AvgPool2d::forward(const TensorF& input, QuantEngine&) {
-  DRIFT_OBS_LAYER_SCOPE(name_);
-  DRIFT_CHECK(input.shape().rank() == 3, "AvgPool2d expects [C, H, W]");
-  const std::int64_t C = input.shape().dim(0);
-  const std::int64_t H = input.shape().dim(1);
-  const std::int64_t W = input.shape().dim(2);
-  const std::int64_t OH = (H - kernel_) / stride_ + 1;
-  const std::int64_t OW = (W - kernel_) / stride_ + 1;
-  DRIFT_CHECK(OH > 0 && OW > 0, "pooling kernel larger than input");
-
-  const double inv_window = 1.0 / static_cast<double>(kernel_ * kernel_);
-  TensorF out(Shape{C, OH, OW});
-  for (std::int64_t c = 0; c < C; ++c) {
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        double acc = 0.0;
-        for (std::int64_t dh = 0; dh < kernel_; ++dh) {
-          for (std::int64_t dw = 0; dw < kernel_; ++dw) {
-            acc += input(c, oh * stride_ + dh, ow * stride_ + dw);
-          }
-        }
-        out(c, oh, ow) = static_cast<float>(acc * inv_window);
-      }
-    }
-  }
-  return out;
-}
-
 TensorF GlobalAvgPool::forward(const TensorF& input, QuantEngine&) {
   DRIFT_OBS_LAYER_SCOPE(name_);
   DRIFT_CHECK(input.shape().rank() == 3, "GlobalAvgPool expects [C, H, W]");

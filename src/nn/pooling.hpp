@@ -18,19 +18,6 @@ class MaxPool2d : public Layer {
   std::int64_t kernel_, stride_;
 };
 
-/// Average pooling over [C, H, W] with square kernel and stride.
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(std::string name, std::int64_t kernel, std::int64_t stride);
-
-  TensorF forward(const TensorF& input, QuantEngine& engine) override;
-  const std::string& name() const override { return name_; }
-
- private:
-  std::string name_;
-  std::int64_t kernel_, stride_;
-};
-
 /// Global average pooling: [C, H, W] -> [1, C] (GEMM-ready row vector).
 class GlobalAvgPool : public Layer {
  public:

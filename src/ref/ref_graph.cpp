@@ -1,11 +1,6 @@
 #include "ref/ref_graph.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-// drift-lint: allow(oracle-include) — assertion macro only; shares no
-// logic with the code under test.
-#include "util/assert.hpp"
 
 namespace drift::ref {
 
@@ -46,111 +41,6 @@ std::vector<std::int64_t> broadcast_shape(
 bool head_split_ok(std::int64_t dim, std::int64_t heads) {
   if (dim <= 0 || heads <= 0) return false;
   return (dim / heads) * heads == dim;
-}
-
-float ref_relu(float x) { return x > 0.0f ? x : 0.0f; }
-
-float ref_gelu(float x) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  const float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-std::vector<float> ref_softmax_row(std::span<const float> row) {
-  DRIFT_CHECK(!row.empty(), "softmax of an empty row");
-  float peak = row[0];
-  for (const float v : row) peak = std::max(peak, v);
-  std::vector<float> out(row.size());
-  double denom = 0.0;
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    const double e = std::exp(static_cast<double>(row[j] - peak));
-    out[j] = static_cast<float>(e);
-    denom += e;
-  }
-  for (float& v : out) v = static_cast<float>(v / denom);
-  return out;
-}
-
-namespace {
-
-std::int64_t numel_of(const std::vector<std::int64_t>& dims) {
-  std::int64_t n = 1;
-  for (const std::int64_t d : dims) n *= d;
-  return n;
-}
-
-}  // namespace
-
-std::vector<float> ref_broadcast_add(std::span<const float> a,
-                                     const std::vector<std::int64_t>& da,
-                                     std::span<const float> b,
-                                     const std::vector<std::int64_t>& db) {
-  const std::vector<std::int64_t> out_dims = broadcast_shape(da, db);
-  DRIFT_CHECK(!out_dims.empty(), "operands do not broadcast");
-  const std::int64_t total = numel_of(out_dims);
-  std::vector<float> out(static_cast<std::size_t>(total));
-
-  // Element lookup by explicit multi-index modulo each operand's
-  // extent (clamping broadcast axes via %), recomputed per element —
-  // naive on purpose.
-  const auto fetch = [&out_dims](std::span<const float> data,
-                                 const std::vector<std::int64_t>& dims,
-                                 std::int64_t flat) {
-    std::vector<std::int64_t> index(out_dims.size(), 0);
-    for (std::size_t r = out_dims.size(); r-- > 0;) {
-      index[r] = flat % out_dims[r];
-      flat /= out_dims[r];
-    }
-    const std::size_t pad = out_dims.size() - dims.size();
-    std::int64_t offset = 0;
-    for (std::size_t r = 0; r < dims.size(); ++r) {
-      offset = offset * dims[r] + index[pad + r] % dims[r];
-    }
-    return data[static_cast<std::size_t>(offset)];
-  };
-  for (std::int64_t flat = 0; flat < total; ++flat) {
-    out[static_cast<std::size_t>(flat)] =
-        fetch(a, da, flat) + fetch(b, db, flat);
-  }
-  return out;
-}
-
-std::vector<float> ref_concat(
-    const std::vector<std::vector<float>>& parts,
-    const std::vector<std::vector<std::int64_t>>& dims, std::int64_t axis) {
-  DRIFT_CHECK(!parts.empty() && parts.size() == dims.size(),
-              "concat needs matching parts and dims");
-  std::vector<std::int64_t> out_dims = dims[0];
-  for (std::size_t i = 1; i < dims.size(); ++i) {
-    out_dims[static_cast<std::size_t>(axis)] +=
-        dims[i][static_cast<std::size_t>(axis)];
-  }
-  std::vector<float> out(static_cast<std::size_t>(numel_of(out_dims)));
-
-  // Naive per-element placement: walk every part's own multi-index,
-  // shift the concat axis, and write through the output's strides.
-  std::int64_t axis_base = 0;
-  for (std::size_t part = 0; part < parts.size(); ++part) {
-    const std::vector<std::int64_t>& d = dims[part];
-    const std::int64_t n = numel_of(d);
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-      std::vector<std::int64_t> index(d.size(), 0);
-      std::int64_t rest = flat;
-      for (std::size_t r = d.size(); r-- > 0;) {
-        index[r] = rest % d[r];
-        rest /= d[r];
-      }
-      index[static_cast<std::size_t>(axis)] += axis_base;
-      std::int64_t offset = 0;
-      for (std::size_t r = 0; r < out_dims.size(); ++r) {
-        offset = offset * out_dims[r] + index[r];
-      }
-      out[static_cast<std::size_t>(offset)] =
-          parts[part][static_cast<std::size_t>(flat)];
-    }
-    axis_base += d[static_cast<std::size_t>(axis)];
-  }
-  return out;
 }
 
 }  // namespace drift::ref

@@ -1,16 +1,12 @@
-// Reference oracles for the graph runtime (src/graph): independent
-// closed forms for per-op shape arithmetic, naive elementwise /
-// broadcast / concat evaluators sharing no code with src/nn kernels,
-// and a recursive demand-driven DAG evaluator that serves as the
-// execution oracle for the iterative, lifetime-tracking executor.
+// Reference oracles for the graph runtime's shape rules (src/graph):
+// independent closed forms for per-op shape arithmetic, pinned against
+// the op registry by tests/prop/prop_graph.cpp.
 //
-// Deliberately free of src/graph includes: graphs are passed as plain
-// producer-index adjacency, so the oracle cannot accidentally agree
-// with the implementation by construction.
+// Deliberately free of src/graph includes, so the oracle cannot
+// accidentally agree with the implementation by construction.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace drift::ref {
@@ -35,69 +31,5 @@ std::vector<std::int64_t> broadcast_shape(
 
 /// Whether `dim` splits evenly into `heads` attention heads.
 bool head_split_ok(std::int64_t dim, std::int64_t heads);
-
-// ---------------------------------------------------------------------
-// Naive elementwise / structural evaluators (float path).
-// ---------------------------------------------------------------------
-
-float ref_relu(float x);
-/// Tanh-approximation GELU, same float expression order as the
-/// production kernel so the comparison can be bitwise.
-float ref_gelu(float x);
-/// Numerically-stable softmax of one row (peak subtract, double
-/// accumulation), matching the production row recipe bitwise.
-std::vector<float> ref_softmax_row(std::span<const float> row);
-
-/// Broadcast add of two row-major buffers with the given shapes.
-std::vector<float> ref_broadcast_add(std::span<const float> a,
-                                     const std::vector<std::int64_t>& da,
-                                     std::span<const float> b,
-                                     const std::vector<std::int64_t>& db);
-
-/// Concatenation of row-major buffers along `axis`.
-std::vector<float> ref_concat(
-    const std::vector<std::vector<float>>& parts,
-    const std::vector<std::vector<std::int64_t>>& dims, std::int64_t axis);
-
-// ---------------------------------------------------------------------
-// Recursive demand-driven DAG evaluation.
-// ---------------------------------------------------------------------
-
-/// Evaluates every node of a DAG by memoized recursion over producers.
-/// Value ids are [0, inputs.size()) for graph inputs, then
-/// inputs.size() + n for node n; `producers[n]` lists node n's operand
-/// ids.  `eval_node(n, operand_ptrs)` computes node n's value.
-/// Returns all values (inputs first).  Purely demand-driven — the
-/// opposite scheduling strategy from the iterative executor under
-/// test.
-template <typename Value, typename EvalFn>
-std::vector<Value> recursive_eval(
-    const std::vector<std::vector<int>>& producers,
-    const std::vector<Value>& inputs, EvalFn&& eval_node) {
-  const std::size_t num_inputs = inputs.size();
-  std::vector<Value> values(num_inputs + producers.size());
-  std::vector<char> ready(values.size(), 0);
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    values[i] = inputs[i];
-    ready[i] = 1;
-  }
-  auto eval = [&](auto&& self, std::size_t id) -> const Value& {
-    if (ready[id] == 0) {
-      const std::vector<int>& deps = producers[id - num_inputs];
-      std::vector<const Value*> args;
-      args.reserve(deps.size());
-      for (const int p : deps) {
-        args.push_back(&self(self, static_cast<std::size_t>(p)));
-      }
-      values[id] = eval_node(id - num_inputs, args);
-      ready[id] = 1;
-    }
-    return values[id];
-  };
-  for (std::size_t n = 0; n < producers.size(); ++n) {
-    eval(eval, num_inputs + n);
-  }
-  return values;
-}
 
 }  // namespace drift::ref

@@ -25,16 +25,6 @@ std::int64_t Shape::numel() const {
   return n;
 }
 
-std::vector<std::int64_t> Shape::strides() const {
-  std::vector<std::int64_t> s(dims_.size());
-  std::int64_t acc = 1;
-  for (std::int64_t i = rank() - 1; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = acc;
-    acc *= dims_[static_cast<std::size_t>(i)];
-  }
-  return s;
-}
-
 std::string Shape::to_string() const {
   std::ostringstream os;
   os << '[';

@@ -25,9 +25,6 @@ class Shape {
   /// Total element count (1 for rank-0).
   std::int64_t numel() const;
 
-  /// Row-major strides, in elements.
-  std::vector<std::int64_t> strides() const;
-
   /// Flat offset of a multi-index (must have length == rank), folded
   /// Horner-style over dims_: no strides vector, no allocation.
   std::int64_t offset(std::initializer_list<std::int64_t> index) const {

@@ -5,9 +5,10 @@
 // fallback to a default, and it writes no artifact; a malformed input
 // file or a run that fails is an error exit (1), never a crash, and a
 // failed run still flushes parseable partial artifacts.  A bare flag
-// never takes the next token.  A topology with a mistyped attribute or
-// an unknown family exits 1 before any work, naming what is wrong.
-// drift_graph compare prints every design.
+// never takes the next token.  A topology with a mistyped or misspelled
+// attribute, an unknown `kind` value or an unknown family exits 1
+// before any work, naming what is wrong.  drift_graph compare prints
+// every design, and the examples write only their artifact.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -295,9 +297,10 @@ std::string edited_zoo_file(const std::string& stem, const std::string& from,
 
 TEST(Cli, DriftGraphMistypedTopologyExitsOneNamingIt) {
   // Each once died in shape inference or the export with a message that
-  // named neither node nor attribute, or passed validate and failed in
-  // run.  Now validation names them: every command exits 1 before any
-  // work, and run and compare write no artifact.
+  // named neither node nor attribute, passed validate and failed in
+  // run, or (the misspelled attribute and the unknown kind) ran on the
+  // op's default.  Now validation names them: every command exits 1
+  // before any work, and run and compare write no artifact.
   const struct {
     const char* stem;
     const char* from;
@@ -314,6 +317,12 @@ TEST(Cli, DriftGraphMistypedTopologyExitsOneNamingIt) {
        "node 'fc': attribute 'kind' must be a string"},
       {"resnet18", "\"family\": \"cnn\"", "\"family\": \"cnnx\"",
        "graph 'resnet18': unknown family 'cnnx' (valid: cnn, vit, bert, llm)"},
+      {"resnet18", "\"stride\": 2}", "\"strid\": 2}",
+       "node 'conv1': unknown attribute 'strid' (valid for conv2d: kernel, "
+       "kind, out_channels, pad, stride)"},
+      {"resnet18", "\"kind\": \"fc\"", "\"kind\": \"fcx\"",
+       "node 'fc': attribute 'kind' has unknown value 'fcx' (valid for "
+       "linear: fc, ffn, proj, qkv, embed)"},
   };
   const std::string metrics = temp_path("drift_graph", "mistyped_m.json");
   for (const auto& probe : kProbes) {
@@ -448,9 +457,11 @@ TEST(Cli, Table1RejectsUnknownFlag) {
 // A binary that takes no positional argument rejects one as it
 // rejects an unknown flag: exit 2 before any work, no artifact.
 TEST(Cli, StrayArgumentWritesNoArtifact) {
-  expect_usage_error_no_artifact(example_bin("quickstart"),
-                                 "extra_positional",
-                                 "unexpected argument 'extra_positional'");
+  for (const char* example :
+       {"quickstart", "vit_pipeline", "llm_layer_study"}) {
+    expect_usage_error_no_artifact(example_bin(example), "extra_positional",
+                                   "unexpected argument 'extra_positional'");
+  }
   expect_usage_error_no_artifact(DRIFT_SERVE_BIN, "stray --requests=8",
                                  "unexpected argument 'stray'");
 }
@@ -483,7 +494,8 @@ TEST(Cli, ServingStudyTakesOneOutputPath) {
 TEST(Cli, UsageErrorWritesNoArtifact) {
   const std::string path = ::testing::TempDir() + "drift_cli_usage.json";
   for (const std::string& command :
-       {bench_bin("fig7_latency"),
+       {bench_bin("fig7_latency"), example_bin("vit_pipeline"),
+        example_bin("llm_layer_study"),
         std::string(DRIFT_GRAPH_BIN) + " run " + kResnet18,
         std::string(DRIFT_SERVE_BIN) + " " + kServeArgs}) {
     std::remove(path.c_str());
@@ -492,6 +504,32 @@ TEST(Cli, UsageErrorWritesNoArtifact) {
     EXPECT_FALSE(std::ifstream(path).good()) << command << " wrote " << path;
   }
   std::remove(path.c_str());
+}
+
+// A plain run of an example that prints its study exits 0 and writes
+// exactly one file, its parseable --metrics-out artifact.
+TEST(Cli, ExampleRunWritesOnlyItsMetrics) {
+  for (const char* example : {"vit_pipeline", "llm_layer_study"}) {
+    const std::string dir =
+        ::testing::TempDir() + "drift_cli_" + example + "_plain";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const CliResult r = run("cd " + dir + " && " + example_bin(example),
+                            "--metrics-out=m.json");
+    EXPECT_EQ(r.exit_code, 0) << example << "\n" << r.output;
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files.push_back(entry.path().filename().string());
+    }
+    EXPECT_EQ(files, std::vector<std::string>{"m.json"}) << example;
+    std::ifstream in(dir + "/m.json", std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    drift::JsonError error;
+    EXPECT_TRUE(drift::parse_json(text.str(), error).has_value())
+        << example << ": " << error.what();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // Each bench runs in an empty directory of its own, which a usage

@@ -1,10 +1,11 @@
-// Fluent programmatic graph construction.
+// Fluent graph construction for the validation tests.
 //
 // The builder is sugar over the Graph data model: it keeps track of
 // the most recently produced value so straight-line chains read like a
-// Sequential definition, while branches (residual adds, concats) name
-// their operands explicitly.  build() returns the plain Graph — the
-// builder holds no extra state worth keeping.
+// layer list, while branches (residual adds, concats) name their
+// operands explicitly.  build() returns the plain Graph — the builder
+// holds no extra state worth keeping.  Topologies outside the tests
+// are JSON files (graph/json_topology.hpp).
 #pragma once
 
 #include <utility>
@@ -51,9 +52,6 @@ class GraphBuilder {
     graph_.outputs.push_back(std::move(value_name));
     return *this;
   }
-
-  /// Name of the most recently added input or node.
-  const std::string& last() const { return last_; }
 
   /// Finishes the graph; if no output was declared, the last value is
   /// promoted to the sole output.

@@ -1,40 +1,31 @@
 // Graph-runtime structural tests (label: graph):
 //   - every malformed-graph class fails validation with the offending
 //     node named in the message (the CLI surfaces these verbatim): a
-//     mistyped attribute names the node and the attribute, an unknown
+//     mistyped or unknown attribute and an unknown `kind` value name
+//     the node, the attribute and the op's valid choices, an unknown
 //     family names the graph, and every committed
 //     examples/model_zoo/*.json file validates clean;
 //   - JSON topology schema errors name the node; deep nesting is a
 //     byte-offset parse error and \u escapes parse;
 //   - the resnet18 zoo file exports exactly the GEMM list the
 //     hand-written nn::make_resnet18() emits, index for index, and the
-//     transformer zoo files share their twins' per-token GEMM shapes;
-//   - composite nn blocks (ResidualBlock / TransformerBlock) and their
-//     graph-runtime equivalents produce bitwise-identical outputs and
-//     the same per-node obs record set (the latent-inconsistency fix);
-//   - executor lifetime tracking frees intermediates in-flight.
+//     transformer zoo files share their twins' per-token GEMM shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "graph/builder.hpp"
-#include "graph/executor.hpp"
+#include "builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/json_topology.hpp"
 #include "graph/ops.hpp"
 #include "graph/workload_export.hpp"
-#include "nn/model.hpp"
-#include "nn/quant_engine.hpp"
 #include "nn/workload.hpp"
-#include "obs/metrics.hpp"
 #include "pipeline.hpp"
-#include "util/rng.hpp"
 #include "zoo_files.hpp"
 
 namespace drift {
@@ -44,7 +35,6 @@ using graph::AttrMap;
 using graph::Attr;
 using graph::Graph;
 using graph::GraphBuilder;
-using graph::GraphExecutor;
 
 /// True when some validation error mentions both fragments (the node
 /// name and the reason) — the tests pin that failures are actionable.
@@ -191,9 +181,12 @@ std::vector<std::string> edited_zoo_errors(const std::string& stem,
 }
 
 TEST(GraphValidate, MistypedAttributeNamesNodeAndAttribute) {
-  // These once passed validation and then threw "attribute is not an
-  // integer" (or a string) naming neither, from shape inference or the
-  // export.
+  // The first two once passed validation and then threw "attribute is
+  // not an integer" (or a string) naming neither, from shape inference
+  // or the export.  The others once passed validation and ran on the
+  // op's default: a stride of 1 (conv1 came out [64, 224, 224]), the
+  // fc and conv layer kinds, and nothing for relu, which reads no
+  // attribute.
   EXPECT_EQ(edited_zoo_errors("resnet18", "\"kernel\": 7,",
                               "\"kernel\": \"7\","),
             std::vector<std::string>{
@@ -201,6 +194,25 @@ TEST(GraphValidate, MistypedAttributeNamesNodeAndAttribute) {
   EXPECT_EQ(edited_zoo_errors("resnet18", "\"kind\": \"fc\"", "\"kind\": 3"),
             std::vector<std::string>{
                 "node 'fc': attribute 'kind' must be a string"});
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"stride\": 2}", "\"strid\": 2}"),
+            std::vector<std::string>{
+                "node 'conv1': unknown attribute 'strid' (valid for conv2d: "
+                "kernel, kind, out_channels, pad, stride)"});
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"kind\": \"fc\"",
+                              "\"kind\": \"fcx\""),
+            std::vector<std::string>{
+                "node 'fc': attribute 'kind' has unknown value 'fcx' "
+                "(valid for linear: fc, ffn, proj, qkv, embed)"});
+  EXPECT_EQ(edited_zoo_errors("resnet18", "\"kernel\": 7,",
+                              "\"kind\": \"ffn\", \"kernel\": 7,"),
+            std::vector<std::string>{
+                "node 'conv1': attribute 'kind' has unknown value 'ffn' "
+                "(valid for conv2d: conv, embed)"});
+  EXPECT_EQ(edited_zoo_errors(
+                "resnet18", "\"inputs\": [\"bn1\"]}",
+                "\"inputs\": [\"bn1\"], \"attrs\": {\"axis\": 0}}"),
+            std::vector<std::string>{"node 'relu1': unknown attribute "
+                                     "'axis' (valid for relu: none)"});
 }
 
 TEST(GraphValidate, FractionalAttributeIsAParseErrorNamingIt) {
@@ -366,198 +378,6 @@ TEST(GraphExport, TransformerZooGraphsShareThePaperShapes) {
       }
     }
   }
-}
-
-// --------------------------------------------------------------------
-// Composite blocks vs. graph execution: bitwise outputs and identical
-// per-node obs record sets (satellite 4's pin).
-// --------------------------------------------------------------------
-
-/// Names of the layer records currently in the registry.
-std::set<std::string> scrape_record_names() {
-  std::set<std::string> names;
-  // The canonical scrape always includes layer records; pulling names
-  // via layer_record would create them, so parse the JSON lines.
-  const std::string json = obs::Registry::global().to_json({"none."});
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::string marker = "\"layer\": \"";
-    const std::size_t pos = line.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t start = pos + marker.size();
-    const std::size_t end = line.find('"', start);
-    names.insert(line.substr(start, end - start));
-  }
-  return names;
-}
-
-TensorF fill_normal(Shape shape, std::uint64_t seed) {
-  TensorF t(std::move(shape));
-  Rng rng(seed);
-  for (auto& v : t.data()) v = static_cast<float>(rng.normal());
-  return t;
-}
-
-void expect_bitwise_equal(const TensorF& a, const TensorF& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  const auto ad = a.data();
-  const auto bd = b.data();
-  for (std::size_t i = 0; i < ad.size(); ++i) {
-    ASSERT_EQ(ad[i], bd[i]) << "element " << i;
-  }
-}
-
-TEST(GraphComposite, ResidualBlockMatchesGraphBitwiseAndInObsRecords) {
-  const std::int64_t in_ch = 4, out_ch = 8, stride = 2;
-  const TensorF input = fill_normal(Shape{in_ch, 10, 10}, 33);
-  nn::QuantEngine::Config cfg;
-  cfg.mode = nn::QuantMode::kDrift;
-
-  // Composite arm.  Same rng seed as the graph arm; the block's ctor
-  // draws conv1, conv2, projection in that order.
-  obs::Registry::global().reset();
-  Rng block_rng(5);
-  nn::ResidualBlock block("b", in_ch, out_ch, stride, block_rng);
-  nn::QuantEngine block_engine(cfg);
-  const TensorF block_out = block.forward(input, block_engine);
-  const std::set<std::string> block_records = scrape_record_names();
-
-  // Graph arm.  Insertion order fixes the rng bind order: the three
-  // conv nodes must bind conv1, conv2, proj exactly like the ctor
-  // (bn/relu binders draw nothing, and `add` is a graph-level op).
-  Graph g = GraphBuilder("resblock")
-                .input("x", {in_ch, 10, 10})
-                .then("b.conv1", "conv2d",
-                      AttrMap{{"out_channels", Attr::of_int(out_ch)},
-                              {"kernel", Attr::of_int(3)},
-                              {"stride", Attr::of_int(stride)},
-                              {"pad", Attr::of_int(1)}})
-                .then("b.bn1", "batchnorm2d")
-                .then("b.relu1", "relu")
-                .then("b.conv2", "conv2d",
-                      AttrMap{{"out_channels", Attr::of_int(out_ch)},
-                              {"kernel", Attr::of_int(3)},
-                              {"pad", Attr::of_int(1)}})
-                .then("b.bn2", "batchnorm2d")
-                .node("b.proj", "conv2d", {"x"},
-                      AttrMap{{"out_channels", Attr::of_int(out_ch)},
-                              {"kernel", Attr::of_int(1)},
-                              {"stride", Attr::of_int(stride)}})
-                .node("b.add", "add", {"b.bn2", "b.proj"})
-                .then("b.relu2", "relu")
-                .build();
-  obs::Registry::global().reset();
-  Rng graph_rng(5);
-  GraphExecutor executor(std::move(g), graph_rng);
-  nn::QuantEngine graph_engine(cfg);
-  const TensorF graph_out = executor.run({input}, graph_engine).front();
-  const std::set<std::string> graph_records = scrape_record_names();
-
-  expect_bitwise_equal(block_out, graph_out);
-  // The latent-inconsistency fix: the composite forward now reports
-  // relu stages through the same primitive layers the graph binds, so
-  // both paths attribute work to the identical node set.
-  EXPECT_EQ(block_records, graph_records);
-  EXPECT_TRUE(graph_records.count("b.relu1") == 1 &&
-              graph_records.count("b.relu2") == 1)
-      << "relu stages missing from the per-node records";
-}
-
-TEST(GraphComposite, TransformerBlockMatchesGraphBitwiseAndInObsRecords) {
-  const std::int64_t tokens = 6, dim = 16, heads = 4, ffn = 32;
-  const TensorF input = fill_normal(Shape{tokens, dim}, 44);
-  nn::QuantEngine::Config cfg;
-  cfg.mode = nn::QuantMode::kDrift;
-
-  obs::Registry::global().reset();
-  Rng block_rng(9);
-  nn::TransformerBlock block("t", dim, heads, ffn, block_rng);
-  nn::QuantEngine block_engine(cfg);
-  const TensorF block_out = block.forward(input, block_engine);
-  const std::set<std::string> block_records = scrape_record_names();
-
-  // rng bind order attn, ffn1, ffn2 — the ctor's member order.
-  Graph g = GraphBuilder("xblock", "vit")
-                .input("x", {tokens, dim})
-                .then("t.ln1", "layernorm")
-                .then("t.attn", "attention",
-                      AttrMap{{"heads", Attr::of_int(heads)}})
-                .node("t.add1", "add", {"t.attn", "x"})
-                .then("t.ln2", "layernorm")
-                .then("t.ffn1", "linear",
-                      AttrMap{{"out_features", Attr::of_int(ffn)},
-                              {"kind", Attr::of_string("ffn")}})
-                .then("t.gelu", "gelu")
-                .then("t.ffn2", "linear",
-                      AttrMap{{"out_features", Attr::of_int(dim)},
-                              {"kind", Attr::of_string("ffn")}})
-                .node("t.add2", "add", {"t.ffn2", "t.add1"})
-                .build();
-  obs::Registry::global().reset();
-  Rng graph_rng(9);
-  GraphExecutor executor(std::move(g), graph_rng);
-  nn::QuantEngine graph_engine(cfg);
-  const TensorF graph_out = executor.run({input}, graph_engine).front();
-  const std::set<std::string> graph_records = scrape_record_names();
-
-  expect_bitwise_equal(block_out, graph_out);
-  EXPECT_EQ(block_records, graph_records);
-  EXPECT_EQ(graph_records.count("t.gelu"), 1u)
-      << "gelu stage missing from the per-node records";
-}
-
-// --------------------------------------------------------------------
-// Lifetime tracking: intermediates are freed in-flight.
-// --------------------------------------------------------------------
-
-TEST(GraphLifetime, ChainFreesIntermediatesAndBoundsResidency) {
-  // A 6-stage elementwise chain over a [64, 64] tensor: at any moment
-  // at most producer + consumer are resident, so the peak must stay
-  // far below the sum of all values while every non-output dies.
-  GraphBuilder b("chain");
-  b.input("x", {64, 64});
-  const int stages = 6;
-  for (int i = 0; i < stages; ++i) {
-    std::string stage_name = "n";
-    stage_name += std::to_string(i);
-    b.then(std::move(stage_name), i % 2 == 0 ? "relu" : "gelu");
-  }
-  Rng rng(3);
-  GraphExecutor executor(b.build(), rng);
-  nn::QuantEngine engine(nn::QuantEngine::Config{});
-  const TensorF input = fill_normal(Shape{64, 64}, 7);
-  const auto outputs = executor.run({input}, engine);
-  ASSERT_EQ(outputs.size(), 1u);
-
-  const std::int64_t tensor_bytes = 64 * 64 * sizeof(float);
-  // input + stages values exist over the run; output survives.
-  EXPECT_EQ(executor.tensors_freed(), stages);  // input + intermediates
-  EXPECT_GE(executor.peak_resident_bytes(), 2 * tensor_bytes);
-  EXPECT_LE(executor.peak_resident_bytes(), 3 * tensor_bytes);
-}
-
-TEST(GraphLifetime, FanOutKeepsValueAliveUntilLastConsumer) {
-  // x feeds both branches and the final add; it must survive until the
-  // add runs even though the first consumer fires immediately.
-  Graph g = GraphBuilder("fan")
-                .input("x", {32, 32})
-                .then("a", "relu")
-                .node("b", "gelu", {"x"})
-                .node("sum", "add", {"a", "b"})
-                .build();
-  Rng rng(4);
-  GraphExecutor executor(std::move(g), rng);
-  nn::QuantEngine engine(nn::QuantEngine::Config{});
-  const TensorF input = fill_normal(Shape{32, 32}, 8);
-  const auto outputs = executor.run({input}, engine);
-  ASSERT_EQ(outputs.size(), 1u);
-
-  // x, a, b all die; sum is the retained output.
-  EXPECT_EQ(executor.tensors_freed(), 3);
-  const std::int64_t tensor_bytes = 32 * 32 * sizeof(float);
-  // x + a + b resident together just before the add consumes them.
-  EXPECT_GE(executor.peak_resident_bytes(), 3 * tensor_bytes);
 }
 
 }  // namespace

@@ -260,10 +260,10 @@ TEST(PropKernels, Conv2dLoweringBitExactVsDirectRefAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Prepared weights.  Linear, Conv2d and DepthwiseConv2d render their
-// weight once per engine config (nn::WeightSlot); a layer whose slot
-// has seen other configs must forward exactly like a freshly built twin
-// and like the uncached path, process_weight + matmul_nt.
+// Prepared weights.  Linear and Conv2d render their weight once per
+// engine config (nn::WeightSlot); a layer whose slot has seen other
+// configs must forward exactly like a freshly built twin and like the
+// uncached path, process_weight + matmul_nt.
 
 /// A random engine config drawn from small value pools, so a handful
 /// of draws covers all four modes, budgets, dynamic_weights and hp/lp.

@@ -1,8 +1,12 @@
 // Tests for src/nn layers: GEMM, conv/im2col, activations, norms,
-// pooling, attention, composite blocks.
+// pooling, attention, composite blocks (shapes and the obs layer
+// record each stage writes).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -11,12 +15,30 @@
 #include "nn/model.hpp"
 #include "nn/norm.hpp"
 #include "nn/pooling.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace drift::nn {
 namespace {
 
 QuantEngine fp32_engine() { return QuantEngine(QuantEngine::Config{}); }
+
+/// Names of the obs layer records in the registry.  They are parsed
+/// from the canonical scrape, since asking layer_record for a name
+/// would create it.
+std::set<std::string> record_names() {
+  std::set<std::string> names;
+  std::istringstream lines(obs::Registry::global().to_json({"none."}));
+  const std::string marker = "\"layer\": \"";
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t pos = line.find(marker);
+    if (pos == std::string::npos) continue;
+    const std::size_t start = pos + marker.size();
+    names.insert(line.substr(start, line.find('"', start) - start));
+  }
+  return names;
+}
 
 TEST(Gemm, MatmulHandExample) {
   TensorF a(Shape{2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
@@ -295,9 +317,14 @@ TEST(Model, ResidualBlockPreservesShapeWithProjection) {
   TensorF x(Shape{4, 8, 8});
   for (float& v : x.data()) v = static_cast<float>(rng.normal());
   auto engine = fp32_engine();
+  obs::Registry::global().reset();
   const TensorF y = block.forward(x, engine);
   EXPECT_EQ(y.shape(), (Shape{8, 4, 4}));
   for (float v : y.data()) EXPECT_GE(v, 0.0f);  // final ReLU
+  // One layer record per stage: both ReLUs write their own.
+  EXPECT_EQ(record_names(),
+            (std::set<std::string>{"b.bn1", "b.bn2", "b.conv1", "b.conv2",
+                                   "b.proj", "b.relu1", "b.relu2"}));
 }
 
 TEST(Model, TransformerBlockPreservesShape) {
@@ -306,10 +333,17 @@ TEST(Model, TransformerBlockPreservesShape) {
   TensorF x(Shape{5, 16});
   for (float& v : x.data()) v = static_cast<float>(rng.normal());
   auto engine = fp32_engine();
+  obs::Registry::global().reset();
   const TensorF y = block.forward(x, engine);
   EXPECT_EQ(y.shape(), (Shape{5, 16}));
   // 4 quantized GEMMs: qkv, proj, ffn1, ffn2.
   EXPECT_EQ(engine.records().size(), 4u);
+  // One layer record per stage, the GELU included, plus attention's
+  // two projections.
+  EXPECT_EQ(record_names(),
+            (std::set<std::string>{"t.attn", "t.attn.proj", "t.attn.qkv",
+                                   "t.ffn1", "t.ffn2", "t.gelu", "t.ln1",
+                                   "t.ln2"}));
 }
 
 }  // namespace

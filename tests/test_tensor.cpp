@@ -18,12 +18,6 @@ TEST(Shape, NumelAndRank) {
   EXPECT_EQ(s.dim(1), 3);
 }
 
-TEST(Shape, RowMajorStrides) {
-  const Shape s{2, 3, 4};
-  const auto strides = s.strides();
-  EXPECT_EQ(strides, (std::vector<std::int64_t>{12, 4, 1}));
-}
-
 TEST(Shape, OffsetComputation) {
   const Shape s{2, 3, 4};
   EXPECT_EQ(s.offset({0, 0, 0}), 0);
