@@ -17,7 +17,7 @@
 
 using namespace drift;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -76,4 +76,7 @@ int main(int argc, char** argv) {
       "while extreme aspect ratios (8x99, 24x8) erode both designs by\n"
       "starving one GEMM dimension.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "ablation_array_scaling: %s\n", e.what());
+  return 1;
 }

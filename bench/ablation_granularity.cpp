@@ -20,7 +20,7 @@
 
 using namespace drift;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -90,4 +90,7 @@ int main(int argc, char** argv) {
       "coverage for cheaper MACs, INT5 the reverse — the BG fabric\n"
       "supports all of them (Section 5.3).\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "ablation_granularity: %s\n", e.what());
+  return 1;
 }

@@ -17,7 +17,7 @@
 
 using namespace drift;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -64,4 +64,7 @@ int main(int argc, char** argv) {
       "fixed split, and the greedy sweep matches the exhaustive oracle to\n"
       "within a few percent at O(R+C) instead of O(R*C) evaluations.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "ablation_scheduler: %s\n", e.what());
+  return 1;
 }

@@ -19,7 +19,7 @@
 
 using namespace drift;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -81,4 +81,7 @@ int main(int argc, char** argv) {
       "a cliff past the tolerance — hence 'minimum threshold with\n"
       "negligible impact'.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "ablation_threshold: %s\n", e.what());
+  return 1;
 }

@@ -88,7 +88,7 @@ FamilyReport profile_family(const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -138,4 +138,7 @@ int main(int argc, char** argv) {
   std::printf("paper claim check: sub-tensors span wide ranges and are\n"
               "Laplace-preferred (KS(Laplace) < KS(Normal), kurtosis ~ +3).\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig1_subtensor_dynamics: %s\n", e.what());
+  return 1;
 }

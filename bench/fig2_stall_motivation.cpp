@@ -47,7 +47,7 @@ std::vector<bool> make_pattern(std::int64_t rows, bool contiguous) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -141,4 +141,7 @@ int main(int argc, char** argv) {
               "it degenerates to static INT8 while Drift's split arrays\n"
               "retain the speedup.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig2_stall_motivation: %s\n", e.what());
+  return 1;
 }

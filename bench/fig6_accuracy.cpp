@@ -40,7 +40,7 @@ nn::QuantEngine make_engine(nn::QuantMode mode, double budget,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -146,4 +146,7 @@ int main(int argc, char** argv) {
       "the ViT/BERT rows (paper: >12%% drop); Drift stays near INT8 on all\n"
       "rows while executing a large 4-bit share.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig6_accuracy: %s\n", e.what());
+  return 1;
 }

@@ -16,7 +16,7 @@
 
 using namespace drift;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -69,4 +69,7 @@ int main(int argc, char** argv) {
       "BitFusion, ~1.64x over DRQ on average; DRQ nearly flat vs BitFusion\n"
       "on ViT-B (1.07x in the paper) but clearly ahead on the CNNs.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig7_latency: %s\n", e.what());
+  return 1;
 }

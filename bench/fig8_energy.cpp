@@ -31,7 +31,7 @@ void add_breakdown_row(TextTable& table, CsvWriter& csv,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
       "\npaper claim check (shape): energy ordering Drift < DRQ < BitFusion\n"
       "< Eyeriss, with Drift's static share below DRQ's.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig8_energy: %s\n", e.what());
+  return 1;
 }

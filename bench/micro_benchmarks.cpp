@@ -1,73 +1,52 @@
-// google-benchmark microbenchmarks for the performance-critical
-// components: the per-sub-tensor selector (runs on every tensor at
-// inference time), the online scheduler (runs per layer), the stall
-// models and the cycle-level simulation — plus the single- vs
-// multi-thread GEMM / quantization kernel sweep that emits
-// BENCH_kernels.json (ops/s and speedup vs 1 thread) before the
-// google-benchmark suite runs.  The quantization entries time
-// QuantEngine::process_activation_rows in Drift mode (row statistics,
-// the automatic δ at budget 0.05, then core::render), the per-operand
-// call Figure 6 makes.  A second, backend sweep times the fp32 GEMM
-// and that quantizer on {scalar, simd} under the dispatch force-scalar
-// toggle and records per-entry `backend` and `speedup_vs_scalar` (the
-// SIMD payoff on this machine's `cpu_features`).  The JSON also records the
-// runtime of the fixed-seed property-test corpus (the differential
-// suites behind `ctest -L prop`), so oracle-check cost is tracked
-// alongside kernel throughput, and a fixed-seed serving run whose
-// `serve_p99_us` entry (ops_per_s = 1e6/p99_us, simulated cycles, so
-// deterministic) lets the ratchet gate serving tail latency.  A
-// fixed-seed whole-model run of the resnet18 zoo topology records
-// `graph_resnet18_cycles` (ops_per_s = 1e12/cycles, same determinism)
-// so end-to-end model latency is ratcheted too.  `paper_compare`
-// records the best-of-3 wall time of the four accelerator models on
-// the seven paper workloads (Figures 7/8; ops_per_s = 1/seconds), and
-// `proxy_eval` the best-of-3 wall time of Figure 6's ResNet18 and ViT-B
-// proxy forward passes under all four execution modes, `serve_run`
-// that of the serving event loop on a two-tenant Poisson trace, and
-// `serve_precompute` that of the per-request pattern precompute on the
-// same trace (same units).  The sizes are fixed, as
-// bench/baseline.json records them: the thread sweep's GEMM edge is
-// 1024, the backend sweep's 512, and the quantizer takes 8192 rows.
+// The ratcheted kernel sweep: times the hot kernels and whole
+// computations at fixed sizes, best of N, and writes BENCH_kernels.json,
+// which `drift_report ratchet` gates against bench/baseline.json.  Every
+// entry goes through one `record`, keyed name|shape|threads|backend:
+//   - matmul, matmul_nt and quantize_rows at 1, 2, 4 and the default
+//     pool's thread counts (`speedup_vs_1t`).  The quantization entries
+//     time QuantEngine::process_activation_rows in Drift mode (row
+//     statistics, the automatic δ at budget 0.05, then core::render),
+//     the per-operand call Figure 6 makes.
+//   - gemm_fp32 and quantize_rows_1t on {scalar, simd} under the
+//     dispatch force-scalar toggle (`speedup_vs_scalar`: the SIMD
+//     payoff on this machine's `cpu_features`).
+//   - serve_p99_us (ops_per_s = 1e6/p99_us) and graph_resnet18_cycles
+//     (ops_per_s = 1e12/cycles): simulated cycles, so deterministic,
+//     which lets the ratchet gate serving tail latency and end-to-end
+//     model latency.
+//   - paper_compare, proxy_eval, serve_precompute and serve_run: the
+//     best wall time of Figures 7/8, of Figure 6's proxies and of the
+//     serving host cost (ops_per_s = 1/seconds).
+// The sizes are fixed, as bench/baseline.json records them: the thread
+// sweep's GEMM edge is 1024, the backend sweep's 512, and the quantizer
+// takes 8192 rows.  Each timed call assigns its result to a variable
+// outside the timed lambda, so the compiler cannot drop the work.
 //
-// The command line goes through benchmark::Initialize, which takes out
-// google-benchmark's own --benchmark_* flags, and then through Args and
-// ReportOptions::from_args like every other binary's, so an unknown
-// flag or a stray argument exits 2 before the corpus runs.
-#include <benchmark/benchmark.h>
-
+// The command line takes only --metrics-out and --trace-out, read
+// through Args and ReportOptions::from_args like every other binary's,
+// so an unknown flag or a stray argument exits 2 before the sweep runs.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/compare.hpp"
-#include "core/noise_budget.hpp"
-#include "core/quantizer.hpp"
-#include "core/scheduler.hpp"
-#include "core/selector.hpp"
-#include "dram/dram.hpp"
 #include "nn/gemm.hpp"
 #include "nn/proxy.hpp"
 #include "nn/quant_engine.hpp"
 // drift-lint: allow(intrinsic) — the bench sweep toggles the
 // force-scalar override to measure the SIMD payoff per backend.
 #include "nn/simd/kernel_dispatch.hpp"
-#include "nn/synthetic.hpp"
 #include "nn/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "pipeline.hpp"
-#include "proptest/proptest.hpp"
 #include "serve/simulator.hpp"
 #include "util/args.hpp"
 #include "util/assert.hpp"
-#include "ref/ref_kernels.hpp"
-#include "ref/ref_oracles.hpp"
-#include "ref/ref_quant.hpp"
-#include "systolic/cycle_sim.hpp"
-#include "systolic/stall_model.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace drift;
@@ -92,225 +71,6 @@ nn::QuantEngine drift_row_engine() {
   return nn::QuantEngine(cfg);
 }
 
-void BM_SelectPrecision(benchmark::State& state) {
-  Rng rng(1);
-  const auto stats =
-      nn::sample_subtensor_stats(rng, 1024, 768, nn::bert_profile());
-  core::QuantParams params;
-  params.delta = 0.05;
-  core::SelectorConfig cfg;
-  cfg.density_threshold = 1.0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::select_precision(stats[i % stats.size()], params, cfg));
-    ++i;
-  }
-}
-BENCHMARK(BM_SelectPrecision);
-
-void BM_AutoThreshold(benchmark::State& state) {
-  Rng rng(2);
-  const auto count = state.range(0);
-  const auto stats =
-      nn::sample_subtensor_stats(rng, count, 768, nn::bert_profile());
-  const std::vector<std::int64_t> sizes(stats.size(), 768);
-  core::QuantParams params;
-  params.delta = 0.05;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::select_auto_threshold(
-        stats, sizes, params, core::SelectorConfig{}, 0.05));
-  }
-  state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_AutoThreshold)->Arg(128)->Arg(1024)->Arg(8192);
-
-void BM_ScheduleGreedy(benchmark::State& state) {
-  core::LayerWork work;
-  work.m_high = 40;
-  work.m_low = 984;
-  work.n_high = 300;
-  work.n_low = 2004;
-  work.k = 768;
-  const core::ArrayDims total{24, 33};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_greedy(work, total));
-  }
-}
-BENCHMARK(BM_ScheduleGreedy);
-
-void BM_ScheduleExhaustive(benchmark::State& state) {
-  core::LayerWork work;
-  work.m_high = 40;
-  work.m_low = 984;
-  work.n_high = 300;
-  work.n_low = 2004;
-  work.k = 768;
-  const core::ArrayDims total{24, 33};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_exhaustive(work, total));
-  }
-}
-BENCHMARK(BM_ScheduleExhaustive);
-
-void BM_PipelineStallModel(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<std::int64_t> costs(static_cast<std::size_t>(state.range(0)));
-  for (auto& c : costs) c = rng.bernoulli(0.8) ? 1 : 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(systolic::pipeline_exit_cycles(costs, 56));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PipelineStallModel)->Arg(1024)->Arg(16384);
-
-void BM_CycleSimTile(benchmark::State& state) {
-  Rng rng(4);
-  TensorI32 a(Shape{64, 16});
-  TensorI32 w(Shape{16, 16});
-  for (auto& v : a.data()) v = static_cast<std::int32_t>(rng.uniform_int(-7, 7));
-  for (auto& v : w.data()) v = static_cast<std::int32_t>(rng.uniform_int(-7, 7));
-  const std::vector<std::int64_t> costs(64, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(systolic::simulate_tile(a, w, costs));
-  }
-}
-BENCHMARK(BM_CycleSimTile);
-
-// Streams of 64 KiB and 1 GiB: the closed-form transfer costs the same
-// per call at both sizes.
-void BM_DramStream(benchmark::State& state) {
-  dram::DramModel model;
-  const std::int64_t bytes = state.range(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.stream(bytes, false));
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
-}
-BENCHMARK(BM_DramStream)->Arg(1 << 16)->Arg(1 << 30);
-
-// Thread-count-parameterized kernel benchmarks: the pool is resized to
-// state.range(0) threads for the duration of the run.
-void BM_MatmulThreads(benchmark::State& state) {
-  util::ThreadPool::instance().resize(static_cast<int>(state.range(0)));
-  const std::int64_t n = 256;
-  const TensorF a = laplace_matrix(n, n, 7);
-  const TensorF b = laplace_matrix(n, n, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  util::ThreadPool::instance().resize(0);
-}
-BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_QuantizeRowsThreads(benchmark::State& state) {
-  util::ThreadPool::instance().resize(static_cast<int>(state.range(0)));
-  const TensorF x = laplace_matrix(2048, 768, 9);
-  const nn::QuantEngine engine = drift_row_engine();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.process_activation_rows(x));
-  }
-  state.SetItemsProcessed(state.iterations() * x.numel());
-  util::ThreadPool::instance().resize(0);
-}
-BENCHMARK(BM_QuantizeRowsThreads)->Arg(1)->Arg(2)->Arg(4);
-
-// ---------------------------------------------------------------------
-// Property-test corpus timing -> BENCH_kernels.json "proptest_corpus"
-// ---------------------------------------------------------------------
-//
-// Runs the same differential corpora as `ctest -L prop` (production
-// code vs. the src/ref oracles) at a *fixed* seed and iteration count —
-// deliberately independent of the DRIFT_PROPTEST_* environment so the
-// recorded runtimes are comparable across machines and commits.  Any
-// mismatch makes the binary exit non-zero.
-
-struct CorpusResult {
-  std::string name;
-  int cases = 0;
-  double seconds = 0.0;
-  int mismatches = 0;
-};
-
-std::vector<CorpusResult> run_proptest_corpus() {
-  proptest::Config cfg;  // fixed defaults: 128 cases, seed 0xD21F7
-  std::vector<CorpusResult> results;
-
-  const auto timed = [&](const char* name, auto&& prop) {
-    CorpusResult r;
-    r.name = name;
-    const auto t0 = std::chrono::steady_clock::now();
-    const proptest::RunReport rep = proptest::run_property(name, prop, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.cases = rep.cases_run;
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    r.mismatches = rep.passed ? 0 : 1;
-    if (!rep.passed) {
-      std::fprintf(stderr, "[proptest] %s MISMATCH: %s\n  %s\n", name,
-                   rep.message.c_str(), rep.repro.c_str());
-    }
-    std::fprintf(stderr, "[proptest] %-26s %4d cases  %.3fs  %s\n", name,
-                 r.cases, r.seconds, rep.passed ? "ok" : "MISMATCH");
-    results.push_back(r);
-  };
-
-  timed("matmul_vs_ref", [](Rng& rng, int size) -> proptest::Result {
-    const std::int64_t m = proptest::gen_dim(rng, size);
-    const std::int64_t k = proptest::gen_dim(rng, size);
-    const std::int64_t n = proptest::gen_dim(rng, size);
-    const TensorF a(Shape{m, k}, proptest::gen_laplace_buffer(rng, m * k, 0.5));
-    const TensorF b(Shape{k, n}, proptest::gen_laplace_buffer(rng, k * n, 0.5));
-    const TensorF got = nn::matmul(a, b);
-    const TensorF want = ref::matmul(a, b);
-    for (std::int64_t i = 0; i < got.numel(); ++i) {
-      if (got.at(i) != want.at(i)) return proptest::fail("flat ", i);
-    }
-    return proptest::pass();
-  });
-
-  timed("selector_vs_bruteforce", [](Rng& rng, int size) -> proptest::Result {
-    const std::int64_t n = 4 * proptest::gen_dim(rng, size);
-    const auto values = proptest::gen_laplace_buffer(rng, n, 0.5);
-    const core::SelectorConfig cfg = proptest::gen_selector_config(rng);
-    const core::QuantParams params =
-        core::compute_quant_params(values, cfg.hp);
-    const core::PrecisionDecision d =
-        core::select_precision(ref::stats(values), params, cfg);
-    const ref::RenderingOracle oracle =
-        ref::brute_force_rendering(values, params, cfg.lp);
-    if (oracle.eq5_hc < 0) {
-      if (d.use_low) return proptest::fail("infeasible but went low");
-    } else if (d.choice.hc != oracle.eq5_hc) {
-      return proptest::fail("hc ", d.choice.hc, " vs ", oracle.eq5_hc);
-    }
-    return proptest::pass();
-  });
-
-  timed("scheduler_vs_exhaustive", [](Rng& rng, int size) -> proptest::Result {
-    core::LayerWork w = proptest::gen_layer_work(rng, size);
-    const std::int64_t row_lo = (w.m_high > 0 && w.m_low > 0) ? 2 : 1;
-    const std::int64_t col_lo = (w.n_high > 0 && w.n_low > 0) ? 2 : 1;
-    const core::ArrayDims total{proptest::gen_dim(rng, size, row_lo),
-                                proptest::gen_dim(rng, size, col_lo)};
-    const core::SplitDecision g = core::schedule_greedy(w, total);
-    const ref::SplitOracle o = ref::exhaustive_split(w, total);
-    if (g.makespan < o.best_makespan) return proptest::fail("beat oracle");
-    if (o.best_makespan > 0 &&
-        static_cast<double>(g.makespan) >
-            1.5 * static_cast<double>(o.best_makespan)) {
-      return proptest::fail("gap above 1.5x");
-    }
-    return proptest::pass();
-  });
-
-  return results;
-}
-
-// ---------------------------------------------------------------------
-// Kernel sweep -> BENCH_kernels.json
-// ---------------------------------------------------------------------
-
 struct KernelResult {
   std::string name;
   std::string shape;
@@ -334,9 +94,52 @@ double best_seconds(Fn&& fn, int reps) {
   return best;
 }
 
-void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
+/// best_seconds of `fn`, each result moved into `out`.  The previous
+/// result is released first, inside the timing, so each call reuses its
+/// memory as it would if every result died at once.
+template <typename T, typename Fn>
+double best_into(T& out, Fn&& fn, int reps) {
+  return best_seconds(
+      [&] {
+        out = T{};
+        out = fn();
+      },
+      reps);
+}
+
+/// Appends one entry on the active dispatch table, with its speedups
+/// over the entries of the same name already recorded at 1 thread and
+/// on the scalar table, and prints it.
+void record(std::vector<KernelResult>& results, const std::string& name,
+            const std::string& shape, int threads, double seconds,
+            double ops_per_s) {
+  KernelResult r;
+  r.name = name;
+  r.shape = shape;
+  r.threads = threads;
+  r.backend = nn::simd::active().name;
+  r.seconds = seconds;
+  r.ops_per_s = ops_per_s;
+  for (const auto& base : results) {
+    if (base.name == name && base.threads == 1 &&
+        base.backend == r.backend) {
+      r.speedup_vs_1t = base.seconds / seconds;
+    }
+    if (base.name == name && base.threads == threads &&
+        base.backend == "scalar" && r.backend != "scalar") {
+      r.speedup_vs_scalar = base.seconds / seconds;
+    }
+  }
+  results.push_back(r);
+  std::fprintf(stderr,
+               "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs  "
+               "%.3g ops/s  speedup=%.2fx  vs_scalar=%.2fx\n",
+               name.c_str(), shape.c_str(), threads, r.backend.c_str(),
+               seconds, r.ops_per_s, r.speedup_vs_1t, r.speedup_vs_scalar);
+}
+
+std::vector<KernelResult> run_kernel_sweep(int default_threads) {
   constexpr std::int64_t gemm_n = 1024;
-  const int default_threads = util::ThreadPool::default_num_threads();
   std::vector<int> thread_counts{1};
   for (int t : {2, 4}) {
     if (t <= default_threads) thread_counts.push_back(t);
@@ -354,33 +157,9 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
   const nn::QuantEngine engine = drift_row_engine();
 
   std::vector<KernelResult> results;
-  auto record = [&](const std::string& name, const std::string& shape,
-                    int threads, double seconds, double total_ops) {
-    KernelResult r;
-    r.name = name;
-    r.shape = shape;
-    r.threads = threads;
-    r.backend = nn::simd::active().name;
-    r.seconds = seconds;
-    r.ops_per_s = total_ops / seconds;
-    for (const auto& base : results) {
-      if (base.name == name && base.threads == 1 &&
-          base.backend == r.backend) {
-        r.speedup_vs_1t = base.seconds / seconds;
-      }
-      if (base.name == name && base.threads == threads &&
-          base.backend == "scalar" && r.backend != "scalar") {
-        r.speedup_vs_scalar = base.seconds / seconds;
-      }
-    }
-    results.push_back(r);
-    std::fprintf(stderr,
-                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs  "
-                 "%.3g ops/s  speedup=%.2fx  vs_scalar=%.2fx\n",
-                 name.c_str(), shape.c_str(), threads, r.backend.c_str(),
-                 seconds, r.ops_per_s, r.speedup_vs_1t,
-                 r.speedup_vs_scalar);
-  };
+  TensorF product;
+  nn::OperandResult quantized;
+  const auto quantize = [&] { return engine.process_activation_rows(x); };
 
   const std::string gemm_shape = std::to_string(gemm_n) + "x" +
                                  std::to_string(gemm_n) + "x" +
@@ -390,23 +169,15 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
                           static_cast<double>(gemm_n);
   const std::string quant_shape =
       std::to_string(qrows) + "x768";
+  const double quant_ops = static_cast<double>(x.numel());
   for (int threads : thread_counts) {
     util::ThreadPool::instance().resize(threads);
-    record("matmul", gemm_shape, threads,
-           best_seconds([&] { benchmark::DoNotOptimize(nn::matmul(a, b)); },
-                        2),
-           gemm_ops);
-    record("matmul_nt", gemm_shape, threads,
-           best_seconds(
-               [&] { benchmark::DoNotOptimize(nn::matmul_nt(a, w)); }, 2),
-           gemm_ops);
-    record("quantize_rows", quant_shape, threads,
-           best_seconds(
-               [&] {
-                 benchmark::DoNotOptimize(engine.process_activation_rows(x));
-               },
-               3),
-           static_cast<double>(x.numel()));
+    double s = best_into(product, [&] { return nn::matmul(a, b); }, 2);
+    record(results, "matmul", gemm_shape, threads, s, gemm_ops / s);
+    s = best_into(product, [&] { return nn::matmul_nt(a, w); }, 2);
+    record(results, "matmul_nt", gemm_shape, threads, s, gemm_ops / s);
+    s = best_into(quantized, quantize, 3);
+    record(results, "quantize_rows", quant_shape, threads, s, quant_ops / s);
   }
 
   // Backend sweep: {scalar, simd} x {fp32 GEMM, quantizer} at 1
@@ -430,17 +201,10 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
       if (!force && std::string(nn::simd::active().name) == "scalar") {
         break;
       }
-      record("gemm_fp32", sweep_shape, 1,
-             best_seconds(
-                 [&] { benchmark::DoNotOptimize(nn::matmul_nt(xa, xw)); }, 2),
-             sweep_ops);
-      record("quantize_rows_1t", quant_shape, 1,
-             best_seconds(
-                 [&] {
-                   benchmark::DoNotOptimize(engine.process_activation_rows(x));
-                 },
-                 3),
-             static_cast<double>(x.numel()));
+      double s = best_into(product, [&] { return nn::matmul_nt(xa, xw); }, 2);
+      record(results, "gemm_fp32", sweep_shape, 1, s, sweep_ops / s);
+      s = best_into(quantized, quantize, 3);
+      record(results, "quantize_rows_1t", quant_shape, 1, s, quant_ops / s);
     }
     nn::simd::set_force_scalar(prev_force);
   }
@@ -478,19 +242,7 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     const double p99_us = 1e6 *
                           static_cast<double>(sres.overall.p99_cycles) /
                           scfg.exec.hw.energy.clock_hz;
-    KernelResult r;
-    r.name = "serve_p99_us";
-    r.shape = "tiny-bert@16x16";
-    r.threads = 1;
-    r.backend = nn::simd::active().name;
-    r.seconds = wall;
-    r.ops_per_s = 1e6 / p99_us;
-    results.push_back(r);
-    std::fprintf(stderr,
-                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs  "
-                 "p99=%.2fus (%.3g \"ops/s\")\n",
-                 r.name.c_str(), r.shape.c_str(), r.threads,
-                 r.backend.c_str(), wall, p99_us, r.ops_per_s);
+    record(results, "serve_p99_us", "tiny-bert@16x16", 1, wall, 1e6 / p99_us);
   }
 
   // Whole-model graph pipeline: examples/model_zoo/resnet18.json,
@@ -512,20 +264,8 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
               graphcli::export_workload(topology.graph), gcfg);
         },
         1);
-    KernelResult r;
-    r.name = "graph_resnet18_cycles";
-    r.shape = "resnet18@24x33";
-    r.threads = 1;
-    r.backend = nn::simd::active().name;
-    r.seconds = wall;
-    r.ops_per_s = 1e12 / static_cast<double>(gres.run.cycles);
-    results.push_back(r);
-    std::fprintf(stderr,
-                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs  "
-                 "cycles=%lld (%.3g \"ops/s\")\n",
-                 r.name.c_str(), r.shape.c_str(), r.threads,
-                 r.backend.c_str(), wall,
-                 static_cast<long long>(gres.run.cycles), r.ops_per_s);
+    record(results, "graph_resnet18_cycles", "resnet18@24x33", 1, wall,
+           1e12 / static_cast<double>(gres.run.cycles));
   }
   // Figures 7/8 end to end: all four accelerator models on the seven
   // paper workloads at fig7's config (mix building, scheduling, cycle
@@ -537,25 +277,16 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     accel::CompareConfig ccfg;
     ccfg.noise_budget = 0.05;  // fig7_latency / fig8_energy
     const std::vector<nn::WorkloadSpec> workloads = nn::paper_workloads();
+    accel::Comparison cmp;
     const double wall = best_seconds(
         [&] {
           for (const auto& spec : workloads) {
-            benchmark::DoNotOptimize(accel::compare_workload(spec, ccfg));
+            cmp = {};
+            cmp = accel::compare_workload(spec, ccfg);
           }
         },
         3);
-    KernelResult r;
-    r.name = "paper_compare";
-    r.shape = "7_workloads@fig7";
-    r.threads = 1;
-    r.backend = nn::simd::active().name;
-    r.seconds = wall;
-    r.ops_per_s = 1.0 / wall;
-    results.push_back(r);
-    std::fprintf(stderr,
-                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs\n",
-                 r.name.c_str(), r.shape.c_str(), r.threads,
-                 r.backend.c_str(), wall);
+    record(results, "paper_compare", "7_workloads@fig7", 1, wall, 1.0 / wall);
   }
   // Figure 6's accuracy path: the ResNet18 (static weights) and ViT-B
   // proxies as fig6_accuracy builds them, evaluated under FP32, INT8,
@@ -575,6 +306,8 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     vit_cfg.seed = 7;
     vit_cfg.samples = 96;
     const nn::TransformerProxy vit(vit_cfg);
+    nn::ProxyResult cnn_result;
+    nn::ProxyResult vit_result;
     const double wall = best_seconds(
         [&] {
           for (const nn::QuantMode mode :
@@ -585,25 +318,14 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
             ecfg.noise_budget = mode == nn::QuantMode::kDrift ? 0.04 : 0.0;
             ecfg.dynamic_weights = false;
             nn::QuantEngine cnn_engine(ecfg);
-            benchmark::DoNotOptimize(cnn.evaluate(cnn_engine));
+            cnn_result = cnn.evaluate(cnn_engine);
             ecfg.dynamic_weights = true;
             nn::QuantEngine vit_engine(ecfg);
-            benchmark::DoNotOptimize(vit.evaluate(vit_engine));
+            vit_result = vit.evaluate(vit_engine);
           }
         },
         3);
-    KernelResult r;
-    r.name = "proxy_eval";
-    r.shape = "resnet18+vit_b@fig6";
-    r.threads = 1;
-    r.backend = nn::simd::active().name;
-    r.seconds = wall;
-    r.ops_per_s = 1.0 / wall;
-    results.push_back(r);
-    std::fprintf(stderr,
-                 "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs\n",
-                 r.name.c_str(), r.shape.c_str(), r.threads,
-                 r.backend.c_str(), wall);
+    record(results, "proxy_eval", "resnet18+vit_b@fig6", 1, wall, 1.0 / wall);
   }
   // The serving host cost on a fixed-seed two-tenant (tiny-bert +
   // tiny-cnn) Poisson trace at load 0.7 with a mix per request, best of
@@ -642,89 +364,81 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     }
     const std::string shape = "tiny-bert+tiny-cnn@0.7";
     std::optional<serve::Simulator> sim;
+    serve::ServeResult served;
     double precompute = 1e30;
     double run = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
       sim.reset();  // the previous arena is freed outside the timing
       precompute = std::min(
           precompute, best_seconds([&] { sim.emplace(scfg, pool); }, 1));
-      run = std::min(run, best_seconds(
-                              [&] { benchmark::DoNotOptimize(sim->run()); },
-                              1));
+      run = std::min(run,
+                     best_into(served, [&] { return sim->run(); }, 1));
     }
-    record("serve_precompute", shape, 1, precompute, 1.0);
-    record("serve_run", shape, 1, run, 1.0);
+    record(results, "serve_precompute", shape, 1, precompute,
+           1.0 / precompute);
+    record(results, "serve_run", shape, 1, run, 1.0 / run);
   }
   util::ThreadPool::instance().resize(0);
+  return results;
+}
 
-  std::FILE* f = std::fopen("BENCH_kernels.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "[kernels] cannot open BENCH_kernels.json\n");
-    return;
+/// BENCH_kernels.json: the schema-v2 meta block the metrics artifacts
+/// carry (git sha, backend, force-scalar flag), so cross-machine bench
+/// diffs are interpretable, the host's thread counts and CPU features,
+/// and one row per kernel entry.
+JsonValue kernels_json(const std::vector<KernelResult>& results,
+                       int default_threads) {
+  JsonObject meta;
+  for (const auto& [key, value] : obs::run_metadata()) {
+    meta[key] = JsonValue(value);
   }
   const nn::simd::CpuFeatures features = nn::simd::detect_cpu_features();
   std::string feature_list;
   if (features.avx2) feature_list += "avx2";
   if (features.neon) feature_list += feature_list.empty() ? "neon" : ",neon";
-  // Same schema-v2 meta block the metrics artifacts carry (git sha,
-  // backend, force-scalar flag), so cross-machine bench diffs are
-  // interpretable.  Keys and values are plain identifiers; no JSON
-  // string escaping needed.
-  std::string meta_json;
-  for (const auto& [key, value] : obs::run_metadata()) {
-    if (!meta_json.empty()) meta_json += ", ";
-    meta_json += "\"" + key + "\": \"" + value + "\"";
+  JsonArray kernels;
+  for (const KernelResult& r : results) {
+    JsonObject row;
+    row["name"] = JsonValue(r.name);
+    row["shape"] = JsonValue(r.shape);
+    row["threads"] = JsonValue(static_cast<std::int64_t>(r.threads));
+    row["backend"] = JsonValue(r.backend);
+    row["seconds"] = JsonValue(r.seconds);
+    row["ops_per_s"] = JsonValue(r.ops_per_s);
+    row["speedup_vs_1t"] = JsonValue(r.speedup_vs_1t);
+    row["speedup_vs_scalar"] = JsonValue(r.speedup_vs_scalar);
+    kernels.push_back(JsonValue(std::move(row)));
   }
-  std::fprintf(f, "{\n  \"schema_version\": 2,\n  \"meta\": {%s},\n"
-               "  \"hardware_threads\": %u,\n  \"default_threads\": %d,\n"
-               "  \"cpu_features\": \"%s\",\n"
-               "  \"proptest_corpus\": [\n",
-               meta_json.c_str(), std::thread::hardware_concurrency(),
-               default_threads, feature_list.c_str());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const auto& c = corpus[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"cases\": %d, \"seconds\": %.6f, "
-                 "\"mismatches\": %d}%s\n",
-                 c.name.c_str(), c.cases, c.seconds, c.mismatches,
-                 i + 1 < corpus.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"kernels\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", \"threads\": %d, "
-                 "\"backend\": \"%s\", \"seconds\": %.6f, "
-                 "\"ops_per_s\": %.6g, \"speedup_vs_1t\": %.3f, "
-                 "\"speedup_vs_scalar\": %.3f}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.threads,
-                 r.backend.c_str(), r.seconds, r.ops_per_s, r.speedup_vs_1t,
-                 r.speedup_vs_scalar,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "[kernels] wrote BENCH_kernels.json\n");
+  JsonObject doc;
+  doc["schema_version"] = JsonValue(static_cast<std::int64_t>(2));
+  doc["meta"] = JsonValue(std::move(meta));
+  doc["hardware_threads"] = JsonValue(
+      static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  doc["default_threads"] =
+      JsonValue(static_cast<std::int64_t>(default_threads));
+  doc["cpu_features"] = JsonValue(feature_list);
+  doc["kernels"] = JsonValue(std::move(kernels));
+  return JsonValue(std::move(doc));
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Initialize removes the flags it knows from argv and leaves ours.
-  benchmark::Initialize(&argc, argv);
+// A failed run (a DRIFT_CHECK, a BENCH_kernels.json that cannot be
+// written) exits 1; the armed flush still writes partial artifacts.
+int main(int argc, char** argv) try {
   const Args args = Args::parse(argc, argv);
-  const auto artifacts = obs::ReportOptions::from_args(
-      args, "google-benchmark's flags (see --help)");
+  const auto artifacts = obs::ReportOptions::from_args(args);
   if (!artifacts) return 2;
 
-  // The differential corpus always runs (it doubles as a smoke test of
-  // the oracles); mismatches fail the binary after the benchmarks.
-  const std::vector<CorpusResult> corpus = run_proptest_corpus();
-  int corpus_mismatches = 0;
-  for (const auto& c : corpus) corpus_mismatches += c.mismatches;
-  run_kernel_sweep(corpus);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  const int default_threads = util::ThreadPool::default_num_threads();
+  const std::vector<KernelResult> results = run_kernel_sweep(default_threads);
+  const bool json_ok = obs::write_file(
+      "BENCH_kernels.json",
+      write_canonical(kernels_json(results, default_threads)));
+  if (json_ok) std::fprintf(stderr, "[kernels] wrote BENCH_kernels.json\n");
   const bool artifacts_ok = artifacts->write();
-  return corpus_mismatches > 0 || !artifacts_ok ? 1 : 0;
+  return json_ok && artifacts_ok ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "micro_benchmarks: %s\n", e.what());
+  return 1;
 }

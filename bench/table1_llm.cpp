@@ -31,7 +31,7 @@ nn::QuantEngine make_engine(nn::QuantMode mode, double budget = 0.02) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --metrics-out / --trace-out artifact surface (README "Observability").
   const Args args = Args::parse(argc, argv);
   const auto artifacts = obs::ReportOptions::from_args(args);
@@ -103,4 +103,7 @@ int main(int argc, char** argv) {
       "GPT2-XL 18.12 vs 18.29; BLOOM slightly above INT8) while executing\n"
       "a substantial share of computation at 4 bits.\n");
   return artifacts->write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "table1_llm: %s\n", e.what());
+  return 1;
 }

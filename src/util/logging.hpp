@@ -1,6 +1,6 @@
 // Minimal leveled logger.
 //
-// The simulators run inside google-benchmark loops, so logging must be
+// The simulators run inside timed sweeps and hot loops, so logging must be
 // cheap when disabled: level filtering happens before any formatting.
 #pragma once
 

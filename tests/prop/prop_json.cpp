@@ -3,11 +3,11 @@
 // infer_shapes, to_workload).
 //
 // The corpus is every JSON file the tree reads back: the model-zoo
-// topologies, the drift_report fixtures, the obs metrics golden and the
-// lint ratchet.  Each case mutates corpus files with byte flips,
-// inserts and deletes, truncation, numbers beyond int64/double range
-// spliced over number tokens, and wrapping in up to 100k brackets, then
-// checks:
+// topologies, the drift_report fixtures, the obs metrics golden, the
+// lint ratchet and the kernel-sweep baseline.  Each case mutates corpus
+// files with byte flips, inserts and deletes, truncation, numbers beyond
+// int64/double range spliced over number tokens, and wrapping in up to
+// 100k brackets, then checks:
 //   1. nothing crashes (run it under ASan+UBSan);
 //   2. a rejection carries a message and a byte offset <= the input
 //      size, and any input opening more than kMaxJsonDepth containers
@@ -81,6 +81,7 @@ const std::vector<std::string>& json_corpus() {
     const std::filesystem::path root(DRIFT_SOURCE_DIR);
     all.push_back(read_file(root / "tests/obs/golden/metrics.json"));
     all.push_back(read_file(root / "tools/lint/ratchet.json"));
+    all.push_back(read_file(root / "bench/baseline.json"));
     return all;
   }();
   return corpus;

@@ -9,8 +9,8 @@
 //      and reports the smallest size that still fails, so the
 //      counterexample a developer debugs is as small as the bug allows.
 //   3. *No framework lock-in.*  This header is gtest-free (properties
-//      return std::optional<std::string>), so bench/micro_benchmarks
-//      can time the same differential corpus that the test suites run.
+//      return std::optional<std::string>); proptest_gtest.hpp is the one
+//      adapter that turns a failing run into a gtest failure.
 //
 // Environment knobs (also see README "Testing"):
 //   DRIFT_PROPTEST_ITERS  cases per property        (default 128)

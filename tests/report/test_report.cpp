@@ -241,15 +241,6 @@ TEST(ReportRatchet, UntrackedKernelAloneExitZero) {
   EXPECT_NE(out.find("unpack_c"), std::string::npos) << out;
 }
 
-TEST(ReportRatchet, ProptestMismatchesExitOne) {
-  std::string out, err;
-  EXPECT_EQ(run({"ratchet", fixture("bench_mismatch.json"),
-                 "--baseline=" + fixture("bench_base.json")},
-                out, err),
-            1);
-  EXPECT_NE(out.find("MISMATCH"), std::string::npos) << out;
-}
-
 TEST(ReportRatchet, ZeroOpsJsonOutputParsesBack) {
   // bench_zero_ops.json reports 0 ops/s for one kernel, so its slowdown
   // is +inf.  The --json output writes it as 1e999, and the reader must

@@ -32,7 +32,11 @@ nn::WorkloadSpec export_workload(const drift::graph::Graph& g) {
   if (!shapes.ok()) {
     throw check_error("shape inference failed: " + shapes.errors.front());
   }
-  return drift::graph::to_workload(g, shapes);
+  nn::WorkloadSpec spec = drift::graph::to_workload(g, shapes);
+  if (spec.layers.empty()) {
+    throw check_error("graph '" + g.name + "' has no GEMM node to run");
+  }
+  return spec;
 }
 
 GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,

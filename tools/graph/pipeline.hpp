@@ -45,7 +45,8 @@ struct GraphPipelineResult {
 drift::graph::TopologyParseResult read_topology_file(const std::string& path);
 
 /// Validates + shape-infers `g` (throws check_error naming the first
-/// offending node on failure) and exports its GEMMs.
+/// offending node on failure) and exports its GEMMs; a graph with no
+/// GEMM node throws check_error naming the graph.
 nn::WorkloadSpec export_workload(const drift::graph::Graph& g);
 
 /// Builds the per-layer precision mixes of `workload` (an

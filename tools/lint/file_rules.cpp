@@ -82,11 +82,7 @@ void rule_random(const Context& ctx, const LexedFile& file) {
 
 void rule_oracle_include(const Context& ctx, const LexedFile& file) {
   const bool in_ref = starts_with(file.rel, "src/ref/");
-  // bench/ is test-adjacent tooling: it deliberately times the same
-  // differential corpus the property suites run (PR 2), so it may
-  // include tests/proptest/.  Production code (src/, tools/) may not.
-  const bool in_tests =
-      starts_with(file.rel, "tests/") || starts_with(file.rel, "bench/");
+  const bool in_tests = starts_with(file.rel, "tests/");
   for (std::size_t i = 0; i < file.lines.size(); ++i) {
     const auto inc = parse_include(file.lines[i].raw);
     if (!inc || inc->angled) continue;  // angled = standard library

@@ -800,16 +800,6 @@ RatchetResult ratchet(const JsonValue& current, const JsonValue& baseline,
     (void)ops;
     if (!base.count(key)) result.untracked.push_back(key);
   }
-  if (const JsonValue* corpus = current.get("proptest_corpus");
-      corpus != nullptr && corpus->is_array()) {
-    for (const JsonValue& entry : corpus->as_array()) {
-      if (int_or(entry.get("mismatches"), 0) != 0) {
-        const JsonValue* name = entry.get("name");
-        result.mismatches.push_back(name != nullptr ? name->as_string()
-                                                    : "?");
-      }
-    }
-  }
   return result;
 }
 

@@ -75,7 +75,6 @@ struct RatchetResult {
   std::vector<RatchetEntry> failures;  ///< slowdown > max_slowdown
   std::vector<std::string> missing;    ///< in baseline, absent from run
   std::vector<std::string> untracked;  ///< in run, absent from baseline
-  std::vector<std::string> mismatches; ///< proptest corpus mismatches != 0
 };
 
 /// Gates `current` (a fresh BENCH_kernels.json) against `baseline`.

@@ -151,8 +151,7 @@ int cmd_ratchet(const Args& args, const std::vector<std::string>& files,
   const auto baseline = load(baseline_path, err);
   if (!current || !baseline) return 2;
   const RatchetResult result = ratchet(*current, *baseline, *max_slowdown);
-  const bool failed = !result.failures.empty() || !result.missing.empty() ||
-                      !result.mismatches.empty();
+  const bool failed = !result.failures.empty() || !result.missing.empty();
   if (*as_json) {
     JsonObject doc;
     JsonArray checked;
@@ -170,17 +169,13 @@ int cmd_ratchet(const Args& args, const std::vector<std::string>& files,
       failures.push_back(JsonValue(e.key));
     }
     doc["failures"] = JsonValue(std::move(failures));
-    JsonArray missing, untracked, mismatches;
+    JsonArray missing, untracked;
     for (const std::string& k : result.missing) missing.push_back(JsonValue(k));
     for (const std::string& k : result.untracked) {
       untracked.push_back(JsonValue(k));
     }
-    for (const std::string& k : result.mismatches) {
-      mismatches.push_back(JsonValue(k));
-    }
     doc["missing"] = JsonValue(std::move(missing));
     doc["untracked"] = JsonValue(std::move(untracked));
-    doc["proptest_mismatches"] = JsonValue(std::move(mismatches));
     doc["max_slowdown"] = JsonValue(*max_slowdown);
     doc["ok"] = JsonValue(!failed);
     out += write_canonical(JsonValue(std::move(doc)));
@@ -198,9 +193,6 @@ int cmd_ratchet(const Args& args, const std::vector<std::string>& files,
     }
     for (const std::string& k : result.untracked) {
       out += "  note: not in baseline (new kernel?): " + k + "\n";
-    }
-    for (const std::string& k : result.mismatches) {
-      out += "  PROPTEST MISMATCH: " + k + "\n";
     }
     out += failed ? "RATCHET FAILED\n" : "OK: no kernel regressed\n";
   }
