@@ -241,7 +241,7 @@ std::vector<KernelResult> run_kernel_sweep(int default_threads) {
     const double wall = best_seconds([&] { sres = sim.run(); }, 1);
     const double p99_us = 1e6 *
                           static_cast<double>(sres.overall.p99_cycles) /
-                          scfg.exec.hw.energy.clock_hz;
+                          energy::kClockHz;
     record(results, "serve_p99_us", "tiny-bert@16x16", 1, wall, 1e6 / p99_us);
   }
 

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
          std::to_string(mix.layer.dims.K), std::to_string(mix.layer.dims.N),
          TextTable::pct(mix.act_low_fraction),
          TextTable::pct(mix.weight_low_fraction),
-         "(" + std::to_string(split.r) + "," + std::to_string(split.c) + ")",
+         '(' + std::to_string(split.r) + ',' + std::to_string(split.c) + ')',
          std::to_string(split.makespan),
          TextTable::ratio(static_cast<double>(int8) /
                           static_cast<double>(split.makespan))});

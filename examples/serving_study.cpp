@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
   }
   const std::string out_path =
       paths.empty() ? "serving_study.json" : paths.front();
-  const double clock_hz = energy::default_constants().clock_hz;
-  const auto to_us = [&](double cycles) { return 1e6 * cycles / clock_hz; };
+  const auto to_us = [](double c) { return 1e6 * c / energy::kClockHz; };
 
   const std::vector<double> loads = {0.3, 0.5, 0.7, 0.85, 0.95};
   const std::vector<nn::MixAlgorithm> algos = {
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
       nn::MixAlgorithm::kDrift};
 
   std::printf("serving sweep: bursty tiny-BERT, 400 requests per point, "
-              "max batch 8, clock %.0f MHz\n\n", clock_hz / 1e6);
+              "max batch 8, clock %.0f MHz\n\n", energy::kClockHz / 1e6);
 
   std::vector<SweepPoint> points;
   for (const nn::MixAlgorithm algo : algos) {

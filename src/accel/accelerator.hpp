@@ -28,16 +28,12 @@
 namespace drift::accel {
 
 /// Shared hardware configuration (Section 5.1: 792 units for the
-/// precision-flexible designs, 224 PEs for Eyeriss).
+/// precision-flexible designs, 224 PEs for Eyeriss).  The global
+/// buffer (accel/traffic.hpp) and the energy table and clock
+/// (energy/constants.hpp) are the paper's one synthesis point.
 struct AccelConfig {
   core::ArrayDims array{24, 33};          ///< BG / fusion-unit grid (792)
-  std::int64_t global_buffer_bytes = 512 * 1024;
-  std::int64_t weight_buffer_bytes = 512 * 1024;
   dram::DramConfig dram{};
-  energy::EnergyConstants energy = energy::default_constants();
-  /// Static power of one FP32 PE relative to one BitGroup (Eyeriss's
-  /// PEs carry FP32 datapaths and large register files).
-  double fp32_unit_static_multiplier = 4.0;
 };
 
 /// Per-layer outcome.  compute_cycles, dram_cycles, stall_cycles,

@@ -6,11 +6,10 @@ namespace drift::accel {
 
 RunResult BitFusionModel::run(const nn::WorkloadSpec& spec,
                               const std::vector<nn::LayerMix>& mixes) {
-  const auto& ec = config_.energy;
   const auto& array = config_.array;
   return run_layers(
       name(), config_, spec, mixes,
-      ec.static_pj_per_unit_cycle * static_cast<double>(array.units()),
+      energy::kStaticPjPerUnitCycle * static_cast<double>(array.units()),
       [&](const nn::LayerMix& mix) {
         const core::GemmDims& dims = mix.layer.dims;
         LayerCost cost;
@@ -33,7 +32,7 @@ RunResult BitFusionModel::run(const nn::WorkloadSpec& spec,
         cost.utilization =
             static_cast<double>(dims.macs()) /
             (static_cast<double>(cost.compute_cycles) * peak_macs_per_cycle);
-        cost.core_pj = core_energy_pj(work, ec);
+        cost.core_pj = core_energy_pj(work);
         return cost;
       });
 }

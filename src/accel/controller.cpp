@@ -3,14 +3,17 @@
 #include <algorithm>
 
 #include "core/scheduler.hpp"
-#include "util/assert.hpp"
 
 namespace drift::accel {
 
 ControllerReport evaluate_controller(const std::vector<nn::LayerMix>& mixes,
-                                     const core::ArrayDims& array,
-                                     const ControllerConfig& config) {
-  DRIFT_CHECK(config.selector_throughput > 0, "invalid selector rate");
+                                     const core::ArrayDims& array) {
+  // Static controller provisioning.
+  constexpr std::int64_t kIndexBufferBytes = 16 * 1024;  // provisioned SRAM
+  constexpr std::int64_t kSelectorThroughput = 1;  // sub-tensors per cycle
+  // Control-processor cycles per Eq. 7 candidate evaluation in the
+  // greedy scheduler sweep.
+  constexpr std::int64_t kCyclesPerSplitEval = 8;
   ControllerReport report;
   std::int64_t overlapped = 0;
   for (const nn::LayerMix& mix : mixes) {
@@ -21,10 +24,8 @@ ControllerReport evaluate_controller(const std::vector<nn::LayerMix>& mixes,
     // choices, padded to a nibble for alignment.
     lr.index_bits = lr.subtensors * 4;
     lr.selection_cycles =
-        (lr.subtensors + config.selector_throughput - 1) /
-        config.selector_throughput;
-    lr.scheduler_cycles =
-        (array.rows + array.cols + 2) * config.cycles_per_split_eval;
+        (lr.subtensors + kSelectorThroughput - 1) / kSelectorThroughput;
+    lr.scheduler_cycles = (array.rows + array.cols + 2) * kCyclesPerSplitEval;
     lr.layer_compute_cycles =
         core::schedule_greedy(mix.work, array).makespan;
     lr.overlapped = lr.selection_cycles + lr.scheduler_cycles <=
@@ -35,7 +36,7 @@ ControllerReport evaluate_controller(const std::vector<nn::LayerMix>& mixes,
     report.layers.push_back(std::move(lr));
   }
   report.fits_index_buffer =
-      report.peak_index_bytes <= config.index_buffer_bytes;
+      report.peak_index_bytes <= kIndexBufferBytes;
   report.overlapped_fraction =
       mixes.empty() ? 0.0
                     : static_cast<double>(overlapped) /

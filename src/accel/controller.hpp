@@ -27,15 +27,6 @@
 
 namespace drift::accel {
 
-/// Static controller provisioning.
-struct ControllerConfig {
-  std::int64_t index_buffer_bytes = 16 * 1024;  ///< provisioned SRAM
-  std::int64_t selector_throughput = 1;  ///< sub-tensors per cycle
-  /// Control-processor cycles per Eq. 7 candidate evaluation in the
-  /// greedy scheduler sweep.
-  std::int64_t cycles_per_split_eval = 8;
-};
-
 /// Per-layer controller cost.
 struct ControllerLayerReport {
   std::string layer;
@@ -58,7 +49,6 @@ struct ControllerReport {
 /// Evaluates the controller cost of running `mixes` on the given array
 /// (compute cycles from the Drift scheduler itself).
 ControllerReport evaluate_controller(const std::vector<nn::LayerMix>& mixes,
-                                     const core::ArrayDims& array,
-                                     const ControllerConfig& config = {});
+                                     const core::ArrayDims& array);
 
 }  // namespace drift::accel

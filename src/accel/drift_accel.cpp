@@ -65,12 +65,11 @@ core::SplitDecision DriftAccelModel::sweep(
 
 RunResult DriftAccelModel::run(const nn::WorkloadSpec& spec,
                                const std::vector<nn::LayerMix>& mixes) {
-  const auto& ec = config_.energy;
   const auto& array = config_.array;
   BitGroupFabric fabric(array);
   return run_layers(
       name(), config_, spec, mixes,
-      ec.static_pj_per_unit_cycle * static_cast<double>(array.units()),
+      energy::kStaticPjPerUnitCycle * static_cast<double>(array.units()),
       [&](const nn::LayerMix& mix) {
         // Drift alone writes per-layer records: compare_workload runs
         // all four designs over the same layer names.
@@ -113,7 +112,7 @@ RunResult DriftAccelModel::run(const nn::WorkloadSpec& spec,
         cost.utilization =
             total_bb_ops / (static_cast<double>(cost.compute_cycles) *
                             static_cast<double>(array.units()) * 16.0);
-        cost.core_pj = core_energy_pj(work, ec);
+        cost.core_pj = core_energy_pj(work);
 
         DRIFT_OBS_COUNT("accel.layers", 1);
         DRIFT_OBS_COUNT("accel.compute_cycles", cost.compute_cycles);

@@ -8,12 +8,11 @@ namespace drift::accel {
 
 RunResult DrqAccelModel::run(const nn::WorkloadSpec& spec,
                              const std::vector<nn::LayerMix>& mixes) {
-  const auto& ec = config_.energy;
   const auto& array = config_.array;
   const std::int64_t R = array.rows, C = array.cols;
   return run_layers(
       name(), config_, spec, mixes,
-      ec.static_pj_per_unit_cycle * static_cast<double>(array.units()),
+      energy::kStaticPjPerUnitCycle * static_cast<double>(array.units()),
       [&](const nn::LayerMix& mix) {
         const core::GemmDims& dims = mix.layer.dims;
         LayerCost cost;
@@ -62,7 +61,7 @@ RunResult DrqAccelModel::run(const nn::WorkloadSpec& spec,
             total_bitbrick_ops(work) /
             (static_cast<double>(cost.compute_cycles) *
              static_cast<double>(array.units()) * 16.0);
-        cost.core_pj = core_energy_pj(work, ec);
+        cost.core_pj = core_energy_pj(work);
         return cost;
       });
 }

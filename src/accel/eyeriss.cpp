@@ -26,10 +26,9 @@ std::int64_t EyerissModel::mapped_pes(const nn::LayerGemm& layer) {
 
 RunResult EyerissModel::run(const nn::WorkloadSpec& spec,
                             const std::vector<nn::LayerMix>& mixes) {
-  const auto& ec = config_.energy;
   RunResult result = run_layers(
       name(), config_, spec, mixes,
-      ec.static_pj_per_unit_cycle * config_.fp32_unit_static_multiplier *
+      energy::kStaticPjPerUnitCycle * kFp32UnitStaticMultiplier *
           static_cast<double>(kPeCount),
       [&](const nn::LayerMix& mix) {
         const core::GemmDims& dims = mix.layer.dims;
@@ -47,7 +46,7 @@ RunResult EyerissModel::run(const nn::WorkloadSpec& spec,
         const std::int64_t k_tiles = 1;  // psums stay in PE register files
         const OperandBits bits{32.0, 32.0, 32};
         cost.traffic = compute_traffic(dims, bits, n_tiles, k_tiles, config_);
-        cost.core_pj = static_cast<double>(dims.macs()) * ec.e_fp32_mac_pj;
+        cost.core_pj = static_cast<double>(dims.macs()) * energy::kFp32MacPj;
         return cost;
       });
 

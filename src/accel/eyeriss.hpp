@@ -22,6 +22,9 @@ class EyerissModel : public Accelerator {
   static constexpr std::int64_t kPeRows = 14;
   static constexpr std::int64_t kPeCols = 16;
   static constexpr std::int64_t kPeCount = kPeRows * kPeCols;  // 224
+  /// Static power of one FP32 PE relative to one BitGroup (Eyeriss's
+  /// PEs carry FP32 datapaths and large register files).
+  static constexpr double kFp32UnitStaticMultiplier = 4.0;
 
   /// Active PEs for a layer under the row-stationary mapping.
   static std::int64_t mapped_pes(const nn::LayerGemm& layer);

@@ -29,7 +29,7 @@ OperandBits operand_bits_from_work(const core::LayerWork& work) {
 LayerTraffic compute_traffic(const core::GemmDims& dims,
                              const OperandBits& bits, std::int64_t n_tiles,
                              std::int64_t k_tiles,
-                             const AccelConfig& config) {
+                             const AccelConfig& /*hw*/) {
   DRIFT_CHECK(n_tiles >= 1 && k_tiles >= 1, "tile counts must be >= 1");
   LayerTraffic t;
   const auto act_bytes = static_cast<std::int64_t>(
@@ -40,7 +40,7 @@ LayerTraffic compute_traffic(const core::GemmDims& dims,
 
   // Activations are fetched from DRAM once; re-streams across weight
   // tiles hit the global buffer when the matrix fits, otherwise DRAM.
-  const bool act_resident = act_bytes <= config.global_buffer_bytes;
+  const bool act_resident = act_bytes <= kGlobalBufferBytes;
   t.act_dram_bytes = act_resident ? act_bytes : act_bytes * n_tiles;
   t.weight_dram_bytes = weight_bytes;  // weight-stationary: one pass
   t.out_dram_bytes = out_bytes;
@@ -60,12 +60,11 @@ LayerTraffic compute_traffic(const core::GemmDims& dims,
   return t;
 }
 
-double buffer_energy_pj(const LayerTraffic& traffic,
-                        const energy::EnergyConstants& constants) {
+double buffer_energy_pj(const LayerTraffic& traffic) {
   return static_cast<double>(traffic.buffer_read_bytes) *
-             constants.e_buffer_read_pj_per_byte +
+             energy::kBufferReadPjPerByte +
          static_cast<double>(traffic.buffer_write_bytes) *
-             constants.e_buffer_write_pj_per_byte;
+             energy::kBufferWritePjPerByte;
 }
 
 DramOutcome dram_outcome(const LayerTraffic& traffic,
@@ -95,11 +94,10 @@ double total_bitbrick_ops(const core::LayerWork& work) {
   return bb_ops;
 }
 
-double core_energy_pj(const core::LayerWork& work,
-                      const energy::EnergyConstants& constants) {
+double core_energy_pj(const core::LayerWork& work) {
   const double macs = static_cast<double>(work.total_macs());
-  return total_bitbrick_ops(work) * constants.e_bitbrick_op_pj +
-         macs * constants.e_psum_add_pj;
+  return total_bitbrick_ops(work) * energy::kBitbrickOpPj +
+         macs * energy::kPsumAddPj;
 }
 
 RunResult run_layers(
@@ -127,7 +125,7 @@ RunResult run_layers(
     lr.dram_bytes = layer.traffic.dram_bytes();
     lr.utilization = layer.utilization;
     lr.energy.core_pj = layer.core_pj * repeat;
-    lr.energy.buffer_pj = buffer_energy_pj(layer.traffic, hw.energy) * repeat;
+    lr.energy.buffer_pj = buffer_energy_pj(layer.traffic) * repeat;
     lr.energy.dram_pj = mem.energy_pj * repeat;
 
     result.cycles += lr.cycles;

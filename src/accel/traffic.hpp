@@ -39,19 +39,21 @@ struct OperandBits {
 /// Computes the mix-weighted operand widths.
 OperandBits operand_bits_from_work(const core::LayerWork& work);
 
+/// On-chip global buffer every design shares.
+inline constexpr std::int64_t kGlobalBufferBytes = 512 * 1024;
+
 /// Computes the traffic of one GEMM execution.
 ///  - `n_tiles`: how many weight-column tiles the dataflow iterates
 ///    (activations are re-streamed once per tile unless the activation
-///    matrix fits in the global buffer);
+///    matrix fits in the kGlobalBufferBytes global buffer);
 ///  - `k_tiles`: reduction tiles (psum spill traffic beyond the first).
+/// `hw` is unused: every design shares the one global buffer.
 LayerTraffic compute_traffic(const core::GemmDims& dims,
                              const OperandBits& bits, std::int64_t n_tiles,
-                             std::int64_t k_tiles,
-                             const AccelConfig& config);
+                             std::int64_t k_tiles, const AccelConfig& hw);
 
 /// Buffer energy of a traffic record.
-double buffer_energy_pj(const LayerTraffic& traffic,
-                        const energy::EnergyConstants& constants);
+double buffer_energy_pj(const LayerTraffic& traffic);
 
 /// DRAM occupancy + energy for a traffic record, using (and mutating)
 /// the shared DRAM model.
@@ -62,8 +64,7 @@ struct DramOutcome {
 DramOutcome dram_outcome(const LayerTraffic& traffic, dram::DramModel& model);
 
 /// Core (MAC) energy of a mix-split GEMM on a BitBrick substrate.
-double core_energy_pj(const core::LayerWork& work,
-                      const energy::EnergyConstants& constants);
+double core_energy_pj(const core::LayerWork& work);
 
 /// Total BitBrick operations of a mix-split GEMM (the numerator of the
 /// utilization metric: each unit supplies 16 BB ops per cycle).

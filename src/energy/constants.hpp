@@ -22,29 +22,25 @@
 
 namespace drift::energy {
 
-/// Per-event energies in pJ and power in mW.
-struct EnergyConstants {
-  // Core compute.
-  double e_bitbrick_op_pj = 0.055;  ///< one 1b x 4b multiply-add
-  double e_psum_add_pj = 0.012;     ///< inter-BB/column accumulation
-  double e_fp32_mac_pj = 4.6;       ///< Eyeriss-style FP32 MAC
+// Per-event energies in pJ and power in mW.
 
-  // On-chip buffers (large SRAM macros).
-  double e_buffer_read_pj_per_byte = 1.05;
-  double e_buffer_write_pj_per_byte = 1.25;
+// Core compute.
+inline constexpr double kBitbrickOpPj = 0.055;  ///< one 1b x 4b multiply-add
+inline constexpr double kPsumAddPj = 0.012;  ///< inter-BB/column accumulation
+inline constexpr double kFp32MacPj = 4.6;    ///< Eyeriss-style FP32 MAC
 
-  /// Static (leakage + clock tree) power at 500 MHz / 40 nm, per
-  /// compute unit (BitGroup / fusion unit / PE) including its share of
-  /// buffers and NoC.  40 nm leaks heavily; the paper's Figure 8 shows
-  /// static energy at 41-52% of the total for the INT designs.
-  double static_pj_per_unit_cycle = 1.1;
+// On-chip buffers (large SRAM macros).
+inline constexpr double kBufferReadPjPerByte = 1.05;
+inline constexpr double kBufferWritePjPerByte = 1.25;
 
-  /// Core clock in Hz (fixed by the paper's synthesis target).
-  double clock_hz = 500e6;
-};
+/// Static (leakage + clock tree) power at 500 MHz / 40 nm, per
+/// compute unit (BitGroup / fusion unit / PE) including its share of
+/// buffers and NoC.  40 nm leaks heavily; the paper's Figure 8 shows
+/// static energy at 41-52% of the total for the INT designs.
+inline constexpr double kStaticPjPerUnitCycle = 1.1;
 
-/// Default constants; benches use these unless an ablation overrides.
-inline EnergyConstants default_constants() { return EnergyConstants{}; }
+/// Core clock in Hz (fixed by the paper's synthesis target).
+inline constexpr double kClockHz = 500e6;
 
 /// BitBrick operations needed for one MAC at the given operand
 /// precisions on a BG/fusion-unit substrate (pa, pw in bits; each BB

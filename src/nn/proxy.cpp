@@ -13,6 +13,42 @@
 namespace drift::nn {
 namespace {
 
+// CnnProxy's task.
+constexpr std::int64_t kCnnClasses = 10;
+constexpr std::int64_t kImageSize = 24;
+constexpr double kCnnSignal = 1.0;  ///< prototype strength
+constexpr double kCnnNoise = 0.08;  ///< background Laplace noise level
+/// Classes share a common object texture and differ by this much.
+constexpr double kClassSeparation = 1.0;
+/// Fraction of samples whose label is re-drawn uniformly: the task's
+/// intrinsic Bayes floor.  Real benchmarks' sub-100% accuracies are
+/// data-intrinsic, not margin-fragile, so the proxy gets its difficulty
+/// the same way instead of by shrinking class margins to the
+/// quantization noise floor.
+constexpr double kCnnLabelNoise = 0.30;
+
+// The token-stream shape TransformerProxy and LmProxy share.
+constexpr std::int64_t kTokens = 24;
+constexpr std::int64_t kInputDim = 16;
+constexpr std::int64_t kHeads = 4;
+constexpr std::int64_t kBlocks = 2;
+
+// TransformerProxy's task.
+constexpr std::int64_t kOutlierTokens = 2;  ///< huge non-informative tokens
+static_assert(kOutlierTokens < kTokens, "too many outlier tokens");
+constexpr double kOutlierNorm = 24.0;
+constexpr double kTokenSignal = 1.0;
+constexpr double kTokenNoise = 0.25;
+/// Intrinsic Bayes floor (see kCnnLabelNoise).
+constexpr double kTokenLabelNoise = 0.25;
+
+// LmProxy's task.
+constexpr std::int64_t kVocab = 64;
+/// Teacher temperature is calibrated so the FP32 model's own perplexity
+/// lands here (the paper's LLMs sit in the 10-25 band); quantized
+/// renderings are then scored against that teacher.
+constexpr double kTargetBasePpl = 15.0;
+
 /// Argmax over a [1, N] logit row.
 std::int64_t argmax_row(const TensorF& logits) {
   DRIFT_CHECK(logits.shape().rank() == 2 && logits.shape().dim(0) == 1,
@@ -166,8 +202,8 @@ BudgetChoice search_budget(
 
 // ---------------------------------------------------------------- CNN
 
-CnnProxy::CnnProxy(const Config& config) : config_(config) {
-  DRIFT_CHECK(config.classes > 1 && config.samples > 0, "invalid proxy");
+CnnProxy::CnnProxy(const Config& config) {
+  DRIFT_CHECK(config.samples > 0, "invalid proxy");
   Rng rng(config.seed);
 
   features_ = std::make_unique<Sequential>("cnn_features");
@@ -189,9 +225,9 @@ CnnProxy::CnnProxy(const Config& config) : config_(config) {
   // the CNN regime both DRQ and Drift assume (Section 2.2): the
   // class-discriminative signal lives in loud salient regions, the
   // background is low-magnitude and uninformative.
-  const std::int64_t S = config.image_size;
+  const std::int64_t S = kImageSize;
   // All classes share one object location/texture base and differ by a
-  // class_separation-weighted texture delta, so the task is genuinely
+  // kClassSeparation-weighted texture delta, so the task is genuinely
   // confusable rather than trivially separable.
   const double ch = rng.uniform(0.25, 0.75) * static_cast<double>(S);
   const double cw = rng.uniform(0.25, 0.75) * static_cast<double>(S);
@@ -213,9 +249,9 @@ CnnProxy::CnnProxy(const Config& config) : config_(config) {
   };
   const TensorF common = make_texture(2.0);
   std::vector<TensorF> prototypes;
-  prototypes.reserve(static_cast<std::size_t>(config.classes));
-  for (std::int64_t k = 0; k < config.classes; ++k) {
-    const TensorF unique = make_texture(2.0 * config.class_separation);
+  prototypes.reserve(static_cast<std::size_t>(kCnnClasses));
+  for (std::int64_t k = 0; k < kCnnClasses; ++k) {
+    const TensorF unique = make_texture(2.0 * kClassSeparation);
     TensorF proto(Shape{3, S, S}, 0.0f);
     for (std::int64_t c = 0; c < 3; ++c) {
       for (std::int64_t h = 0; h < S; ++h) {
@@ -247,8 +283,7 @@ CnnProxy::CnnProxy(const Config& config) : config_(config) {
     auto id = img.data();
     auto nd = noise.data();
     for (std::size_t i = 0; i < id.size(); ++i) {
-      id[i] = static_cast<float>(config.signal * id[i] +
-                                 config.noise * nd[i]);
+      id[i] = static_cast<float>(kCnnSignal * id[i] + kCnnNoise * nd[i]);
     }
     return img;
   };
@@ -256,19 +291,19 @@ CnnProxy::CnnProxy(const Config& config) : config_(config) {
   // Calibration inputs: a few noisy samples per class, so the template
   // head is built under the same input distribution (and thus the same
   // dynamic precision decisions) the evaluation set triggers.
-  calibration_.resize(static_cast<std::size_t>(config.classes));
-  for (std::int64_t k = 0; k < config.classes; ++k) {
+  calibration_.resize(static_cast<std::size_t>(kCnnClasses));
+  for (std::int64_t k = 0; k < kCnnClasses; ++k) {
     for (int rep = 0; rep < 4; ++rep) {
       calibration_[static_cast<std::size_t>(k)].push_back(make_sample(k));
     }
   }
 
   for (std::int64_t s = 0; s < config.samples; ++s) {
-    const std::int64_t true_class = rng.uniform_int(0, config.classes - 1);
+    const std::int64_t true_class = rng.uniform_int(0, kCnnClasses - 1);
     images_.push_back(make_sample(true_class));
     // Label noise: the recorded label may disagree with the content.
-    labels_.push_back(rng.bernoulli(config.label_noise)
-                          ? rng.uniform_int(0, config.classes - 1)
+    labels_.push_back(rng.bernoulli(kCnnLabelNoise)
+                          ? rng.uniform_int(0, kCnnClasses - 1)
                           : true_class);
   }
 }
@@ -283,17 +318,14 @@ ProxyResult CnnProxy::evaluate(QuantEngine& engine) const {
 
 // -------------------------------------------------------- Transformer
 
-TransformerProxy::TransformerProxy(const Config& config) : config_(config) {
+TransformerProxy::TransformerProxy(const Config& config) {
   DRIFT_CHECK(config.classes > 1 && config.samples > 0, "invalid proxy");
-  DRIFT_CHECK(config.outlier_tokens < config.tokens,
-              "too many outlier tokens");
   Rng rng(config.seed);
 
-  embed_ = std::make_unique<Linear>("embed", config.input_dim,
-                                    config.model_dim, rng);
-  for (std::int64_t b = 0; b < config.blocks; ++b) {
+  embed_ = std::make_unique<Linear>("embed", kInputDim, config.model_dim, rng);
+  for (std::int64_t b = 0; b < kBlocks; ++b) {
     blocks_.push_back(std::make_unique<TransformerBlock>(
-        "block" + std::to_string(b), config.model_dim, config.heads,
+        "block" + std::to_string(b), config.model_dim, kHeads,
         config.ffn_dim, rng));
   }
   ln_final_ = std::make_unique<LayerNorm>("ln_final", config.model_dim);
@@ -301,9 +333,9 @@ TransformerProxy::TransformerProxy(const Config& config) : config_(config) {
   // Class prototypes: per class, a direction for every token position.
   std::vector<TensorF> prototypes;
   for (std::int64_t k = 0; k < config.classes; ++k) {
-    TensorF proto(Shape{config.tokens, config.input_dim});
-    for (std::int64_t t = 0; t < config.tokens; ++t) {
-      for (std::int64_t d = 0; d < config.input_dim; ++d) {
+    TensorF proto(Shape{kTokens, kInputDim});
+    for (std::int64_t t = 0; t < kTokens; ++t) {
+      for (std::int64_t d = 0; d < kInputDim; ++d) {
         // Token magnitudes kept well under the outlier scale so the
         // informative tokens fit a 4-bit rendering losslessly (the
         // regime the paper's BERT/ViT measurements show).
@@ -317,25 +349,25 @@ TransformerProxy::TransformerProxy(const Config& config) : config_(config) {
   // analogue): huge magnitude, identical across classes => carries no
   // class signal but dominates the tensor-wide quantization scale.
   std::vector<std::int64_t> outlier_pos;
-  TensorF outlier_dir(Shape{config.outlier_tokens, config.input_dim});
-  for (std::int64_t o = 0; o < config.outlier_tokens; ++o) {
-    outlier_pos.push_back(rng.uniform_int(0, config.tokens - 1));
+  TensorF outlier_dir(Shape{kOutlierTokens, kInputDim});
+  for (std::int64_t o = 0; o < kOutlierTokens; ++o) {
+    outlier_pos.push_back(rng.uniform_int(0, kTokens - 1));
     double norm = 0.0;
-    std::vector<double> v(static_cast<std::size_t>(config.input_dim));
+    std::vector<double> v(static_cast<std::size_t>(kInputDim));
     for (auto& vi : v) {
       vi = rng.normal();
       norm += vi * vi;
     }
     norm = std::sqrt(norm);
-    for (std::int64_t d = 0; d < config.input_dim; ++d) {
+    for (std::int64_t d = 0; d < kInputDim; ++d) {
       outlier_dir(o, d) = static_cast<float>(
-          v[static_cast<std::size_t>(d)] / norm * config.outlier_norm);
+          v[static_cast<std::size_t>(d)] / norm * kOutlierNorm);
     }
   }
   auto inject_outliers = [&](TensorF& x) {
-    for (std::int64_t o = 0; o < config_.outlier_tokens; ++o) {
+    for (std::int64_t o = 0; o < kOutlierTokens; ++o) {
       const std::int64_t t = outlier_pos[static_cast<std::size_t>(o)];
-      for (std::int64_t d = 0; d < config_.input_dim; ++d) {
+      for (std::int64_t d = 0; d < kInputDim; ++d) {
         x(t, d) = outlier_dir(o, d);
       }
     }
@@ -345,8 +377,8 @@ TransformerProxy::TransformerProxy(const Config& config) : config_(config) {
   auto make_sample = [&](std::int64_t cls) {
     TensorF x = prototypes[static_cast<std::size_t>(cls)];
     for (float& v : x.data()) {
-      v = static_cast<float>(config_.signal * v +
-                             config_.noise * rng.laplace(0.3));
+      v = static_cast<float>(kTokenSignal * v +
+                             kTokenNoise * rng.laplace(0.3));
     }
     inject_outliers(x);
     return x;
@@ -360,11 +392,11 @@ TransformerProxy::TransformerProxy(const Config& config) : config_(config) {
     }
   }
 
-  // Evaluation set (with label noise, see CnnProxy::Config).
+  // Evaluation set (with label noise, see kCnnLabelNoise).
   for (std::int64_t s = 0; s < config.samples; ++s) {
     const std::int64_t true_class = rng.uniform_int(0, config.classes - 1);
     inputs_.push_back(make_sample(true_class));
-    labels_.push_back(rng.bernoulli(config.label_noise)
+    labels_.push_back(rng.bernoulli(kTokenLabelNoise)
                           ? rng.uniform_int(0, config.classes - 1)
                           : true_class);
   }
@@ -407,24 +439,22 @@ SubTensorScaleProfile c4_stream_profile() {
   return p;
 }
 
-LmProxy::LmProxy(const Config& config) : config_(config) {
-  DRIFT_CHECK(config.vocab > 1 && config.samples > 0, "invalid proxy");
+LmProxy::LmProxy(const Config& config) {
+  DRIFT_CHECK(config.samples > 0, "invalid proxy");
   Rng rng(config.seed);
 
-  embed_ = std::make_unique<Linear>("embed", config.input_dim,
-                                    config.model_dim, rng);
-  for (std::int64_t b = 0; b < config.blocks; ++b) {
+  embed_ = std::make_unique<Linear>("embed", kInputDim, config.model_dim, rng);
+  for (std::int64_t b = 0; b < kBlocks; ++b) {
     blocks_.push_back(std::make_unique<TransformerBlock>(
-        "block" + std::to_string(b), config.model_dim, config.heads,
+        "block" + std::to_string(b), config.model_dim, kHeads,
         config.ffn_dim, rng));
   }
-  lm_head_ = std::make_unique<Linear>("lm_head", config.model_dim,
-                                      config.vocab, rng);
+  lm_head_ =
+      std::make_unique<Linear>("lm_head", config.model_dim, kVocab, rng);
 
   // Token streams from the corpus profile.
   for (std::int64_t s = 0; s < config.samples; ++s) {
-    inputs_.push_back(
-        synth_rows(rng, config.tokens, config.input_dim, config.stream));
+    inputs_.push_back(synth_rows(rng, kTokens, kInputDim, config.stream));
   }
 
   // FP32 teacher logits.
@@ -435,7 +465,7 @@ LmProxy::LmProxy(const Config& config) : config_(config) {
       });
 
   // Calibrate the teacher temperature so the FP32 model's own
-  // perplexity (exp of mean teacher entropy) hits target_base_ppl.
+  // perplexity (exp of mean teacher entropy) hits kTargetBasePpl.
   auto mean_entropy = [&](double scale) {
     double acc = 0.0;
     std::int64_t positions = 0;
@@ -461,7 +491,7 @@ LmProxy::LmProxy(const Config& config) : config_(config) {
     }
     return acc / static_cast<double>(positions);
   };
-  const double target_entropy = std::log(config.target_base_ppl);
+  const double target_entropy = std::log(kTargetBasePpl);
   double lo = 1e-4, hi = 64.0;  // entropy decreases in scale
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);

@@ -44,30 +44,17 @@ struct ProxyResult {
 /// experiments).
 class CnnProxy {
  public:
+  /// The task itself (10 classes of 24 x 24 images) is fixed.
   struct Config {
-    std::int64_t classes = 10;
-    std::int64_t image_size = 24;
     std::int64_t samples = 128;
-    double signal = 1.0;        ///< prototype strength
-    double noise = 0.08;        ///< background Laplace noise level
-    /// Classes share a common object texture and differ by this much.
-    double class_separation = 1.0;
-    /// Fraction of samples whose label is re-drawn uniformly: the
-    /// task's intrinsic Bayes floor.  Real benchmarks' sub-100%
-    /// accuracies are data-intrinsic, not margin-fragile, so the proxy
-    /// gets its difficulty the same way instead of by shrinking class
-    /// margins to the quantization noise floor.
-    double label_noise = 0.30;
     std::uint64_t seed = 7;
   };
 
   explicit CnnProxy(const Config& config);
 
   ProxyResult evaluate(QuantEngine& engine) const;
-  const Config& config() const { return config_; }
 
  private:
-  Config config_;
   std::unique_ptr<Sequential> features_;
   /// Per-class calibration inputs (noisy, like the evaluation set) for
   /// building the template head under each execution mode.
@@ -79,32 +66,22 @@ class CnnProxy {
 /// Transformer (ViT/BERT-style) classification proxy.
 class TransformerProxy {
  public:
+  /// The token-stream shape (LmProxy's too) and outliers are fixed.
   struct Config {
     std::int64_t classes = 8;
-    std::int64_t tokens = 24;
-    std::int64_t input_dim = 16;
     std::int64_t model_dim = 32;
-    std::int64_t heads = 4;
     std::int64_t ffn_dim = 64;
-    std::int64_t blocks = 2;
     std::int64_t samples = 128;
-    std::int64_t outlier_tokens = 2;  ///< huge non-informative tokens
-    double outlier_norm = 24.0;
-    double signal = 1.0;
-    double noise = 0.25;
-    double label_noise = 0.25;  ///< intrinsic Bayes floor (see CnnProxy)
     std::uint64_t seed = 11;
   };
 
   explicit TransformerProxy(const Config& config);
 
   ProxyResult evaluate(QuantEngine& engine) const;
-  const Config& config() const { return config_; }
 
  private:
   TensorF embed_tokens(const TensorF& raw, QuantEngine& engine) const;
 
-  Config config_;
   std::unique_ptr<Linear> embed_;
   std::vector<std::unique_ptr<TransformerBlock>> blocks_;
   std::unique_ptr<LayerNorm> ln_final_;  ///< pre-head LN (as in ViT/BERT)
@@ -117,19 +94,11 @@ class TransformerProxy {
 /// Decoder language-model proxy scored against its FP32 teacher.
 class LmProxy {
  public:
+  /// The token-stream shape, vocab and teacher perplexity are fixed.
   struct Config {
-    std::int64_t vocab = 64;
-    std::int64_t tokens = 24;
-    std::int64_t input_dim = 16;
     std::int64_t model_dim = 32;
-    std::int64_t heads = 4;
     std::int64_t ffn_dim = 64;
-    std::int64_t blocks = 2;
     std::int64_t samples = 48;
-    /// Teacher temperature is calibrated so the FP32 model's own
-    /// perplexity lands here (the paper's LLMs sit in the 10-25 band);
-    /// quantized renderings are then scored against that teacher.
-    double target_base_ppl = 15.0;
     SubTensorScaleProfile stream = llm_profile();  ///< corpus profile
     std::uint64_t seed = 13;
   };
@@ -139,12 +108,10 @@ class LmProxy {
   /// Returns perplexity (exp of mean cross-entropy against the FP32
   /// teacher distribution) plus the 4-bit fraction.
   ProxyResult evaluate(QuantEngine& engine) const;
-  const Config& config() const { return config_; }
 
  private:
   TensorF logits_for(const TensorF& input, QuantEngine& engine) const;
 
-  Config config_;
   double calibrated_scale_ = 1.0;
   std::unique_ptr<Linear> embed_;
   std::vector<std::unique_ptr<TransformerBlock>> blocks_;

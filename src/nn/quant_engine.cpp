@@ -77,7 +77,7 @@ OperandResult QuantEngine::process_activation_rows(const TensorF& x) const {
 
 OperandResult QuantEngine::process_activation_regions(const TensorF& x) const {
   DRIFT_CHECK(x.shape().rank() == 3, "region granularity needs [C, H, W]");
-  return process_with_views(x, partition_regions(x.shape(), config_.region));
+  return process_with_views(x, partition_regions(x.shape(), kRegion));
 }
 
 OperandResult QuantEngine::process_weight(const TensorF& w) const {

@@ -52,7 +52,6 @@ class QuantEngine {
     QuantMode mode = QuantMode::kFloat32;
     core::SelectorConfig drift{};   ///< Drift selector (hp/lp/δ)
     core::DrqConfig drq{};          ///< DRQ baseline parameters
-    std::int64_t region = 4;        ///< spatial region edge for conv inputs
     bool dynamic_weights = true;    ///< Drift: per-channel 4/8 weights
     /// Drift: when true, the per-tensor δ is chosen automatically as
     /// the minimum threshold whose excess rounding noise stays within
@@ -73,6 +72,9 @@ class QuantEngine {
   /// Processes a [M, K] activation matrix at row (token/patch)
   /// granularity.
   OperandResult process_activation_rows(const TensorF& x) const;
+
+  /// Spatial region edge for conv inputs.
+  static constexpr std::int64_t kRegion = 4;
 
   /// Processes a [C, H, W] activation tensor at DRQ's region
   /// granularity (all algorithms use the same sub-tensor size on CNN

@@ -55,7 +55,7 @@ void provide_backend_metadata(std::map<std::string, std::string>& meta) {
   if (features.avx2) joined += "avx2";
   if (features.neon) joined += joined.empty() ? "neon" : ",neon";
   meta["cpu_features"] = joined.empty() ? "none" : joined;
-  meta["force_scalar"] = force_scalar() ? "1" : "0";
+  meta["force_scalar"] = std::to_string(force_scalar() ? 1 : 0);
 }
 
 [[maybe_unused]] const bool kMetadataRegistered = [] {

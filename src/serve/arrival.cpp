@@ -1,6 +1,5 @@
 #include "serve/arrival.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -38,8 +37,7 @@ std::vector<double> bursty_gaps(const ArrivalConfig& config, Rng& rng,
 std::vector<double> diurnal_gaps(const ArrivalConfig& config, Rng& rng,
                                  std::int64_t count) {
   const double base_rate = 1.0 / config.mean_interarrival_cycles;
-  const double amplitude = std::clamp(config.diurnal_amplitude, 0.0, 1.0);
-  const double max_rate = base_rate * (1.0 + amplitude);
+  const double max_rate = base_rate * (1.0 + kDiurnalAmplitude);
   std::vector<double> gaps(static_cast<std::size_t>(count));
   double t = 0.0;
   double last_accepted = 0.0;
@@ -48,10 +46,12 @@ std::vector<double> diurnal_gaps(const ArrivalConfig& config, Rng& rng,
     // probability rate(t)/max_rate.
     for (;;) {
       t += rng.exponential(max_rate);
+      // At t = inf every rate is NaN; arrival_cycles rejects the time.
+      if (!(t <= static_cast<double>(kMaxArrivalCycles))) break;
       const double rate =
           base_rate *
-          (1.0 + amplitude * std::sin(kTwoPi * t /
-                                      config.diurnal_period_cycles));
+          (1.0 + kDiurnalAmplitude *
+                     std::sin(kTwoPi * t / config.diurnal_period_cycles));
       if (rng.uniform() * max_rate <= rate) break;
     }
     g = t - last_accepted;
@@ -100,6 +100,11 @@ std::vector<std::int64_t> arrival_cycles(const ArrivalConfig& config, Rng& rng,
   double t = 0.0;
   for (std::size_t i = 0; i < gaps.size(); ++i) {
     t += gaps[i];
+    // llround beyond int64 is unspecified; a NaN fails this test too.
+    if (!(t <= static_cast<double>(kMaxArrivalCycles))) {
+      throw check_error("arrival time of request " + std::to_string(i) +
+                        " passes 2^62 cycles");
+    }
     cycles[i] = std::llround(t);
   }
   return cycles;

@@ -35,10 +35,17 @@ struct ArrivalConfig {
   double burst_rate_multiplier = 4.0;
   double burst_enter_prob = 0.08;
   double burst_exit_prob = 0.25;
-  // Diurnal: rate(t) = base * (1 + amplitude * sin(2*pi*t / period)).
+  // Diurnal: rate(t) = base * (1 + kDiurnalAmplitude * sin(2*pi*t / period)).
   double diurnal_period_cycles = 1048576.0;
-  double diurnal_amplitude = 0.5;
 };
+
+/// Relative swing of the diurnal rate around its base (at most 1, so
+/// the rate never goes negative).
+inline constexpr double kDiurnalAmplitude = 0.5;
+
+/// Bound on an arrival time, in cycles: far below INT64_MAX, so a
+/// request's start plus its service time stays representable.
+inline constexpr std::int64_t kMaxArrivalCycles = std::int64_t{1} << 62;
 
 /// `count` interarrival gaps (cycles, continuous).  Exposed separately
 /// from arrival_cycles so the property tests can check sample moments
@@ -48,7 +55,8 @@ std::vector<double> interarrival_gaps(const ArrivalConfig& config, Rng& rng,
 
 /// `count` absolute arrival times: the running sum of the gaps, rounded
 /// to integer cycles (monotone non-decreasing by construction — the sum
-/// is accumulated before rounding).
+/// is accumulated before rounding).  Throws check_error, naming the
+/// request, when a time would pass kMaxArrivalCycles.
 std::vector<std::int64_t> arrival_cycles(const ArrivalConfig& config, Rng& rng,
                                          std::int64_t count);
 

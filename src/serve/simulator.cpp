@@ -185,7 +185,7 @@ ServeResult Simulator::run() {
       tenant_latency[static_cast<std::size_t>(r.tenant)]->observe(
           rec.latency());
       if (tracer.enabled()) {
-        if (rec.id < config_.trace_request_cap) {
+        if (rec.id < kTraceRequestCap) {
           const std::string track =
               "req/" + config_.tenants[static_cast<std::size_t>(r.tenant)]
                            .name +

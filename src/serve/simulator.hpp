@@ -32,11 +32,12 @@ struct ServeConfig {
   std::vector<TenantSpec> tenants;
   ExecConfig exec{};
   std::int64_t max_batch = 8;
-  /// Per-request Chrome-trace tracks are capped (each costs a pid-1
-  /// track); requests beyond the cap are counted in
-  /// serve.trace_dropped, never silently truncated.
-  std::int64_t trace_request_cap = 128;
 };
+
+/// Per-request Chrome-trace tracks are capped (each costs a pid-1
+/// track); requests beyond the cap are counted in serve.trace_dropped,
+/// never silently truncated.
+inline constexpr std::int64_t kTraceRequestCap = 128;
 
 /// One served request's lifecycle timestamps (all simulated cycles).
 struct RequestRecord {

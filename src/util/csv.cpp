@@ -9,7 +9,9 @@ namespace drift {
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : out_(path), width_(header.size()) {
-  DRIFT_CHECK(out_.good(), "failed to open CSV output file");
+  if (!out_.good()) {
+    throw check_error("failed to open CSV output file " + path);
+  }
   DRIFT_CHECK(width_ > 0, "CSV header must not be empty");
   row(header);
 }

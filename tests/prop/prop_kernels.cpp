@@ -275,7 +275,6 @@ nn::QuantEngine::Config gen_engine_config(Rng& rng) {
   cfg.auto_threshold = rng.bernoulli(0.7);
   cfg.drift.density_threshold = rng.bernoulli(0.5) ? 1.0 : 0.5;
   cfg.dynamic_weights = rng.bernoulli(0.5);
-  cfg.region = rng.uniform_int(2, 4);
   const core::Precision hp(rng.bernoulli(0.7) ? 8 : 6);
   const core::Precision lp(rng.bernoulli(0.7) ? 4 : 3);
   cfg.drift.hp = cfg.drq.hp = hp;

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -73,6 +74,28 @@ TEST(ServeArrival, InfiniteMeanGapIsRejected) {
     EXPECT_THROW(serve::arrival_cycles(config, rng, 4), check_error)
         << serve::to_string(kind);
   }
+}
+
+TEST(ServeArrival, TimeBeyondTheBoundThrowsNamingTheRequest) {
+  // llround of a sum beyond int64 is unspecified: a 1e300-cycle gap
+  // once came out as a garbled trace that served without an error.
+  Rng rng(3);
+  serve::ArrivalConfig config;
+  config.mean_interarrival_cycles = 1e300;
+  try {
+    serve::arrival_cycles(config, rng, 8);
+    ADD_FAILURE() << "no check_error";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("request 0 "), std::string::npos)
+        << e.what();
+  }
+  // Gaps of about 2^60 cycles pass the 2^62 bound after a few requests.
+  config.mean_interarrival_cycles = std::ldexp(1.0, 60);
+  EXPECT_THROW(serve::arrival_cycles(config, rng, 64), check_error);
+  // A diurnal proposal at +inf made the thinning loop spin forever.
+  config.kind = serve::ArrivalKind::kDiurnal;
+  config.mean_interarrival_cycles = 1e308;
+  EXPECT_THROW(serve::arrival_cycles(config, rng, 8), check_error);
 }
 
 TEST(ServeTenant, UnknownWorkloadThrowsListingKnownNames) {
@@ -678,11 +701,12 @@ TEST(ServeGolden, ChromeTraceCarriesPerRequestTracks) {
 
 TEST(ServeGolden, TraceCapDropsAreCounted) {
   serve::ServeConfig config = two_tenant_config();
-  config.trace_request_cap = 5;
+  config.tenants[0].num_requests = 96;
+  config.tenants[1].num_requests = 64;
   run_serving(config, 2, /*trace=*/true);
   EXPECT_EQ(
       obs::Registry::global().counter("serve.trace_dropped")->value(),
-      40 - 5);
+      96 + 64 - serve::kTraceRequestCap);
 }
 
 // ---------------------------------------------------------------------

@@ -16,16 +16,14 @@ TEST(Energy, BreakdownSumsAndAccumulates) {
 }
 
 TEST(Energy, ConstantsOrderingsAreSane) {
-  const EnergyConstants ec = default_constants();
   // An FP32 MAC costs far more than an INT8 MAC (16 BB ops + psum add).
-  const double int8_mac =
-      16 * ec.e_bitbrick_op_pj + ec.e_psum_add_pj;
-  EXPECT_GT(ec.e_fp32_mac_pj, 3.0 * int8_mac);
+  const double int8_mac = 16 * kBitbrickOpPj + kPsumAddPj;
+  EXPECT_GT(kFp32MacPj, 3.0 * int8_mac);
   // INT4 is ~4x cheaper than INT8 on the BB substrate.
-  const double int4_mac = 4 * ec.e_bitbrick_op_pj + ec.e_psum_add_pj;
+  const double int4_mac = 4 * kBitbrickOpPj + kPsumAddPj;
   EXPECT_GT(int8_mac / int4_mac, 2.5);
   // Buffer writes cost at least as much as reads.
-  EXPECT_GE(ec.e_buffer_write_pj_per_byte, ec.e_buffer_read_pj_per_byte);
+  EXPECT_GE(kBufferWritePjPerByte, kBufferReadPjPerByte);
 }
 
 TEST(Energy, BitbrickOpsCoverFlexiblePrecisions) {

@@ -107,21 +107,5 @@ TEST(Controller, IndexBitsAreFourPerSubtensor) {
   }
 }
 
-TEST(Controller, SelectionCyclesScaleWithThroughput) {
-  nn::MixConfig cfg;
-  cfg.algo = nn::MixAlgorithm::kDrift;
-  const auto mixes = nn::build_mixes(nn::make_deit_s(), cfg);
-  ControllerConfig slow;
-  slow.selector_throughput = 1;
-  ControllerConfig fast;
-  fast.selector_throughput = 4;
-  const auto r_slow = evaluate_controller(mixes, {24, 33}, slow);
-  const auto r_fast = evaluate_controller(mixes, {24, 33}, fast);
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    EXPECT_GE(r_slow.layers[i].selection_cycles,
-              r_fast.layers[i].selection_cycles);
-  }
-}
-
 }  // namespace
 }  // namespace drift::accel

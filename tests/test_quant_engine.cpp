@@ -69,7 +69,6 @@ TEST(QuantEngine, DriftWeightsDynamicToggle) {
 TEST(QuantEngine, RegionGranularityForConvInputs) {
   QuantEngine::Config cfg;
   cfg.mode = QuantMode::kDrq;
-  cfg.region = 4;
   QuantEngine engine(cfg);
   Rng rng(5);
   const TensorF x = synth_chw(rng, 3, 8, 8, 4, cnn_profile());

@@ -28,9 +28,13 @@ TEST(SimdDispatch, NativeBackendMatchesDetectedFeatures) {
   const CpuFeatures features = detect_cpu_features();
   // The dispatcher may only pick a vector backend the CPU reports.
   const std::string name = active().name;
-  if (name == "avx2") EXPECT_TRUE(features.avx2);
-  if (name == "neon") EXPECT_TRUE(features.neon);
-  if (name != "avx2" && name != "neon") EXPECT_EQ(name, "scalar");
+  if (name == "avx2") {
+    EXPECT_TRUE(features.avx2);
+  } else if (name == "neon") {
+    EXPECT_TRUE(features.neon);
+  } else {
+    EXPECT_EQ(name, "scalar");
+  }
 }
 
 TEST(SimdDispatch, TablesAreFullyPopulated) {

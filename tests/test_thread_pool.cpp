@@ -222,7 +222,6 @@ struct ProxyRun {
 /// evaluates each in all four modes.
 std::vector<ProxyRun> run_every_proxy() {
   nn::CnnProxy::Config cnn_cfg;
-  cnn_cfg.classes = 3;
   cnn_cfg.samples = 5;
   nn::TransformerProxy::Config vit_cfg;
   vit_cfg.classes = 3;

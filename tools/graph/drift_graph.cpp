@@ -54,7 +54,7 @@ examples/model_zoo/resnet18.json):
   --algo=NAME       run only: int8|drq|drift  (default: drift)
   --policy=NAME     drift scheduler: greedy|exhaustive|fixed
   --budget=F        excess-noise budget, finite and >= 0 (default 0.05)
-  --rows=N --cols=N BitGroup grid geometry, each >= 1 (default 24x33)
+  --rows=N --cols=N BitGroup grid geometry, each 2..1024 (default 24x33)
   --seed=N          mix sampling seed (default 17)
   --no-dynamic-weights  keep weights static INT8 under Drift
   --layers          print per-layer detail
@@ -142,8 +142,9 @@ bool read_sim_flags(const Args& args, accel::CompareConfig& config,
                     bool& layers) {
   const std::string policy = args.get_string("policy", "greedy");
   const auto budget = args.nonnegative_flag("budget", 0.05);
-  const auto rows = args.int_flag("rows", 24, 1);
-  const auto cols = args.int_flag("cols", 33, 1);
+  // >= 2 hosts both precision classes; 1024 bounds the O(R + C) tables.
+  const auto rows = args.int_flag("rows", 24, 2, 1024);
+  const auto cols = args.int_flag("cols", 33, 2, 1024);
   const auto seed =
       args.int_flag("seed", 17, std::numeric_limits<std::int64_t>::min());
   const auto no_dynamic_weights = args.bool_flag("no-dynamic-weights", false);

@@ -42,23 +42,23 @@ flags:
                     (overrides --load)
   --requests=N      requests per tenant, >= 1 (default 256)
   --max-batch=N     continuous-batching cap, >= 1 (default 8)
-  --rows=N --cols=N BitGroup grid geometry, each >= 1 (default 24x33)
+  --rows=N --cols=N BitGroup grid geometry, each 2..1024 (default 24x33)
   --seed=N          base seed; tenant i uses seed N+i (default 1)
   --shared-mix      all requests reuse the tenant's canonical mix
-  --threads=N       worker threads for the mix precompute, 1..1024
-                    (default: auto)
   --metrics-out=P   write the metrics artifact of the simulated run
   --trace-out=P     write a Chrome trace with one track per request
   --help            this text
 
 An unknown flag or choice, a malformed number or one out of its range
 is a usage error: exit 2 before any work, and no artifact is written.
+A run that fails (an arrival time beyond 2^62 cycles) exits 1 and
+writes its partial artifacts.
 )";
 
 // The flags besides --metrics-out / --trace-out (ReportOptions).
 constexpr const char* kAcceptedFlags =
     "--workloads, --algo, --arrival, --load, --interarrival, --requests, "
-    "--max-batch, --rows, --cols, --seed, --shared-mix, --threads, --help";
+    "--max-batch, --rows, --cols, --seed, --shared-mix, --help";
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -73,10 +73,10 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::string us(std::int64_t cycles, double clock_hz) {
+std::string us(std::int64_t cycles) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f",
-                1e6 * static_cast<double>(cycles) / clock_hz);
+                1e6 * static_cast<double>(cycles) / energy::kClockHz);
   return buf;
 }
 
@@ -97,20 +97,19 @@ int serve_main(int argc, char** argv) {
   const auto names =
       split_csv(args.get_string("workloads", "tiny-bert,tiny-cnn"));
   const std::string arrival = args.get_string("arrival", "poisson");
-  const auto rows = args.int_flag("rows", 24, 1);
-  const auto cols = args.int_flag("cols", 33, 1);
+  // >= 2 hosts both precision classes; 1024 bounds the O(R + C) tables.
+  const auto rows = args.int_flag("rows", 24, 2, 1024);
+  const auto cols = args.int_flag("cols", 33, 2, 1024);
   const auto max_batch = args.int_flag("max-batch", 8, 1);
   const auto requests = args.int_flag("requests", 256, 1);
   const auto seed =
       args.int_flag("seed", 1, std::numeric_limits<std::int64_t>::min());
-  // 0: the pool keeps its DRIFT_NUM_THREADS / hardware default.
-  const auto threads = args.int_flag("threads", 0, 1, 1024);
   const auto load = args.positive_flag("load", 0.6);
   const bool explicit_gap = args.has("interarrival");
   const auto gap = args.positive_flag("interarrival", 0.0);
   const auto shared_mix = args.bool_flag("shared-mix", false);
-  if (!rows || !cols || !max_batch || !requests || !seed || !threads ||
-      !load || !gap || !shared_mix) {
+  if (!rows || !cols || !max_batch || !requests || !seed || !load || !gap ||
+      !shared_mix) {
     return 2;
   }
 
@@ -156,7 +155,6 @@ int serve_main(int argc, char** argv) {
   if (!artifacts) return 2;
 
   util::ThreadPool& pool = util::ThreadPool::instance();
-  if (*threads > 0) pool.resize(static_cast<int>(*threads));
 
   // The artifacts cover the simulated run only: the calibration probe
   // runs untraced, and its metrics are reset before the run.
@@ -194,7 +192,6 @@ int serve_main(int argc, char** argv) {
   const serve::ServeResult result = sim.run();
   obs::Tracer::global().set_enabled(false);
 
-  const double clock_hz = config.exec.hw.energy.clock_hz;
   std::printf("%s serving, %zu tenant(s), arrival %s, max batch %lld, "
               "array %lldx%lld\n",
               nn::to_string(config.exec.algo).c_str(),
@@ -206,7 +203,8 @@ int serve_main(int argc, char** argv) {
               "utilization %.1f%%\n\n",
               static_cast<long long>(result.overall.count),
               static_cast<long long>(result.batches),
-              1e3 * static_cast<double>(result.makespan_cycles) / clock_hz,
+              1e3 * static_cast<double>(result.makespan_cycles) /
+                  energy::kClockHz,
               100.0 * result.utilization());
 
   TextTable t({"tenant", "n", "p50_us", "p99_us", "p99.9_us", "wait_us",
@@ -214,12 +212,11 @@ int serve_main(int argc, char** argv) {
   const auto add = [&](const std::string& name, const serve::SloSummary& s) {
     char wait[32], energy[32];
     std::snprintf(wait, sizeof(wait), "%.2f",
-                  1e6 * s.mean_wait_cycles / clock_hz);
+                  1e6 * s.mean_wait_cycles / energy::kClockHz);
     std::snprintf(energy, sizeof(energy), "%.3f",
                   s.energy_per_request_pj / 1e6);
-    t.add_row({name, std::to_string(s.count), us(s.p50_cycles, clock_hz),
-               us(s.p99_cycles, clock_hz), us(s.p999_cycles, clock_hz),
-               wait, energy});
+    t.add_row({name, std::to_string(s.count), us(s.p50_cycles),
+               us(s.p99_cycles), us(s.p999_cycles), wait, energy});
   };
   for (std::size_t i = 0; i < config.tenants.size(); ++i) {
     add(config.tenants[i].name, result.per_tenant[i]);
@@ -236,8 +233,8 @@ int main(int argc, char** argv) {
   try {
     return serve_main(argc, argv);
   } catch (const std::exception& e) {
-    // A run that fails (e.g. a grid too small for the precision
-    // classes) exits 1; the armed flush still writes partial artifacts.
+    // A run that fails (e.g. an arrival time beyond 2^62 cycles) exits
+    // 1; the armed flush still writes partial artifacts.
     std::fprintf(stderr, "drift_serve: %s\n", e.what());
     return 1;
   }
