@@ -60,10 +60,13 @@ std::unique_ptr<Accelerator> make_accelerator(nn::MixAlgorithm algo,
 
 Comparison compare_workload(const nn::WorkloadSpec& spec,
                             const CompareConfig& config) {
-  // Per-design precision mixes, from the matching algorithm.
-  const auto mixes = [&](nn::MixAlgorithm algo) {
-    return nn::build_mixes(spec, config.mix_config(algo, config.seed));
-  };
+  // Per-design precision mixes, from the matching algorithm, all
+  // classifying one draw of each layer's statistics.
+  const nn::MixConfig mix_configs[] = {
+      config.mix_config(nn::MixAlgorithm::kStaticInt8, config.seed),
+      config.mix_config(nn::MixAlgorithm::kDrq, config.seed),
+      config.mix_config(nn::MixAlgorithm::kDrift, config.seed)};
+  auto mixes = nn::build_mixes(spec, mix_configs);
   const auto run = [&](nn::MixAlgorithm algo,
                        const std::vector<nn::LayerMix>& algo_mixes) {
     return make_accelerator(algo, config.hw, config.drift_policy)
@@ -72,11 +75,10 @@ Comparison compare_workload(const nn::WorkloadSpec& spec,
 
   Comparison cmp;
   cmp.model = spec.model;
-  const auto int8_mixes = mixes(nn::MixAlgorithm::kStaticInt8);
-  cmp.eyeriss = EyerissModel(config.hw).run(spec, int8_mixes);  // FP32
-  cmp.bitfusion = run(nn::MixAlgorithm::kStaticInt8, int8_mixes);
-  cmp.drq = run(nn::MixAlgorithm::kDrq, mixes(nn::MixAlgorithm::kDrq));
-  cmp.drift_mixes = mixes(nn::MixAlgorithm::kDrift);
+  cmp.eyeriss = EyerissModel(config.hw).run(spec, mixes[0]);  // FP32
+  cmp.bitfusion = run(nn::MixAlgorithm::kStaticInt8, mixes[0]);
+  cmp.drq = run(nn::MixAlgorithm::kDrq, mixes[1]);
+  cmp.drift_mixes = std::move(mixes[2]);
   cmp.drift = run(nn::MixAlgorithm::kDrift, cmp.drift_mixes);
   return cmp;
 }

@@ -48,6 +48,22 @@ struct SubTensorStats {
   }
 };
 
+/// Only the two statistics Equations 5-6 read: what the synthetic
+/// sampler (nn/synthetic.hpp) draws for a zero-mean Laplace sub-tensor,
+/// in half a SubTensorStats.
+struct AbsStats {
+  double max_abs = 0.0;   ///< max(|Y|)
+  double mean_abs = 0.0;  ///< avg(|Y|)
+
+  /// The zero-mean Laplace sub-tensor's full statistics: E[Y] = 0 and
+  /// E[Y^2] = 2b^2 (sampling noise on the second moment mirrors the
+  /// first's).
+  SubTensorStats full() const {
+    return SubTensorStats{max_abs, mean_abs, 0.0,
+                          2.0 * mean_abs * mean_abs};
+  }
+};
+
 /// Computes SubTensorStats for one sub-tensor view of a float buffer.
 SubTensorStats compute_stats(const SubTensorView& view,
                              std::span<const float> buffer);

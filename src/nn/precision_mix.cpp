@@ -10,9 +10,57 @@
 namespace drift::nn {
 namespace {
 
+/// Rows per activation decision.  Convolution GEMM rows are streamed
+/// region-block-ordered (all output positions of one DRQ region back to
+/// back), so precision decisions apply to blocks of region^2
+/// consecutive rows; token streams decide per row.
+std::int64_t act_block(const LayerGemm& layer) {
+  return layer.kind == LayerKind::kConv
+             ? std::min<std::int64_t>(16, layer.dims.M)
+             : 1;
+}
+
+/// Element count of one activation sub-tensor (a block of rows).
+std::int64_t act_elements(const LayerGemm& layer) {
+  return std::max<std::int64_t>(layer.dims.K * act_block(layer), 2);
+}
+
+/// Attention GEMMs multiply two activations: their second operand is
+/// always dynamic and follows the activation profile.
+bool second_operand_is_activation(const LayerGemm& layer) {
+  return layer.kind == LayerKind::kAttnScore ||
+         layer.kind == LayerKind::kAttnContext;
+}
+
+bool reads_acts(const MixConfig& config) {
+  return config.algo != MixAlgorithm::kStaticInt8;
+}
+
+/// Whether `config` classifies the weight channels (or the second
+/// activation operand); DRQ and INT8 keep weights 8-bit.
+bool reads_second(const LayerGemm& layer, const MixConfig& config) {
+  return config.algo == MixAlgorithm::kDrift &&
+         (config.dynamic_weights || second_operand_is_activation(layer));
+}
+
+std::vector<core::AbsStats> draw_acts(const LayerGemm& layer, Rng& rng,
+                                      const SubTensorScaleProfile& profile) {
+  const std::int64_t block = act_block(layer);
+  const std::int64_t groups = (layer.dims.M + block - 1) / block;
+  return sample_subtensor_stats(rng, groups, act_elements(layer), profile);
+}
+
+std::vector<core::AbsStats> draw_second(const LayerGemm& layer, Rng& rng,
+                                        const WorkloadSpec& spec) {
+  return sample_subtensor_stats(
+      rng, layer.dims.N, std::max<std::int64_t>(layer.dims.K, 2),
+      second_operand_is_activation(layer) ? spec.act_profile
+                                          : spec.weight_profile);
+}
+
 /// Tensor-wide Eq. 1 calibration from sampled sub-tensor statistics.
-core::QuantParams params_from_stats(
-    const std::vector<core::SubTensorStats>& stats, core::Precision hp) {
+core::QuantParams params_from_stats(std::span<const core::AbsStats> stats,
+                                    core::Precision hp) {
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
   core::QuantParams p;
@@ -23,61 +71,63 @@ core::QuantParams params_from_stats(
   return p;
 }
 
-/// Runs the configured algorithm over one operand's sub-tensor stats;
-/// returns the in-order low/high pattern.  `elements` is the element
-/// count of each sub-tensor (needed by the noise-budget selection).
-std::vector<bool> classify(const std::vector<core::SubTensorStats>& stats,
-                           std::int64_t elements, const MixConfig& config,
-                           bool operand_is_dynamic) {
-  std::vector<bool> low(stats.size(), false);
-  if (!operand_is_dynamic || config.algo == MixAlgorithm::kStaticInt8) {
-    return low;
-  }
+/// Runs the configured dynamic algorithm (DRQ or Drift) over one
+/// operand's sub-tensor stats and writes the in-order low/high pattern
+/// to `low`.  `elements` is the element count of each sub-tensor
+/// (needed by the noise-budget selection).
+void classify(std::span<const core::AbsStats> stats, std::int64_t elements,
+              const MixConfig& config, std::vector<bool>& low) {
   if (config.algo == MixAlgorithm::kDrift) {
     const auto params = params_from_stats(stats, config.drift.hp);
     if (config.auto_threshold) {
-      const std::vector<std::int64_t> sizes(stats.size(), elements);
-      const auto auto_sel = core::select_auto_threshold(
-          stats, sizes, params, config.drift, config.noise_budget);
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        low[i] = auto_sel.decisions[i].use_low;
-      }
-      return low;
+      core::select_auto_threshold(core::StatsView(stats, elements), params,
+                                  config.drift, config.noise_budget, low);
+      return;
     }
+    low.assign(stats.size(), false);
     for (std::size_t i = 0; i < stats.size(); ++i) {
-      low[i] = core::select_precision(stats[i], params, config.drift).use_low;
+      low[i] = core::select_precision(stats[i].full(), params, config.drift)
+                   .use_low;
     }
-    return low;
+    return;
   }
+  DRIFT_CHECK(config.algo == MixAlgorithm::kDrq, "INT8 classifies nothing");
   // DRQ: region mean-abs against the tensor-wide mean-abs reference.
   double mean_ref = 0.0;
   for (const auto& s : stats) mean_ref += s.mean_abs;
   mean_ref /= static_cast<double>(stats.size());
+  low.assign(stats.size(), false);
   for (std::size_t i = 0; i < stats.size(); ++i) {
     low[i] = stats[i].mean_abs < config.drq.sensitivity * mean_ref;
   }
-  return low;
 }
 
-/// Low/high pattern of the weight channels (or of the second activation
-/// operand for attention GEMMs, which is always dynamic).
-std::vector<bool> build_weight_pattern(const LayerGemm& layer, Rng& rng,
-                                       const WorkloadSpec& spec,
-                                       const MixConfig& config) {
-  const bool second_operand_is_activation =
-      layer.kind == LayerKind::kAttnScore ||
-      layer.kind == LayerKind::kAttnContext;
-  const auto& w_profile = second_operand_is_activation
-                              ? spec.act_profile
-                              : spec.weight_profile;
-  const bool weights_dynamic =
-      config.algo == MixAlgorithm::kDrift &&
-      (config.dynamic_weights || second_operand_is_activation);
-  const auto w_stats = sample_subtensor_stats(
-      rng, layer.dims.N, std::max<std::int64_t>(layer.dims.K, 2),
-      w_profile);
-  return classify(w_stats, std::max<std::int64_t>(layer.dims.K, 2), config,
-                  weights_dynamic);
+/// The in-order activation row pattern from the layer's activation
+/// statistics (all high for INT8, which draws none).
+std::vector<bool> act_pattern(const LayerGemm& layer,
+                              std::span<const core::AbsStats> stats,
+                              const MixConfig& config) {
+  const auto rows = static_cast<std::size_t>(layer.dims.M);
+  if (!reads_acts(config)) return std::vector<bool>(rows, false);
+  std::vector<bool> group_low;
+  classify(stats, act_elements(layer), config, group_low);
+  const std::int64_t block = act_block(layer);
+  if (block == 1) return group_low;
+  std::vector<bool> row_is_low(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    row_is_low[r] = group_low[r / static_cast<std::size_t>(block)];
+  }
+  return row_is_low;
+}
+
+/// Low-precision weight channels (or second-operand rows) of a layer.
+std::int64_t weight_low_count(const LayerGemm& layer,
+                              std::span<const core::AbsStats> stats,
+                              const MixConfig& config) {
+  if (!reads_second(layer, config)) return 0;
+  std::vector<bool> low;
+  classify(stats, std::max<std::int64_t>(layer.dims.K, 2), config, low);
+  return std::count(low.begin(), low.end(), true);
 }
 
 }  // namespace
@@ -104,27 +154,9 @@ std::optional<MixAlgorithm> parse_mix_algorithm(const std::string& name) {
 std::vector<bool> build_act_pattern(const LayerGemm& layer, Rng& rng,
                                     const SubTensorScaleProfile& act_profile,
                                     const MixConfig& config) {
-  // Convolution GEMM rows are streamed region-block-ordered (all output
-  // positions of one DRQ region back to back), so precision decisions
-  // apply to blocks of region^2 consecutive rows; token streams decide
-  // per row.
-  const std::int64_t block =
-      layer.kind == LayerKind::kConv
-          ? std::min<std::int64_t>(16, layer.dims.M)
-          : 1;
-  const std::int64_t groups = (layer.dims.M + block - 1) / block;
-  const auto act_stats = sample_subtensor_stats(
-      rng, groups, std::max<std::int64_t>(layer.dims.K * block, 2),
-      act_profile);
-  const auto group_low =
-      classify(act_stats, std::max<std::int64_t>(layer.dims.K * block, 2),
-               config, /*operand_is_dynamic=*/true);
-  std::vector<bool> row_is_low(static_cast<std::size_t>(layer.dims.M));
-  for (std::int64_t r = 0; r < layer.dims.M; ++r) {
-    row_is_low[static_cast<std::size_t>(r)] =
-        group_low[static_cast<std::size_t>(r / block)];
-  }
-  return row_is_low;
+  std::vector<core::AbsStats> acts;
+  if (reads_acts(config)) acts = draw_acts(layer, rng, act_profile);
+  return act_pattern(layer, acts, config);
 }
 
 LayerMix assemble_mix(const LayerGemm& layer, std::vector<bool> row_is_low,
@@ -155,20 +187,39 @@ LayerMix assemble_mix(const LayerGemm& layer, std::vector<bool> row_is_low,
 
 std::vector<LayerMix> build_mixes(const WorkloadSpec& spec,
                                   const MixConfig& config) {
-  Rng base_rng(config.seed);
-  std::vector<LayerMix> mixes;
-  mixes.reserve(spec.layers.size());
+  return std::move(build_mixes(spec, std::span(&config, 1)).front());
+}
+
+std::vector<std::vector<LayerMix>> build_mixes(
+    const WorkloadSpec& spec, std::span<const MixConfig> configs) {
+  DRIFT_CHECK(!configs.empty(), "build_mixes needs a mix config");
+  for (const MixConfig& config : configs) {
+    DRIFT_CHECK(config.seed == configs.front().seed,
+                "mixes drawn together must share one seed");
+  }
+  const bool any_acts = std::any_of(configs.begin(), configs.end(),
+                                    reads_acts);
+  const Rng base_rng(configs.front().seed);
+  std::vector<std::vector<LayerMix>> mixes(configs.size());
+  for (auto& algo_mixes : mixes) algo_mixes.reserve(spec.layers.size());
   std::uint64_t stream = 0;
   for (const LayerGemm& layer : spec.layers) {
-    // One rng per layer, consumed activation-first then weight: the
-    // operand builders share it so the stream order (and therefore
-    // every sampled stat) is unchanged from the original fused loop.
+    // One rng per layer, consumed activation-first then weight, so
+    // every sampled stat is the same whichever configs read it.
     Rng rng = base_rng.fork(stream++);
-    auto rows = build_act_pattern(layer, rng, spec.act_profile, config);
-    const auto cols = build_weight_pattern(layer, rng, spec, config);
-    mixes.push_back(assemble_mix(layer, std::move(rows),
-                                 std::count(cols.begin(), cols.end(), true),
-                                 config));
+    std::vector<core::AbsStats> acts, second;
+    if (any_acts) acts = draw_acts(layer, rng, spec.act_profile);
+    const auto reads = [&](const MixConfig& c) {
+      return reads_second(layer, c);
+    };
+    if (std::any_of(configs.begin(), configs.end(), reads)) {
+      second = draw_second(layer, rng, spec);
+    }
+    for (std::size_t a = 0; a < configs.size(); ++a) {
+      mixes[a].push_back(assemble_mix(
+          layer, act_pattern(layer, acts, configs[a]),
+          weight_low_count(layer, second, configs[a]), configs[a]));
+    }
   }
   return mixes;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,20 +60,30 @@ struct LayerMix {
 };
 
 /// Builds the mix of every layer in a workload: layer i samples from
-/// Rng(config.seed).fork(i), activation pattern first, then the weight
-/// channels.  This is the only code that knows that order.
+/// Rng(config.seed).fork(i), the activation statistics first, then the
+/// weight channels', each only when the algorithm reads it (INT8 reads
+/// neither, DRQ and static-weight Drift only the activations and an
+/// attention GEMM's second operand).  This is the only code that knows
+/// that order.
 std::vector<LayerMix> build_mixes(const WorkloadSpec& spec,
                                   const MixConfig& config);
+
+/// build_mixes for several algorithms at one seed: each layer's
+/// statistics are drawn once, for every config that reads them, and
+/// classified once per config, so result[a] is bitwise
+/// build_mixes(spec, configs[a]).
+std::vector<std::vector<LayerMix>> build_mixes(
+    const WorkloadSpec& spec, std::span<const MixConfig> configs);
 
 // The pieces the serving layer (src/serve/) re-assembles to give every
 // in-flight request its own activation pattern against the tenant's
 // canonical weight channels (from build_mixes).
 
 /// In-order low/high pattern of one layer's activation rows: samples
-/// per-sub-tensor stats from `act_profile` and classifies them with the
-/// configured algorithm.  Convolution GEMM rows stream
-/// region-block-ordered, so decisions apply to blocks of consecutive
-/// rows; token streams decide per row.
+/// per-sub-tensor stats from `act_profile` (none for INT8) and
+/// classifies them with the configured algorithm.  Convolution GEMM
+/// rows stream region-block-ordered, so decisions apply to blocks of
+/// consecutive rows; token streams decide per row.
 std::vector<bool> build_act_pattern(const LayerGemm& layer, Rng& rng,
                                     const SubTensorScaleProfile& act_profile,
                                     const MixConfig& config);

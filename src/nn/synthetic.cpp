@@ -125,27 +125,24 @@ TensorF synth_chw(Rng& rng, std::int64_t channels, std::int64_t height,
   return out;
 }
 
-std::vector<core::SubTensorStats> sample_subtensor_stats(
+std::vector<core::AbsStats> sample_subtensor_stats(
     Rng& rng, std::int64_t count, std::int64_t elements,
     const SubTensorScaleProfile& profile) {
   DRIFT_CHECK(elements > 1, "need at least two elements per sub-tensor");
   const auto scales = sample_scales(rng, count, profile);
   const double n = static_cast<double>(elements);
+  const double sqrt_n = std::sqrt(n);
   const double log_n = std::log(n);
-  std::vector<core::SubTensorStats> stats;
+  std::vector<core::AbsStats> stats;
   stats.reserve(scales.size());
   for (double b : scales) {
     // avg|Y|: Gamma(n)/n, normal approximation for the n's we use.
-    const double mean_abs =
-        b * std::max(1.0 + rng.normal() / std::sqrt(n), 0.05);
+    const double mean_abs = b * std::max(1.0 + rng.normal() / sqrt_n, 0.05);
     // max|Y|: exponential order statistic, b*(ln n + Gumbel).
     const double gumbel = -std::log(-std::log(
         std::clamp(rng.uniform(), 1e-12, 1.0 - 1e-12)));
     const double max_abs = std::max(b * (log_n + gumbel), mean_abs);
-    // Zero-mean Laplace: E[Y] = 0, E[Y^2] = 2b^2 (sampling noise on
-    // the second moment mirrors the first's).
-    const double mean_sq = 2.0 * mean_abs * mean_abs;
-    stats.push_back(core::SubTensorStats{max_abs, mean_abs, 0.0, mean_sq});
+    stats.push_back(core::AbsStats{max_abs, mean_abs});
   }
   return stats;
 }

@@ -63,8 +63,9 @@ TensorF synth_chw(Rng& rng, std::int64_t channels, std::int64_t height,
 ///   avg|Y| ~ b * Gamma(n, 1/n)   (mean b, relative sd 1/sqrt(n))
 ///   max|Y| ~ b * (ln n + Gumbel) (exponential order statistic)
 /// Used by the hardware benches to derive precision mixes for full-size
-/// models (GPT2-XL etc.) without materializing billion-element tensors.
-std::vector<core::SubTensorStats> sample_subtensor_stats(
+/// models (GPT2-XL etc.) without materializing billion-element tensors;
+/// AbsStats::full() completes each record with the Laplace moments.
+std::vector<core::AbsStats> sample_subtensor_stats(
     Rng& rng, std::int64_t count, std::int64_t elements,
     const SubTensorScaleProfile& profile);
 

@@ -398,8 +398,14 @@ TEST(Cli, DriftServeRejectsUnknownFlag) {
 }
 
 TEST(Cli, DriftServeRejectsOutOfRangeNumbers) {
-  for (const char* flag : {"--max-batch=0", "--requests=-5", "--requests=0"}) {
-    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag, "(valid: >= 1)");
+  for (const char* flag : {"--max-batch=0", "--max-batch=1025"}) {
+    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag, "(valid: 1..1024)");
+  }
+  // A billion requests per tenant would run for hours before failing.
+  for (const char* flag : {"--requests=-5", "--requests=0",
+                           "--requests=1000001", "--requests=1000000000"}) {
+    expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + flag,
+                       "(valid: 1..1000000)");
   }
   for (const char* axis : kBadAxes) {
     expect_usage_error(DRIFT_SERVE_BIN, kServeArgs + axis,

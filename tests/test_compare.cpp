@@ -4,6 +4,7 @@
 
 #include "accel/compare.hpp"
 #include "accel/timeline.hpp"
+#include "nn/workload.hpp"
 
 namespace drift::accel {
 namespace {
@@ -85,6 +86,33 @@ TEST(Compare, TimelineConsistentWithSumOfMax) {
             summax + tl.front().dram_cycles + tl.back().dram_cycles +
                 timeline.total_cycles / 10);
   EXPECT_GT(timeline.overlap_fraction, 0.5);
+}
+
+TEST(Compare, Bloom7b1TotalsArePinned) {
+  // BLOOM-7B1's lm_head (N = 250,880 weight channels) is the largest
+  // operand any mix draws, and no CSV or golden covers the model, so
+  // `drift_graph compare --model=BLOOM-7B1`'s totals (its defaults are
+  // CompareConfig's) are pinned here.
+  const auto cmp =
+      compare_workload(nn::make_workload("BLOOM-7B1"), CompareConfig{});
+  struct Pin {
+    const RunResult* run;
+    std::int64_t cycles, stall_cycles, dram_bytes;
+    double total_pj;
+  };
+  const Pin pins[] = {
+      {&cmp.eyeriss, 34167867501, 709303871, 1881334087680,
+       82702196712657.609},
+      {&cmp.bitfusion, 10297435932, 0, 122424393728, 22347235908720.641},
+      {&cmp.drq, 9925944384, 4038605538, 74770448384, 18480518088115.84},
+      {&cmp.drift, 3728254171, 507717412, 45773916160, 8857019964213.6016}};
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(pin.run->cycles, pin.cycles) << pin.run->accelerator;
+    EXPECT_EQ(pin.run->stall_cycles, pin.stall_cycles) << pin.run->accelerator;
+    EXPECT_EQ(pin.run->dram_bytes, pin.dram_bytes) << pin.run->accelerator;
+    EXPECT_DOUBLE_EQ(pin.run->energy.total_pj(), pin.total_pj)
+        << pin.run->accelerator;
+  }
 }
 
 TEST(Compare, CustomArrayGeometryRespected) {

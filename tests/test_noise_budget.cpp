@@ -18,6 +18,13 @@ QuantParams params_for(double max_abs) {
   return p;
 }
 
+/// The sampler's records with their Laplace moments filled in.
+std::vector<SubTensorStats> full_stats(const std::vector<AbsStats>& abs) {
+  std::vector<SubTensorStats> stats;
+  for (const AbsStats& a : abs) stats.push_back(a.full());
+  return stats;
+}
+
 SubTensorStats laplace_stats(double b, double max_mult = 7.0) {
   SubTensorStats s;
   s.mean_abs = b;
@@ -61,8 +68,8 @@ TEST(NoiseBudget, BudgetBuysNoisyConversions) {
 
 TEST(NoiseBudget, CoverageMonotoneInBudget) {
   Rng rng(301);
-  const auto stats =
-      nn::sample_subtensor_stats(rng, 512, 768, nn::bert_profile());
+  const auto stats = full_stats(
+      nn::sample_subtensor_stats(rng, 512, 768, nn::bert_profile()));
   std::vector<std::int64_t> sizes(stats.size(), 768);
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
@@ -120,8 +127,8 @@ TEST(NoiseBudget, ImpliedDeltaReproducesSelection) {
   // Running Eq. 5-6 at the reported δ must accept every selected
   // sub-tensor whose conversion carries noise (the δ cut property).
   Rng rng(307);
-  const auto stats =
-      nn::sample_subtensor_stats(rng, 256, 512, nn::llm_profile());
+  const auto stats = full_stats(
+      nn::sample_subtensor_stats(rng, 256, 512, nn::llm_profile()));
   std::vector<std::int64_t> sizes(stats.size(), 512);
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
@@ -140,8 +147,8 @@ TEST(NoiseBudget, ImpliedDeltaReproducesSelection) {
 
 TEST(NoiseBudget, MapMatchesDecisions) {
   Rng rng(311);
-  const auto stats =
-      nn::sample_subtensor_stats(rng, 64, 128, nn::bert_profile());
+  const auto stats = full_stats(
+      nn::sample_subtensor_stats(rng, 64, 128, nn::bert_profile()));
   std::vector<std::int64_t> sizes(stats.size(), 128);
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);

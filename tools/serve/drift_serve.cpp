@@ -40,8 +40,8 @@ flags:
                     time (default 0.6)
   --interarrival=F  mean interarrival gap in cycles, finite and > 0
                     (overrides --load)
-  --requests=N      requests per tenant, >= 1 (default 256)
-  --max-batch=N     continuous-batching cap, >= 1 (default 8)
+  --requests=N      requests per tenant, 1..1000000 (default 256)
+  --max-batch=N     continuous-batching cap, 1..1024 (default 8)
   --rows=N --cols=N BitGroup grid geometry, each 2..1024 (default 24x33)
   --seed=N          base seed; tenant i uses seed N+i (default 1)
   --shared-mix      all requests reuse the tenant's canonical mix
@@ -100,8 +100,10 @@ int serve_main(int argc, char** argv) {
   // >= 2 hosts both precision classes; 1024 bounds the O(R + C) tables.
   const auto rows = args.int_flag("rows", 24, 2, 1024);
   const auto cols = args.int_flag("cols", 33, 2, 1024);
-  const auto max_batch = args.int_flag("max-batch", 8, 1);
-  const auto requests = args.int_flag("requests", 256, 1);
+  // 1024 is 128x the default batch cap; a million tiny-bert requests
+  // take about 150 MB and 30 s of host time (Release, x86-64).
+  const auto max_batch = args.int_flag("max-batch", 8, 1, 1024);
+  const auto requests = args.int_flag("requests", 256, 1, 1000000);
   const auto seed =
       args.int_flag("seed", 1, std::numeric_limits<std::int64_t>::min());
   const auto load = args.positive_flag("load", 0.6);
