@@ -44,8 +44,10 @@ int main(int argc, char** argv) try {
     const auto stats = core::compute_stats(views, x.data());
     std::vector<std::int64_t> sizes;
     for (const auto& v : views) sizes.push_back(v.size());
+    std::vector<bool> low;
     const auto sel = core::select_auto_threshold(
-        stats, sizes, params, core::SelectorConfig{}, 0.02);
+        core::StatsView(stats, sizes), params, core::SelectorConfig{}, 0.02,
+        low);
     gran_table.add_row({std::to_string(block),
                         std::to_string(views.size()),
                         TextTable::pct(sel.low_fraction_by_elements),
@@ -66,8 +68,9 @@ int main(int argc, char** argv) try {
     const auto views = partition_rows(Shape{rows, cols});
     const auto stats = core::compute_stats(views, x.data());
     std::vector<std::int64_t> sizes(views.size(), cols);
-    const auto sel =
-        core::select_auto_threshold(stats, sizes, params, scfg, 0.02);
+    std::vector<bool> low;
+    const auto sel = core::select_auto_threshold(
+        core::StatsView(stats, sizes), params, scfg, 0.02, low);
 
     accel::CompareConfig hw_cfg;
     hw_cfg.noise_budget = 0.05;

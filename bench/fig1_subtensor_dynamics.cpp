@@ -19,6 +19,7 @@
 #include "obs/report.hpp"
 #include "stats/fit.hpp"
 #include "stats/histogram.hpp"
+#include "stats/summary.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"

@@ -392,10 +392,8 @@ JsonValue kernels_json(const std::vector<KernelResult>& results,
   for (const auto& [key, value] : obs::run_metadata()) {
     meta[key] = JsonValue(value);
   }
-  const nn::simd::CpuFeatures features = nn::simd::detect_cpu_features();
-  std::string feature_list;
-  if (features.avx2) feature_list += "avx2";
-  if (features.neon) feature_list += feature_list.empty() ? "neon" : ",neon";
+  const std::string feature_list =
+      nn::simd::detect_cpu_features().avx2 ? "avx2" : "";
   JsonArray kernels;
   for (const KernelResult& r : results) {
     JsonObject row;

@@ -44,17 +44,19 @@ int main(int argc, char** argv) {
   const auto stats = core::compute_stats(views, x.data());
   std::vector<std::int64_t> sizes(views.size(), hidden);
   const core::SelectorConfig selector;  // INT8 -> INT4
+  std::vector<bool> low;
   const auto selection = core::select_auto_threshold(
-      stats, sizes, params, selector, /*budget=*/0.05);
+      core::StatsView(stats, sizes), params, selector, /*budget=*/0.05, low);
 
   TextTable table({"token", "max|Y|", "avg|Y|", "precision", "hc", "lc"});
   for (std::size_t t = 0; t < 8; ++t) {
-    const auto& d = selection.decisions[t];
+    // Eq. 5's conversion, which does not depend on the selected δ.
+    const core::ConversionChoice choice =
+        core::conversion_choice(stats[t].max_abs, params, selector);
     table.add_row({std::to_string(t), TextTable::fmt(stats[t].max_abs),
                    TextTable::fmt(stats[t].mean_abs),
-                   d.use_low ? "INT4" : "INT8",
-                   std::to_string(d.choice.hc),
-                   std::to_string(d.choice.lc)});
+                   low[t] ? "INT4" : "INT8", std::to_string(choice.hc),
+                   std::to_string(choice.lc)});
   }
   std::printf("\nfirst 8 token decisions:\n%s\n", table.to_string().c_str());
   std::printf("4-bit coverage: %.1f%% of elements (implied delta = %.3g, "
@@ -66,9 +68,7 @@ int main(int argc, char** argv) {
   // 4. Schedule the split GEMM (this layer times a 3072-wide FFN,
   //    weights 20% high / 80% low) on the 24x33 BitGroup grid.
   core::LayerWork work;
-  for (const auto& d : selection.decisions) {
-    (d.use_low ? work.m_low : work.m_high) += 1;
-  }
+  for (const bool is_low : low) (is_low ? work.m_low : work.m_high) += 1;
   work.n_high = 614;
   work.n_low = 2458;
   work.k = hidden;

@@ -10,15 +10,6 @@
 
 namespace drift::core {
 
-StatsView::StatsView(std::span<const SubTensorStats> stats,
-                     std::span<const std::int64_t> sizes)
-    : full_(stats), sizes_(sizes), size_(stats.size()) {
-  DRIFT_CHECK_EQ(stats.size(), sizes.size(), "stats/sizes mismatch");
-}
-
-StatsView::StatsView(std::span<const AbsStats> stats, std::int64_t elements)
-    : abs_(stats), elements_(elements), size_(stats.size()) {}
-
 AutoThresholdSummary select_auto_threshold(const StatsView& stats,
                                            const QuantParams& params,
                                            const SelectorConfig& base,
@@ -122,35 +113,6 @@ AutoThresholdSummary select_auto_threshold(const StatsView& stats,
                 static_cast<double>(total_elements)
           : 0.0;
   return result;
-}
-
-AutoThresholdResult select_auto_threshold(
-    std::span<const SubTensorStats> stats,
-    std::span<const std::int64_t> sizes, const QuantParams& params,
-    const SelectorConfig& base, double budget, double noise_cap) {
-  AutoThresholdResult result;
-  std::vector<bool> low;
-  static_cast<AutoThresholdSummary&>(result) = select_auto_threshold(
-      StatsView(stats, sizes), params, base, budget, low, noise_cap);
-  SelectorConfig probe = base;
-  probe.density_threshold = 0.0;
-  result.decisions.reserve(stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    result.decisions.push_back(PrecisionDecision{
-        low[i], select_precision(stats[i], params, probe).choice});
-  }
-  return result;
-}
-
-PrecisionMap auto_threshold_map(std::span<const SubTensorStats> stats,
-                                std::span<const std::int64_t> sizes,
-                                const QuantParams& params,
-                                const SelectorConfig& base, double budget,
-                                double noise_cap) {
-  AutoThresholdResult r =
-      select_auto_threshold(stats, sizes, params, base, budget, noise_cap);
-  std::vector<std::int64_t> size_vec(sizes.begin(), sizes.end());
-  return PrecisionMap(std::move(r.decisions), std::move(size_vec), base);
 }
 
 }  // namespace drift::core

@@ -18,39 +18,11 @@
 // running Equations 5-6 at that δ reproduces the same selection.
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/selector.hpp"
 
 namespace drift::core {
-
-/// The statistics one selection reads, without copying them: the
-/// pooling unit's SubTensorStats with one element count per sub-tensor
-/// (real tensors, whose edge views may be smaller), or the sampler's
-/// AbsStats with one element count shared by all.
-class StatsView {
- public:
-  StatsView(std::span<const SubTensorStats> stats,
-            std::span<const std::int64_t> sizes);
-  StatsView(std::span<const AbsStats> stats, std::int64_t elements);
-
-  std::size_t size() const { return size_; }
-  SubTensorStats operator[](std::size_t i) const {
-    return abs_.empty() ? full_[i] : abs_[i].full();
-  }
-  std::int64_t elements(std::size_t i) const {
-    return sizes_.empty() ? elements_ : sizes_[i];
-  }
-
- private:
-  std::span<const SubTensorStats> full_;
-  std::span<const AbsStats> abs_;
-  std::span<const std::int64_t> sizes_;
-  std::int64_t elements_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Outcome of the automatic threshold selection.
 struct AutoThresholdSummary {
@@ -75,24 +47,5 @@ AutoThresholdSummary select_auto_threshold(const StatsView& stats,
                                            double budget,
                                            std::vector<bool>& low,
                                            double noise_cap = 0.125);
-
-/// The selection above plus each sub-tensor's Eq. 5 (hc, lc) choice,
-/// which rendering needs.  `sizes[i]` is the element count of
-/// sub-tensor i.
-struct AutoThresholdResult : AutoThresholdSummary {
-  std::vector<PrecisionDecision> decisions;  ///< one per sub-tensor
-};
-
-AutoThresholdResult select_auto_threshold(
-    std::span<const SubTensorStats> stats,
-    std::span<const std::int64_t> sizes, const QuantParams& params,
-    const SelectorConfig& base, double budget, double noise_cap = 0.125);
-
-/// Convenience: builds a PrecisionMap from the auto selection.
-PrecisionMap auto_threshold_map(std::span<const SubTensorStats> stats,
-                                std::span<const std::int64_t> sizes,
-                                const QuantParams& params,
-                                const SelectorConfig& base, double budget,
-                                double noise_cap = 0.125);
 
 }  // namespace drift::core

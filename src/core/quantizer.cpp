@@ -7,18 +7,20 @@
 
 namespace drift::core {
 
+QuantParams quant_params_from_max(double max_abs, Precision bits) {
+  QuantParams p;
+  p.bits = bits;
+  p.delta =
+      max_abs > 0.0 ? max_abs / static_cast<double>(bits.max_level()) : 1.0;
+  return p;
+}
+
 QuantParams compute_quant_params(std::span<const float> values,
                                  Precision bits) {
   DRIFT_CHECK(!values.empty(), "cannot calibrate on an empty tensor");
   float max_abs = 0.0f;
   for (float v : values) max_abs = std::max(max_abs, std::abs(v));
-  QuantParams p;
-  p.bits = bits;
-  p.delta = max_abs > 0.0f
-                ? static_cast<double>(max_abs) /
-                      static_cast<double>(bits.max_level())
-                : 1.0;
-  return p;
+  return quant_params_from_max(static_cast<double>(max_abs), bits);
 }
 
 std::int32_t quantize_value(float x, const QuantParams& params) {

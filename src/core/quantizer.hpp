@@ -31,8 +31,12 @@ struct QuantParams {
   double representation_density() const { return delta; }
 };
 
-/// Computes Δ from the data (Equation 1).  A degenerate all-zero tensor
-/// yields Δ = 1 so round-tripping still works.
+/// Equation 1 from a tensor's max|X|: Δ = max|X| / (2^(N-1) - 1).  A
+/// degenerate all-zero tensor yields Δ = 1 so round-tripping still
+/// works.
+QuantParams quant_params_from_max(double max_abs, Precision bits);
+
+/// Computes Δ from the data (Equation 1).
 QuantParams compute_quant_params(std::span<const float> values,
                                  Precision bits = kInt8);
 

@@ -4,12 +4,11 @@
 #include <cmath>
 
 #include "core/capability.hpp"
-#include "core/render.hpp"
+#include "core/noise_budget.hpp"
 // drift-lint: allow(intrinsic) — the selector's pooling-unit reductions
 // are a dispatch hot loop; only the table entry points are used here.
 #include "nn/simd/kernel_dispatch.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,43 +52,65 @@ std::vector<SubTensorStats> compute_stats(
   return stats;
 }
 
-PrecisionDecision select_precision(const SubTensorStats& stats,
-                                   const QuantParams& params,
+StatsView::StatsView(std::span<const SubTensorStats> stats,
+                     std::span<const std::int64_t> sizes)
+    : full_(stats), sizes_(sizes), size_(stats.size()) {
+  DRIFT_CHECK_EQ(stats.size(), sizes.size(), "stats/sizes mismatch");
+}
+
+StatsView::StatsView(std::span<const AbsStats> stats, std::int64_t elements)
+    : abs_(stats), elements_(elements), size_(stats.size()) {}
+
+namespace {
+
+/// What the lp rendering with low-end clip lc actually tops out at:
+/// (2^(lp-1) - 1) * 2^lc * Δ.
+double exact_range(int lc, const QuantParams& params,
+                   const SelectorConfig& config) {
+  return static_cast<double>(config.lp.max_level()) *
+         static_cast<double>(std::int64_t{1} << lc) * params.delta;
+}
+
+}  // namespace
+
+ConversionChoice conversion_choice(double max_abs, const QuantParams& params,
                                    const SelectorConfig& config) {
   const int clip_total = config.hp.bits() - config.lp.bits();
   DRIFT_CHECK(clip_total >= 0, "lp wider than hp");
-
   // All-(near-)zero sub-tensor: any rendering represents it exactly, so
-  // take the low precision with the maximal high-end clip.
-  if (stats.max_abs <= 0.0) {
-    return PrecisionDecision{true, ConversionChoice{clip_total, 0}};
-  }
+  // take the maximal high-end clip.
+  if (max_abs <= 0.0) return ConversionChoice{clip_total, 0};
 
-  // Step 1 (Equation 5): the largest hc whose representation range
-  // still covers max(|Y|).  Equation 5's closed form
-  // hc = floor(log2(max_level(hp)*Δ / max|Y|)) is a whisker optimistic
-  // twice over: the paper's RR = (2^(hp-1)-1)/2^hc * Δ exceeds what the
-  // lp rendering actually tops out at, (2^(lp-1)-1) * 2^lc * Δ (112Δ,
-  // not 127Δ, for 8->4 with lc=4), and the floating-point log2 can land
-  // an ulp below an integer when max(|Y|) sits exactly on an RR
-  // boundary, silently losing one bit of clip (and therefore one bit of
-  // resolution) for near-full-width lp.  The hardware comparator
-  // applies the exact bound, so we search hc directly: the range is
-  // monotone decreasing in hc, making the feasible set a prefix — take
-  // its largest element, or fall back to high precision for
-  // sub-tensors that span the full tensor range, which no lp rendering
-  // can hold without clamping.
-  auto exact_range = [&](int hc_candidate) {
-    const int lc = clip_total - hc_candidate;
-    return static_cast<double>(config.lp.max_level()) *
-           static_cast<double>(std::int64_t{1} << lc) * params.delta;
-  };
+  // Equation 5's closed form hc = floor(log2(max_level(hp)*Δ / max|Y|))
+  // is a whisker optimistic twice over: the paper's
+  // RR = (2^(hp-1)-1)/2^hc * Δ exceeds what the lp rendering actually
+  // tops out at (112Δ, not 127Δ, for 8->4 with lc=4), and the
+  // floating-point log2 can land an ulp below an integer when max(|Y|)
+  // sits exactly on an RR boundary, silently losing one bit of clip
+  // (and therefore one bit of resolution) for near-full-width lp.  The
+  // hardware comparator applies the exact bound, so we search hc
+  // directly: the range is monotone decreasing in hc, making the
+  // feasible set a prefix — take its largest element.  When even hc = 0
+  // falls short the search ends there too.
   int hc = clip_total;
-  while (hc > 0 && exact_range(hc) < stats.max_abs) --hc;
-  if (exact_range(hc) < stats.max_abs) {
-    return PrecisionDecision{false, ConversionChoice{0, clip_total}};
+  while (hc > 0 && exact_range(clip_total - hc, params, config) < max_abs) {
+    --hc;
   }
-  const ConversionChoice choice{hc, clip_total - hc};
+  return ConversionChoice{hc, clip_total - hc};
+}
+
+PrecisionDecision select_precision(const SubTensorStats& stats,
+                                   const QuantParams& params,
+                                   const SelectorConfig& config) {
+  // Step 1 (Equation 5).
+  const ConversionChoice choice =
+      conversion_choice(stats.max_abs, params, config);
+  if (stats.max_abs <= 0.0) return PrecisionDecision{true, choice};
+  // Sub-tensors that span the full tensor range stay high: no lp
+  // rendering can hold them without clamping.
+  if (exact_range(choice.lc, params, config) < stats.max_abs) {
+    return PrecisionDecision{false, choice};
+  }
 
   // Step 2 (Equation 6): accept iff var(Y) / RD >= δ, with the Laplace
   // identity var(Y) = 2*avg(|Y|)^2 standing in for the true variance.
@@ -105,6 +126,30 @@ PrecisionDecision select_precision(const SubTensorStats& stats,
   const bool dense_enough = ratio_code_units >= config.density_threshold;
 
   return PrecisionDecision{dense_enough, choice};
+}
+
+void select_drift(const StatsView& stats, const QuantParams& params,
+                  const SelectorConfig& config, std::optional<double> budget,
+                  std::vector<bool>& low) {
+  if (budget) {
+    select_auto_threshold(stats, params, config, *budget, low);
+    return;
+  }
+  low.assign(stats.size(), false);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    low[i] = select_precision(stats[i], params, config).use_low;
+  }
+}
+
+void select_drq(const StatsView& stats, const DrqConfig& config,
+                double reference, std::vector<bool>& low) {
+  const double bar = config.sensitivity * reference;
+  low.assign(stats.size(), false);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    // A region is sensitive when its mean(|Y|) reaches the bar; every
+    // other region goes low.
+    low[i] = !(stats[i].mean_abs >= bar);
+  }
 }
 
 PrecisionMap::PrecisionMap(std::vector<PrecisionDecision> decisions,
@@ -157,33 +202,6 @@ double PrecisionMap::low_fraction_by_elements() const {
   if (total_elements_ == 0) return 0.0;
   return static_cast<double>(low_elements_) /
          static_cast<double>(total_elements_);
-}
-
-PrecisionMap DynamicQuantizer::select(std::span<const float> values,
-                                      const std::vector<SubTensorView>& views,
-                                      const QuantParams& params) const {
-  DRIFT_OBS_SPAN("selector.select");
-  DRIFT_CHECK_EQ(params.bits, config_.hp,
-                 "quant params precision must match selector hp");
-  std::vector<PrecisionDecision> decisions(views.size());
-  std::vector<std::int64_t> sizes(views.size());
-  const auto n = static_cast<std::int64_t>(views.size());
-  util::parallel_for(0, n, 16, [&](std::int64_t v0, std::int64_t v1) {
-    for (std::int64_t v = v0; v < v1; ++v) {
-      const auto& view = views[static_cast<std::size_t>(v)];
-      decisions[static_cast<std::size_t>(v)] =
-          select_precision(compute_stats(view, values), params, config_);
-      sizes[static_cast<std::size_t>(v)] = view.size();
-    }
-  });
-  return PrecisionMap(std::move(decisions), std::move(sizes), config_);
-}
-
-std::vector<float> DynamicQuantizer::apply(
-    std::span<const float> values, const std::vector<SubTensorView>& views,
-    const QuantParams& params, const PrecisionMap& map) const {
-  DRIFT_OBS_SPAN("selector.apply");
-  return render(values, views, params, map, config_.lp);
 }
 
 }  // namespace drift::core

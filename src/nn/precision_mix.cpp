@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "core/noise_budget.hpp"
-
 #include "util/assert.hpp"
 
 namespace drift::nn {
@@ -58,48 +56,20 @@ std::vector<core::AbsStats> draw_second(const LayerGemm& layer, Rng& rng,
                                           : spec.weight_profile);
 }
 
-/// Tensor-wide Eq. 1 calibration from sampled sub-tensor statistics.
-core::QuantParams params_from_stats(std::span<const core::AbsStats> stats,
-                                    core::Precision hp) {
+/// Drift's low bits for one operand, Eq. 1 calibrated from its largest
+/// sampled max|Y|.  `elements` is the element count of each sub-tensor
+/// (needed by the noise-budget selection).
+void drift_low_bits(std::span<const core::AbsStats> stats,
+                    std::int64_t elements, const MixConfig& config,
+                    std::vector<bool>& low) {
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
-  core::QuantParams p;
-  p.bits = hp;
-  p.delta = max_abs > 0.0
-                ? max_abs / static_cast<double>(hp.max_level())
-                : 1.0;
-  return p;
-}
-
-/// Runs the configured dynamic algorithm (DRQ or Drift) over one
-/// operand's sub-tensor stats and writes the in-order low/high pattern
-/// to `low`.  `elements` is the element count of each sub-tensor
-/// (needed by the noise-budget selection).
-void classify(std::span<const core::AbsStats> stats, std::int64_t elements,
-              const MixConfig& config, std::vector<bool>& low) {
-  if (config.algo == MixAlgorithm::kDrift) {
-    const auto params = params_from_stats(stats, config.drift.hp);
-    if (config.auto_threshold) {
-      core::select_auto_threshold(core::StatsView(stats, elements), params,
-                                  config.drift, config.noise_budget, low);
-      return;
-    }
-    low.assign(stats.size(), false);
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      low[i] = core::select_precision(stats[i].full(), params, config.drift)
-                   .use_low;
-    }
-    return;
-  }
-  DRIFT_CHECK(config.algo == MixAlgorithm::kDrq, "INT8 classifies nothing");
-  // DRQ: region mean-abs against the tensor-wide mean-abs reference.
-  double mean_ref = 0.0;
-  for (const auto& s : stats) mean_ref += s.mean_abs;
-  mean_ref /= static_cast<double>(stats.size());
-  low.assign(stats.size(), false);
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    low[i] = stats[i].mean_abs < config.drq.sensitivity * mean_ref;
-  }
+  core::select_drift(
+      core::StatsView(stats, elements),
+      core::quant_params_from_max(max_abs, config.drift.hp), config.drift,
+      config.auto_threshold ? std::optional(config.noise_budget)
+                            : std::nullopt,
+      low);
 }
 
 /// The in-order activation row pattern from the layer's activation
@@ -110,7 +80,16 @@ std::vector<bool> act_pattern(const LayerGemm& layer,
   const auto rows = static_cast<std::size_t>(layer.dims.M);
   if (!reads_acts(config)) return std::vector<bool>(rows, false);
   std::vector<bool> group_low;
-  classify(stats, act_elements(layer), config, group_low);
+  if (config.algo == MixAlgorithm::kDrq) {
+    // DRQ's reference: the mean of the sampled avg|Y|.
+    double reference = 0.0;
+    for (const auto& s : stats) reference += s.mean_abs;
+    reference /= static_cast<double>(stats.size());
+    core::select_drq(core::StatsView(stats, act_elements(layer)), config.drq,
+                     reference, group_low);
+  } else {
+    drift_low_bits(stats, act_elements(layer), config, group_low);
+  }
   const std::int64_t block = act_block(layer);
   if (block == 1) return group_low;
   std::vector<bool> row_is_low(rows);
@@ -126,7 +105,7 @@ std::int64_t weight_low_count(const LayerGemm& layer,
                               const MixConfig& config) {
   if (!reads_second(layer, config)) return 0;
   std::vector<bool> low;
-  classify(stats, std::max<std::int64_t>(layer.dims.K, 2), config, low);
+  drift_low_bits(stats, std::max<std::int64_t>(layer.dims.K, 2), config, low);
   return std::count(low.begin(), low.end(), true);
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/drq_quantizer.hpp"
 #include "core/scheduler.hpp"
 #include "core/selector.hpp"
 #include "nn/synthetic.hpp"

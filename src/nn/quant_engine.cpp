@@ -1,6 +1,8 @@
 #include "nn/quant_engine.hpp"
 
-#include "core/noise_budget.hpp"
+#include <cmath>
+#include <optional>
+
 #include "core/render.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,55 +20,79 @@ std::string to_string(QuantMode mode) {
   return "?";
 }
 
+namespace {
+
+/// DRQ's reference for a real tensor: Σ|x| / n over every element.
+double tensor_mean_abs(std::span<const float> x) {
+  double sum_abs = 0.0;
+  for (float v : x) sum_abs += std::abs(static_cast<double>(v));
+  return x.empty() ? 0.0 : sum_abs / static_cast<double>(x.size());
+}
+
+}  // namespace
+
+core::PrecisionMap QuantEngine::select(std::span<const float> x,
+                                       const std::vector<SubTensorView>& views,
+                                       const core::QuantParams& params) const {
+  DRIFT_OBS_SPAN("selector.select");
+  const bool drq = config_.mode == QuantMode::kDrq;
+  DRIFT_CHECK(drq || config_.mode == QuantMode::kDrift,
+              "only DRQ and Drift select sub-tensors");
+  // DRQ has no density criterion, so its map carries δ = 0.
+  const core::SelectorConfig selector =
+      drq ? core::SelectorConfig{config_.drq.hp, config_.drq.lp, 0.0}
+          : config_.drift;
+  DRIFT_CHECK_EQ(params.bits, selector.hp,
+                 "quant params precision must match the selector's hp");
+  const std::vector<core::SubTensorStats> stats = core::compute_stats(views, x);
+  std::vector<std::int64_t> sizes;
+  sizes.reserve(views.size());
+  for (const auto& v : views) sizes.push_back(v.size());
+  const core::StatsView view(stats, sizes);
+  std::vector<bool> low;
+  if (drq) {
+    core::select_drq(view, config_.drq, tensor_mean_abs(x), low);
+  } else {
+    core::select_drift(view, params, config_.drift,
+                       config_.auto_threshold
+                           ? std::optional(config_.noise_budget)
+                           : std::nullopt,
+                       low);
+  }
+  const core::ConversionChoice truncate{
+      0, selector.hp.bits() - selector.lp.bits()};
+  std::vector<core::PrecisionDecision> decisions(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    decisions[i] = core::PrecisionDecision{
+        low[i], drq ? truncate
+                    : core::conversion_choice(stats[i].max_abs, params,
+                                              selector)};
+  }
+  return core::PrecisionMap(std::move(decisions), std::move(sizes), selector);
+}
+
 OperandResult QuantEngine::process_with_views(
     const TensorF& x, const std::vector<SubTensorView>& views) const {
   DRIFT_OBS_SPAN("quant_engine.operand");
   DRIFT_OBS_COUNT("quant_engine.operands", 1);
   OperandResult result;
-  switch (config_.mode) {
-    case QuantMode::kFloat32: {
-      result.effective = x;
-      return result;
-    }
-    case QuantMode::kStaticInt8: {
-      const auto params =
-          core::compute_quant_params(x.data(), config_.drift.hp);
-      result.effective = TensorF(x.shape(), core::render_hp(x.data(), params));
-      return result;
-    }
-    case QuantMode::kDrq: {
-      const auto params = core::compute_quant_params(x.data(), config_.drq.hp);
-      const core::DrqQuantizer drq(config_.drq);
-      const auto map = drq.select(x.data(), views, params);
-      auto rendered = drq.apply(x.data(), views, params, map);
-      result.effective = TensorF(x.shape(), std::move(rendered));
-      result.low_fraction = map.low_fraction_by_elements();
-      result.low_fraction_rows = map.low_fraction_by_count();
-      return result;
-    }
-    case QuantMode::kDrift: {
-      const auto params =
-          core::compute_quant_params(x.data(), config_.drift.hp);
-      const core::DynamicQuantizer dynq(config_.drift);
-      core::PrecisionMap map = [&] {
-        if (!config_.auto_threshold) {
-          return dynq.select(x.data(), views, params);
-        }
-        const auto stats = core::compute_stats(views, x.data());
-        std::vector<std::int64_t> sizes;
-        sizes.reserve(views.size());
-        for (const auto& v : views) sizes.push_back(v.size());
-        return core::auto_threshold_map(stats, sizes, params, config_.drift,
-                                        config_.noise_budget);
-      }();
-      auto rendered = dynq.apply(x.data(), views, params, map);
-      result.effective = TensorF(x.shape(), std::move(rendered));
-      result.low_fraction = map.low_fraction_by_elements();
-      result.low_fraction_rows = map.low_fraction_by_count();
-      return result;
-    }
+  if (config_.mode == QuantMode::kFloat32) {
+    result.effective = x;
+    return result;
   }
-  DRIFT_CHECK(false, "unreachable quant mode");
+  const core::Precision hp =
+      config_.mode == QuantMode::kDrq ? config_.drq.hp : config_.drift.hp;
+  const auto params = core::compute_quant_params(x.data(), hp);
+  if (config_.mode == QuantMode::kStaticInt8) {
+    result.effective = TensorF(x.shape(), core::render_hp(x.data(), params));
+    return result;
+  }
+  const core::PrecisionMap map = select(x.data(), views, params);
+  result.effective = TensorF(
+      x.shape(),
+      core::render(x.data(), views, params, map, map.config().lp));
+  result.low_fraction = map.low_fraction_by_elements();
+  result.low_fraction_rows = map.low_fraction_by_count();
   return result;
 }
 

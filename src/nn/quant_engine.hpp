@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/drq_quantizer.hpp"
 #include "core/selector.hpp"
 #include "tensor/tensor.hpp"
 
@@ -85,6 +85,15 @@ class QuantEngine {
   /// channel granularity.  DRQ and INT8 keep weights static 8-bit;
   /// Drift optionally applies the same selector to weight channels.
   OperandResult process_weight(const TensorF& w) const;
+
+  /// The DRQ or Drift selection over `views` of `x`, whose Eq. 1
+  /// calibration at the mode's hp is `params`: each view's statistics
+  /// once, core::select_drq or core::select_drift for the low bits, and
+  /// per view the conversion a low rendering uses — Drift's Eq. 5
+  /// (hc, lc), DRQ's fixed truncation (0, hp - lp).
+  core::PrecisionMap select(std::span<const float> x,
+                            const std::vector<SubTensorView>& views,
+                            const core::QuantParams& params) const;
 
   /// Appends one GEMM record to the log.
   void record(const std::string& layer, std::int64_t m, std::int64_t k,

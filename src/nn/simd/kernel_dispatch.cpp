@@ -31,11 +31,6 @@ const KernelTable& best_table() {
       return kAvx2Table;
     }
 #endif
-#ifdef DRIFT_SIMD_BUILD_NEON
-    if (detect_cpu_features().neon) {
-      return kNeonTable;
-    }
-#endif
     return kScalarTable;
   }();
   return table;
@@ -50,11 +45,7 @@ const KernelTable& best_table() {
 // a differential run is reflected in the artifact it produces.
 void provide_backend_metadata(std::map<std::string, std::string>& meta) {
   meta["backend"] = active().name;
-  const CpuFeatures features = detect_cpu_features();
-  std::string joined;
-  if (features.avx2) joined += "avx2";
-  if (features.neon) joined += joined.empty() ? "neon" : ",neon";
-  meta["cpu_features"] = joined.empty() ? "none" : joined;
+  meta["cpu_features"] = detect_cpu_features().avx2 ? "avx2" : "none";
   meta["force_scalar"] = std::to_string(force_scalar() ? 1 : 0);
 }
 
@@ -71,10 +62,6 @@ CpuFeatures detect_cpu_features() {
 #if defined(__GNUC__) || defined(__clang__)
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  features.neon = true;
 #endif
   return features;
 }

@@ -1,4 +1,4 @@
-// Runtime-dispatched SIMD kernel backend (AVX2 / NEON / scalar).
+// Runtime-dispatched SIMD kernel backend (AVX2 / scalar).
 //
 // The Drift pipeline's hot loops — the hi->lo quantization rendering,
 // the selector's max|Y| / avg|Y| reductions and the accuracy path's
@@ -26,7 +26,7 @@
 //      backend's bits.
 //
 // Backend choice: AVX2 when the binary carries the AVX2 kernels and the
-// CPU reports the feature, NEON on AArch64 builds, scalar otherwise.
+// CPU reports the feature, scalar otherwise.
 // DRIFT_FORCE_SCALAR=1 in the environment (or set_force_scalar(true))
 // pins the scalar table for differential testing.
 #pragma once
@@ -38,7 +38,6 @@ namespace drift::nn::simd {
 /// CPU features relevant to kernel selection, detected at startup.
 struct CpuFeatures {
   bool avx2 = false;  ///< x86-64 AVX2 (implies the SSE4 baseline)
-  bool neon = false;  ///< AArch64 Advanced SIMD
 };
 
 /// Features of the machine this process is running on.
@@ -55,7 +54,7 @@ struct RawStats {
 
 /// One backend's kernel set.  All pointers are always non-null.
 struct KernelTable {
-  const char* name;  ///< "scalar", "avx2", "neon"
+  const char* name;  ///< "scalar" or "avx2"
 
   /// core::render's inner loop: out[i] = clamp(llround(x[i]/delta),
   /// ±hp_limit), then when lc/lp_limit describe a low rendering

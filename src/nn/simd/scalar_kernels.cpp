@@ -4,7 +4,7 @@
 // vector backends are pinned against: quantize_convert_row reproduces
 // the llround-based composition in core/quantizer.cpp verbatim,
 // reduce_stats implements the canonical 4-lane accumulation schedule
-// that the AVX2/NEON reductions must match bit for bit, and
+// that the AVX2 reductions must match bit for bit, and
 // gemm_f32_block is the plain zero-skipping k-ascending loop nest of
 // invariant 3.
 #include <algorithm>

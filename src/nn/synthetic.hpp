@@ -64,7 +64,7 @@ TensorF synth_chw(Rng& rng, std::int64_t channels, std::int64_t height,
 ///   max|Y| ~ b * (ln n + Gumbel) (exponential order statistic)
 /// Used by the hardware benches to derive precision mixes for full-size
 /// models (GPT2-XL etc.) without materializing billion-element tensors;
-/// AbsStats::full() completes each record with the Laplace moments.
+/// core::StatsView completes each record with the Laplace moments.
 std::vector<core::AbsStats> sample_subtensor_stats(
     Rng& rng, std::int64_t count, std::int64_t elements,
     const SubTensorScaleProfile& profile);

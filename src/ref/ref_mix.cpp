@@ -87,7 +87,7 @@ core::PrecisionDecision eq56_decision(const core::SubTensorStats& stats,
                                  core::ConversionChoice{hc, lc}};
 }
 
-core::QuantParams params_from_stats(
+core::QuantParams eq1_params(
     const std::vector<core::SubTensorStats>& stats, core::Precision hp) {
   double max_abs = 0.0;
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
@@ -109,7 +109,7 @@ std::vector<bool> classify(const std::vector<core::SubTensorStats>& stats,
     return low;
   }
   if (config.algo == nn::MixAlgorithm::kDrift) {
-    const auto params = params_from_stats(stats, config.drift.hp);
+    const auto params = eq1_params(stats, config.drift.hp);
     if (config.auto_threshold) {
       const std::vector<std::int64_t> sizes(stats.size(), elements);
       const auto sel = ref::select_auto_threshold(

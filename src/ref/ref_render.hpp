@@ -1,8 +1,8 @@
 // Per-element oracle for core::render.
 //
-// The loop the three accuracy-path renderers (DynamicQuantizer::apply,
-// DrqQuantizer::apply and the static INT8 engine path) ran before they
-// shared core::render: every element through quantize_value /
+// The loop the accuracy path rendered every operand with (the DRQ and
+// Drift renderings and the static INT8 one) before core::render
+// replaced it: every element through quantize_value /
 // dequantize_value, then every element of each low view re-quantized
 // from that hp rendering and passed through convert_to_low /
 // dequantize_low, one scalar call at a time.  core::render sends whole

@@ -9,7 +9,8 @@
 // attribute, an unknown `kind` value or an unknown family, or with no
 // GEMM node, exits 1 before any work, naming what is wrong.  A bench
 // whose CSV cannot be opened exits 1, naming the file.  drift_graph
-// compare prints every design, and the examples write only their
+// compare prints every design, drift_report summarizes a drift_graph
+// run's artifact with its roofline, and the examples write only their
 // artifact.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
@@ -673,6 +674,22 @@ TEST(Cli, DriftReportRejectsSpaceFormAndUnknownFlag) {
   expect_usage_error(DRIFT_REPORT_BIN, kRatchet + " --bogus=1",
                      "unknown flag --bogus (accepted: --baseline, "
                      "--max-slowdown, --json)");
+}
+
+TEST(Cli, DriftReportSummarizesTheRooflineOfADriftGraphRun) {
+  // The roofline reads the layer records every binary writes, not a
+  // counter only the test-only tile simulator sets.
+  const std::string path = temp_path(DRIFT_GRAPH_BIN, "roofline_m.json");
+  std::remove(path.c_str());
+  const CliResult r =
+      run(DRIFT_GRAPH_BIN, "run --model=tiny-cnn --metrics-out=" + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const CliResult s = run(DRIFT_REPORT_BIN, "summarize " + path);
+  EXPECT_EQ(s.exit_code, 0) << s.output;
+  EXPECT_NE(s.output.find("-- roofline --\n  DRAM bytes/cycle = "),
+            std::string::npos)
+      << s.output;
+  std::remove(path.c_str());
 }
 
 TEST(Cli, DriftLintRejectsSpaceFormRoot) {

@@ -18,6 +18,7 @@
 
 #include "core/scheduler.hpp"
 #include "core/selector.hpp"
+#include "nn/quant_engine.hpp"
 #include "obs/metrics.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_oracles.hpp"
@@ -64,8 +65,11 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
         proptest::gen_laplace_buffer(rng, rows * cols, 1.0);
     const auto views = partition_rows(Shape{rows, cols});
     const auto params = core::compute_quant_params(values, core::kInt8);
-    const core::SelectorConfig cfg = proptest::gen_selector_config(rng);
-    const core::DynamicQuantizer quantizer(cfg);
+    nn::QuantEngine::Config cfg;
+    cfg.mode = nn::QuantMode::kDrift;
+    cfg.drift = proptest::gen_selector_config(rng);
+    cfg.auto_threshold = false;
+    const nn::QuantEngine quantizer(cfg);
 
     // A unique layer per case so the record holds exactly this select.
     static int case_id = 0;

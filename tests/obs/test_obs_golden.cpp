@@ -34,6 +34,7 @@
 #include "core/quantizer.hpp"
 #include "core/scheduler.hpp"
 #include "core/selector.hpp"
+#include "nn/quant_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proptest/proptest.hpp"
@@ -90,11 +91,12 @@ std::vector<LayerExpectation> run_fixed_workload() {
     for (auto& v : values) v = static_cast<float>(rng.laplace(1.0));
     const auto views = partition_rows(Shape{rows, cols});
     const auto params = core::compute_quant_params(values, core::kInt8);
-    core::SelectorConfig cfg;
-    cfg.density_threshold = 0.5;
-    const core::DynamicQuantizer quantizer(cfg);
-    const core::PrecisionMap map = quantizer.select(values, views, params);
-    quantizer.apply(values, views, params, map);
+    nn::QuantEngine::Config cfg;
+    cfg.mode = nn::QuantMode::kDrift;
+    cfg.drift.density_threshold = 0.5;
+    cfg.auto_threshold = false;
+    const core::PrecisionMap map =
+        nn::QuantEngine(cfg).select(values, views, params);
     e.subtensors_total = static_cast<std::int64_t>(map.num_subtensors());
     e.subtensors_low = proptest::low_subtensors(map);
     e.elements_total = map.total_elements();

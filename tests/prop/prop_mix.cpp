@@ -188,8 +188,10 @@ TEST(PropMix, AutoThresholdMatchesOracleOnRaggedSizesAndTies) {
     const SelectionCase c = gen_selection_case(rng, size);
     const auto want = ref::select_auto_threshold(
         c.stats, c.sizes, c.params, c.cfg, c.budget, c.noise_cap);
+    std::vector<bool> low;
     const auto got = core::select_auto_threshold(
-        c.stats, c.sizes, c.params, c.cfg, c.budget, c.noise_cap);
+        core::StatsView(c.stats, c.sizes), c.params, c.cfg, c.budget, low,
+        c.noise_cap);
     if (!same_bits(got.delta_threshold, want.delta_threshold) ||
         !same_bits(got.excess_relative_mse, want.excess_relative_mse) ||
         !same_bits(got.low_fraction_by_elements,
@@ -200,13 +202,13 @@ TEST(PropMix, AutoThresholdMatchesOracleOnRaggedSizesAndTies) {
                             want.excess_relative_mse);
     }
     for (std::size_t i = 0; i < c.stats.size(); ++i) {
-      const auto& g = got.decisions[i];
+      const core::ConversionChoice g =
+          core::conversion_choice(c.stats[i].max_abs, c.params, c.cfg);
       const auto& w = want.decisions[i];
-      if (g.use_low != w.use_low || g.choice.hc != w.choice.hc ||
-          g.choice.lc != w.choice.lc) {
+      if (low[i] != w.use_low || g.hc != w.choice.hc || g.lc != w.choice.lc) {
         return proptest::fail("sub-tensor ", i, " of ", c.stats.size(),
-                              ": use_low ", g.use_low, " vs ", w.use_low,
-                              ", lc ", g.choice.lc, " vs ", w.choice.lc);
+                              ": use_low ", low[i], " vs ", w.use_low,
+                              ", lc ", g.lc, " vs ", w.choice.lc);
       }
     }
     return proptest::pass();
@@ -220,7 +222,9 @@ TEST(PropMix, TwoFieldRecordsSelectLikeTheirFullStatistics) {
     std::vector<core::AbsStats> abs;
     for (core::SubTensorStats& s : c.stats) {
       abs.push_back(core::AbsStats{s.max_abs, s.mean_abs});
-      s = abs.back().full();
+      // The zero-mean Laplace moments a two-field record stands for.
+      s = core::SubTensorStats{s.max_abs, s.mean_abs, 0.0,
+                               2.0 * s.mean_abs * s.mean_abs};
     }
     const std::int64_t elements = rng.uniform_int(2, 4096);
     c.sizes.assign(c.stats.size(), elements);

@@ -1,8 +1,10 @@
 // Differential suite: quantization primitives (Equation 1 and the
 // Section 3.1 hi->lo conversion) vs. exact-integer references, the
-// dispatched row kernel vs. those primitives, and the accuracy-path
-// renderer vs. its per-element oracle, each on the scalar and the
-// native backend (the renderer also at 1, 2 and 8 threads).
+// dispatched row kernel vs. those primitives, the accuracy-path
+// renderer vs. its per-element oracle, and the engine's DRQ and Drift
+// selection vs. per-algorithm reference loops, each on the scalar and
+// the native backend (the renderer and the engine also at several
+// thread counts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,11 +12,13 @@
 
 #include "core/quantizer.hpp"
 #include "core/render.hpp"
-// drift-lint: allow(intrinsic) — the row-kernel and renderer properties
-// flip the force-scalar override to run on the scalar and the native
-// table.
+#include "nn/quant_engine.hpp"
+// drift-lint: allow(intrinsic) — the row-kernel, renderer and engine
+// properties flip the force-scalar override to run on the scalar and
+// the native table.
 #include "nn/simd/kernel_dispatch.hpp"
 #include "proptest/proptest_gtest.hpp"
+#include "ref/ref_mix.hpp"
 #include "ref/ref_quant.hpp"
 #include "ref/ref_render.hpp"
 #include "util/thread_pool.hpp"
@@ -337,6 +341,168 @@ TEST(PropQuantizer, RenderMatchesPerElementOracleAcrossBackendsAndThreads) {
         if (auto r = compare(core::render_hp(values, params), want_hp,
                              "render_hp", threads)) {
           return r;
+        }
+      }
+    }
+    return proptest::pass();
+  });
+}
+
+// The engine's one selection path (statistics once -> low bits ->
+// decisions -> PrecisionMap -> core::render) against the per-algorithm
+// loops it replaced, kept here as references: the Drift quantizer's
+// fixed-δ loop, the DRQ quantizer's region test, and, under a noise
+// budget, the src/ref oracle's decisions.
+
+/// Drift at a fixed δ: Equations 5-6 on every view's statistics.
+core::PrecisionMap drift_fixed_reference(
+    std::span<const float> values, const std::vector<SubTensorView>& views,
+    const core::QuantParams& params, const core::SelectorConfig& cfg) {
+  std::vector<core::PrecisionDecision> decisions;
+  std::vector<std::int64_t> sizes;
+  for (const auto& view : views) {
+    decisions.push_back(core::select_precision(
+        core::compute_stats(view, values), params, cfg));
+    sizes.push_back(view.size());
+  }
+  return core::PrecisionMap(std::move(decisions), std::move(sizes), cfg);
+}
+
+/// Drift under a noise budget: the oracle's decisions, (hc, lc) and all.
+core::PrecisionMap drift_budget_reference(
+    std::span<const float> values, const std::vector<SubTensorView>& views,
+    const core::QuantParams& params, const core::SelectorConfig& cfg,
+    double budget) {
+  std::vector<core::SubTensorStats> stats;
+  std::vector<std::int64_t> sizes;
+  for (const auto& view : views) {
+    stats.push_back(core::compute_stats(view, values));
+    sizes.push_back(view.size());
+  }
+  ref::AutoThreshold sel =
+      ref::select_auto_threshold(stats, sizes, params, cfg, budget);
+  return core::PrecisionMap(std::move(sel.decisions), std::move(sizes), cfg);
+}
+
+/// DRQ: a region is sensitive when its mean |Y| reaches sensitivity
+/// times the tensor's mean |X|; the others truncate to lp.
+core::PrecisionMap drq_reference(std::span<const float> values,
+                                 const std::vector<SubTensorView>& views,
+                                 const core::DrqConfig& drq) {
+  double sum_abs = 0.0;
+  for (float v : values) sum_abs += std::abs(static_cast<double>(v));
+  const double tensor_mean_abs =
+      values.empty() ? 0.0 : sum_abs / static_cast<double>(values.size());
+  const core::ConversionChoice truncate{0, drq.hp.bits() - drq.lp.bits()};
+  std::vector<core::PrecisionDecision> decisions;
+  std::vector<std::int64_t> sizes;
+  for (const auto& view : views) {
+    const bool sensitive = core::compute_stats(view, values).mean_abs >=
+                           drq.sensitivity * tensor_mean_abs;
+    decisions.push_back(core::PrecisionDecision{!sensitive, truncate});
+    sizes.push_back(view.size());
+  }
+  return core::PrecisionMap(std::move(decisions), std::move(sizes),
+                            core::SelectorConfig{drq.hp, drq.lp, 0.0});
+}
+
+TEST(PropQuantizer, EngineSelectionMatchesPerAlgorithmReferences) {
+  PoolGuard pool;
+  ForceScalarGuard backend;
+  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
+    // Row views of [M, K], or region views of [C, H, W] whose H and W
+    // are not multiples of the region edge.
+    const bool regions = rng.bernoulli(0.5);
+    const std::int64_t edge = nn::QuantEngine::kRegion;
+    const auto ragged = [&] {
+      return edge * rng.uniform_int(0, 3) + rng.uniform_int(1, edge - 1);
+    };
+    const Shape shape =
+        regions ? Shape{rng.uniform_int(1, 3), ragged(), ragged()}
+                : Shape{proptest::gen_dim(rng, size),
+                        proptest::gen_dim(rng, size)};
+    // Every innermost run gets its own scale (some zero), so sub-tensors
+    // land on both sides of each algorithm's test.
+    TensorF x(shape, proptest::gen_laplace_buffer(rng, shape.numel(), 1.0));
+    const std::int64_t run = shape.dim(shape.rank() - 1);
+    for (std::int64_t off = 0; off < shape.numel(); off += run) {
+      const double scale =
+          rng.bernoulli(0.1) ? 0.0 : std::exp(rng.normal(0.0, 1.5));
+      for (std::int64_t i = 0; i < run; ++i) {
+        x.data()[static_cast<std::size_t>(off + i)] *=
+            static_cast<float>(scale);
+      }
+    }
+    const std::span<const float> values = x.data();
+    const auto views = regions ? partition_regions(shape, edge)
+                               : partition_rows(shape);
+
+    nn::QuantEngine::Config cfg;
+    const double kind = rng.uniform();
+    if (kind < 1.0 / 3.0) {
+      cfg.mode = nn::QuantMode::kDrq;
+      cfg.drq.lp = core::Precision(static_cast<int>(rng.uniform_int(3, 5)));
+      cfg.drq.sensitivity =
+          std::exp(rng.uniform(std::log(0.25), std::log(4.0)));
+    } else {
+      cfg.mode = nn::QuantMode::kDrift;
+      cfg.drift = proptest::gen_selector_config(rng);
+      cfg.auto_threshold = kind >= 2.0 / 3.0;
+      cfg.noise_budget = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 0.3);
+    }
+    const bool drq = cfg.mode == nn::QuantMode::kDrq;
+    const core::Precision hp = drq ? cfg.drq.hp : cfg.drift.hp;
+    const core::Precision lp = drq ? cfg.drq.lp : cfg.drift.lp;
+    const core::QuantParams params = core::compute_quant_params(values, hp);
+    const core::PrecisionMap want =
+        drq ? drq_reference(values, views, cfg.drq)
+        : cfg.auto_threshold
+            ? drift_budget_reference(values, views, params, cfg.drift,
+                                     cfg.noise_budget)
+            : drift_fixed_reference(values, views, params, cfg.drift);
+    const std::vector<float> want_render =
+        ref::render_per_element(values, views, params, want, lp);
+
+    const nn::QuantEngine engine(cfg);
+    for (const bool force : {true, false}) {
+      nn::simd::set_force_scalar(force);
+      for (int threads : {1, 8}) {
+        util::ThreadPool::instance().resize(threads);
+        const core::PrecisionMap got = engine.select(values, views, params);
+        if (got.num_subtensors() != want.num_subtensors() ||
+            got.total_elements() != want.total_elements() ||
+            got.low_elements() != want.low_elements()) {
+          return proptest::fail(nn::to_string(cfg.mode), " map of ",
+                                got.num_subtensors(), " views, ",
+                                got.low_elements(), " low elements; the "
+                                "reference has ", want.num_subtensors(),
+                                " and ", want.low_elements());
+        }
+        for (std::size_t i = 0; i < want.num_subtensors(); ++i) {
+          const core::PrecisionDecision& g = got.decision(i);
+          const core::PrecisionDecision& w = want.decision(i);
+          if (g.use_low != w.use_low || g.choice.hc != w.choice.hc ||
+              g.choice.lc != w.choice.lc) {
+            return proptest::fail(
+                nn::to_string(cfg.mode), " view ", i, " of ",
+                want.num_subtensors(), " on the ", nn::simd::active().name,
+                " backend with ", threads, " thread(s): use_low ", g.use_low,
+                " vs ", w.use_low, ", (hc, lc) (", g.choice.hc, ", ",
+                g.choice.lc, ") vs (", w.choice.hc, ", ", w.choice.lc, ")");
+          }
+        }
+        const nn::OperandResult r = regions
+                                        ? engine.process_activation_regions(x)
+                                        : engine.process_activation_rows(x);
+        const auto got_render = r.effective.data();
+        if (got_render.size() != want_render.size() ||
+            std::memcmp(got_render.data(), want_render.data(),
+                        want_render.size() * sizeof(float)) != 0) {
+          return proptest::fail(nn::to_string(cfg.mode), " rendering of ",
+                                shape.to_string(), " differs from the "
+                                "reference's on the ",
+                                nn::simd::active().name, " backend with ",
+                                threads, " thread(s)");
         }
       }
     }

@@ -1,14 +1,22 @@
-// Tests for the DRQ baseline quantizer, including the transformer
-// failure mode the paper reports (Section 5.2).
+// Tests for the DRQ baseline selection and rendering (the engine's DRQ
+// mode), including the transformer failure mode the paper reports
+// (Section 5.2).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/drq_quantizer.hpp"
+#include "nn/quant_engine.hpp"
 #include "util/rng.hpp"
 
 namespace drift::core {
 namespace {
+
+nn::QuantEngine drq_engine(DrqConfig drq = {}) {
+  nn::QuantEngine::Config cfg;
+  cfg.mode = nn::QuantMode::kDrq;
+  cfg.drq = drq;
+  return nn::QuantEngine(cfg);
+}
 
 TEST(Drq, SensitiveRegionsStayHigh) {
   // Two rows: one loud (sensitive), one quiet.
@@ -19,8 +27,7 @@ TEST(Drq, SensitiveRegionsStayHigh) {
   }
   const auto views = partition_rows(x.shape());
   const QuantParams params = compute_quant_params(x.data(), kInt8);
-  const DrqQuantizer drq(DrqConfig{});
-  const PrecisionMap map = drq.select(x.data(), views, params);
+  const PrecisionMap map = drq_engine().select(x.data(), views, params);
   EXPECT_FALSE(map.decision(0).use_low);  // sensitive -> 8-bit
   EXPECT_TRUE(map.decision(1).use_low);   // insensitive -> 4-bit
 }
@@ -33,8 +40,7 @@ TEST(Drq, LowRegionsUseFixedTruncationChoice) {
   }
   const auto views = partition_rows(x.shape());
   const QuantParams params = compute_quant_params(x.data(), kInt8);
-  const DrqQuantizer drq(DrqConfig{});
-  const PrecisionMap map = drq.select(x.data(), views, params);
+  const PrecisionMap map = drq_engine().select(x.data(), views, params);
   EXPECT_EQ(map.decision(1).choice.hc, 0);
   EXPECT_EQ(map.decision(1).choice.lc, 4);
 }
@@ -49,13 +55,13 @@ TEST(Drq, TruncationZeroesSmallValuesUnderOutlierScale) {
   }
   const auto views = partition_rows(x.shape());
   const QuantParams params = compute_quant_params(x.data(), kInt8);
-  const DrqQuantizer drq(DrqConfig{});
+  const nn::QuantEngine drq = drq_engine();
   const PrecisionMap map = drq.select(x.data(), views, params);
   ASSERT_TRUE(map.decision(1).use_low);
-  const auto rendered = drq.apply(x.data(), views, params, map);
+  const TensorF rendered = drq.process_activation_rows(x).effective;
   // step = 16 * (20/127) = 2.52 -> 0.5 rounds to 0: signal destroyed.
   for (std::int64_t c = 0; c < 8; ++c) {
-    EXPECT_FLOAT_EQ(rendered[static_cast<std::size_t>(8 + c)], 0.0f);
+    EXPECT_FLOAT_EQ(rendered(1, c), 0.0f);
   }
 }
 
@@ -71,18 +77,19 @@ TEST(Drq, DriftSurvivesTheSameOutlierScenario) {
   const auto views = partition_rows(x.shape());
   const QuantParams params = compute_quant_params(x.data(), kInt8);
 
-  SelectorConfig cfg;
-  cfg.density_threshold = 0.5;
-  const DynamicQuantizer drift_q(cfg);
+  nn::QuantEngine::Config cfg;
+  cfg.mode = nn::QuantMode::kDrift;
+  cfg.auto_threshold = false;
+  cfg.drift.density_threshold = 0.5;
+  const nn::QuantEngine drift_q(cfg);
   const PrecisionMap map = drift_q.select(x.data(), views, params);
   ASSERT_TRUE(map.decision(1).use_low);
   EXPECT_GT(map.decision(1).choice.hc, 0);  // high-end clip chosen
-  const auto rendered = drift_q.apply(x.data(), views, params, map);
+  const TensorF rendered = drift_q.process_activation_rows(x).effective;
   double err = 0.0;
   for (std::int64_t c = 0; c < 8; ++c) {
-    err = std::max(err, std::abs(static_cast<double>(
-                            rendered[static_cast<std::size_t>(8 + c)]) -
-                        x(1, c)));
+    err = std::max(err,
+                   std::abs(static_cast<double>(rendered(1, c)) - x(1, c)));
   }
   // Error stays well below the signal magnitude (DRQ's was 100%).
   EXPECT_LT(err, 0.25);
@@ -104,10 +111,8 @@ TEST(Drq, SensitivityScalesClassification) {
   DrqConfig strict;
   strict.sensitivity = 2.0;  // more rows counted... (higher bar to be
                              // sensitive -> more rows go low)
-  const auto map_loose =
-      DrqQuantizer(loose).select(x.data(), views, params);
-  const auto map_strict =
-      DrqQuantizer(strict).select(x.data(), views, params);
+  const auto map_loose = drq_engine(loose).select(x.data(), views, params);
+  const auto map_strict = drq_engine(strict).select(x.data(), views, params);
   EXPECT_LE(map_loose.low_fraction_by_count(),
             map_strict.low_fraction_by_count());
 }
@@ -118,12 +123,11 @@ TEST(Drq, ApplyLeavesHighRegionsAtInt8Accuracy) {
   x(1, 0) = 0.1f; x(1, 1) = 0.0f; x(1, 2) = -0.1f; x(1, 3) = 0.05f;
   const auto views = partition_rows(x.shape());
   const QuantParams params = compute_quant_params(x.data(), kInt8);
-  const DrqQuantizer drq(DrqConfig{});
-  const PrecisionMap map = drq.select(x.data(), views, params);
-  const auto rendered = drq.apply(x.data(), views, params, map);
+  const nn::QuantEngine drq = drq_engine();
+  ASSERT_FALSE(drq.select(x.data(), views, params).decision(0).use_low);
+  const TensorF rendered = drq.process_activation_rows(x).effective;
   for (std::int64_t c = 0; c < 4; ++c) {
-    EXPECT_NEAR(rendered[static_cast<std::size_t>(c)], x(0, c),
-                0.5 * params.delta + 1e-6);
+    EXPECT_NEAR(rendered(0, c), x(0, c), 0.5 * params.delta + 1e-6);
   }
 }
 

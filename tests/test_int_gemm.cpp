@@ -2,8 +2,8 @@
 // against the integer-domain execution the hardware actually performs.
 //
 // Each operand is quantized the way the BitGroup array holds it: the
-// selector's decisions (core::select_auto_threshold over
-// partition_rows), Eq. 1 codes from ref::quantize_value, and a low
+// engine's Drift decisions (QuantEngine::select over partition_rows,
+// at a 5% noise budget), Eq. 1 codes from ref::quantize_value, and a low
 // row's lc-shifted lp codes from ref::convert_to_low.  core::render,
 // the accuracy path's one renderer, must equal float(code × row scale)
 // bit for bit, and the integer GEMM (ref::int_gemm_nt: integer MACs,
@@ -16,9 +16,9 @@
 #include <cstring>
 #include <vector>
 
-#include "core/noise_budget.hpp"
 #include "core/render.hpp"
 #include "nn/gemm.hpp"
+#include "nn/quant_engine.hpp"
 #include "nn/synthetic.hpp"
 #include "ref/ref_kernels.hpp"
 #include "ref/ref_quant.hpp"
@@ -44,18 +44,20 @@ IntegerOperand quantize_operand(const TensorF& x,
   const core::QuantParams params =
       core::compute_quant_params(x.data(), cfg.hp);
   const auto views = partition_rows(x.shape());
-  const std::vector<std::int64_t> sizes(views.size(), cols);
-  std::vector<core::PrecisionDecision> decisions =
-      core::select_auto_threshold(core::compute_stats(views, x.data()),
-                                  sizes, params, cfg, 0.05)
-          .decisions;
+  QuantEngine::Config engine;
+  engine.mode = QuantMode::kDrift;
+  engine.drift = cfg;
+  engine.noise_budget = 0.05;
+  const core::PrecisionMap map =
+      QuantEngine(engine).select(x.data(), views, params);
 
   IntegerOperand op;
   op.codes = TensorI32(x.shape());
   const std::int64_t hp_limit = params.bits.max_level();
   const std::int64_t lp_limit = cfg.lp.max_level();
   for (std::int64_t r = 0; r < rows; ++r) {
-    const core::PrecisionDecision& d = decisions[static_cast<std::size_t>(r)];
+    const core::PrecisionDecision& d =
+        map.decision(static_cast<std::size_t>(r));
     const int lc = d.use_low ? d.choice.lc : 0;
     op.row_scale.push_back(params.delta *
                            static_cast<double>(std::int64_t{1} << lc));
@@ -67,7 +69,6 @@ IntegerOperand quantize_operand(const TensorF& x,
       op.codes(r, c) = d.use_low ? ref::convert_to_low(q, lp_limit, lc) : q;
     }
   }
-  const core::PrecisionMap map(std::move(decisions), sizes, cfg);
   op.rendered = TensorF(x.shape(),
                         core::render(x.data(), views, params, map, cfg.lp));
   return op;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/noise_budget.hpp"
+#include "nn/quant_engine.hpp"
 #include "nn/synthetic.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -18,11 +19,31 @@ QuantParams params_for(double max_abs) {
   return p;
 }
 
-/// The sampler's records with their Laplace moments filled in.
+/// The sampler's records with their zero-mean Laplace moments filled
+/// in (E[Y] = 0, E[Y^2] = 2b^2).
 std::vector<SubTensorStats> full_stats(const std::vector<AbsStats>& abs) {
   std::vector<SubTensorStats> stats;
-  for (const AbsStats& a : abs) stats.push_back(a.full());
+  for (const AbsStats& a : abs) {
+    stats.push_back(SubTensorStats{a.max_abs, a.mean_abs, 0.0,
+                                   2.0 * a.mean_abs * a.mean_abs});
+  }
   return stats;
+}
+
+/// The noise-budget selection's summary and low bits.
+struct Selection {
+  AutoThresholdSummary summary;
+  std::vector<bool> low;
+};
+
+Selection select_bits(const std::vector<SubTensorStats>& stats,
+                 const std::vector<std::int64_t>& sizes, const QuantParams& p,
+                 double budget, double noise_cap = 0.125) {
+  Selection s;
+  s.summary = select_auto_threshold(StatsView(stats, sizes), p,
+                                    SelectorConfig{}, budget, s.low,
+                                    noise_cap);
+  return s;
 }
 
 SubTensorStats laplace_stats(double b, double max_mult = 7.0) {
@@ -42,12 +63,11 @@ TEST(NoiseBudget, FreeConversionsAlwaysTaken) {
   std::vector<SubTensorStats> stats = {laplace_stats(0.5),
                                        laplace_stats(90.0 / 7.0)};
   std::vector<std::int64_t> sizes = {64, 64};
-  const auto r = select_auto_threshold(stats, sizes, p, SelectorConfig{},
-                                       /*budget=*/0.0);
-  EXPECT_TRUE(r.decisions[0].use_low);   // fits lc = 0: free
-  EXPECT_EQ(r.decisions[0].choice.lc, 0);
-  EXPECT_FALSE(r.decisions[1].use_low);  // needs lc > 0: costs noise
-  EXPECT_DOUBLE_EQ(r.excess_relative_mse, 0.0);
+  const Selection r = select_bits(stats, sizes, p, /*budget=*/0.0);
+  EXPECT_TRUE(r.low[0]);   // fits lc = 0: free
+  EXPECT_EQ(conversion_choice(stats[0].max_abs, p, SelectorConfig{}).lc, 0);
+  EXPECT_FALSE(r.low[1]);  // needs lc > 0: costs noise
+  EXPECT_DOUBLE_EQ(r.summary.excess_relative_mse, 0.0);
 }
 
 TEST(NoiseBudget, BudgetBuysNoisyConversions) {
@@ -56,14 +76,12 @@ TEST(NoiseBudget, BudgetBuysNoisyConversions) {
   // but carries rounding noise the budget must pay for.
   std::vector<SubTensorStats> stats = {laplace_stats(80.0 / 7.0)};
   std::vector<std::int64_t> sizes = {64};
-  const auto tight = select_auto_threshold(stats, sizes, p,
-                                           SelectorConfig{}, 0.0);
-  const auto loose = select_auto_threshold(stats, sizes, p,
-                                           SelectorConfig{}, 0.5);
-  EXPECT_FALSE(tight.decisions[0].use_low);
-  EXPECT_TRUE(loose.decisions[0].use_low);
-  EXPECT_GT(loose.excess_relative_mse, 0.0);
-  EXPECT_LE(loose.excess_relative_mse, 0.5);
+  const Selection tight = select_bits(stats, sizes, p, 0.0);
+  const Selection loose = select_bits(stats, sizes, p, 0.5);
+  EXPECT_FALSE(tight.low[0]);
+  EXPECT_TRUE(loose.low[0]);
+  EXPECT_GT(loose.summary.excess_relative_mse, 0.0);
+  EXPECT_LE(loose.summary.excess_relative_mse, 0.5);
 }
 
 TEST(NoiseBudget, CoverageMonotoneInBudget) {
@@ -77,8 +95,8 @@ TEST(NoiseBudget, CoverageMonotoneInBudget) {
 
   double prev = -1.0;
   for (double budget : {0.0, 0.001, 0.01, 0.05, 0.2}) {
-    const auto r = select_auto_threshold(stats, sizes, p, SelectorConfig{},
-                                         budget);
+    const AutoThresholdSummary r =
+        select_bits(stats, sizes, p, budget).summary;
     EXPECT_GE(r.low_fraction_by_elements, prev);
     EXPECT_LE(r.excess_relative_mse, budget + 1e-12);
     prev = r.low_fraction_by_elements;
@@ -97,13 +115,12 @@ TEST(NoiseBudget, LocalCapRejectsWipeouts) {
   quiet.max_abs = 20.0;  // needs lc = 2 (exact range 22.05 at lc=2)
   std::vector<SubTensorStats> stats = {quiet};
   std::vector<std::int64_t> sizes = {64};
-  const auto r = select_auto_threshold(stats, sizes, p, SelectorConfig{},
-                                       /*budget=*/100.0, /*noise_cap=*/0.125);
-  EXPECT_FALSE(r.decisions[0].use_low);
+  EXPECT_FALSE(
+      select_bits(stats, sizes, p, /*budget=*/100.0, /*noise_cap=*/0.125)
+          .low[0]);
   // With a permissive cap the same sub-tensor converts.
-  const auto r2 = select_auto_threshold(stats, sizes, p, SelectorConfig{},
-                                        100.0, /*noise_cap=*/100.0);
-  EXPECT_TRUE(r2.decisions[0].use_low);
+  EXPECT_TRUE(
+      select_bits(stats, sizes, p, 100.0, /*noise_cap=*/100.0).low[0]);
 }
 
 TEST(NoiseBudget, TrueVarianceGuardsShiftedData) {
@@ -118,9 +135,7 @@ TEST(NoiseBudget, TrueVarianceGuardsShiftedData) {
   shifted.max_abs = 20.0;        // forces lc = 2, step ~ 3.1
   std::vector<SubTensorStats> stats = {shifted};
   std::vector<std::int64_t> sizes = {64};
-  const auto r = select_auto_threshold(stats, sizes, p, SelectorConfig{},
-                                       100.0, 0.125);
-  EXPECT_FALSE(r.decisions[0].use_low);
+  EXPECT_FALSE(select_bits(stats, sizes, p, 100.0, 0.125).low[0]);
 }
 
 TEST(NoiseBudget, ImpliedDeltaReproducesSelection) {
@@ -134,47 +149,49 @@ TEST(NoiseBudget, ImpliedDeltaReproducesSelection) {
   for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
   QuantParams p;
   p.delta = max_abs / 127.0;
-  const auto r =
-      select_auto_threshold(stats, sizes, p, SelectorConfig{}, 0.02);
+  const Selection r = select_bits(stats, sizes, p, 0.02);
   SelectorConfig at_cut;
-  at_cut.density_threshold = r.delta_threshold;
+  at_cut.density_threshold = r.summary.delta_threshold;
   for (std::size_t i = 0; i < stats.size(); ++i) {
-    if (!r.decisions[i].use_low) continue;
-    if (r.decisions[i].choice.lc == 0) continue;  // free: below any δ
+    if (!r.low[i]) continue;
+    // Free (lc = 0) conversions sit below any δ.
+    if (conversion_choice(stats[i].max_abs, p, at_cut).lc == 0) continue;
     EXPECT_TRUE(select_precision(stats[i], p, at_cut).use_low) << i;
   }
 }
 
 TEST(NoiseBudget, MapMatchesDecisions) {
+  // The engine's Drift map on a real tensor carries the selection's
+  // bits and each sub-tensor's Eq. 5 conversion.
   Rng rng(311);
-  const auto stats = full_stats(
-      nn::sample_subtensor_stats(rng, 64, 128, nn::bert_profile()));
-  std::vector<std::int64_t> sizes(stats.size(), 128);
-  double max_abs = 0.0;
-  for (const auto& s : stats) max_abs = std::max(max_abs, s.max_abs);
-  QuantParams p;
-  p.delta = max_abs / 127.0;
-  const auto sel =
-      select_auto_threshold(stats, sizes, p, SelectorConfig{}, 0.05);
-  const auto map =
-      auto_threshold_map(stats, sizes, p, SelectorConfig{}, 0.05);
-  ASSERT_EQ(map.num_subtensors(), sel.decisions.size());
-  double low = 0.0;
-  for (std::size_t i = 0; i < sel.decisions.size(); ++i) {
-    EXPECT_EQ(map.decision(i).use_low, sel.decisions[i].use_low);
-    if (sel.decisions[i].use_low) low += 1.0;
+  const TensorF x = nn::synth_rows(rng, 64, 128, nn::bert_profile());
+  const auto views = partition_rows(x.shape());
+  const QuantParams p = compute_quant_params(x.data(), kInt8);
+  const std::vector<SubTensorStats> stats = compute_stats(views, x.data());
+  const Selection sel = select_bits(
+      stats, std::vector<std::int64_t>(stats.size(), 128), p, 0.05);
+  nn::QuantEngine::Config cfg;
+  cfg.mode = nn::QuantMode::kDrift;
+  cfg.noise_budget = 0.05;
+  const PrecisionMap map = nn::QuantEngine(cfg).select(x.data(), views, p);
+  ASSERT_EQ(map.num_subtensors(), sel.low.size());
+  for (std::size_t i = 0; i < sel.low.size(); ++i) {
+    EXPECT_EQ(map.decision(i).use_low, sel.low[i]);
+    EXPECT_EQ(map.decision(i).choice.lc,
+              conversion_choice(stats[i].max_abs, p, SelectorConfig{}).lc);
   }
   EXPECT_NEAR(map.low_fraction_by_elements(),
-              sel.low_fraction_by_elements, 1e-12);
+              sel.summary.low_fraction_by_elements, 1e-12);
 }
 
 TEST(NoiseBudget, MismatchedSizesThrow) {
   std::vector<SubTensorStats> stats(3);
   std::vector<std::int64_t> sizes(2, 10);
   QuantParams p;
-  EXPECT_THROW(
-      select_auto_threshold(stats, sizes, p, SelectorConfig{}, 0.1),
-      drift::check_error);
+  std::vector<bool> low;
+  EXPECT_THROW(select_auto_threshold(StatsView(stats, sizes), p,
+                                     SelectorConfig{}, 0.1, low),
+               drift::check_error);
 }
 
 }  // namespace

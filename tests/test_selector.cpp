@@ -1,16 +1,26 @@
 // Tests for the dynamic precision selector (Equations 5-6) and the
-// DynamicQuantizer / PrecisionMap pipeline.
+// engine's Drift selection -> PrecisionMap -> rendering pipeline.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/capability.hpp"
 #include "core/selector.hpp"
+#include "nn/quant_engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace drift::core {
 namespace {
+
+/// The engine's Drift mode at the fixed δ `cfg.density_threshold`.
+nn::QuantEngine fixed_delta_engine(const SelectorConfig& cfg) {
+  nn::QuantEngine::Config engine;
+  engine.mode = nn::QuantMode::kDrift;
+  engine.drift = cfg;
+  engine.auto_threshold = false;
+  return nn::QuantEngine(engine);
+}
 
 QuantParams params_with_range(double max_abs) {
   QuantParams p;
@@ -198,9 +208,9 @@ TEST(DynamicQuantizer, LowRenderingErrorRespectsChosenDensity) {
   const QuantParams params = compute_quant_params(x.data(), kInt8);
   SelectorConfig cfg;
   cfg.density_threshold = 1.0;
-  const DynamicQuantizer dq(cfg);
+  const nn::QuantEngine dq = fixed_delta_engine(cfg);
   const PrecisionMap map = dq.select(x.data(), views, params);
-  const auto rendered = dq.apply(x.data(), views, params, map);
+  const TensorF rendered = dq.process_activation_rows(x).effective;
 
   for (std::size_t v = 0; v < views.size(); ++v) {
     const auto& d = map.decision(v);
@@ -212,7 +222,7 @@ TEST(DynamicQuantizer, LowRenderingErrorRespectsChosenDensity) {
     for (const ::drift::Run& run : views[v].runs()) {
       for (std::int64_t i = 0; i < run.length; ++i) {
         const auto idx = static_cast<std::size_t>(run.offset + i);
-        EXPECT_LE(std::abs(rendered[idx] - x.data()[idx]), bound);
+        EXPECT_LE(std::abs(rendered.data()[idx] - x.data()[idx]), bound);
       }
     }
   }
@@ -234,8 +244,8 @@ TEST(DynamicQuantizer, LaplaceRowsMostlySelectLow) {
   const QuantParams params = compute_quant_params(x.data(), kInt8);
   SelectorConfig cfg;
   cfg.density_threshold = 0.5;
-  const DynamicQuantizer dq(cfg);
-  const PrecisionMap map = dq.select(x.data(), views, params);
+  const PrecisionMap map =
+      fixed_delta_engine(cfg).select(x.data(), views, params);
   EXPECT_GT(map.low_fraction_by_elements(), 0.5);
 }
 
@@ -329,7 +339,7 @@ TEST(DynamicQuantizer, MismatchedParamsPrecisionThrows) {
   TensorF x(Shape{2, 2}, 1.0f);
   const auto views = partition_rows(x.shape());
   QuantParams params = compute_quant_params(x.data(), kInt4);
-  const DynamicQuantizer dq(SelectorConfig{});
+  const nn::QuantEngine dq = fixed_delta_engine(SelectorConfig{});
   EXPECT_THROW(dq.select(x.data(), views, params), drift::check_error);
 }
 

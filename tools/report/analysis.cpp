@@ -156,9 +156,15 @@ JsonValue coverage_distribution(const JsonValue& metrics,
   return JsonValue(std::move(out));
 }
 
-JsonValue roofline(const JsonValue& metrics) {
-  const std::int64_t dram = counter(metrics, "traffic.dram_bytes");
-  const std::int64_t cycles = counter(metrics, "sim.cycles");
+JsonValue roofline(const JsonArray& layers) {
+  // Both halves come from the layer records, so the ratio describes the
+  // same layers on the same design: a compare artifact's traffic
+  // counter sums four designs while its layers hold the Drift run.
+  std::int64_t dram = 0, cycles = 0;
+  for (const JsonValue& layer : layers) {
+    dram += int_or(layer.get("dram_bytes"), 0);
+    cycles += int_or(layer.get("compute_cycles"), 0);
+  }
   if (cycles == 0) return JsonValue();
   const double bpc = static_cast<double>(dram) / static_cast<double>(cycles);
   JsonObject out;
@@ -481,7 +487,7 @@ JsonValue summarize(const JsonValue& metrics, const JsonValue* trace) {
   if (JsonValue c = coverage_distribution(metrics, layers); !c.is_null()) {
     report["coverage"] = std::move(c);
   }
-  if (JsonValue r = roofline(metrics); !r.is_null()) {
+  if (JsonValue r = roofline(layers); !r.is_null()) {
     report["roofline"] = std::move(r);
   }
   if (JsonValue h = histogram_summaries(metrics); !h.is_null()) {
