@@ -10,17 +10,27 @@
 //
 //   ./serving_study [output.json]   (default: serving_study.json)
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/simulator.hpp"
 #include "util/args.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 using namespace drift;
 
 namespace {
+
+/// `v` read back from its `%.<digits>f` text: the artifact carries the
+/// digits the study reports, not the double's full precision.
+JsonValue rounded(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
+  return JsonValue(std::strtod(buf, nullptr));
+}
 
 struct SweepPoint {
   nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
@@ -124,26 +134,26 @@ int main(int argc, char** argv) {
   std::printf("%s", t.to_string().c_str());
 
   // Schema-v2 sweep artifact for drift_report summarize.
-  std::string json = "{\n  \"schema_version\": 2,\n  \"serving_sweep\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    char entry[512];
-    std::snprintf(
-        entry, sizeof(entry),
-        "%s\n    {\"design\": \"%s\", \"load\": %.2f, \"requests\": %lld, "
-        "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, "
-        "\"mean_wait_us\": %.3f, \"energy_per_request_uj\": %.4f, "
-        "\"utilization\": %.4f}",
-        i == 0 ? "" : ",", nn::to_string(p.algo).c_str(), p.load,
-        static_cast<long long>(p.slo.count),
-        to_us(static_cast<double>(p.slo.p50_cycles)),
-        to_us(static_cast<double>(p.slo.p99_cycles)),
-        to_us(static_cast<double>(p.slo.p999_cycles)),
-        to_us(p.slo.mean_wait_cycles), p.slo.energy_per_request_pj / 1e6,
-        p.utilization);
-    json += entry;
+  JsonArray sweep;
+  for (const SweepPoint& p : points) {
+    JsonObject entry;
+    entry["design"] = JsonValue(nn::to_string(p.algo));
+    entry["load"] = rounded(p.load, 2);
+    entry["requests"] = JsonValue(p.slo.count);
+    entry["p50_us"] = rounded(to_us(static_cast<double>(p.slo.p50_cycles)), 3);
+    entry["p99_us"] = rounded(to_us(static_cast<double>(p.slo.p99_cycles)), 3);
+    entry["p999_us"] =
+        rounded(to_us(static_cast<double>(p.slo.p999_cycles)), 3);
+    entry["mean_wait_us"] = rounded(to_us(p.slo.mean_wait_cycles), 3);
+    entry["energy_per_request_uj"] =
+        rounded(p.slo.energy_per_request_pj / 1e6, 4);
+    entry["utilization"] = rounded(p.utilization, 4);
+    sweep.push_back(JsonValue(std::move(entry)));
   }
-  json += "\n  ]\n}\n";
+  JsonObject doc;
+  doc["schema_version"] = JsonValue(std::int64_t{2});
+  doc["serving_sweep"] = JsonValue(std::move(sweep));
+  const std::string json = write_canonical(JsonValue(std::move(doc)));
   if (!obs::write_file(out_path, json)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;

@@ -231,33 +231,54 @@ bool matches_prefixes(const std::string& name,
                      });
 }
 
-void append_layer_json(std::string& out, const LayerRecord& r) {
-  out += "    {\"layer\": " + json_quoted(r.layer);
-  const auto field = [&out](const char* key, std::int64_t v) {
-    out += ", " + json_quoted(key) + ": " + std::to_string(v);
-  };
-  field("subtensors_total", r.subtensors_total);
-  field("subtensors_low", r.subtensors_low);
-  field("elements_total", r.elements_total);
-  field("elements_low", r.elements_low);
-  out += ", \"coverage\": " + format_double(r.coverage());
-  field("sched_r", r.sched_r);
-  field("sched_c", r.sched_c);
-  out += ", \"sched_latency\": [";
-  for (std::size_t q = 0; q < r.sched_latency.size(); ++q) {
-    out += (q ? ", " : "") + std::to_string(r.sched_latency[q]);
+template <typename Ints>
+JsonValue int_array(const Ints& values) {
+  JsonArray out;
+  for (const std::int64_t v : values) out.push_back(JsonValue(v));
+  return JsonValue(std::move(out));
+}
+
+JsonValue layer_json(const LayerRecord& r) {
+  JsonObject out;
+  out["layer"] = JsonValue(r.layer);
+  out["subtensors_total"] = JsonValue(r.subtensors_total);
+  out["subtensors_low"] = JsonValue(r.subtensors_low);
+  out["elements_total"] = JsonValue(r.elements_total);
+  out["elements_low"] = JsonValue(r.elements_low);
+  out["coverage"] = JsonValue(r.coverage());
+  out["sched_r"] = JsonValue(r.sched_r);
+  out["sched_c"] = JsonValue(r.sched_c);
+  out["sched_latency"] = int_array(r.sched_latency);
+  out["sched_makespan"] = JsonValue(r.sched_makespan);
+  out["tile_count"] = int_array(r.tile_count);
+  out["compute_cycles"] = JsonValue(r.compute_cycles);
+  out["stall_cycles"] = JsonValue(r.stall_cycles);
+  out["dram_bytes"] = JsonValue(r.dram_bytes);
+  return JsonValue(std::move(out));
+}
+
+JsonValue histogram_json(const Histogram& h) {
+  JsonObject out;
+  out["upper_bounds"] = int_array(h.upper_bounds());
+  out["counts"] = int_array(h.counts());
+  const std::int64_t total = h.total_count();
+  out["total"] = JsonValue(total);
+  if (total > 0) {
+    out["min"] = JsonValue(h.min_observed());
+    out["max"] = JsonValue(h.max_observed());
+    static constexpr struct {
+      const char* key;
+      double p;
+    } kQuantiles[] = {{"p50", 0.50}, {"p90", 0.90}, {"p95", 0.95},
+                      {"p99", 0.99}, {"p99.9", 0.999}};
+    JsonObject quantiles;
+    for (const auto& q : kQuantiles) {
+      quantiles[q.key] = JsonValue(h.quantile(q.p));
+    }
+    out["quantiles"] = JsonValue(std::move(quantiles));
+    out["exact"] = JsonValue(h.quantiles_exact());
   }
-  out += "]";
-  field("sched_makespan", r.sched_makespan);
-  out += ", \"tile_count\": [";
-  for (std::size_t q = 0; q < r.tile_count.size(); ++q) {
-    out += (q ? ", " : "") + std::to_string(r.tile_count[q]);
-  }
-  out += "]";
-  field("compute_cycles", r.compute_cycles);
-  field("stall_cycles", r.stall_cycles);
-  field("dram_bytes", r.dram_bytes);
-  out += "}";
+  return JsonValue(std::move(out));
 }
 
 /// Providers behind run_metadata(); function-local so static-init-order
@@ -306,85 +327,33 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
   // other singletons (dispatch tables, the thread pool).
   const std::map<std::string, std::string> meta = run_metadata();
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"schema_version\": " +
-                    std::to_string(kMetricsSchemaVersion) + ",\n";
-  out += "  \"meta\": {";
-  bool first = true;
-  for (const auto& [key, value] : meta) {
-    if (!matches_prefixes("meta." + key, prefixes)) continue;
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += json_quoted(key) + ": " + json_quoted(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"counters\": {";
-  first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!matches_prefixes(name, prefixes)) continue;
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += json_quoted(name) + ": " + std::to_string(c->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!matches_prefixes(name, prefixes)) continue;
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += json_quoted(name) + ": " + format_double(g->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!matches_prefixes(name, prefixes)) continue;
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += json_quoted(name) + ": {\"upper_bounds\": [";
-    const auto& bounds = h->upper_bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      out += (i ? ", " : "") + std::to_string(bounds[i]);
+  // Each section keeps the entries whose name (metadata keys as
+  // "meta.<key>") passes the prefix filter.
+  const auto section = [&prefixes](const auto& entries, const char* filter,
+                                   const auto& to_json) {
+    JsonObject out;
+    for (const auto& [name, entry] : entries) {
+      if (matches_prefixes(filter + name, prefixes)) out[name] = to_json(entry);
     }
-    out += "], \"counts\": [";
-    const auto counts = h->counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      out += (i ? ", " : "") + std::to_string(counts[i]);
-    }
-    const std::int64_t total = h->total_count();
-    out += "], \"total\": " + std::to_string(total);
-    if (total > 0) {
-      out += ", \"min\": " + std::to_string(h->min_observed());
-      out += ", \"max\": " + std::to_string(h->max_observed());
-      out += ", \"quantiles\": {";
-      static constexpr struct {
-        const char* key;
-        double p;
-      } kQuantiles[] = {{"p50", 0.50}, {"p90", 0.90}, {"p95", 0.95},
-                        {"p99", 0.99}, {"p99.9", 0.999}};
-      for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
-        out += q ? ", " : "";
-        out += json_quoted(kQuantiles[q].key) + ": " +
-               format_double(h->quantile(kQuantiles[q].p));
-      }
-      out += "}, \"exact\": ";
-      out += h->quantiles_exact() ? "true" : "false";
-    }
-    out += "}";
+    return JsonValue(std::move(out));
+  };
+  JsonObject doc;
+  doc["schema_version"] = JsonValue(std::int64_t{kMetricsSchemaVersion});
+  doc["meta"] = section(meta, "meta.",
+                        [](const std::string& v) { return JsonValue(v); });
+  doc["counters"] = section(
+      counters_, "", [](const auto& c) { return JsonValue(c->value()); });
+  doc["gauges"] = section(
+      gauges_, "", [](const auto& g) { return JsonValue(g->value()); });
+  doc["histograms"] = section(
+      histograms_, "", [](const auto& h) { return histogram_json(*h); });
+  JsonArray layers;
+  for (const auto& record : layers_) {
+    const std::lock_guard<std::mutex> record_lock(record->mutex);
+    layers.push_back(layer_json(*record));
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"layers\": [";
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    out += i ? ",\n" : "\n";
-    const std::lock_guard<std::mutex> record_lock(layers_[i]->mutex);
-    append_layer_json(out, *layers_[i]);
-  }
-  out += layers_.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  doc["layers"] = JsonValue(std::move(layers));
+  return write_canonical(JsonValue(std::move(doc)));
 }
 
 void Registry::reset() {

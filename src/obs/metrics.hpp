@@ -22,9 +22,10 @@
 //     writes happen once per layer run, not per element, so the
 //     uncontended lock is off the hot path.
 //
-// Scrape output is canonical JSON: keys sorted, integers verbatim,
-// doubles printed with a fixed shortest-roundtrip format — byte-stable
-// for the golden test in tests/test_obs_golden.cpp.
+// The scrape is built as a JsonValue and written by write_canonical
+// (src/util/json): keys sorted, integers verbatim, doubles in shortest
+// round-trip form — byte-stable for the golden test in
+// tests/obs/test_obs_golden.cpp.
 #pragma once
 
 #include <array>

@@ -38,18 +38,12 @@ Tracer::ThreadBuffer& Tracer::this_thread_buffer() {
   return *buffer;
 }
 
-void Tracer::begin(const char* name) {
+void Tracer::span(const char* name, std::int64_t start_us) {
+  const std::int64_t end_us = trace_now_us();
   ThreadBuffer& buf = this_thread_buffer();
   std::lock_guard<std::mutex> lock(buf.mutex);
   buf.events.push_back(
-      TraceEvent{name, "drift", 'B', trace_now_us(), 0, 0, buf.tid});
-}
-
-void Tracer::end(const char* name) {
-  ThreadBuffer& buf = this_thread_buffer();
-  std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.events.push_back(
-      TraceEvent{name, "drift", 'E', trace_now_us(), 0, 0, buf.tid});
+      TraceEvent{name, "drift", start_us, end_us - start_us, 0, buf.tid});
 }
 
 void Tracer::complete(const std::string& name, std::uint32_t tid,
@@ -58,7 +52,7 @@ void Tracer::complete(const std::string& name, std::uint32_t tid,
   DRIFT_CHECK(dur >= 0, "complete event duration must be non-negative");
   ThreadBuffer& buf = this_thread_buffer();
   std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.events.push_back(TraceEvent{name, "sim", 'X', ts, dur, 1, tid});
+  buf.events.push_back(TraceEvent{name, "sim", ts, dur, 1, tid});
 }
 
 std::uint32_t Tracer::sim_track(const std::string& name) {
@@ -72,23 +66,37 @@ std::uint32_t Tracer::sim_track(const std::string& name) {
 
 namespace {
 
-void append_event(std::string& out, const TraceEvent& e) {
-  out += "{\"name\": " + json_quoted(e.name);
-  out += ", \"cat\": \"";
-  out += e.category;
-  out += "\", \"ph\": \"";
-  out += e.ph;
-  out += "\", \"ts\": " + std::to_string(e.ts);
-  if (e.ph == 'X') out += ", \"dur\": " + std::to_string(e.dur);
-  out += ", \"pid\": " + std::to_string(e.pid) +
-         ", \"tid\": " + std::to_string(e.tid) + "}";
+JsonValue event_json(const TraceEvent& e) {
+  JsonObject out;
+  out["name"] = JsonValue(e.name);
+  out["cat"] = JsonValue(std::string(e.category));
+  out["ph"] = JsonValue(std::string("X"));
+  out["ts"] = JsonValue(e.ts);
+  out["dur"] = JsonValue(e.dur);
+  out["pid"] = JsonValue(std::int64_t{e.pid});
+  out["tid"] = JsonValue(std::int64_t{e.tid});
+  return JsonValue(std::move(out));
+}
+
+/// Metadata event naming simulated track `tid` in the trace UI.
+JsonValue track_name_json(const std::string& name, std::uint32_t tid) {
+  JsonObject args;
+  args["name"] = JsonValue(name);
+  JsonObject out;
+  out["name"] = JsonValue(std::string("thread_name"));
+  out["ph"] = JsonValue(std::string("M"));
+  out["pid"] = JsonValue(std::int64_t{1});
+  out["tid"] = JsonValue(std::int64_t{tid});
+  out["args"] = JsonValue(std::move(args));
+  return JsonValue(std::move(out));
 }
 
 }  // namespace
 
 std::string Tracer::to_chrome_json() const {
   // Snapshot the buffer list, then serialize each buffer under its own
-  // lock; one event per line so tests can parse without a JSON library.
+  // lock.  A traced run holds tens of thousands of events, so they
+  // stream out one JsonValue at a time instead of as one document.
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   std::vector<std::pair<std::string, std::uint32_t>> tracks;
   {
@@ -96,27 +104,13 @@ std::string Tracer::to_chrome_json() const {
     buffers = buffers_;
     tracks = sim_tracks_;
   }
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  const auto emit = [&out, &first](const TraceEvent& e) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    append_event(out, e);
-  };
-  // Track-name metadata so the UI labels the simulated rows.
-  for (const auto& [name, tid] : tracks) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-           std::to_string(tid) + ", \"args\": {\"name\": ";
-    out += json_quoted(name) + "}}";
-  }
+  CanonicalArrayStream out("traceEvents");
+  for (const auto& [name, tid] : tracks) out.add(track_name_json(name, tid));
   for (const auto& buf : buffers) {
     std::lock_guard<std::mutex> lock(buf->mutex);
-    for (const TraceEvent& e : buf->events) emit(e);
+    for (const TraceEvent& e : buf->events) out.add(event_json(e));
   }
-  out += first ? "]}\n" : "\n]}\n";
-  return out;
+  return out.finish();
 }
 
 bool Tracer::write_chrome_trace(const std::string& path) const {

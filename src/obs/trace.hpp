@@ -4,13 +4,14 @@
 // chrome://tracing (or Perfetto) renders them as separate process
 // groups:
 //
-//   pid 0 — *host wall clock*: DRIFT_OBS_SPAN scopes (B/E pairs) from
-//           the real pipeline and thread-pool workers, microsecond
-//           timestamps from a monotonic clock.
+//   pid 0 — *host wall clock*: one complete (X) event per
+//           DRIFT_OBS_SPAN scope of the real pipeline and thread-pool
+//           workers, microsecond timestamps from a monotonic clock.
 //   pid 1 — *simulated cycles*: complete (X) events whose timestamps
 //           are model cycles (1 cycle == 1 "µs"), emitted by the
-//           accelerator timeline so the double-buffered DRAM/compute
-//           schedule is inspectable on the same timeline UI.
+//           accelerator timeline and the serving simulator so the
+//           double-buffered DRAM/compute schedule is inspectable on the
+//           same timeline UI.
 //
 // Collection is off by default: a disabled tracer costs one relaxed
 // atomic load per span site.  Events buffer per thread (mutex only at
@@ -31,11 +32,10 @@ namespace drift::obs {
 /// Microseconds from a process-local monotonic clock (first call is 0).
 std::int64_t trace_now_us();
 
-/// One trace_event entry.  `dur` is only meaningful for ph == 'X'.
+/// One complete (X) trace_event entry: `name` ran from `ts` for `dur`.
 struct TraceEvent {
   std::string name;
   const char* category = "drift";
-  char ph = 'B';  ///< 'B' begin, 'E' end, 'X' complete, 'i' instant
   std::int64_t ts = 0;
   std::int64_t dur = 0;
   int pid = 0;
@@ -52,9 +52,10 @@ class Tracer {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Records a begin/end pair on the calling thread's wall-clock track.
-  void begin(const char* name);
-  void end(const char* name);
+  /// Records a complete (X) event on the calling thread's wall-clock
+  /// track: `name` ran from `start_us` (a trace_now_us reading) until
+  /// now.
+  void span(const char* name, std::int64_t start_us);
 
   /// Records a complete (X) event with explicit simulated timestamps
   /// on the given pid-1 track (see sim_track).
@@ -64,8 +65,9 @@ class Tracer {
   /// Stable tid for a named simulated track (created on first use).
   std::uint32_t sim_track(const std::string& name);
 
-  /// Serializes every buffered event as Chrome trace JSON (one event
-  /// per line, thread buffers in registration order) and returns it.
+  /// Serializes every buffered event as Chrome trace JSON in
+  /// write_canonical's layout (track names first, then thread buffers
+  /// in registration order) and returns it.
   std::string to_chrome_json() const;
 
   /// Writes to_chrome_json() to `path`.
@@ -91,24 +93,26 @@ class Tracer {
   std::uint32_t next_sim_tid_ = 0;
 };
 
-/// RAII wall-clock span.  The end event is emitted iff the begin was
-/// (tracer toggled mid-span still yields balanced B/E pairs).
+/// RAII wall-clock span, recorded as one complete event at scope exit
+/// iff the tracer was enabled at scope entry.  Disabled, it costs the
+/// one relaxed load of enabled().
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
     if (Tracer::global().enabled()) {
       name_ = name;
-      Tracer::global().begin(name);
+      start_us_ = trace_now_us();
     }
   }
   ~ScopedSpan() {
-    if (name_ != nullptr) Tracer::global().end(name_);
+    if (name_ != nullptr) Tracer::global().span(name_, start_us_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   const char* name_ = nullptr;
+  std::int64_t start_us_ = 0;
 };
 
 }  // namespace drift::obs

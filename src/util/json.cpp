@@ -308,6 +308,9 @@ class Reader {
   int depth_ = 0;
 };
 
+/// Appends `s` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// newline, tab and carriage return as \n \t \r, every other byte below
+/// 0x20 as \u00XX; all other bytes verbatim.
 void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -407,11 +410,21 @@ std::string format_double(double v) {
   return std::string(buf, res.ptr);
 }
 
-std::string json_quoted(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  append_quoted(out, s);
-  return out;
+CanonicalArrayStream::CanonicalArrayStream(std::string_view key) {
+  out_ = "{\n  ";
+  append_quoted(out_, key);
+  out_ += ": [";
+}
+
+void CanonicalArrayStream::add(const JsonValue& element) {
+  out_ += empty_ ? "\n    " : ",\n    ";
+  empty_ = false;
+  append_value(out_, element, 2);
+}
+
+std::string CanonicalArrayStream::finish() {
+  out_ += empty_ ? "]\n}\n" : "\n  ]\n}\n";
+  return std::move(out_);
 }
 
 }  // namespace drift

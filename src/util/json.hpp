@@ -1,10 +1,14 @@
 // The one JSON reader/writer of the tree.
 //
 // Every JSON surface goes through this module: the topology format
-// (graph/json_topology), the metrics and trace artifacts (obs), and the
-// drift_report and drift_lint tools, which link it (as the dependency-
-// free `drift_json` library) with the rest of util and no simulator
-// library.
+// (graph/json_topology), the metrics and trace artifacts (obs), the
+// serving sweep, BENCH_kernels.json, and the drift_report and
+// drift_lint tools, which link it (as the dependency-free `drift_json`
+// library) with the rest of util and no simulator library.  It is the
+// only code that lays out JSON text: every writer builds JsonValues and
+// renders them with write_canonical (or, for an array too long to hold
+// as one value, with CanonicalArrayStream), so every JSON file the tree
+// writes is its own canonical form.
 //
 // Grammar of the reader:
 //   - objects are std::map, so iteration (and therefore canonical
@@ -115,14 +119,24 @@ std::optional<JsonValue> parse_json(std::string_view text, JsonError& error);
 /// goldens and `drift_report diff` rely on.
 std::string write_canonical(const JsonValue& value);
 
+/// write_canonical of {"<key>": [e0, e1, ...]}, built one element at a
+/// time, so an array too long to hold as one JsonValue (a traced run's
+/// events) is laid out byte for byte as write_canonical lays it out.
+class CanonicalArrayStream {
+ public:
+  explicit CanonicalArrayStream(std::string_view key);
+  void add(const JsonValue& element);
+  /// The finished document; the stream is spent afterwards.
+  std::string finish();
+
+ private:
+  std::string out_;
+  bool empty_ = true;
+};
+
 /// Shortest round-trip rendering of a double (std::to_chars).  The
 /// infinities print as the out-of-range literals 1e999 / -1e999, which
 /// parse_json reads back as the same infinities; NaN prints as 0.
 std::string format_double(double v);
-
-/// `s` as a quoted JSON string: `"` and `\` backslash-escaped, newline,
-/// tab and carriage return as \n \t \r, every other byte below 0x20 as
-/// \u00XX; all other bytes verbatim.
-std::string json_quoted(std::string_view s);
 
 }  // namespace drift

@@ -10,15 +10,18 @@
 // GEMM node, exits 1 before any work, naming what is wrong.  A bench
 // whose CSV cannot be opened exits 1, naming the file.  drift_graph
 // compare prints every design, drift_report summarizes a drift_graph
-// run's artifact with its roofline, and the examples write only their
-// artifact.
+// run's artifact with its roofline and its layer records' coverage and
+// a traced compare's host spans, the run's artifacts are in
+// write_canonical's layout, and the examples write only their artifact.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,15 +79,33 @@ void expect_usage_error_no_artifact(const std::string& binary,
   std::remove(path.c_str());
 }
 
-/// Expects the file at `path` to parse as JSON, then removes it.
-void expect_parseable_json_and_remove(const std::string& path) {
+std::string read_text(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream text;
   text << in.rdbuf();
+  return text.str();
+}
+
+/// Expects the file at `path` to parse as JSON, then removes it.
+void expect_parseable_json_and_remove(const std::string& path) {
+  const std::string text = read_text(path);
   drift::JsonError error;
-  EXPECT_TRUE(drift::parse_json(text.str(), error).has_value())
-      << path << ": " << error.what() << "\n" << text.str();
+  EXPECT_TRUE(drift::parse_json(text, error).has_value())
+      << path << ": " << error.what() << "\n" << text;
   std::remove(path.c_str());
+}
+
+/// Parses the JSON file at `path`, expecting it in write_canonical's
+/// layout: re-canonicalizing it changes no byte.
+std::optional<drift::JsonValue> read_canonical(const std::string& path) {
+  const std::string text = read_text(path);
+  drift::JsonError error;
+  std::optional<drift::JsonValue> doc = drift::parse_json(text, error);
+  EXPECT_TRUE(doc.has_value()) << path << ": " << error.what();
+  if (doc) {
+    EXPECT_EQ(drift::write_canonical(*doc), text) << path;
+  }
+  return doc;
 }
 
 constexpr const char* kAlgos = "int8, drq, drift";
@@ -690,6 +711,55 @@ TEST(Cli, DriftReportSummarizesTheRooflineOfADriftGraphRun) {
             std::string::npos)
       << s.output;
   std::remove(path.c_str());
+}
+
+TEST(Cli, DriftReportTakesCoverageFromTheLayerRecords) {
+  // A drift_graph run fills the layer records; the selector counters
+  // only the accuracy path increments stay at zero.
+  const std::string path = temp_path(DRIFT_GRAPH_BIN, "coverage_m.json");
+  std::remove(path.c_str());
+  const CliResult r =
+      run(DRIFT_GRAPH_BIN, "run --model=tiny-cnn --metrics-out=" + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::optional<drift::JsonValue> metrics = read_canonical(path);
+  ASSERT_TRUE(metrics.has_value());
+  std::int64_t low = 0, total = 0;
+  for (const drift::JsonValue& layer : metrics->get("layers")->as_array()) {
+    low += layer.get("elements_low")->as_int();
+    total += layer.get("elements_total")->as_int();
+  }
+  EXPECT_GT(total, 0);
+  const CliResult s = run(DRIFT_REPORT_BIN, "summarize " + path);
+  EXPECT_EQ(s.exit_code, 0) << s.output;
+  EXPECT_NE(s.output.find("  elements low/total = " + std::to_string(low) +
+                          "/" + std::to_string(total) + " ("),
+            std::string::npos)
+      << s.output;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, DriftReportSummarizesTheHostSpansOfATracedCompare) {
+  // Each host span is one complete event on pid 0; the timeline's
+  // events on pid 1 count simulated cycles, so they are no host time.
+  const std::string metrics = temp_path(DRIFT_GRAPH_BIN, "spans_m.json");
+  const std::string trace = temp_path(DRIFT_GRAPH_BIN, "spans_t.json");
+  const CliResult r =
+      run(DRIFT_GRAPH_BIN, "compare --model=tiny-cnn --metrics-out=" +
+                               metrics + " --trace-out=" + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_TRUE(read_canonical(metrics).has_value());
+  EXPECT_TRUE(read_canonical(trace).has_value());
+  const CliResult s =
+      run(DRIFT_REPORT_BIN, "summarize " + metrics + " --trace=" + trace);
+  EXPECT_EQ(s.exit_code, 0) << s.output;
+  const std::size_t section = s.output.find("\n-- trace --\n");
+  ASSERT_NE(section, std::string::npos) << s.output;
+  const std::string spans = s.output.substr(section);
+  EXPECT_NE(spans.find("\n  accel.layer "), std::string::npos) << spans;
+  EXPECT_NE(spans.find("\n  scheduler.greedy "), std::string::npos) << spans;
+  EXPECT_EQ(spans.find("[compute]"), std::string::npos) << spans;
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(Cli, DriftLintRejectsSpaceFormRoot) {

@@ -15,13 +15,14 @@
 // The artifact must also be byte-identical whatever the thread-pool
 // size — counters merge commutatively and every histogram observation
 // happens on the submitting thread — and the Chrome trace must be
-// structurally sound (every B closed by its E, one accel span per
-// GEMM layer).
+// structurally sound (complete events whose host spans nest or are
+// disjoint per thread, one accel span per GEMM layer).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -32,6 +33,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "zoo_files.hpp"
 
@@ -127,63 +129,51 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
   for (const nn::LayerGemm& layer : result.workload.layers) {
     want_layers.insert(layer.name);
   }
+  JsonError error;
+  const std::optional<JsonValue> metrics =
+      parse_json(obs::Registry::global().to_json({"none."}), error);
+  ASSERT_TRUE(metrics.has_value()) << error.what();
   std::set<std::string> got_layers;
-  const std::string json = obs::Registry::global().to_json({"none."});
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::string marker = "\"layer\": \"";
-    const std::size_t pos = line.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t start = pos + marker.size();
-    got_layers.insert(line.substr(start, line.find('"', start) - start));
+  for (const JsonValue& record : metrics->get("layers")->as_array()) {
+    got_layers.insert(record.get("layer")->as_string());
   }
   EXPECT_EQ(got_layers, want_layers);
 
-  // Per-node trace spans: every B has a matching E on its thread and
-  // the accel model opened exactly one layer span per mix.
+  // Per-node trace spans: each host span is one complete event, the
+  // spans of one thread nest or are disjoint, and the accel model
+  // opened exactly one layer span per mix.
   const std::string trace = obs::Tracer::global().to_chrome_json();
-  ASSERT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
-  const auto event_field = [](const std::string& event,
-                              const std::string& key) -> std::int64_t {
-    const std::string marker = "\"" + key + "\": ";
-    const std::size_t pos = event.find(marker);
-    if (pos == std::string::npos) return -1;
-    return std::strtoll(event.c_str() + pos + marker.size(), nullptr, 10);
-  };
-  std::map<std::pair<std::int64_t, std::int64_t>,
-           std::vector<std::string>>
-      open_spans;  // by (pid, tid)
-  int accel_spans = 0, begins = 0, ends = 0;
-  std::istringstream trace_lines(trace);
-  while (std::getline(trace_lines, line)) {
-    if (line.rfind("{\"name\": ", 0) != 0) continue;
-    const std::size_t name_end = line.find('"', 10);
-    ASSERT_NE(name_end, std::string::npos) << line;
-    const std::string name = line.substr(10, name_end - 10);
-    const std::size_t ph_pos = line.find("\"ph\": \"");
-    ASSERT_NE(ph_pos, std::string::npos) << line;
-    const char ph = line[ph_pos + 7];
-    const auto tid = std::make_pair(event_field(line, "pid"),
-                                    event_field(line, "tid"));
-    if (ph == 'B') {
-      ++begins;
-      if (name == "accel.layer") ++accel_spans;
-      open_spans[tid].push_back(name);
-    } else if (ph == 'E') {
-      ++ends;
-      auto& stack = open_spans[tid];
-      ASSERT_FALSE(stack.empty()) << "unmatched E for " << name;
-      EXPECT_EQ(stack.back(), name);
-      stack.pop_back();
+  const std::optional<JsonValue> doc = parse_json(trace, error);
+  ASSERT_TRUE(doc.has_value()) << error.what();
+  EXPECT_EQ(write_canonical(*doc), trace);
+  const JsonValue* events = doc->get("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array()) << trace;
+  std::map<std::int64_t, std::vector<std::pair<std::int64_t, std::int64_t>>>
+      host_spans;  // [begin, end) by tid
+  int accel_spans = 0;
+  for (const JsonValue& e : events->as_array()) {
+    const JsonValue* ph = e.get("ph");
+    ASSERT_NE(ph, nullptr) << write_canonical(e);
+    if (ph->as_string() == "M") continue;
+    ASSERT_EQ(ph->as_string(), "X") << write_canonical(e);
+    if (e.get("pid")->as_int() != 0) continue;
+    const std::int64_t ts = e.get("ts")->as_int();
+    const std::int64_t dur = e.get("dur")->as_int();
+    EXPECT_GE(dur, 0) << write_canonical(e);
+    host_spans[e.get("tid")->as_int()].emplace_back(ts, ts + dur);
+    if (e.get("name")->as_string() == "accel.layer") ++accel_spans;
+  }
+  for (const auto& [tid, spans] : host_spans) {
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      for (std::size_t j = i + 1; j < spans.size(); ++j) {
+        const auto [a0, a1] = spans[i];
+        const auto [b0, b1] = spans[j];
+        EXPECT_TRUE(a1 <= b0 || b1 <= a0 || (a0 <= b0 && b1 <= a1) ||
+                    (b0 <= a0 && a1 <= b1))
+            << "spans " << i << " and " << j << " overlap on tid " << tid;
+      }
     }
   }
-  for (const auto& [track, stack] : open_spans) {
-    EXPECT_TRUE(stack.empty())
-        << stack.size() << " unclosed span(s) on pid " << track.first
-        << " tid " << track.second;
-  }
-  EXPECT_EQ(begins, ends);
   EXPECT_EQ(accel_spans,
             static_cast<int>(result.mixes.size()));
 }

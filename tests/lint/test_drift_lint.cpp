@@ -11,9 +11,6 @@
 //   DRIFT_LINT_FIXTURES        fixture corpus root
 //   DRIFT_LINT_EXPECTED        golden JSON for the full corpus
 //   DRIFT_LINT_EXPECTED_SARIF  golden SARIF 2.1.0 for the full corpus
-//   DRIFT_LINT_RATCHET_FIXTURE per-rule budgets equal to the corpus counts
-//   DRIFT_LINT_RATCHET_ZERO    the committed all-zero repo baseline
-//   DRIFT_LINT_RATCHET_MALFORMED  an unterminated, malformed ratchet file
 //   DRIFT_LINT_REPO_ROOT       the real repository root (self-analysis)
 #include <gtest/gtest.h>
 
@@ -66,67 +63,6 @@ TEST(DriftLint, SarifOutputMatchesGoldenFileExactly) {
       run_lint("--root=" + fixtures_root() + " --format=sarif src tools tests");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(r.output, read_file(DRIFT_LINT_EXPECTED_SARIF));
-}
-
-TEST(DriftLint, RatchetWithinBudgetExitsZero) {
-  // The fixture ratchet grants exactly the corpus's per-rule counts, so
-  // the run reports violations but the gate passes.
-  const RunResult r = run_lint("--root=" + fixtures_root() +
-                               " --format=json --ratchet=" +
-                               DRIFT_LINT_RATCHET_FIXTURE +
-                               " src tools tests 2>/dev/null");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST(DriftLint, RatchetExceededExitsOne) {
-  // The committed repo baseline is all zeros; the fixture corpus blows
-  // through every budget.
-  const RunResult r = run_lint("--root=" + fixtures_root() +
-                               " --format=json --ratchet=" +
-                               DRIFT_LINT_RATCHET_ZERO +
-                               " src tools tests 2>/dev/null");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-}
-
-TEST(DriftLint, MissingRatchetFileExitsTwo) {
-  const RunResult r =
-      run_lint("--root=" + fixtures_root() +
-               " --ratchet=/nonexistent/ratchet.json src 2>/dev/null");
-  EXPECT_EQ(r.exit_code, 2);
-}
-
-TEST(DriftLint, MalformedRatchetFileExitsTwo) {
-  // ratchet_malformed.json is unterminated and has stray commas; the gate
-  // must refuse it rather than pass with whatever budgets it can find.
-  const std::string scan =
-      "--root=" + fixtures_root() + " --format=json --ratchet=";
-  RunResult r = run_lint(scan + DRIFT_LINT_RATCHET_MALFORMED +
-                         " tests 2>&1 >/dev/null");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("JSON error at byte 13"), std::string::npos)
-      << r.output;
-
-  // Well-formed JSON that is not a map of non-negative budgets exits 2
-  // too, naming the offending key.
-  const std::string path = ::testing::TempDir() + "drift_lint_ratchet.json";
-  const struct {
-    const char* text;
-    const char* named;
-  } kCases[] = {{"[1, 2]", "top level"},
-                {"{\"thread\": -1}", "'thread'"},
-                {"{\"thread\": 1.5}", "'thread'"},
-                {"{\"random\": \"0\"}", "'random'"}};
-  for (const auto& c : kCases) {
-    {
-      std::ofstream out(path, std::ios::binary);
-      out << c.text;
-    }
-    r = run_lint(scan + path + " tests 2>&1 >/dev/null");
-    EXPECT_EQ(r.exit_code, 2) << c.text << "\n" << r.output;
-    EXPECT_NE(r.output.find(c.named), std::string::npos)
-        << c.text << "\n" << r.output;
-  }
-  std::remove(path.c_str());
 }
 
 TEST(DriftLint, SelfAnalysisIsClean) {

@@ -20,14 +20,29 @@
 namespace drift::obs {
 namespace {
 
-/// Occurrences of `needle` in `haystack`.
-int count_occurrences(const std::string& haystack, const std::string& needle) {
-  int n = 0;
-  for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
-       pos = haystack.find(needle, pos + needle.size())) {
-    ++n;
-  }
-  return n;
+/// The events of a to_chrome_json() document, which must be in
+/// write_canonical's layout.
+JsonArray trace_events(const std::string& json) {
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(json, error);
+  EXPECT_TRUE(doc.has_value()) << error.what() << "\n" << json;
+  if (!doc) return {};
+  EXPECT_EQ(write_canonical(*doc), json);
+  const JsonValue* events = doc->get("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->is_array()) << json;
+  return events != nullptr ? events->as_array() : JsonArray{};
+}
+
+/// Event field `key` as a string ("" when absent).
+std::string text(const JsonValue& e, const char* key) {
+  const JsonValue* v = e.get(key);
+  return v != nullptr && v->is_string() ? v->as_string() : "";
+}
+
+/// Event field `key` as an integer (-1 when absent).
+std::int64_t number(const JsonValue& e, const char* key) {
+  const JsonValue* v = e.get(key);
+  return v != nullptr && v->is_number() ? v->as_int() : -1;
 }
 
 TEST(ObsCounter, ParallelAddsMergeExactly) {
@@ -145,12 +160,24 @@ TEST(ObsTracer, SpansBalanceAndSerialize) {
     ScopedSpan inner("obs_span.inner");
   }
   t.set_enabled(false);
-  const std::string json = t.to_chrome_json();
-  EXPECT_EQ(count_occurrences(json, "\"ph\": \"B\""), 2);
-  EXPECT_EQ(count_occurrences(json, "\"ph\": \"E\""), 2);
-  // LIFO destruction: the inner span closes before the outer one.
-  EXPECT_LT(json.find("\"obs_span.inner\", \"cat\": \"drift\", \"ph\": \"E\""),
-            json.find("\"obs_span.outer\", \"cat\": \"drift\", \"ph\": \"E\""));
+  const JsonArray events = trace_events(t.to_chrome_json());
+  ASSERT_EQ(events.size(), 2u);
+  for (const JsonValue& e : events) {
+    EXPECT_EQ(text(e, "ph"), "X");
+    EXPECT_EQ(text(e, "cat"), "drift");
+    EXPECT_EQ(number(e, "pid"), 0);
+    EXPECT_GE(number(e, "dur"), 0);
+  }
+  // LIFO destruction: the inner span completes first, inside the outer
+  // one on the same thread's track.
+  const JsonValue& inner = events[0];
+  const JsonValue& outer = events[1];
+  EXPECT_EQ(text(inner, "name"), "obs_span.inner");
+  EXPECT_EQ(text(outer, "name"), "obs_span.outer");
+  EXPECT_EQ(number(inner, "tid"), number(outer, "tid"));
+  EXPECT_LE(number(outer, "ts"), number(inner, "ts"));
+  EXPECT_LE(number(inner, "ts") + number(inner, "dur"),
+            number(outer, "ts") + number(outer, "dur"));
   t.reset();
 }
 
@@ -164,7 +191,7 @@ TEST(ObsTracer, DisabledTracerDropsEverything) {
   t.complete("obs_span.dropped_x", 0, 0, 5);
   const std::string json = t.to_chrome_json();
   EXPECT_EQ(json.find("obs_span.dropped"), std::string::npos);
-  EXPECT_EQ(count_occurrences(json, "\"ph\": \"B\""), 0);
+  EXPECT_TRUE(trace_events(json).empty()) << json;
 }
 
 TEST(ObsTracer, SimTracksAreStableAndNamed) {
@@ -177,13 +204,27 @@ TEST(ObsTracer, SimTracksAreStableAndNamed) {
   t.set_enabled(true);
   t.complete("tile", a, 100, 25);
   t.set_enabled(false);
-  const std::string json = t.to_chrome_json();
-  // Metadata names the track; the X event carries explicit ts/dur on
+  const JsonArray events = trace_events(t.to_chrome_json());
+  // Metadata names each track; the X event carries explicit ts/dur on
   // the simulated-cycle pid.
-  EXPECT_NE(json.find("\"thread_name\", \"ph\": \"M\""), std::string::npos);
-  EXPECT_NE(json.find("\"obs_track.a\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\", \"ts\": 100, \"dur\": 25, \"pid\": 1"),
-            std::string::npos);
+  ASSERT_EQ(events.size(), 3u);
+  const JsonValue& names_a = events[0];
+  EXPECT_EQ(text(names_a, "name"), "thread_name");
+  EXPECT_EQ(text(names_a, "ph"), "M");
+  EXPECT_EQ(number(names_a, "pid"), 1);
+  EXPECT_EQ(number(names_a, "tid"), std::int64_t{a});
+  const JsonValue* track = names_a.get_path({"args", "name"});
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(track->as_string(), "obs_track.a");
+  EXPECT_EQ(number(events[1], "tid"), std::int64_t{b});
+  const JsonValue& tile = events[2];
+  EXPECT_EQ(text(tile, "name"), "tile");
+  EXPECT_EQ(text(tile, "ph"), "X");
+  EXPECT_EQ(text(tile, "cat"), "sim");
+  EXPECT_EQ(number(tile, "ts"), 100);
+  EXPECT_EQ(number(tile, "dur"), 25);
+  EXPECT_EQ(number(tile, "pid"), 1);
+  EXPECT_EQ(number(tile, "tid"), std::int64_t{a});
   t.reset();
 }
 

@@ -5,9 +5,9 @@
 // scopes, then:
 //   1. the canonicalized metrics JSON is byte-compared against a
 //      checked-in golden (tests/obs/golden/metrics.json);
-//   2. the Chrome trace is parsed and validated structurally (every B
-//      has a matching E on its thread, nesting depth never goes
-//      negative, X durations are non-negative);
+//   2. the Chrome trace is parsed and validated structurally (every
+//      event is complete or metadata, durations are non-negative, and
+//      the host spans of one thread nest or are disjoint);
 //   3. the scraped per-layer numbers are re-derived from the selector
 //      output and the src/ref oracles (the acceptance cross-check).
 //
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -41,6 +42,7 @@
 #include "ref/ref_oracles.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace drift {
@@ -176,71 +178,66 @@ TEST(ObsGolden, MetricsJsonMatchesGolden) {
          "intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
 }
 
-/// Pulls the integer value of `"key": <n>` out of one serialized trace
-/// event line; `fallback` when the key is absent.
-std::int64_t event_field(const std::string& line, const std::string& key,
-                         std::int64_t fallback) {
-  const std::string marker = "\"" + key + "\": ";
-  const std::size_t pos = line.find(marker);
-  if (pos == std::string::npos) return fallback;
-  return std::strtoll(line.c_str() + pos + marker.size(), nullptr, 10);
-}
-
 TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
   run_fixed_workload();
   const std::string json = obs::Tracer::global().to_chrome_json();
-  ASSERT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(json, error);
+  ASSERT_TRUE(doc.has_value()) << error.what();
+  EXPECT_EQ(write_canonical(*doc), json);
+  const JsonValue* events = doc->get("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array()) << json;
 
-  // One event per line; track open B spans per (pid, tid).
-  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::string>>
-      open_spans;
-  int begins = 0, ends = 0, completes = 0;
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.rfind("{\"name\": ", 0) != 0) continue;  // header / footer
-    const std::size_t name_end = line.find('"', 10);
-    ASSERT_NE(name_end, std::string::npos) << line;
-    const std::string name = line.substr(10, name_end - 10);
-    const std::size_t ph_pos = line.find("\"ph\": \"");
-    ASSERT_NE(ph_pos, std::string::npos) << line;
-    const char ph = line[ph_pos + 7];
-    const auto track = std::make_pair(event_field(line, "pid", -1),
-                                      event_field(line, "tid", -1));
-    switch (ph) {
-      case 'B':
-        ++begins;
-        open_spans[track].push_back(name);
-        break;
-      case 'E': {
-        ++ends;
-        auto& stack = open_spans[track];
-        // Nesting never goes negative, and E closes the innermost B.
-        ASSERT_FALSE(stack.empty()) << "unmatched E for " << name;
-        EXPECT_EQ(stack.back(), name);
-        stack.pop_back();
-        break;
-      }
-      case 'X':
-        ++completes;
-        EXPECT_GE(event_field(line, "dur", -1), 0) << line;
-        EXPECT_EQ(event_field(line, "pid", -1), 1) << line;
-        break;
-      case 'M':
-        EXPECT_EQ(event_field(line, "pid", -1), 1) << line;
-        break;
-      default:
-        FAIL() << "unexpected phase '" << ph << "' in " << line;
+  struct Span {
+    std::string name;
+    std::int64_t begin = 0, end = 0;
+  };
+  std::map<std::int64_t, std::vector<Span>> host_spans;  // by tid
+  int host = 0, simulated = 0;
+  for (const JsonValue& e : events->as_array()) {
+    const JsonValue* name = e.get("name");
+    const JsonValue* ph = e.get("ph");
+    const JsonValue* pid = e.get("pid");
+    const JsonValue* tid = e.get("tid");
+    ASSERT_TRUE(name != nullptr && ph != nullptr && pid != nullptr &&
+                tid != nullptr)
+        << write_canonical(e);
+    if (ph->as_string() == "M") {
+      EXPECT_EQ(pid->as_int(), 1) << write_canonical(e);
+      continue;
+    }
+    // Every other event is complete: a span with its own duration.
+    ASSERT_EQ(ph->as_string(), "X") << write_canonical(e);
+    const JsonValue* ts = e.get("ts");
+    const JsonValue* dur = e.get("dur");
+    ASSERT_TRUE(ts != nullptr && dur != nullptr) << write_canonical(e);
+    EXPECT_GE(dur->as_int(), 0) << write_canonical(e);
+    if (pid->as_int() == 0) {
+      ++host;
+      host_spans[tid->as_int()].push_back(
+          {name->as_string(), ts->as_int(), ts->as_int() + dur->as_int()});
+    } else {
+      EXPECT_EQ(pid->as_int(), 1) << write_canonical(e);
+      ++simulated;
     }
   }
-  for (const auto& [track, stack] : open_spans) {
-    EXPECT_TRUE(stack.empty())
-        << stack.size() << " unclosed span(s) on pid " << track.first
-        << " tid " << track.second;
+  // One thread runs one scope inside another or after it, so any two
+  // of its spans nest or are disjoint.
+  for (const auto& [tid, spans] : host_spans) {
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      for (std::size_t j = i + 1; j < spans.size(); ++j) {
+        const Span& a = spans[i];
+        const Span& b = spans[j];
+        const bool disjoint = a.end <= b.begin || b.end <= a.begin;
+        const bool nested = (a.begin <= b.begin && b.end <= a.end) ||
+                            (b.begin <= a.begin && a.end <= b.end);
+        EXPECT_TRUE(disjoint || nested)
+            << a.name << " and " << b.name << " overlap on tid " << tid;
+      }
+    }
   }
-  EXPECT_EQ(begins, ends);
-  EXPECT_GT(begins, 0);     // the pipeline spans fired
-  EXPECT_GT(completes, 0);  // the timeline rendered X events
+  EXPECT_GT(host, 0);       // the pipeline spans fired
+  EXPECT_GT(simulated, 0);  // the timeline rendered X events
 }
 
 TEST(ObsGolden, MetricsMatchRefOracles) {

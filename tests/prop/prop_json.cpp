@@ -4,7 +4,7 @@
 //
 // The corpus is every JSON file the tree reads back: the model-zoo
 // topologies, the drift_report fixtures, the obs metrics golden, the
-// lint ratchet and the kernel-sweep baseline.  Each case mutates corpus
+// serving sweep drift_report summarizes and the kernel-sweep baseline.  Each case mutates corpus
 // files with byte flips, inserts and deletes, truncation, numbers beyond
 // int64/double range spliced over number tokens, and wrapping in up to
 // 100k brackets, then checks:
@@ -80,7 +80,7 @@ const std::vector<std::string>& json_corpus() {
     }
     const std::filesystem::path root(DRIFT_SOURCE_DIR);
     all.push_back(read_file(root / "tests/obs/golden/metrics.json"));
-    all.push_back(read_file(root / "tools/lint/ratchet.json"));
+    all.push_back(read_file(root / "serving_study.json"));
     all.push_back(read_file(root / "bench/baseline.json"));
     return all;
   }();

@@ -301,8 +301,10 @@ TEST(PropSplitTable, ServingSweepsFewerTimesThanItDecides) {
   for (const JsonValue& e : list->as_array()) {
     const JsonValue* name = e.get("name");
     const JsonValue* phase = e.get("ph");
-    if (name != nullptr && phase != nullptr &&
-        name->as_string() == "scheduler.greedy" && phase->as_string() == "B") {
+    const JsonValue* pid = e.get("pid");
+    if (name != nullptr && phase != nullptr && pid != nullptr &&
+        name->as_string() == "scheduler.greedy" &&
+        phase->as_string() == "X" && pid->as_int() == 0) {
       ++sweeps;
     }
   }

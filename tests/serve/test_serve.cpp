@@ -40,6 +40,7 @@
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -652,42 +653,44 @@ TEST(ServeGolden, MetricsJsonMatchesGolden) {
          "change is intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
 }
 
-/// Pulls the integer value of `"key": <n>` out of one serialized trace
-/// event line; `fallback` when the key is absent.
-std::int64_t event_field(const std::string& line, const std::string& key,
-                         std::int64_t fallback) {
-  const std::string marker = "\"" + key + "\": ";
-  const std::size_t pos = line.find(marker);
-  if (pos == std::string::npos) return fallback;
-  return std::strtoll(line.c_str() + pos + marker.size(), nullptr, 10);
-}
-
 TEST(ServeGolden, ChromeTraceCarriesPerRequestTracks) {
   const serve::ServeConfig config = two_tenant_config();
   run_serving(config, 2, /*trace=*/true);
   const std::string json = obs::Tracer::global().to_chrome_json();
-  ASSERT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
+  JsonError error;
+  const std::optional<JsonValue> doc = parse_json(json, error);
+  ASSERT_TRUE(doc.has_value()) << error.what();
+  EXPECT_EQ(write_canonical(*doc), json);
+  const JsonValue* events = doc->get("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array()) << json;
 
   int request_tracks = 0, wait_events = 0, exec_events = 0;
   bool saw_alpha = false, saw_beta = false;
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.rfind("{\"name\": ", 0) != 0) continue;
-    const std::size_t ph_pos = line.find("\"ph\": \"");
-    ASSERT_NE(ph_pos, std::string::npos) << line;
-    const char ph = line[ph_pos + 7];
-    if (ph == 'M' && line.find("\"req/") != std::string::npos) {
-      ++request_tracks;
-      saw_alpha = saw_alpha || line.find("req/alpha/") != std::string::npos;
-      saw_beta = saw_beta || line.find("req/beta/") != std::string::npos;
+  for (const JsonValue& e : events->as_array()) {
+    const JsonValue* name = e.get("name");
+    const JsonValue* ph = e.get("ph");
+    const JsonValue* pid = e.get("pid");
+    ASSERT_TRUE(name != nullptr && ph != nullptr && pid != nullptr)
+        << write_canonical(e);
+    if (ph->as_string() == "M") {
+      const JsonValue* track = e.get_path({"args", "name"});
+      ASSERT_NE(track, nullptr) << write_canonical(e);
+      if (track->as_string().rfind("req/", 0) == 0) {
+        ++request_tracks;
+        saw_alpha = saw_alpha || track->as_string().rfind("req/alpha/", 0) == 0;
+        saw_beta = saw_beta || track->as_string().rfind("req/beta/", 0) == 0;
+      }
+      continue;
     }
-    if (ph == 'X') {
-      EXPECT_GE(event_field(line, "dur", -1), 0) << line;
-      EXPECT_EQ(event_field(line, "pid", -1), 1) << line;
-      if (line.rfind("{\"name\": \"wait\"", 0) == 0) ++wait_events;
-      if (line.rfind("{\"name\": \"exec\"", 0) == 0) ++exec_events;
-    }
+    ASSERT_EQ(ph->as_string(), "X") << write_canonical(e);
+    const JsonValue* dur = e.get("dur");
+    ASSERT_NE(dur, nullptr) << write_canonical(e);
+    EXPECT_GE(dur->as_int(), 0) << write_canonical(e);
+    // Host spans sit on pid 0; the request tracks on simulated pid 1.
+    if (pid->as_int() == 0) continue;
+    EXPECT_EQ(pid->as_int(), 1) << write_canonical(e);
+    if (name->as_string() == "wait") ++wait_events;
+    if (name->as_string() == "exec") ++exec_events;
   }
   // One track per in-flight request (40 requests, cap 128), every
   // request an exec span, waits only where queueing happened.

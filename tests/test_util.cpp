@@ -1,11 +1,19 @@
-// Tests for src/util: checks, CSV, tables, RNG.
+// Tests for src/util: checks, CSV, tables, RNG, and the one JSON layout
+// of every JSON file the tree writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -222,6 +230,57 @@ TEST(Table, FormatHelpers) {
 TEST(Table, RowWidthMismatchThrows) {
   TextTable t({"a"});
   EXPECT_THROW(t.add_row({"1", "2"}), check_error);
+}
+
+TEST(Json, ArrayStreamLaysOutAsWriteCanonical) {
+  JsonObject event;
+  event["name"] = JsonValue(std::string("a\tb"));
+  event["dur"] = JsonValue(std::int64_t{7});
+  event["args"] = JsonValue(JsonObject{});
+  const std::vector<JsonValue> elements = {
+      JsonValue(std::move(event)), JsonValue(2.5), JsonValue(JsonArray{})};
+  for (std::size_t n = 0; n <= elements.size(); ++n) {
+    CanonicalArrayStream stream("traceEvents");
+    JsonArray array;
+    for (std::size_t i = 0; i < n; ++i) {
+      stream.add(elements[i]);
+      array.push_back(elements[i]);
+    }
+    JsonObject doc;
+    doc["traceEvents"] = JsonValue(std::move(array));
+    EXPECT_EQ(stream.finish(), write_canonical(JsonValue(std::move(doc))))
+        << n << " elements";
+  }
+}
+
+TEST(Json, CommittedArtifactsAreCanonical) {
+  // Every JSON file the tree's code writes is laid out by
+  // write_canonical, so re-canonicalizing a committed one is a no-op.
+  const std::filesystem::path root(DRIFT_SOURCE_DIR);
+  std::vector<std::filesystem::path> files = {
+      root / "tests/obs/golden/metrics.json",
+      root / "tests/graph/golden/resnet18.json",
+      root / "tests/graph/golden/gpt2_layer.json",
+      root / "tests/serve/golden/serve_metrics.json",
+      root / "tests/lint/expected.json",
+      root / "tests/lint/expected.sarif",
+      root / "serving_study.json",
+      root / "BENCH_kernels.json"};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "tests/report/golden")) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const std::filesystem::path& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    JsonError error;
+    const std::optional<JsonValue> doc = parse_json(text.str(), error);
+    ASSERT_TRUE(doc.has_value()) << path << ": " << error.what();
+    EXPECT_EQ(write_canonical(*doc), text.str()) << path;
+  }
 }
 
 }  // namespace

@@ -9,17 +9,14 @@
 // (+ "Static analysis v2").
 //
 // Usage:
-//   drift_lint [--root=DIR] [--format=text|json|sarif] [--ratchet=FILE]
-//              [dir ...]
+//   drift_lint [--root=DIR] [--format=text|json|sarif] [dir ...]
 //
 // The command line is read through util::Args, like every other
 // binary's: a valued flag needs `=` (a value after a space is read as
 // a directory), and an unknown flag, an unknown format or a directory
 // that does not exist under the root is a usage error.
 //
-// Exit codes: 0 clean (or within ratchet budgets), 1 violations found
-// (or some ratchet budget exceeded), 2 usage or I/O error, or a
-// ratchet file that is not a JSON object of non-negative budgets.
+// Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 //
 // Output is deterministic (files walked in sorted order, violations
 // sorted by file/line/rule) so `--format=json` and `--format=sarif`
@@ -28,7 +25,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -45,8 +41,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kUsage =
-    "usage: drift_lint [--root=DIR] [--format=text|json|sarif] "
-    "[--ratchet=FILE] [dir ...]\n";
+    "usage: drift_lint [--root=DIR] [--format=text|json|sarif] [dir ...]\n";
 
 bool has_lintable_extension(const fs::path& p) {
   static const std::set<std::string> kExts = {".cpp", ".hpp", ".h", ".cc",
@@ -96,7 +91,6 @@ int main(int argc, char** argv) {
   const std::optional<bool> help = args.bool_flag("help", false);
   const std::string root_flag = args.get_string("root", ".");
   const std::string format = args.get_string("format", "text");
-  const std::string ratchet_path = args.get_string("ratchet", "");
   std::vector<std::string> dirs = args.positional();
   const bool format_ok =
       format == "text" || format == "json" || format == "sarif";
@@ -105,7 +99,7 @@ int main(int argc, char** argv) {
                             << " is not a format (valid: text, json, sarif)";
   }
   if (!help || !format_ok ||
-      args.reject_unqueried("--root, --format, --ratchet")) {
+      args.reject_unqueried("--root, --format")) {
     std::cerr << kUsage;
     return 2;
   }
@@ -152,17 +146,6 @@ int main(int argc, char** argv) {
     drift::lint::print_sarif(violations);
   } else {
     drift::lint::print_text(violations, files.size());
-  }
-
-  if (!ratchet_path.empty()) {
-    std::map<std::string, int> budgets;
-    std::string error;
-    if (!drift::lint::load_ratchet(ratchet_path, budgets, error)) {
-      std::cerr << "drift_lint: ratchet file " << ratchet_path << ": "
-                << error << "\n";
-      return 2;
-    }
-    return drift::lint::apply_ratchet(violations, budgets);
   }
   return violations.empty() ? 0 : 1;
 }

@@ -121,22 +121,31 @@ JsonValue coverage_distribution(const JsonValue& metrics,
                                 const JsonArray& layers) {
   JsonArray per_layer;
   double min_cov = 1.0, max_cov = 0.0, sum_cov = 0.0;
+  std::int64_t elements_low = 0, elements_total = 0;
   for (const JsonValue& layer : layers) {
     const double cov = num_or(layer.get("coverage"), 0.0);
+    const std::int64_t low = int_or(layer.get("elements_low"), 0);
+    const std::int64_t total = int_or(layer.get("elements_total"), 0);
     JsonObject row;
     const JsonValue* name = layer.get("layer");
     row["layer"] = JsonValue(name != nullptr ? name->as_string() : "?");
     row["coverage"] = JsonValue(cov);
-    row["elements_low"] = JsonValue(int_or(layer.get("elements_low"), 0));
-    row["elements_total"] = JsonValue(int_or(layer.get("elements_total"), 0));
+    row["elements_low"] = JsonValue(low);
+    row["elements_total"] = JsonValue(total);
     per_layer.push_back(JsonValue(std::move(row)));
     min_cov = std::min(min_cov, cov);
     max_cov = std::max(max_cov, cov);
     sum_cov += cov;
+    elements_low += low;
+    elements_total += total;
   }
-  const std::int64_t elements_low = counter(metrics, "selector.elements_low");
-  const std::int64_t elements_total =
-      counter(metrics, "selector.elements_total");
+  // Element totals come from the layer records, as the roofline's
+  // bytes do; the selector counters, which only the accuracy path
+  // increments, stand in for an artifact with no records.
+  if (per_layer.empty()) {
+    elements_low = counter(metrics, "selector.elements_low");
+    elements_total = counter(metrics, "selector.elements_total");
+  }
   if (per_layer.empty() && elements_total == 0) return JsonValue();
 
   JsonObject out;
@@ -273,8 +282,12 @@ JsonValue trace_summary(const JsonValue& trace) {
   std::int64_t spans = 0, ts_min = 0, ts_max = 0;
   bool any = false;
   for (const JsonValue& e : events->as_array()) {
+    // Host time only: pid 1 holds simulated cycles, not microseconds.
     const JsonValue* ph = e.get("ph");
-    if (ph == nullptr || !ph->is_string() || ph->as_string() != "X") continue;
+    if (ph == nullptr || !ph->is_string() || ph->as_string() != "X" ||
+        int_or(e.get("pid"), -1) != 0) {
+      continue;
+    }
     const std::int64_t ts = int_or(e.get("ts"), 0);
     const std::int64_t dur = int_or(e.get("dur"), 0);
     const JsonValue* name = e.get("name");
@@ -463,9 +476,11 @@ JsonValue summarize(const JsonValue& metrics, const JsonValue* trace) {
   }
 
   JsonObject totals;
+  // DRAM traffic is not among them: a compare artifact's traffic
+  // counter sums four designs, and the roofline reads it per layer.
   static constexpr const char* kTotalCounters[] = {
       "sim.cycles", "sim.stall_cycles", "sim.gemms", "sim.tiles",
-      "traffic.dram_bytes", "timeline.total_cycles", "scheduler.decisions"};
+      "timeline.total_cycles", "scheduler.decisions"};
   for (const char* name : kTotalCounters) {
     if (const std::int64_t v = counter(metrics, name); v != 0) {
       totals[name] = JsonValue(v);

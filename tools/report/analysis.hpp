@@ -4,7 +4,7 @@
 //              report: stall-cycle attribution per layer, the Eq. 7
 //              hh/hl/lh/ll quadrant latency breakdown, selector
 //              coverage distribution, DRAM bytes/cycle roofline
-//              position, histogram quantile tables, trace span stats.
+//              position, histogram quantile tables, host-span (pid 0) stats.
 //   diff       two runs -> per-metric relative deltas judged against a
 //              noise-aware tolerance file.
 //   ratchet    a fresh BENCH_kernels.json -> per-kernel slowdown vs a
