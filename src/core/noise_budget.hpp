@@ -31,6 +31,9 @@ struct AutoThresholdSummary {
   double low_fraction_by_elements = 0.0;
 };
 
+/// The local density guard every artifact uses (see below).
+inline constexpr double kDefaultNoiseCap = 0.125;
+
 /// Selects precision for every sub-tensor, maximizing low-precision
 /// coverage subject to two constraints:
 ///   - global: total excess rounding noise (vs INT8) at most `budget`
@@ -41,11 +44,18 @@ struct AutoThresholdSummary {
 ///     a quiet sub-tensor is rejected even when it is globally cheap.
 /// `low` is resized to stats.size(); low[i] is set iff sub-tensor i
 /// goes to the low precision.
-AutoThresholdSummary select_auto_threshold(const StatsView& stats,
-                                           const QuantParams& params,
-                                           const SelectorConfig& base,
-                                           double budget,
-                                           std::vector<bool>& low,
-                                           double noise_cap = 0.125);
+AutoThresholdSummary select_auto_threshold(
+    const StatsView& stats, const QuantParams& params,
+    const SelectorConfig& base, double budget, std::vector<bool>& low,
+    double noise_cap = kDefaultNoiseCap);
+
+/// The same selection's `low` alone, at the default noise cap: what
+/// select_drift runs.  When the budget provably cannot bind it takes
+/// every feasible sub-tensor without ranking them; otherwise it ranks
+/// as select_auto_threshold does.
+void select_auto_threshold_bits(const StatsView& stats,
+                                const QuantParams& params,
+                                const SelectorConfig& base, double budget,
+                                std::vector<bool>& low);
 
 }  // namespace drift::core

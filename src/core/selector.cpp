@@ -132,7 +132,7 @@ void select_drift(const StatsView& stats, const QuantParams& params,
                   const SelectorConfig& config, std::optional<double> budget,
                   std::vector<bool>& low) {
   if (budget) {
-    select_auto_threshold(stats, params, config, *budget, low);
+    select_auto_threshold_bits(stats, params, config, *budget, low);
     return;
   }
   low.assign(stats.size(), false);

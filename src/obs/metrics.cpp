@@ -203,6 +203,15 @@ Histogram* Registry::histogram(const std::string& name,
   return slot.get();
 }
 
+Histogram* Registry::run_histogram(const std::string& name,
+                                   std::vector<std::int64_t> upper_bounds) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_histograms_.insert(name);
+  }
+  return histogram(name, std::move(upper_bounds));
+}
+
 LayerRecord* Registry::layer_record(const std::string& layer) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = layer_index_.find(layer);
@@ -358,6 +367,8 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
+  for (const std::string& name : run_histograms_) histograms_.erase(name);
+  run_histograms_.clear();
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,11 @@ class Registry {
   /// name ignore `upper_bounds`.
   Histogram* histogram(const std::string& name,
                        std::vector<std::int64_t> upper_bounds);
+  /// histogram() for a name that belongs to one run (the simulator's
+  /// per-tenant latencies): reset() forgets it instead of zeroing it,
+  /// so a later run's scrape carries only the names that run looks up.
+  Histogram* run_histogram(const std::string& name,
+                           std::vector<std::int64_t> upper_bounds);
 
   /// The record for `layer`, created on first use.  Records keep their
   /// creation order in scrapes.
@@ -263,9 +269,11 @@ class Registry {
   /// drops the volatile git sha along with the wall-clock metrics.
   std::string to_json(const std::vector<std::string>& prefixes = {}) const;
 
-  /// Zeroes every counter/gauge/histogram and drops all layer records.
-  /// Not safe concurrently with instrumentation: call it between runs,
-  /// as drift_serve and serving_study do.
+  /// Zeroes every counter/gauge/histogram, forgets the run_histogram
+  /// names and drops all layer records, invalidating the handles
+  /// run_histogram returned.  Not safe concurrently with
+  /// instrumentation: call it between runs, as drift_serve and
+  /// serving_study do.
   void reset();
 
  private:
@@ -274,6 +282,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::set<std::string> run_histograms_;  ///< names reset() forgets
   std::vector<std::unique_ptr<LayerRecord>> layers_;
   std::map<std::string, LayerRecord*> layer_index_;
 };

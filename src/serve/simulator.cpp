@@ -114,11 +114,11 @@ ServeResult Simulator::run() {
 
   // Per-tenant latency histograms carry dynamic names, so they cannot
   // go through the static-handle macros; handles are resolved once
-  // here, before the event loop.
+  // here, before the event loop, and belong to this run.
   std::vector<obs::Histogram*> tenant_latency(config_.tenants.size());
   for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
     // drift-lint: allow(obs) — one lookup per tenant at simulator setup, not on the serving hot path; the event loop uses the cached handles.
-    tenant_latency[t] = obs::Registry::global().histogram(
+    tenant_latency[t] = obs::Registry::global().run_histogram(
         "serve.latency_cycles." + config_.tenants[t].name, cycle_bounds());
   }
   obs::Tracer& tracer = obs::Tracer::global();

@@ -10,8 +10,9 @@
 // GEMM node, exits 1 before any work, naming what is wrong.  A bench
 // whose CSV cannot be opened exits 1, naming the file.  drift_graph
 // compare prints every design, drift_report summarizes a drift_graph
-// run's artifact with its roofline and its layer records' coverage and
-// a traced compare's host spans, the run's artifacts are in
+// run's artifact with its roofline and its layer records' coverage (a
+// compare's records carry the same coverage) and a traced compare's
+// host spans, the run's artifacts are in
 // write_canonical's layout, and the examples write only their artifact.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
@@ -24,6 +25,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.hpp"
@@ -736,6 +738,32 @@ TEST(Cli, DriftReportTakesCoverageFromTheLayerRecords) {
             std::string::npos)
       << s.output;
   std::remove(path.c_str());
+}
+
+TEST(Cli, DriftReportReadsRunsCoverageFromACompare) {
+  // Compare draws Drift's mixes with run's seed and config, so its
+  // layer records carry the same coverage.
+  const std::string run_path = temp_path(DRIFT_GRAPH_BIN, "cov_run.json");
+  const std::string cmp_path = temp_path(DRIFT_GRAPH_BIN, "cov_cmp.json");
+  const std::string line = "  elements low/total = 5760/9728 (59.2%)\n";
+  for (const auto& [command, path] :
+       {std::pair{std::string("run --algo=drift"), run_path},
+        std::pair{std::string("compare"), cmp_path}}) {
+    std::remove(path.c_str());
+    const CliResult r = run(DRIFT_GRAPH_BIN, command +
+                                                 " --model=tiny-cnn "
+                                                 "--metrics-out=" + path);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    const CliResult s = run(DRIFT_REPORT_BIN, "summarize " + path);
+    EXPECT_EQ(s.exit_code, 0) << s.output;
+    EXPECT_NE(s.output.find(line), std::string::npos) << command << "\n"
+                                                      << s.output;
+    EXPECT_NE(s.output.find("  per-layer coverage min/mean/max = "
+                            "0.5000 / 0.6389 / 0.7500\n"),
+              std::string::npos)
+        << command << "\n" << s.output;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Cli, DriftReportSummarizesTheHostSpansOfATracedCompare) {

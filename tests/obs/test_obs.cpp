@@ -151,6 +151,21 @@ TEST(ObsRegistry, ToJsonPrefixFilterKeepsOnlyMatches) {
   EXPECT_NE(none.find("\"histograms\": {}"), std::string::npos);
 }
 
+TEST(ObsRegistry, ResetForgetsRunHistogramsAndZeroesTheRest) {
+  Registry& reg = Registry::global();
+  reg.run_histogram("obs_reset.per_run", {4})->observe(2);
+  Histogram* kept = reg.histogram("obs_reset.kept", {4});
+  kept->observe(2);
+  reg.reset();
+  const std::string json = reg.to_json({"obs_reset."});
+  EXPECT_EQ(json.find("obs_reset.per_run"), std::string::npos) << json;
+  EXPECT_NE(json.find("obs_reset.kept"), std::string::npos) << json;
+  EXPECT_EQ(kept->total_count(), 0);
+  // A later run that looks the name up again gets a fresh histogram.
+  EXPECT_EQ(reg.run_histogram("obs_reset.per_run", {4})->total_count(), 0);
+  reg.reset();
+}
+
 TEST(ObsTracer, SpansBalanceAndSerialize) {
   Tracer& t = Tracer::global();
   t.reset();

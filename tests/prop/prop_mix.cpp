@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -248,6 +249,131 @@ TEST(PropMix, TwoFieldRecordsSelectLikeTheirFullStatistics) {
       }
     }
     return proptest::pass();
+  });
+}
+
+/// The oracle's low bits at `budget` and the case's noise cap.
+std::vector<bool> oracle_low(const SelectionCase& c, double budget) {
+  const auto sel = ref::select_auto_threshold(c.stats, c.sizes, c.params,
+                                              c.cfg, budget, c.noise_cap);
+  std::vector<bool> low;
+  for (const auto& d : sel.decisions) low.push_back(d.use_low);
+  return low;
+}
+
+/// select_drift's bits-only noise-budget selection, which may skip the
+/// sort.
+std::vector<bool> drift_low(const SelectionCase& c, double budget) {
+  std::vector<bool> low;
+  core::select_drift(core::StatsView(c.stats, c.sizes), c.params, c.cfg,
+                     budget, low);
+  return low;
+}
+
+proptest::Result expect_oracle_bits(const SelectionCase& c, double budget) {
+  const std::vector<bool> want = oracle_low(c, budget);
+  const std::vector<bool> got = drift_low(c, budget);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i] != want[i]) {
+      return proptest::fail("budget ", budget, ", sub-tensor ", i, " of ",
+                            want.size(), ": bit ", got[i], " vs ", want[i]);
+    }
+  }
+  return proptest::pass();
+}
+
+/// The index-order excess sum S of every sub-tensor an unbounded budget
+/// takes, and the signal the allowance scales: the two numbers the
+/// skip compares.
+struct BudgetEdge {
+  double excess_sum = 0.0;
+  double signal = 0.0;
+};
+
+BudgetEdge budget_edge(const SelectionCase& c) {
+  const auto all = ref::select_auto_threshold(
+      c.stats, c.sizes, c.params, c.cfg,
+      std::numeric_limits<double>::infinity(), c.noise_cap);
+  const double d2 = c.params.delta * c.params.delta;
+  BudgetEdge edge;
+  for (std::size_t i = 0; i < c.stats.size(); ++i) {
+    const core::SubTensorStats& s = c.stats[i];
+    const auto size = static_cast<double>(c.sizes[i]);
+    edge.signal += size * (s.mean_sq > 0.0 ? s.true_variance()
+                                           : s.laplace_variance());
+    const core::PrecisionDecision& d = all.decisions[i];
+    if (d.use_low) {
+      edge.excess_sum += size * ((std::ldexp(1.0, 2 * d.choice.lc) - 1.0) *
+                                 d2 / 12.0);
+    }
+  }
+  return edge;
+}
+
+TEST(PropMix, BitsOnlySelectionMatchesOracleAtTheBudgetEdge) {
+  // Budgets whose allowance lands a few ulps on either side of S, where
+  // a sorted-order sum a rounding above S makes the budget bind.
+  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
+    SelectionCase c = gen_selection_case(rng, size);
+    c.noise_cap = core::kDefaultNoiseCap;  // the cap select_drift applies
+    if (auto r = expect_oracle_bits(c, c.budget)) return r;
+    const BudgetEdge edge = budget_edge(c);
+    if (!(edge.excess_sum > 0.0 && edge.signal > 0.0)) {
+      return proptest::pass();
+    }
+    const double at_edge = edge.excess_sum / edge.signal;
+    double below = at_edge, above = at_edge;
+    if (auto r = expect_oracle_bits(c, at_edge)) return r;
+    for (int ulps = 0; ulps < 24; ++ulps) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      if (auto r = expect_oracle_bits(c, below)) return r;
+      if (auto r = expect_oracle_bits(c, above)) return r;
+    }
+    return proptest::pass();
+  });
+}
+
+TEST(PropMix, BitsOnlySelectionMatchesOracleAtZeroBudgetAndInfiniteSignal) {
+  proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
+    // Budget 0 takes every free sub-tensor (max|Y| within the lp range
+    // at lc = 0, or all-zero) and no noisy one (each needs lc >= 1).
+    SelectionCase c;
+    c.params.delta = std::exp(rng.uniform(-4.0, 1.0));
+    const double lp_top =
+        static_cast<double>(c.cfg.lp.max_level()) * c.params.delta;
+    const int clip_total = c.cfg.hp.bits() - c.cfg.lp.bits();
+    for (const bool noisy : {false, true}) {
+      c.stats.clear();
+      c.sizes.clear();
+      const std::int64_t n = proptest::gen_dim(rng, 4 * size);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const double max_abs =
+            noisy ? lp_top * rng.uniform(1.01, 0.99 * (1 << clip_total))
+            : rng.bernoulli(0.1) ? 0.0
+                                 : lp_top * rng.uniform(0.0, 1.0);
+        const double b = max_abs / rng.uniform(3.0, 5.0);
+        c.stats.push_back(core::SubTensorStats{max_abs, b, 0.0, 2.0 * b * b});
+        c.sizes.push_back(rng.uniform_int(1, 4096));
+      }
+      const std::vector<bool> taken = oracle_low(c, 0.0);
+      const auto count = std::count(taken.begin(), taken.end(), true);
+      if (count != (noisy ? 0 : n)) {
+        return proptest::fail("case construction: ", count, " of ", n,
+                              " taken at budget 0, noisy=", noisy);
+      }
+      if (auto r = expect_oracle_bits(c, 0.0)) return r;
+    }
+    // An infinite signal makes the allowance infinite, or NaN at budget
+    // 0; the oracle then takes every feasible sub-tensor.
+    c = gen_selection_case(rng, size);
+    c.noise_cap = core::kDefaultNoiseCap;
+    c.stats[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(c.stats.size()) -
+                                       1))]
+        .mean_sq = std::numeric_limits<double>::infinity();
+    if (auto r = expect_oracle_bits(c, 0.0)) return r;
+    return expect_oracle_bits(c, c.budget);
   });
 }
 

@@ -268,6 +268,7 @@ int cmd_compare(const Args& args, const std::vector<std::string>& files) {
 
   print_header(spec, config);
   const auto cmp = accel::compare_workload(spec, config);
+  record_mix_coverage(cmp.drift_mixes);
   for (const accel::RunResult* r :
        {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
     print_run(*r, layers);

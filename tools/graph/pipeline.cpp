@@ -39,19 +39,8 @@ nn::WorkloadSpec export_workload(const drift::graph::Graph& g) {
   return spec;
 }
 
-GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
-                                       const GraphPipelineConfig& config) {
-  GraphPipelineResult result;
-  result.workload = std::move(workload);
-
-  result.mixes = nn::build_mixes(result.workload,
-                                 config.mix_config(config.algo, config.seed));
-
-  // Attribute each mix's Eq. 5/6 outcome (row classes and the
-  // element-weighted 4-bit coverage) to its layer's record, in layer
-  // order, ahead of the scheduler / cycle / DRAM stages that fill the
-  // same record — one artifact per GEMM.
-  for ([[maybe_unused]] const nn::LayerMix& mix : result.mixes) {
+void record_mix_coverage(const std::vector<nn::LayerMix>& mixes) {
+  for ([[maybe_unused]] const nn::LayerMix& mix : mixes) {
     DRIFT_OBS_LAYER_SCOPE(mix.layer.name);
     DRIFT_OBS_LAYER(
         rec, rec->subtensors_total += mix.work.m_high + mix.work.m_low;
@@ -59,6 +48,18 @@ GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
         rec->elements_total += (mix.work.m_high + mix.work.m_low) * mix.work.k;
         rec->elements_low += mix.work.m_low * mix.work.k);
   }
+}
+
+GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
+                                       const GraphPipelineConfig& config) {
+  GraphPipelineResult result;
+  result.workload = std::move(workload);
+
+  result.mixes = nn::build_mixes(result.workload,
+                                 config.mix_config(config.algo, config.seed));
+  // Ahead of the scheduler / cycle / DRAM stages that fill the same
+  // records, so the records keep layer order.
+  record_mix_coverage(result.mixes);
 
   result.run = accel::make_accelerator(config.algo, config.hw,
                                        config.drift_policy)

@@ -49,10 +49,16 @@ drift::graph::TopologyParseResult read_topology_file(const std::string& path);
 /// GEMM node throws check_error naming the graph.
 nn::WorkloadSpec export_workload(const drift::graph::Graph& g);
 
+/// Adds each mix's Eq. 5/6 outcome (row classes and the
+/// element-weighted 4-bit coverage) to its layer's obs record, opening
+/// the layer's scope in mix order.  The mix path writes no record of
+/// its own, so every command that builds mixes calls this.
+void record_mix_coverage(const std::vector<nn::LayerMix>& mixes);
+
 /// Builds the per-layer precision mixes of `workload` (an
 /// export_workload result), attributes their coverage under per-layer
-/// obs scopes, and runs the accelerator model matching `config.algo`
-/// (accel::make_accelerator).
+/// obs scopes (record_mix_coverage), and runs the accelerator model
+/// matching `config.algo` (accel::make_accelerator).
 GraphPipelineResult run_graph_pipeline(nn::WorkloadSpec workload,
                                        const GraphPipelineConfig& config);
 

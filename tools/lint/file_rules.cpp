@@ -263,10 +263,11 @@ void rule_logging(const Context& ctx, const LexedFile& file) {
 
 void rule_obs(const Context& ctx, const LexedFile& file) {
   // Hot paths must cache metric handles: a registry lookup-by-string
-  // (.counter("...") / .gauge / .histogram / .layer_record) pays a
-  // mutex acquisition and a map walk, so calling one per loop
-  // iteration turns instrumentation into contention.  Lines that cache
-  // into a `static` (what the DRIFT_OBS_* macros expand to) are fine.
+  // (.counter("...") / .gauge / .histogram / .run_histogram /
+  // .layer_record) pays a mutex acquisition and a map walk, so calling
+  // one per loop iteration turns instrumentation into contention.
+  // Lines that cache into a `static` (what the DRIFT_OBS_* macros
+  // expand to) are fine.
   // src/obs/ itself — the macro definitions and the registry — is
   // exempt.
   const bool covered =
@@ -274,7 +275,7 @@ void rule_obs(const Context& ctx, const LexedFile& file) {
       (starts_with(file.rel, "tools/") && !is_reporting_sink(file.rel));
   if (!covered) return;
   static const std::regex kLookup(
-      R"(\.\s*(counter|gauge|histogram|layer_record)\s*\()");
+      R"(\.\s*(counter|gauge|(run_)?histogram|layer_record)\s*\()");
   int loop_depth = 0;
   std::vector<bool> loop_stack;  // one flag per open brace: loop frame?
   for (std::size_t i = 0; i < file.lines.size(); ++i) {
