@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "accel/compare.hpp"
-#include "core/noise_budget.hpp"
+#include "core/selector.hpp"
 #include "nn/synthetic.hpp"
 #include "obs/report.hpp"
 #include "tensor/subtensor.hpp"
@@ -44,10 +44,11 @@ int main(int argc, char** argv) try {
     const auto stats = core::compute_stats(views, x.data());
     std::vector<std::int64_t> sizes;
     for (const auto& v : views) sizes.push_back(v.size());
+    const core::StatsView view(stats, sizes);
     std::vector<bool> low;
-    const auto sel = core::select_auto_threshold(
-        core::StatsView(stats, sizes), params, core::SelectorConfig{}, 0.02,
-        low);
+    core::select_drift(view, params, core::SelectorConfig{}, 0.02, low);
+    const auto sel =
+        core::summarize_selection(view, params, core::SelectorConfig{}, low);
     gran_table.add_row({std::to_string(block),
                         std::to_string(views.size()),
                         TextTable::pct(sel.low_fraction_by_elements),
@@ -68,9 +69,10 @@ int main(int argc, char** argv) try {
     const auto views = partition_rows(Shape{rows, cols});
     const auto stats = core::compute_stats(views, x.data());
     std::vector<std::int64_t> sizes(views.size(), cols);
+    const core::StatsView view(stats, sizes);
     std::vector<bool> low;
-    const auto sel = core::select_auto_threshold(
-        core::StatsView(stats, sizes), params, scfg, 0.02, low);
+    core::select_drift(view, params, scfg, 0.02, low);
+    const auto sel = core::summarize_selection(view, params, scfg, low);
 
     accel::CompareConfig hw_cfg;
     hw_cfg.noise_budget = 0.05;

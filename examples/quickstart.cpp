@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "core/analytical_model.hpp"
-#include "core/noise_budget.hpp"
 #include "core/scheduler.hpp"
+#include "core/selector.hpp"
 #include "nn/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -44,9 +44,11 @@ int main(int argc, char** argv) {
   const auto stats = core::compute_stats(views, x.data());
   std::vector<std::int64_t> sizes(views.size(), hidden);
   const core::SelectorConfig selector;  // INT8 -> INT4
+  const core::StatsView view(stats, sizes);
   std::vector<bool> low;
-  const auto selection = core::select_auto_threshold(
-      core::StatsView(stats, sizes), params, selector, /*budget=*/0.05, low);
+  core::select_drift(view, params, selector, /*budget=*/0.05, low);
+  const auto selection =
+      core::summarize_selection(view, params, selector, low);
 
   TextTable table({"token", "max|Y|", "avg|Y|", "precision", "hc", "lc"});
   for (std::size_t t = 0; t < 8; ++t) {

@@ -84,6 +84,8 @@ class BitGroupFabric {
 
   /// Link state of one BG: its row's psum and its column's activation
   /// direction.
+  // drift-lint: allow(dead-api) — PropFabric.RowColumnStateMatchesGridOracle
+  // compares every BG's links with ref::GridFabric's through it.
   BgLinks links(std::int64_t row, std::int64_t col) const;
 
   /// Structural validation of the current configuration:
@@ -96,7 +98,11 @@ class BitGroupFabric {
   /// when valid, else a diagnostic (built only on a failure).
   std::string validate() const;
 
+  /// The programmed cut, which PropFabric.RowColumnStateMatchesGridOracle
+  /// compares with ref::GridFabric's.
+  // drift-lint: allow(dead-api) — the property's seam, as for links.
   std::int64_t current_r() const { return r_; }
+  // drift-lint: allow(dead-api) — the property's seam, as for links.
   std::int64_t current_c() const { return c_; }
 
  private:

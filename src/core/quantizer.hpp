@@ -27,8 +27,6 @@ struct QuantParams {
   double representation_range() const {
     return static_cast<double>(bits.max_level()) * delta;
   }
-  /// Representation density of the full-precision rendering: Δ.
-  double representation_density() const { return delta; }
 };
 
 /// Equation 1 from a tensor's max|X|: Δ = max|X| / (2^(N-1) - 1).  A
@@ -40,19 +38,32 @@ QuantParams quant_params_from_max(double max_abs, Precision bits);
 QuantParams compute_quant_params(std::span<const float> values,
                                  Precision bits = kInt8);
 
+// The scalar Eq. 1 / Section 3.1 semantics, one element at a time.
+// No binary calls them: core::render runs whole rows through the
+// dispatched quantize_convert_row kernel and scales the codes back
+// itself.  PropQuantizer.RowKernelMatchesQuantizerAcrossBackends pins
+// the kernel to quantize_value and convert_to_low bit for bit on every
+// backend, and PropQuantizer.RenderMatchesPerElementOracleAcrossBackends
+// AndThreads pins core::render to ref::render_per_element, which
+// restates the renderer with all four.
+
 /// Quantizes x -> round(x / Δ), clamped to the representable range.
 /// (Clamping only matters for values injected after Δ was calibrated.)
+// drift-lint: allow(dead-api) — the renderer's pinned semantics (above).
 std::int32_t quantize_value(float x, const QuantParams& params);
 
 /// Dequantizes q -> q * Δ.
+// drift-lint: allow(dead-api) — the renderer's pinned semantics (above).
 float dequantize_value(std::int32_t q, const QuantParams& params);
 
 /// Re-renders a single hp-bit integer at lp bits with choice (hc, lc).
 /// Returns the *lp-bit integer code* (already shifted down by lc).
+// drift-lint: allow(dead-api) — the renderer's pinned semantics (above).
 std::int32_t convert_to_low(std::int32_t q, Precision lp,
                             const ConversionChoice& choice);
 
 /// Dequantizes an lp-bit code produced by convert_to_low.
+// drift-lint: allow(dead-api) — the renderer's pinned semantics (above).
 float dequantize_low(std::int32_t q_lp, const QuantParams& params,
                      const ConversionChoice& choice);
 

@@ -1,5 +1,6 @@
-// Dynamic precision selection (Section 3.3, Equations 5 and 6) and the
-// DRQ baseline's region test: the one selection entry per algorithm.
+// Dynamic precision selection (Sections 3.2-3.3, Equations 3, 5 and 6),
+// the noise-budget rule that picks δ, and the DRQ baseline's region
+// test: the one selection module.
 //
 // Per sub-tensor Y the selector consumes exactly the two statistics the
 // hardware pooling unit produces — max(|Y|) and avg(|Y|) — and decides:
@@ -10,13 +11,29 @@
 //      what Laplace-distributed (small-value-dominated) data wants.
 //   2. Whether the resulting density is adequate: accept the low
 //      rendering iff var(Y) / RD = 2*avg(|Y|)^2 / (2^lc * Δ) >= δ
-//      (Equation 6), where var(Y) uses the Laplace identity
-//      var = 2*E|Y|^2 from Equation 4.
+//      (Equation 6), where RD = 2^lc * Δ is Equation 3's representation
+//      density and var(Y) uses the Laplace identity var = 2*E|Y|^2 from
+//      Equation 4.
 //
-// δ is a per-layer hyperparameter; every artifact picks it with the
-// noise-budget rule in core/noise_budget.hpp.  select_drift and
-// select_drq are what the accuracy path (nn/quant_engine.hpp) and the
-// hardware mixes (nn/precision_mix.hpp) both classify through.
+// δ is a per-layer hyperparameter.  Section 3.3 picks "the minimum
+// threshold with negligible impact on model accuracy" with a
+// Hessian-aware search; every artifact here picks it with the
+// noise-budget rule instead, because only sub-tensor statistics exist
+// for the full-size hardware workloads.  The Hessian weight becomes a
+// quantization-noise proxy:
+//
+//   A sub-tensor converted with low-end clip lc adds rounding noise
+//   ((2^lc Δ)^2 - Δ^2) / 12 per element *beyond* the INT8 rendering
+//   (lc = 0 conversions are INT8-density-equivalent: free).
+//
+// The selection that keeps total excess noise within `budget` x signal
+// variance while maximizing 4-bit coverage is computed exactly: rank
+// the range-feasible sub-tensors by their Eq. 6 ratio and include
+// greedily until the budget binds.  The resulting cut ratio *is* the
+// minimum δ; running Equations 5-6 at that δ reproduces the same
+// selection.  select_drift and select_drq are what the accuracy path
+// (nn/quant_engine.hpp) and the hardware mixes (nn/precision_mix.hpp)
+// both classify through.
 #pragma once
 
 #include <algorithm>
@@ -34,9 +51,8 @@ namespace drift::core {
 /// Pooling-unit statistics of one sub-tensor.  max(|Y|) and avg(|Y|)
 /// are the two the paper's selector consumes; the mean and mean-square
 /// accumulators additionally give the *true* variance, which the
-/// noise-budget selection (core/noise_budget.hpp) uses because
-/// post-ReLU sub-tensors are not zero-mean and the Laplace proxy
-/// overestimates their variation.
+/// noise-budget rule uses because post-ReLU sub-tensors are not
+/// zero-mean and the Laplace proxy overestimates their variation.
 struct SubTensorStats {
   double max_abs = 0.0;   ///< max(|Y|), in dequantized (float) units
   double mean_abs = 0.0;  ///< avg(|Y|), in dequantized (float) units
@@ -136,18 +152,52 @@ ConversionChoice conversion_choice(double max_abs, const QuantParams& params,
 
 /// Runs Equations 5–6 for one sub-tensor.  Total: every input yields a
 /// decision (all-zero sub-tensors trivially go low at maximal clip).
+// drift-lint: allow(dead-api) — the fixed-δ decision with its Eq. 5
+// conversion, which PropSelector.* and SelectPrecision.* check against
+// brute-force Eq. 5/6 oracles; select_drift keeps only its bit.
 PrecisionDecision select_precision(const SubTensorStats& stats,
                                    const QuantParams& params,
                                    const SelectorConfig& config);
 
+/// The local density guard of the noise-budget rule (Eq. 6's
+/// per-sub-tensor role): a conversion whose excess noise per element
+/// exceeds kDefaultNoiseCap times the sub-tensor's own variance stays
+/// high even when the global budget affords it, so a quiet sub-tensor
+/// is never wiped out.
+inline constexpr double kDefaultNoiseCap = 0.125;
+
 /// Drift's selection over every sub-tensor: low[i] is set iff
 /// sub-tensor i goes to config.lp.  Without a budget it runs Equations
-/// 5-6 at the fixed δ config.density_threshold; with one, the
-/// noise-budget selection (core/noise_budget.hpp) picks δ.  `low` is
-/// resized to stats.size().
+/// 5-6 at the fixed δ config.density_threshold.  With one it applies
+/// the noise-budget rule: maximize low-precision coverage subject to
+///   - global: total excess rounding noise (vs INT8) at most `budget`
+///     times the total signal variance, and
+///   - local: the kDefaultNoiseCap guard above.
+/// The signal variance is the true one where the accumulators give it
+/// (mean_sq > 0) and the Laplace one otherwise.  When the budget
+/// provably cannot bind every guarded, range-feasible sub-tensor goes
+/// low without ranking.  `low` is resized to stats.size().
 void select_drift(const StatsView& stats, const QuantParams& params,
                   const SelectorConfig& config, std::optional<double> budget,
                   std::vector<bool>& low);
+
+/// What a finished Drift selection amounts to.
+struct AutoThresholdSummary {
+  /// The implied minimum δ: the smallest Eq. 6 ratio among the selected
+  /// sub-tensors whose conversion adds noise (0 when none does).
+  double delta_threshold = 0.0;
+  /// The selected sub-tensors' excess noise, summed in index order,
+  /// over the signal variance.
+  double excess_relative_mse = 0.0;
+  double low_fraction_by_elements = 0.0;
+};
+
+/// Describes the selection `low` (one bit per sub-tensor, as
+/// select_drift writes it) under the noise-budget rule's measures.
+AutoThresholdSummary summarize_selection(const StatsView& stats,
+                                         const QuantParams& params,
+                                         const SelectorConfig& config,
+                                         const std::vector<bool>& low);
 
 /// DRQ's region test: low[i] is set iff sub-tensor i is insensitive,
 /// i.e. its mean(|Y|) stays below config.sensitivity * reference.  The
@@ -173,9 +223,6 @@ class PrecisionMap {
   /// Fraction of *elements* (== MACs for a fixed K) at low precision;
   /// this is the "% of 4-bit computation" the paper reports.
   double low_fraction_by_elements() const;
-
-  std::int64_t total_elements() const { return total_elements_; }
-  std::int64_t low_elements() const { return low_elements_; }
 
  private:
   std::vector<PrecisionDecision> decisions_;

@@ -21,11 +21,6 @@ TensorF Sequential::forward(const TensorF& input, QuantEngine& engine) {
   return x;
 }
 
-Layer& Sequential::layer(std::size_t i) {
-  DRIFT_CHECK_INDEX(i, layers_.size());
-  return *layers_[i];
-}
-
 ResidualBlock::ResidualBlock(std::string name, std::int64_t in_channels,
                              std::int64_t out_channels, std::int64_t stride,
                              Rng& rng)

@@ -31,7 +31,6 @@ class Sequential : public Layer {
   const std::string& name() const override { return name_; }
 
   std::size_t size() const { return layers_.size(); }
-  Layer& layer(std::size_t i);
 
  private:
   std::string name_;

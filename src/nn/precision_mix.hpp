@@ -43,7 +43,7 @@ struct MixConfig {
   core::DrqConfig drq{};
   bool dynamic_weights = true;   ///< Drift only; DRQ/INT8 weights stay 8-bit
   /// Drift: choose each operand's δ automatically under an excess-noise
-  /// budget (core/noise_budget.hpp) instead of a fixed δ.
+  /// budget (core/selector.hpp) instead of a fixed δ.
   bool auto_threshold = true;
   double noise_budget = 0.05;
   std::uint64_t seed = 1;

@@ -55,7 +55,7 @@ class QuantEngine {
     bool dynamic_weights = true;    ///< Drift: per-channel 4/8 weights
     /// Drift: when true, the per-tensor δ is chosen automatically as
     /// the minimum threshold whose excess rounding noise stays within
-    /// `noise_budget` x signal variance (core/noise_budget.hpp); when
+    /// `noise_budget` x signal variance (core/selector.hpp); when
     /// false, `drift.density_threshold` is used as a fixed δ.
     bool auto_threshold = true;
     double noise_budget = 0.05;

@@ -54,20 +54,6 @@ constexpr std::int64_t kEncoderBatch = 8;
 
 }  // namespace
 
-std::string to_string(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kConv: return "conv";
-    case LayerKind::kFc: return "fc";
-    case LayerKind::kQkvProj: return "qkv";
-    case LayerKind::kAttnScore: return "score";
-    case LayerKind::kAttnContext: return "context";
-    case LayerKind::kOutProj: return "proj";
-    case LayerKind::kFfn: return "ffn";
-    case LayerKind::kEmbed: return "embed";
-  }
-  return "?";
-}
-
 std::string to_string(ModelFamily family) {
   switch (family) {
     case ModelFamily::kCnn: return "cnn";

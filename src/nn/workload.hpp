@@ -31,8 +31,6 @@ enum class LayerKind {
   kEmbed,        ///< patch / token embedding projection
 };
 
-std::string to_string(LayerKind kind);
-
 /// One GEMM of a model, possibly repeated (identical blocks / heads).
 struct LayerGemm {
   std::string name;

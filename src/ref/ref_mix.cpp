@@ -139,7 +139,8 @@ AutoThreshold select_auto_threshold(std::span<const core::SubTensorStats> stats,
                                     std::span<const std::int64_t> sizes,
                                     const core::QuantParams& params,
                                     const core::SelectorConfig& base,
-                                    double budget, double noise_cap) {
+                                    double budget) {
+  constexpr double kNoiseCap = 0.125;  // the local density guard
   DRIFT_CHECK(stats.size() == sizes.size(), "stats/sizes mismatch");
   AutoThreshold result;
   result.decisions.assign(stats.size(), core::PrecisionDecision{});
@@ -168,7 +169,7 @@ AutoThreshold select_auto_threshold(std::span<const core::SubTensorStats> stats,
     if (!d.use_low) continue;
     const double steps = std::pow(2.0, 2 * d.choice.lc) - 1.0;
     const double excess_per_element = steps * d2 / 12.0;
-    if (excess_per_element > noise_cap * variance) continue;
+    if (excess_per_element > kNoiseCap * variance) continue;
     const double rd =
         static_cast<double>(std::int64_t{1} << d.choice.lc) * params.delta;
     const double ratio =

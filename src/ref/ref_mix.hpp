@@ -27,13 +27,15 @@ struct AutoThreshold {
 };
 
 /// Minimum-δ selection under an excess-noise budget: every sub-tensor
-/// probed at δ = 0, range-feasible ones ranked (free first, then by
-/// decreasing Eq. 6 ratio) and taken until the budget binds.
+/// probed at δ = 0, range-feasible ones whose excess noise per element
+/// stays within 0.125 x their variance ranked (free first, then by
+/// decreasing Eq. 6 ratio) and taken until the budget binds.  The
+/// excess is summed in that ranked order.
 AutoThreshold select_auto_threshold(std::span<const core::SubTensorStats> stats,
                                     std::span<const std::int64_t> sizes,
                                     const core::QuantParams& params,
                                     const core::SelectorConfig& base,
-                                    double budget, double noise_cap = 0.125);
+                                    double budget);
 
 /// One algorithm's mix of every layer: layer i samples its activation
 /// and then its weight statistics from Rng(config.seed).fork(i), all of

@@ -17,29 +17,6 @@ double Laplace::cdf(double x) const {
   return 1.0 - 0.5 * std::exp(-x / b_);
 }
 
-double Laplace::quantile(double p) const {
-  DRIFT_CHECK(p > 0.0 && p < 1.0, "quantile needs p in (0,1)");
-  if (p < 0.5) return b_ * std::log(2.0 * p);
-  return -b_ * std::log(2.0 * (1.0 - p));
-}
-
-Exponential::Exponential(double lambda) : lambda_(lambda) {
-  DRIFT_CHECK(lambda > 0.0, "Exponential rate must be positive");
-}
-
-double Exponential::pdf(double x) const {
-  return x < 0.0 ? 0.0 : lambda_ * std::exp(-lambda_ * x);
-}
-
-double Exponential::cdf(double x) const {
-  return x < 0.0 ? 0.0 : 1.0 - std::exp(-lambda_ * x);
-}
-
-double Exponential::quantile(double p) const {
-  DRIFT_CHECK(p >= 0.0 && p < 1.0, "quantile needs p in [0,1)");
-  return -std::log(1.0 - p) / lambda_;
-}
-
 Normal::Normal(double mean, double stddev) : mean_(mean), stddev_(stddev) {
   DRIFT_CHECK(stddev > 0.0, "Normal stddev must be positive");
 }

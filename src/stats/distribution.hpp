@@ -3,8 +3,8 @@
 // Section 2.1 of the paper rests on the observation that DNN
 // sub-tensors are approximately zero-mean Laplace distributed, and
 // Section 3.3 exploits the induced exponential distribution of |Y|.
-// This module provides those distributions with pdf/cdf/quantile and
-// moment queries so both the profiler (Figure 1) and the algorithm's
+// This module provides those distributions with pdf/cdf and moment
+// queries so both the profiler (Figure 1) and the algorithm's
 // derivations can be tested against closed forms.
 #pragma once
 
@@ -26,29 +26,9 @@ class Laplace {
 
   double pdf(double x) const;
   double cdf(double x) const;
-  /// Inverse CDF for p in (0, 1).
-  double quantile(double p) const;
 
  private:
   double b_;
-};
-
-/// Exponential distribution with rate `lambda` (mean 1/lambda).  |Y| of
-/// a zero-mean Laplace(b) is Exponential(1/b) — Equation (4).
-class Exponential {
- public:
-  explicit Exponential(double lambda);
-
-  double rate() const { return lambda_; }
-  double mean() const { return 1.0 / lambda_; }
-  double variance() const { return 1.0 / (lambda_ * lambda_); }
-
-  double pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;
-
- private:
-  double lambda_;
 };
 
 /// Normal distribution (used as the *contrast* model when checking that

@@ -26,11 +26,6 @@ void Histogram::add_all(std::span<const float> values) {
   for (float v : values) add(v);
 }
 
-std::size_t Histogram::count(std::size_t bin) const {
-  DRIFT_CHECK_INDEX(bin, counts_.size());
-  return counts_[bin];
-}
-
 double Histogram::bin_center(std::size_t bin) const {
   DRIFT_CHECK_INDEX(bin, counts_.size());
   return lo_ + (static_cast<double>(bin) + 0.5) * bin_width_;

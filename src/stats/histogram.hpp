@@ -17,7 +17,6 @@ class Histogram {
   void add(double value);
   void add_all(std::span<const float> values);
 
-  std::size_t count(std::size_t bin) const;
   std::size_t total() const { return total_; }
 
   /// Center value of `bin`.

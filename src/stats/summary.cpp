@@ -7,10 +7,8 @@
 #include "util/assert.hpp"
 
 namespace drift::stats {
-namespace {
 
-template <typename T>
-SampleSummary summarize_impl(std::span<const T> values) {
+SampleSummary summarize(std::span<const float> values) {
   DRIFT_CHECK(!values.empty(), "cannot summarize an empty sample");
   SampleSummary s;
   s.count = values.size();
@@ -19,7 +17,7 @@ SampleSummary summarize_impl(std::span<const T> values) {
 
   double mean = 0.0, m2 = 0.0, mean_abs = 0.0;
   std::size_t n = 0;
-  for (T raw : values) {
+  for (const float raw : values) {
     const double x = static_cast<double>(raw);
     ++n;
     s.min = std::min(s.min, x);
@@ -34,16 +32,6 @@ SampleSummary summarize_impl(std::span<const T> values) {
   s.mean_abs = mean_abs;
   s.variance = m2 / static_cast<double>(n);
   return s;
-}
-
-}  // namespace
-
-SampleSummary summarize(std::span<const float> values) {
-  return summarize_impl(values);
-}
-
-SampleSummary summarize(std::span<const double> values) {
-  return summarize_impl(values);
 }
 
 }  // namespace drift::stats

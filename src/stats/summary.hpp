@@ -27,6 +27,5 @@ struct SampleSummary {
 
 /// Computes the summary in a single pass (Welford for the variance).
 SampleSummary summarize(std::span<const float> values);
-SampleSummary summarize(std::span<const double> values);
 
 }  // namespace drift::stats

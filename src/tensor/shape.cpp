@@ -1,7 +1,5 @@
 #include "tensor/shape.hpp"
 
-#include <sstream>
-
 #include "util/assert.hpp"
 
 namespace drift {
@@ -23,17 +21,6 @@ std::int64_t Shape::numel() const {
   std::int64_t n = 1;
   for (auto d : dims_) n *= d;
   return n;
-}
-
-std::string Shape::to_string() const {
-  std::ostringstream os;
-  os << '[';
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    if (i) os << ", ";
-    os << dims_[i];
-  }
-  os << ']';
-  return os.str();
 }
 
 }  // namespace drift

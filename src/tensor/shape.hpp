@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -45,7 +44,6 @@ class Shape {
 
   const std::vector<std::int64_t>& dims() const { return dims_; }
 
-  std::string to_string() const;
 
  private:
   std::vector<std::int64_t> dims_;

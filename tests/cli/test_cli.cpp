@@ -13,7 +13,8 @@
 // run's artifact with its roofline and its layer records' coverage (a
 // compare's records carry the same coverage) and a traced compare's
 // host spans, the run's artifacts are in
-// write_canonical's layout, and the examples write only their artifact.
+// write_canonical's layout, the examples write only their artifact, and
+// quickstart prints its noise-budget selection's summary.
 //
 // Binary paths are injected by tests/cli/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -525,6 +526,17 @@ TEST(Cli, StrayArgumentWritesNoArtifact) {
   }
   expect_usage_error_no_artifact(DRIFT_SERVE_BIN, "stray --requests=8",
                                  "unexpected argument 'stray'");
+}
+
+// quickstart summarizes its noise-budget selection: the 4-bit
+// coverage, the implied δ and the selected sub-tensors' excess noise.
+TEST(Cli, QuickstartPrintsItsSelectionSummary) {
+  const CliResult r = run(example_bin("quickstart"), "");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("4-bit coverage: 88.3% of elements (implied delta "
+                          "= 0.98, excess noise = 1.5551% of signal)"),
+            std::string::npos)
+      << r.output;
 }
 
 // list takes nothing after the command: a stray argument is a usage

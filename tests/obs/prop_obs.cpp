@@ -77,14 +77,6 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
     obs::LayerScope scope(layer);
     const core::PrecisionMap map = quantizer.select(values, views, params);
 
-    if (map.low_elements() < 0 || map.low_elements() > map.total_elements()) {
-      return proptest::fail("low elements ", map.low_elements(),
-                            " outside [0, ", map.total_elements(), "]");
-    }
-    if (map.total_elements() != rows * cols) {
-      return proptest::fail("total elements ", map.total_elements(),
-                            " != buffer size ", rows * cols);
-    }
     const double coverage = map.low_fraction_by_elements();
     if (!(coverage >= 0.0 && coverage <= 1.0)) {
       return proptest::fail("coverage ", coverage, " outside [0, 1]");
@@ -94,8 +86,8 @@ TEST(PropObs, SelectorClassCountsSumToTotalsAndCoverageIsBounded) {
     if (rec->subtensors_total !=
             static_cast<std::int64_t>(map.num_subtensors()) ||
         rec->subtensors_low != proptest::low_subtensors(map) ||
-        rec->elements_total != map.total_elements() ||
-        rec->elements_low != map.low_elements()) {
+        rec->elements_total != rows * cols ||
+        rec->elements_low != proptest::low_elements(map, views)) {
       return proptest::fail("layer record diverges from the PrecisionMap");
     }
     if (rec->coverage() != coverage) {

@@ -101,8 +101,8 @@ std::vector<LayerExpectation> run_fixed_workload() {
         nn::QuantEngine(cfg).select(values, views, params);
     e.subtensors_total = static_cast<std::int64_t>(map.num_subtensors());
     e.subtensors_low = proptest::low_subtensors(map);
-    e.elements_total = map.total_elements();
-    e.elements_low = map.low_elements();
+    e.elements_total = rows * cols;
+    e.elements_low = proptest::low_elements(map, views);
 
     // Scheduler: the activation split the selector chose, a fixed
     // weight split, on an 8x8 BitGroup grid.

@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "core/noise_budget.hpp"
+#include "core/selector.hpp"
 #include "nn/precision_mix.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_mix.hpp"
@@ -87,7 +87,8 @@ proptest::Result compare_mixes(const std::vector<nn::LayerMix>& got,
         !same_bits(g.act_low_fraction, w.act_low_fraction) ||
         !same_bits(g.weight_low_fraction, w.weight_low_fraction)) {
       return proptest::fail(
-          "layer ", l, " (", nn::to_string(w.layer.kind), " M=", w.layer.dims.M,
+          "layer ", l, " (kind ", static_cast<int>(w.layer.kind),
+          " M=", w.layer.dims.M,
           " K=", w.layer.dims.K, " N=", w.layer.dims.N, ") under ",
           nn::to_string(config.algo), " auto=", config.auto_threshold,
           " dynamic_weights=", config.dynamic_weights, ": m_low ",
@@ -149,7 +150,6 @@ struct SelectionCase {
   core::QuantParams params;
   core::SelectorConfig cfg;
   double budget = 0.0;
-  double noise_cap = 0.125;
 };
 
 SelectionCase gen_selection_case(Rng& rng, int size) {
@@ -180,39 +180,74 @@ SelectionCase gen_selection_case(Rng& rng, int size) {
                        ? max_abs / static_cast<double>(c.cfg.hp.max_level())
                        : 1.0;
   c.budget = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 0.3);
-  if (rng.bernoulli(0.2)) c.noise_cap = rng.uniform(0.0, 4.0);
   return c;
+}
+
+/// The index-order excess sum S of the sub-tensors `decisions` takes,
+/// and the signal the allowance scales.
+struct BudgetEdge {
+  double excess_sum = 0.0;
+  double signal = 0.0;
+};
+
+BudgetEdge index_order_excess(
+    const SelectionCase& c,
+    const std::vector<core::PrecisionDecision>& decisions) {
+  const double d2 = c.params.delta * c.params.delta;
+  BudgetEdge edge;
+  for (std::size_t i = 0; i < c.stats.size(); ++i) {
+    const core::SubTensorStats& s = c.stats[i];
+    const auto size = static_cast<double>(c.sizes[i]);
+    edge.signal += size * (s.mean_sq > 0.0 ? s.true_variance()
+                                           : s.laplace_variance());
+    const core::PrecisionDecision& d = decisions[i];
+    if (d.use_low) {
+      edge.excess_sum += size * ((std::ldexp(1.0, 2 * d.choice.lc) - 1.0) *
+                                 d2 / 12.0);
+    }
+  }
+  return edge;
+}
+
+/// select_drift's bits and summarize_selection's summary against the
+/// oracle's decisions: the bits, δ and the low fraction bit for bit,
+/// and the excess as the index-order sum over the oracle's decisions.
+proptest::Result expect_oracle_selection(const SelectionCase& c,
+                                         const core::StatsView& view) {
+  const auto want = ref::select_auto_threshold(c.stats, c.sizes, c.params,
+                                               c.cfg, c.budget);
+  std::vector<bool> low;
+  core::select_drift(view, c.params, c.cfg, c.budget, low);
+  const auto got = core::summarize_selection(view, c.params, c.cfg, low);
+  const BudgetEdge edge = index_order_excess(c, want.decisions);
+  const double want_excess =
+      edge.signal > 0.0 ? edge.excess_sum / edge.signal : 0.0;
+  if (!same_bits(got.delta_threshold, want.delta_threshold) ||
+      !same_bits(got.excess_relative_mse, want_excess) ||
+      !same_bits(got.low_fraction_by_elements,
+                 want.low_fraction_by_elements)) {
+    return proptest::fail("summary differs at ", c.stats.size(),
+                          " sub-tensors: delta ", got.delta_threshold,
+                          " vs ", want.delta_threshold, ", excess ",
+                          got.excess_relative_mse, " vs ", want_excess);
+  }
+  for (std::size_t i = 0; i < c.stats.size(); ++i) {
+    const core::ConversionChoice g =
+        core::conversion_choice(c.stats[i].max_abs, c.params, c.cfg);
+    const auto& w = want.decisions[i];
+    if (low[i] != w.use_low || g.hc != w.choice.hc || g.lc != w.choice.lc) {
+      return proptest::fail("sub-tensor ", i, " of ", c.stats.size(),
+                            ": use_low ", low[i], " vs ", w.use_low,
+                            ", lc ", g.lc, " vs ", w.choice.lc);
+    }
+  }
+  return proptest::pass();
 }
 
 TEST(PropMix, AutoThresholdMatchesOracleOnRaggedSizesAndTies) {
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     const SelectionCase c = gen_selection_case(rng, size);
-    const auto want = ref::select_auto_threshold(
-        c.stats, c.sizes, c.params, c.cfg, c.budget, c.noise_cap);
-    std::vector<bool> low;
-    const auto got = core::select_auto_threshold(
-        core::StatsView(c.stats, c.sizes), c.params, c.cfg, c.budget, low,
-        c.noise_cap);
-    if (!same_bits(got.delta_threshold, want.delta_threshold) ||
-        !same_bits(got.excess_relative_mse, want.excess_relative_mse) ||
-        !same_bits(got.low_fraction_by_elements,
-                   want.low_fraction_by_elements)) {
-      return proptest::fail("summary differs: delta ", got.delta_threshold,
-                            " vs ", want.delta_threshold, ", excess ",
-                            got.excess_relative_mse, " vs ",
-                            want.excess_relative_mse);
-    }
-    for (std::size_t i = 0; i < c.stats.size(); ++i) {
-      const core::ConversionChoice g =
-          core::conversion_choice(c.stats[i].max_abs, c.params, c.cfg);
-      const auto& w = want.decisions[i];
-      if (low[i] != w.use_low || g.hc != w.choice.hc || g.lc != w.choice.lc) {
-        return proptest::fail("sub-tensor ", i, " of ", c.stats.size(),
-                              ": use_low ", low[i], " vs ", w.use_low,
-                              ", lc ", g.lc, " vs ", w.choice.lc);
-      }
-    }
-    return proptest::pass();
+    return expect_oracle_selection(c, core::StatsView(c.stats, c.sizes));
   });
 }
 
@@ -229,33 +264,14 @@ TEST(PropMix, TwoFieldRecordsSelectLikeTheirFullStatistics) {
     }
     const std::int64_t elements = rng.uniform_int(2, 4096);
     c.sizes.assign(c.stats.size(), elements);
-    const auto want = ref::select_auto_threshold(
-        c.stats, c.sizes, c.params, c.cfg, c.budget, c.noise_cap);
-    std::vector<bool> low;
-    const auto got = core::select_auto_threshold(
-        core::StatsView(abs, elements), c.params, c.cfg, c.budget, low,
-        c.noise_cap);
-    if (!same_bits(got.delta_threshold, want.delta_threshold) ||
-        !same_bits(got.excess_relative_mse, want.excess_relative_mse) ||
-        !same_bits(got.low_fraction_by_elements,
-                   want.low_fraction_by_elements)) {
-      return proptest::fail("summary differs at ", c.stats.size(),
-                            " sub-tensors");
-    }
-    for (std::size_t i = 0; i < c.stats.size(); ++i) {
-      if (low[i] != want.decisions[i].use_low) {
-        return proptest::fail("sub-tensor ", i, ": bit ", low[i], " vs ",
-                              want.decisions[i].use_low);
-      }
-    }
-    return proptest::pass();
+    return expect_oracle_selection(c, core::StatsView(abs, elements));
   });
 }
 
-/// The oracle's low bits at `budget` and the case's noise cap.
+/// The oracle's low bits at `budget`.
 std::vector<bool> oracle_low(const SelectionCase& c, double budget) {
   const auto sel = ref::select_auto_threshold(c.stats, c.sizes, c.params,
-                                              c.cfg, budget, c.noise_cap);
+                                              c.cfg, budget);
   std::vector<bool> low;
   for (const auto& d : sel.decisions) low.push_back(d.use_low);
   return low;
@@ -283,39 +299,19 @@ proptest::Result expect_oracle_bits(const SelectionCase& c, double budget) {
 }
 
 /// The index-order excess sum S of every sub-tensor an unbounded budget
-/// takes, and the signal the allowance scales: the two numbers the
-/// skip compares.
-struct BudgetEdge {
-  double excess_sum = 0.0;
-  double signal = 0.0;
-};
-
+/// takes, and the signal: the two numbers the skip compares.
 BudgetEdge budget_edge(const SelectionCase& c) {
-  const auto all = ref::select_auto_threshold(
-      c.stats, c.sizes, c.params, c.cfg,
-      std::numeric_limits<double>::infinity(), c.noise_cap);
-  const double d2 = c.params.delta * c.params.delta;
-  BudgetEdge edge;
-  for (std::size_t i = 0; i < c.stats.size(); ++i) {
-    const core::SubTensorStats& s = c.stats[i];
-    const auto size = static_cast<double>(c.sizes[i]);
-    edge.signal += size * (s.mean_sq > 0.0 ? s.true_variance()
-                                           : s.laplace_variance());
-    const core::PrecisionDecision& d = all.decisions[i];
-    if (d.use_low) {
-      edge.excess_sum += size * ((std::ldexp(1.0, 2 * d.choice.lc) - 1.0) *
-                                 d2 / 12.0);
-    }
-  }
-  return edge;
+  return index_order_excess(
+      c, ref::select_auto_threshold(c.stats, c.sizes, c.params, c.cfg,
+                                    std::numeric_limits<double>::infinity())
+             .decisions);
 }
 
 TEST(PropMix, BitsOnlySelectionMatchesOracleAtTheBudgetEdge) {
   // Budgets whose allowance lands a few ulps on either side of S, where
   // a sorted-order sum a rounding above S makes the budget bind.
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
-    SelectionCase c = gen_selection_case(rng, size);
-    c.noise_cap = core::kDefaultNoiseCap;  // the cap select_drift applies
+    const SelectionCase c = gen_selection_case(rng, size);
     if (auto r = expect_oracle_bits(c, c.budget)) return r;
     const BudgetEdge edge = budget_edge(c);
     if (!(edge.excess_sum > 0.0 && edge.signal > 0.0)) {
@@ -367,7 +363,6 @@ TEST(PropMix, BitsOnlySelectionMatchesOracleAtZeroBudgetAndInfiniteSignal) {
     // An infinite signal makes the allowance infinite, or NaN at budget
     // 0; the oracle then takes every feasible sub-tensor.
     c = gen_selection_case(rng, size);
-    c.noise_cap = core::kDefaultNoiseCap;
     c.stats[static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(c.stats.size()) -
                                        1))]

@@ -469,14 +469,10 @@ TEST(PropQuantizer, EngineSelectionMatchesPerAlgorithmReferences) {
       for (int threads : {1, 8}) {
         util::ThreadPool::instance().resize(threads);
         const core::PrecisionMap got = engine.select(values, views, params);
-        if (got.num_subtensors() != want.num_subtensors() ||
-            got.total_elements() != want.total_elements() ||
-            got.low_elements() != want.low_elements()) {
+        if (got.num_subtensors() != want.num_subtensors()) {
           return proptest::fail(nn::to_string(cfg.mode), " map of ",
-                                got.num_subtensors(), " views, ",
-                                got.low_elements(), " low elements; the "
-                                "reference has ", want.num_subtensors(),
-                                " and ", want.low_elements());
+                                got.num_subtensors(), " views; the "
+                                "reference has ", want.num_subtensors());
         }
         for (std::size_t i = 0; i < want.num_subtensors(); ++i) {
           const core::PrecisionDecision& g = got.decision(i);
@@ -499,7 +495,8 @@ TEST(PropQuantizer, EngineSelectionMatchesPerAlgorithmReferences) {
             std::memcmp(got_render.data(), want_render.data(),
                         want_render.size() * sizeof(float)) != 0) {
           return proptest::fail(nn::to_string(cfg.mode), " rendering of ",
-                                shape.to_string(), " differs from the "
+                                shape.numel(), " elements (rank ",
+                                shape.rank(), ") differs from the "
                                 "reference's on the ",
                                 nn::simd::active().name, " backend with ",
                                 threads, " thread(s)");

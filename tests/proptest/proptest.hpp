@@ -238,6 +238,17 @@ inline std::int64_t low_subtensors(const core::PrecisionMap& map) {
   return low;
 }
 
+/// Elements of the sub-tensors of `map` that selected the low
+/// precision; views[i] is sub-tensor i.
+inline std::int64_t low_elements(const core::PrecisionMap& map,
+                                 const std::vector<SubTensorView>& views) {
+  std::int64_t low = 0;
+  for (std::size_t i = 0; i < map.num_subtensors(); ++i) {
+    low += map.decision(i).use_low ? views[i].size() : 0;
+  }
+  return low;
+}
+
 /// Every (hc, lc) conversion choice of hp -> lp (Equation 2:
 /// hc + lc = hp - lp), ordered by ascending hc.
 inline std::vector<core::ConversionChoice> enumerate_choices(

@@ -1,10 +1,11 @@
 // Tests for the automatic (noise-budget) threshold selection — the
-// stats-only counterpart of the Hessian-aware minimum-δ rule.
+// stats-only counterpart of the Hessian-aware minimum-δ rule — through
+// select_drift's bits and summarize_selection's summary of them.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/noise_budget.hpp"
+#include "core/selector.hpp"
 #include "nn/quant_engine.hpp"
 #include "nn/synthetic.hpp"
 #include "util/assert.hpp"
@@ -30,19 +31,19 @@ std::vector<SubTensorStats> full_stats(const std::vector<AbsStats>& abs) {
   return stats;
 }
 
-/// The noise-budget selection's summary and low bits.
+/// The noise-budget selection's low bits and their summary.
 struct Selection {
   AutoThresholdSummary summary;
   std::vector<bool> low;
 };
 
 Selection select_bits(const std::vector<SubTensorStats>& stats,
-                 const std::vector<std::int64_t>& sizes, const QuantParams& p,
-                 double budget, double noise_cap = 0.125) {
+                      const std::vector<std::int64_t>& sizes,
+                      const QuantParams& p, double budget) {
+  const StatsView view(stats, sizes);
   Selection s;
-  s.summary = select_auto_threshold(StatsView(stats, sizes), p,
-                                    SelectorConfig{}, budget, s.low,
-                                    noise_cap);
+  select_drift(view, p, SelectorConfig{}, budget, s.low);
+  s.summary = summarize_selection(view, p, SelectorConfig{}, s.low);
   return s;
 }
 
@@ -68,6 +69,9 @@ TEST(NoiseBudget, FreeConversionsAlwaysTaken) {
   EXPECT_EQ(conversion_choice(stats[0].max_abs, p, SelectorConfig{}).lc, 0);
   EXPECT_FALSE(r.low[1]);  // needs lc > 0: costs noise
   EXPECT_DOUBLE_EQ(r.summary.excess_relative_mse, 0.0);
+  // A free conversion sits below any threshold: with no noisy one
+  // selected, the implied δ is 0, not the free one's Eq. 6 ratio.
+  EXPECT_EQ(r.summary.delta_threshold, 0.0);
 }
 
 TEST(NoiseBudget, BudgetBuysNoisyConversions) {
@@ -107,20 +111,26 @@ TEST(NoiseBudget, LocalCapRejectsWipeouts) {
   // A quiet sub-tensor whose lc >= 1 step would exceed the cap times
   // its own variance must stay high even under a huge global budget.
   const QuantParams p = params_for(100.0);
-  // b tiny but max forces lc = 2: step 4*delta ~ 3.1, variance ~ 2*b^2.
-  SubTensorStats quiet;
-  quiet.mean_abs = 0.4;
-  quiet.mean = 0.0;
-  quiet.mean_sq = 2.0 * 0.4 * 0.4;
-  quiet.max_abs = 20.0;  // needs lc = 2 (exact range 22.05 at lc=2)
-  std::vector<SubTensorStats> stats = {quiet};
-  std::vector<std::int64_t> sizes = {64};
-  EXPECT_FALSE(
-      select_bits(stats, sizes, p, /*budget=*/100.0, /*noise_cap=*/0.125)
-          .low[0]);
-  // With a permissive cap the same sub-tensor converts.
-  EXPECT_TRUE(
-      select_bits(stats, sizes, p, 100.0, /*noise_cap=*/100.0).low[0]);
+  // max 20 forces lc = 2 (exact range 22.05 at lc = 2): excess noise
+  // 15 * delta^2 / 12 ~ 0.775 per element; variance 2*b^2.
+  const auto at_lc2 = [](double b) {
+    SubTensorStats s = laplace_stats(b);
+    s.max_abs = 20.0;
+    return s;
+  };
+  std::vector<SubTensorStats> stats = {at_lc2(0.4), at_lc2(1.5),
+                                       at_lc2(2.0)};
+  std::vector<std::int64_t> sizes = {64, 64, 64};
+  for (const SubTensorStats& s : stats) {
+    EXPECT_EQ(conversion_choice(s.max_abs, p, SelectorConfig{}).lc, 2);
+  }
+  const Selection r = select_bits(stats, sizes, p, /*budget=*/100.0);
+  // Variance 0.32: the step would wipe the sub-tensor out.
+  EXPECT_FALSE(r.low[0]);
+  // Variance 4.5: 0.775 exceeds 1/8 of it, though not 1/4.
+  EXPECT_FALSE(r.low[1]);
+  // Variance 8: the same step stays under 1/8 of it and converts.
+  EXPECT_TRUE(r.low[2]);
 }
 
 TEST(NoiseBudget, TrueVarianceGuardsShiftedData) {
@@ -135,7 +145,7 @@ TEST(NoiseBudget, TrueVarianceGuardsShiftedData) {
   shifted.max_abs = 20.0;        // forces lc = 2, step ~ 3.1
   std::vector<SubTensorStats> stats = {shifted};
   std::vector<std::int64_t> sizes = {64};
-  EXPECT_FALSE(select_bits(stats, sizes, p, 100.0, 0.125).low[0]);
+  EXPECT_FALSE(select_bits(stats, sizes, p, 100.0).low[0]);
 }
 
 TEST(NoiseBudget, ImpliedDeltaReproducesSelection) {
@@ -187,11 +197,8 @@ TEST(NoiseBudget, MapMatchesDecisions) {
 TEST(NoiseBudget, MismatchedSizesThrow) {
   std::vector<SubTensorStats> stats(3);
   std::vector<std::int64_t> sizes(2, 10);
-  QuantParams p;
-  std::vector<bool> low;
-  EXPECT_THROW(select_auto_threshold(StatsView(stats, sizes), p,
-                                     SelectorConfig{}, 0.1, low),
-               drift::check_error);
+  const QuantParams p;
+  EXPECT_THROW(select_bits(stats, sizes, p, 0.1), drift::check_error);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "core/capability.hpp"
 #include "core/precision.hpp"
 #include "core/quantizer.hpp"
 #include "core/render.hpp"
@@ -66,7 +65,6 @@ TEST(QuantParams, DeltaFromMaxAbs) {
   EXPECT_NEAR(p.delta, 2.54 / 127.0, 1e-9);
   // Eq. 1 consequence: RR of the full tensor equals max|X|.
   EXPECT_NEAR(p.representation_range(), 2.54, 1e-6);
-  EXPECT_DOUBLE_EQ(p.representation_density(), p.delta);
 }
 
 TEST(QuantParams, AllZeroTensorGetsUnitDelta) {
@@ -151,33 +149,6 @@ TEST(ConversionError, BoundedByHalfStepInRange) {
   for (std::int32_t q = -127; q <= 127; ++q) {
     const double step = p.delta * 16.0;
     EXPECT_LE(conversion_error(q, p, kInt8, c), 0.5 * step + 1e-9);
-  }
-}
-
-TEST(Capability, MatchesEquationThree) {
-  QuantParams p;
-  p.delta = 0.02;
-  // RR = (2^7 - 1) / 2^hc * delta ; RD = 2^lc * delta.
-  EXPECT_NEAR(representation_range(kInt8, 0, p.delta), 127 * 0.02, 1e-12);
-  EXPECT_NEAR(representation_range(kInt8, 2, p.delta), 127.0 / 4 * 0.02,
-              1e-12);
-  EXPECT_NEAR(representation_density(0, p.delta), 0.02, 1e-12);
-  EXPECT_NEAR(representation_density(4, p.delta), 0.32, 1e-12);
-}
-
-TEST(Capability, RangeDensityTradeoffAcrossChoices) {
-  // Walking hc up halves RR and (via lc down) halves RD: range and
-  // resolution trade off exactly as Figure 3 illustrates.
-  QuantParams p;
-  p.delta = 1.0;
-  const auto choices = enumerate_choices(kInt8, kInt4);
-  for (std::size_t i = 1; i < choices.size(); ++i) {
-    const ConversionChoice& prev = choices[i - 1];
-    const ConversionChoice& curr = choices[i];
-    EXPECT_NEAR(representation_range(kInt8, curr.hc, p.delta),
-                representation_range(kInt8, prev.hc, p.delta) / 2.0, 1e-9);
-    EXPECT_NEAR(representation_density(curr.lc, p.delta),
-                representation_density(prev.lc, p.delta) / 2.0, 1e-9);
   }
 }
 

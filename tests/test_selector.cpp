@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/capability.hpp"
 #include "core/selector.hpp"
 #include "nn/quant_engine.hpp"
 #include "util/assert.hpp"
@@ -96,12 +95,10 @@ TEST(SelectPrecision, RangeCriterionIsSatisfiedByChosenClip) {
     s.mean_abs = s.max_abs * rng.uniform(0.05, 0.9);
     const PrecisionDecision d = select_precision(s, p, cfg);
     if (d.use_low) {
-      // The exact lp range must cover max|Y| (and a fortiori Eq. 5's
-      // RR, which upper-bounds it).
+      // The exact lp range must cover max|Y|.
       const double exact = static_cast<double>(cfg.lp.max_level()) *
                            (1 << d.choice.lc) * p.delta;
       EXPECT_GE(exact, s.max_abs * (1.0 - 1e-9));
-      EXPECT_GE(representation_range(cfg.hp, d.choice.hc, p.delta), exact);
     } else {
       // Rejection at δ=0 only happens for full-range sub-tensors.
       EXPECT_GT(s.max_abs,
@@ -189,7 +186,6 @@ TEST(PrecisionMap, FractionsWeightedCorrectly) {
   const PrecisionMap map(std::move(decisions), std::move(sizes), cfg);
   EXPECT_NEAR(map.low_fraction_by_count(), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(map.low_fraction_by_elements(), 0.2, 1e-12);
-  EXPECT_EQ(map.total_elements(), 100);
 }
 
 TEST(DynamicQuantizer, LowRenderingErrorRespectsChosenDensity) {

@@ -32,10 +32,9 @@ TEST(Shape, OffsetRejectsOutOfBounds) {
   EXPECT_THROW(s.offset({0}), check_error);
 }
 
-TEST(Shape, EqualityAndToString) {
+TEST(Shape, Equality) {
   EXPECT_EQ((Shape{2, 3}), (Shape{2, 3}));
   EXPECT_NE((Shape{2, 3}), (Shape{3, 2}));
-  EXPECT_EQ((Shape{2, 3}).to_string(), "[2, 3]");
 }
 
 TEST(Shape, RejectsNegativeDims) {

@@ -366,23 +366,24 @@ void analysis_race(const Context& ctx, const RepoModel& model) {
 
 // ---------------------------------------------------------------------
 // dead-api: exported header symbol with zero cross-TU references.  A
-// reference from tests/ counts only for a src/ref/ oracle, which exists
-// for its tests; production code must be reached by a binary's code.
+// reference from tests/ or src/ref/ counts only for a src/ref/ oracle,
+// which exists for its tests; production code must be reached by a
+// binary's code, and an oracle that restates it is not one.
 // ---------------------------------------------------------------------
 
 void analysis_dead_api(const Context& ctx, const RepoModel& model) {
-  const auto is_test = [](const FileSyms& f) {
-    return starts_with(f.rel, "tests/");
+  const auto is_test_side = [](const FileSyms& f) {
+    return starts_with(f.rel, "tests/") || starts_with(f.rel, "src/ref/");
   };
   // Every callee name seen in any extracted function body, split by
-  // whether the caller is a test.  A call site in the paired .cpp is a
-  // real use (the accessor feeds its own module's implementation), even
-  // though the pair's ident set is excluded below so the definition
-  // line itself does not count.
+  // whether the caller is a test or an oracle.  A call site in the
+  // paired .cpp is a real use (the accessor feeds its own module's
+  // implementation), even though the pair's ident set is excluded below
+  // so the definition line itself does not count.
   std::set<std::string> called;
   std::set<std::string> test_called;
   for (const auto& f : model.files) {
-    std::set<std::string>& into = is_test(f) ? test_called : called;
+    std::set<std::string>& into = is_test_side(f) ? test_called : called;
     for (const auto& fn : f.functions) {
       into.insert(fn.calls.begin(), fn.calls.end());
     }
@@ -414,7 +415,7 @@ void analysis_dead_api(const Context& ctx, const RepoModel& model) {
       for (const auto& other : model.files) {
         if (referenced) break;
         if (other.rel == file.rel || other.rel == pair_cpp) continue;
-        if (!oracle && is_test(other)) continue;
+        if (!oracle && is_test_side(other)) continue;
         if (other.idents.count(fn.name)) {
           referenced = true;
           break;
@@ -424,7 +425,7 @@ void analysis_dead_api(const Context& ctx, const RepoModel& model) {
       report(ctx, file.rel, fn.decl_line, "dead-api",
              "exported symbol '" + fn.qname +
                  "' has no reference outside its own translation unit" +
-                 (oracle ? "" : " and tests/") +
+                 (oracle ? "" : ", tests/ and src/ref/") +
                  "; delete it, make it internal, move it next to its "
                  "test, or justify with "
                  "'// drift-lint: allow(dead-api) — <why it stays>'");
@@ -465,8 +466,8 @@ void add_graph_rules(std::vector<Rule>& rules) {
   rules.push_back({"dead-api",
                    "every exported (header, cross-TU visible) symbol has at "
                    "least one reference outside its own translation unit; "
-                   "a reference from tests/ counts only for a src/ref/ "
-                   "oracle",
+                   "a reference from tests/ or src/ref/ counts only for a "
+                   "src/ref/ oracle",
                    nullptr, analysis_dead_api});
 }
 
